@@ -30,7 +30,8 @@
 //!   reconnect-with-backoff ([`NodeClient::reconnect_with_backoff`]);
 //! * [`replay`] — offline **re-scoring** of a gateway's durable ingest log
 //!   ([`replay_log`]): every logged stream re-run through any firmware
-//!   image, bit-identical to live ingestion when the image matches;
+//!   image, bit-identical to live ingestion when the image matches — the
+//!   same log fold the gateway's crash recovery uses;
 //! * [`chaos`] — a deterministic fault-injecting TCP proxy
 //!   ([`ChaosProxy`]): corruption, duplication, reordering, truncation,
 //!   slow-loris stalls and mid-stream kills on a seeded, replayable

@@ -13,7 +13,8 @@
 //! polynomial) trailer covers exactly those bytes. All integers are
 //! little-endian; there are no variable-length integers and no padding, so
 //! every frame has exactly one serialisation and the decoder can verify
-//! length *and* checksum before touching the payload.
+//! length *and* checksum before touching the payload. The envelope is the
+//! one the durable log uses, implemented once in `hbc_wal`.
 //!
 //! [`FrameDecoder`] is a pure incremental parser: feed it arbitrary byte
 //! slices ([`FrameDecoder::feed`]) and pop complete frames
@@ -54,36 +55,10 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// [`MAX_FRAME_LEN`] and bounds per-frame latency).
 pub const MAX_SAMPLES_PER_FRAME: usize = 16_384;
 
-const fn build_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = build_crc32_table();
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes` — the frame trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+// The frame envelope (length prefix, CRC-32 trailer) is the durable log's:
+// `hbc_wal` owns it, and frames here are built and split with its
+// functions. The CRC stays reachable from this module for the wire's users.
+pub use hbc_wal::crc32;
 
 /// The ADC transfer function of the wire: the firmware's default front-end
 /// (12-bit, ±5 mV), whose codes fit an `i16` with headroom.
@@ -372,6 +347,17 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+impl From<hbc_wal::EnvelopeError> for ProtoError {
+    fn from(e: hbc_wal::EnvelopeError) -> Self {
+        match e {
+            hbc_wal::EnvelopeError::BadLength { len } => ProtoError::BadLength { len },
+            hbc_wal::EnvelopeError::BadCrc { computed, found } => {
+                ProtoError::BadCrc { computed, found }
+            }
+        }
+    }
+}
+
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -433,9 +419,7 @@ impl Frame {
     /// Appends the frame's serialisation (length prefix, tag, body, CRC
     /// trailer) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let len_at = out.len();
-        put_u32(out, 0); // patched below
-        let tag_at = out.len();
+        let start = hbc_wal::begin_frame(out);
         match self {
             Frame::Hello { version } => {
                 out.push(TAG_HELLO);
@@ -535,10 +519,7 @@ impl Frame {
                 put_u32(out, *retry_after_ms);
             }
         }
-        let len = out.len() - tag_at;
-        out[len_at..len_at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        let crc = crc32(&out[tag_at..]);
-        put_u32(out, crc);
+        hbc_wal::seal_frame(out, start);
     }
 
     /// Convenience: the frame as a fresh byte vector.
@@ -688,26 +669,11 @@ impl FrameDecoder {
     /// Any [`ProtoError`] is fatal for the stream: the decoder's state is
     /// left untouched and every subsequent call fails the same way.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        let Some(split) = hbc_wal::split_frame(&self.buf[self.start..], MAX_FRAME_LEN)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("len 4")) as usize;
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(ProtoError::BadLength { len });
-        }
-        let total = 4 + len + 4;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let framed = &avail[4..4 + len];
-        let found = u32::from_le_bytes(avail[4 + len..total].try_into().expect("len 4"));
-        let computed = crc32(framed);
-        if computed != found {
-            return Err(ProtoError::BadCrc { computed, found });
-        }
-        let frame = Frame::decode_body(framed[0], &framed[1..])?;
-        self.start += total;
+        };
+        let frame = Frame::decode_body(split.tag, split.body)?;
+        self.start += split.total;
         Ok(Some(frame))
     }
 

@@ -14,14 +14,23 @@
 //! The scan is read-only: a torn tail from a crash is skipped, never
 //! repaired, so a replay can run against the log directory of a dead
 //! gateway before (or instead of) restarting it.
+//!
+//! This module also owns the one **log fold** both readers of the log
+//! share: `fold_log` groups records into sessions and `rebuild` turns
+//! the sessions of one hub back into hub state. Crash recovery
+//! (`Gateway::bind`) and [`replay_log`] differ only in the policy they
+//! apply on top.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
 use std::path::Path;
 
-use hbc_core::StreamHub;
+use hbc_core::{SessionId, StreamHub};
 use hbc_embedded::{BeatOutcome, WbsnFirmware};
 use hbc_wal::WalRecord;
+
+use crate::proto::dequantize_mv_into;
+use crate::server::promote;
 
 /// One logged session re-scored through the pipeline, in log open order.
 #[derive(Debug, Clone)]
@@ -58,6 +67,148 @@ pub struct ReplayReport {
     pub truncated: bool,
 }
 
+/// One session as the durable log records it.
+pub(crate) struct LoggedSession {
+    pub(crate) token: u64,
+    pub(crate) wire_id: u32,
+    pub(crate) patient_id: u32,
+    pub(crate) calib_len: usize,
+    pub(crate) fs_millihertz: u32,
+    /// Every logged sample, as wire ADC codes.
+    pub(crate) codes: Vec<i16>,
+    /// The receive position: one past the last logged `Samples` seq.
+    pub(crate) next_seq: u32,
+    /// Whether the log records the session's end.
+    pub(crate) closed: bool,
+}
+
+/// What [`fold_log`] reconstructs from a record prefix.
+pub(crate) struct LogFold {
+    /// Logged sessions, in the order their opens were logged.
+    pub(crate) sessions: Vec<LoggedSession>,
+    /// `SessionOpen` records seen, duplicates included: each consumed one
+    /// resume token.
+    pub(crate) opens: u64,
+    /// The largest wire id any open carried.
+    pub(crate) max_wire_id: Option<u32>,
+}
+
+/// Folds a log's records into sessions keyed by resume token.
+///
+/// A gateway never logs the same token twice. Should a log do so anyway,
+/// the first open wins and later opens of the token are ignored. Samples
+/// logged after a session's close are ignored too.
+pub(crate) fn fold_log(records: Vec<WalRecord>) -> LogFold {
+    let mut fold = LogFold {
+        sessions: Vec::new(),
+        opens: 0,
+        max_wire_id: None,
+    };
+    let mut by_token: HashMap<u64, usize> = HashMap::new();
+    for record in records {
+        match record {
+            WalRecord::SessionOpen {
+                token,
+                wire_id,
+                patient_id,
+                calib_len,
+                fs_millihertz,
+            } => {
+                fold.opens += 1;
+                fold.max_wire_id = fold.max_wire_id.max(Some(wire_id));
+                by_token.entry(token).or_insert_with(|| {
+                    fold.sessions.push(LoggedSession {
+                        token,
+                        wire_id,
+                        patient_id,
+                        calib_len: calib_len as usize,
+                        fs_millihertz,
+                        codes: Vec::new(),
+                        next_seq: 0,
+                        closed: false,
+                    });
+                    fold.sessions.len() - 1
+                });
+            }
+            WalRecord::Samples { token, seq, codes } => {
+                if let Some(&i) = by_token.get(&token) {
+                    let session = &mut fold.sessions[i];
+                    if !session.closed {
+                        session.codes.extend_from_slice(&codes);
+                        session.next_seq = seq.wrapping_add(1);
+                    }
+                }
+            }
+            WalRecord::SessionClose { token } => {
+                if let Some(&i) = by_token.get(&token) {
+                    fold.sessions[i].closed = true;
+                }
+            }
+        }
+    }
+    fold
+}
+
+/// How far a rebuilt session got through threshold calibration.
+pub(crate) enum Calibration {
+    /// The logged stream ends inside the calibration stretch.
+    Pending,
+    /// The stretch is degenerate: no thresholds, no hub session.
+    Failed,
+    /// Calibrated, and the whole logged stream ingested into this hub
+    /// session.
+    Streaming(SessionId),
+}
+
+/// One logged session after [`rebuild`].
+pub(crate) struct Rebuilt {
+    /// The session as logged (its codes moved into `samples`).
+    pub(crate) session: LoggedSession,
+    /// The logged stream, dequantized exactly as the wire path does.
+    pub(crate) samples: Vec<f64>,
+    pub(crate) calibration: Calibration,
+}
+
+/// Rebuilds logged sessions into `hub`, which must run at their sampling
+/// rate: dequantizes each stream, derives its thresholds from the logged
+/// calibration stretch, and feeds every calibrated stream through one
+/// parallel [`StreamHub::ingest`]. By chunk invariance the outcome history
+/// is bit-identical to the live ingestion, whatever chunk sizes the node
+/// used.
+///
+/// Returns the sessions in input order, plus whether the hub rejected the
+/// batched ingest (a bug: the sessions are fresh and unique).
+pub(crate) fn rebuild(hub: &mut StreamHub<'_>, logged: Vec<LoggedSession>) -> (Vec<Rebuilt>, bool) {
+    let rebuilt: Vec<Rebuilt> = logged
+        .into_iter()
+        .map(|mut session| {
+            let mut samples = Vec::new();
+            dequantize_mv_into(&std::mem::take(&mut session.codes), &mut samples);
+            let calibration = if samples.len() < session.calib_len {
+                Calibration::Pending
+            } else {
+                promote(hub, session.patient_id, &samples[..session.calib_len])
+                    .map_or(Calibration::Failed, Calibration::Streaming)
+            };
+            Rebuilt {
+                session,
+                samples,
+                calibration,
+            }
+        })
+        .collect();
+    let feeds: Vec<(SessionId, &[f64])> = rebuilt
+        .iter()
+        .filter_map(|r| match r.calibration {
+            Calibration::Streaming(id) => Some((id, r.samples.as_slice())),
+            Calibration::Pending | Calibration::Failed => None,
+        })
+        .collect();
+    let rejected = !feeds.is_empty() && hub.ingest(&feeds).is_err();
+    debug_assert!(!rejected, "rebuilt hub sessions are fresh and unique");
+    (rebuilt, rejected)
+}
+
 /// Re-scores every session in the log directory `dir` through `firmware`.
 ///
 /// Sessions are grouped by their logged sampling rate (one [`StreamHub`]
@@ -67,7 +218,9 @@ pub struct ReplayReport {
 /// produced outcomes. Sessions the log marks closed are finished and
 /// drained exactly like a live close, so their histories match the final
 /// reports the gateway sent; still-open sessions stop where the log stops,
-/// matching what crash recovery rebuilds.
+/// matching what crash recovery rebuilds. A session whose stream does not
+/// cover its calibration stretch, or whose stretch is degenerate, is
+/// reported with `calibrated: false` and no outcomes.
 ///
 /// # Errors
 ///
@@ -79,119 +232,44 @@ pub fn replay_log(
     firmware: &WbsnFirmware,
     threads: Option<NonZeroUsize>,
 ) -> std::io::Result<ReplayReport> {
-    struct Logged {
-        token: u64,
-        wire_id: u32,
-        patient_id: u32,
-        calib_len: usize,
-        fs_millihertz: u32,
-        codes: Vec<i16>,
-        closed: bool,
-    }
     let recovery = hbc_wal::scan(dir.as_ref()).map_err(|e| match e {
         hbc_wal::WalError::Io(io) => io,
         other => std::io::Error::other(other.to_string()),
     })?;
-
-    let mut entries: Vec<Logged> = Vec::new();
-    let mut by_token: BTreeMap<u64, usize> = BTreeMap::new();
-    for record in recovery.records {
-        match record {
-            WalRecord::SessionOpen {
-                token,
-                wire_id,
-                patient_id,
-                calib_len,
-                fs_millihertz,
-            } => {
-                by_token.entry(token).or_insert_with(|| {
-                    entries.push(Logged {
-                        token,
-                        wire_id,
-                        patient_id,
-                        calib_len: calib_len as usize,
-                        fs_millihertz,
-                        codes: Vec::new(),
-                        closed: false,
-                    });
-                    entries.len() - 1
-                });
-            }
-            WalRecord::Samples { token, codes, .. } => {
-                if let Some(&i) = by_token.get(&token) {
-                    if !entries[i].closed {
-                        entries[i].codes.extend_from_slice(&codes);
-                    }
-                }
-            }
-            WalRecord::SessionClose { token } => {
-                if let Some(&i) = by_token.get(&token) {
-                    entries[i].closed = true;
-                }
-            }
-        }
-    }
+    let fold = fold_log(recovery.records);
 
     // A hub runs at one sampling rate; group sessions by theirs. Group
     // order does not matter for the outcomes (sessions are independent) —
     // the report is re-assembled in log open order below.
-    let mut by_fs: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (i, entry) in entries.iter().enumerate() {
-        by_fs.entry(entry.fs_millihertz).or_default().push(i);
+    let mut sessions: Vec<Option<ReplayedSession>> = fold.sessions.iter().map(|_| None).collect();
+    let mut by_fs: BTreeMap<u32, (Vec<usize>, Vec<LoggedSession>)> = BTreeMap::new();
+    for (i, session) in fold.sessions.into_iter().enumerate() {
+        let (order, group) = by_fs.entry(session.fs_millihertz).or_default();
+        order.push(i);
+        group.push(session);
     }
 
-    let adc = crate::proto::wire_adc();
-    let mut sessions: Vec<Option<ReplayedSession>> = entries.iter().map(|_| None).collect();
-    for (fs_millihertz, group) in by_fs {
+    for (fs_millihertz, (order, group)) in by_fs {
         let fs = f64::from(fs_millihertz) / 1000.0;
         let mut hub = StreamHub::with_threads(firmware, fs, threads);
-        let mut streams: Vec<(usize, Vec<f64>)> = Vec::with_capacity(group.len());
-        for &i in &group {
-            let samples: Vec<f64> = entries[i]
-                .codes
-                .iter()
-                .map(|&c| adc.dequantize_sample(i32::from(c)))
-                .collect();
-            streams.push((i, samples));
-        }
-        let mut hub_ids = Vec::with_capacity(streams.len());
-        for (i, samples) in &streams {
-            let entry = &entries[*i];
-            let hub_id = if samples.len() >= entry.calib_len && entry.calib_len > 0 {
-                hub.calibrate_thresholds(&samples[..entry.calib_len])
-                    .ok()
-                    .map(|thresholds| hub.add_patient(entry.patient_id, thresholds))
-            } else {
-                None
-            };
-            hub_ids.push(hub_id);
-        }
-        let feeds: Vec<(hbc_core::SessionId, &[f64])> = streams
-            .iter()
-            .zip(&hub_ids)
-            .filter_map(|((_, samples), hub_id)| Some(((*hub_id)?, samples.as_slice())))
-            .collect();
-        if !feeds.is_empty() && hub.ingest(&feeds).is_err() {
-            debug_assert!(false, "replay hub sessions are fresh and unique");
-        }
-        for ((i, samples), hub_id) in streams.iter().zip(&hub_ids) {
-            let entry = &entries[*i];
-            let outcomes = match hub_id {
-                Some(id) if entry.closed => hub
-                    .close_session(*id)
+        let (rebuilt, _) = rebuild(&mut hub, group);
+        for (i, r) in order.into_iter().zip(rebuilt) {
+            let outcomes = match r.calibration {
+                Calibration::Streaming(id) if r.session.closed => hub
+                    .close_session(id)
                     .map(|report| report.outcomes)
                     .unwrap_or_default(),
-                Some(id) => hub.outcomes_since(*id, 0).unwrap_or_default(),
-                None => Vec::new(),
+                Calibration::Streaming(id) => hub.outcomes_since(id, 0).unwrap_or_default(),
+                Calibration::Pending | Calibration::Failed => Vec::new(),
             };
-            sessions[*i] = Some(ReplayedSession {
-                token: entry.token,
-                wire_id: entry.wire_id,
-                patient_id: entry.patient_id,
+            sessions[i] = Some(ReplayedSession {
+                token: r.session.token,
+                wire_id: r.session.wire_id,
+                patient_id: r.session.patient_id,
                 fs_millihertz,
-                samples: samples.len() as u64,
-                closed: entry.closed,
-                calibrated: hub_id.is_some(),
+                samples: r.samples.len() as u64,
+                closed: r.session.closed,
+                calibrated: matches!(r.calibration, Calibration::Streaming(_)),
                 outcomes,
             });
         }

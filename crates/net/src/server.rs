@@ -102,7 +102,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hbc_core::StreamHub;
+use hbc_core::{SessionId, StreamHub};
 use hbc_embedded::WbsnFirmware;
 use hbc_obs::{Histogram, MetricsSnapshot, TraceEvent, TraceRecord, TraceRing};
 use hbc_wal::{Wal, WalConfig, WalRecord};
@@ -110,6 +110,7 @@ use hbc_wal::{Wal, WalConfig, WalRecord};
 use crate::proto::{
     Frame, FrameDecoder, WireOutcome, WireReport, MAX_SAMPLES_PER_FRAME, PROTOCOL_VERSION,
 };
+use crate::replay::{self, Calibration};
 use crate::session::{NetSession, ResumeOutcome, SessionManager, SessionPhase, SessionPriority};
 
 /// Bytes one buffered sample occupies gateway-side (sessions buffer
@@ -1883,45 +1884,14 @@ impl<'fw> Gateway<'fw> {
             if s.pending.len() < calib_len {
                 continue;
             }
-            match self.hub.calibrate_thresholds(&s.pending[..calib_len]) {
-                Ok(thresholds) => {
-                    let hub = self.hub.add_patient(s.patient_id, thresholds);
-                    let Some(s) = self.sessions.get_mut(wire_id) else {
-                        self.stats.internal_skips += 1;
-                        debug_assert!(false, "promoted session {wire_id} vanished");
-                        continue;
-                    };
-                    s.phase = SessionPhase::Streaming { hub };
-                }
-                Err(_) => {
-                    // A degenerate calibration stretch is a per-session
-                    // failure: end *this* session with an empty Report
-                    // (its samples counter tells the client how much was
-                    // consumed for nothing) and leave the connection's
-                    // other sessions untouched.
-                    let conn = s.conn;
-                    let token = s.token;
-                    let samples = s.samples_received;
-                    if let Some(removed) = self.sessions.remove(wire_id) {
-                        self.buffered_samples -= removed.buffered();
-                    }
-                    self.wal_log(&WalRecord::SessionClose { token });
-                    self.send(
-                        conn,
-                        &Frame::Report {
-                            session: wire_id,
-                            report: WireReport {
-                                beats: 0,
-                                forwarded: 0,
-                                samples,
-                            },
-                        },
-                    );
-                    self.stats.sessions_closed += 1;
-                    self.obs
-                        .trace
-                        .push(TraceEvent::SessionClose { session: wire_id });
-                }
+            match promote(&mut self.hub, s.patient_id, &s.pending[..calib_len]) {
+                Some(hub) => s.phase = SessionPhase::Streaming { hub },
+                // A degenerate calibration stretch is a per-session failure:
+                // end *this* session like any close — an empty Report whose
+                // samples counter tells the client how much was consumed
+                // for nothing — and leave the connection's other sessions
+                // untouched.
+                None => self.close_wire_session(wire_id, false),
             }
         }
 
@@ -2113,65 +2083,51 @@ impl<'fw> Gateway<'fw> {
         // A close can arrive while the calibration stretch is still short;
         // calibrate on what exists (best effort — too short simply yields an
         // empty session).
-        if s.hub_id().is_none() && !s.pending.is_empty() {
-            let stretch = match s.phase {
-                SessionPhase::Calibrating { calib_len } => calib_len.min(s.pending.len()),
-                SessionPhase::Streaming { .. } => unreachable!("hub_id is None"),
-            };
-            if let Ok(thresholds) = self.hub.calibrate_thresholds(&s.pending[..stretch]) {
-                let hub = self.hub.add_patient(s.patient_id, thresholds);
+        if let SessionPhase::Calibrating { calib_len } = s.phase {
+            let stretch = &s.pending[..calib_len.min(s.pending.len())];
+            if let Some(hub) = promote(&mut self.hub, s.patient_id, stretch) {
                 s.phase = SessionPhase::Streaming { hub };
             }
         }
-        let empty_report = WireReport {
+        let mut report = WireReport {
             beats: 0,
             forwarded: 0,
             samples: s.samples_received,
         };
-        let (report, history) = match s.hub_id() {
-            Some(hub_id) => {
-                if !s.pending.is_empty()
-                    && self.hub.ingest(&[(hub_id, s.pending.as_slice())]).is_err()
-                {
+        let mut history: Vec<WireOutcome> = Vec::new();
+        if let Some(hub_id) = s.hub_id() {
+            if !s.pending.is_empty() && self.hub.ingest(&[(hub_id, s.pending.as_slice())]).is_err()
+            {
+                self.stats.internal_skips += 1;
+                debug_assert!(false, "closing session {wire_id} is not live in the hub");
+            }
+            match self.hub.close_session(hub_id) {
+                Ok(closed) => {
+                    history = closed
+                        .outcomes
+                        .iter()
+                        .map(WireOutcome::from_outcome)
+                        .collect();
+                    report.beats = history.len() as u64;
+                    report.forwarded = closed.forwarded_beats as u64;
+                    let unsent = &history[s.outcomes_sent.min(history.len())..];
+                    if !unsent.is_empty() {
+                        self.stats.beats_out += unsent.len() as u64;
+                        self.send(
+                            s.conn,
+                            &Frame::Outcomes {
+                                session: wire_id,
+                                outcomes: unsent.to_vec(),
+                            },
+                        );
+                    }
+                }
+                Err(_) => {
                     self.stats.internal_skips += 1;
                     debug_assert!(false, "closing session {wire_id} is not live in the hub");
                 }
-                match self.hub.close_session(hub_id) {
-                    Ok(session_report) => {
-                        let history: Vec<WireOutcome> = session_report
-                            .outcomes
-                            .iter()
-                            .map(WireOutcome::from_outcome)
-                            .collect();
-                        let unsent = &history[s.outcomes_sent.min(history.len())..];
-                        if !unsent.is_empty() {
-                            self.stats.beats_out += unsent.len() as u64;
-                            self.send(
-                                s.conn,
-                                &Frame::Outcomes {
-                                    session: wire_id,
-                                    outcomes: unsent.to_vec(),
-                                },
-                            );
-                        }
-                        (
-                            WireReport {
-                                beats: history.len() as u64,
-                                forwarded: session_report.forwarded_beats as u64,
-                                samples: s.samples_received,
-                            },
-                            history,
-                        )
-                    }
-                    Err(_) => {
-                        self.stats.internal_skips += 1;
-                        debug_assert!(false, "closing session {wire_id} is not live in the hub");
-                        (empty_report, Vec::new())
-                    }
-                }
             }
-            None => (empty_report, Vec::new()),
-        };
+        }
         self.send(
             s.conn,
             &Frame::Report {
@@ -2206,6 +2162,18 @@ impl<'fw> Gateway<'fw> {
         }
     }
 
+    /// Ends a removed session nobody can receive results for any more (its
+    /// connection died without retention, or its retention window
+    /// elapsed): off the ledger, closed in the log so recovery does not
+    /// resurrect it, and its hub session discarded unreported.
+    fn discard_session(&mut self, s: &NetSession) {
+        self.buffered_samples -= s.buffered();
+        self.wal_log(&WalRecord::SessionClose { token: s.token });
+        if let Some(hub_id) = s.hub_id() {
+            let _ = self.hub.close_session(hub_id);
+        }
+    }
+
     /// Releases dead connections and closing connections whose outbox has
     /// drained. Their sessions are **detached** (parked for resume within
     /// the retention window) when retention is enabled, discarded otherwise.
@@ -2229,14 +2197,8 @@ impl<'fw> Gateway<'fw> {
                             .push(TraceEvent::SessionDetach { session: wire_id });
                     }
                 } else if let Some(s) = self.sessions.remove(wire_id) {
-                    // Without retention nobody can ever resume this stream;
-                    // close it in the log too so recovery skips it.
-                    self.buffered_samples -= s.buffered();
-                    self.wal_log(&WalRecord::SessionClose { token: s.token });
-                    if let Some(hub_id) = s.hub_id() {
-                        // Nobody is left to receive results; discard.
-                        let _ = self.hub.close_session(hub_id);
-                    }
+                    // Without retention nobody can ever resume this stream.
+                    self.discard_session(&s);
                 }
             }
             self.conns[idx] = None;
@@ -2253,13 +2215,7 @@ impl<'fw> Gateway<'fw> {
         let now = Instant::now();
         let window = self.config.resume_window;
         for s in self.sessions.expire_detached(now, window) {
-            // Expiry is final: log the close so recovery does not
-            // resurrect a stream nobody can resume any more.
-            self.buffered_samples -= s.buffered();
-            self.wal_log(&WalRecord::SessionClose { token: s.token });
-            if let Some(hub_id) = s.hub_id() {
-                let _ = self.hub.close_session(hub_id);
-            }
+            self.discard_session(&s);
             self.stats.sessions_expired += 1;
             self.obs
                 .trace
@@ -2500,19 +2456,19 @@ impl<'fw> Gateway<'fw> {
 }
 
 /// Rebuilds the sessions a previous gateway process left open in the
-/// durable log.
+/// durable log and parks them for [`Frame::ResumeSession`].
 ///
-/// Each un-closed `SessionOpen` record becomes one parked session: its
-/// stream is re-assembled from the logged `Samples` records (raw ADC codes,
-/// dequantized exactly as the wire path does), its thresholds re-derived
-/// from the logged calibration stretch, and the whole stream replayed
-/// through the hub in a single parallel [`StreamHub::ingest`] call — by
-/// chunk invariance the rebuilt outcome history is bit-identical to the
-/// pre-crash ingestion, whatever chunk sizes the node used live. The
-/// manager's wire-id and token generators are fast-forwarded past every
-/// logged open so recovered and freshly opened sessions can never collide.
-/// Returns the number of sessions rebuilt (all parked for
-/// [`Frame::ResumeSession`]).
+/// The log is folded and rebuilt by the code [`crate::replay_log`] uses
+/// ([`replay::fold_log`], [`replay::rebuild`]), so the rebuilt outcome
+/// history is bit-identical to the pre-crash ingestion. The policy on top
+/// is recovery's: closed sessions are done, sessions logged at another
+/// sampling rate belong to a differently configured gateway, and a session
+/// whose calibration stretch is degenerate is dropped. A session whose log
+/// ends inside its calibration stretch is parked still calibrating, with
+/// its logged samples buffered. The manager's wire-id and token generators
+/// are fast-forwarded past every logged open so recovered and freshly
+/// opened sessions can never collide. Returns the number of sessions
+/// parked.
 fn recover_sessions(
     hub: &mut StreamHub<'_>,
     sessions: &mut SessionManager,
@@ -2520,127 +2476,25 @@ fn recover_sessions(
     fs_millihertz: u32,
     stats: &mut GatewayStats,
 ) -> u64 {
-    struct Logged {
-        wire_id: u32,
-        patient_id: u32,
-        calib_len: usize,
-        fs_millihertz: u32,
-        codes: Vec<i16>,
-        next_seq: u32,
-        closed: bool,
-    }
-    let mut by_token: HashMap<u64, Logged> = HashMap::new();
-    let mut open_order: Vec<u64> = Vec::new();
-    let mut opens = 0u64;
-    let mut max_wire_id = None::<u32>;
-    for record in records {
-        match record {
-            WalRecord::SessionOpen {
-                token,
-                wire_id,
-                patient_id,
-                calib_len,
-                fs_millihertz: fs,
-            } => {
-                opens += 1;
-                max_wire_id = Some(max_wire_id.map_or(wire_id, |m| m.max(wire_id)));
-                if by_token
-                    .insert(
-                        token,
-                        Logged {
-                            wire_id,
-                            patient_id,
-                            calib_len: calib_len as usize,
-                            fs_millihertz: fs,
-                            codes: Vec::new(),
-                            next_seq: 0,
-                            closed: false,
-                        },
-                    )
-                    .is_none()
-                {
-                    open_order.push(token);
-                }
-            }
-            WalRecord::Samples { token, seq, codes } => {
-                if let Some(entry) = by_token.get_mut(&token) {
-                    if !entry.closed {
-                        entry.codes.extend_from_slice(&codes);
-                        entry.next_seq = seq.wrapping_add(1);
-                    }
-                }
-            }
-            WalRecord::SessionClose { token } => {
-                if let Some(entry) = by_token.get_mut(&token) {
-                    entry.closed = true;
-                }
-            }
-        }
-    }
+    let fold = replay::fold_log(records);
     // Replay the generators: every logged open consumed one wire id and one
     // token, whether or not its session survives recovery, so the post-
     // restart streams continue exactly where the pre-crash ones would have.
-    sessions.skip_tokens(opens);
-    if let Some(max) = max_wire_id {
+    sessions.skip_tokens(fold.opens);
+    if let Some(max) = fold.max_wire_id {
         sessions.ensure_next_id(max.wrapping_add(1));
     }
-
-    struct Rebuilt {
-        token: u64,
-        wire_id: u32,
-        patient_id: u32,
-        calib_len: usize,
-        samples: Vec<f64>,
-        next_seq: u32,
-        hub_id: Option<hbc_core::SessionId>,
-    }
-    let adc = crate::proto::wire_adc();
-    let mut rebuilt: Vec<Rebuilt> = Vec::new();
-    for token in open_order {
-        let Some(entry) = by_token.remove(&token) else {
-            continue;
-        };
-        // Closed sessions are fully reported; sessions logged at a
-        // different sampling rate belong to a differently configured
-        // gateway and cannot be replayed through this hub.
-        if entry.closed || entry.fs_millihertz != fs_millihertz {
-            continue;
-        }
-        let samples: Vec<f64> = entry
-            .codes
-            .iter()
-            .map(|&c| adc.dequantize_sample(i32::from(c)))
-            .collect();
-        let hub_id = if samples.len() >= entry.calib_len {
-            match hub.calibrate_thresholds(&samples[..entry.calib_len]) {
-                Ok(thresholds) => Some(hub.add_patient(entry.patient_id, thresholds)),
-                // A degenerate calibration stretch would have ended the
-                // session live too; drop it.
-                Err(_) => continue,
-            }
-        } else {
-            None
-        };
-        rebuilt.push(Rebuilt {
-            token,
-            wire_id: entry.wire_id,
-            patient_id: entry.patient_id,
-            calib_len: entry.calib_len,
-            samples,
-            next_seq: entry.next_seq,
-            hub_id,
-        });
-    }
-    let feeds: Vec<(hbc_core::SessionId, &[f64])> = rebuilt
-        .iter()
-        .filter_map(|r| Some((r.hub_id?, r.samples.as_slice())))
+    let open = fold
+        .sessions
+        .into_iter()
+        .filter(|s| !s.closed && s.fs_millihertz == fs_millihertz)
         .collect();
-    if !feeds.is_empty() && hub.ingest(&feeds).is_err() {
+    let (rebuilt, rejected) = replay::rebuild(hub, open);
+    if rejected {
         stats.internal_skips += 1;
-        debug_assert!(false, "recovered hub sessions are fresh and unique");
     }
     let now = Instant::now();
-    let recovered = rebuilt.len() as u64;
+    let mut recovered = 0;
     for r in rebuilt {
         let samples_received = r.samples.len() as u64;
         // `outcomes_sent` restarts at the full replayed history: the owner
@@ -2648,33 +2502,33 @@ fn recover_sessions(
         // sent, which the replay covers (samples are logged before they are
         // ingested), so the resume-time `min()` rewind lands exactly on the
         // client's claim.
-        let (phase, pending, outcomes_sent) = match r.hub_id {
-            Some(hub_id) => {
-                let replayed = hub.outcomes_since(hub_id, 0).map_or(0, |o| o.len());
-                (
-                    SessionPhase::Streaming { hub: hub_id },
-                    Vec::new(),
-                    replayed,
-                )
-            }
-            None => (
+        let (phase, pending, outcomes_sent) = match r.calibration {
+            Calibration::Streaming(hub_id) => (
+                SessionPhase::Streaming { hub: hub_id },
+                Vec::new(),
+                hub.outcomes_since(hub_id, 0).map_or(0, |o| o.len()),
+            ),
+            Calibration::Pending => (
                 SessionPhase::Calibrating {
-                    calib_len: r.calib_len,
+                    calib_len: r.session.calib_len,
                 },
                 r.samples,
                 0,
             ),
+            // A degenerate calibration stretch would have ended the
+            // session live too; drop it.
+            Calibration::Failed => continue,
         };
         sessions.insert_detached(
             NetSession {
-                wire_id: r.wire_id,
-                token: r.token,
+                wire_id: r.session.wire_id,
+                token: r.session.token,
                 conn: usize::MAX,
-                patient_id: r.patient_id,
+                patient_id: r.session.patient_id,
                 phase,
                 pending,
                 chunk: Vec::new(),
-                next_seq: r.next_seq,
+                next_seq: r.session.next_seq,
                 outcomes_sent,
                 consumed_since_grant: 0,
                 samples_received,
@@ -2685,8 +2539,24 @@ fn recover_sessions(
             },
             now,
         );
+        recovered += 1;
     }
     recovered
+}
+
+/// Turns a calibration stretch into a hub session — the one place the
+/// gateway derives detection thresholds: calibrate on `stretch`, register
+/// the patient, and return the handle a [`SessionPhase::Streaming`] session
+/// carries. `None` when the stretch is degenerate (too short or too flat
+/// for the detector). Used by sweep promotion, close-while-calibrating and
+/// the log rebuild.
+pub(crate) fn promote(
+    hub: &mut StreamHub<'_>,
+    patient_id: u32,
+    stretch: &[f64],
+) -> Option<SessionId> {
+    let thresholds = hub.calibrate_thresholds(stretch).ok()?;
+    Some(hub.add_patient(patient_id, thresholds))
 }
 
 impl std::fmt::Debug for Gateway<'_> {

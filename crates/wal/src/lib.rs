@@ -16,13 +16,14 @@
 //! strictly in index order and never modified once rotated away from; only
 //! the highest-index segment is ever open for append.
 //!
-//! Each record reuses the wire protocol's framing conventions
-//! (`hbc_net::proto`): a little-endian `u32` length prefix counting the tag
-//! byte plus the body, the tag byte, the body, and a CRC-32 trailer (IEEE
-//! 802.3 reflected polynomial — the ZIP/PNG CRC) computed over tag + body.
-//! All integers are little-endian. The crate deliberately re-implements the
-//! (tiny) CRC rather than depending on `hbc-net`: the log is a leaf crate so
-//! the networking layer can depend on *it*.
+//! Each record is one **frame envelope**: a little-endian `u32` length
+//! prefix counting the tag byte plus the body, the tag byte, the body, and a
+//! CRC-32 trailer (IEEE 802.3 reflected polynomial — the ZIP/PNG CRC)
+//! computed over tag + body. All integers are little-endian. This crate owns
+//! the envelope ([`crc32`], [`begin_frame`], [`seal_frame`],
+//! [`split_frame`]); the wire protocol (`hbc_net::proto`) frames its
+//! messages with the same functions, so the socket and the log detect torn
+//! and corrupt data in exactly one way.
 //!
 //! | tag | record | body |
 //! |-----|--------|------|
@@ -55,7 +56,7 @@
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -78,8 +79,7 @@ const TAG_SESSION_CLOSE: u8 = 0x03;
 const SEGMENT_EXT: &str = "wal";
 
 // -------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected) — same table construction as
-// `hbc_net::proto`, re-implemented so `hbc-wal` stays a leaf crate.
+// Frame envelope: `len u32 | tag u8 | body | crc32(tag + body) u32`
 // -------------------------------------------------------------------------
 
 const fn build_crc32_table() -> [u32; 256] {
@@ -104,14 +104,103 @@ const fn build_crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = build_crc32_table();
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes` — the record
-/// trailer. Identical to `hbc_net::proto::crc32`.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes` — the envelope
+/// trailer of log records and wire frames alike.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// A length prefix or CRC trailer that does not check out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EnvelopeError {
+    /// The length prefix is zero or exceeds the caller's maximum.
+    BadLength {
+        /// The offending length.
+        len: usize,
+    },
+    /// The CRC-32 trailer does not match tag + body.
+    BadCrc {
+        /// Checksum computed over the received tag + body.
+        computed: u32,
+        /// Checksum found in the trailer.
+        found: u32,
+    },
+}
+
+/// Starts a frame at the end of `out` by reserving its length prefix, and
+/// returns the frame's start offset. Push the tag and the body next, then
+/// call [`seal_frame`].
+#[inline]
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    start
+}
+
+/// Seals the frame [`begin_frame`] started at `start`: patches the length
+/// prefix and appends the CRC-32 of tag + body. Returns the frame's total
+/// encoded length.
+#[inline]
+pub fn seal_frame(out: &mut Vec<u8>, start: usize) -> usize {
+    let payload = start + 4;
+    let len = out.len() - payload;
+    out[start..payload].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[payload..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.len() - start
+}
+
+/// One frame checked by [`split_frame`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitFrame<'a> {
+    /// The tag byte.
+    pub tag: u8,
+    /// The body after the tag.
+    pub body: &'a [u8],
+    /// The frame's total encoded length, prefix and trailer included.
+    pub total: usize,
+}
+
+/// Splits the frame at the start of `buf`: checks the length prefix against
+/// `max_len` and the CRC trailer. `Ok(None)` means `buf` holds only a
+/// prefix of the frame.
+///
+/// # Errors
+///
+/// [`EnvelopeError::BadLength`] for a zero or oversized length prefix
+/// (reported as soon as the prefix is complete, before the rest arrives),
+/// [`EnvelopeError::BadCrc`] when the trailer does not match.
+#[inline]
+pub fn split_frame(
+    buf: &[u8],
+    max_len: usize,
+) -> std::result::Result<Option<SplitFrame<'_>>, EnvelopeError> {
+    let Some(prefix) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
+    if len == 0 || len > max_len {
+        return Err(EnvelopeError::BadLength { len });
+    }
+    let total = 4 + len + 4;
+    let Some(frame) = buf.get(4..total) else {
+        return Ok(None);
+    };
+    let (payload, trailer) = frame.split_at(len);
+    let found = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+    let computed = crc32(payload);
+    if computed != found {
+        return Err(EnvelopeError::BadCrc { computed, found });
+    }
+    Ok(Some(SplitFrame {
+        tag: payload[0],
+        body: &payload[1..],
+        total,
+    }))
 }
 
 // -------------------------------------------------------------------------
@@ -166,9 +255,7 @@ impl WalRecord {
     /// Appends the record's serialisation (length prefix, tag, body, CRC
     /// trailer) to `out` and returns the number of bytes written.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        out.extend_from_slice(&[0; 4]); // length back-patched below
-        let tag_at = out.len();
+        let start = begin_frame(out);
         match *self {
             WalRecord::SessionOpen {
                 token,
@@ -202,12 +289,8 @@ impl WalRecord {
                 out.extend_from_slice(&token.to_le_bytes());
             }
         }
-        let len = out.len() - tag_at;
-        debug_assert!(len <= MAX_RECORD_LEN);
-        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        let crc = crc32(&out[tag_at..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.len() - start
+        debug_assert!(out.len() - start - 4 <= MAX_RECORD_LEN);
+        seal_frame(out, start)
     }
 
     /// Serialises the record into a fresh buffer.
@@ -300,19 +383,8 @@ fn decode_body(tag: u8, body: &[u8]) -> Option<WalRecord> {
 /// total encoded length, or `None` if the bytes at `at` are not a complete
 /// valid record (short read, bad length, bad CRC, malformed body).
 fn decode_at(buf: &[u8], at: usize) -> Option<(WalRecord, usize)> {
-    let len_bytes = buf.get(at..at + 4)?;
-    let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-    if len == 0 || len > MAX_RECORD_LEN {
-        return None;
-    }
-    let framed = buf.get(at + 4..at + 4 + len + 4)?;
-    let (payload, crc_bytes) = framed.split_at(len);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(payload) != crc {
-        return None;
-    }
-    let rec = decode_body(payload[0], &payload[1..])?;
-    Some((rec, 4 + len + 4))
+    let frame = split_frame(buf.get(at..)?, MAX_RECORD_LEN).ok()??;
+    Some((decode_body(frame.tag, frame.body)?, frame.total))
 }
 
 // -------------------------------------------------------------------------
@@ -456,6 +528,33 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>> {
     Ok(out)
 }
 
+/// Reads the segments `indices` of `dir` in order, appending every valid
+/// record to `recovery`. A torn tail or corrupt record stops the scan:
+/// everything from there on, later segments included, is untrusted.
+/// Returns where it stopped — the position in `indices` and the valid
+/// length of that segment — or `None` for a clean log.
+fn scan_segments(
+    dir: &Path,
+    indices: &[u64],
+    recovery: &mut Recovery,
+) -> Result<Option<(usize, u64)>> {
+    for (pos, &index) in indices.iter().enumerate() {
+        recovery.segments_scanned += 1;
+        let buf = fs::read(segment_path(dir, index))?;
+        let mut at = 0usize;
+        while at < buf.len() {
+            let Some((rec, n)) = decode_at(&buf, at) else {
+                recovery.truncated = true;
+                recovery.bytes_truncated += (buf.len() - at) as u64;
+                return Ok(Some((pos, at as u64)));
+            };
+            recovery.records.push(rec);
+            at += n;
+        }
+    }
+    Ok(None)
+}
+
 fn sync_dir(dir: &Path) -> Result<()> {
     // Windows cannot open directories as files; POSIX needs the directory
     // fsync so segment creation survives an OS crash.
@@ -512,39 +611,9 @@ impl Wal {
         fs::create_dir_all(&config.dir)?;
         let segments = list_segments(&config.dir)?;
         let mut recovery = Recovery::default();
-        let mut valid_end: u64 = 0; // valid bytes in the last scanned segment
-        let mut scan_stop: Option<usize> = None; // position in `segments` of corruption
-
-        for (pos, &index) in segments.iter().enumerate() {
-            recovery.segments_scanned += 1;
-            let path = segment_path(&config.dir, index);
-            let mut buf = Vec::new();
-            File::open(&path)?.read_to_end(&mut buf)?;
-            let mut at = 0usize;
-            while at < buf.len() {
-                match decode_at(&buf, at) {
-                    Some((rec, n)) => {
-                        recovery.records.push(rec);
-                        at += n;
-                    }
-                    None => {
-                        // Torn tail or corruption: everything from here on
-                        // (including all later segments) is untrusted.
-                        recovery.truncated = true;
-                        recovery.bytes_truncated += (buf.len() - at) as u64;
-                        scan_stop = Some(pos);
-                        break;
-                    }
-                }
-            }
-            valid_end = at as u64;
-            if scan_stop.is_some() {
-                break;
-            }
-        }
-
-        let (active_index, active_len) = match scan_stop {
-            Some(pos) => {
+        let (active_index, active_len) = match scan_segments(&config.dir, &segments, &mut recovery)?
+        {
+            Some((pos, valid_end)) => {
                 // Truncate the corrupt segment back to its valid prefix and
                 // delete every later segment.
                 let index = segments[pos];
@@ -561,7 +630,7 @@ impl Wal {
                 (index, valid_end)
             }
             None => match segments.last() {
-                Some(&index) => (index, valid_end),
+                Some(&index) => (index, fs::metadata(segment_path(&config.dir, index))?.len()),
                 None => {
                     // Fresh log: create segment 0.
                     let path = segment_path(&config.dir, 0);
@@ -695,25 +764,7 @@ impl Wal {
 pub fn scan(dir: impl AsRef<Path>) -> Result<Recovery> {
     let dir = dir.as_ref();
     let mut recovery = Recovery::default();
-    for index in list_segments(dir)? {
-        recovery.segments_scanned += 1;
-        let mut buf = Vec::new();
-        File::open(segment_path(dir, index))?.read_to_end(&mut buf)?;
-        let mut at = 0usize;
-        while at < buf.len() {
-            match decode_at(&buf, at) {
-                Some((rec, n)) => {
-                    recovery.records.push(rec);
-                    at += n;
-                }
-                None => {
-                    recovery.truncated = true;
-                    recovery.bytes_truncated += (buf.len() - at) as u64;
-                    return Ok(recovery);
-                }
-            }
-        }
-    }
+    scan_segments(dir, &list_segments(dir)?, &mut recovery)?;
     Ok(recovery)
 }
 
@@ -887,6 +938,13 @@ mod tests {
             // open() restored the file to the valid prefix.
             assert_eq!(fs::read(&path).unwrap(), good);
         }
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        // The standard check value of CRC-32/ISO-HDLC (the ZIP/PNG CRC):
+        // pins the table to the published polynomial, not just to itself.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

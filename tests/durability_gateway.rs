@@ -13,11 +13,14 @@
 //!   kill + restart + resume equals the fault-free reference exactly;
 //! * **deterministic replay** — [`replay_log`] re-scores the logged streams
 //!   through the same firmware into the identical outcome history, for any
-//!   worker-thread count;
+//!   worker-thread count, and agrees with what crash recovery rebuilds from
+//!   the same crashed log;
 //! * **report re-fetch** — a client whose link dies *after* `CloseSession`
 //!   was processed but before the final `Report` arrived can re-fetch the
 //!   cached report (by resume token or by retrying the close) within the
-//!   retention window, closing the protocol's last documented hole.
+//!   retention window, closing the protocol's last documented hole — and
+//!   so can a client whose session ended on a degenerate calibration
+//!   stretch.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -33,7 +36,9 @@ use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
 use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
-use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder};
+use heartbeat_rp::hbc_net::proto::{
+    dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, WireReport,
+};
 use heartbeat_rp::hbc_net::{
     replay_log, Gateway, GatewayConfig, GatewayStats, NodeClient, PROTOCOL_VERSION,
 };
@@ -531,4 +536,248 @@ fn lost_report_after_close_is_refetchable_within_the_window() {
     );
     assert_eq!(stats.reports_refetched, 2, "once by token, once by close");
     assert_eq!(stats.denials, 0, "no path through this scenario denies");
+}
+
+/// Raw-socket helper: connects and says Hello. The read timeout turns a
+/// reply that never comes into a test failure instead of a hang.
+fn raw_connect(addr: SocketAddr) -> (TcpStream, FrameDecoder) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    conn.write_all(
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode(),
+    )
+    .expect("hello");
+    (conn, FrameDecoder::new())
+}
+
+#[test]
+fn degenerate_calibration_report_is_refetchable_within_the_window() {
+    // A calibration stretch too short to derive thresholds from ends the
+    // session with an empty Report. That end is a close like any other:
+    // a retried close and a resume by token both re-serve the cached
+    // Report instead of going unanswered or being denied.
+    let fw = firmware();
+    let record = wire_record(7500, 4);
+    let fs = record.fs;
+    let fs_millihertz = (fs * 1000.0).round() as u32;
+    let mut codes = Vec::new();
+    quantize_mv_into(&record.lead(Lead(0)).expect("lead 0")[..4], &mut codes);
+    let empty = WireReport {
+        beats: 0,
+        forwarded: 0,
+        samples: 4,
+    };
+
+    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+        let (mut conn, mut decoder) = raw_connect(addr);
+        conn.write_all(
+            &Frame::OpenSession {
+                patient_id: record.id,
+                fs_millihertz,
+                calib_len: 4,
+            }
+            .encode(),
+        )
+        .expect("open");
+        let Frame::SessionOpened { session, token, .. } =
+            read_until(&mut conn, &mut decoder, |f| {
+                matches!(f, Frame::SessionOpened { .. })
+            })
+        else {
+            unreachable!()
+        };
+        conn.write_all(
+            &Frame::Samples {
+                session,
+                seq: 0,
+                samples: codes.clone(),
+            }
+            .encode(),
+        )
+        .expect("samples");
+        let is_report = |f: &Frame| matches!(f, Frame::Report { .. });
+        let first = read_until(&mut conn, &mut decoder, is_report);
+        assert_eq!(
+            first,
+            Frame::Report {
+                session,
+                report: empty
+            }
+        );
+
+        // The client retries its close (it may have missed the Report).
+        conn.write_all(&Frame::CloseSession { session }.encode())
+            .expect("retried close");
+        let again = read_until(&mut conn, &mut decoder, is_report);
+        assert_eq!(
+            again,
+            Frame::Report {
+                session,
+                report: empty
+            }
+        );
+
+        // A fresh link resumes by token and gets the end of the session.
+        let (mut conn, mut decoder) = raw_connect(addr);
+        conn.write_all(
+            &Frame::ResumeSession {
+                patient_id: record.id,
+                session_token: token,
+                last_acked_seq: 1,
+                outcomes_received: 0,
+            }
+            .encode(),
+        )
+        .expect("resume");
+        let resumed = read_until(&mut conn, &mut decoder, |f| {
+            matches!(f, Frame::SessionResumed { .. } | Frame::Deny { .. })
+        });
+        assert_eq!(
+            resumed,
+            Frame::SessionResumed {
+                session,
+                next_expected_seq: 1,
+                credit: 0
+            }
+        );
+        let report = read_until(&mut conn, &mut decoder, is_report);
+        assert_eq!(
+            report,
+            Frame::Report {
+                session,
+                report: empty
+            }
+        );
+    });
+
+    assert_eq!(stats.sessions_closed, 1, "the session ended once");
+    assert_eq!(stats.reports_refetched, 2, "once by close, once by token");
+    assert_eq!(stats.denials, 0);
+}
+
+#[test]
+fn recovery_and_replay_agree_on_a_crashed_log() {
+    // Crash recovery and offline replay read the log through one fold. On
+    // the same crashed log they must agree: the session the restarted
+    // gateway resumes has the receive position and the outcome history
+    // that `replay_log` reconstructs.
+    let fw = firmware();
+    let record = wire_record(7600, 40);
+    let fs = record.fs;
+    let fs_millihertz = (fs * 1000.0).round() as u32;
+    let calib_len = 2048u32;
+    let tmp = support::TempDir::new("wal-agree");
+    let mut codes = Vec::new();
+    quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
+    let cut = codes.len() / 2;
+    assert!(
+        cut > calib_len as usize,
+        "the kill must land after calibration"
+    );
+
+    // Phase 1: stream the first half, wait until the gateway acks every
+    // frame (logged and ingested), then kill it.
+    let ((session, token, sent), _) = with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+        let (mut conn, mut decoder) = raw_connect(addr);
+        conn.write_all(
+            &Frame::OpenSession {
+                patient_id: record.id,
+                fs_millihertz,
+                calib_len,
+            }
+            .encode(),
+        )
+        .expect("open");
+        let Frame::SessionOpened { session, token, .. } =
+            read_until(&mut conn, &mut decoder, |f| {
+                matches!(f, Frame::SessionOpened { .. })
+            })
+        else {
+            unreachable!()
+        };
+        let mut sent = 0u32;
+        for chunk in codes[..cut].chunks(512) {
+            conn.write_all(
+                &Frame::Samples {
+                    session,
+                    seq: sent,
+                    samples: chunk.to_vec(),
+                }
+                .encode(),
+            )
+            .expect("samples");
+            sent += 1;
+        }
+        read_until(
+            &mut conn,
+            &mut decoder,
+            |f| matches!(f, Frame::Credit { acked_seq, .. } if *acked_seq == sent),
+        );
+        (session, token, sent)
+    });
+
+    let replay = replay_log(tmp.path(), &fw, None).expect("replay");
+    assert_eq!(replay.sessions.len(), 1);
+    let replayed = &replay.sessions[0];
+    assert!(!replayed.closed, "the kill preempted the close");
+    assert!(replayed.calibrated);
+    assert_eq!(replayed.samples as usize, cut);
+    assert!(!replayed.outcomes.is_empty(), "the log must hold beats");
+
+    // Phase 2: a restarted gateway rebuilds the session from the same
+    // bytes; resuming with no outcomes received rewinds forwarding to the
+    // start of the rebuilt history.
+    let ((next_expected_seq, resumed), gw2) =
+        with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+            let (mut conn, mut decoder) = raw_connect(addr);
+            conn.write_all(
+                &Frame::ResumeSession {
+                    patient_id: record.id,
+                    session_token: token,
+                    last_acked_seq: sent,
+                    outcomes_received: 0,
+                }
+                .encode(),
+            )
+            .expect("resume");
+            let reply = read_until(&mut conn, &mut decoder, |f| {
+                matches!(f, Frame::SessionResumed { .. } | Frame::Deny { .. })
+            });
+            let Frame::SessionResumed {
+                session: rid,
+                next_expected_seq,
+                ..
+            } = reply
+            else {
+                panic!("resume denied: {reply:?}");
+            };
+            assert_eq!(rid, session);
+            let mut outcomes = Vec::new();
+            while outcomes.len() < replayed.outcomes.len() {
+                let Frame::Outcomes {
+                    outcomes: mut batch,
+                    ..
+                } = read_until(&mut conn, &mut decoder, |f| {
+                    matches!(f, Frame::Outcomes { .. })
+                })
+                else {
+                    unreachable!()
+                };
+                outcomes.append(&mut batch);
+            }
+            (next_expected_seq, outcomes)
+        });
+
+    assert_eq!(gw2.sessions_recovered, 1);
+    assert_eq!(gw2.sessions_resumed, 1);
+    assert_eq!(next_expected_seq, sent, "same receive position");
+    let resumed: Vec<BeatOutcome> = resumed
+        .into_iter()
+        .map(|o| o.to_outcome().expect("valid class code"))
+        .collect();
+    assert_full_match(&resumed, &replayed.outcomes, "recovered vs replayed");
 }
