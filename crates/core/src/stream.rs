@@ -4,9 +4,10 @@
 //! A production node fleet terminates one sample stream per patient. The
 //! [`StreamHub`] models that service point on the host: each patient gets an
 //! independent push-based firmware session (bounded memory, bit-identical to
-//! the batch pipeline), arriving chunks are dispatched over all cores with
-//! the same deterministic work-stealing runner the evaluation engine uses,
-//! and per-session figures of merit are merged **in session order** through
+//! the batch pipeline), large batches of arriving chunks are dispatched over
+//! all cores with the same deterministic work-stealing runner the evaluation
+//! engine uses, and per-session figures of merit are merged **in session
+//! order** through
 //! [`EvaluationReport::merge`] — so the fleet-wide report is bit-identical
 //! for any thread count, like every other parallel path in this workspace.
 //!
@@ -88,12 +89,37 @@ impl PatientStream<'_> {
     }
 }
 
+/// Staged samples below which one [`StreamHub::ingest`] batch runs on the
+/// caller's thread instead of fanning out over the hub's workers.
+///
+/// A fan-out spawns scoped threads on every call (`Par::map`), which the
+/// gateway benchmark's layer table measures at 65–110 µs per call on a
+/// 2-vCPU host, while the streaming firmware costs 240–370 ns per sample.
+/// 2 048 samples are therefore ≈0.5–0.75 ms of work, so at or above this
+/// size the fan-out overhead stays under ~15 % of the batch. Realtime
+/// reactor sweeps (a few sessions × 36-sample packets, ~60–70 samples)
+/// fall far below it and run sequentially; calibration bursts and
+/// recovery replays (many sessions × thousands of samples) fall above it
+/// and still fan out. Outcomes are identical either way: sessions are
+/// independent and results are index-ordered.
+pub const FANOUT_MIN_SAMPLES: usize = 2048;
+
+/// Whether any of the last `window` outcomes of `outcomes` carries an
+/// abnormal prediction — [`StreamHub::recent_abnormal`] over a borrowed
+/// history.
+pub fn any_recent_abnormal(outcomes: &[BeatOutcome], window: usize) -> bool {
+    outcomes[outcomes.len().saturating_sub(window)..]
+        .iter()
+        .any(|o| o.predicted.is_abnormal())
+}
+
 /// Multiplexes many concurrent per-patient [`StreamingFirmware`] sessions
 /// over the deterministic parallel runner.
 ///
 /// Sessions are independent, so a batch of chunks — at most one per session
-/// — is ingested with one parallel sweep; results (emitted beats, reports)
-/// depend only on each session's own sample stream, never on scheduling.
+/// — is ingested with one sweep, in parallel when the batch is large enough
+/// ([`FANOUT_MIN_SAMPLES`]); results (emitted beats, reports) depend only on
+/// each session's own sample stream, never on scheduling.
 #[derive(Debug)]
 pub struct StreamHub<'fw> {
     firmware: &'fw WbsnFirmware,
@@ -112,9 +138,13 @@ pub struct StreamHub<'fw> {
     /// concurrent calibrations. Sits alongside the per-session `BeatScratch`
     /// the streaming firmware already owns.
     calibration: Mutex<Vec<CalibrationScratch>>,
-    /// Wall-clock microseconds per [`Self::ingest`] batch (the full parallel
-    /// sweep). Behind a mutex because `ingest` takes `&self`; uncontended in
-    /// the single-reactor serving path.
+    /// Per-slot "already fed in this batch" marks, reused by every
+    /// [`Self::ingest`] call so batch validation allocates nothing once the
+    /// slot table has stopped growing.
+    fed: Mutex<Vec<bool>>,
+    /// Wall-clock microseconds per [`Self::ingest`] batch (the whole sweep,
+    /// sequential or fanned out). Behind a mutex because `ingest` takes
+    /// `&self`; uncontended in the single-reactor serving path.
     ingest_micros: Mutex<Histogram>,
     /// Stage histograms of sessions that have closed, merged at close time
     /// so their timings survive slot reuse.
@@ -155,6 +185,7 @@ impl<'fw> StreamHub<'fw> {
             sessions: Vec::new(),
             free: Vec::new(),
             calibration: Mutex::new(Vec::new()),
+            fed: Mutex::new(Vec::new()),
             ingest_micros: Mutex::new(Histogram::new()),
             closed_stages: StageMetrics::default(),
         }
@@ -261,7 +292,10 @@ impl<'fw> StreamHub<'fw> {
     }
 
     /// Ingests one batch of chunks — at most one chunk per session — pushing
-    /// every chunk through its session in parallel.
+    /// every chunk through its session, in parallel when the batch is large
+    /// enough: batches with fewer than [`FANOUT_MIN_SAMPLES`] samples in
+    /// total run on the caller's thread, where a fan-out would cost more
+    /// than it saves.
     ///
     /// Within a batch the sessions are independent, so the sweep is
     /// deterministic; feeding the same session twice in one batch would make
@@ -271,34 +305,44 @@ impl<'fw> StreamHub<'fw> {
     ///
     /// Returns [`CoreError::Config`] for an unknown or closed session or a
     /// duplicated session within the batch.
-    pub fn ingest(&self, feeds: &[(SessionId, &[f64])]) -> Result<()> {
-        let mut seen = vec![false; self.sessions.len()];
-        for (id, _) in feeds {
-            let slot = seen
-                .get_mut(id.0)
-                .ok_or_else(|| CoreError::Config(format!("unknown session #{}", id.0)))?;
-            if std::mem::replace(slot, true) {
-                return Err(CoreError::Config(format!(
-                    "session #{} fed twice in one batch",
-                    id.0
-                )));
-            }
-            if self
-                .session(*id)?
-                .lock()
-                .expect("session poisoned")
-                .is_none()
-            {
-                return Err(Self::closed(*id));
+    pub fn ingest<C: AsRef<[f64]> + Sync>(&self, feeds: &[(SessionId, C)]) -> Result<()> {
+        {
+            let mut fed = self.fed.lock().expect("batch scratch poisoned");
+            fed.clear();
+            fed.resize(self.sessions.len(), false);
+            for (id, _) in feeds {
+                let slot = fed
+                    .get_mut(id.0)
+                    .ok_or_else(|| CoreError::Config(format!("unknown session #{}", id.0)))?;
+                if std::mem::replace(slot, true) {
+                    return Err(CoreError::Config(format!(
+                        "session #{} fed twice in one batch",
+                        id.0
+                    )));
+                }
+                if self
+                    .session(*id)?
+                    .lock()
+                    .expect("session poisoned")
+                    .is_none()
+                {
+                    return Err(Self::closed(*id));
+                }
             }
         }
+        let samples: usize = feeds.iter().map(|(_, chunk)| chunk.as_ref().len()).sum();
+        let par = if samples < FANOUT_MIN_SAMPLES {
+            Par::sequential()
+        } else {
+            self.par
+        };
         let started = std::time::Instant::now();
-        self.par.map(feeds, |&(id, chunk)| {
+        par.map(feeds, |(id, chunk)| {
             let mut slot = self.sessions[id.0].lock().expect("session poisoned");
             // Checked above; `ingest` takes `&self` and closing needs
             // `&mut self`, so the slot cannot vanish during the sweep.
             let session = slot.as_mut().expect("session closed mid-ingest");
-            session.stream.push_chunk(chunk);
+            session.stream.push_chunk(chunk.as_ref());
             session.drain();
         });
         self.ingest_micros
@@ -418,9 +462,25 @@ impl<'fw> StreamHub<'fw> {
     ///
     /// Returns [`CoreError::Config`] for an unknown or closed session.
     pub fn outcomes_since(&self, id: SessionId, from: usize) -> Result<Vec<BeatOutcome>> {
+        self.with_outcomes(id, |all| all[from.min(all.len())..].to_vec())
+    }
+
+    /// Runs `read` over a session's whole outcome history in place — the
+    /// borrowing form of [`Self::outcomes_since`] for serving layers that
+    /// poll every sweep and must not copy (the session is locked while
+    /// `read` runs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Config`] for an unknown or closed session.
+    pub fn with_outcomes<R>(
+        &self,
+        id: SessionId,
+        read: impl FnOnce(&[BeatOutcome]) -> R,
+    ) -> Result<R> {
         let slot = self.session(id)?.lock().expect("session poisoned");
         let session = slot.as_ref().ok_or_else(|| Self::closed(id))?;
-        Ok(session.outcomes[from.min(session.outcomes.len())..].to_vec())
+        Ok(read(&session.outcomes))
     }
 
     /// Whether any of a session's last `window` emitted outcomes carries an
@@ -428,16 +488,15 @@ impl<'fw> StreamHub<'fw> {
     /// protect ARR-flagged streams when shedding load: a session that
     /// recently produced an abnormal beat must keep flowing, a session whose
     /// recent stream is all-normal may have telemetry dropped first.
-    /// `window = 0` always reports `false`.
+    /// `window = 0` always reports `false`. See [`any_recent_abnormal`] for
+    /// the same test over a history already borrowed through
+    /// [`Self::with_outcomes`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] for an unknown or closed session.
     pub fn recent_abnormal(&self, id: SessionId, window: usize) -> Result<bool> {
-        let slot = self.session(id)?.lock().expect("session poisoned");
-        let session = slot.as_ref().ok_or_else(|| Self::closed(id))?;
-        let tail = &session.outcomes[session.outcomes.len().saturating_sub(window)..];
-        Ok(tail.iter().any(|o| o.predicted.is_abnormal()))
+        self.with_outcomes(id, |all| any_recent_abnormal(all, window))
     }
 
     /// Heap bytes a session's retained outcome history occupies — the
@@ -653,6 +712,62 @@ mod tests {
             assert_eq!(hub.total_beats(), merged.total());
             assert_eq!(hub.patient_id(ids[0]).expect("known"), records[0].id);
             assert!(!hub.outcomes(ids[0]).expect("known").is_empty());
+        }
+    }
+
+    #[test]
+    fn outcomes_are_bit_identical_on_both_sides_of_the_fanout_threshold() {
+        let fw = firmware();
+        let records: Vec<EcgRecord> = (0..3).map(|i| patient_record(500 + i, 40)).collect();
+        // Reference: per-record batch firmware (online beats carry no truth).
+        let reference: Vec<Vec<BeatOutcome>> = records
+            .iter()
+            .map(|r| {
+                let mut beats = fw.process_record(r).expect("batch").beats;
+                for beat in &mut beats {
+                    beat.truth = None;
+                }
+                beats
+            })
+            .collect();
+        // 36-sample chunks keep every batch below the threshold (sequential
+        // path); 4 096-sample chunks put full batches above it (fan-out).
+        let sessions = records.len();
+        assert!(sessions * 36 < FANOUT_MIN_SAMPLES);
+        assert!(sessions * 4096 >= FANOUT_MIN_SAMPLES);
+        for chunk in [36, 4096] {
+            for threads in [NonZeroUsize::new(4), NonZeroUsize::new(1)] {
+                let mut hub = StreamHub::with_threads(&fw, records[0].fs, threads);
+                let leads: Vec<&[f64]> = records
+                    .iter()
+                    .map(|r| r.lead(Lead(0)).expect("lead"))
+                    .collect();
+                let ids: Vec<SessionId> = records
+                    .iter()
+                    .zip(&leads)
+                    .map(|(r, lead)| {
+                        let thresholds = hub.calibrate_thresholds(lead).expect("calibrate");
+                        hub.add_patient(r.id, thresholds)
+                    })
+                    .collect();
+                let longest = leads.iter().map(|l| l.len()).max().expect("records");
+                for offset in (0..longest).step_by(chunk) {
+                    let feeds: Vec<(SessionId, &[f64])> = ids
+                        .iter()
+                        .zip(&leads)
+                        .filter(|(_, lead)| offset < lead.len())
+                        .map(|(&id, lead)| (id, &lead[offset..(offset + chunk).min(lead.len())]))
+                        .collect();
+                    hub.ingest(&feeds).expect("ingest");
+                }
+                for (i, &id) in ids.iter().enumerate() {
+                    let outcomes = hub.close_session(id).expect("close").outcomes;
+                    assert_eq!(
+                        outcomes, reference[i],
+                        "chunk {chunk}, threads {threads:?}, record {i}"
+                    );
+                }
+            }
         }
     }
 

@@ -23,7 +23,7 @@
 //! comparisons, so the two are *exactly* equal) and the pre-deque reference
 //! of the embedded cycle model.
 
-use crate::filter::moving_average;
+use crate::filter::moving_average_into;
 use crate::streaming::{ExtremumKind, SlidingExtremum};
 use crate::{DspError, Result};
 
@@ -161,6 +161,22 @@ impl Delineator {
     /// four MMD scales and [`DspError::InvalidParameter`] when `peak_index`
     /// lies outside the window.
     pub fn delineate_beat(&self, window: &[f64], peak_index: usize) -> Result<BeatFiducials> {
+        self.delineate_beat_with(window, peak_index, &mut Vec::new())
+    }
+
+    /// [`Self::delineate_beat`] with a caller-owned smoothing buffer, so a
+    /// streaming caller delineates without allocating once the buffer has
+    /// grown to the window length.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::delineate_beat`].
+    pub fn delineate_beat_with(
+        &self,
+        window: &[f64],
+        peak_index: usize,
+        smoothed: &mut Vec<f64>,
+    ) -> Result<BeatFiducials> {
         let required = 4 * self.wave_scale;
         if window.len() < required {
             return Err(DspError::SignalTooShort {
@@ -174,19 +190,20 @@ impl Delineator {
                 window.len()
             )));
         }
-        let smoothed = moving_average(window, (0.01 * self.fs).max(1.0) as usize);
+        moving_average_into(window, (0.01 * self.fs).max(1.0) as usize, smoothed);
+        let smoothed = smoothed.as_slice();
 
         // --- QRS ---
         let qrs_half = (0.09 * self.fs) as usize;
         let qrs_lo = peak_index.saturating_sub(qrs_half);
         let qrs_hi = (peak_index + qrs_half).min(window.len());
-        let qrs = self.delineate_wave(&smoothed, qrs_lo, qrs_hi, self.qrs_scale, true);
+        let qrs = self.delineate_wave(smoothed, qrs_lo, qrs_hi, self.qrs_scale, true);
 
         // --- P wave: search before QRS onset ---
         let p_search_hi = qrs.onset.unwrap_or(qrs_lo);
         let p_search_lo = p_search_hi.saturating_sub((0.22 * self.fs) as usize);
         let mut p = if p_search_hi > p_search_lo + self.wave_scale {
-            self.delineate_wave(&smoothed, p_search_lo, p_search_hi, self.wave_scale, false)
+            self.delineate_wave(smoothed, p_search_lo, p_search_hi, self.wave_scale, false)
         } else {
             WaveFiducials::default()
         };
@@ -204,7 +221,7 @@ impl Delineator {
         let t_search_lo = qrs.end.unwrap_or(qrs_hi);
         let t_search_hi = (t_search_lo + (0.36 * self.fs) as usize).min(window.len());
         let t = if t_search_hi > t_search_lo + self.wave_scale {
-            self.delineate_wave(&smoothed, t_search_lo, t_search_hi, self.wave_scale, false)
+            self.delineate_wave(smoothed, t_search_lo, t_search_hi, self.wave_scale, false)
         } else {
             WaveFiducials::default()
         };
@@ -465,6 +482,41 @@ mod tests {
             .delineate_multilead(&[&beat.samples, &flat, &flat], beat.peak_index)
             .expect("multilead");
         assert_eq!(fused2.qrs.count(), 0);
+    }
+
+    #[test]
+    fn one_lead_fuses_to_itself_and_the_reused_buffer_changes_nothing() {
+        // The streaming firmware delineates its single lead with
+        // `delineate_beat_with` where the batch path fuses through
+        // `delineate_multilead`: the two must agree bit for bit.
+        let d = Delineator::new(360.0);
+        let mut smoothed = Vec::new();
+        for class in [
+            BeatClass::Normal,
+            BeatClass::PrematureVentricular,
+            BeatClass::LeftBundleBranchBlock,
+        ] {
+            let beat = clean_beat(class);
+            let single = d
+                .delineate_beat_with(&beat.samples, beat.peak_index, &mut smoothed)
+                .expect("single");
+            assert_eq!(
+                single,
+                d.delineate_beat(&beat.samples, beat.peak_index)
+                    .expect("beat")
+            );
+            assert_eq!(
+                single,
+                d.delineate_multilead(&[&beat.samples], beat.peak_index)
+                    .expect("multilead")
+            );
+        }
+        let flat = [0.0; 200];
+        assert_eq!(
+            d.delineate_beat_with(&flat, 100, &mut smoothed)
+                .expect("flat"),
+            d.delineate_multilead(&[&flat], 100).expect("flat")
+        );
     }
 
     #[test]

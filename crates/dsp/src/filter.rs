@@ -484,17 +484,29 @@ impl Default for MorphologicalFilter {
 ///
 /// Panics if `window == 0`.
 pub fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    moving_average_into(signal, window, &mut out);
+    out
+}
+
+/// [`moving_average`] into a caller-owned buffer (cleared first), so a
+/// streaming caller reuses one allocation.
+///
+/// # Panics
+///
+/// Panics if `window == 0`.
+pub fn moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
     assert!(window > 0, "window must be non-empty");
     let n = signal.len();
     let half = window / 2;
-    let mut out = Vec::with_capacity(n);
+    out.clear();
+    out.reserve(n);
     for i in 0..n {
         let lo = i.saturating_sub(half);
         let hi = (i + half + 1).min(n);
         let sum: f64 = signal[lo..hi].iter().sum();
         out.push(sum / (hi - lo) as f64);
     }
-    out
 }
 
 #[cfg(test)]

@@ -87,6 +87,8 @@ pub struct StreamingFirmware<'fw> {
     scratch: BeatScratch,
     /// Reused full-rate window buffer (classification + delineation input).
     window_buf: Vec<f64>,
+    /// Reused smoothing buffer of the delineator.
+    smoothed: Vec<f64>,
     outcomes: VecDeque<BeatOutcome>,
     samples_in: usize,
     beats_out: usize,
@@ -123,6 +125,7 @@ impl<'fw> StreamingFirmware<'fw> {
             detector,
             scratch: BeatScratch::default(),
             window_buf: Vec::new(),
+            smoothed: Vec::new(),
             outcomes: VecDeque::new(),
             samples_in: 0,
             beats_out: 0,
@@ -297,9 +300,11 @@ impl<'fw> StreamingFirmware<'fw> {
         let fiducials_transmitted = if delineated {
             self.forwarded += 1;
             let del_started = Instant::now();
+            // One lead fuses to itself, so this equals the batch path's
+            // `delineate_multilead` without its per-beat allocations.
             let fiducials = self
                 .delineator
-                .delineate_multilead(&[window], fw.window.pre)
+                .delineate_beat_with(window, fw.window.pre, &mut self.smoothed)
                 .map(|f| f.count().max(1))
                 .unwrap_or(1);
             let del_nanos = del_started.elapsed().as_nanos() as u64;

@@ -7,8 +7,9 @@
 //! socket until it would block, decode and handle frames, promote sessions
 //! whose calibration stretch is complete, batch at most one pending chunk
 //! per session into a single [`StreamHub::ingest`] call (so decode and
-//! classification still fan out over `hbc-par`), forward freshly classified
-//! beats, grant credit, evict idle sessions, park the sessions of dead
+//! classification fan out over `hbc-par` when the batch is large enough),
+//! forward freshly classified beats, grant credit, evict idle sessions,
+//! park the sessions of dead
 //! connections for resumption (and expire parked ones past the retention
 //! window) and flush write buffers. [`Gateway::run`] loops `poll` until a
 //! shutdown flag flips, then reports [`GatewayStats`].
@@ -102,7 +103,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hbc_core::stream::any_recent_abnormal;
 use hbc_core::{SessionId, StreamHub};
+use hbc_embedded::firmware::BeatOutcome;
 use hbc_embedded::WbsnFirmware;
 use hbc_obs::{Histogram, MetricsSnapshot, TraceEvent, TraceRecord, TraceRing};
 use hbc_wal::{Wal, WalConfig, WalRecord};
@@ -121,6 +124,16 @@ const SAMPLE_BYTES: usize = std::mem::size_of::<f64>();
 /// in the window flags the session [`SessionPriority::Critical`]; a clean
 /// window decays it back to [`SessionPriority::Normal`].
 const PRIORITY_WINDOW: usize = 64;
+
+/// The shedding priority a session's outcome history earns: critical while
+/// its last [`PRIORITY_WINDOW`] outcomes hold an abnormal beat.
+fn priority_of(outcomes: &[BeatOutcome]) -> SessionPriority {
+    if any_recent_abnormal(outcomes, PRIORITY_WINDOW) {
+        SessionPriority::Critical
+    } else {
+        SessionPriority::Normal
+    }
+}
 
 /// What the gateway does to a sender that overruns its credit budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -576,8 +589,17 @@ pub struct Gateway<'fw> {
     conns: Vec<Option<Connection>>,
     sessions: SessionManager,
     stats: GatewayStats,
-    /// Reused per-sweep scratch listing the sessions with a staged chunk.
-    staged: Vec<u32>,
+    /// Per-sweep scratch, reused so a warm sweep allocates nothing: the
+    /// live session ids of the current pass,
+    ids: Vec<u32>,
+    /// the frames decoded from one connection,
+    frames: Vec<Frame>,
+    /// one staging slot per session fed in this sweep (the first `n` slots
+    /// are the batch; each keeps its sample buffer's capacity across
+    /// sweeps),
+    staged: Vec<(SessionId, Vec<f64>)>,
+    /// and the outcome tail being forwarded to one session.
+    outcomes: Vec<WireOutcome>,
     /// Durable ingest log, when configured. `None` after an append failure
     /// (see [`GatewayStats::wal_errors`]).
     wal: Option<Wal>,
@@ -675,7 +697,10 @@ impl<'fw> Gateway<'fw> {
             conns: Vec::new(),
             sessions,
             stats,
+            ids: Vec::new(),
+            frames: Vec::new(),
             staged: Vec::new(),
+            outcomes: Vec::new(),
             wal,
             completed: HashMap::new(),
             completed_by_wire: HashMap::new(),
@@ -1098,7 +1123,7 @@ impl<'fw> Gateway<'fw> {
         );
         snap.push_histogram(
             "hbc_hub_ingest_micros",
-            "Latency of one parallel StreamHub ingest call.",
+            "Latency of one StreamHub ingest call.",
             &self.hub.ingest_latency(),
         );
         let stages = self.hub.stage_metrics();
@@ -1266,7 +1291,7 @@ impl<'fw> Gateway<'fw> {
                 }
             }
         }
-        let mut frames = Vec::new();
+        let mut frames = std::mem::take(&mut self.frames);
         let mut violation = None;
         loop {
             match conn.decoder.next_frame() {
@@ -1280,7 +1305,7 @@ impl<'fw> Gateway<'fw> {
         }
         let progress = taken > 0 || !frames.is_empty();
         self.stats.frames_in += frames.len() as u64;
-        for frame in frames {
+        for frame in frames.drain(..) {
             // A denial ends the conversation: one Deny goes out and the
             // rest of the batch is dropped, instead of one Deny per
             // already-buffered frame.
@@ -1293,6 +1318,7 @@ impl<'fw> Gateway<'fw> {
                 .frame_micros
                 .record(u64::try_from(frame_started.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
+        self.frames = frames;
         if let Some(message) = violation {
             self.deny(idx, &message);
         }
@@ -1315,6 +1341,19 @@ impl<'fw> Gateway<'fw> {
                 frame.encode_into(&mut conn.outbox);
                 self.stats.frames_out += 1;
             }
+        }
+    }
+
+    /// Queues a [`Frame::Outcomes`] carrying `outcomes`. The buffer is lent
+    /// to the frame and taken back, so a reused scratch keeps its capacity.
+    fn send_outcomes(&mut self, idx: usize, session: u32, outcomes: &mut Vec<WireOutcome>) {
+        let frame = Frame::Outcomes {
+            session,
+            outcomes: std::mem::take(outcomes),
+        };
+        self.send(idx, &frame);
+        if let Frame::Outcomes { outcomes: lent, .. } = frame {
+            *outcomes = lent;
         }
     }
 
@@ -1389,7 +1428,7 @@ impl<'fw> Gateway<'fw> {
                 session,
                 seq,
                 samples,
-            } => self.accept_samples(idx, session, seq, &samples),
+            } => self.accept_samples(idx, session, seq, samples),
             Frame::ResumeSession {
                 patient_id,
                 session_token,
@@ -1644,7 +1683,7 @@ impl<'fw> Gateway<'fw> {
         }
     }
 
-    fn accept_samples(&mut self, idx: usize, session: u32, seq: u32, samples: &[i16]) {
+    fn accept_samples(&mut self, idx: usize, session: u32, seq: u32, mut samples: Vec<i16>) {
         let budget = self.config.credit_budget;
         let overflow = self.config.overflow;
         let Some(s) = self.sessions.get_mut(session) else {
@@ -1722,13 +1761,21 @@ impl<'fw> Gateway<'fw> {
         }
         // Log before the samples become visible to the hub: on recovery the
         // log is always a superset of what was ingested, so the post-crash
-        // replay can never be behind what the session already reported.
+        // replay can never be behind what the session already reported. The
+        // decoded frame's own buffer, cut to what was accepted, is the log
+        // record's payload and comes back for dequantization — no copy.
+        samples.truncate(accepted);
         if accepted > 0 && self.wal.is_some() {
-            self.wal_log(&WalRecord::Samples {
+            let record = WalRecord::Samples {
                 token,
                 seq,
-                codes: samples[..accepted].to_vec(),
-            });
+                codes: samples,
+            };
+            self.wal_log(&record);
+            let WalRecord::Samples { codes, .. } = record else {
+                unreachable!("built as a Samples record above")
+            };
+            samples = codes;
         }
         let Some(s) = self.sessions.get_mut(session) else {
             self.stats.internal_skips += 1;
@@ -1741,11 +1788,8 @@ impl<'fw> Gateway<'fw> {
         if s.pending.is_empty() && accepted > 0 && s.oldest_pending_at.is_none() {
             s.oldest_pending_at = Some(Instant::now());
         }
-        s.pending.extend(
-            samples[..accepted]
-                .iter()
-                .map(|&c| adc.dequantize_sample(i32::from(c))),
-        );
+        s.pending
+            .extend(samples.iter().map(|&c| adc.dequantize_sample(i32::from(c))));
         s.samples_received += accepted as u64;
         s.consumed_since_grant += dropped_at_budget;
         self.buffered_samples += accepted;
@@ -1869,12 +1913,15 @@ impl<'fw> Gateway<'fw> {
 
     /// Promotes sessions whose calibration stretch is complete, then feeds
     /// at most one pending chunk per session into the hub with a single
-    /// parallel [`StreamHub::ingest`] call.
+    /// [`StreamHub::ingest`] call (which fans out only when the batch is
+    /// large enough to pay for it).
     fn ingest_sweep(&mut self) -> bool {
         // Promotion: derive thresholds from the first `calib_len` samples
         // and create the hub session; the stretch stays in `pending` and is
         // replayed into the stream, like a node's start-up phase.
-        for wire_id in self.sessions.ids() {
+        let mut ids = std::mem::take(&mut self.ids);
+        self.sessions.ids_into(&mut ids);
+        for &wire_id in &ids {
             let Some(s) = self.sessions.get_mut(wire_id) else {
                 continue;
             };
@@ -1894,6 +1941,7 @@ impl<'fw> Gateway<'fw> {
                 None => self.close_wire_session(wire_id, false),
             }
         }
+        self.ids = ids;
 
         // Stage one chunk per session. Sessions on connections whose outbox
         // is over the cap are skipped: no consumption, no credit — the
@@ -1904,20 +1952,25 @@ impl<'fw> Gateway<'fw> {
             sessions,
             conns,
             config,
+            ids,
             staged,
             stats,
             buffered_samples,
             obs,
             ..
         } = self;
-        staged.clear();
-        for wire_id in sessions.ids() {
+        sessions.ids_into(ids);
+        let mut batch = 0;
+        for &wire_id in ids.iter() {
             let Some(s) = sessions.get_mut(wire_id) else {
                 stats.internal_skips += 1;
                 debug_assert!(false, "listed session {wire_id} vanished");
                 continue;
             };
-            if s.hub_id().is_none() || s.pending.is_empty() {
+            let Some(hub_id) = s.hub_id() else {
+                continue;
+            };
+            if s.pending.is_empty() {
                 continue;
             }
             let writable = conns[s.conn]
@@ -1927,8 +1980,14 @@ impl<'fw> Gateway<'fw> {
                 continue;
             }
             let take = s.pending.len().min(config.max_ingest_per_poll);
-            s.chunk.clear();
-            s.chunk.extend(s.pending.drain(..take));
+            if batch == staged.len() {
+                staged.push((hub_id, Vec::new()));
+            }
+            let (slot_id, chunk) = &mut staged[batch];
+            *slot_id = hub_id;
+            chunk.clear();
+            chunk.extend(s.pending.drain(..take));
+            batch += 1;
             // Carry the beat-to-outcome anchor with the staged chunk. An
             // earlier staged anchor (a chunk that has not produced a
             // forwarded outcome yet) wins: the clock runs from the oldest
@@ -1947,73 +2006,69 @@ impl<'fw> Gateway<'fw> {
             // credit (because this gateway is the slow side) must not be
             // idle-evicted while its buffer is still being drained.
             s.last_activity = now;
-            staged.push(wire_id);
         }
-        if staged.is_empty() {
+        if batch == 0 {
             return false;
         }
-        let feeds: Vec<(hbc_core::SessionId, &[f64])> = staged
-            .iter()
-            .filter_map(|&wire_id| {
-                let s = sessions.get(wire_id)?;
-                Some((s.hub_id()?, s.chunk.as_slice()))
-            })
-            .collect();
         // Staged sessions are live, unique hub sessions by construction; a
         // rejection would mean the staging scan and the hub disagree about
         // liveness, and dropping the chunk beats poisoning the reactor.
-        if !feeds.is_empty() {
-            let ingest_started = Instant::now();
-            let rejected = hub.ingest(&feeds).is_err();
-            obs.ingest_batch_micros
-                .record(u64::try_from(ingest_started.elapsed().as_micros()).unwrap_or(u64::MAX));
-            if rejected {
-                stats.internal_skips += 1;
-                debug_assert!(false, "staged ingest rejected by the hub");
-            }
+        let ingest_started = Instant::now();
+        let rejected = hub.ingest(&staged[..batch]).is_err();
+        obs.ingest_batch_micros
+            .record(u64::try_from(ingest_started.elapsed().as_micros()).unwrap_or(u64::MAX));
+        if rejected {
+            stats.internal_skips += 1;
+            debug_assert!(false, "staged ingest rejected by the hub");
         }
         true
     }
 
     /// Forwards freshly classified beats and grants credit for consumed
-    /// samples.
+    /// samples. One hub read per session decides: a session with no new
+    /// outcome and no credit owed is skipped — it has nothing to send, and
+    /// its priority window is the one its last visit already scored.
     fn forward_outcomes_and_credit(&mut self) -> bool {
         let mut progress = false;
-        for wire_id in self.sessions.ids() {
-            let Some(s) = self.sessions.get(wire_id) else {
+        let mut ids = std::mem::take(&mut self.ids);
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        self.sessions.ids_into(&mut ids);
+        for &wire_id in &ids {
+            let Some(s) = self.sessions.get_mut(wire_id) else {
                 continue;
             };
-            let conn = s.conn;
             let Some(hub_id) = s.hub_id() else {
                 continue;
             };
-            let Ok(fresh) = self.hub.outcomes_since(hub_id, s.outcomes_sent) else {
-                self.stats.internal_skips += 1;
-                debug_assert!(false, "streaming session {wire_id} is not live in the hub");
-                continue;
-            };
-            let grant = s.consumed_since_grant;
-            // Refresh the shedding priority from the recent outcome
-            // window: an abnormal beat protects the stream under overload,
-            // and a clean window decays the protection again.
-            let priority = match self.hub.recent_abnormal(hub_id, PRIORITY_WINDOW) {
-                Ok(true) => SessionPriority::Critical,
-                _ => SessionPriority::Normal,
-            };
-            if let Some(s) = self.sessions.get_mut(wire_id) {
-                s.priority = priority;
-            }
-            if !fresh.is_empty() {
-                let outcomes: Vec<WireOutcome> =
-                    fresh.iter().map(WireOutcome::from_outcome).collect();
-                let n = outcomes.len();
-                self.send(
-                    conn,
-                    &Frame::Outcomes {
-                        session: wire_id,
-                        outcomes,
-                    },
+            let (conn, sent, grant) = (s.conn, s.outcomes_sent, s.consumed_since_grant);
+            // Copy the unsent tail into the reused scratch and refresh the
+            // shedding priority from the recent outcome window: an abnormal
+            // beat protects the stream under overload, and a clean window
+            // decays the protection again.
+            outcomes.clear();
+            let read = self.hub.with_outcomes(hub_id, |all| {
+                if all.len() == sent && grant == 0 {
+                    return None;
+                }
+                outcomes.extend(
+                    all[sent.min(all.len())..]
+                        .iter()
+                        .map(WireOutcome::from_outcome),
                 );
+                Some(priority_of(all))
+            });
+            s.priority = match read {
+                Ok(Some(priority)) => priority,
+                Ok(None) => continue,
+                Err(_) => {
+                    self.stats.internal_skips += 1;
+                    debug_assert!(false, "streaming session {wire_id} is not live in the hub");
+                    continue;
+                }
+            };
+            if !outcomes.is_empty() {
+                let n = outcomes.len();
+                self.send_outcomes(conn, wire_id, &mut outcomes);
                 let Some(s) = self.sessions.get_mut(wire_id) else {
                     debug_assert!(false, "session {wire_id} vanished while forwarding");
                     continue;
@@ -2053,6 +2108,8 @@ impl<'fw> Gateway<'fw> {
                 }
             }
         }
+        self.ids = ids;
+        self.outcomes = outcomes;
         progress
     }
 
@@ -2501,19 +2558,22 @@ fn recover_sessions(
         // can only have received outcomes the pre-crash gateway actually
         // sent, which the replay covers (samples are logged before they are
         // ingested), so the resume-time `min()` rewind lands exactly on the
-        // client's claim.
-        let (phase, pending, outcomes_sent) = match r.calibration {
+        // client's claim. The priority is scored from the same history,
+        // which forwarding — skipping sessions with nothing unsent — would
+        // otherwise never look at again.
+        let (phase, pending, (outcomes_sent, priority)) = match r.calibration {
             Calibration::Streaming(hub_id) => (
                 SessionPhase::Streaming { hub: hub_id },
                 Vec::new(),
-                hub.outcomes_since(hub_id, 0).map_or(0, |o| o.len()),
+                hub.with_outcomes(hub_id, |all| (all.len(), priority_of(all)))
+                    .unwrap_or_default(),
             ),
             Calibration::Pending => (
                 SessionPhase::Calibrating {
                     calib_len: r.session.calib_len,
                 },
                 r.samples,
-                0,
+                (0, SessionPriority::Normal),
             ),
             // A degenerate calibration stretch would have ended the
             // session live too; drop it.
@@ -2527,13 +2587,12 @@ fn recover_sessions(
                 patient_id: r.session.patient_id,
                 phase,
                 pending,
-                chunk: Vec::new(),
                 next_seq: r.session.next_seq,
                 outcomes_sent,
                 consumed_since_grant: 0,
                 samples_received,
                 last_activity: now,
-                priority: SessionPriority::Normal,
+                priority,
                 oldest_pending_at: None,
                 staged_anchor: None,
             },

@@ -31,7 +31,7 @@
 //! Detached sessions the window expires are discarded and their wire ids
 //! retired like any other end.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How many ended-session ids the manager remembers for race tolerance.
@@ -93,9 +93,6 @@ pub struct NetSession {
     /// Decoded millivolt samples received but not yet consumed by the hub.
     /// Bounded by the credit budget for well-behaved senders.
     pub pending: Vec<f64>,
-    /// Scratch the reactor moves a chunk into while the hub ingests it
-    /// (keeps the borrow of `pending` short and reuses the allocation).
-    pub chunk: Vec<f64>,
     /// Next expected [`crate::proto::Frame::Samples`] sequence number.
     pub next_seq: u32,
     /// Hub outcomes already forwarded to the client.
@@ -160,7 +157,9 @@ pub enum ResumeOutcome {
 /// Owns every live [`NetSession`] of a gateway, keyed by wire id.
 #[derive(Debug, Default)]
 pub struct SessionManager {
-    sessions: HashMap<u32, NetSession>,
+    /// Live sessions in wire-id order, so every sweep visits them
+    /// deterministically without sorting.
+    sessions: BTreeMap<u32, NetSession>,
     /// Detached-but-resumable sessions, keyed by resume token.
     detached: HashMap<u64, DetachedSession>,
     /// SplitMix64 state behind token issuance — deterministic per manager,
@@ -208,7 +207,6 @@ impl SessionManager {
                 patient_id,
                 phase: SessionPhase::Calibrating { calib_len },
                 pending: Vec::new(),
-                chunk: Vec::new(),
                 next_seq: 0,
                 outcomes_sent: 0,
                 consumed_since_grant: 0,
@@ -259,37 +257,36 @@ impl SessionManager {
         self.retired.contains(&wire_id)
     }
 
-    /// Wire ids of every session owned by connection `conn`.
+    /// Wire ids of every session owned by connection `conn`, in id order.
     pub fn ids_for_conn(&self, conn: usize) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .sessions
+        self.sessions
             .values()
             .filter(|s| s.conn == conn)
             .map(|s| s.wire_id)
-            .collect();
-        ids.sort_unstable();
-        ids
+            .collect()
     }
 
     /// Wire ids of every live session, in id order (deterministic sweeps).
     pub fn ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.sessions.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.sessions.keys().copied().collect()
+    }
+
+    /// [`Self::ids`] into a caller-owned buffer (cleared first), so a sweep
+    /// that lists the sessions every poll reuses one allocation.
+    pub fn ids_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.sessions.keys().copied());
     }
 
     /// Wire ids whose last activity is older than `idle` seconds before
-    /// `now` — the eviction candidates. Detached sessions are not idle,
-    /// they are waiting (their clock is the retention window).
+    /// `now`, in id order — the eviction candidates. Detached sessions are
+    /// not idle, they are waiting (their clock is the retention window).
     pub fn idle_ids(&self, now: Instant, idle: Duration) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .sessions
+        self.sessions
             .values()
             .filter(|s| now.duration_since(s.last_activity) > idle)
             .map(|s| s.wire_id)
-            .collect();
-        ids.sort_unstable();
-        ids
+            .collect()
     }
 
     /// Parks a live session in the detached table (its connection died).
@@ -612,7 +609,6 @@ mod tests {
                 patient_id: 2,
                 phase: SessionPhase::Calibrating { calib_len: 10 },
                 pending: Vec::new(),
-                chunk: Vec::new(),
                 next_seq: 3,
                 outcomes_sent: 0,
                 consumed_since_grant: 0,

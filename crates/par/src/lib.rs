@@ -27,6 +27,10 @@
 //! * **No `'static` bounds** — a [`Par`] holds no threads between calls; each
 //!   call spins up a scoped pool and tears it down on return, so closures may
 //!   freely borrow datasets and trained models from the caller's stack.
+//!   That spawn costs tens of microseconds per call, so a caller whose batch
+//!   is smaller than that in work should run it through [`Par::sequential`]
+//!   (the same code path, on the caller's thread) instead of fanning out —
+//!   as `hbc_core::StreamHub::ingest` does below its fan-out threshold.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -5,8 +5,8 @@
 //! One process, three roles:
 //!
 //! 1. the **gateway** thread runs the single-threaded nonblocking reactor,
-//!    feeding every connection's samples into the shared `StreamHub` (so
-//!    classification fans out over all cores);
+//!    feeding every connection's samples into the shared `StreamHub` (which
+//!    fans large batches out over all cores);
 //! 2. one **node** thread per patient connects a blocking `NodeClient`,
 //!    opens a session (the first seconds calibrate the detection
 //!    thresholds, like a node's start-up phase) and replays its record in
