@@ -3,15 +3,21 @@
 //! gateway-on-loopback pipeline (sockets → decoder → credit flow →
 //! `StreamHub` classification).
 //!
+//! The stream is a real-looking signal: quantised `hbc_ecg::synthetic`
+//! records, cut into `Samples` frames, so the delta-varint sample codec
+//! sees the small sample-to-sample steps of an ECG.
+//!
 //! Records a baseline in `BENCH_net.json` (opt-in via `HBC_BENCH_BASELINE=1`)
-//! and gates regressions in CI (`HBC_BENCH_REGRESSION=1`). Wall-clock
-//! nanoseconds do not transfer between hosts, so the gated quantity is the
-//! **cost ratio of decoding to a raw `crc32` scan of the same bytes**: the
-//! decoder's hot loop is dominated by its CRC trailer check, so a healthy
-//! decoder sits within a small constant of the bare checksum pass — both
-//! sides measured on the same host, here and in the baseline. A decoder
-//! regression (quadratic buffering, extra copies) inflates the ratio and
-//! fails the job; machine speed cancels out.
+//! and gates regressions in CI (`HBC_BENCH_REGRESSION=1`) on two figures:
+//!
+//! * **wire bytes per sample**, exact: the stream is seeded, so its encoded
+//!   size is a fixed number, and any growth over the baseline fails with no
+//!   margin;
+//! * the **cost ratio of decoding to a raw `crc32` scan of the same
+//!   bytes**. Wall-clock nanoseconds do not transfer between hosts, but
+//!   both sides are measured on the same host, here and in the baseline, so
+//!   machine speed cancels out. A decoder regression (quadratic buffering,
+//!   extra copies, a slow varint path) inflates the ratio and fails the job.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -24,20 +30,44 @@ use hbc_ecg::record::Lead;
 use hbc_ecg::synthetic::SyntheticEcg;
 use hbc_embedded::int_classifier::AlphaQ16;
 use hbc_embedded::WbsnFirmware;
-use hbc_net::proto::{crc32, Frame, FrameDecoder};
+use hbc_net::proto::{crc32, quantize_mv_into, Frame, FrameDecoder};
 use hbc_net::{Gateway, GatewayConfig, NodeClient};
 use hbc_rp::PackedProjection;
 
-/// Pre-encodes `frames` Samples frames of `samples_per_frame` codes each.
-fn encoded_stream(frames: usize, samples_per_frame: usize) -> Vec<u8> {
+/// Samples in the benchmark stream (about 24 minutes at 360 Hz).
+const STREAM_SAMPLES: usize = 1 << 19;
+
+/// Frame sizes measured and gated.
+const FRAME_SIZES: [usize; 2] = [64, 4096];
+
+/// ADC codes of seeded synthetic ECG records (mixed N/V/L rhythm, the
+/// generator's realistic noise) quantised through the wire's transfer
+/// function and cut to [`STREAM_SAMPLES`].
+fn ecg_codes() -> Vec<i16> {
+    let mut gen = SyntheticEcg::with_seed(2013);
+    let mut codes = Vec::with_capacity(STREAM_SAMPLES);
+    let mut record_codes = Vec::new();
+    for id in 0.. {
+        if codes.len() >= STREAM_SAMPLES {
+            break;
+        }
+        let rhythm = gen.rhythm(300, 0.1, 0.1);
+        let record = gen.record(id, &rhythm, 1).expect("synthetic record");
+        quantize_mv_into(&record.leads[0], &mut record_codes);
+        codes.extend_from_slice(&record_codes);
+    }
+    codes.truncate(STREAM_SAMPLES);
+    codes
+}
+
+/// Encodes `codes` as consecutive Samples frames of `samples_per_frame`.
+fn encoded_stream(codes: &[i16], samples_per_frame: usize) -> Vec<u8> {
     let mut out = Vec::new();
-    for seq in 0..frames {
+    for (seq, frame) in codes.chunks(samples_per_frame).enumerate() {
         Frame::Samples {
             session: 1,
             seq: seq as u32,
-            samples: (0..samples_per_frame)
-                .map(|i| ((i * 37 + seq * 11) % 4096) as i16 - 2048)
-                .collect(),
+            samples: frame.to_vec(),
         }
         .encode_into(&mut out);
     }
@@ -61,9 +91,9 @@ fn decode_all(bytes: &[u8]) -> usize {
 fn bench_decoder(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_ingest");
     group.sample_size(10);
-    for samples_per_frame in [64usize, 4096] {
-        let frames = (1 << 20) / (2 * samples_per_frame).max(1);
-        let bytes = encoded_stream(frames, samples_per_frame);
+    let codes = ecg_codes();
+    for samples_per_frame in FRAME_SIZES {
+        let bytes = encoded_stream(&codes, samples_per_frame);
         group.bench_function(format!("decode/{samples_per_frame}spf"), |b| {
             b.iter(|| black_box(decode_all(black_box(&bytes))))
         });
@@ -75,11 +105,11 @@ fn bench_decoder(c: &mut Criterion) {
     group.bench_function("encode/256spf", |b| {
         b.iter(|| {
             sink.clear();
-            for seq in 0..64u32 {
+            for (seq, frame) in codes.chunks(256).take(64).enumerate() {
                 Frame::Samples {
                     session: 1,
-                    seq,
-                    samples: vec![0i16; 256],
+                    seq: seq as u32,
+                    samples: frame.to_vec(),
                 }
                 .encode_into(&mut sink);
             }
@@ -164,24 +194,44 @@ fn min_ns_per_iter<F: FnMut()>(mut f: F, samples: usize) -> f64 {
     best
 }
 
-/// Measures decode-vs-crc32 cost per byte for one frame size.
-fn measure_ratio(samples_per_frame: usize, samples: usize) -> (f64, f64, f64) {
-    let frames = (1 << 20) / (2 * samples_per_frame).max(1);
-    let bytes = encoded_stream(frames, samples_per_frame);
-    let n = bytes.len() as f64;
-    let decode_ns = min_ns_per_iter(
-        || {
-            black_box(decode_all(black_box(&bytes)));
-        },
-        samples,
-    ) / n;
-    let crc_ns = min_ns_per_iter(
-        || {
-            black_box(crc32(black_box(&bytes)));
-        },
-        samples,
-    ) / n;
-    (decode_ns, crc_ns, decode_ns / crc_ns)
+/// One frame size's figures: the encoded stream's size and the
+/// decode-vs-crc32 cost per byte.
+struct Row {
+    wire_bytes: usize,
+    decode_ns: f64,
+    crc_ns: f64,
+}
+
+impl Row {
+    fn measure(codes: &[i16], samples_per_frame: usize, samples: usize) -> Row {
+        let bytes = encoded_stream(codes, samples_per_frame);
+        let n = bytes.len() as f64;
+        let decode_ns = min_ns_per_iter(
+            || {
+                black_box(decode_all(black_box(&bytes)));
+            },
+            samples,
+        ) / n;
+        let crc_ns = min_ns_per_iter(
+            || {
+                black_box(crc32(black_box(&bytes)));
+            },
+            samples,
+        ) / n;
+        Row {
+            wire_bytes: bytes.len(),
+            decode_ns,
+            crc_ns,
+        }
+    }
+
+    fn cost_ratio(&self) -> f64 {
+        self.decode_ns / self.crc_ns
+    }
+
+    fn bytes_per_sample(&self) -> f64 {
+        self.wire_bytes as f64 / STREAM_SAMPLES as f64
+    }
 }
 
 /// Writes `BENCH_net.json` (opt-in: the file is a checked-in reviewed
@@ -191,61 +241,71 @@ fn baseline_json(_c: &mut Criterion) {
         println!("baseline_json: skipped (set HBC_BENCH_BASELINE=1 to rewrite BENCH_net.json)");
         return;
     }
-    let mut rows = String::new();
-    for (i, spf) in [64usize, 4096].into_iter().enumerate() {
-        let (decode_ns, crc_ns, ratio) = measure_ratio(spf, 9);
+    let codes = ecg_codes();
+    let mut rows = Vec::new();
+    for spf in FRAME_SIZES {
+        let row = Row::measure(&codes, spf, 9);
         println!(
-            "baseline samples_per_frame={spf:>5}  decode {decode_ns:>7.3} ns/B  crc32 \
-             {crc_ns:>7.3} ns/B  cost_ratio {ratio:.2}"
+            "baseline samples_per_frame={spf:>5}  {:.4} B/sample  decode {:>7.3} ns/B  crc32 \
+             {:>7.3} ns/B  cost_ratio {:.2}",
+            row.bytes_per_sample(),
+            row.decode_ns,
+            row.crc_ns,
+            row.cost_ratio()
         );
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"samples_per_frame\": {spf}, \"decode_ns_per_byte\": {decode_ns:.3}, \
-             \"crc32_ns_per_byte\": {crc_ns:.3}, \"cost_ratio\": {ratio:.3}}}"
+        rows.push(format!(
+            "    {{\"samples_per_frame\": {spf}, \"samples\": {STREAM_SAMPLES}, \"wire_bytes\": \
+             {}, \"bytes_per_sample\": {:.4}, \"decode_ns_per_byte\": {:.3}, \
+             \"crc32_ns_per_byte\": {:.3}, \"cost_ratio\": {:.3}}}",
+            row.wire_bytes,
+            row.bytes_per_sample(),
+            row.decode_ns,
+            row.crc_ns,
+            row.cost_ratio()
         ));
     }
     let json = format!(
         "{{\n  \"bench\": \"net_ingest\",\n  \"units\": \"ns_per_byte\",\n  \"kernel\": \
-         \"incremental FrameDecoder on a Samples stream vs a bare crc32 scan of the same \
-         bytes\",\n  \"estimator\": \"min of 9 calibrated samples\",\n  \"gate\": \"cost_ratio \
+         \"incremental FrameDecoder on a Samples stream of quantised synthetic ECG vs a bare \
+         crc32 scan of the same bytes\",\n  \"estimator\": \"min of 9 calibrated samples\",\n  \
+         \"gate\": \"wire_bytes must not exceed this baseline (exact, no margin); cost_ratio \
          (decode/crc32) must stay within HBC_BENCH_MARGIN (default 2x) of this baseline\",\n  \
-         \"results\": [\n{rows}\n  ]\n}}\n"
+         \"results\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
     std::fs::write(path, json).expect("write BENCH_net.json");
     println!("baseline_json: wrote {path}");
 }
 
-/// Parses `(samples_per_frame, cost_ratio)` rows out of the baseline (same
-/// dependency-free scraping as the other gates).
-fn parse_baseline(json: &str) -> Vec<(usize, f64)> {
+/// The number after `"key":` on a baseline row.
+fn field(line: &str, key: &str) -> Option<f64> {
+    line.split(&format!("\"{key}\":"))
+        .nth(1)?
+        .split([',', '}'])
+        .next()?
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// Parses `(samples_per_frame, wire_bytes, cost_ratio)` rows out of the
+/// baseline (same dependency-free scraping as the other gates).
+fn parse_baseline(json: &str) -> Vec<(usize, usize, f64)> {
     json.lines()
         .filter_map(|line| {
-            let spf = line
-                .split("\"samples_per_frame\":")
-                .nth(1)?
-                .split([',', '}'])
-                .next()?
-                .trim()
-                .parse()
-                .ok()?;
-            let ratio = line
-                .split("\"cost_ratio\":")
-                .nth(1)?
-                .split([',', '}'])
-                .next()?
-                .trim()
-                .parse()
-                .ok()?;
-            Some((spf, ratio))
+            Some((
+                field(line, "samples_per_frame")? as usize,
+                field(line, "wire_bytes")? as usize,
+                field(line, "cost_ratio")?,
+            ))
         })
         .collect()
 }
 
-/// CI regression gate (`HBC_BENCH_REGRESSION=1`): the decode-vs-crc32 cost
-/// ratio must stay within the noise margin of the checked-in baseline.
+/// CI regression gate (`HBC_BENCH_REGRESSION=1`): the encoded stream must
+/// not grow by a single byte, and the decode-vs-crc32 cost ratio must stay
+/// within the noise margin of the checked-in baseline.
 fn regression_gate(_c: &mut Criterion) {
     if std::env::var("HBC_BENCH_REGRESSION").map_or(true, |v| v != "1") {
         println!("regression_gate: skipped (set HBC_BENCH_REGRESSION=1 to enable)");
@@ -260,16 +320,32 @@ fn regression_gate(_c: &mut Criterion) {
     let baseline = parse_baseline(&json);
     assert!(!baseline.is_empty(), "no rows parsed from BENCH_net.json");
 
+    let codes = ecg_codes();
     let mut failures = Vec::new();
-    for (spf, baseline_ratio) in baseline {
-        let (decode_ns, crc_ns, ratio) = measure_ratio(spf, 5);
+    for (spf, baseline_bytes, baseline_ratio) in baseline {
+        let row = Row::measure(&codes, spf, 5);
+        let ratio = row.cost_ratio();
         let ceiling = baseline_ratio * margin;
-        let verdict = if ratio <= ceiling { "ok" } else { "REGRESSION" };
+        let verdict = if ratio <= ceiling && row.wire_bytes <= baseline_bytes {
+            "ok"
+        } else {
+            "REGRESSION"
+        };
         println!(
-            "regression_gate spf={spf:>5}  decode {decode_ns:>7.3} ns/B  crc32 {crc_ns:>7.3} \
-             ns/B  cost_ratio {ratio:.2} (baseline {baseline_ratio:.2}, ceiling {ceiling:.2})  \
-             {verdict}"
+            "regression_gate spf={spf:>5}  {} B (baseline {baseline_bytes}, {:.4} B/sample)  \
+             decode {:>7.3} ns/B  crc32 {:>7.3} ns/B  cost_ratio {ratio:.2} (baseline \
+             {baseline_ratio:.2}, ceiling {ceiling:.2})  {verdict}",
+            row.wire_bytes,
+            row.bytes_per_sample(),
+            row.decode_ns,
+            row.crc_ns
         );
+        if row.wire_bytes > baseline_bytes {
+            failures.push(format!(
+                "samples_per_frame={spf}: {} wire bytes, baseline {baseline_bytes}",
+                row.wire_bytes
+            ));
+        }
         if ratio > ceiling {
             failures.push(format!(
                 "samples_per_frame={spf}: cost ratio {ratio:.2} above ceiling {ceiling:.2} \
@@ -279,7 +355,7 @@ fn regression_gate(_c: &mut Criterion) {
     }
     assert!(
         failures.is_empty(),
-        "frame decoder regressed:\n{}",
+        "wire codec regressed:\n{}",
         failures.join("\n")
     );
 }

@@ -10,11 +10,29 @@
 //! ```
 //!
 //! `len` counts the tag byte plus the body; the CRC-32 (IEEE, the ZIP/PNG
-//! polynomial) trailer covers exactly those bytes. All integers are
-//! little-endian; there are no variable-length integers and no padding, so
-//! every frame has exactly one serialisation and the decoder can verify
-//! length *and* checksum before touching the payload. The envelope is the
-//! one the durable log uses, implemented once in `hbc_wal`.
+//! polynomial) trailer covers exactly those bytes, and both are
+//! little-endian `u32`s. The envelope is the one the durable log uses,
+//! implemented once in `hbc_wal`, so the decoder verifies length *and*
+//! checksum before touching the payload.
+//!
+//! Inside the body every integer field is a **canonical unsigned LEB128
+//! varint**: seven value bits per byte, low group first, the high bit set
+//! on every byte but the last. The decoder rejects overlong encodings (a
+//! multi-byte varint whose last byte is zero) and values past the field's
+//! type, so every frame still has exactly one serialisation. The exception
+//! is [`Frame::Hello`]'s version, a little-endian `u16` in every protocol
+//! version: it is what tells versions apart, so a peer of any version must
+//! read it the same way (and a v3 node is denied by name, not by a parse
+//! error). Two fields are coded relative to their predecessor in the
+//! frame:
+//!
+//! * `Samples` carries each ADC code as the zigzag-mapped difference from
+//!   the previous code (the first from 0). An ECG moves little between
+//!   consecutive samples, so most codes take one byte instead of two. There
+//!   is no count field: the samples run to the end of the body.
+//! * `Outcomes` carries each beat's `peak` as the wrapping difference from
+//!   the previous beat's (the first from 0) — in temporal order, the RR
+//!   interval — and packs `class | delineated << 2` into one byte.
 //!
 //! [`FrameDecoder`] is a pure incremental parser: feed it arbitrary byte
 //! slices ([`FrameDecoder::feed`]) and pop complete frames
@@ -45,7 +63,12 @@ use hbc_embedded::fixed::AdcModel;
 /// Version 3 added overload signalling: [`Frame::Busy`], the Deny-class
 /// "come back later" response of the gateway's admission control (connection
 /// and session caps, global memory budget).
-pub const PROTOCOL_VERSION: u16 = 3;
+///
+/// Version 4 replaced every fixed-width body integer with a canonical
+/// varint, delta-coded the `Samples` codes and the `Outcomes` peaks, and
+/// packed each outcome's class and delineation flag into one byte. The
+/// frames and their fields are unchanged.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on `len` (tag + body) the decoder accepts. A corrupt or
 /// hostile length prefix beyond this is rejected before any buffering.
@@ -358,17 +381,52 @@ impl From<hbc_wal::EnvelopeError> for ProtoError {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Bits of an [`Frame::Outcomes`] beat's flags byte: the class code in the
+/// low two, the delineation flag above them, the rest zero.
+const OUTCOME_CLASS_MASK: u8 = 0b011;
+const OUTCOME_DELINEATED: u8 = 0b100;
+
+/// Appends `v` as an unsigned LEB128 varint (the shortest encoding).
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
-/// Bounds-checked little-endian reader over a frame body.
+/// Maps a signed difference onto the unsigned varints, small magnitudes of
+/// either sign to small values: 0, −1, 1, −2, … ↦ 0, 1, 2, 3, …
+fn zigzag(d: i32) -> u32 {
+    ((d << 1) ^ (d >> 31)) as u32
+}
+
+fn unzigzag(z: u32) -> i32 {
+    (z >> 1) as i32 ^ -((z & 1) as i32)
+}
+
+/// Reads one canonical varint from the front of `bytes`, returning the value
+/// and the bytes it took. Rejects truncation, more than ten bytes, bits past
+/// 64 and overlong encodings (a multi-byte varint ending in a zero byte).
+fn read_varint(bytes: &[u8]) -> Result<(u64, usize), ProtoError> {
+    let mut value = 0u64;
+    for (i, &b) in bytes.iter().enumerate().take(10) {
+        let group = u64::from(b & 0x7F);
+        if i == 9 && b > 1 {
+            return Err(ProtoError::Malformed("varint past 64 bits"));
+        }
+        value |= group << (7 * i);
+        if b < 0x80 {
+            if b == 0 && i > 0 {
+                return Err(ProtoError::Malformed("overlong varint"));
+            }
+            return Ok((value, i + 1));
+        }
+    }
+    Err(ProtoError::Malformed("body ends inside a varint"))
+}
+
+/// Bounds-checked varint reader over a frame body.
 struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -379,40 +437,93 @@ impl<'a> Cursor<'a> {
         Cursor { bytes, at: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(ProtoError::Malformed("body shorter than its fields"))?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
     fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
+        let b = *self
+            .bytes
+            .get(self.at)
+            .ok_or(ProtoError::Malformed("body shorter than its fields"))?;
+        self.at += 1;
+        Ok(b)
     }
 
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+    /// The one fixed-width field: [`Frame::Hello`]'s version.
+    fn u16_le(&mut self) -> Result<u16, ProtoError> {
+        Ok(u16::from_le_bytes([self.u8()?, self.u8()?]))
     }
 
     fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        let (value, n) = read_varint(&self.bytes[self.at..])?;
+        self.at += n;
+        Ok(value)
+    }
+
+    fn u32(&mut self) -> Result<u32, ProtoError> {
+        u32::try_from(self.u64()?).map_err(|_| ProtoError::Malformed("varint past u32"))
+    }
+
+    fn u16(&mut self) -> Result<u16, ProtoError> {
+        u16::try_from(self.u64()?).map_err(|_| ProtoError::Malformed("varint past u16"))
+    }
+
+    /// The unread rest of the body; the cursor ends there.
+    fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.at..];
+        self.at = self.bytes.len();
+        rest
+    }
+
+    fn is_empty(&self) -> bool {
+        self.at == self.bytes.len()
     }
 
     fn finish(self) -> Result<(), ProtoError> {
-        if self.at == self.bytes.len() {
+        if self.is_empty() {
             Ok(())
         } else {
             Err(ProtoError::Malformed("trailing bytes after body"))
         }
     }
+}
+
+/// Appends ADC codes as zigzag varint deltas (the first from 0).
+fn encode_samples(samples: &[i16], out: &mut Vec<u8>) {
+    out.reserve(samples.len());
+    let mut prev = 0i32;
+    for &s in samples {
+        let code = i32::from(s);
+        put_varint(out, u64::from(zigzag(code - prev)));
+        prev = code;
+    }
+}
+
+/// Decodes a `Samples` payload of zigzag varint deltas. Every code takes at
+/// least one byte, so one reservation of the payload's length covers the
+/// frame — a hostile body is bounded by its own size. The one-byte delta is
+/// the common case and skips the general varint reader.
+fn decode_samples(bytes: &[u8]) -> Result<Vec<i16>, ProtoError> {
+    let mut samples = Vec::with_capacity(bytes.len());
+    let mut prev = 0i32;
+    let mut at = 0;
+    while at < bytes.len() {
+        let z = match bytes[at] {
+            b if b < 0x80 => {
+                at += 1;
+                u32::from(b)
+            }
+            _ => {
+                let (z, n) = read_varint(&bytes[at..])?;
+                at += n;
+                u32::try_from(z).map_err(|_| ProtoError::Malformed("varint past u32"))?
+            }
+        };
+        let code = prev
+            .checked_add(unzigzag(z))
+            .and_then(|c| i16::try_from(c).ok())
+            .ok_or(ProtoError::Malformed("sample delta leaves the i16 range"))?;
+        samples.push(code);
+        prev = i32::from(code);
+    }
+    Ok(samples)
 }
 
 impl Frame {
@@ -423,7 +534,7 @@ impl Frame {
         match self {
             Frame::Hello { version } => {
                 out.push(TAG_HELLO);
-                put_u16(out, *version);
+                out.extend_from_slice(&version.to_le_bytes());
             }
             Frame::OpenSession {
                 patient_id,
@@ -431,9 +542,9 @@ impl Frame {
                 calib_len,
             } => {
                 out.push(TAG_OPEN_SESSION);
-                put_u32(out, *patient_id);
-                put_u32(out, *fs_millihertz);
-                put_u32(out, *calib_len);
+                put_varint(out, u64::from(*patient_id));
+                put_varint(out, u64::from(*fs_millihertz));
+                put_varint(out, u64::from(*calib_len));
             }
             Frame::Samples {
                 session,
@@ -441,15 +552,13 @@ impl Frame {
                 samples,
             } => {
                 out.push(TAG_SAMPLES);
-                put_u32(out, *session);
-                put_u32(out, *seq);
-                for s in samples {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
+                put_varint(out, u64::from(*session));
+                put_varint(out, u64::from(*seq));
+                encode_samples(samples, out);
             }
             Frame::CloseSession { session } => {
                 out.push(TAG_CLOSE_SESSION);
-                put_u32(out, *session);
+                put_varint(out, u64::from(*session));
             }
             Frame::ResumeSession {
                 patient_id,
@@ -458,10 +567,10 @@ impl Frame {
                 outcomes_received,
             } => {
                 out.push(TAG_RESUME_SESSION);
-                put_u32(out, *patient_id);
-                put_u64(out, *session_token);
-                put_u32(out, *last_acked_seq);
-                put_u64(out, *outcomes_received);
+                put_varint(out, u64::from(*patient_id));
+                put_varint(out, *session_token);
+                put_varint(out, u64::from(*last_acked_seq));
+                put_varint(out, *outcomes_received);
             }
             Frame::SessionOpened {
                 session,
@@ -469,9 +578,9 @@ impl Frame {
                 token,
             } => {
                 out.push(TAG_SESSION_OPENED);
-                put_u32(out, *session);
-                put_u32(out, *credit);
-                put_u64(out, *token);
+                put_varint(out, u64::from(*session));
+                put_varint(out, u64::from(*credit));
+                put_varint(out, *token);
             }
             Frame::SessionResumed {
                 session,
@@ -479,9 +588,9 @@ impl Frame {
                 credit,
             } => {
                 out.push(TAG_SESSION_RESUMED);
-                put_u32(out, *session);
-                put_u32(out, *next_expected_seq);
-                put_u32(out, *credit);
+                put_varint(out, u64::from(*session));
+                put_varint(out, u64::from(*next_expected_seq));
+                put_varint(out, u64::from(*credit));
             }
             Frame::Credit {
                 session,
@@ -489,26 +598,32 @@ impl Frame {
                 acked_seq,
             } => {
                 out.push(TAG_CREDIT);
-                put_u32(out, *session);
-                put_u32(out, *grant);
-                put_u32(out, *acked_seq);
+                put_varint(out, u64::from(*session));
+                put_varint(out, u64::from(*grant));
+                put_varint(out, u64::from(*acked_seq));
             }
             Frame::Outcomes { session, outcomes } => {
                 out.push(TAG_OUTCOMES);
-                put_u32(out, *session);
+                put_varint(out, u64::from(*session));
+                let mut prev = 0u64;
                 for o in outcomes {
-                    put_u64(out, o.peak);
-                    out.push(o.class);
-                    out.push(u8::from(o.delineated));
-                    put_u16(out, o.fiducials);
+                    put_varint(out, o.peak.wrapping_sub(prev));
+                    prev = o.peak;
+                    debug_assert!(
+                        o.class <= OUTCOME_CLASS_MASK,
+                        "class code outside the protocol"
+                    );
+                    let delineated = if o.delineated { OUTCOME_DELINEATED } else { 0 };
+                    out.push((o.class & OUTCOME_CLASS_MASK) | delineated);
+                    put_varint(out, u64::from(o.fiducials));
                 }
             }
             Frame::Report { session, report } => {
                 out.push(TAG_REPORT);
-                put_u32(out, *session);
-                put_u64(out, report.beats);
-                put_u64(out, report.forwarded);
-                put_u64(out, report.samples);
+                put_varint(out, u64::from(*session));
+                put_varint(out, report.beats);
+                put_varint(out, report.forwarded);
+                put_varint(out, report.samples);
             }
             Frame::Deny { message } => {
                 out.push(TAG_DENY);
@@ -516,7 +631,7 @@ impl Frame {
             }
             Frame::Busy { retry_after_ms } => {
                 out.push(TAG_BUSY);
-                put_u32(out, *retry_after_ms);
+                put_varint(out, u64::from(*retry_after_ms));
             }
         }
         hbc_wal::seal_frame(out, start);
@@ -532,29 +647,19 @@ impl Frame {
     fn decode_body(tag: u8, body: &[u8]) -> Result<Frame, ProtoError> {
         let mut c = Cursor::new(body);
         let frame = match tag {
-            TAG_HELLO => Frame::Hello { version: c.u16()? },
+            TAG_HELLO => Frame::Hello {
+                version: c.u16_le()?,
+            },
             TAG_OPEN_SESSION => Frame::OpenSession {
                 patient_id: c.u32()?,
                 fs_millihertz: c.u32()?,
                 calib_len: c.u32()?,
             },
-            TAG_SAMPLES => {
-                let session = c.u32()?;
-                let seq = c.u32()?;
-                let rest = c.take(body.len() - 8)?;
-                if rest.len() % 2 != 0 {
-                    return Err(ProtoError::Malformed("odd sample payload"));
-                }
-                let samples = rest
-                    .chunks_exact(2)
-                    .map(|b| i16::from_le_bytes([b[0], b[1]]))
-                    .collect();
-                Frame::Samples {
-                    session,
-                    seq,
-                    samples,
-                }
-            }
+            TAG_SAMPLES => Frame::Samples {
+                session: c.u32()?,
+                seq: c.u32()?,
+                samples: decode_samples(c.rest())?,
+            },
             TAG_CLOSE_SESSION => Frame::CloseSession { session: c.u32()? },
             TAG_RESUME_SESSION => Frame::ResumeSession {
                 patient_id: c.u32()?,
@@ -579,30 +684,20 @@ impl Frame {
             },
             TAG_OUTCOMES => {
                 let session = c.u32()?;
-                let rest_len = body.len() - 4;
-                if !rest_len.is_multiple_of(12) {
-                    return Err(ProtoError::Malformed(
-                        "outcome payload not a multiple of 12",
-                    ));
-                }
-                let mut outcomes = Vec::with_capacity(rest_len / 12);
-                for _ in 0..rest_len / 12 {
-                    let peak = c.u64()?;
-                    let class = c.u8()?;
-                    let delineated = match c.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(ProtoError::Malformed("delineated flag not 0/1")),
-                    };
-                    let fiducials = c.u16()?;
-                    if code_to_class(class).is_none() {
-                        return Err(ProtoError::Malformed("class code outside the protocol"));
+                // Each beat takes at least three bytes.
+                let mut outcomes = Vec::with_capacity(body.len() / 3);
+                let mut peak = 0u64;
+                while !c.is_empty() {
+                    peak = peak.wrapping_add(c.u64()?);
+                    let flags = c.u8()?;
+                    if flags & !(OUTCOME_CLASS_MASK | OUTCOME_DELINEATED) != 0 {
+                        return Err(ProtoError::Malformed("outcome flags outside the protocol"));
                     }
                     outcomes.push(WireOutcome {
                         peak,
-                        class,
-                        delineated,
-                        fiducials,
+                        class: flags & OUTCOME_CLASS_MASK,
+                        delineated: flags & OUTCOME_DELINEATED != 0,
+                        fiducials: c.u16()?,
                     });
                 }
                 Frame::Outcomes { session, outcomes }
@@ -616,8 +711,7 @@ impl Frame {
                 },
             },
             TAG_DENY => {
-                let bytes = c.take(body.len())?;
-                let message = std::str::from_utf8(bytes)
+                let message = std::str::from_utf8(c.rest())
                     .map_err(|_| ProtoError::Malformed("deny message not UTF-8"))?
                     .to_string();
                 Frame::Deny { message }
@@ -843,58 +937,95 @@ mod tests {
         }
     }
 
+    /// A frame with an arbitrary tag and body under a valid envelope.
+    fn framed(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let start = hbc_wal::begin_frame(&mut bytes);
+        bytes.push(tag);
+        bytes.extend_from_slice(body);
+        hbc_wal::seal_frame(&mut bytes, start);
+        bytes
+    }
+
+    fn decode_one(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(bytes);
+        decoder.next_frame()
+    }
+
     #[test]
     fn unknown_tags_and_malformed_bodies_error_without_panicking() {
-        // Unknown tag, valid CRC.
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 3);
-        bytes.extend_from_slice(&[0x7F, 1, 2]);
-        let crc = crc32(&bytes[4..]);
-        put_u32(&mut bytes, crc);
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bytes);
-        assert_eq!(decoder.next_frame(), Err(ProtoError::UnknownTag(0x7F)));
-
-        // Short body for the tag (Hello needs 2 bytes).
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 2);
-        bytes.extend_from_slice(&[TAG_HELLO, 1]);
-        let crc = crc32(&bytes[4..]);
-        put_u32(&mut bytes, crc);
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bytes);
-        assert!(matches!(
-            decoder.next_frame(),
-            Err(ProtoError::Malformed(_))
-        ));
-
-        // Overlong body (Hello with 2 trailing junk bytes).
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 5);
-        bytes.extend_from_slice(&[TAG_HELLO, 1, 0, 9, 9]);
-        let crc = crc32(&bytes[4..]);
-        put_u32(&mut bytes, crc);
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bytes);
-        assert!(matches!(
-            decoder.next_frame(),
-            Err(ProtoError::Malformed(_))
-        ));
-
-        // Odd sample payload.
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 1 + 8 + 3);
-        bytes.push(TAG_SAMPLES);
-        bytes.extend_from_slice(&[0; 8]); // session + seq
-        bytes.extend_from_slice(&[1, 2, 3]);
-        let crc = crc32(&bytes[4..]);
-        put_u32(&mut bytes, crc);
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bytes);
+        let malformed = |what| Err(ProtoError::Malformed(what));
         assert_eq!(
-            decoder.next_frame(),
-            Err(ProtoError::Malformed("odd sample payload"))
+            decode_one(&framed(0x7F, &[1, 2])),
+            Err(ProtoError::UnknownTag(0x7F))
         );
+        // Short body: Hello's fixed two-byte version is cut, a varint field
+        // is missing or ends inside its continuation bytes.
+        assert_eq!(
+            decode_one(&framed(TAG_HELLO, &[4])),
+            malformed("body shorter than its fields")
+        );
+        assert_eq!(
+            decode_one(&framed(TAG_CLOSE_SESSION, &[])),
+            malformed("body ends inside a varint")
+        );
+        assert_eq!(
+            decode_one(&framed(TAG_CLOSE_SESSION, &[0x84])),
+            malformed("body ends inside a varint")
+        );
+        // Overlong body: Hello with trailing junk.
+        assert_eq!(
+            decode_one(&framed(TAG_HELLO, &[4, 0, 9])),
+            malformed("trailing bytes after body")
+        );
+        // Outcome flags beyond class and delineation.
+        assert_eq!(
+            decode_one(&framed(TAG_OUTCOMES, &[1, 10, 0b1000, 1])),
+            malformed("outcome flags outside the protocol")
+        );
+    }
+
+    #[test]
+    fn typical_frames_are_compact() {
+        // 36 samples of a slow wave: one byte per code after the first.
+        let samples: Vec<i16> = (0..36).map(|i| 300 + i * 3).collect();
+        let bytes = Frame::Samples {
+            session: 5,
+            seq: 1000,
+            samples,
+        }
+        .encode();
+        assert_eq!(bytes.len(), 4 + 1 + 1 + 2 + (2 + 35) + 4);
+        let credit = Frame::Credit {
+            session: 5,
+            grant: 36,
+            acked_seq: 1000,
+        };
+        assert_eq!(credit.encode().len(), 4 + 1 + 1 + 1 + 2 + 4);
+    }
+
+    #[test]
+    fn varints_are_shortest_and_zigzag_is_a_bijection() {
+        for (v, len) in [(0u64, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3)] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(out.len(), len, "{v}");
+            assert_eq!(read_varint(&out), Ok((v, len)));
+        }
+        let mut out = Vec::new();
+        put_varint(&mut out, u64::MAX);
+        assert_eq!(out.len(), 10);
+        assert_eq!(read_varint(&out), Ok((u64::MAX, 10)));
+        out[9] = 2;
+        assert_eq!(
+            read_varint(&out),
+            Err(ProtoError::Malformed("varint past 64 bits"))
+        );
+        for d in [0, -1, 1, -2, 2, i32::MIN, i32::MAX, -65_535, 65_535] {
+            assert_eq!(unzigzag(zigzag(d)), d);
+        }
+        assert_eq!((zigzag(0), zigzag(-1), zigzag(1)), (0, 1, 2));
     }
 
     #[test]

@@ -270,6 +270,11 @@ pub struct GatewayStats {
     pub frames_out: u64,
     /// Samples accepted into session buffers.
     pub samples_in: u64,
+    /// Bytes read from client connections, framing included. Divided by
+    /// [`GatewayStats::samples_in`] it is the uplink's wire cost per sample.
+    pub wire_bytes_in: u64,
+    /// Bytes written to client connections, framing included.
+    pub wire_bytes_out: u64,
     /// Samples discarded without entering a session buffer: overflow
     /// truncation under [`OverflowPolicy::DropExcess`], plus stragglers
     /// racing an asynchronous session end (eviction) under either policy.
@@ -932,6 +937,16 @@ impl<'fw> Gateway<'fw> {
             s.samples_in,
         );
         snap.push_counter(
+            "hbc_gateway_wire_bytes_in_total",
+            "Bytes read from client connections, framing included.",
+            s.wire_bytes_in,
+        );
+        snap.push_counter(
+            "hbc_gateway_wire_bytes_out_total",
+            "Bytes written to client connections, framing included.",
+            s.wire_bytes_out,
+        );
+        snap.push_counter(
             "hbc_gateway_samples_dropped_total",
             "Samples discarded without entering a session buffer.",
             s.samples_dropped,
@@ -1259,8 +1274,10 @@ impl<'fw> Gateway<'fw> {
         Ok(accepted)
     }
 
-    /// Reads one connection until it would block (bounded per sweep) and
-    /// handles every complete frame.
+    /// Reads one connection until a short read drains the socket (bounded
+    /// per sweep) and handles every complete frame. A short read ends the
+    /// loop without the extra `read` that would only return `WouldBlock`;
+    /// bytes or an EOF arriving after it are seen on the next sweep.
     fn service_reads(&mut self, idx: usize) -> bool {
         const READ_BUDGET: usize = 256 * 1024;
         let Some(conn) = self.conns[idx].as_mut() else {
@@ -1282,6 +1299,9 @@ impl<'fw> Gateway<'fw> {
                     conn.decoder.feed(&buf[..n]);
                     conn.read_since_check = conn.read_since_check.saturating_add(n);
                     taken += n;
+                    if n < buf.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -1304,6 +1324,7 @@ impl<'fw> Gateway<'fw> {
             }
         }
         let progress = taken > 0 || !frames.is_empty();
+        self.stats.wire_bytes_in += taken as u64;
         self.stats.frames_in += frames.len() as u64;
         for frame in frames.drain(..) {
             // A denial ends the conversation: one Deny goes out and the
@@ -2304,6 +2325,7 @@ impl<'fw> Gateway<'fw> {
                 Ok(n) => {
                     conn.sent += n;
                     conn.wrote_since_check = conn.wrote_since_check.saturating_add(n);
+                    self.stats.wire_bytes_out += n as u64;
                     progress = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,

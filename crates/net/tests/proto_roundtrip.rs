@@ -5,7 +5,10 @@
 //!   stream, not of its chunking);
 //! * malformed input — flipped bits (CRC), truncation, oversized lengths,
 //!   unknown tags — errors without panicking and never yields a phantom
-//!   frame.
+//!   frame;
+//! * the v4 body codec: extreme sample runs round-trip, every body the
+//!   decoder accepts re-encodes to the identical bytes (one serialisation
+//!   per frame), and non-canonical or out-of-range varints are `Malformed`.
 
 use hbc_net::proto::{
     crc32, Frame, FrameDecoder, ProtoError, WireOutcome, WireReport, MAX_FRAME_LEN,
@@ -281,4 +284,219 @@ fn hello_round_trips_with_the_shipped_version() {
     let mut decoder = FrameDecoder::new();
     decoder.feed(&frame.encode());
     assert_eq!(decoder.next_frame().expect("valid"), Some(frame));
+}
+
+/// A frame with an arbitrary tag and body under a valid envelope.
+fn framed(tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(body.len() + 9);
+    bytes.extend_from_slice(&(body.len() as u32 + 1).to_le_bytes());
+    bytes.push(tag);
+    bytes.extend_from_slice(body);
+    let crc = crc32(&bytes[4..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+fn decode_one(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(bytes);
+    decoder.next_frame()
+}
+
+fn assert_samples_round_trip(samples: Vec<i16>, label: &str) {
+    let frame = Frame::Samples {
+        session: 3,
+        seq: 7,
+        samples,
+    };
+    let bytes = frame.encode();
+    assert_eq!(decode_one(&bytes), Ok(Some(frame)), "{label}");
+}
+
+/// Unsigned LEB128, for hand-built bodies.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+#[test]
+fn extreme_sample_runs_round_trip() {
+    let alternating: Vec<i16> = (0..500)
+        .map(|i| if i % 2 == 0 { i16::MIN } else { i16::MAX })
+        .collect();
+    assert_samples_round_trip(alternating, "i16::MIN <-> i16::MAX");
+    for c in [i16::MIN, -1, 0, 1, i16::MAX] {
+        assert_samples_round_trip(vec![c; 300], "constant run");
+    }
+    assert_samples_round_trip(Vec::new(), "empty frame");
+    assert_samples_round_trip(vec![i16::MAX], "single extreme code");
+    let mut state = 0x5EED;
+    for walk in 0..32 {
+        let step = 1 + (walk * 97) % 4096;
+        let mut code = 0i32;
+        let samples: Vec<i16> = (0..400)
+            .map(|_| {
+                let d = (next(&mut state) % (2 * step + 1)) as i32 - step as i32;
+                code = (code + d).clamp(i16::MIN.into(), i16::MAX.into());
+                code as i16
+            })
+            .collect();
+        assert_samples_round_trip(samples, "random walk");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn every_accepted_body_re_encodes_to_identical_bytes(
+        body_seed in any::<u64>(),
+        fields in 0usize..=48,
+    ) {
+        let mut state = body_seed;
+        let tag = TAGS[(next(&mut state) % TAGS.len() as u64) as usize];
+        let body = random_body(&mut state, fields);
+        let bytes = framed(tag, &body);
+        match decode_one(&bytes) {
+            Ok(Some(frame)) => prop_assert_eq!(frame.encode(), bytes),
+            Ok(None) => prop_assert!(false, "a whole frame must decode or fail"),
+            Err(ProtoError::Malformed(_)) => {}
+            Err(e) => prop_assert!(false, "unexpected error {:?}", e),
+        }
+    }
+}
+
+/// Every tag the protocol assigns.
+const TAGS: [u8; 12] = [
+    0x01, 0x02, 0x03, 0x04, 0x05, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87,
+];
+
+/// A body of up to `fields` items (a few, half the time, so fixed-arity
+/// frames match often): mostly canonical varints of every magnitude, with
+/// overlong varints, stray continuation bytes, zero and `0xFF` bytes mixed
+/// in, so the decoder's acceptances and rejections are both exercised.
+fn random_body(state: &mut u64, fields: usize) -> Vec<u8> {
+    let fields = if next(state).is_multiple_of(2) {
+        fields % 6
+    } else {
+        fields
+    };
+    let mut body = Vec::new();
+    for _ in 0..fields {
+        match next(state) % 10 {
+            0..=3 => body.extend(varint(next(state) % 300)),
+            4 | 5 => {
+                let bits = next(state) % 65;
+                body.extend(varint(next(state).checked_shr(bits as u32).unwrap_or(0)));
+            }
+            6 => {
+                let mut v = varint(next(state) % 1000);
+                *v.last_mut().expect("non-empty") |= 0x80;
+                v.push(0x00);
+                body.extend(v);
+            }
+            7 => body.push(0x80 | next(state) as u8),
+            8 => body.push(0x00),
+            _ => body.push(0xFF),
+        }
+    }
+    body
+}
+
+#[test]
+fn random_bodies_are_accepted_often_enough_to_check_canonicality() {
+    let mut accepted = [0usize; TAGS.len()];
+    let mut state = 0xC0FFEE;
+    for _ in 0..12_000 {
+        let ti = (next(&mut state) % TAGS.len() as u64) as usize;
+        let fields = (next(&mut state) % 49) as usize;
+        let body = random_body(&mut state, fields);
+        if let Ok(Some(frame)) = decode_one(&framed(TAGS[ti], &body)) {
+            assert_eq!(frame.encode(), framed(TAGS[ti], &body));
+            accepted[ti] += 1;
+        }
+    }
+    for (tag, n) in TAGS.iter().zip(accepted) {
+        assert!(
+            n >= 10,
+            "tag {tag:#04x}: only {n} of ~1000 random bodies accepted"
+        );
+    }
+}
+
+#[test]
+fn non_canonical_and_out_of_range_varints_are_malformed() {
+    let rejects = |bytes: &[u8], why: &str| match decode_one(bytes) {
+        Err(ProtoError::Malformed(what)) => assert_eq!(what, why),
+        other => panic!("expected Malformed({why:?}), got {other:?}"),
+    };
+    // Overlong: every u32 field of Credit, with 5 spelled in two bytes.
+    for field in 0..3 {
+        let mut body = Vec::new();
+        for i in 0..3 {
+            if i == field {
+                body.extend_from_slice(&[0x85, 0x00]);
+            } else {
+                body.push(5);
+            }
+        }
+        rejects(&framed(0x82, &body), "overlong varint");
+    }
+    // Overlong u64: a ResumeSession token of 1 padded to ten bytes.
+    let mut body = vec![1, 0x81];
+    body.extend_from_slice(&[0x80; 8]);
+    body.extend_from_slice(&[0x00, 0, 0]);
+    rejects(&framed(0x05, &body), "overlong varint");
+    // Past the field's type: each u32 field of OpenSession, a u16
+    // fiducial count, a Report u64, a sample delta.
+    for field in 0..3 {
+        let mut body = Vec::new();
+        for i in 0..3 {
+            body.extend(varint(if i == field { 1 << 32 } else { 9 }));
+        }
+        rejects(&framed(0x02, &body), "varint past u32");
+    }
+    rejects(
+        &framed(0x83, &[1, 10, 0, 0x80, 0x80, 0x04]),
+        "varint past u16",
+    );
+    let mut body = vec![1];
+    body.extend_from_slice(&[0xFF; 9]);
+    body.extend_from_slice(&[0x02, 0, 0]);
+    rejects(&framed(0x84, &body), "varint past 64 bits");
+    rejects(
+        &framed(0x03, &[1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]),
+        "varint past u32",
+    );
+    // Truncation mid-varint: the last field's continuation never ends.
+    rejects(&framed(0x82, &[1, 36, 0x80]), "body ends inside a varint");
+    rejects(&framed(0x03, &[1, 0, 2, 0x80]), "body ends inside a varint");
+    // Deltas stepping outside i16 on either side, or in one jump.
+    let i16_range = "sample delta leaves the i16 range";
+    let mut up = vec![1, 0];
+    up.extend(varint(2 * 32_767)); // +32767
+    up.extend(varint(2)); // +1
+    rejects(&framed(0x03, &up), i16_range);
+    let mut down = vec![1, 0];
+    down.extend(varint(2 * 32_768 - 1)); // -32768
+    down.extend(varint(1)); // -1
+    rejects(&framed(0x03, &down), i16_range);
+    let mut jump = vec![1, 0];
+    jump.extend(varint(2 * 70_000)); // +70000 from 0
+    rejects(&framed(0x03, &jump), i16_range);
+}
+
+#[test]
+fn hello_layout_is_the_same_in_every_protocol_version() {
+    // The version field stays a little-endian u16 so that peers of any two
+    // versions can tell each other apart.
+    for version in [1u16, 3, PROTOCOL_VERSION, 0x1234] {
+        let bytes = Frame::Hello { version }.encode();
+        assert_eq!(bytes, framed(0x01, &version.to_le_bytes()));
+    }
 }

@@ -621,3 +621,66 @@ fn handshake_and_open_are_validated() {
     assert!(stats.denials >= 3);
     assert_eq!(stats.sessions_opened, 0);
 }
+
+#[test]
+fn protocol_version_mismatches_are_refused_by_name_on_both_sides() {
+    // `Hello` is laid out the same in every protocol version (a
+    // little-endian u16), so these are the bytes a v3 node really sends.
+    let v3_hello = Frame::Hello { version: 3 }.encode();
+    assert_eq!(&v3_hello[5..7], &3u16.to_le_bytes());
+
+    // A v3 node is denied with the version it spoke.
+    let fw = firmware();
+    let ((), stats) = with_gateway(&fw, 360.0, GatewayConfig::default(), |addr| {
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        raw.write_all(&v3_hello).expect("hello");
+        let mut decoder = FrameDecoder::new();
+        let deny = read_until(&mut raw, &mut decoder, |f| matches!(f, Frame::Deny { .. }));
+        assert_eq!(
+            deny,
+            Frame::Deny {
+                message: "unsupported protocol version 3".into()
+            }
+        );
+    });
+    assert_eq!(stats.denials, 1);
+    assert_eq!(stats.sessions_opened, 0);
+
+    // A v3 gateway, emulated: it reads the client's Hello and answers the
+    // way the v3 gateway does — a denial naming the version it got, or, for
+    // a peer that only echoes its own version, a v3 Hello.
+    for deny in [true, false] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let mut decoder = FrameDecoder::new();
+            let Frame::Hello { version } = read_until(&mut sock, &mut decoder, |f| {
+                matches!(f, Frame::Hello { .. })
+            }) else {
+                unreachable!()
+            };
+            let reply = if deny {
+                Frame::Deny {
+                    message: format!("unsupported protocol version {version}"),
+                }
+            } else {
+                Frame::Hello { version: 3 }
+            };
+            sock.write_all(&reply.encode()).expect("reply");
+            version
+        });
+        let err = NodeClient::connect(addr).expect_err("version mismatch");
+        assert_eq!(peer.join().expect("peer"), PROTOCOL_VERSION);
+        match err {
+            NetError::Denied(m) if deny => {
+                assert_eq!(
+                    m,
+                    format!("unsupported protocol version {PROTOCOL_VERSION}")
+                )
+            }
+            NetError::State(m) if !deny => assert!(m.contains("protocol version 3"), "{m}"),
+            other => panic!("expected the mismatch to surface, got {other:?}"),
+        }
+    }
+}

@@ -169,7 +169,20 @@ fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
     assert_eq!(counter("hbc_gateway_frames_in_total"), s.frames_in);
     assert_eq!(counter("hbc_gateway_frames_out_total"), s.frames_out);
     assert_eq!(counter("hbc_gateway_samples_in_total"), s.samples_in);
+    assert_eq!(counter("hbc_gateway_wire_bytes_in_total"), s.wire_bytes_in);
+    assert_eq!(
+        counter("hbc_gateway_wire_bytes_out_total"),
+        s.wire_bytes_out
+    );
     assert_eq!(counter("hbc_gateway_beats_out_total"), s.beats_out);
+    // Delta-coded ECG codes cost well under the two bytes of a raw i16.
+    assert!(s.wire_bytes_in > 0 && s.wire_bytes_out > 0);
+    assert!(
+        s.wire_bytes_in < 2 * s.samples_in,
+        "uplink {} B for {} samples",
+        s.wire_bytes_in,
+        s.samples_in
+    );
     assert_eq!(counter("hbc_gateway_sessions_opened_total"), 1);
     assert_eq!(counter("hbc_gateway_sessions_closed_total"), 1);
     assert_eq!(counter("hbc_gateway_wal_errors_total"), 0);
