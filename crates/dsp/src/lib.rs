@@ -3,7 +3,7 @@
 //! The WBSN application of the paper wraps the RP-based classifier with a
 //! conditioning front-end and an optional detailed-analysis back-end, all
 //! taken from the embedded multi-lead delineation work of Rincón et al.
-//! (reference [1] of the paper):
+//! (reference \[1\] of the paper):
 //!
 //! * [`filter`] — **morphological filtering** removing baseline wander and
 //!   motion artefacts with erosion/dilation (opening/closing) operators,

@@ -15,8 +15,8 @@
 //! * [`StreamingWavelet`] — the à-trous dyadic wavelet transform of
 //!   [`crate::wavelet::DyadicWavelet`] as a cascade of ring-buffered stages;
 //! * [`StreamingPeakDetector`] — the wavelet cascade feeding the incremental
-//!   [`PeakScanner`](crate::peak::PeakScanner), for online R-peak detection
-//!   with pre-calibrated thresholds;
+//!   [`PeakScanner`], for online R-peak detection with pre-calibrated
+//!   thresholds;
 //! * [`StreamingDecimator`] — phase-anchored keep-one-in-N decimation;
 //! * [`StreamingBeatWindower`] — fixed-length beat windows cut around
 //!   detected peaks from a bounded ring buffer.

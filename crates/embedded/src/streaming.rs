@@ -43,25 +43,36 @@ use hbc_obs::Histogram;
 
 use crate::firmware::{BeatOutcome, BeatScratch, StageNanos, WbsnFirmware};
 
-/// Per-stage latency histograms for one online pipeline (nanoseconds).
-///
-/// `conditioning` is recorded once per [`StreamingFirmware::push_chunk`]
-/// call and covers the front-end DSP — baseline filter, wavelet cascade,
-/// peak scan and windowing — with the per-beat stage time subtracted out.
-/// The remaining histograms are per beat. Histogram merge is deterministic
-/// (element-wise bucket addition), so per-session metrics aggregate to
-/// hub- or fleet-level distributions independent of how sessions were
-/// sharded.
-#[derive(Debug, Clone, Default)]
-pub struct StageMetrics {
-    /// Front-end conditioning per ingested chunk.
-    pub conditioning_nanos: Histogram,
-    /// Window preparation + packed projection per beat.
-    pub projection_nanos: Histogram,
-    /// Integer NFC classification per beat.
-    pub classify_nanos: Histogram,
-    /// MMD delineation per forwarded (abnormal) beat.
-    pub delineation_nanos: Histogram,
+hbc_obs::metric_struct! {
+    prefix = "hbc_stage_";
+    /// Per-stage latency histograms for one online pipeline (nanoseconds).
+    ///
+    /// `conditioning` is recorded once per [`StreamingFirmware::push_chunk`]
+    /// call and covers the front-end DSP — baseline filter, wavelet cascade,
+    /// peak scan and windowing — with the per-beat stage time subtracted out.
+    /// The remaining histograms are per beat. Histogram merge is deterministic
+    /// (element-wise bucket addition), so per-session metrics aggregate to
+    /// hub- or fleet-level distributions independent of how sessions were
+    /// sharded.
+    #[derive(Debug, Clone, Default)]
+    pub struct StageMetrics {
+        /// Per-chunk signal-conditioning time, in nanoseconds.
+        ///
+        /// Front-end conditioning per ingested chunk.
+        histogram pub conditioning_nanos: Histogram,
+        /// Per-beat window preparation plus random projection time.
+        ///
+        /// Window preparation + packed projection per beat, in nanoseconds.
+        histogram pub projection_nanos: Histogram,
+        /// Per-beat classifier scoring time, in nanoseconds.
+        ///
+        /// Integer NFC classification per beat.
+        histogram pub classify_nanos: Histogram,
+        /// Per-abnormal-beat delineation time, in nanoseconds.
+        ///
+        /// MMD delineation per forwarded (abnormal) beat.
+        histogram pub delineation_nanos: Histogram,
+    }
 }
 
 impl StageMetrics {
@@ -245,10 +256,10 @@ impl<'fw> StreamingFirmware<'fw> {
     ///
     /// # Errors
     ///
-    /// Returns [`EmbeddedError::Dimension`] when the new image's beat window
-    /// differs from the current one: the windower's ring buffer and history
-    /// are sized for the deployed window, so an image with a different
-    /// geometry needs a fresh session, not a swap.
+    /// Returns [`crate::EmbeddedError::Dimension`] when the new image's
+    /// beat window differs from the current one: the windower's ring buffer
+    /// and history are sized for the deployed window, so an image with a
+    /// different geometry needs a fresh session, not a swap.
     pub fn swap_firmware(&mut self, firmware: &'fw WbsnFirmware) -> crate::Result<()> {
         if firmware.window != self.firmware.window {
             return Err(crate::EmbeddedError::Dimension(format!(

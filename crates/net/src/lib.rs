@@ -5,7 +5,7 @@
 //! reachable over real sockets, turning the reproduction into a
 //! network-facing monitoring service, with **zero dependencies beyond
 //! `std`** (nonblocking `TcpListener`/`TcpStream`), consistent with the
-//! offline policy of `crates/compat`. Four layers:
+//! offline policy of `crates/compat`. Its modules:
 //!
 //! * [`proto`] — the versioned binary **wire protocol**: length-prefixed
 //!   frames with a CRC-32 trailer, canonical varint fields and delta-coded
@@ -25,6 +25,12 @@
 //!   normal-outcome telemetry before starving ARR-critical sessions,
 //!   slow-peer reaping (handshake deadline, minimum-progress checks) and a
 //!   liveness watchdog surfaced via [`Gateway::health`];
+//! * `server::admin` — the reactor's **admin surface**, a private child
+//!   of [`server`]: a second nonblocking listener serving `GET /metrics`,
+//!   `/metrics.json`, `/health` and `/trace`, and the
+//!   [`Gateway::metrics_snapshot`] those routes render (every stats-struct
+//!   field is exported by its own declaration); admin peers that have not
+//!   sent a request line by the handshake deadline are closed;
 //! * [`client`] — the blocking [`NodeClient`] used by tests and the
 //!   `telemetry_gateway` example; keeps a bounded replay buffer of
 //!   unacknowledged sample frames and re-attaches dropped sessions with

@@ -110,6 +110,10 @@ use hbc_embedded::WbsnFirmware;
 use hbc_obs::{Histogram, MetricsSnapshot, TraceEvent, TraceRecord, TraceRing};
 use hbc_wal::{Wal, WalConfig, WalRecord};
 
+mod admin;
+
+use admin::AdminConn;
+
 use crate::proto::{
     Frame, FrameDecoder, WireOutcome, WireReport, MAX_SAMPLES_PER_FRAME, PROTOCOL_VERSION,
 };
@@ -258,98 +262,127 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Counters the reactor maintains; returned by [`Gateway::run`] and readable
-/// any time via [`Gateway::stats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GatewayStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Frames decoded from clients.
-    pub frames_in: u64,
-    /// Frames sent to clients.
-    pub frames_out: u64,
-    /// Samples accepted into session buffers.
-    pub samples_in: u64,
-    /// Bytes read from client connections, framing included. Divided by
-    /// [`GatewayStats::samples_in`] it is the uplink's wire cost per sample.
-    pub wire_bytes_in: u64,
-    /// Bytes written to client connections, framing included.
-    pub wire_bytes_out: u64,
-    /// Samples discarded without entering a session buffer: overflow
-    /// truncation under [`OverflowPolicy::DropExcess`], plus stragglers
-    /// racing an asynchronous session end (eviction) under either policy.
-    pub samples_dropped: u64,
-    /// Beat outcomes forwarded to clients.
-    pub beats_out: u64,
-    /// Sessions opened.
-    pub sessions_opened: u64,
-    /// Sessions closed by request.
-    pub sessions_closed: u64,
-    /// Sessions evicted by the idle timeout.
-    pub sessions_evicted: u64,
-    /// Sessions parked for resume when their connection died.
-    pub sessions_detached: u64,
-    /// Sessions re-attached via [`Frame::ResumeSession`].
-    pub sessions_resumed: u64,
-    /// Detached sessions discarded because the retention window elapsed.
-    pub sessions_expired: u64,
-    /// Sessions rebuilt from the durable log at bind time (parked for
-    /// resume).
-    pub sessions_recovered: u64,
-    /// Cached final reports re-served to clients whose connection died
-    /// around their `CloseSession` (resume or retried close of an
-    /// already-ended session).
-    pub reports_refetched: u64,
-    /// Durable-log append failures. A failure disables further logging for
-    /// the gateway's lifetime (service continues undurably) — a non-zero
-    /// count means the log on disk is a prefix of the accepted traffic.
-    pub wal_errors: u64,
-    /// Connections denied (handshake, protocol or credit violations).
-    pub denials: u64,
-    /// Largest number of samples ever buffered for a single session — the
-    /// bounded-memory witness: for compliant senders it never exceeds
-    /// [`GatewayConfig::credit_budget`].
-    pub peak_buffered_samples: usize,
-    /// Admission denials answered with [`Frame::Busy`] (connection cap,
-    /// session cap or global memory budget). Distinct from
-    /// [`GatewayStats::denials`]: a Busy peer did nothing wrong and is
-    /// invited to retry.
-    pub busy_denials: u64,
-    /// Shed events: one per victim session whose buffered tail was dropped
-    /// to stay inside the global memory budget.
-    pub sheds: u64,
-    /// Samples shed from buffered sessions (normal-priority first) to stay
-    /// inside the global memory budget. Victims get their credit back, so
-    /// their streams develop a gap instead of a deadlock.
-    pub samples_shed: u64,
-    /// Connections reaped for missing the pre-session handshake deadline
-    /// ([`GatewayConfig::handshake_timeout`]).
-    pub handshake_reaps: u64,
-    /// Established connections reaped by the minimum-progress check
-    /// (trickle senders and frozen readers); their sessions detach through
-    /// the ordinary resume path.
-    pub progress_reaps: u64,
-    /// Sweeps that exceeded [`GatewayConfig::watchdog_budget`], as observed
-    /// by the run loop.
-    pub watchdog_stalls: u64,
-    /// Worst sweep latency the run loop has observed, in microseconds —
-    /// the poll-latency high-water mark.
-    pub poll_high_water_micros: u64,
-    /// Worst sweep latency over roughly the last two
-    /// [`GatewayConfig::poll_window`]s, in microseconds — the *windowed*
-    /// counterpart of [`GatewayStats::poll_high_water_micros`]: it decays
-    /// once a slow sweep ages out, so a supervisor can tell a long-healed
-    /// startup hiccup from an ongoing stall.
-    pub poll_recent_high_water_micros: u64,
-    /// Largest total of buffered sample bytes (live + parked sessions)
-    /// ever held — the *global* bounded-memory witness alongside the
-    /// per-session [`GatewayStats::peak_buffered_samples`].
-    pub peak_buffered_bytes: usize,
-    /// Internal invariant violations skipped at runtime (a listed session
-    /// that vanished mid-sweep, a staged ingest the hub rejected, …).
-    /// Debug builds panic at the offending site; release builds count here
-    /// so the skips stay visible instead of silent.
-    pub internal_skips: u64,
+hbc_obs::metric_struct! {
+    prefix = "hbc_gateway_";
+    /// Counters the reactor maintains; returned by [`Gateway::run`] and readable
+    /// any time via [`Gateway::stats`]. Every field is served on `/metrics`
+    /// (see [`hbc_obs::metric_struct!`] for the naming rule).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct GatewayStats {
+        /// Connections accepted.
+        counter pub connections: u64,
+        /// Frames decoded from clients.
+        counter pub frames_in: u64,
+        /// Frames sent to clients.
+        counter pub frames_out: u64,
+        /// Samples accepted into session buffers.
+        counter pub samples_in: u64,
+        /// Bytes read from client connections, framing included.
+        ///
+        /// Divided by [`GatewayStats::samples_in`] it is the uplink's wire
+        /// cost per sample.
+        counter pub wire_bytes_in: u64,
+        /// Bytes written to client connections, framing included.
+        counter pub wire_bytes_out: u64,
+        /// Samples discarded without entering a session buffer.
+        ///
+        /// Overflow truncation under [`OverflowPolicy::DropExcess`], plus
+        /// stragglers racing an asynchronous session end (eviction) under
+        /// either policy.
+        counter pub samples_dropped: u64,
+        /// Beat outcomes forwarded to clients.
+        counter pub beats_out: u64,
+        /// Sessions opened.
+        counter pub sessions_opened: u64,
+        /// Sessions closed by request.
+        counter pub sessions_closed: u64,
+        /// Sessions evicted by the idle timeout.
+        counter pub sessions_evicted: u64,
+        /// Sessions parked for resume when their connection died.
+        counter pub sessions_detached: u64,
+        /// Sessions re-attached via ResumeSession.
+        ///
+        /// See [`Frame::ResumeSession`].
+        counter pub sessions_resumed: u64,
+        /// Detached sessions dropped at the end of the retention window.
+        counter pub sessions_expired: u64,
+        /// Sessions rebuilt from the durable log at bind time.
+        ///
+        /// They are parked for resume.
+        counter pub sessions_recovered: u64,
+        /// Cached final reports re-served after a lost link.
+        ///
+        /// A client whose connection died around its `CloseSession` gets
+        /// the report again on resume or on a retried close of an
+        /// already-ended session.
+        counter pub reports_refetched: u64,
+        /// Durable-log append failures (the log disables itself on the first).
+        ///
+        /// Service continues undurably, so a non-zero count means the log
+        /// on disk is a prefix of the accepted traffic.
+        counter pub wal_errors: u64,
+        /// Connections denied (handshake, protocol or credit violations).
+        counter pub denials: u64,
+        /// Largest per-session sample buffer ever observed.
+        ///
+        /// The bounded-memory witness: for compliant senders it never
+        /// exceeds [`GatewayConfig::credit_budget`].
+        gauge pub peak_buffered_samples: usize,
+        /// Admission denials answered with Busy.
+        ///
+        /// [`Frame::Busy`] answers the connection cap, the session cap and
+        /// the global memory budget. Distinct from
+        /// [`GatewayStats::denials`]: a Busy peer did nothing wrong and is
+        /// invited to retry.
+        counter pub busy_denials: u64,
+        /// Shed events under the global memory budget.
+        ///
+        /// One per victim session whose buffered tail was dropped.
+        counter pub sheds: u64,
+        /// Samples shed from buffered sessions under the memory budget.
+        ///
+        /// Normal-priority sessions go first. Victims get their credit
+        /// back, so their streams develop a gap instead of a deadlock.
+        counter pub samples_shed: u64,
+        /// Connections reaped at the pre-session handshake deadline.
+        ///
+        /// See [`GatewayConfig::handshake_timeout`].
+        counter pub handshake_reaps: u64,
+        /// Connections reaped by the minimum-progress check.
+        ///
+        /// Trickle senders and frozen readers; their sessions detach
+        /// through the ordinary resume path.
+        counter pub progress_reaps: u64,
+        /// Sweeps that exceeded the watchdog budget.
+        ///
+        /// [`GatewayConfig::watchdog_budget`], as observed by the run loop.
+        counter pub watchdog_stalls: u64,
+        /// Worst sweep latency ever observed, in microseconds.
+        ///
+        /// The poll-latency high-water mark of the run loop.
+        gauge pub poll_high_water_micros: u64,
+        /// Worst sweep latency over roughly the last two poll windows.
+        ///
+        /// In microseconds, over [`GatewayConfig::poll_window`]s: the
+        /// *windowed* counterpart of
+        /// [`GatewayStats::poll_high_water_micros`]. It decays once a slow
+        /// sweep ages out, so a supervisor can tell a long-healed startup
+        /// hiccup from an ongoing stall.
+        gauge pub poll_recent_high_water_micros: u64,
+        /// Largest total of buffered sample bytes ever observed.
+        ///
+        /// Live plus parked sessions: the *global* bounded-memory witness
+        /// alongside the per-session
+        /// [`GatewayStats::peak_buffered_samples`].
+        gauge pub peak_buffered_bytes: usize,
+        /// Internal invariant violations skipped at runtime.
+        ///
+        /// A listed session that vanished mid-sweep, a staged ingest the
+        /// hub rejected, … Debug builds panic at the offending site;
+        /// release builds count here so the skips stay visible instead of
+        /// silent.
+        counter pub internal_skips: u64,
+    }
 }
 
 /// A cloneable liveness probe of the reactor, stamped at the start of every
@@ -506,22 +539,35 @@ struct CompletedSession {
     since: Instant,
 }
 
+hbc_obs::metric_struct! {
+    prefix = "hbc_gateway_";
+    /// The reactor's latency histograms, served on `/metrics`.
+    #[derive(Debug, Default)]
+    struct GatewayLatency {
+        /// Latency of one reactor sweep, in microseconds.
+        histogram sweep_micros: Histogram,
+        /// Latency of handling one decoded frame, in microseconds.
+        histogram frame_micros: Histogram,
+        /// Latency of one batched hub ingest issued by the sweep.
+        ///
+        /// One [`StreamHub::ingest`] call, in microseconds.
+        histogram ingest_batch_micros: Histogram,
+        /// First-ADC-sample-to-outcome latency, in microseconds.
+        ///
+        /// The headline path: from the arrival of the oldest sample
+        /// buffered for a session to the sweep that forwarded the outcomes
+        /// its chunk produced.
+        histogram beat_to_outcome_micros: Histogram,
+    }
+}
+
 /// The gateway's telemetry state: latency histograms, the bounded trace
 /// ring and the rotation bookkeeping behind the windowed poll high-water
 /// mark. Everything here is fixed-size after construction; recording is
 /// allocation-free.
 struct GatewayObs {
-    /// Latency of every run-loop sweep, in microseconds.
-    sweep_micros: Histogram,
-    /// Latency of each handled frame, in microseconds.
-    frame_micros: Histogram,
-    /// Latency of each batched [`StreamHub::ingest`] call issued by the
-    /// sweep, in microseconds.
-    ingest_batch_micros: Histogram,
-    /// The headline first-ADC-sample-to-outcome latency, in microseconds:
-    /// from the arrival of the oldest sample buffered for a session to the
-    /// sweep that forwarded the outcomes its chunk produced.
-    beat_to_outcome_micros: Histogram,
+    /// Reactor latency histograms.
+    latency: GatewayLatency,
     /// Bounded ring of typed reactor events.
     trace: TraceRing,
     /// When the current poll-latency window began.
@@ -535,39 +581,13 @@ struct GatewayObs {
 impl GatewayObs {
     fn new(trace_capacity: usize) -> Self {
         GatewayObs {
-            sweep_micros: Histogram::new(),
-            frame_micros: Histogram::new(),
-            ingest_batch_micros: Histogram::new(),
-            beat_to_outcome_micros: Histogram::new(),
+            latency: GatewayLatency::default(),
             trace: TraceRing::new(trace_capacity),
             window_started: Instant::now(),
             window_max_micros: 0,
             prev_window_max_micros: 0,
         }
     }
-}
-
-/// One in-flight exchange on the admin listener: read an HTTP request
-/// until its request line is complete, write one response, flush, close.
-struct AdminConn {
-    stream: TcpStream,
-    inbox: Vec<u8>,
-    outbox: Vec<u8>,
-    sent: usize,
-    /// The response is built; only flushing remains.
-    responding: bool,
-    dead: bool,
-}
-
-/// Extracts the method and path from the first request line, once a whole
-/// line has arrived.
-fn admin_request_line(inbox: &[u8]) -> Option<(String, String)> {
-    let line_end = inbox.iter().position(|&b| b == b'\n')?;
-    let line = std::str::from_utf8(&inbox[..line_end]).ok()?;
-    let mut parts = line.trim_end_matches('\r').split_whitespace();
-    let method = parts.next()?.to_string();
-    let path = parts.next()?.to_string();
-    Some((method, path))
 }
 
 /// Everything [`Gateway::run_with_report`] hands back at shutdown: the
@@ -809,7 +829,7 @@ impl<'fw> Gateway<'fw> {
     /// Feeds one sweep latency into the telemetry: the sweep histogram and
     /// the windowed high-water rotation.
     fn note_sweep(&mut self, micros: u64) {
-        self.obs.sweep_micros.record(micros);
+        self.obs.latency.sweep_micros.record(micros);
         let window = self.config.poll_window;
         if !window.is_zero() && self.obs.window_started.elapsed() > window {
             self.obs.prev_window_max_micros = self.obs.window_max_micros;
@@ -904,293 +924,6 @@ impl<'fw> Gateway<'fw> {
             sessions: u32::try_from(sessions).unwrap_or(u32::MAX),
         });
         Ok(())
-    }
-
-    /// Assembles a point-in-time [`MetricsSnapshot`] from every telemetry
-    /// source the gateway owns: the reactor counters and gauges, the
-    /// reactor latency histograms (sweep, per-frame, batched ingest and the
-    /// headline first-sample-to-outcome path), the hub's ingest-batch
-    /// latency, the per-stage firmware timings aggregated across every
-    /// session the hub has served, and the durable-log metrics.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
-        let s = &self.stats;
-        let health = self.health();
-        snap.push_counter(
-            "hbc_gateway_connections_total",
-            "Connections accepted.",
-            s.connections,
-        );
-        snap.push_counter(
-            "hbc_gateway_frames_in_total",
-            "Frames decoded from clients.",
-            s.frames_in,
-        );
-        snap.push_counter(
-            "hbc_gateway_frames_out_total",
-            "Frames sent to clients.",
-            s.frames_out,
-        );
-        snap.push_counter(
-            "hbc_gateway_samples_in_total",
-            "Samples accepted into session buffers.",
-            s.samples_in,
-        );
-        snap.push_counter(
-            "hbc_gateway_wire_bytes_in_total",
-            "Bytes read from client connections, framing included.",
-            s.wire_bytes_in,
-        );
-        snap.push_counter(
-            "hbc_gateway_wire_bytes_out_total",
-            "Bytes written to client connections, framing included.",
-            s.wire_bytes_out,
-        );
-        snap.push_counter(
-            "hbc_gateway_samples_dropped_total",
-            "Samples discarded without entering a session buffer.",
-            s.samples_dropped,
-        );
-        snap.push_counter(
-            "hbc_gateway_beats_out_total",
-            "Beat outcomes forwarded to clients.",
-            s.beats_out,
-        );
-        snap.push_counter(
-            "hbc_gateway_sessions_opened_total",
-            "Sessions opened.",
-            s.sessions_opened,
-        );
-        snap.push_counter(
-            "hbc_gateway_sessions_closed_total",
-            "Sessions closed by request.",
-            s.sessions_closed,
-        );
-        snap.push_counter(
-            "hbc_gateway_sessions_evicted_total",
-            "Sessions evicted by the idle timeout.",
-            s.sessions_evicted,
-        );
-        snap.push_counter(
-            "hbc_gateway_sessions_detached_total",
-            "Sessions parked for resume when their connection died.",
-            s.sessions_detached,
-        );
-        snap.push_counter(
-            "hbc_gateway_sessions_resumed_total",
-            "Sessions re-attached via ResumeSession.",
-            s.sessions_resumed,
-        );
-        snap.push_counter(
-            "hbc_gateway_sessions_expired_total",
-            "Detached sessions dropped at the end of the retention window.",
-            s.sessions_expired,
-        );
-        snap.push_counter(
-            "hbc_gateway_sessions_recovered_total",
-            "Sessions rebuilt from the durable log at bind time.",
-            s.sessions_recovered,
-        );
-        snap.push_counter(
-            "hbc_gateway_reports_refetched_total",
-            "Cached final reports re-served after a lost link.",
-            s.reports_refetched,
-        );
-        snap.push_counter(
-            "hbc_gateway_denials_total",
-            "Connections denied (handshake, protocol or credit violations).",
-            s.denials,
-        );
-        snap.push_counter(
-            "hbc_gateway_busy_denials_total",
-            "Admission denials answered with Busy.",
-            s.busy_denials,
-        );
-        snap.push_counter(
-            "hbc_gateway_sheds_total",
-            "Shed events under the global memory budget.",
-            s.sheds,
-        );
-        snap.push_counter(
-            "hbc_gateway_samples_shed_total",
-            "Samples shed from buffered sessions under the memory budget.",
-            s.samples_shed,
-        );
-        snap.push_counter(
-            "hbc_gateway_handshake_reaps_total",
-            "Connections reaped at the pre-session handshake deadline.",
-            s.handshake_reaps,
-        );
-        snap.push_counter(
-            "hbc_gateway_progress_reaps_total",
-            "Connections reaped by the minimum-progress check.",
-            s.progress_reaps,
-        );
-        snap.push_counter(
-            "hbc_gateway_watchdog_stalls_total",
-            "Sweeps that exceeded the watchdog budget.",
-            s.watchdog_stalls,
-        );
-        snap.push_counter(
-            "hbc_gateway_wal_errors_total",
-            "Durable-log append failures (the log disables itself on the first).",
-            s.wal_errors,
-        );
-        snap.push_counter(
-            "hbc_gateway_internal_skips_total",
-            "Internal invariant violations skipped at runtime.",
-            s.internal_skips,
-        );
-        snap.push_counter(
-            "hbc_gateway_trace_events_total",
-            "Events ever pushed onto the trace ring.",
-            self.obs.trace.recorded(),
-        );
-        snap.push_counter(
-            "hbc_gateway_trace_events_dropped_total",
-            "Trace events lost to ring overwrites.",
-            self.obs.trace.dropped(),
-        );
-        snap.push_gauge(
-            "hbc_gateway_live_sessions",
-            "Live wire sessions.",
-            health.live_sessions as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_parked_sessions",
-            "Sessions parked for resume.",
-            health.parked_sessions as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_open_connections",
-            "Open connections, including ones draining toward a close.",
-            health.connections as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_buffered_bytes",
-            "Bytes of buffered samples across live and parked sessions.",
-            health.buffered_bytes as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_memory_used_bytes",
-            "Bytes charged against the global memory budget.",
-            health.memory_used as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_memory_budget_bytes",
-            "The configured global memory budget.",
-            health.memory_budget as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_budget_utilization",
-            "Fraction of the global memory budget in use.",
-            health.budget_utilization(),
-        );
-        snap.push_gauge(
-            "hbc_gateway_peak_buffered_samples",
-            "Largest per-session sample buffer ever observed.",
-            s.peak_buffered_samples as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_peak_buffered_bytes",
-            "Largest total of buffered sample bytes ever observed.",
-            s.peak_buffered_bytes as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_poll_high_water_micros",
-            "Worst sweep latency ever observed, in microseconds.",
-            s.poll_high_water_micros as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_poll_recent_high_water_micros",
-            "Worst sweep latency over roughly the last two poll windows.",
-            s.poll_recent_high_water_micros as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_wal_log_bytes",
-            "Bytes the durable ingest log occupies across its segments.",
-            health.wal_log_bytes as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_wal_active",
-            "Whether the durable log is still accepting appends (1/0).",
-            if health.wal_active { 1.0 } else { 0.0 },
-        );
-        snap.push_histogram(
-            "hbc_gateway_sweep_micros",
-            "Latency of one reactor sweep, in microseconds.",
-            &self.obs.sweep_micros,
-        );
-        snap.push_histogram(
-            "hbc_gateway_frame_micros",
-            "Latency of handling one decoded frame, in microseconds.",
-            &self.obs.frame_micros,
-        );
-        snap.push_histogram(
-            "hbc_gateway_ingest_batch_micros",
-            "Latency of one batched hub ingest issued by the sweep.",
-            &self.obs.ingest_batch_micros,
-        );
-        snap.push_histogram(
-            "hbc_gateway_beat_to_outcome_micros",
-            "First-ADC-sample-to-outcome latency, in microseconds.",
-            &self.obs.beat_to_outcome_micros,
-        );
-        snap.push_histogram(
-            "hbc_hub_ingest_micros",
-            "Latency of one StreamHub ingest call.",
-            &self.hub.ingest_latency(),
-        );
-        let stages = self.hub.stage_metrics();
-        snap.push_histogram(
-            "hbc_stage_conditioning_nanos",
-            "Per-chunk signal-conditioning time, in nanoseconds.",
-            &stages.conditioning_nanos,
-        );
-        snap.push_histogram(
-            "hbc_stage_projection_nanos",
-            "Per-beat window preparation plus random projection time.",
-            &stages.projection_nanos,
-        );
-        snap.push_histogram(
-            "hbc_stage_classify_nanos",
-            "Per-beat classifier scoring time, in nanoseconds.",
-            &stages.classify_nanos,
-        );
-        snap.push_histogram(
-            "hbc_stage_delineation_nanos",
-            "Per-abnormal-beat delineation time, in nanoseconds.",
-            &stages.delineation_nanos,
-        );
-        if let Some(wal) = &self.wal {
-            let m = wal.metrics();
-            snap.push_counter(
-                "hbc_wal_appends_total",
-                "Records appended to the durable log.",
-                m.appends.get(),
-            );
-            snap.push_counter(
-                "hbc_wal_appended_bytes_total",
-                "Encoded bytes appended to the durable log.",
-                m.appended_bytes.get(),
-            );
-            snap.push_counter(
-                "hbc_wal_syncs_total",
-                "Explicit fsyncs of the durable log.",
-                m.syncs.get(),
-            );
-            snap.push_histogram(
-                "hbc_wal_append_nanos",
-                "Latency of one durable-log append, in nanoseconds.",
-                &m.append_nanos,
-            );
-            snap.push_histogram(
-                "hbc_wal_sync_nanos",
-                "Latency of one durable-log fsync, in nanoseconds.",
-                &m.sync_nanos,
-            );
-        }
-        snap
     }
 
     /// One reactor sweep; returns whether any progress was made (bytes
@@ -1336,6 +1069,7 @@ impl<'fw> Gateway<'fw> {
             let frame_started = Instant::now();
             self.handle_frame(idx, frame);
             self.obs
+                .latency
                 .frame_micros
                 .record(u64::try_from(frame_started.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
@@ -2036,7 +1770,8 @@ impl<'fw> Gateway<'fw> {
         // liveness, and dropping the chunk beats poisoning the reactor.
         let ingest_started = Instant::now();
         let rejected = hub.ingest(&staged[..batch]).is_err();
-        obs.ingest_batch_micros
+        obs.latency
+            .ingest_batch_micros
             .record(u64::try_from(ingest_started.elapsed().as_micros()).unwrap_or(u64::MAX));
         if rejected {
             stats.internal_skips += 1;
@@ -2100,6 +1835,7 @@ impl<'fw> Gateway<'fw> {
                 // them. One record per forwarding event.
                 if let Some(anchor) = s.staged_anchor.take() {
                     self.obs
+                        .latency
                         .beat_to_outcome_micros
                         .record(u64::try_from(anchor.elapsed().as_micros()).unwrap_or(u64::MAX));
                 }
@@ -2344,193 +2080,6 @@ impl<'fw> Gateway<'fw> {
             conn.sent = 0;
         }
         progress
-    }
-
-    /// Services the admin listener: accepts scrapers, answers
-    /// `GET /metrics`, `/metrics.json`, `/health` and `/trace`, flushes and
-    /// closes. One call makes all progress the sockets allow; the admin
-    /// path never blocks the reactor.
-    fn serve_admin(&mut self) -> bool {
-        if self.admin.is_none() {
-            return false;
-        }
-        let mut progress = false;
-        if let Some(listener) = self.admin.as_ref() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        self.admin_conns.push(AdminConn {
-                            stream,
-                            inbox: Vec::new(),
-                            outbox: Vec::new(),
-                            sent: 0,
-                            responding: false,
-                            dead: false,
-                        });
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
-        }
-        // Read requests first; building a response needs `&self` (the
-        // metrics snapshot walks the hub), so the routes are resolved in a
-        // second pass.
-        let mut ready: Vec<(usize, String, String)> = Vec::new();
-        for (i, conn) in self.admin_conns.iter_mut().enumerate() {
-            if conn.dead || conn.responding {
-                continue;
-            }
-            let mut buf = [0u8; 4096];
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        // EOF before a request line: nothing to answer.
-                        if admin_request_line(&conn.inbox).is_none() {
-                            conn.dead = true;
-                        }
-                        break;
-                    }
-                    Ok(n) => {
-                        if conn.inbox.len() + n > 16 * 1024 {
-                            conn.dead = true;
-                            break;
-                        }
-                        conn.inbox.extend_from_slice(&buf[..n]);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            if conn.dead {
-                continue;
-            }
-            if let Some((method, path)) = admin_request_line(&conn.inbox) {
-                ready.push((i, method, path));
-            }
-        }
-        for (i, method, path) in ready {
-            let response = self.admin_response(&method, &path);
-            let conn = &mut self.admin_conns[i];
-            conn.outbox = response;
-            conn.responding = true;
-            progress = true;
-        }
-        for conn in &mut self.admin_conns {
-            if conn.dead || !conn.responding {
-                continue;
-            }
-            while conn.sent < conn.outbox.len() {
-                match conn.stream.write(&conn.outbox[conn.sent..]) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.sent += n;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            if conn.sent == conn.outbox.len() {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                conn.dead = true;
-            }
-        }
-        self.admin_conns.retain(|c| !c.dead);
-        progress
-    }
-
-    /// Builds one HTTP/1.0 response for an admin route.
-    fn admin_response(&self, method: &str, path: &str) -> Vec<u8> {
-        let (status, content_type, body) = if method != "GET" {
-            (
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                "only GET is served here\n".to_string(),
-            )
-        } else {
-            match path {
-                "/metrics" => (
-                    "200 OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    self.metrics_snapshot().to_prometheus(),
-                ),
-                "/metrics.json" => (
-                    "200 OK",
-                    "application/json",
-                    self.metrics_snapshot().to_json(),
-                ),
-                "/health" => ("200 OK", "application/json", self.health_json()),
-                "/trace" => {
-                    let mut body = String::new();
-                    for rec in self.obs.trace.dump() {
-                        body.push_str(&format!("tick={} {}\n", rec.tick, rec.event));
-                    }
-                    ("200 OK", "text/plain; charset=utf-8", body)
-                }
-                _ => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "routes: /metrics /metrics.json /health /trace\n".to_string(),
-                ),
-            }
-        };
-        let mut response = format!(
-            "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        response.extend_from_slice(body.as_bytes());
-        response
-    }
-
-    /// The [`Gateway::health`] snapshot as a JSON object.
-    fn health_json(&self) -> String {
-        let h = self.health();
-        format!(
-            concat!(
-                "{{\"live_sessions\":{},\"parked_sessions\":{},",
-                "\"connections\":{},\"buffered_bytes\":{},",
-                "\"memory_used\":{},\"memory_budget\":{},",
-                "\"budget_utilization\":{},\"poll_high_water_micros\":{},",
-                "\"poll_recent_high_water_micros\":{},\"watchdog_stalls\":{},",
-                "\"busy_denials\":{},\"sheds\":{},\"samples_shed\":{},",
-                "\"wal_errors\":{},\"wal_log_bytes\":{},\"wal_active\":{}}}"
-            ),
-            h.live_sessions,
-            h.parked_sessions,
-            h.connections,
-            h.buffered_bytes,
-            h.memory_used,
-            h.memory_budget,
-            h.budget_utilization(),
-            h.poll_high_water.as_micros(),
-            h.poll_recent_high_water.as_micros(),
-            h.watchdog_stalls,
-            h.busy_denials,
-            h.sheds,
-            h.samples_shed,
-            h.wal_errors,
-            h.wal_log_bytes,
-            h.wal_active
-        )
     }
 }
 

@@ -16,7 +16,10 @@
 //!   shedder fired, in what order) where counters alone lose causality;
 //! * [`MetricsSnapshot`] — a named bag of the above rendered as
 //!   Prometheus-style text exposition ([`MetricsSnapshot::to_prometheus`])
-//!   or a JSON document ([`MetricsSnapshot::to_json`]).
+//!   or a JSON document ([`MetricsSnapshot::to_json`]);
+//! * [`metric_struct!`] — declares a stats struct whose fields *are* its
+//!   metrics: each field's name, kind and first doc line become the served
+//!   name, type and HELP, so a metric is declared exactly once.
 //!
 //! All record paths are allocation-free in steady state (`tests/obs_alloc.rs`
 //! in the workspace root gates this with a counting allocator); the
@@ -62,6 +65,12 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0
+    }
+}
+
+impl From<Counter> for u64 {
+    fn from(c: Counter) -> u64 {
+        c.0
     }
 }
 
@@ -666,6 +675,103 @@ impl MetricsSnapshot {
     }
 }
 
+/// Declares a struct whose fields are its metrics, plus an `export` method
+/// that appends one reading per field to a [`MetricsSnapshot`].
+///
+/// The struct is emitted unchanged: attributes, visibility, field names,
+/// types and full doc comments. Each field carries a kind tag, `counter`,
+/// `gauge` or `histogram`, in front of its visibility, and must start with
+/// a doc line. From that one declaration the exposition is derived:
+///
+/// * the name is `<prefix><field>_total` for counters and `<prefix><field>`
+///   for gauges and histograms;
+/// * the HELP text is the field's first doc line, trimmed (keep it one
+///   plain sentence; further doc lines stay rustdoc-only);
+/// * counters read through `u64::from` (`u64` or [`Counter`] fields),
+///   gauges through `as f64` (any numeric primitive) and histograms by
+///   reference;
+/// * `export` pushes in declaration order.
+///
+/// ```
+/// use hbc_obs::{Histogram, MetricsSnapshot};
+///
+/// hbc_obs::metric_struct! {
+///     prefix = "demo_";
+///     /// Counters of a demo service.
+///     #[derive(Debug, Default)]
+///     pub struct DemoStats {
+///         /// Requests served.
+///         ///
+///         /// Only this first line becomes the HELP text.
+///         counter pub requests: u64,
+///         /// Largest queue ever observed.
+///         gauge pub peak_queue: usize,
+///         /// Latency of one request, in microseconds.
+///         histogram pub latency_micros: Histogram,
+///     }
+/// }
+///
+/// let stats = DemoStats { requests: 3, ..DemoStats::default() };
+/// let mut snap = MetricsSnapshot::new();
+/// stats.export(&mut snap);
+/// assert_eq!(snap.counter("demo_requests_total"), Some(3));
+/// assert_eq!(snap.metrics()[0].help, "Requests served.");
+/// assert_eq!(snap.gauge("demo_peak_queue"), Some(0.0));
+/// assert!(snap.histogram("demo_latency_micros").is_some());
+/// ```
+#[macro_export]
+macro_rules! metric_struct {
+    (
+        prefix = $prefix:literal;
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                #[doc = $help:literal]
+                $(#[$field_attr:meta])*
+                $kind:ident $field_vis:vis $field:ident : $ty:ty
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $(
+                #[doc = $help]
+                $(#[$field_attr])*
+                $field_vis $field: $ty,
+            )*
+        }
+
+        impl $name {
+            /// Appends one reading per field to `snap`, in declaration
+            /// order: counters as `<prefix><field>_total`, gauges and
+            /// histograms as `<prefix><field>`, each with the field's
+            /// first doc line as HELP.
+            pub fn export(&self, snap: &mut $crate::MetricsSnapshot) {
+                $(
+                    $crate::metric_struct!(@push $kind snap, $prefix, $field, $help, self.$field);
+                )*
+            }
+        }
+    };
+    (@push counter $snap:ident, $prefix:literal, $field:ident, $help:literal, $value:expr) => {
+        $snap.push_counter(
+            concat!($prefix, stringify!($field), "_total"),
+            $help.trim(),
+            u64::from($value),
+        )
+    };
+    (@push gauge $snap:ident, $prefix:literal, $field:ident, $help:literal, $value:expr) => {
+        $snap.push_gauge(
+            concat!($prefix, stringify!($field)),
+            $help.trim(),
+            $value as f64,
+        )
+    };
+    (@push histogram $snap:ident, $prefix:literal, $field:ident, $help:literal, $value:expr) => {
+        $snap.push_histogram(concat!($prefix, stringify!($field)), $help.trim(), &$value)
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -827,5 +933,87 @@ mod tests {
         assert_eq!(snap.counter("missing"), None);
         assert_eq!(snap.counter("g"), None, "type mismatch is None");
         assert_eq!(snap.metrics().len(), 3);
+    }
+
+    crate::metric_struct! {
+        prefix = "t_";
+        /// A struct exercising every field shape the macro accepts.
+        #[derive(Debug, Default)]
+        struct Declared {
+            /// Plain counter.
+            counter plain: u64,
+            /// Typed counter.
+            ///
+            /// Only the first doc line is HELP; this paragraph is not.
+            /// Nor is this line.
+            counter pub typed: Counter,
+            /// Size gauge.
+            gauge pub(crate) size: usize,
+            /// Wide gauge.
+            gauge wide: u64,
+            /// Latency histogram.
+            histogram lat_nanos: Histogram,
+        }
+    }
+
+    fn exported() -> MetricsSnapshot {
+        let mut d = Declared {
+            plain: 7,
+            size: 3,
+            wide: 1 << 40,
+            ..Declared::default()
+        };
+        d.typed.add(11);
+        d.lat_nanos.record(5);
+        let mut snap = MetricsSnapshot::new();
+        d.export(&mut snap);
+        snap
+    }
+
+    #[test]
+    fn metric_struct_derives_names_per_kind() {
+        let snap = exported();
+        assert_eq!(snap.counter("t_plain_total"), Some(7));
+        assert_eq!(snap.counter("t_typed_total"), Some(11));
+        assert_eq!(snap.gauge("t_size"), Some(3.0));
+        assert_eq!(snap.gauge("t_wide"), Some((1u64 << 40) as f64));
+        assert_eq!(snap.histogram("t_lat_nanos").map(Histogram::count), Some(1));
+        // No stray spellings: counters only with `_total`, others without.
+        assert_eq!(snap.get("t_plain"), None);
+        assert_eq!(snap.get("t_size_total"), None);
+        assert_eq!(snap.get("t_lat_nanos_total"), None);
+    }
+
+    #[test]
+    fn metric_struct_help_is_the_first_doc_line() {
+        let snap = exported();
+        let help: Vec<&str> = snap.metrics().iter().map(|m| m.help.as_str()).collect();
+        assert_eq!(
+            help,
+            [
+                "Plain counter.",
+                "Typed counter.",
+                "Size gauge.",
+                "Wide gauge.",
+                "Latency histogram."
+            ]
+        );
+    }
+
+    #[test]
+    fn metric_struct_exports_in_declaration_order() {
+        let snap = exported();
+        let names: Vec<&str> = snap.metrics().iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "t_plain_total",
+                "t_typed_total",
+                "t_size",
+                "t_wide",
+                "t_lat_nanos"
+            ]
+        );
+        assert_eq!(u64::from(Counter::new()), 0);
     }
 }

@@ -14,12 +14,12 @@
 //!
 //! * [`AchlioptasMatrix`] — generation and application (floating point and
 //!   integer) of the projection;
-//! * [`PackedProjection`](packed::PackedProjection) — the 2-bit-per-entry
-//!   memory layout used on the embedded platform (¼ of the memory of a byte
-//!   matrix, Section III-B of the paper);
-//! * [`BitPlanes`](bitplanes::BitPlanes) — the bit-sliced (two `u64` masks
-//!   per row) working set derived from the packed form, powering the
-//!   branch-free host-side projection kernel;
+//! * [`PackedProjection`] — the 2-bit-per-entry memory layout used on the
+//!   embedded platform (¼ of the memory of a byte matrix, Section III-B of
+//!   the paper);
+//! * [`BitPlanes`] — the bit-sliced (two `u64` masks per row) working set
+//!   derived from the packed form, powering the branch-free host-side
+//!   projection kernel;
 //! * [`genetic`] — the genetic algorithm used to search for a
 //!   high-performance projection (population of 20 matrices, 30 generations
 //!   in the paper);

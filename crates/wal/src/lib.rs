@@ -565,23 +565,36 @@ fn sync_dir(dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Telemetry for one [`Wal`]: append/fsync call counts, appended byte
-/// volume, and log2-bucketed latency histograms for both syscalls. Updated
-/// inline on the append path (two clock reads per call); read via
-/// [`Wal::metrics`].
-#[derive(Debug, Clone, Default)]
-pub struct WalMetrics {
-    /// Successful [`Wal::append`] calls.
-    pub appends: Counter,
-    /// Encoded bytes appended (framing included).
-    pub appended_bytes: Counter,
-    /// Explicit [`Wal::sync`] calls (policy-driven fsyncs inside `append`
-    /// are timed as part of the append histogram instead).
-    pub syncs: Counter,
-    /// Wall-clock nanoseconds per append (encode + write + policy fsync).
-    pub append_nanos: Histogram,
-    /// Wall-clock nanoseconds per explicit sync.
-    pub sync_nanos: Histogram,
+hbc_obs::metric_struct! {
+    prefix = "hbc_wal_";
+    /// Telemetry for one [`Wal`]: append/fsync call counts, appended byte
+    /// volume, and log2-bucketed latency histograms for both syscalls. Updated
+    /// inline on the append path (two clock reads per call); read via
+    /// [`Wal::metrics`].
+    #[derive(Debug, Clone, Default)]
+    pub struct WalMetrics {
+        /// Records appended to the durable log.
+        ///
+        /// Successful [`Wal::append`] calls.
+        counter pub appends: Counter,
+        /// Encoded bytes appended to the durable log.
+        ///
+        /// Framing included.
+        counter pub appended_bytes: Counter,
+        /// Explicit fsyncs of the durable log.
+        ///
+        /// [`Wal::sync`] calls; policy-driven fsyncs inside `append` are
+        /// timed as part of the append histogram instead.
+        counter pub syncs: Counter,
+        /// Latency of one durable-log append, in nanoseconds.
+        ///
+        /// Wall clock per append: encode + write + policy fsync.
+        histogram pub append_nanos: Histogram,
+        /// Latency of one durable-log fsync, in nanoseconds.
+        ///
+        /// Wall clock per explicit sync.
+        histogram pub sync_nanos: Histogram,
+    }
 }
 
 /// Append-only segment log. See the crate docs for the format and the

@@ -31,7 +31,7 @@ use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into};
 use heartbeat_rp::hbc_net::{Gateway, GatewayConfig, GatewayReport, NodeClient};
-use heartbeat_rp::hbc_obs::TraceEvent;
+use heartbeat_rp::hbc_obs::{MetricValue, MetricsSnapshot, TraceEvent};
 use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::hbc_wal::WalConfig;
 use heartbeat_rp::pipeline::TrainedSystem;
@@ -162,19 +162,22 @@ fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
         assert!(h.count() > 0, "{name} must be fed by the run");
     }
 
-    // The snapshot's counters are the reactor's counters, verbatim.
+    // The snapshot's readings are the reactor's counters, verbatim: every
+    // `GatewayStats` field, read back from the served snapshot.
     let s = &report.stats;
     let counter = |name: &str| report.metrics.counter(name).expect(name);
-    assert_eq!(counter("hbc_gateway_connections_total"), s.connections);
-    assert_eq!(counter("hbc_gateway_frames_in_total"), s.frames_in);
-    assert_eq!(counter("hbc_gateway_frames_out_total"), s.frames_out);
-    assert_eq!(counter("hbc_gateway_samples_in_total"), s.samples_in);
-    assert_eq!(counter("hbc_gateway_wire_bytes_in_total"), s.wire_bytes_in);
-    assert_eq!(
-        counter("hbc_gateway_wire_bytes_out_total"),
-        s.wire_bytes_out
-    );
-    assert_eq!(counter("hbc_gateway_beats_out_total"), s.beats_out);
+    let mut from_stats = MetricsSnapshot::new();
+    s.export(&mut from_stats);
+    assert_eq!(from_stats.metrics().len(), 29, "25 counters + 4 gauges");
+    for m in from_stats.metrics() {
+        assert_eq!(
+            report.metrics.get(&m.name),
+            Some(&m.value),
+            "{} must be served as the stats hold it",
+            m.name
+        );
+    }
+    assert!(s.frames_in > 0 && s.samples_in > 0 && s.beats_out > 0);
     // Delta-coded ECG codes cost well under the two bytes of a raw i16.
     assert!(s.wire_bytes_in > 0 && s.wire_bytes_out > 0);
     assert!(
@@ -404,4 +407,386 @@ fn admin_surface_serves_metrics_health_and_trace() {
     assert_eq!(report.stats.sessions_opened, 1);
     assert_eq!(report.stats.sessions_closed, 1);
     assert_eq!(report.stats.denials, 0);
+}
+
+/// The served exposition contract: every `(name, kind, HELP)` triple the
+/// gateway publishes. The last five entries exist only with a durable log.
+const EXPOSITION: [(&str, &str, &str); 54] = [
+    (
+        "hbc_gateway_connections_total",
+        "counter",
+        "Connections accepted.",
+    ),
+    (
+        "hbc_gateway_frames_in_total",
+        "counter",
+        "Frames decoded from clients.",
+    ),
+    (
+        "hbc_gateway_frames_out_total",
+        "counter",
+        "Frames sent to clients.",
+    ),
+    (
+        "hbc_gateway_samples_in_total",
+        "counter",
+        "Samples accepted into session buffers.",
+    ),
+    (
+        "hbc_gateway_wire_bytes_in_total",
+        "counter",
+        "Bytes read from client connections, framing included.",
+    ),
+    (
+        "hbc_gateway_wire_bytes_out_total",
+        "counter",
+        "Bytes written to client connections, framing included.",
+    ),
+    (
+        "hbc_gateway_samples_dropped_total",
+        "counter",
+        "Samples discarded without entering a session buffer.",
+    ),
+    (
+        "hbc_gateway_beats_out_total",
+        "counter",
+        "Beat outcomes forwarded to clients.",
+    ),
+    (
+        "hbc_gateway_sessions_opened_total",
+        "counter",
+        "Sessions opened.",
+    ),
+    (
+        "hbc_gateway_sessions_closed_total",
+        "counter",
+        "Sessions closed by request.",
+    ),
+    (
+        "hbc_gateway_sessions_evicted_total",
+        "counter",
+        "Sessions evicted by the idle timeout.",
+    ),
+    (
+        "hbc_gateway_sessions_detached_total",
+        "counter",
+        "Sessions parked for resume when their connection died.",
+    ),
+    (
+        "hbc_gateway_sessions_resumed_total",
+        "counter",
+        "Sessions re-attached via ResumeSession.",
+    ),
+    (
+        "hbc_gateway_sessions_expired_total",
+        "counter",
+        "Detached sessions dropped at the end of the retention window.",
+    ),
+    (
+        "hbc_gateway_sessions_recovered_total",
+        "counter",
+        "Sessions rebuilt from the durable log at bind time.",
+    ),
+    (
+        "hbc_gateway_reports_refetched_total",
+        "counter",
+        "Cached final reports re-served after a lost link.",
+    ),
+    (
+        "hbc_gateway_denials_total",
+        "counter",
+        "Connections denied (handshake, protocol or credit violations).",
+    ),
+    (
+        "hbc_gateway_busy_denials_total",
+        "counter",
+        "Admission denials answered with Busy.",
+    ),
+    (
+        "hbc_gateway_sheds_total",
+        "counter",
+        "Shed events under the global memory budget.",
+    ),
+    (
+        "hbc_gateway_samples_shed_total",
+        "counter",
+        "Samples shed from buffered sessions under the memory budget.",
+    ),
+    (
+        "hbc_gateway_handshake_reaps_total",
+        "counter",
+        "Connections reaped at the pre-session handshake deadline.",
+    ),
+    (
+        "hbc_gateway_progress_reaps_total",
+        "counter",
+        "Connections reaped by the minimum-progress check.",
+    ),
+    (
+        "hbc_gateway_watchdog_stalls_total",
+        "counter",
+        "Sweeps that exceeded the watchdog budget.",
+    ),
+    (
+        "hbc_gateway_wal_errors_total",
+        "counter",
+        "Durable-log append failures (the log disables itself on the first).",
+    ),
+    (
+        "hbc_gateway_internal_skips_total",
+        "counter",
+        "Internal invariant violations skipped at runtime.",
+    ),
+    (
+        "hbc_gateway_trace_events_total",
+        "counter",
+        "Events ever pushed onto the trace ring.",
+    ),
+    (
+        "hbc_gateway_trace_events_dropped_total",
+        "counter",
+        "Trace events lost to ring overwrites.",
+    ),
+    ("hbc_gateway_live_sessions", "gauge", "Live wire sessions."),
+    (
+        "hbc_gateway_parked_sessions",
+        "gauge",
+        "Sessions parked for resume.",
+    ),
+    (
+        "hbc_gateway_open_connections",
+        "gauge",
+        "Open connections, including ones draining toward a close.",
+    ),
+    (
+        "hbc_gateway_buffered_bytes",
+        "gauge",
+        "Bytes of buffered samples across live and parked sessions.",
+    ),
+    (
+        "hbc_gateway_memory_used_bytes",
+        "gauge",
+        "Bytes charged against the global memory budget.",
+    ),
+    (
+        "hbc_gateway_memory_budget_bytes",
+        "gauge",
+        "The configured global memory budget.",
+    ),
+    (
+        "hbc_gateway_budget_utilization",
+        "gauge",
+        "Fraction of the global memory budget in use.",
+    ),
+    (
+        "hbc_gateway_peak_buffered_samples",
+        "gauge",
+        "Largest per-session sample buffer ever observed.",
+    ),
+    (
+        "hbc_gateway_peak_buffered_bytes",
+        "gauge",
+        "Largest total of buffered sample bytes ever observed.",
+    ),
+    (
+        "hbc_gateway_poll_high_water_micros",
+        "gauge",
+        "Worst sweep latency ever observed, in microseconds.",
+    ),
+    (
+        "hbc_gateway_poll_recent_high_water_micros",
+        "gauge",
+        "Worst sweep latency over roughly the last two poll windows.",
+    ),
+    (
+        "hbc_gateway_wal_log_bytes",
+        "gauge",
+        "Bytes the durable ingest log occupies across its segments.",
+    ),
+    (
+        "hbc_gateway_wal_active",
+        "gauge",
+        "Whether the durable log is still accepting appends (1/0).",
+    ),
+    (
+        "hbc_gateway_sweep_micros",
+        "histogram",
+        "Latency of one reactor sweep, in microseconds.",
+    ),
+    (
+        "hbc_gateway_frame_micros",
+        "histogram",
+        "Latency of handling one decoded frame, in microseconds.",
+    ),
+    (
+        "hbc_gateway_ingest_batch_micros",
+        "histogram",
+        "Latency of one batched hub ingest issued by the sweep.",
+    ),
+    (
+        "hbc_gateway_beat_to_outcome_micros",
+        "histogram",
+        "First-ADC-sample-to-outcome latency, in microseconds.",
+    ),
+    (
+        "hbc_hub_ingest_micros",
+        "histogram",
+        "Latency of one StreamHub ingest call.",
+    ),
+    (
+        "hbc_stage_conditioning_nanos",
+        "histogram",
+        "Per-chunk signal-conditioning time, in nanoseconds.",
+    ),
+    (
+        "hbc_stage_projection_nanos",
+        "histogram",
+        "Per-beat window preparation plus random projection time.",
+    ),
+    (
+        "hbc_stage_classify_nanos",
+        "histogram",
+        "Per-beat classifier scoring time, in nanoseconds.",
+    ),
+    (
+        "hbc_stage_delineation_nanos",
+        "histogram",
+        "Per-abnormal-beat delineation time, in nanoseconds.",
+    ),
+    (
+        "hbc_wal_appends_total",
+        "counter",
+        "Records appended to the durable log.",
+    ),
+    (
+        "hbc_wal_appended_bytes_total",
+        "counter",
+        "Encoded bytes appended to the durable log.",
+    ),
+    (
+        "hbc_wal_syncs_total",
+        "counter",
+        "Explicit fsyncs of the durable log.",
+    ),
+    (
+        "hbc_wal_append_nanos",
+        "histogram",
+        "Latency of one durable-log append, in nanoseconds.",
+    ),
+    (
+        "hbc_wal_sync_nanos",
+        "histogram",
+        "Latency of one durable-log fsync, in nanoseconds.",
+    ),
+];
+
+/// The `(name, kind, help)` triples of a snapshot, sorted.
+fn exposition_of(snap: &MetricsSnapshot) -> Vec<(String, &'static str, String)> {
+    let mut out: Vec<_> = snap
+        .metrics()
+        .iter()
+        .map(|m| {
+            let kind = match m.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            (m.name.clone(), kind, m.help.clone())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn exposition_names_kinds_and_help_are_pinned() {
+    let fw = firmware();
+    let tmp = support::TempDir::new("obs-exposition");
+    for with_wal in [true, false] {
+        let config = GatewayConfig {
+            wal: with_wal.then(|| WalConfig::new(tmp.path())),
+            ..GatewayConfig::default()
+        };
+        let gateway = Gateway::bind("127.0.0.1:0", &fw, 360.0, config).expect("bind");
+        let snap = gateway.metrics_snapshot();
+        let served = exposition_of(&snap);
+
+        let pinned = if with_wal {
+            &EXPOSITION[..]
+        } else {
+            &EXPOSITION[..EXPOSITION.len() - 5]
+        };
+        let mut expected: Vec<_> = pinned
+            .iter()
+            .map(|&(name, kind, help)| (name.to_string(), kind, help.to_string()))
+            .collect();
+        expected.sort();
+        assert_eq!(served, expected, "with_wal = {with_wal}");
+        assert_eq!(served.len(), if with_wal { 54 } else { 49 });
+        if with_wal {
+            let kinds = |k: &str| served.iter().filter(|(_, kind, _)| *kind == k).count();
+            assert_eq!(
+                (kinds("counter"), kinds("gauge"), kinds("histogram")),
+                (30, 13, 11)
+            );
+        }
+
+        let mut names: Vec<&str> = snap.metrics().iter().map(|m| m.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), snap.metrics().len(), "every name served once");
+        for m in snap.metrics() {
+            let mut chars = m.name.chars();
+            let head = chars.next().expect("non-empty name");
+            assert!(
+                (head.is_ascii_alphabetic() || head == '_' || head == ':')
+                    && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+                "{} is not a valid metric name",
+                m.name
+            );
+            assert!(
+                !m.help.is_empty()
+                    && !m.help.contains('\n')
+                    && !m.help.contains('`')
+                    && !m.help.contains('['),
+                "{}: HELP {:?} must be one plain non-empty line",
+                m.name,
+                m.help
+            );
+        }
+    }
+}
+
+#[test]
+fn silent_admin_peer_is_closed_at_the_handshake_deadline() {
+    let fw = firmware();
+    let deadline = Duration::from_millis(300);
+    let config = GatewayConfig {
+        admin_addr: Some("127.0.0.1:0".parse().expect("addr")),
+        handshake_timeout: deadline,
+        ..GatewayConfig::default()
+    };
+    let ((waited, metrics), _report) = with_gateway_report(&fw, 360.0, config, |_, admin| {
+        let admin = admin.expect("admin listener configured");
+        // Connect and say nothing: the gateway must not hold the socket
+        // (and its request inbox) forever.
+        let mut silent = TcpStream::connect(admin).expect("connect admin");
+        silent
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let start = Instant::now();
+        let mut buf = [0u8; 64];
+        let n = silent
+            .read(&mut buf)
+            .expect("a silent admin peer must be closed, not left hanging");
+        let waited = start.elapsed();
+        assert_eq!(n, 0, "EOF, not a response");
+        // A well-behaved scrape still gets its answer.
+        (waited, scrape(admin, "/metrics"))
+    });
+    assert!(
+        waited >= deadline / 2,
+        "closed after {waited:?}, before the {deadline:?} deadline"
+    );
+    assert!(metrics.starts_with("HTTP/1.0 200 OK\r\n"));
 }
