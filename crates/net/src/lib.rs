@@ -68,6 +68,7 @@ pub use proto::{Frame, FrameDecoder, ProtoError, WireOutcome, WireReport, PROTOC
 pub use replay::{replay_log, ReplayReport, ReplayedSession};
 pub use server::{
     Gateway, GatewayConfig, GatewayHealth, GatewayReport, GatewayStats, Heartbeat, OverflowPolicy,
+    CREDIT_QUIET, HOUSEKEEPING_TICK,
 };
 pub use session::SessionPriority;
 

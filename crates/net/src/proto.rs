@@ -264,7 +264,12 @@ pub enum Frame {
         credit: u32,
     },
     /// Replenishes `grant` samples of credit as the hub consumes the
-    /// session's buffered samples.
+    /// session's buffered samples. The gateway coalesces grants: it
+    /// returns all the credit it owes once that reaches `budget / 64`,
+    /// once the sender's window drops below one maximal frame, or once the
+    /// session has been quiet for a while (see [`crate::server`]). Budgets
+    /// up to [`MAX_SAMPLES_PER_FRAME`] are granted every sweep that
+    /// consumes.
     Credit {
         /// Session the grant applies to.
         session: u32,

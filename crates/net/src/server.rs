@@ -3,31 +3,58 @@
 //!
 //! ## Reactor
 //!
-//! [`Gateway::poll`] runs one sweep: accept pending connections, read every
-//! socket until it would block, decode and handle frames, promote sessions
-//! whose calibration stretch is complete, batch at most one pending chunk
-//! per session into a single [`StreamHub::ingest`] call (so decode and
-//! classification fan out over `hbc-par` when the batch is large enough),
-//! forward freshly classified beats, grant credit, evict idle sessions,
-//! park the sessions of dead
-//! connections for resumption (and expire parked ones past the retention
-//! window) and flush write buffers. [`Gateway::run`] loops `poll` until a
-//! shutdown flag flips, then reports [`GatewayStats`].
+//! [`Gateway::poll`] runs one sweep, and its cost follows its events rather
+//! than the number of sessions. Every sweep reads every socket until it
+//! would block, decodes and handles frames, then visits only the **ready**
+//! sessions, in wire-id order: those with an accepted frame, pending
+//! samples left over from an earlier sweep, a skip over the outbox cap, a
+//! resume rewind, credit owed for shed or dropped samples, or a flag from
+//! the quiet-credit scan. The visit promotes a session whose calibration
+//! stretch is complete (in the sweep that completes it), stages at most
+//! one pending chunk per session into a single [`StreamHub::ingest`] call
+//! (which fans decode and classification out over `hbc-par` when the batch
+//! is large enough), forwards freshly classified beats and grants credit.
+//! An idle session costs no map lookup and no hub lock. The sweep then
+//! releases dead and drained connections, parking their sessions for
+//! resumption, and flushes write buffers.
+//!
+//! Housekeeping runs on a [`HOUSEKEEPING_TICK`] of 1 ms instead of every
+//! sweep: accepting connections, the admin listener, idle eviction,
+//! slow-peer reaping, resume-window expiry and the quiet-credit scan.
+//! Their deadlines are seconds long, while a busy reactor sweeps every few
+//! hundred microseconds. [`Gateway::run`] loops `poll` until a shutdown
+//! flag flips, then reports [`GatewayStats`].
 //!
 //! ## Credit-based flow control
 //!
 //! Every session holds a **credit budget** of `credit_budget` samples — the
-//! most it may have sent but not yet had consumed by the hub. The budget is
-//! granted in full at [`Frame::SessionOpened`]; as the hub consumes buffered
-//! samples the gateway returns [`Frame::Credit`] grants. A compliant sender
-//! therefore stalls when the gateway falls behind instead of ballooning its
-//! buffers; a sender that overruns its credit hits the configurable
-//! [`OverflowPolicy`]. Back-pressure composes through the write side too:
-//! while a connection's outbox exceeds `max_outbox_bytes` (a slow *reader*),
-//! the gateway stops consuming that connection's sessions — so no new
-//! outcomes are produced, no credit is granted, and the sender stalls at its
-//! budget while other sessions keep flowing. Gateway-side memory per session
-//! stays bounded by the budget plus one in-flight chunk.
+//! most it may have sent but not yet had returned. The budget is granted
+//! in full at [`Frame::SessionOpened`]. Samples the hub consumes (or the
+//! gateway sheds or drops at its memory budget) become credit the gateway
+//! *owes*, and a [`Frame::Credit`] returns all of it once one of three
+//! rules holds:
+//!
+//! * the owed credit reaches the quantum `max(1, credit_budget / 64)`,
+//!   which bounds how far acknowledgements lag;
+//! * the sender's window as the gateway sees it (`budget − buffered −
+//!   owed`) falls below `min(credit_budget, MAX_SAMPLES_PER_FRAME)`. A
+//!   sender blocked on credit is short of one frame, and no frame is
+//!   larger than that, so a blocked sender always gets its grant: the
+//!   schedule cannot deadlock. Budgets up to `MAX_SAMPLES_PER_FRAME` meet
+//!   this rule whenever anything is owed, so they are granted every sweep;
+//! * the session has been quiet — nothing received, nothing consumed —
+//!   for [`CREDIT_QUIET`], so a stopped or lock-step sender gets its whole
+//!   budget back.
+//!
+//! A compliant sender therefore stalls when the gateway falls behind
+//! instead of ballooning its buffers; a sender that overruns its credit
+//! hits the configurable [`OverflowPolicy`]. Back-pressure composes
+//! through the write side too: while a connection's outbox exceeds
+//! `max_outbox_bytes` (a slow *reader*), the gateway stops consuming that
+//! connection's sessions — so no new outcomes are produced, no credit is
+//! granted, and the sender stalls at its budget while other sessions keep
+//! flowing. Gateway-side memory per session stays bounded by the budget
+//! plus one in-flight chunk.
 //!
 //! ## Durable ingest log
 //!
@@ -139,6 +166,66 @@ fn priority_of(outcomes: &[BeatOutcome]) -> SessionPriority {
     }
 }
 
+/// Period of the reactor's housekeeping tick: accepting connections, the
+/// admin listener, idle eviction, slow-peer reaping, resume-window expiry
+/// and the quiet-credit scan run only on sweeps where a tick is due. Their
+/// deadlines are seconds long; a busy reactor sweeps every few hundred
+/// microseconds, so running them every sweep would be pure overhead.
+pub const HOUSEKEEPING_TICK: Duration = Duration::from_millis(1);
+
+/// How long a session must be quiet — no frame received, nothing consumed
+/// — before it is granted whatever credit it is owed, however little. A
+/// stopped or lock-step sender thereby gets its whole budget back. The
+/// quiet-credit scan runs on the [`HOUSEKEEPING_TICK`], so the grant
+/// follows within a tick of the deadline.
+pub const CREDIT_QUIET: Duration = Duration::from_millis(50);
+
+/// The credit quantum is this share of the budget: owed credit is granted
+/// once it reaches `max(1, credit_budget / CREDIT_QUANTUM_SHARE)` samples
+/// (1 024 at the default budget), which bounds how far acks lag.
+const CREDIT_QUANTUM_SHARE: usize = 64;
+
+/// The grant schedule: whether a session owing `owed` samples of credit,
+/// with `buffered` samples still pending and quiet for `quiet_for`, is
+/// granted them now. Any one rule suffices (see the module docs):
+///
+/// * `owed` reached the quantum;
+/// * the sender's window as the gateway sees it, `budget − buffered −
+///   owed`, is below `min(budget, MAX_SAMPLES_PER_FRAME)`. The gateway
+///   denies larger frames, so a sender blocked on credit always falls
+///   below this line and is granted: the deadlock guard;
+/// * the session has been quiet for [`CREDIT_QUIET`].
+fn credit_due(budget: usize, buffered: usize, owed: usize, quiet_for: Duration) -> bool {
+    let quantum = (budget / CREDIT_QUANTUM_SHARE).max(1);
+    let window = budget.saturating_sub(buffered + owed);
+    owed > 0
+        && (owed >= quantum
+            || window < budget.min(MAX_SAMPLES_PER_FRAME)
+            || quiet_for >= CREDIT_QUIET)
+}
+
+/// `errno` values of descriptor and buffer exhaustion: `EMFILE`, `ENFILE`,
+/// `ENOBUFS` and `ENOMEM` (Linux numbering; BSD numbering elsewhere).
+#[cfg(target_os = "linux")]
+const EXHAUSTION_ERRNOS: [i32; 4] = [24, 23, 105, 12];
+#[cfg(not(target_os = "linux"))]
+const EXHAUSTION_ERRNOS: [i32; 4] = [24, 23, 55, 12];
+
+/// Whether a failed `accept` concerns only the connection it was about to
+/// yield or a passing resource shortage, rather than the listener: a peer
+/// that reset before it was accepted, or descriptors and buffers running
+/// out under a connection storm. The reactor counts these in
+/// [`GatewayStats::accept_errors`] and retries on the next tick; any other
+/// error is fatal.
+fn transient_accept_error(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset | ErrorKind::OutOfMemory
+    ) || e
+        .raw_os_error()
+        .is_some_and(|code| EXHAUSTION_ERRNOS.contains(&code))
+}
+
 /// What the gateway does to a sender that overruns its credit budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowPolicy {
@@ -155,7 +242,11 @@ pub enum OverflowPolicy {
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Per-session credit budget in samples: the most a sender may have in
-    /// flight (sent but not yet consumed by the hub).
+    /// flight (sent but not yet returned by a [`Frame::Credit`]). Consumed
+    /// samples are granted back on the schedule in the module docs: at
+    /// once for budgets up to `MAX_SAMPLES_PER_FRAME`, in quanta of
+    /// `budget / 64` (or when the sender's window runs low, or the session
+    /// goes quiet) above that.
     pub credit_budget: usize,
     /// Write-buffer cap per connection; beyond it the gateway stops
     /// consuming that connection's sessions (slow-reader back-pressure).
@@ -382,6 +473,18 @@ hbc_obs::metric_struct! {
         /// release builds count here so the skips stay visible instead of
         /// silent.
         counter pub internal_skips: u64,
+        /// Credit frames sent.
+        ///
+        /// One per grant on the schedule of [`GatewayConfig::credit_budget`]:
+        /// divided by [`GatewayStats::samples_in`] it is how often the
+        /// gateway acknowledges.
+        counter pub credit_grants: u64,
+        /// Failed accepts that did not stop the gateway.
+        ///
+        /// A peer that reset before it was accepted, or descriptors and
+        /// buffers running out under a connection storm. The listener
+        /// retries on the next housekeeping tick.
+        counter pub accept_errors: u64,
     }
 }
 
@@ -614,9 +717,15 @@ pub struct Gateway<'fw> {
     conns: Vec<Option<Connection>>,
     sessions: SessionManager,
     stats: GatewayStats,
+    /// Sessions with work for the next sweep: a frame accepted, pending
+    /// samples left over, a skip over the outbox cap, a resume rewind,
+    /// credit owed for shed or dropped samples, a quiet-credit flag. May
+    /// hold duplicates and ids of sessions that ended since; each sweep
+    /// sorts and dedups it into `sweep`.
+    ready: Vec<u32>,
     /// Per-sweep scratch, reused so a warm sweep allocates nothing: the
-    /// live session ids of the current pass,
-    ids: Vec<u32>,
+    /// ready session ids of the current sweep, sorted and unique,
+    sweep: Vec<u32>,
     /// the frames decoded from one connection,
     frames: Vec<Frame>,
     /// one staging slot per session fed in this sweep (the first `n` slots
@@ -640,6 +749,8 @@ pub struct Gateway<'fw> {
     buffered_samples: usize,
     /// Liveness probe stamped at the start of every sweep.
     heartbeat: Heartbeat,
+    /// When the next housekeeping tick is due (see [`HOUSEKEEPING_TICK`]).
+    next_tick: Instant,
     /// Telemetry: latency histograms, the trace ring and the poll-window
     /// rotation state.
     obs: GatewayObs,
@@ -722,7 +833,8 @@ impl<'fw> Gateway<'fw> {
             conns: Vec::new(),
             sessions,
             stats,
-            ids: Vec::new(),
+            ready: Vec::new(),
+            sweep: Vec::new(),
             frames: Vec::new(),
             staged: Vec::new(),
             outcomes: Vec::new(),
@@ -731,6 +843,7 @@ impl<'fw> Gateway<'fw> {
             completed_by_wire: HashMap::new(),
             buffered_samples,
             heartbeat: Heartbeat::new(),
+            next_tick: Instant::now(),
             obs,
             admin,
             admin_conns: Vec::new(),
@@ -859,7 +972,8 @@ impl<'fw> Gateway<'fw> {
     /// # Errors
     ///
     /// Propagates fatal listener errors; per-connection errors only drop the
-    /// affected connection.
+    /// affected connection, and a failed accept of one peer (or a passing
+    /// descriptor shortage) is counted in [`GatewayStats::accept_errors`].
     pub fn run(self, shutdown: &AtomicBool) -> std::io::Result<GatewayStats> {
         Ok(self.run_with_report(shutdown)?.stats)
     }
@@ -871,8 +985,7 @@ impl<'fw> Gateway<'fw> {
     ///
     /// # Errors
     ///
-    /// Propagates fatal listener errors; per-connection errors only drop the
-    /// affected connection.
+    /// As [`Gateway::run`].
     pub fn run_with_report(mut self, shutdown: &AtomicBool) -> std::io::Result<GatewayReport> {
         while !shutdown.load(Ordering::Acquire) {
             let sweep_started = Instant::now();
@@ -928,24 +1041,39 @@ impl<'fw> Gateway<'fw> {
 
     /// One reactor sweep; returns whether any progress was made (bytes
     /// moved, frames handled, samples ingested). Stamps the [`Heartbeat`]
-    /// on entry.
+    /// on entry. Housekeeping runs only when the [`HOUSEKEEPING_TICK`] is
+    /// due; staging and forwarding visit only the ready sessions.
     ///
     /// # Errors
     ///
     /// Propagates fatal listener errors.
     pub fn poll(&mut self) -> std::io::Result<bool> {
         self.heartbeat.beat();
-        let mut progress = self.accept_new()?;
-        progress |= self.serve_admin();
+        let now = Instant::now();
+        let tick = now >= self.next_tick;
+        let mut progress = false;
+        if tick {
+            self.next_tick = now + HOUSEKEEPING_TICK;
+            progress |= self.accept_new()?;
+            progress |= self.serve_admin();
+        }
         for idx in 0..self.conns.len() {
             progress |= self.service_reads(idx);
         }
+        if tick {
+            self.sessions
+                .owing_quiet_into(Instant::now(), CREDIT_QUIET, &mut self.ready);
+        }
         progress |= self.ingest_sweep();
         progress |= self.forward_outcomes_and_credit();
-        self.evict_idle();
-        self.reap_slow_peers();
+        if tick {
+            self.evict_idle();
+            self.reap_slow_peers();
+        }
         self.reap();
-        self.expire_detached();
+        if tick {
+            self.expire_detached();
+        }
         for idx in 0..self.conns.len() {
             progress |= self.flush(idx);
         }
@@ -957,51 +1085,63 @@ impl<'fw> Gateway<'fw> {
         Ok(progress)
     }
 
+    /// Accepts every pending connection. A failed accept that concerns
+    /// only one peer or a passing shortage (see `transient_accept_error`)
+    /// is counted and retried on the next tick; only other listener errors
+    /// are fatal.
     fn accept_new(&mut self) -> std::io::Result<bool> {
         let mut accepted = false;
         loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(true)?;
-                    let _ = stream.set_nodelay(true);
-                    let now = Instant::now();
-                    let conn = Connection {
-                        stream,
-                        decoder: FrameDecoder::new(),
-                        outbox: Vec::new(),
-                        sent: 0,
-                        greeted: false,
-                        closing: false,
-                        dead: false,
-                        accepted_at: now,
-                        established: false,
-                        read_since_check: 0,
-                        wrote_since_check: 0,
-                        checked_at: now,
-                    };
-                    let idx = match self.conns.iter().position(Option::is_none) {
-                        Some(i) => {
-                            self.conns[i] = Some(conn);
-                            i
-                        }
-                        None => {
-                            self.conns.push(Some(conn));
-                            self.conns.len() - 1
-                        }
-                    };
-                    self.stats.connections += 1;
-                    accepted = true;
-                    // Admission: past the connection cap the newcomer gets
-                    // a Busy hint and a flush-then-close, so its slot frees
-                    // as soon as the hint drains.
-                    let live = self.conns.iter().flatten().filter(|c| !c.dead).count();
-                    if live > self.config.max_connections {
-                        self.busy(idx);
-                    }
-                }
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if transient_accept_error(&e) => {
+                    self.stats.accept_errors += 1;
+                    break;
+                }
                 Err(e) => return Err(e),
+            };
+            // A socket that cannot be made nonblocking would stall the
+            // reactor: drop it, the peer sees a reset.
+            if stream.set_nonblocking(true).is_err() {
+                self.stats.accept_errors += 1;
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let now = Instant::now();
+            let conn = Connection {
+                stream,
+                decoder: FrameDecoder::new(),
+                outbox: Vec::new(),
+                sent: 0,
+                greeted: false,
+                closing: false,
+                dead: false,
+                accepted_at: now,
+                established: false,
+                read_since_check: 0,
+                wrote_since_check: 0,
+                checked_at: now,
+            };
+            let idx = match self.conns.iter().position(Option::is_none) {
+                Some(i) => {
+                    self.conns[i] = Some(conn);
+                    i
+                }
+                None => {
+                    self.conns.push(Some(conn));
+                    self.conns.len() - 1
+                }
+            };
+            self.stats.connections += 1;
+            accepted = true;
+            // Admission: past the connection cap the newcomer gets a Busy
+            // hint and a flush-then-close, so its slot frees as soon as the
+            // hint drains.
+            let live = self.conns.iter().flatten().filter(|c| !c.dead).count();
+            if live > self.config.max_connections {
+                self.busy(idx);
             }
         }
         Ok(accepted)
@@ -1412,6 +1552,9 @@ impl<'fw> Gateway<'fw> {
                 s.consumed_since_grant = 0;
                 let credit = budget.saturating_sub(s.buffered()) as u32;
                 let next_expected_seq = s.next_seq;
+                // The rewind (and any samples buffered while parked) is work
+                // for the next sweep.
+                self.ready.push(wire_id);
                 self.mark_established(idx);
                 self.stats.sessions_resumed += 1;
                 self.obs
@@ -1547,6 +1690,9 @@ impl<'fw> Gateway<'fw> {
             .extend(samples.iter().map(|&c| adc.dequantize_sample(i32::from(c))));
         s.samples_received += accepted as u64;
         s.consumed_since_grant += dropped_at_budget;
+        if accepted > 0 || dropped_at_budget > 0 {
+            self.ready.push(session);
+        }
         self.buffered_samples += accepted;
         self.stats.samples_in += accepted as u64;
         self.stats.peak_buffered_samples = self.stats.peak_buffered_samples.max(s.buffered());
@@ -1607,7 +1753,9 @@ impl<'fw> Gateway<'fw> {
                 }
                 s.pending.truncate(s.pending.len() - shed);
                 if live {
+                    // The shed samples are owed back as credit.
                     s.consumed_since_grant += shed;
+                    self.ready.push(wire_id);
                 }
                 need -= shed;
                 self.buffered_samples -= shed;
@@ -1666,79 +1814,69 @@ impl<'fw> Gateway<'fw> {
         self.stats.progress_reaps += progress_reaps;
     }
 
-    /// Promotes sessions whose calibration stretch is complete, then feeds
-    /// at most one pending chunk per session into the hub with a single
-    /// [`StreamHub::ingest`] call (which fans out only when the batch is
-    /// large enough to pay for it).
+    /// Visits this sweep's ready sessions in wire-id order. A session whose
+    /// calibration stretch is complete is promoted first, so the stretch is
+    /// staged (and its credit granted) in the sweep that completes it. Each
+    /// streaming session then stages at most one pending chunk, and the
+    /// batch goes into the hub with a single [`StreamHub::ingest`] call
+    /// (which fans out only when the batch is large enough to pay for it).
+    /// The ready set stays in `sweep` for forwarding.
     fn ingest_sweep(&mut self) -> bool {
-        // Promotion: derive thresholds from the first `calib_len` samples
-        // and create the hub session; the stretch stays in `pending` and is
-        // replayed into the stream, like a node's start-up phase.
-        let mut ids = std::mem::take(&mut self.ids);
-        self.sessions.ids_into(&mut ids);
-        for &wire_id in &ids {
+        std::mem::swap(&mut self.ready, &mut self.sweep);
+        self.ready.clear();
+        self.sweep.sort_unstable();
+        self.sweep.dedup();
+        let sweep = std::mem::take(&mut self.sweep);
+        let now = Instant::now();
+        let mut batch = 0;
+        for &wire_id in &sweep {
+            // A session that ended after it was marked has no work left.
             let Some(s) = self.sessions.get_mut(wire_id) else {
                 continue;
             };
-            let SessionPhase::Calibrating { calib_len } = s.phase else {
-                continue;
-            };
-            if s.pending.len() < calib_len {
-                continue;
-            }
-            match promote(&mut self.hub, s.patient_id, &s.pending[..calib_len]) {
-                Some(hub) => s.phase = SessionPhase::Streaming { hub },
-                // A degenerate calibration stretch is a per-session failure:
-                // end *this* session like any close — an empty Report whose
-                // samples counter tells the client how much was consumed
-                // for nothing — and leave the connection's other sessions
-                // untouched.
-                None => self.close_wire_session(wire_id, false),
-            }
-        }
-        self.ids = ids;
-
-        // Stage one chunk per session. Sessions on connections whose outbox
-        // is over the cap are skipped: no consumption, no credit — the
-        // slow-reader stall.
-        let now = Instant::now();
-        let Gateway {
-            hub,
-            sessions,
-            conns,
-            config,
-            ids,
-            staged,
-            stats,
-            buffered_samples,
-            obs,
-            ..
-        } = self;
-        sessions.ids_into(ids);
-        let mut batch = 0;
-        for &wire_id in ids.iter() {
-            let Some(s) = sessions.get_mut(wire_id) else {
-                stats.internal_skips += 1;
-                debug_assert!(false, "listed session {wire_id} vanished");
-                continue;
-            };
-            let Some(hub_id) = s.hub_id() else {
-                continue;
+            let hub_id = match s.phase {
+                SessionPhase::Streaming { hub } => hub,
+                // Promotion: derive thresholds from the first `calib_len`
+                // samples and create the hub session; the stretch stays in
+                // `pending` and is staged below, like a node's start-up
+                // phase.
+                SessionPhase::Calibrating { calib_len } if s.pending.len() >= calib_len => {
+                    match promote(&mut self.hub, s.patient_id, &s.pending[..calib_len]) {
+                        Some(hub) => {
+                            s.phase = SessionPhase::Streaming { hub };
+                            hub
+                        }
+                        // A degenerate calibration stretch is a per-session
+                        // failure: end *this* session like any close — an
+                        // empty Report whose samples counter tells the
+                        // client how much was consumed for nothing — and
+                        // leave the connection's other sessions untouched.
+                        None => {
+                            self.close_wire_session(wire_id, false);
+                            continue;
+                        }
+                    }
+                }
+                SessionPhase::Calibrating { .. } => continue,
             };
             if s.pending.is_empty() {
                 continue;
             }
-            let writable = conns[s.conn]
+            // Sessions on connections whose outbox is over the cap are
+            // skipped: no consumption, no credit — the slow-reader stall.
+            // They stay ready until the outbox drains.
+            let writable = self.conns[s.conn]
                 .as_ref()
-                .is_some_and(|c| !c.dead && c.queued() <= config.max_outbox_bytes);
+                .is_some_and(|c| !c.dead && c.queued() <= self.config.max_outbox_bytes);
             if !writable {
+                self.ready.push(wire_id);
                 continue;
             }
-            let take = s.pending.len().min(config.max_ingest_per_poll);
-            if batch == staged.len() {
-                staged.push((hub_id, Vec::new()));
+            let take = s.pending.len().min(self.config.max_ingest_per_poll);
+            if batch == self.staged.len() {
+                self.staged.push((hub_id, Vec::new()));
             }
-            let (slot_id, chunk) = &mut staged[batch];
+            let (slot_id, chunk) = &mut self.staged[batch];
             *slot_id = hub_id;
             chunk.clear();
             chunk.extend(s.pending.drain(..take));
@@ -1752,51 +1890,64 @@ impl<'fw> Gateway<'fw> {
             s.staged_anchor = s.staged_anchor.or(s.oldest_pending_at);
             if s.pending.is_empty() {
                 s.oldest_pending_at = None;
+            } else {
+                self.ready.push(wire_id);
             }
             s.consumed_since_grant += take;
             // Staged samples leave the buffered ledger: from here they are
             // the one in-flight chunk, consumed this very sweep.
-            *buffered_samples -= take;
+            self.buffered_samples -= take;
             // Consumption counts as activity: a compliant sender stalled on
             // credit (because this gateway is the slow side) must not be
             // idle-evicted while its buffer is still being drained.
             s.last_activity = now;
         }
+        self.sweep = sweep;
         if batch == 0 {
             return false;
         }
         // Staged sessions are live, unique hub sessions by construction; a
-        // rejection would mean the staging scan and the hub disagree about
+        // rejection would mean the staging pass and the hub disagree about
         // liveness, and dropping the chunk beats poisoning the reactor.
         let ingest_started = Instant::now();
-        let rejected = hub.ingest(&staged[..batch]).is_err();
-        obs.latency
+        let rejected = self.hub.ingest(&self.staged[..batch]).is_err();
+        self.obs
+            .latency
             .ingest_batch_micros
             .record(u64::try_from(ingest_started.elapsed().as_micros()).unwrap_or(u64::MAX));
         if rejected {
-            stats.internal_skips += 1;
+            self.stats.internal_skips += 1;
             debug_assert!(false, "staged ingest rejected by the hub");
         }
         true
     }
 
-    /// Forwards freshly classified beats and grants credit for consumed
-    /// samples. One hub read per session decides: a session with no new
-    /// outcome and no credit owed is skipped — it has nothing to send, and
-    /// its priority window is the one its last visit already scored.
+    /// Forwards freshly classified beats of this sweep's ready sessions and
+    /// grants the credit [`credit_due`] schedules. One hub read per session
+    /// decides: a session with no new outcome and no grant due is skipped —
+    /// it has nothing to send, and its priority window is the one its last
+    /// visit already scored.
     fn forward_outcomes_and_credit(&mut self) -> bool {
         let mut progress = false;
-        let mut ids = std::mem::take(&mut self.ids);
+        let sweep = std::mem::take(&mut self.sweep);
         let mut outcomes = std::mem::take(&mut self.outcomes);
-        self.sessions.ids_into(&mut ids);
-        for &wire_id in &ids {
+        let budget = self.config.credit_budget;
+        let now = Instant::now();
+        for &wire_id in &sweep {
             let Some(s) = self.sessions.get_mut(wire_id) else {
                 continue;
             };
             let Some(hub_id) = s.hub_id() else {
                 continue;
             };
-            let (conn, sent, grant) = (s.conn, s.outcomes_sent, s.consumed_since_grant);
+            let owed = s.consumed_since_grant;
+            let quiet_for = now.saturating_duration_since(s.last_activity);
+            let grant = if credit_due(budget, s.buffered(), owed, quiet_for) {
+                owed
+            } else {
+                0
+            };
+            let (conn, sent, acked_seq) = (s.conn, s.outcomes_sent, s.next_seq);
             // Copy the unsent tail into the reused scratch and refresh the
             // shedding priority from the recent outcome window: an abnormal
             // beat protects the stream under overload, and a clean window
@@ -1846,26 +1997,30 @@ impl<'fw> Gateway<'fw> {
                 let under_cap = self.conns[conn]
                     .as_ref()
                     .is_some_and(|c| !c.dead && c.queued() <= self.config.max_outbox_bytes);
-                if under_cap {
-                    let acked_seq = self.sessions.get(wire_id).map_or(0, |s| s.next_seq);
-                    self.send(
-                        conn,
-                        &Frame::Credit {
-                            session: wire_id,
-                            grant: grant as u32,
-                            acked_seq,
-                        },
-                    );
-                    let Some(s) = self.sessions.get_mut(wire_id) else {
-                        debug_assert!(false, "session {wire_id} vanished while granting");
-                        continue;
-                    };
-                    s.consumed_since_grant = 0;
-                    progress = true;
+                if !under_cap {
+                    // Withheld while the outbox is over the cap; the session
+                    // stays ready until it drains.
+                    self.ready.push(wire_id);
+                    continue;
                 }
+                self.send(
+                    conn,
+                    &Frame::Credit {
+                        session: wire_id,
+                        grant: grant as u32,
+                        acked_seq,
+                    },
+                );
+                self.stats.credit_grants += 1;
+                let Some(s) = self.sessions.get_mut(wire_id) else {
+                    debug_assert!(false, "session {wire_id} vanished while granting");
+                    continue;
+                };
+                s.consumed_since_grant = 0;
+                progress = true;
             }
         }
-        self.ids = ids;
+        self.sweep = sweep;
         self.outcomes = outcomes;
         progress
     }
@@ -2196,5 +2351,74 @@ impl std::fmt::Debug for Gateway<'_> {
             .field("sessions", &self.sessions.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn credit_schedule_coalesces_large_budgets_and_grants_small_ones_at_once() {
+        let busy = Duration::ZERO;
+        // Default budget: quantum 1 024, guard 16 384.
+        let budget = GatewayConfig::default().credit_budget;
+        assert!(!credit_due(budget, 0, 0, CREDIT_QUIET), "nothing owed");
+        assert!(!credit_due(budget, 0, 1023, busy), "below the quantum");
+        assert!(credit_due(budget, 0, 1024, busy), "the quantum");
+        assert!(
+            !credit_due(budget, 65536 - 16384 - 36, 36, busy),
+            "the window is exactly at the guard"
+        );
+        assert!(
+            credit_due(budget, 65536 - 16384 - 35, 36, busy),
+            "the window fell below one maximal frame"
+        );
+        assert!(credit_due(budget, 0, 1, CREDIT_QUIET), "a quiet session");
+        // A budget that admits at most one maximal frame: granted at once.
+        for budget in [1024, 4096, MAX_SAMPLES_PER_FRAME] {
+            assert!(credit_due(budget, 0, 1, busy), "budget {budget}");
+        }
+        // One sample more and the guard still catches a blocked sender.
+        let budget = MAX_SAMPLES_PER_FRAME + 1;
+        assert!(!credit_due(budget, 0, 1, busy));
+        assert!(credit_due(budget, 0, 2, busy));
+    }
+
+    #[test]
+    fn only_per_peer_and_exhaustion_accept_errors_are_transient() {
+        use std::io::Error;
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+            ErrorKind::OutOfMemory,
+        ] {
+            assert!(transient_accept_error(&Error::from(kind)), "{kind:?}");
+        }
+        for code in EXHAUSTION_ERRNOS {
+            assert!(
+                transient_accept_error(&Error::from_raw_os_error(code)),
+                "errno {code}"
+            );
+        }
+        for kind in [
+            ErrorKind::InvalidInput,
+            ErrorKind::PermissionDenied,
+            ErrorKind::NotConnected,
+        ] {
+            assert!(!transient_accept_error(&Error::from(kind)), "{kind:?}");
+        }
+        #[cfg(target_os = "linux")]
+        assert!(
+            transient_accept_error(&Error::from_raw_os_error(103)),
+            "ECONNABORTED: the peer reset before it was accepted"
+        );
+        // EBADF / EINVAL: the listener itself is broken.
+        for code in [9, 22] {
+            assert!(
+                !transient_accept_error(&Error::from_raw_os_error(code)),
+                "errno {code}"
+            );
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The admin surface: a second, nonblocking listener serving
 //! `GET /metrics` (Prometheus text), `/metrics.json`, `/health` and
 //! `/trace` over HTTP/1.0, plus the [`MetricsSnapshot`] those routes
-//! render. The reactor calls [`Gateway::serve_admin`] once per sweep.
+//! render. The reactor calls [`Gateway::serve_admin`] on every
+//! housekeeping tick.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;

@@ -97,11 +97,13 @@ pub struct NetSession {
     pub next_seq: u32,
     /// Hub outcomes already forwarded to the client.
     pub outcomes_sent: usize,
-    /// Samples consumed by the hub since the last credit grant.
+    /// Credit the gateway owes the sender: samples consumed by the hub,
+    /// or shed or dropped at the memory budget, since the last grant.
     pub consumed_since_grant: usize,
     /// Total samples received over the wire.
     pub samples_received: u64,
-    /// Last time a frame touched this session (drives eviction).
+    /// Last time a frame arrived for this session or the hub consumed
+    /// from it (drives eviction and the quiet-credit rule).
     pub last_activity: Instant,
     /// Shedding priority, refreshed from the recent outcome stream by the
     /// reactor's forwarding sweep.
@@ -157,8 +159,9 @@ pub enum ResumeOutcome {
 /// Owns every live [`NetSession`] of a gateway, keyed by wire id.
 #[derive(Debug, Default)]
 pub struct SessionManager {
-    /// Live sessions in wire-id order, so every sweep visits them
-    /// deterministically without sorting.
+    /// Live sessions in wire-id order, so scans over all of them (idle
+    /// eviction, shedding, the quiet-credit scan) run deterministically
+    /// without sorting.
     sessions: BTreeMap<u32, NetSession>,
     /// Detached-but-resumable sessions, keyed by resume token.
     detached: HashMap<u64, DetachedSession>,
@@ -271,13 +274,6 @@ impl SessionManager {
         self.sessions.keys().copied().collect()
     }
 
-    /// [`Self::ids`] into a caller-owned buffer (cleared first), so a sweep
-    /// that lists the sessions every poll reuses one allocation.
-    pub fn ids_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.sessions.keys().copied());
-    }
-
     /// Wire ids whose last activity is older than `idle` seconds before
     /// `now`, in id order — the eviction candidates. Detached sessions are
     /// not idle, they are waiting (their clock is the retention window).
@@ -287,6 +283,22 @@ impl SessionManager {
             .filter(|s| now.duration_since(s.last_activity) > idle)
             .map(|s| s.wire_id)
             .collect()
+    }
+
+    /// Appends to `out` the wire ids of sessions that owe their sender
+    /// credit and have been quiet — no frame received, nothing consumed —
+    /// for at least `quiet` before `now`: the housekeeping tick's
+    /// quiet-credit scan. Appends into a caller-owned buffer so the scan
+    /// allocates nothing once the buffer has grown.
+    pub fn owing_quiet_into(&self, now: Instant, quiet: Duration, out: &mut Vec<u32>) {
+        out.extend(
+            self.sessions
+                .values()
+                .filter(|s| {
+                    s.consumed_since_grant > 0 && now.duration_since(s.last_activity) >= quiet
+                })
+                .map(|s| s.wire_id),
+        );
     }
 
     /// Parks a live session in the detached table (its connection died).
@@ -496,6 +508,24 @@ mod tests {
         let idle = mgr.idle_ids(now, Duration::from_secs(30));
         assert_eq!(idle, vec![old]);
         assert!(mgr.get(fresh).is_some());
+    }
+
+    #[test]
+    fn quiet_scan_lists_only_sessions_owing_credit_past_the_quiet_period() {
+        let mut mgr = SessionManager::new();
+        let past = Instant::now() - Duration::from_secs(1);
+        let owing_quiet = mgr.open(0, 1, 10, past);
+        mgr.open(0, 2, 10, past); // quiet, owes nothing
+        let owing_busy = mgr.open(0, 3, 10, Instant::now());
+        mgr.get_mut(owing_quiet).expect("live").consumed_since_grant = 36;
+        mgr.get_mut(owing_busy).expect("live").consumed_since_grant = 36;
+        let mut out = vec![99];
+        mgr.owing_quiet_into(Instant::now(), Duration::from_millis(50), &mut out);
+        assert_eq!(
+            out,
+            vec![99, owing_quiet],
+            "appends, and only the quiet debtor"
+        );
     }
 
     #[test]

@@ -197,13 +197,15 @@ fn run_chaos(
                     recover(&mut client, px_addr);
                 }
                 sent += chunk.len();
-                // Once past the calibration stretch the gateway acks every
-                // sweep; pace the sender to those acks so downstream bytes
-                // (credit, outcomes) are read as they are produced. A
-                // downstream fault then surfaces while the session is still
-                // open, instead of racing the close handshake into the
-                // documented unrecoverable window. (During calibration no
-                // credit flows, so draining there would deadlock.)
+                // Once past the calibration stretch the gateway acks on its
+                // grant schedule (a sender waiting here goes quiet, so the
+                // ack follows within CREDIT_QUIET); pace the sender to those
+                // acks so downstream bytes (credit, outcomes) are read as
+                // they are produced. A downstream fault then surfaces while
+                // the session is still open, instead of racing the close
+                // handshake into the documented unrecoverable window.
+                // (During calibration no credit flows, so draining there
+                // would deadlock.)
                 if sent > calib {
                     let start = Instant::now();
                     loop {

@@ -19,7 +19,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -30,9 +30,12 @@ use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
 use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
-use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder};
+use heartbeat_rp::hbc_net::proto::{
+    dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, MAX_SAMPLES_PER_FRAME,
+};
 use heartbeat_rp::hbc_net::{
-    Gateway, GatewayConfig, GatewayStats, NetError, NodeClient, OverflowPolicy, PROTOCOL_VERSION,
+    Gateway, GatewayConfig, GatewayStats, NetError, NodeClient, OverflowPolicy, CREDIT_QUIET,
+    HOUSEKEEPING_TICK, PROTOCOL_VERSION,
 };
 use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
@@ -683,4 +686,418 @@ fn protocol_version_mismatches_are_refused_by_name_on_both_sides() {
             other => panic!("expected the mismatch to surface, got {other:?}"),
         }
     }
+}
+
+/// `record` cut to its first `len` samples, annotations included, so the
+/// batch pipeline sees exactly the stream a gateway session receives.
+fn truncated(record: &EcgRecord, len: usize) -> EcgRecord {
+    assert!(record.len() >= len, "record too short to cut to {len}");
+    let mut cut = record.clone();
+    for lead in &mut cut.leads {
+        lead.truncate(len);
+    }
+    cut.annotations.retain(|a| a.sample < len);
+    cut
+}
+
+/// A gateway driven by hand on the test thread, with one raw-socket peer.
+/// Every wait alternates [`Gateway::poll`] with a nonblocking read, so a
+/// test sees which sweep did what, and every wait has a deadline, so a
+/// stalled grant fails the test instead of hanging it.
+struct Polled<'fw> {
+    gateway: Gateway<'fw>,
+    raw: TcpStream,
+    decoder: FrameDecoder,
+    /// `(grant, acked_seq)` of every `Credit` frame received, in order.
+    credits: Vec<(u32, u32)>,
+}
+
+impl<'fw> Polled<'fw> {
+    /// Binds a gateway, connects, greets and opens one session.
+    fn open(fw: &'fw WbsnFirmware, config: GatewayConfig, calib_len: usize) -> (Self, u32) {
+        let gateway = Gateway::bind("127.0.0.1:0", fw, 360.0, config).expect("bind");
+        let raw = TcpStream::connect(gateway.local_addr().expect("addr")).expect("connect");
+        raw.set_nonblocking(true).expect("nonblocking");
+        // Every frame leaves at once, so the gateway sees the stream the
+        // way the test writes it.
+        raw.set_nodelay(true).expect("nodelay");
+        let mut polled = Polled {
+            gateway,
+            raw,
+            decoder: FrameDecoder::new(),
+            credits: Vec::new(),
+        };
+        polled.write(&Frame::Hello {
+            version: PROTOCOL_VERSION,
+        });
+        polled.write(&Frame::OpenSession {
+            patient_id: 1,
+            fs_millihertz: 360_000,
+            calib_len: calib_len as u32,
+        });
+        let Frame::SessionOpened { session, .. } =
+            polled.poll_until(|f| matches!(f, Frame::SessionOpened { .. }))
+        else {
+            unreachable!()
+        };
+        (polled, session)
+    }
+
+    fn write(&mut self, frame: &Frame) {
+        self.raw.write_all(&frame.encode()).expect("write");
+    }
+
+    /// One sweep, then whatever the gateway sent; returns the frames.
+    fn step(&mut self) -> Vec<Frame> {
+        self.gateway.poll().expect("poll");
+        let mut buf = [0u8; 4096];
+        loop {
+            match self.raw.read(&mut buf) {
+                Ok(0) => panic!("gateway hung up"),
+                Ok(n) => self.decoder.feed(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("read failed: {e}"),
+            }
+        }
+        let mut frames = Vec::new();
+        while let Some(frame) = self.decoder.next_frame().expect("valid frame") {
+            if let Frame::Credit {
+                grant, acked_seq, ..
+            } = frame
+            {
+                self.credits.push((grant, acked_seq));
+            }
+            frames.push(frame);
+        }
+        frames
+    }
+
+    /// Steps until a frame matching `want` arrives.
+    fn poll_until(&mut self, want: impl Fn(&Frame) -> bool) -> Frame {
+        let start = std::time::Instant::now();
+        loop {
+            if let Some(frame) = self.step().into_iter().find(&want) {
+                return frame;
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the expected frame never arrived"
+            );
+        }
+    }
+
+    /// Steps until the gateway has accepted `samples_in` samples in total.
+    fn poll_until_received(&mut self, samples_in: usize) {
+        let start = std::time::Instant::now();
+        while self.gateway.stats().samples_in < samples_in as u64 {
+            self.step();
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the gateway never received {samples_in} samples"
+            );
+        }
+    }
+}
+
+/// Wire ADC codes of a synthetic record's lead.
+fn wire_codes(seed: u64, beats: usize) -> Vec<i16> {
+    let mut codes = Vec::new();
+    quantize_mv_into(&wire_record(seed, beats).leads[0], &mut codes);
+    codes
+}
+
+#[test]
+fn steady_streamers_get_coalesced_credit_and_monotone_acks_at_the_default_budget() {
+    let fw = firmware();
+    let codes = wire_codes(9400, 40);
+    let (frames, calib_len) = (300usize, 1800usize);
+    assert!(codes.len() >= frames * 36, "record too short");
+    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    for (seq, chunk) in codes[..frames * 36].chunks(36).enumerate() {
+        p.write(&Frame::Samples {
+            session,
+            seq: seq as u32,
+            samples: chunk.to_vec(),
+        });
+        p.poll_until_received((seq + 1) * 36);
+    }
+    p.write(&Frame::CloseSession { session });
+    p.poll_until(|f| matches!(f, Frame::Report { .. }));
+
+    let grants = p.gateway.stats().credit_grants;
+    let bound = (frames * 36).div_ceil(1024) as u64 + 2;
+    assert!(grants >= 1, "the calibration stretch is granted back");
+    assert!(
+        grants <= bound,
+        "{grants} Credit frames for {} samples (bound {bound})",
+        frames * 36
+    );
+    assert_eq!(
+        p.credits.len() as u64,
+        grants,
+        "every grant reached the wire"
+    );
+    assert!(
+        p.credits.windows(2).all(|w| w[0].1 <= w[1].1),
+        "acked_seq must be monotone: {:?}",
+        p.credits
+    );
+    assert!(p.credits.iter().all(|&(_, acked)| acked as usize <= frames));
+}
+
+#[test]
+fn budgets_up_to_one_frame_grant_every_consumed_chunk_in_its_sweep() {
+    let fw = firmware();
+    let codes = wire_codes(9401, 30);
+    let calib_len = 1024;
+    let config = GatewayConfig {
+        credit_budget: 4096,
+        ..GatewayConfig::default()
+    };
+    let (mut p, session) = Polled::open(&fw, config, calib_len);
+    let chunks = std::iter::once(&codes[..calib_len]).chain(codes[calib_len..].chunks(36).take(20));
+    let mut received = 0;
+    for (seq, chunk) in chunks.enumerate() {
+        p.write(&Frame::Samples {
+            session,
+            seq: seq as u32,
+            samples: chunk.to_vec(),
+        });
+        received += chunk.len();
+        p.poll_until_received(received);
+        // The sweep that read the chunk consumed it and granted it back —
+        // the calibration stretch included, promoted in that same sweep.
+        assert_eq!(
+            p.gateway.stats().credit_grants,
+            seq as u64 + 1,
+            "chunk {seq} was not granted in the sweep that consumed it"
+        );
+    }
+    p.step();
+    let expected: Vec<(u32, u32)> = std::iter::once(calib_len as u32)
+        .chain(std::iter::repeat_n(36, 20))
+        .zip(1..)
+        .collect();
+    assert_eq!(p.credits, expected, "one grant per chunk, acked at once");
+}
+
+#[test]
+fn a_quiet_sender_gets_its_whole_budget_back_within_the_quiet_period() {
+    let fw = firmware();
+    let codes = wire_codes(9402, 30);
+    let calib_len = 1800;
+    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    p.write(&Frame::Samples {
+        session,
+        seq: 0,
+        samples: codes[..calib_len].to_vec(),
+    });
+    p.poll_until_received(calib_len);
+    assert_eq!(
+        p.gateway.stats().credit_grants,
+        1,
+        "a calibration stretch of a whole quantum is granted in the sweep that promotes it"
+    );
+
+    // Three packets, well below the quantum: owed, not yet granted.
+    let mut sent = calib_len;
+    let mut consumed_before = std::time::Instant::now();
+    for (i, chunk) in codes[calib_len..calib_len + 3 * 36].chunks(36).enumerate() {
+        p.write(&Frame::Samples {
+            session,
+            seq: 1 + i as u32,
+            samples: chunk.to_vec(),
+        });
+        sent += chunk.len();
+        consumed_before = std::time::Instant::now();
+        p.poll_until_received(sent);
+    }
+    let consumed_after = std::time::Instant::now();
+    assert_eq!(p.gateway.stats().credit_grants, 1, "108 samples coalesce");
+
+    // Go quiet. The grant must follow within the quiet period plus two
+    // ticks of the last consumption — plus the longest gap between two
+    // sweeps of this loop, which only the test's own scheduling decides.
+    let (mut last_start, mut max_gap) = (std::time::Instant::now(), Duration::ZERO);
+    let granted_start = loop {
+        let start = std::time::Instant::now();
+        max_gap = max_gap.max(start - last_start);
+        last_start = start;
+        p.step();
+        if p.gateway.stats().credit_grants == 2 {
+            break start;
+        }
+        assert!(
+            start - consumed_after < Duration::from_secs(10),
+            "a quiet sender never got its credit back"
+        );
+    };
+    let granted_end = std::time::Instant::now();
+    assert!(
+        granted_end - consumed_before >= CREDIT_QUIET,
+        "granted before the session was quiet for {CREDIT_QUIET:?}"
+    );
+    let late = granted_start.saturating_duration_since(consumed_after);
+    assert!(
+        late <= CREDIT_QUIET + 2 * HOUSEKEEPING_TICK + max_gap,
+        "granted {late:?} after the last consumption (longest sweep gap {max_gap:?})"
+    );
+    assert_eq!(p.credits.last(), Some(&(108, 4)));
+    let granted: u32 = p.credits.iter().map(|&(grant, _)| grant).sum();
+    assert_eq!(
+        granted as usize, sent,
+        "the sender's credit is its whole budget again"
+    );
+}
+
+#[test]
+fn the_first_credit_of_a_short_calibration_needs_no_further_samples() {
+    let fw = firmware();
+    let codes = wire_codes(9403, 30);
+    let calib_len = 720;
+    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    p.write(&Frame::Samples {
+        session,
+        seq: 0,
+        samples: codes[..calib_len].to_vec(),
+    });
+    let credit = p.poll_until(|f| matches!(f, Frame::Credit { .. }));
+    assert_eq!(
+        credit,
+        Frame::Credit {
+            session,
+            grant: calib_len as u32,
+            acked_seq: 1,
+        }
+    );
+    assert_eq!(p.gateway.stats().samples_in as usize, calib_len);
+}
+
+#[test]
+fn maximal_frames_stream_bit_identically_at_and_just_past_a_one_frame_budget() {
+    let fw = firmware();
+    let record = wire_record(9500, 200);
+    let fs = record.fs;
+    let calib_len = 2048;
+    let prefix_reference = hub_reference(&fw, &record, calib_len);
+    for budget in [
+        GatewayConfig::default().credit_budget,
+        MAX_SAMPLES_PER_FRAME + 1,
+    ] {
+        // Whole-record calibration (the `process_record` contract) on as
+        // much of the record as the budget can buffer, in maximal frames.
+        let whole = truncated(&record, budget.min(3 * MAX_SAMPLES_PER_FRAME + 1000));
+        let whole_reference = fw.process_record(&whole).expect("batch").beats;
+        let config = GatewayConfig {
+            credit_budget: budget,
+            ..GatewayConfig::default()
+        };
+        let ((whole_summary, prefix_summary), stats) = with_gateway(&fw, fs, config, |addr| {
+            let mut client = NodeClient::connect(addr).expect("connect");
+            client
+                .set_io_timeout(Some(Duration::from_secs(10)))
+                .expect("io timeout");
+            let id = client
+                .open_session(whole.id, fs, whole.len() as u32)
+                .expect("open whole");
+            client.send_mv(id, &whole.leads[0]).expect("send whole");
+            let whole_summary = client.close_session(id).expect("close whole");
+            // Prefix calibration over the full record: the sender runs out
+            // of credit after every maximal frame at the smaller budget.
+            let id = client
+                .open_session(record.id, fs, calib_len as u32)
+                .expect("open prefix");
+            client.send_mv(id, &record.leads[0]).expect("send prefix");
+            (
+                whole_summary,
+                client.close_session(id).expect("close prefix"),
+            )
+        });
+        let label = format!("budget {budget}");
+        assert_outcomes_match(&whole_summary.outcomes, &whole_reference, &label);
+        assert_outcomes_match(&prefix_summary.outcomes, &prefix_reference, &label);
+        assert_eq!(stats.denials, 0, "{label}");
+        assert_eq!(
+            stats.samples_in as usize,
+            whole.len() + record.len(),
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn a_connect_while_the_reactor_is_busy_is_served_within_a_few_ticks() {
+    let fw = firmware();
+    let record = wire_record(9600, 60);
+    let fs = record.fs;
+    let stop = AtomicBool::new(false);
+    let packets = AtomicU64::new(0);
+    let (latencies, stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        std::thread::scope(|scope| {
+            // Stops the streamer even when an assertion below fails, so the
+            // scope can join it.
+            let _stop = StopOnDrop(&stop);
+            // Keep the reactor busy: one session streaming packets back to
+            // back, its record replayed in a loop.
+            let streamer = scope.spawn(|| {
+                let mut client = NodeClient::connect(addr).expect("connect streamer");
+                client
+                    .set_io_timeout(Some(Duration::from_secs(10)))
+                    .expect("io timeout");
+                let id = client.open_session(1, fs, 1800).expect("open");
+                while !stop.load(Ordering::Acquire) {
+                    for chunk in record.leads[0].chunks(36) {
+                        client.send_mv(id, chunk).expect("stream");
+                        packets.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+            support::wait_until(Duration::from_secs(10), || {
+                packets.load(Ordering::Relaxed) > 100
+            });
+            let mut latencies = Vec::new();
+            for _ in 0..5 {
+                // Connect on a helper thread, so a gateway that never
+                // accepts fails the test at the deadline instead of hanging
+                // it in the handshake.
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let started = std::time::Instant::now();
+                    let connected = NodeClient::connect(addr).map(|_| started.elapsed());
+                    let _ = tx.send(connected);
+                });
+                let latency = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("connect never completed")
+                    .expect("connect failed");
+                latencies.push(latency);
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let streamed = packets.load(Ordering::Relaxed);
+            stop.store(true, Ordering::Release);
+            streamer.join().expect("streamer");
+            assert!(
+                packets.load(Ordering::Relaxed) > streamed,
+                "the reactor stayed busy streaming"
+            );
+            latencies
+        })
+    });
+    // A connect lands mid-sweep at worst; the first sweep starting a tick
+    // later accepts it and answers its Hello. A reactor that accepted only
+    // on idle sweeps would never get there while the streamer keeps it busy.
+    let fastest = latencies.iter().min().expect("five connects");
+    let worst_sweep = Duration::from_micros(stats.poll_high_water_micros);
+    assert!(
+        *fastest <= 5 * HOUSEKEEPING_TICK + 2 * worst_sweep,
+        "connects took {latencies:?} while the reactor was busy (worst sweep {worst_sweep:?})"
+    );
+    assert_eq!(stats.connections, 6);
+    assert_eq!(stats.accept_errors, 0);
 }

@@ -168,7 +168,7 @@ fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
     let counter = |name: &str| report.metrics.counter(name).expect(name);
     let mut from_stats = MetricsSnapshot::new();
     s.export(&mut from_stats);
-    assert_eq!(from_stats.metrics().len(), 29, "25 counters + 4 gauges");
+    assert_eq!(from_stats.metrics().len(), 31, "27 counters + 4 gauges");
     for m in from_stats.metrics() {
         assert_eq!(
             report.metrics.get(&m.name),
@@ -411,7 +411,7 @@ fn admin_surface_serves_metrics_health_and_trace() {
 
 /// The served exposition contract: every `(name, kind, HELP)` triple the
 /// gateway publishes. The last five entries exist only with a durable log.
-const EXPOSITION: [(&str, &str, &str); 54] = [
+const EXPOSITION: [(&str, &str, &str); 56] = [
     (
         "hbc_gateway_connections_total",
         "counter",
@@ -536,6 +536,16 @@ const EXPOSITION: [(&str, &str, &str); 54] = [
         "hbc_gateway_internal_skips_total",
         "counter",
         "Internal invariant violations skipped at runtime.",
+    ),
+    (
+        "hbc_gateway_credit_grants_total",
+        "counter",
+        "Credit frames sent.",
+    ),
+    (
+        "hbc_gateway_accept_errors_total",
+        "counter",
+        "Failed accepts that did not stop the gateway.",
     ),
     (
         "hbc_gateway_trace_events_total",
@@ -722,12 +732,12 @@ fn exposition_names_kinds_and_help_are_pinned() {
             .collect();
         expected.sort();
         assert_eq!(served, expected, "with_wal = {with_wal}");
-        assert_eq!(served.len(), if with_wal { 54 } else { 49 });
+        assert_eq!(served.len(), if with_wal { 56 } else { 51 });
         if with_wal {
             let kinds = |k: &str| served.iter().filter(|(_, kind, _)| *kind == k).count();
             assert_eq!(
                 (kinds("counter"), kinds("gauge"), kinds("histogram")),
-                (30, 13, 11)
+                (32, 13, 11)
             );
         }
 
