@@ -44,7 +44,9 @@
 //!   this rule whenever anything is owed, so they are granted every sweep;
 //! * the session has been quiet — nothing received, nothing consumed —
 //!   for [`CREDIT_QUIET`], so a stopped or lock-step sender gets its whole
-//!   budget back.
+//!   budget back. Coalescing therefore needs a session's packets to
+//!   arrive less than `CREDIT_QUIET` apart; sparser packets are granted
+//!   one by one.
 //!
 //! A compliant sender therefore stalls when the gateway falls behind
 //! instead of ballooning its buffers; a sender that overruns its credit
@@ -178,7 +180,13 @@ pub const HOUSEKEEPING_TICK: Duration = Duration::from_millis(1);
 /// stopped or lock-step sender thereby gets its whole budget back. The
 /// quiet-credit scan runs on the [`HOUSEKEEPING_TICK`], so the grant
 /// follows within a tick of the deadline.
-pub const CREDIT_QUIET: Duration = Duration::from_millis(50);
+///
+/// Coalescing needs a session's packets to arrive less than this apart: a
+/// sender with longer gaps is granted once per packet, each grant delayed
+/// by the deadline. The value is two and a half packet periods of the
+/// paper's node, which sends one 36-sample packet every 100 ms at 360 Hz,
+/// so a node streaming in real time never looks quiet between packets.
+pub const CREDIT_QUIET: Duration = Duration::from_millis(250);
 
 /// The credit quantum is this share of the budget: owed credit is granted
 /// once it reaches `max(1, credit_budget / CREDIT_QUANTUM_SHARE)` samples
@@ -204,12 +212,12 @@ fn credit_due(budget: usize, buffered: usize, owed: usize, quiet_for: Duration) 
             || quiet_for >= CREDIT_QUIET)
 }
 
-/// `errno` values of descriptor and buffer exhaustion: `EMFILE`, `ENFILE`,
-/// `ENOBUFS` and `ENOMEM` (Linux numbering; BSD numbering elsewhere).
-#[cfg(target_os = "linux")]
-const EXHAUSTION_ERRNOS: [i32; 4] = [24, 23, 105, 12];
-#[cfg(not(target_os = "linux"))]
-const EXHAUSTION_ERRNOS: [i32; 4] = [24, 23, 55, 12];
+/// Linux `errno` values of descriptor and buffer exhaustion: `EMFILE`,
+/// `ENFILE` and `ENOBUFS`. `ENOMEM` needs no entry: the standard library
+/// maps it to [`ErrorKind::OutOfMemory`]. Other platforms number these
+/// differently, so the table is consulted on Linux only; elsewhere just the
+/// `ErrorKind` classes are transient.
+const EXHAUSTION_ERRNOS: [i32; 3] = [24, 23, 105];
 
 /// Whether a failed `accept` concerns only the connection it was about to
 /// yield or a passing resource shortage, rather than the listener: a peer
@@ -221,9 +229,9 @@ fn transient_accept_error(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset | ErrorKind::OutOfMemory
-    ) || e
-        .raw_os_error()
-        .is_some_and(|code| EXHAUSTION_ERRNOS.contains(&code))
+    ) || (cfg!(target_os = "linux")
+        && e.raw_os_error()
+            .is_some_and(|code| EXHAUSTION_ERRNOS.contains(&code)))
 }
 
 /// What the gateway does to a sender that overruns its credit budget.
@@ -2395,6 +2403,7 @@ mod tests {
         ] {
             assert!(transient_accept_error(&Error::from(kind)), "{kind:?}");
         }
+        #[cfg(target_os = "linux")]
         for code in EXHAUSTION_ERRNOS {
             assert!(
                 transient_accept_error(&Error::from_raw_os_error(code)),
@@ -2408,11 +2417,16 @@ mod tests {
         ] {
             assert!(!transient_accept_error(&Error::from(kind)), "{kind:?}");
         }
+        // ECONNABORTED (the peer reset before it was accepted),
+        // ECONNRESET and ENOMEM reach their `ErrorKind` through the
+        // standard library's errno mapping.
         #[cfg(target_os = "linux")]
-        assert!(
-            transient_accept_error(&Error::from_raw_os_error(103)),
-            "ECONNABORTED: the peer reset before it was accepted"
-        );
+        for code in [103, 104, 12] {
+            assert!(
+                transient_accept_error(&Error::from_raw_os_error(code)),
+                "errno {code}"
+            );
+        }
         // EBADF / EINVAL: the listener itself is broken.
         for code in [9, 22] {
             assert!(

@@ -951,6 +951,69 @@ fn a_quiet_sender_gets_its_whole_budget_back_within_the_quiet_period() {
 }
 
 #[test]
+fn a_sender_at_the_nodes_real_time_rate_is_not_granted_per_packet() {
+    let fw = firmware();
+    let codes = wire_codes(9405, 30);
+    let (calib_len, packets) = (1800usize, 10usize);
+    // One 36-sample packet per 100 ms: the paper's node at 360 Hz.
+    let period = Duration::from_millis(100);
+    assert!(
+        CREDIT_QUIET > 2 * period,
+        "a node streaming in real time must not look quiet between packets"
+    );
+    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    p.write(&Frame::Samples {
+        session,
+        seq: 0,
+        samples: codes[..calib_len].to_vec(),
+    });
+    p.poll_until_received(calib_len);
+    assert_eq!(p.gateway.stats().credit_grants, 1, "the calibration grant");
+
+    // The gateway sees the session's activity for a packet somewhere
+    // between its write and its receipt, so `received[k + 1] − written[k]`
+    // bounds each quiet gap from above. Only a gap of `CREDIT_QUIET` or
+    // more can let the quiet rule grant mid-stream.
+    let mut sent = calib_len;
+    let (mut long_gaps, mut last_written) = (0, None);
+    for (i, chunk) in codes[calib_len..calib_len + packets * 36]
+        .chunks(36)
+        .enumerate()
+    {
+        if let Some(written) = last_written {
+            while std::time::Instant::now() - written < period {
+                p.step();
+            }
+        }
+        let written = std::time::Instant::now();
+        p.write(&Frame::Samples {
+            session,
+            seq: 1 + i as u32,
+            samples: chunk.to_vec(),
+        });
+        sent += chunk.len();
+        p.poll_until_received(sent);
+        if let Some(before) = last_written {
+            if std::time::Instant::now() - before >= CREDIT_QUIET {
+                long_gaps += 1;
+            }
+        }
+        last_written = Some(written);
+    }
+    let mid_stream = p.gateway.stats().credit_grants - 1;
+    assert!(
+        mid_stream <= long_gaps,
+        "{mid_stream} grants for {packets} packets 100 ms apart \
+         ({long_gaps} gaps reached {CREDIT_QUIET:?})"
+    );
+
+    // Once the sender stops, the quiet rule returns everything owed.
+    p.poll_until(|f| matches!(f, Frame::Credit { .. }));
+    let granted: u32 = p.credits.iter().map(|&(grant, _)| grant).sum();
+    assert_eq!(granted as usize, sent, "the whole budget is back");
+}
+
+#[test]
 fn the_first_credit_of_a_short_calibration_needs_no_further_samples() {
     let fw = firmware();
     let codes = wire_codes(9403, 30);
