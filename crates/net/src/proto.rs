@@ -531,6 +531,32 @@ fn decode_samples(bytes: &[u8]) -> Result<Vec<i16>, ProtoError> {
     Ok(samples)
 }
 
+/// Appends a [`Frame::Outcomes`] carrying `outcomes` to `out`: the bytes
+/// that frame encodes to, straight from a borrowed slice.
+pub(crate) fn encode_outcomes_into(session: u32, outcomes: &[WireOutcome], out: &mut Vec<u8>) {
+    let start = hbc_wal::begin_frame(out);
+    put_outcomes(out, session, outcomes);
+    hbc_wal::seal_frame(out, start);
+}
+
+/// The tag and body of a [`Frame::Outcomes`].
+fn put_outcomes(out: &mut Vec<u8>, session: u32, outcomes: &[WireOutcome]) {
+    out.push(TAG_OUTCOMES);
+    put_varint(out, u64::from(session));
+    let mut prev = 0u64;
+    for o in outcomes {
+        put_varint(out, o.peak.wrapping_sub(prev));
+        prev = o.peak;
+        debug_assert!(
+            o.class <= OUTCOME_CLASS_MASK,
+            "class code outside the protocol"
+        );
+        let delineated = if o.delineated { OUTCOME_DELINEATED } else { 0 };
+        out.push((o.class & OUTCOME_CLASS_MASK) | delineated);
+        put_varint(out, u64::from(o.fiducials));
+    }
+}
+
 impl Frame {
     /// Appends the frame's serialisation (length prefix, tag, body, CRC
     /// trailer) to `out`.
@@ -607,22 +633,7 @@ impl Frame {
                 put_varint(out, u64::from(*grant));
                 put_varint(out, u64::from(*acked_seq));
             }
-            Frame::Outcomes { session, outcomes } => {
-                out.push(TAG_OUTCOMES);
-                put_varint(out, u64::from(*session));
-                let mut prev = 0u64;
-                for o in outcomes {
-                    put_varint(out, o.peak.wrapping_sub(prev));
-                    prev = o.peak;
-                    debug_assert!(
-                        o.class <= OUTCOME_CLASS_MASK,
-                        "class code outside the protocol"
-                    );
-                    let delineated = if o.delineated { OUTCOME_DELINEATED } else { 0 };
-                    out.push((o.class & OUTCOME_CLASS_MASK) | delineated);
-                    put_varint(out, u64::from(o.fiducials));
-                }
-            }
+            Frame::Outcomes { session, outcomes } => put_outcomes(out, *session, outcomes),
             Frame::Report { session, report } => {
                 out.push(TAG_REPORT);
                 put_varint(out, u64::from(*session));

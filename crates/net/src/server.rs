@@ -68,7 +68,7 @@
 //! stretch is re-derived from the logged samples (same thresholds), the
 //! whole logged stream is replayed through the hub in one parallel
 //! [`StreamHub::ingest`] call (bit-identical outcomes, by chunk invariance),
-//! and the session is parked in the detached table — the owning node
+//! and the session is parked in the session table — the owning node
 //! re-attaches with the ordinary [`Frame::ResumeSession`] flow, without
 //! re-calibration and without resending what the gateway already has.
 //!
@@ -77,12 +77,13 @@
 //! Credit bounds *one* session; this layer bounds the *gateway*:
 //!
 //! * **Admission control** — [`GatewayConfig::max_connections`],
-//!   [`GatewayConfig::max_sessions`] (live + parked: a detached session
+//!   [`GatewayConfig::max_sessions`] (live + parked: a parked session
 //!   still holds resources) and [`GatewayConfig::global_memory_budget`]
 //!   (sample buffers of live and parked sessions, connection outboxes and
-//!   the cached-report table, accounted in one ledger). Past a limit,
-//!   [`Frame::OpenSession`] and fresh connections get [`Frame::Busy`] with
-//!   a `retry_after_ms` hint instead of a silent accept.
+//!   the cached reports of ended sessions, accounted in one ledger). Past
+//!   a limit, [`Frame::OpenSession`] and fresh connections get
+//!   [`Frame::Busy`] with a `retry_after_ms` hint instead of a silent
+//!   accept.
 //!   [`Frame::ResumeSession`] is admission-exempt: a parked session
 //!   re-attaching is count-neutral, so recovery traffic is never locked out
 //!   by the very overload that caused it.
@@ -125,7 +126,6 @@
 //! outcomes: every classification path stays bit-identical with telemetry
 //! enabled.
 
-use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -144,14 +144,30 @@ mod admin;
 use admin::AdminConn;
 
 use crate::proto::{
-    Frame, FrameDecoder, WireOutcome, WireReport, MAX_SAMPLES_PER_FRAME, PROTOCOL_VERSION,
+    encode_outcomes_into, Frame, FrameDecoder, WireOutcome, WireReport, MAX_SAMPLES_PER_FRAME,
+    PROTOCOL_VERSION,
 };
 use crate::replay::{self, Calibration};
-use crate::session::{NetSession, ResumeOutcome, SessionManager, SessionPhase, SessionPriority};
+use crate::session::{
+    NetSession, ResumeOutcome, SessionManager, SessionPhase, SessionPriority, SessionState,
+};
 
 /// Bytes one buffered sample occupies gateway-side (sessions buffer
 /// dequantized `f64`s).
 const SAMPLE_BYTES: usize = std::mem::size_of::<f64>();
+
+/// Most beats one [`Frame::Outcomes`] carries; a longer tail (a resume
+/// rewind, a re-fetched history) goes out in several frames.
+const OUTCOMES_PER_FRAME: usize = 512;
+
+/// Capacity of the trace ring: older events are overwritten once it is
+/// full ([`TraceRing::dropped`] counts the overwrites).
+const TRACE_CAPACITY: usize = 4096;
+
+/// Length of one poll-latency accounting window: the windowed high-water
+/// mark ([`GatewayStats::poll_recent_high_water_micros`]) covers roughly
+/// the last two.
+const POLL_WINDOW: Duration = Duration::from_secs(10);
 
 /// How many recent outcomes the priority refresh scans: one abnormal beat
 /// in the window flags the session [`SessionPriority::Critical`]; a clean
@@ -269,11 +285,10 @@ pub struct GatewayConfig {
     pub max_ingest_per_poll: usize,
     /// How long a session whose connection died stays resumable (calibrated
     /// thresholds + stream position parked for [`Frame::ResumeSession`]).
-    /// `Duration::ZERO` disables retention: a dead connection discards its
-    /// sessions immediately, as before protocol version 2. The window also
-    /// bounds the final-report cache: a client whose link died *after* its
-    /// `CloseSession` was processed can re-fetch the cached report within
-    /// the same window.
+    /// The window also bounds the final-report cache: a client whose link
+    /// died *after* its `CloseSession` was processed can re-fetch the
+    /// cached report within the same window. With `Duration::ZERO`, parked
+    /// sessions and cached reports expire at the next housekeeping tick.
     pub resume_window: Duration,
     /// Durable ingest log. `None` (the default) keeps the pre-log
     /// behaviour: a process crash loses every in-flight stream. With a
@@ -284,7 +299,7 @@ pub struct GatewayConfig {
     /// with [`Frame::Busy`] and closed once it flushes; their slot frees
     /// immediately after.
     pub max_connections: usize,
-    /// Most concurrent sessions, live **plus parked**: a detached session
+    /// Most concurrent sessions, live **plus parked**: a parked session
     /// still holds buffers and a resume claim on the hub.
     /// [`Frame::OpenSession`] past the cap gets [`Frame::Busy`];
     /// [`Frame::ResumeSession`] is exempt (parked → live is count-neutral),
@@ -292,10 +307,11 @@ pub struct GatewayConfig {
     pub max_sessions: usize,
     /// Global memory budget in bytes, accounted in one ledger: buffered
     /// samples of live and parked sessions, connection outboxes and the
-    /// cached-report table. Opens whose calibration stretch no longer fits
-    /// get [`Frame::Busy`]; accepted traffic that would breach the budget
-    /// triggers priority-aware shedding first and drops the remainder of
-    /// the incoming frame last (see [`GatewayStats::samples_shed`]).
+    /// cached reports of ended sessions. Opens whose calibration stretch no
+    /// longer fits get [`Frame::Busy`]; accepted traffic that would breach
+    /// the budget triggers priority-aware shedding first and drops the
+    /// remainder of the incoming frame last (see
+    /// [`GatewayStats::samples_shed`]).
     pub global_memory_budget: usize,
     /// The retry hint embedded in [`Frame::Busy`] responses; clients pause
     /// this long before retrying admission.
@@ -324,16 +340,6 @@ pub struct GatewayConfig {
     /// HTTP/1.0 — a scrape surface that never mixes with the node protocol.
     /// Bind to port 0 and read [`Gateway::admin_addr`] for tests.
     pub admin_addr: Option<SocketAddr>,
-    /// Capacity of the trace ring (older events are overwritten once the
-    /// ring is full; [`TraceRing::dropped`] counts the overwrites).
-    pub trace_capacity: usize,
-    /// Length of one poll-latency accounting window for the *windowed*
-    /// high-water mark ([`GatewayStats::poll_recent_high_water_micros`]):
-    /// unlike the all-time [`GatewayStats::poll_high_water_micros`], the
-    /// windowed figure decays, covering roughly the last two windows.
-    /// `Duration::ZERO` disables rotation (the windowed figure then equals
-    /// the all-time mark).
-    pub poll_window: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -355,8 +361,6 @@ impl Default for GatewayConfig {
             min_progress_bytes: 1,
             watchdog_budget: Duration::from_secs(1),
             admin_addr: None,
-            trace_capacity: 4096,
-            poll_window: Duration::from_secs(10),
         }
     }
 }
@@ -462,9 +466,8 @@ hbc_obs::metric_struct! {
         gauge pub poll_high_water_micros: u64,
         /// Worst sweep latency over roughly the last two poll windows.
         ///
-        /// In microseconds, over [`GatewayConfig::poll_window`]s: the
-        /// *windowed* counterpart of
-        /// [`GatewayStats::poll_high_water_micros`]. It decays once a slow
+        /// In microseconds, over 10 s poll windows: the *windowed*
+        /// counterpart of [`GatewayStats::poll_high_water_micros`]. It decays once a slow
         /// sweep ages out, so a supervisor can tell a long-healed startup
         /// hiccup from an ongoing stall.
         gauge pub poll_recent_high_water_micros: u64,
@@ -563,14 +566,14 @@ pub struct GatewayHealth {
     /// Bytes of buffered samples across live and parked sessions.
     pub buffered_bytes: usize,
     /// Total currently charged against the global memory budget: buffered
-    /// samples, connection outboxes and the cached-report table.
+    /// samples, connection outboxes and cached reports.
     pub memory_used: usize,
     /// The configured [`GatewayConfig::global_memory_budget`].
     pub memory_budget: usize,
     /// Worst sweep latency the run loop has observed.
     pub poll_high_water: Duration,
-    /// Worst sweep latency over roughly the last two
-    /// [`GatewayConfig::poll_window`]s (the decaying high-water mark).
+    /// Worst sweep latency over roughly the last two 10 s poll windows
+    /// (the decaying high-water mark).
     pub poll_recent_high_water: Duration,
     /// Sweeps that overran [`GatewayConfig::watchdog_budget`].
     pub watchdog_stalls: u64,
@@ -634,22 +637,6 @@ impl Connection {
     }
 }
 
-/// A session that ended normally, kept for the retention window so a client
-/// whose connection died around its `CloseSession` can re-fetch the final
-/// report (and any outcomes it missed) instead of observing a denial.
-#[derive(Debug)]
-struct CompletedSession {
-    wire_id: u32,
-    patient_id: u32,
-    /// The complete outcome history, for resending the tail a client lost.
-    outcomes: Vec<WireOutcome>,
-    report: WireReport,
-    /// The session's final receive position (`next_seq` at close).
-    final_seq: u32,
-    /// When the session ended; drives cache expiry (same window as resume).
-    since: Instant,
-}
-
 hbc_obs::metric_struct! {
     prefix = "hbc_gateway_";
     /// The reactor's latency histograms, served on `/metrics`.
@@ -690,10 +677,10 @@ struct GatewayObs {
 }
 
 impl GatewayObs {
-    fn new(trace_capacity: usize) -> Self {
+    fn new() -> Self {
         GatewayObs {
             latency: GatewayLatency::default(),
-            trace: TraceRing::new(trace_capacity),
+            trace: TraceRing::new(TRACE_CAPACITY),
             window_started: Instant::now(),
             window_max_micros: 0,
             prev_window_max_micros: 0,
@@ -745,11 +732,6 @@ pub struct Gateway<'fw> {
     /// Durable ingest log, when configured. `None` after an append failure
     /// (see [`GatewayStats::wal_errors`]).
     wal: Option<Wal>,
-    /// Final reports of recently ended sessions, keyed by resume token and
-    /// expired on the resume window.
-    completed: HashMap<u64, CompletedSession>,
-    /// Wire-id → token index into [`Self::completed`], for retried closes.
-    completed_by_wire: HashMap<u32, u64>,
     /// Incremental ledger of samples buffered across live **and** parked
     /// sessions — the sample-buffer share of the global memory budget,
     /// maintained at every mutation site and audited against
@@ -818,12 +800,11 @@ impl<'fw> Gateway<'fw> {
         // Recovered sessions arrive with their replay buffers; seed the
         // global ledger from the recount so the budget sees them.
         let buffered_samples = sessions.total_buffered_samples();
-        let mut obs = GatewayObs::new(config.trace_capacity);
-        for token in sessions.detached_tokens() {
-            if let Some(s) = sessions.detached_get(token) {
-                obs.trace
-                    .push(TraceEvent::SessionRecover { session: s.wire_id });
-            }
+        let mut obs = GatewayObs::new();
+        // Every session in the table at bind time is a recovered, parked one.
+        for (_, s) in sessions.entries() {
+            obs.trace
+                .push(TraceEvent::SessionRecover { session: s.wire_id });
         }
         let admin = match config.admin_addr {
             Some(addr) => {
@@ -847,8 +828,6 @@ impl<'fw> Gateway<'fw> {
             staged: Vec::new(),
             outcomes: Vec::new(),
             wal,
-            completed: HashMap::new(),
-            completed_by_wire: HashMap::new(),
             buffered_samples,
             heartbeat: Heartbeat::new(),
             next_tick: Instant::now(),
@@ -899,21 +878,17 @@ impl<'fw> Gateway<'fw> {
     /// Sessions parked for resume (their connection died within the
     /// retention window).
     pub fn parked_sessions(&self) -> usize {
-        self.sessions.detached_len()
+        self.sessions.parked_len()
     }
 
     /// Bytes currently charged against
     /// [`GatewayConfig::global_memory_budget`]: buffered samples of live
-    /// and parked sessions, connection outboxes and the cached-report
-    /// table — the gateway's one memory ledger.
+    /// and parked sessions, connection outboxes and the cached reports of
+    /// ended sessions — the gateway's one memory ledger.
     fn memory_used(&self) -> usize {
         let outboxes: usize = self.conns.iter().flatten().map(Connection::queued).sum();
-        let completed: usize = self
-            .completed
-            .values()
-            .map(|done| done.outcomes.len() * std::mem::size_of::<WireOutcome>())
-            .sum();
-        self.buffered_samples * SAMPLE_BYTES + outboxes + completed
+        let cached = self.sessions.cached_outcomes() * std::mem::size_of::<WireOutcome>();
+        self.buffered_samples * SAMPLE_BYTES + outboxes + cached
     }
 
     /// A point-in-time health snapshot: session and connection counts,
@@ -922,7 +897,7 @@ impl<'fw> Gateway<'fw> {
     pub fn health(&self) -> GatewayHealth {
         GatewayHealth {
             live_sessions: self.sessions.len(),
-            parked_sessions: self.sessions.detached_len(),
+            parked_sessions: self.sessions.parked_len(),
             connections: self.conns.iter().flatten().count(),
             buffered_bytes: self.buffered_samples * SAMPLE_BYTES,
             memory_used: self.memory_used(),
@@ -940,7 +915,7 @@ impl<'fw> Gateway<'fw> {
     }
 
     /// The windowed poll-latency high-water mark: the worst sweep over the
-    /// current and the previous [`GatewayConfig::poll_window`].
+    /// current and the previous [`POLL_WINDOW`].
     fn recent_high_water_micros(&self) -> u64 {
         self.obs
             .window_max_micros
@@ -951,8 +926,7 @@ impl<'fw> Gateway<'fw> {
     /// the windowed high-water rotation.
     fn note_sweep(&mut self, micros: u64) {
         self.obs.latency.sweep_micros.record(micros);
-        let window = self.config.poll_window;
-        if !window.is_zero() && self.obs.window_started.elapsed() > window {
+        if self.obs.window_started.elapsed() > POLL_WINDOW {
             self.obs.prev_window_max_micros = self.obs.window_max_micros;
             self.obs.window_max_micros = 0;
             self.obs.window_started = Instant::now();
@@ -1040,7 +1014,7 @@ impl<'fw> Gateway<'fw> {
     /// share the deployed window geometry.
     pub fn swap_pipeline(&mut self, firmware: &'fw WbsnFirmware) -> hbc_core::Result<()> {
         self.hub.swap_pipeline(firmware)?;
-        let sessions = self.sessions.len() + self.sessions.detached_len();
+        let sessions = self.sessions.len() + self.sessions.parked_len();
         self.obs.trace.push(TraceEvent::HotSwap {
             sessions: u32::try_from(sessions).unwrap_or(u32::MAX),
         });
@@ -1080,7 +1054,7 @@ impl<'fw> Gateway<'fw> {
         }
         self.reap();
         if tick {
-            self.expire_detached();
+            self.expire_sessions();
         }
         for idx in 0..self.conns.len() {
             progress |= self.flush(idx);
@@ -1247,19 +1221,6 @@ impl<'fw> Gateway<'fw> {
         }
     }
 
-    /// Queues a [`Frame::Outcomes`] carrying `outcomes`. The buffer is lent
-    /// to the frame and taken back, so a reused scratch keeps its capacity.
-    fn send_outcomes(&mut self, idx: usize, session: u32, outcomes: &mut Vec<WireOutcome>) {
-        let frame = Frame::Outcomes {
-            session,
-            outcomes: std::mem::take(outcomes),
-        };
-        self.send(idx, &frame);
-        if let Frame::Outcomes { outcomes: lent, .. } = frame {
-            *outcomes = lent;
-        }
-    }
-
     /// Sends [`Frame::Deny`] and marks the connection for a flush-then-close.
     fn deny(&mut self, idx: usize, message: &str) {
         self.stats.denials += 1;
@@ -1347,12 +1308,7 @@ impl<'fw> Gateway<'fw> {
             Frame::CloseSession { session } => {
                 if self.sessions.get(session).is_some_and(|s| s.conn == idx) {
                     self.close_wire_session(session, false);
-                } else if let Some(report) = self
-                    .completed_by_wire
-                    .get(&session)
-                    .and_then(|token| self.completed.get(token))
-                    .map(|done| done.report)
-                {
+                } else if let Some(report) = self.sessions.ended(session).map(|(_, r, _)| r) {
                     // The session already ended and the client retried its
                     // close (its link died before the Report arrived):
                     // re-serve the cached report so CloseSession stays
@@ -1421,9 +1377,9 @@ impl<'fw> Gateway<'fw> {
             return;
         }
         // Admission control. Parked sessions count against the cap — a
-        // detached stream still holds buffers and a resume claim — but
+        // parked stream still holds buffers and a resume claim — but
         // ResumeSession itself is exempt (parked → live is count-neutral).
-        if self.sessions.len() + self.sessions.detached_len() >= self.config.max_sessions {
+        if self.sessions.len() + self.sessions.parked_len() >= self.config.max_sessions {
             self.busy(idx);
             return;
         }
@@ -1468,7 +1424,9 @@ impl<'fw> Gateway<'fw> {
     /// position is authoritative, the client's `last_acked_seq` is only a
     /// cross-check, and `outcomes_received` rewinds outcome forwarding so
     /// beats that were in flight when the link died are sent again instead
-    /// of leaving a gap.
+    /// of leaving a gap. A resume of an ended session re-serves its cached
+    /// end instead: only the client's copy of the end was lost with its
+    /// link, so a connection that died around `CloseSession` converges.
     fn resume_session(
         &mut self,
         idx: usize,
@@ -1477,74 +1435,16 @@ impl<'fw> Gateway<'fw> {
         last_acked_seq: u32,
         outcomes_received: u64,
     ) {
-        if self.config.resume_window.is_zero() {
-            self.deny(idx, "session resumption is disabled on this gateway");
-            return;
-        }
-        if let Some(done) = self.completed.get(&token) {
-            // The session already ended; only the client's copy of the end
-            // was lost with its link. Re-serve the outcome tail and the
-            // final report instead of denying, so a connection that died
-            // around `CloseSession` still converges.
-            let owner = done.patient_id;
-            let wire_id = done.wire_id;
-            let final_seq = done.final_seq;
-            let from = (outcomes_received as usize).min(done.outcomes.len());
-            let tail = done.outcomes[from..].to_vec();
-            let report = done.report;
-            if owner != patient_id {
-                self.deny(
-                    idx,
-                    &format!("resume token does not belong to patient {patient_id}"),
-                );
-                return;
-            }
-            self.mark_established(idx);
-            self.stats.reports_refetched += 1;
-            self.send(
-                idx,
-                &Frame::SessionResumed {
-                    session: wire_id,
-                    next_expected_seq: final_seq,
-                    credit: 0,
-                },
-            );
-            for chunk in tail.chunks(512) {
-                self.send(
-                    idx,
-                    &Frame::Outcomes {
-                        session: wire_id,
-                        outcomes: chunk.to_vec(),
-                    },
-                );
-            }
-            self.send(
-                idx,
-                &Frame::Report {
-                    session: wire_id,
-                    report,
-                },
-            );
-            return;
-        }
-        match self.sessions.resume(token, patient_id, idx, Instant::now()) {
+        let now = Instant::now();
+        let (wire_id, next_expected_seq, credit) = match self.sessions.resume(
+            token,
+            patient_id,
+            last_acked_seq,
+            idx,
+            now,
+        ) {
             ResumeOutcome::Resumed(wire_id) => {
                 let budget = self.config.credit_budget;
-                let Some(received) = self.sessions.get(wire_id).map(|s| s.next_seq) else {
-                    self.stats.internal_skips += 1;
-                    debug_assert!(false, "session {wire_id} vanished right after resume");
-                    self.deny(idx, "internal session error");
-                    return;
-                };
-                if last_acked_seq > received {
-                    self.deny(
-                        idx,
-                        &format!(
-                            "resume claims {last_acked_seq} acked sample frames, gateway received {received}"
-                        ),
-                    );
-                    return;
-                }
                 let Some(s) = self.sessions.get_mut(wire_id) else {
                     self.stats.internal_skips += 1;
                     debug_assert!(false, "session {wire_id} vanished right after resume");
@@ -1552,40 +1452,78 @@ impl<'fw> Gateway<'fw> {
                     return;
                 };
                 // The client cannot have received more outcomes than were
-                // ever forwarded; a smaller claim rewinds (resend), never
-                // a skip.
+                // ever forwarded; a smaller claim rewinds (resend), never a
+                // skip.
                 s.outcomes_sent = (outcomes_received as usize).min(s.outcomes_sent);
                 // Credit restarts as an absolute figure: budget minus what
                 // is still buffered gateway-side for this session.
                 s.consumed_since_grant = 0;
                 let credit = budget.saturating_sub(s.buffered()) as u32;
                 let next_expected_seq = s.next_seq;
-                // The rewind (and any samples buffered while parked) is work
-                // for the next sweep.
+                // The rewind (and any samples buffered while parked) is
+                // work for the next sweep.
                 self.ready.push(wire_id);
-                self.mark_established(idx);
                 self.stats.sessions_resumed += 1;
                 self.obs
                     .trace
                     .push(TraceEvent::SessionResume { session: wire_id });
-                self.send(
-                    idx,
-                    &Frame::SessionResumed {
-                        session: wire_id,
-                        next_expected_seq,
-                        credit,
-                    },
-                );
+                (wire_id, next_expected_seq, credit)
+            }
+            ResumeOutcome::Ended(wire_id) => {
+                let Some((final_seq, ..)) = self.sessions.ended(wire_id) else {
+                    return;
+                };
+                self.stats.reports_refetched += 1;
+                (wire_id, final_seq, 0)
             }
             ResumeOutcome::UnknownToken => {
                 self.deny(idx, "unknown or expired resume token");
+                return;
             }
             ResumeOutcome::WrongPatient => {
                 self.deny(
                     idx,
                     &format!("resume token does not belong to patient {patient_id}"),
                 );
+                return;
             }
+            ResumeOutcome::ClaimAhead(received) => {
+                self.deny(
+                    idx,
+                    &format!(
+                        "resume claims {last_acked_seq} acked sample frames, gateway received {received}"
+                    ),
+                );
+                return;
+            }
+        };
+        self.mark_established(idx);
+        self.send(
+            idx,
+            &Frame::SessionResumed {
+                session: wire_id,
+                next_expected_seq,
+                credit,
+            },
+        );
+        // An ended session's re-fetch: the outcome tail past the client's
+        // claim, then the final report.
+        if let Some((_, report, history)) = self.sessions.ended(wire_id) {
+            let from = (outcomes_received as usize).min(history.len());
+            send_outcomes(
+                &mut self.conns,
+                &mut self.stats,
+                idx,
+                wire_id,
+                &history[from..],
+            );
+            self.send(
+                idx,
+                &Frame::Report {
+                    session: wire_id,
+                    report,
+                },
+            );
         }
     }
 
@@ -1715,52 +1653,31 @@ impl<'fw> Gateway<'fw> {
     /// parked, ties broken by wire id for a deterministic shed order);
     /// critical sessions are only shed once no normal victim remains.
     /// Live victims get the shed samples back as credit, so their senders
-    /// observe a stream gap, not a stall.
+    /// observe a stream gap, not a stall. Ended sessions hold no samples.
     fn shed_samples(&mut self, mut need: usize) {
         for critical_pass in [false, true] {
             if need == 0 {
                 return;
             }
-            // (buffered, wire_id, live, key): live keys are wire ids,
-            // parked keys are resume tokens.
-            let mut victims: Vec<(usize, u32, bool, u64)> = Vec::new();
-            for wire_id in self.sessions.ids() {
-                let Some(s) = self.sessions.get(wire_id) else {
-                    continue;
-                };
-                let critical = s.priority == SessionPriority::Critical;
-                if critical == critical_pass && s.buffered() > 0 {
-                    victims.push((s.buffered(), wire_id, true, u64::from(wire_id)));
-                }
-            }
-            for token in self.sessions.detached_tokens() {
-                let Some(s) = self.sessions.detached_get(token) else {
-                    continue;
-                };
-                let critical = s.priority == SessionPriority::Critical;
-                if critical == critical_pass && s.buffered() > 0 {
-                    victims.push((s.buffered(), s.wire_id, false, token));
-                }
-            }
+            let mut victims: Vec<(usize, u32)> = self
+                .sessions
+                .entries()
+                .filter(|(_, s)| {
+                    (s.priority == SessionPriority::Critical) == critical_pass && s.buffered() > 0
+                })
+                .map(|(_, s)| (s.buffered(), s.wire_id))
+                .collect();
             victims.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            for (_, wire_id, live, key) in victims {
+            for (_, wire_id) in victims {
                 if need == 0 {
                     return;
                 }
-                let s = if live {
-                    self.sessions.get_mut(key as u32)
-                } else {
-                    self.sessions.detached_get_mut(key)
-                };
-                let Some(s) = s else {
+                let Some((state, s)) = self.sessions.entry_mut(wire_id) else {
                     continue;
                 };
                 let shed = s.pending.len().min(need);
-                if shed == 0 {
-                    continue;
-                }
                 s.pending.truncate(s.pending.len() - shed);
-                if live {
+                if matches!(state, SessionState::Attached) {
                     // The shed samples are owed back as credit.
                     s.consumed_since_grant += shed;
                     self.ready.push(wire_id);
@@ -1983,7 +1900,7 @@ impl<'fw> Gateway<'fw> {
             };
             if !outcomes.is_empty() {
                 let n = outcomes.len();
-                self.send_outcomes(conn, wire_id, &mut outcomes);
+                send_outcomes(&mut self.conns, &mut self.stats, conn, wire_id, &outcomes);
                 let Some(s) = self.sessions.get_mut(wire_id) else {
                     debug_assert!(false, "session {wire_id} vanished while forwarding");
                     continue;
@@ -2044,24 +1961,22 @@ impl<'fw> Gateway<'fw> {
 
     /// Ends a wire session: flushes its buffer into the hub, closes the hub
     /// session, sends any unforwarded beats plus the final report, logs the
-    /// end to the durable log, and caches the report for the retention
-    /// window so a client that loses its link around the close can still
-    /// fetch the end of its session.
+    /// end to the durable log, and leaves the report cached for the
+    /// retention window so a client that loses its link around the close
+    /// can still fetch the end of its session.
     fn close_wire_session(&mut self, wire_id: u32, evicted: bool) {
-        let Some(mut s) = self.sessions.remove(wire_id) else {
+        let Some(s) = self.sessions.get_mut(wire_id) else {
             return;
         };
-        // Off the books: whatever is still pending is drained into the hub
-        // below and gone either way.
-        self.buffered_samples -= s.buffered();
-        // The close is durable before it is acknowledged: a gateway crash
-        // after this point must not resurrect the session.
-        self.wal_log(&WalRecord::SessionClose { token: s.token });
+        // Off the books: the buffer is drained into the hub below, and an
+        // ended session keeps none.
+        let pending = std::mem::take(&mut s.pending);
+        self.buffered_samples -= pending.len();
         // A close can arrive while the calibration stretch is still short;
         // calibrate on what exists (best effort — too short simply yields an
         // empty session).
         if let SessionPhase::Calibrating { calib_len } = s.phase {
-            let stretch = &s.pending[..calib_len.min(s.pending.len())];
+            let stretch = &pending[..calib_len.min(pending.len())];
             if let Some(hub) = promote(&mut self.hub, s.patient_id, stretch) {
                 s.phase = SessionPhase::Streaming { hub };
             }
@@ -2073,8 +1988,7 @@ impl<'fw> Gateway<'fw> {
         };
         let mut history: Vec<WireOutcome> = Vec::new();
         if let Some(hub_id) = s.hub_id() {
-            if !s.pending.is_empty() && self.hub.ingest(&[(hub_id, s.pending.as_slice())]).is_err()
-            {
+            if !pending.is_empty() && self.hub.ingest(&[(hub_id, pending.as_slice())]).is_err() {
                 self.stats.internal_skips += 1;
                 debug_assert!(false, "closing session {wire_id} is not live in the hub");
             }
@@ -2087,17 +2001,6 @@ impl<'fw> Gateway<'fw> {
                         .collect();
                     report.beats = history.len() as u64;
                     report.forwarded = closed.forwarded_beats as u64;
-                    let unsent = &history[s.outcomes_sent.min(history.len())..];
-                    if !unsent.is_empty() {
-                        self.stats.beats_out += unsent.len() as u64;
-                        self.send(
-                            s.conn,
-                            &Frame::Outcomes {
-                                session: wire_id,
-                                outcomes: unsent.to_vec(),
-                            },
-                        );
-                    }
                 }
                 Err(_) => {
                     self.stats.internal_skips += 1;
@@ -2105,27 +2008,21 @@ impl<'fw> Gateway<'fw> {
                 }
             }
         }
+        let (token, conn, sent) = (s.token, s.conn, s.outcomes_sent);
+        // The close is durable before it is acknowledged: a gateway crash
+        // after this point must not resurrect the session.
+        self.wal_log(&WalRecord::SessionClose { token });
+        let unsent = &history[sent.min(history.len())..];
+        self.stats.beats_out += unsent.len() as u64;
+        send_outcomes(&mut self.conns, &mut self.stats, conn, wire_id, unsent);
         self.send(
-            s.conn,
+            conn,
             &Frame::Report {
                 session: wire_id,
                 report,
             },
         );
-        if !self.config.resume_window.is_zero() {
-            self.completed_by_wire.insert(wire_id, s.token);
-            self.completed.insert(
-                s.token,
-                CompletedSession {
-                    wire_id,
-                    patient_id: s.patient_id,
-                    outcomes: history,
-                    report,
-                    final_seq: s.next_seq,
-                    since: Instant::now(),
-                },
-            );
-        }
+        self.sessions.end(wire_id, report, history, Instant::now());
         if evicted {
             self.stats.sessions_evicted += 1;
             self.obs
@@ -2139,23 +2036,10 @@ impl<'fw> Gateway<'fw> {
         }
     }
 
-    /// Ends a removed session nobody can receive results for any more (its
-    /// connection died without retention, or its retention window
-    /// elapsed): off the ledger, closed in the log so recovery does not
-    /// resurrect it, and its hub session discarded unreported.
-    fn discard_session(&mut self, s: &NetSession) {
-        self.buffered_samples -= s.buffered();
-        self.wal_log(&WalRecord::SessionClose { token: s.token });
-        if let Some(hub_id) = s.hub_id() {
-            let _ = self.hub.close_session(hub_id);
-        }
-    }
-
     /// Releases dead connections and closing connections whose outbox has
-    /// drained. Their sessions are **detached** (parked for resume within
-    /// the retention window) when retention is enabled, discarded otherwise.
+    /// drained, parking their sessions for resume within the retention
+    /// window.
     fn reap(&mut self) {
-        let retain = !self.config.resume_window.is_zero();
         let now = Instant::now();
         for idx in 0..self.conns.len() {
             let remove = match self.conns[idx].as_ref() {
@@ -2166,43 +2050,33 @@ impl<'fw> Gateway<'fw> {
                 continue;
             }
             for wire_id in self.sessions.ids_for_conn(idx) {
-                if retain {
-                    if self.sessions.detach(wire_id, now) {
-                        self.stats.sessions_detached += 1;
-                        self.obs
-                            .trace
-                            .push(TraceEvent::SessionDetach { session: wire_id });
-                    }
-                } else if let Some(s) = self.sessions.remove(wire_id) {
-                    // Without retention nobody can ever resume this stream.
-                    self.discard_session(&s);
+                if self.sessions.park(wire_id, now) {
+                    self.stats.sessions_detached += 1;
+                    self.obs
+                        .trace
+                        .push(TraceEvent::SessionDetach { session: wire_id });
                 }
             }
             self.conns[idx] = None;
         }
     }
 
-    /// Discards detached sessions whose retention window elapsed, closing
-    /// their hub sessions, retiring their wire ids and expiring the
-    /// final-report cache (which rides the same window).
-    fn expire_detached(&mut self) {
-        if self.config.resume_window.is_zero() {
-            return;
-        }
+    /// Drops parked sessions and cached reports whose retention window
+    /// elapsed. Nobody can receive results for an expired parked session
+    /// any more: it leaves the ledger, is closed in the log so recovery
+    /// does not resurrect it, and its hub session is discarded unreported.
+    fn expire_sessions(&mut self) {
         let now = Instant::now();
-        let window = self.config.resume_window;
-        for s in self.sessions.expire_detached(now, window) {
-            self.discard_session(&s);
+        for s in self.sessions.expire(now, self.config.resume_window) {
+            self.buffered_samples -= s.buffered();
+            self.wal_log(&WalRecord::SessionClose { token: s.token });
+            if let Some(hub_id) = s.hub_id() {
+                let _ = self.hub.close_session(hub_id);
+            }
             self.stats.sessions_expired += 1;
             self.obs
                 .trace
                 .push(TraceEvent::SessionExpire { session: s.wire_id });
-        }
-        if !self.completed.is_empty() {
-            self.completed
-                .retain(|_, done| now.duration_since(done.since) <= window);
-            self.completed_by_wire
-                .retain(|_, token| self.completed.contains_key(token));
         }
     }
 
@@ -2243,6 +2117,25 @@ impl<'fw> Gateway<'fw> {
             conn.sent = 0;
         }
         progress
+    }
+}
+
+/// Queues `outcomes` on connection `idx` as [`Frame::Outcomes`] frames of at
+/// most [`OUTCOMES_PER_FRAME`] beats, encoded straight from the slice. Not a
+/// method, so a re-fetch can send a history borrowed from the session table.
+fn send_outcomes(
+    conns: &mut [Option<Connection>],
+    stats: &mut GatewayStats,
+    idx: usize,
+    session: u32,
+    outcomes: &[WireOutcome],
+) {
+    let Some(conn) = conns[idx].as_mut().filter(|c| !c.dead) else {
+        return;
+    };
+    for chunk in outcomes.chunks(OUTCOMES_PER_FRAME) {
+        encode_outcomes_into(session, chunk, &mut conn.outbox);
+        stats.frames_out += 1;
     }
 }
 
@@ -2313,26 +2206,26 @@ fn recover_sessions(
             // session live too; drop it.
             Calibration::Failed => continue,
         };
-        sessions.insert_detached(
-            NetSession {
-                wire_id: r.session.wire_id,
-                token: r.session.token,
-                conn: usize::MAX,
-                patient_id: r.session.patient_id,
-                phase,
-                pending,
-                next_seq: r.session.next_seq,
-                outcomes_sent,
-                consumed_since_grant: 0,
-                samples_received,
-                last_activity: now,
-                priority,
-                oldest_pending_at: None,
-                staged_anchor: None,
-            },
-            now,
-        );
-        recovered += 1;
+        let session = NetSession {
+            wire_id: r.session.wire_id,
+            token: r.session.token,
+            conn: usize::MAX,
+            patient_id: r.session.patient_id,
+            phase,
+            pending,
+            next_seq: r.session.next_seq,
+            outcomes_sent,
+            consumed_since_grant: 0,
+            samples_received,
+            last_activity: now,
+            priority,
+            oldest_pending_at: None,
+            staged_anchor: None,
+        };
+        // Refused only when a log reuses a wire id: the first session keeps it.
+        if sessions.insert_parked(session, now) {
+            recovered += 1;
+        }
     }
     recovered
 }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!  OpenSession           calib_len samples buffered      CloseSession /
-//!  ───────────▶ Calibrating ───────────────────▶ Streaming ─────────▶ gone
+//!  ───────────▶ Calibrating ───────────────────▶ Streaming ─────────▶ ended
 //!                   │        thresholds from the   │        idle timeout
 //!                   │        first stretch, hub    │
 //!                   ▼        session created,      ▼
@@ -19,28 +19,42 @@
 //! [`StreamHub`](hbc_core::StreamHub). That split keeps the state machine
 //! testable without I/O.
 //!
-//! ## Resume
+//! ## One table, one resume lifecycle
 //!
-//! When a connection dies with live sessions on it, those sessions are
-//! **detached** rather than destroyed: the [`NetSession`] (and with it the
-//! hub session holding the calibrated `PeakThresholds` and the stream
-//! position) parks in a side table keyed by its resume token. A client that
-//! reconnects within the retention window re-attaches with
-//! [`crate::proto::Frame::ResumeSession`] and continues at the sequence
-//! number the gateway reports — no re-calibration, no replayed samples.
-//! Detached sessions the window expires are discarded and their wire ids
-//! retired like any other end.
+//! Every session the gateway still answers for sits in one table keyed by
+//! wire id, in one [`SessionState`]:
+//!
+//! ```text
+//!  open          conn dies             window elapses
+//!  ────▶ Attached ──────────▶ Parked ─────────────────▶ gone (id retired)
+//!         │  ▲  ResumeSession  │
+//!         │  └─────────────────┘ (or a takeover while still attached)
+//!         │ CloseSession / idle eviction       window elapses
+//!         └────────────────────────▶ Ended ──────────────▶ gone
+//! ```
+//!
+//! A parked session keeps its hub handle (calibrated `PeakThresholds`,
+//! stream position): a client that reconnects within the retention window
+//! re-attaches with [`crate::proto::Frame::ResumeSession`] at the sequence
+//! number the gateway reports — no re-calibration, no replayed samples. An
+//! ended session's id retires at once and its buffer is freed, but its
+//! final report and outcome history stay cached for the same window, so a
+//! client whose link died around the end can re-fetch them. A token index
+//! makes every resume one lookup. Only attached sessions are ingested,
+//! forwarded, idle-evicted or scanned for quiet credit.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
+
+use hbc_core::SessionId;
+
+use crate::proto::{WireOutcome, WireReport};
 
 /// How many ended-session ids the manager remembers for race tolerance.
 /// In-flight frames for an ended session can only be a connection's
 /// receive-buffer worth of traffic behind, so a small recent window
 /// suffices; the cap keeps a long-running gateway's memory flat.
 const RETIRED_CAP: usize = 4096;
-
-use hbc_core::SessionId;
 
 /// How much a session's buffered telemetry is worth protecting when the
 /// gateway sheds load under its global memory budget.
@@ -84,7 +98,8 @@ pub struct NetSession {
     pub wire_id: u32,
     /// Resume token issued at open (unique per manager, never reused).
     pub token: u64,
-    /// Index of the connection that currently owns the session.
+    /// Index of the connection that owns the session while it is
+    /// [`SessionState::Attached`]; stale once it is parked or ended.
     pub conn: usize,
     /// Patient identifier from the open request.
     pub patient_id: u32,
@@ -134,13 +149,32 @@ impl NetSession {
     }
 }
 
-/// A session parked after its connection died, waiting for a
-/// [`crate::proto::Frame::ResumeSession`] within the retention window.
+/// Where a session stands in the resume lifecycle (see the module docs).
+/// Only [`SessionManager`] moves a session between these states.
 #[derive(Debug)]
-struct DetachedSession {
+pub enum SessionState {
+    /// Owned by the live connection [`NetSession::conn`].
+    Attached,
+    /// Parked at the given instant: its connection died (or the gateway
+    /// restarted on its log); resumable until the retention window elapses.
+    Parked(Instant),
+    /// Closed or evicted; the cached end waits for a re-fetch until the
+    /// retention window elapses.
+    Ended {
+        /// When the session ended.
+        since: Instant,
+        /// The final report.
+        report: WireReport,
+        /// The complete outcome history, for resending the tail a client
+        /// lost.
+        outcomes: Vec<WireOutcome>,
+    },
+}
+
+#[derive(Debug)]
+struct Entry {
     session: NetSession,
-    /// When the session was detached; drives retention expiry.
-    since: Instant,
+    state: SessionState,
 }
 
 /// What [`SessionManager::resume`] decided.
@@ -149,31 +183,41 @@ pub enum ResumeOutcome {
     /// Re-attached: the wire id of the session now owned by the new
     /// connection.
     Resumed(u32),
-    /// No live or detached session carries this token (never issued, or
-    /// the retention window elapsed and the session was discarded).
+    /// The session already ended within the retention window; its cached
+    /// end is available from [`SessionManager::ended`].
+    Ended(u32),
+    /// No session carries this token (never issued, or the retention
+    /// window elapsed and the session was discarded).
     UnknownToken,
     /// The token exists but belongs to a different patient id.
     WrongPatient,
+    /// The client claims more acknowledged sample frames than the gateway
+    /// received (the given receive position). The session did not move.
+    ClaimAhead(u32),
 }
 
-/// Owns every live [`NetSession`] of a gateway, keyed by wire id.
+/// Owns every attached, parked and ended [`NetSession`] of a gateway.
 #[derive(Debug, Default)]
 pub struct SessionManager {
-    /// Live sessions in wire-id order, so scans over all of them (idle
-    /// eviction, shedding, the quiet-credit scan) run deterministically
+    /// Every session in wire-id order, so scans over them (idle eviction,
+    /// shedding, the quiet-credit scan, expiry) run deterministically
     /// without sorting.
-    sessions: BTreeMap<u32, NetSession>,
-    /// Detached-but-resumable sessions, keyed by resume token.
-    detached: HashMap<u64, DetachedSession>,
+    table: BTreeMap<u32, Entry>,
+    /// Resume token → wire id of every entry in `table`.
+    by_token: HashMap<u64, u32>,
+    /// Outcomes cached across [`SessionState::Ended`] entries — the report
+    /// cache's share of the gateway's global memory budget.
+    cached_outcomes: usize,
     /// SplitMix64 state behind token issuance — deterministic per manager,
     /// unique per session; a correlation handle, not a security boundary.
     token_state: u64,
-    /// Wire ids of recently ended sessions (closed or evicted). Ends are
-    /// asynchronous, so a compliant peer can still have frames for such a
-    /// session in flight — the reactor ignores those instead of treating
-    /// them as violations. Ids are never reused, so membership is
+    /// Wire ids of recently ended sessions (closed, evicted or expired).
+    /// Ends are asynchronous, so a compliant peer can still have frames for
+    /// such a session in flight — the reactor ignores those instead of
+    /// treating them as violations. Ids are never reused, so membership is
     /// unambiguous; retention is capped at [`RETIRED_CAP`] (oldest ids
-    /// forgotten first) so a long-running gateway's memory stays flat.
+    /// forgotten first), independent of the retention window, so a
+    /// long-running gateway's memory stays flat.
     retired: HashSet<u32>,
     /// The retired ids in retirement order, backing the cap.
     retired_order: VecDeque<u32>,
@@ -195,105 +239,171 @@ impl SessionManager {
         z ^ (z >> 31)
     }
 
-    /// Registers a new session in the calibrating phase and returns its
-    /// wire id. Wire ids are assigned sequentially and never reused.
+    /// Registers a new attached session in the calibrating phase and
+    /// returns its wire id. Wire ids are assigned sequentially and never
+    /// reused.
     pub fn open(&mut self, conn: usize, patient_id: u32, calib_len: usize, now: Instant) -> u32 {
         let wire_id = self.next_id;
         self.next_id += 1;
-        let token = self.next_token();
-        self.sessions.insert(
+        let session = NetSession {
             wire_id,
-            NetSession {
-                wire_id,
-                token,
-                conn,
-                patient_id,
-                phase: SessionPhase::Calibrating { calib_len },
-                pending: Vec::new(),
-                next_seq: 0,
-                outcomes_sent: 0,
-                consumed_since_grant: 0,
-                samples_received: 0,
-                last_activity: now,
-                priority: SessionPriority::Normal,
-                oldest_pending_at: None,
-                staged_anchor: None,
-            },
-        );
+            token: self.next_token(),
+            conn,
+            patient_id,
+            phase: SessionPhase::Calibrating { calib_len },
+            pending: Vec::new(),
+            next_seq: 0,
+            outcomes_sent: 0,
+            consumed_since_grant: 0,
+            samples_received: 0,
+            last_activity: now,
+            priority: SessionPriority::Normal,
+            oldest_pending_at: None,
+            staged_anchor: None,
+        };
+        self.insert(session, SessionState::Attached);
         wire_id
     }
 
-    /// Number of live sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether no session is live.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Looks a session up by wire id.
-    pub fn get(&self, wire_id: u32) -> Option<&NetSession> {
-        self.sessions.get(&wire_id)
-    }
-
-    /// Mutable lookup by wire id.
-    pub fn get_mut(&mut self, wire_id: u32) -> Option<&mut NetSession> {
-        self.sessions.get_mut(&wire_id)
-    }
-
-    /// Removes a session, returning its final state and remembering the id
-    /// as retired (see [`Self::is_retired`]).
-    pub fn remove(&mut self, wire_id: u32) -> Option<NetSession> {
-        let removed = self.sessions.remove(&wire_id);
-        if removed.is_some() {
-            self.retire(wire_id);
+    /// Adds a session to the table and the token index; refuses (returns
+    /// `false`) one whose wire id or token is already there.
+    fn insert(&mut self, session: NetSession, state: SessionState) -> bool {
+        if self.table.contains_key(&session.wire_id) || self.by_token.contains_key(&session.token) {
+            return false;
         }
-        removed
+        self.by_token.insert(session.token, session.wire_id);
+        self.table.insert(session.wire_id, Entry { session, state });
+        true
+    }
+
+    /// Number of attached sessions.
+    pub fn len(&self) -> usize {
+        self.attached().count()
+    }
+
+    /// Whether no session is attached.
+    pub fn is_empty(&self) -> bool {
+        self.attached().next().is_none()
+    }
+
+    /// Number of sessions parked for resume.
+    pub fn parked_len(&self) -> usize {
+        self.entries()
+            .filter(|(state, _)| matches!(state, SessionState::Parked(_)))
+            .count()
+    }
+
+    /// Outcomes cached across ended sessions, kept incrementally.
+    pub fn cached_outcomes(&self) -> usize {
+        self.cached_outcomes
+    }
+
+    /// Looks an attached session up by wire id.
+    pub fn get(&self, wire_id: u32) -> Option<&NetSession> {
+        let entry = self.table.get(&wire_id)?;
+        matches!(entry.state, SessionState::Attached).then_some(&entry.session)
+    }
+
+    /// Mutable lookup of an attached session by wire id.
+    pub fn get_mut(&mut self, wire_id: u32) -> Option<&mut NetSession> {
+        let entry = self.table.get_mut(&wire_id)?;
+        matches!(entry.state, SessionState::Attached).then_some(&mut entry.session)
+    }
+
+    /// Any session by wire id, whatever its state — the shedding path
+    /// drops buffered telemetry of parked streams too.
+    pub fn entry_mut(&mut self, wire_id: u32) -> Option<(&SessionState, &mut NetSession)> {
+        let entry = self.table.get_mut(&wire_id)?;
+        Some((&entry.state, &mut entry.session))
+    }
+
+    /// Every session with its state, in wire-id order.
+    pub fn entries(&self) -> impl Iterator<Item = (&SessionState, &NetSession)> {
+        self.table.values().map(|e| (&e.state, &e.session))
+    }
+
+    /// The cached end of an ended session: its final receive position,
+    /// final report and complete outcome history.
+    pub fn ended(&self, wire_id: u32) -> Option<(u32, WireReport, &[WireOutcome])> {
+        let entry = self.table.get(&wire_id)?;
+        let SessionState::Ended {
+            report, outcomes, ..
+        } = &entry.state
+        else {
+            return None;
+        };
+        Some((entry.session.next_seq, *report, outcomes))
+    }
+
+    /// Attached sessions in wire-id order.
+    fn attached(&self) -> impl Iterator<Item = &NetSession> {
+        self.entries()
+            .filter(|(state, _)| matches!(state, SessionState::Attached))
+            .map(|(_, s)| s)
+    }
+
+    /// Ends an attached session: its id retires (see [`Self::is_retired`]),
+    /// its sample buffer is freed, and `report` plus the complete outcome
+    /// history stay cached until [`Self::expire`] drops them. Returns
+    /// whether the wire id was attached.
+    pub fn end(
+        &mut self,
+        wire_id: u32,
+        report: WireReport,
+        outcomes: Vec<WireOutcome>,
+        now: Instant,
+    ) -> bool {
+        let Some(entry) = self.table.get_mut(&wire_id) else {
+            return false;
+        };
+        if !matches!(entry.state, SessionState::Attached) {
+            return false;
+        }
+        entry.session.pending = Vec::new();
+        self.cached_outcomes += outcomes.len();
+        entry.state = SessionState::Ended {
+            since: now,
+            report,
+            outcomes,
+        };
+        self.retire(wire_id);
+        true
     }
 
     /// Whether `wire_id` belonged to a session that ended recently —
-    /// frames racing an asynchronous end (eviction, connection teardown)
-    /// are dropped rather than denied.
+    /// frames racing an asynchronous end (eviction, expiry) are dropped
+    /// rather than denied.
     pub fn is_retired(&self, wire_id: u32) -> bool {
         self.retired.contains(&wire_id)
     }
 
-    /// Wire ids of every session owned by connection `conn`, in id order.
+    /// Wire ids of every session attached to connection `conn`, in id order.
     pub fn ids_for_conn(&self, conn: usize) -> Vec<u32> {
-        self.sessions
-            .values()
+        self.attached()
             .filter(|s| s.conn == conn)
             .map(|s| s.wire_id)
             .collect()
     }
 
-    /// Wire ids of every live session, in id order (deterministic sweeps).
-    pub fn ids(&self) -> Vec<u32> {
-        self.sessions.keys().copied().collect()
-    }
-
-    /// Wire ids whose last activity is older than `idle` seconds before
-    /// `now`, in id order — the eviction candidates. Detached sessions are
-    /// not idle, they are waiting (their clock is the retention window).
+    /// Wire ids of attached sessions whose last activity is older than
+    /// `idle` before `now`, in id order — the eviction candidates. Parked
+    /// sessions are not idle, they are waiting (their clock is the
+    /// retention window).
     pub fn idle_ids(&self, now: Instant, idle: Duration) -> Vec<u32> {
-        self.sessions
-            .values()
+        self.attached()
             .filter(|s| now.duration_since(s.last_activity) > idle)
             .map(|s| s.wire_id)
             .collect()
     }
 
-    /// Appends to `out` the wire ids of sessions that owe their sender
-    /// credit and have been quiet — no frame received, nothing consumed —
-    /// for at least `quiet` before `now`: the housekeeping tick's
-    /// quiet-credit scan. Appends into a caller-owned buffer so the scan
-    /// allocates nothing once the buffer has grown.
+    /// Appends to `out` the wire ids of attached sessions that owe their
+    /// sender credit and have been quiet — no frame received, nothing
+    /// consumed — for at least `quiet` before `now`: the housekeeping
+    /// tick's quiet-credit scan. Appends into a caller-owned buffer so the
+    /// scan allocates nothing once the buffer has grown.
     pub fn owing_quiet_into(&self, now: Instant, quiet: Duration, out: &mut Vec<u32>) {
         out.extend(
-            self.sessions
-                .values()
+            self.attached()
                 .filter(|s| {
                     s.consumed_since_grant > 0 && now.duration_since(s.last_activity) >= quiet
                 })
@@ -301,70 +411,34 @@ impl SessionManager {
         );
     }
 
-    /// Parks a live session in the detached table (its connection died).
-    /// The session keeps its hub handle — calibrated thresholds and stream
-    /// position survive — and waits for a resume until the retention window
-    /// expires. Returns whether the wire id was live.
-    pub fn detach(&mut self, wire_id: u32, now: Instant) -> bool {
-        let Some(session) = self.sessions.remove(&wire_id) else {
-            return false;
-        };
-        self.detached.insert(
-            session.token,
-            DetachedSession {
-                session,
-                since: now,
-            },
-        );
-        true
+    /// Parks an attached session (its connection died). The session keeps
+    /// its hub handle — calibrated thresholds and stream position survive —
+    /// and waits for a resume until the retention window expires. Returns
+    /// whether the wire id was attached.
+    pub fn park(&mut self, wire_id: u32, now: Instant) -> bool {
+        match self.table.get_mut(&wire_id) {
+            Some(entry) if matches!(entry.state, SessionState::Attached) => {
+                entry.state = SessionState::Parked(now);
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Number of sessions currently parked for resume.
-    pub fn detached_len(&self) -> usize {
-        self.detached.len()
-    }
-
-    /// Resume tokens of every parked session, in wire-id order
-    /// (deterministic shedding sweeps).
-    pub fn detached_tokens(&self) -> Vec<u64> {
-        let mut parked: Vec<(u32, u64)> = self
-            .detached
-            .iter()
-            .map(|(&token, d)| (d.session.wire_id, token))
-            .collect();
-        parked.sort_unstable();
-        parked.into_iter().map(|(_, token)| token).collect()
-    }
-
-    /// A parked session's state, by resume token.
-    pub fn detached_get(&self, token: u64) -> Option<&NetSession> {
-        self.detached.get(&token).map(|d| &d.session)
-    }
-
-    /// Mutable access to a parked session — the shedding path drops
-    /// buffered telemetry of detached normal-priority streams too.
-    pub fn detached_get_mut(&mut self, token: u64) -> Option<&mut NetSession> {
-        self.detached.get_mut(&token).map(|d| &mut d.session)
-    }
-
-    /// Samples buffered across every live **and** parked session — the
-    /// recount behind the reactor's incremental global-memory ledger (the
-    /// reactor audits its counter against this in debug builds).
+    /// Samples buffered across every session — the recount behind the
+    /// reactor's incremental global-memory ledger (the reactor audits its
+    /// counter against this in debug builds). Ended sessions hold none.
     pub fn total_buffered_samples(&self) -> usize {
-        self.sessions
-            .values()
-            .map(NetSession::buffered)
-            .chain(self.detached.values().map(|d| d.session.buffered()))
-            .sum()
+        self.entries().map(|(_, s)| s.buffered()).sum()
     }
 
-    /// Inserts a rebuilt session directly into the detached table — the
-    /// durable-log recovery path: a gateway restarted on its log directory
-    /// parks every recovered session here so the owning node can re-attach
-    /// with the ordinary [`crate::proto::Frame::ResumeSession`] flow.
-    pub fn insert_detached(&mut self, session: NetSession, since: Instant) {
-        self.detached
-            .insert(session.token, DetachedSession { session, since });
+    /// Parks a rebuilt session directly — the durable-log recovery path: a
+    /// gateway restarted on its log directory parks every recovered session
+    /// so the owning node can re-attach with the ordinary
+    /// [`crate::proto::Frame::ResumeSession`] flow. Refuses (returns
+    /// `false`) a session whose wire id or token is already in the table.
+    pub fn insert_parked(&mut self, session: NetSession, since: Instant) -> bool {
+        self.insert(session, SessionState::Parked(since))
     }
 
     /// Raises the next wire id to at least `min_next`, so ids assigned after
@@ -389,64 +463,75 @@ impl SessionManager {
     ///
     /// Covers both the parked case (connection already reaped) and the
     /// takeover case (the old connection has not been noticed dead yet —
-    /// the session is still live on it); either way the token holder wins.
+    /// the session is still attached to it); either way the token holder
+    /// wins. The claim is checked first: a wrong patient or a
+    /// `last_acked_seq` past the gateway's receive position leaves the
+    /// session where it was, its retention clock untouched. An ended
+    /// session answers [`ResumeOutcome::Ended`] and stays ended.
     pub fn resume(
         &mut self,
         token: u64,
         patient_id: u32,
+        last_acked_seq: u32,
         conn: usize,
         now: Instant,
     ) -> ResumeOutcome {
-        // Parked?
-        if let Some(parked) = self.detached.get(&token) {
-            if parked.session.patient_id != patient_id {
-                return ResumeOutcome::WrongPatient;
-            }
-            let mut parked = self.detached.remove(&token).expect("present");
-            parked.session.conn = conn;
-            parked.session.last_activity = now;
-            let wire_id = parked.session.wire_id;
-            self.sessions.insert(wire_id, parked.session);
-            return ResumeOutcome::Resumed(wire_id);
+        let Some(entry) = self
+            .by_token
+            .get(&token)
+            .and_then(|wire_id| self.table.get_mut(wire_id))
+        else {
+            return ResumeOutcome::UnknownToken;
+        };
+        let s = &mut entry.session;
+        if s.patient_id != patient_id {
+            return ResumeOutcome::WrongPatient;
         }
-        // Still live on a dying connection?
-        let live = self
-            .sessions
-            .values()
-            .find(|s| s.token == token)
-            .map(|s| (s.wire_id, s.patient_id));
-        match live {
-            Some((_, pid)) if pid != patient_id => ResumeOutcome::WrongPatient,
-            Some((wire_id, _)) => {
-                let s = self.sessions.get_mut(&wire_id).expect("found above");
-                s.conn = conn;
-                s.last_activity = now;
-                ResumeOutcome::Resumed(wire_id)
-            }
-            None => ResumeOutcome::UnknownToken,
+        if matches!(entry.state, SessionState::Ended { .. }) {
+            return ResumeOutcome::Ended(s.wire_id);
         }
+        if last_acked_seq > s.next_seq {
+            return ResumeOutcome::ClaimAhead(s.next_seq);
+        }
+        entry.state = SessionState::Attached;
+        s.conn = conn;
+        s.last_activity = now;
+        ResumeOutcome::Resumed(s.wire_id)
     }
 
-    /// Removes every detached session older than `window`, retiring its
-    /// wire id (stragglers and late resumes are then dropped / denied).
-    /// Returns the expired sessions for the caller to dispose of
-    /// (hub-session teardown).
-    pub fn expire_detached(&mut self, now: Instant, window: Duration) -> Vec<NetSession> {
-        let expired: Vec<u64> = self
-            .detached
+    /// Drops every parked and ended session older than `window` before
+    /// `now`. Parked sessions retire their wire ids (stragglers and late
+    /// resumes are then dropped / denied) and are returned in wire-id order
+    /// for the caller to dispose of (hub-session teardown); ended ones just
+    /// leave the report cache.
+    pub fn expire(&mut self, now: Instant, window: Duration) -> Vec<NetSession> {
+        let due: Vec<u32> = self
+            .table
             .iter()
-            .filter(|(_, d)| now.duration_since(d.since) > window)
-            .map(|(&token, _)| token)
+            .filter(|(_, e)| match e.state {
+                SessionState::Attached => false,
+                SessionState::Parked(since) | SessionState::Ended { since, .. } => {
+                    now.duration_since(since) > window
+                }
+            })
+            .map(|(&wire_id, _)| wire_id)
             .collect();
-        let mut out: Vec<NetSession> = expired
-            .into_iter()
-            .map(|token| self.detached.remove(&token).expect("listed").session)
-            .collect();
-        out.sort_unstable_by_key(|s| s.wire_id);
-        for s in &out {
-            self.retire(s.wire_id);
+        let mut parked = Vec::new();
+        for wire_id in due {
+            let Some(entry) = self.table.remove(&wire_id) else {
+                continue;
+            };
+            self.by_token.remove(&entry.session.token);
+            match entry.state {
+                SessionState::Parked(_) => {
+                    self.retire(wire_id);
+                    parked.push(entry.session);
+                }
+                SessionState::Ended { outcomes, .. } => self.cached_outcomes -= outcomes.len(),
+                SessionState::Attached => unreachable!("only parked and ended entries are due"),
+            }
         }
-        out
+        parked
     }
 
     /// Marks a wire id as recently ended (see [`Self::is_retired`]).
@@ -466,6 +551,10 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn attached_ids(mgr: &SessionManager) -> Vec<u32> {
+        mgr.attached().map(|s| s.wire_id).collect()
+    }
+
     #[test]
     fn wire_ids_are_sequential_and_never_reused() {
         let mut mgr = SessionManager::new();
@@ -473,11 +562,11 @@ mod tests {
         let a = mgr.open(0, 10, 100, now);
         let b = mgr.open(1, 11, 100, now);
         assert_eq!((a, b), (0, 1));
-        mgr.remove(a).expect("live");
+        assert!(mgr.end(a, WireReport::default(), Vec::new(), now));
         let c = mgr.open(0, 12, 100, now);
-        assert_eq!(c, 2, "removed ids must not be reassigned");
+        assert_eq!(c, 2, "ended ids must not be reassigned");
         assert_eq!(mgr.len(), 2);
-        assert_eq!(mgr.ids(), vec![1, 2]);
+        assert_eq!(attached_ids(&mgr), vec![1, 2]);
         assert_eq!(mgr.ids_for_conn(0), vec![2]);
         assert!(mgr.is_retired(a), "ended ids are remembered");
         assert!(!mgr.is_retired(b));
@@ -490,7 +579,7 @@ mod tests {
         let now = Instant::now();
         for _ in 0..(RETIRED_CAP + 10) {
             let id = mgr.open(0, 1, 1, now);
-            mgr.remove(id).expect("live");
+            assert!(mgr.end(id, WireReport::default(), Vec::new(), now));
         }
         assert!(!mgr.is_retired(0), "oldest retired ids are forgotten");
         assert!(!mgr.is_retired(9));
@@ -538,28 +627,28 @@ mod tests {
         s.next_seq = 7;
         s.samples_received = 700;
 
-        assert!(mgr.detach(id, now));
+        assert!(mgr.park(id, now));
         assert_eq!(mgr.len(), 0);
-        assert_eq!(mgr.detached_len(), 1);
+        assert_eq!(mgr.parked_len(), 1);
         assert!(
             !mgr.is_retired(id),
-            "a detached session has not ended — its id must not be retired"
+            "a parked session has not ended — its id must not be retired"
         );
         assert!(
             mgr.idle_ids(now + Duration::from_secs(3600), Duration::from_secs(1))
                 .is_empty(),
-            "detached sessions are not idle-eviction candidates"
+            "parked sessions are not idle-eviction candidates"
         );
 
         assert_eq!(
-            mgr.resume(token, 41, 3, now),
+            mgr.resume(token, 41, 0, 3, now),
             ResumeOutcome::WrongPatient,
             "token + wrong patient must not re-attach"
         );
-        assert_eq!(mgr.resume(token, 42, 3, now), ResumeOutcome::Resumed(id));
+        assert_eq!(mgr.resume(token, 42, 7, 3, now), ResumeOutcome::Resumed(id));
         let s = mgr.get(id).expect("re-attached");
         assert_eq!((s.conn, s.next_seq, s.samples_received), (3, 7, 700));
-        assert_eq!(mgr.detached_len(), 0);
+        assert_eq!(mgr.parked_len(), 0);
     }
 
     #[test]
@@ -568,10 +657,19 @@ mod tests {
         let now = Instant::now();
         let id = mgr.open(0, 9, 64, now);
         let token = mgr.get(id).expect("live").token;
-        assert_eq!(mgr.resume(token, 9, 5, now), ResumeOutcome::Resumed(id));
+        assert_eq!(
+            mgr.resume(token, 9, 1, 5, now),
+            ResumeOutcome::ClaimAhead(0)
+        );
+        assert_eq!(
+            mgr.get(id).expect("live").conn,
+            0,
+            "a denied claim moves nothing"
+        );
+        assert_eq!(mgr.resume(token, 9, 0, 5, now), ResumeOutcome::Resumed(id));
         assert_eq!(mgr.get(id).expect("live").conn, 5);
         assert_eq!(
-            mgr.resume(0xBAD_70CEB, 9, 5, now),
+            mgr.resume(0xBAD_70CEB, 9, 0, 5, now),
             ResumeOutcome::UnknownToken
         );
     }
@@ -582,25 +680,45 @@ mod tests {
         let now = Instant::now();
         let a = mgr.open(0, 1, 10, now);
         let b = mgr.open(0, 2, 10, now);
+        let c = mgr.open(0, 3, 10, now);
         let token_a = mgr.get(a).expect("live").token;
-        mgr.detach(a, now);
-        mgr.detach(b, now + Duration::from_secs(5));
+        let token_c = mgr.get(c).expect("live").token;
+        mgr.park(a, now);
+        mgr.park(b, now + Duration::from_secs(5));
+        let report = WireReport {
+            beats: 2,
+            forwarded: 1,
+            samples: 10,
+        };
+        let beat = WireOutcome {
+            peak: 0,
+            class: 0,
+            delineated: false,
+            fiducials: 0,
+        };
+        assert!(mgr.end(c, report, vec![beat; 2], now));
+        assert_eq!(mgr.cached_outcomes(), 2);
+        assert_eq!(mgr.resume(token_c, 3, 0, 1, now), ResumeOutcome::Ended(c));
+        assert_eq!(
+            mgr.ended(c).map(|(_, r, o)| (r, o.len())),
+            Some((report, 2))
+        );
 
         let window = Duration::from_secs(10);
-        assert!(mgr
-            .expire_detached(now + Duration::from_secs(9), window)
-            .is_empty());
-        let expired = mgr.expire_detached(now + Duration::from_secs(12), window);
+        assert!(mgr.expire(now + Duration::from_secs(9), window).is_empty());
+        let expired = mgr.expire(now + Duration::from_secs(12), window);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].wire_id, a);
         assert!(mgr.is_retired(a), "expiry is an end — the id retires");
         assert!(!mgr.is_retired(b));
         assert_eq!(
-            mgr.resume(token_a, 1, 0, now + Duration::from_secs(12)),
+            mgr.resume(token_a, 1, 0, 0, now + Duration::from_secs(12)),
             ResumeOutcome::UnknownToken,
             "an expired token is gone"
         );
-        assert_eq!(mgr.detached_len(), 1);
+        assert_eq!(mgr.parked_len(), 1);
+        assert!(mgr.ended(c).is_none(), "the cached end expired too");
+        assert_eq!(mgr.cached_outcomes(), 0);
     }
 
     #[test]
@@ -611,7 +729,7 @@ mod tests {
         for _ in 0..256 {
             let id = mgr.open(0, 1, 1, now);
             assert!(seen.insert(mgr.get(id).expect("live").token));
-            mgr.remove(id);
+            mgr.end(id, WireReport::default(), Vec::new(), now);
         }
     }
 
@@ -631,7 +749,7 @@ mod tests {
         let mut recovered = SessionManager::new();
         recovered.skip_tokens(2); // two opens counted from the log
         recovered.ensure_next_id(b + 1);
-        recovered.insert_detached(
+        assert!(recovered.insert_parked(
             NetSession {
                 wire_id: b,
                 token: token_b,
@@ -649,10 +767,10 @@ mod tests {
                 staged_anchor: None,
             },
             now,
-        );
-        assert_eq!(recovered.detached_len(), 1);
+        ));
+        assert_eq!(recovered.parked_len(), 1);
         assert_eq!(
-            recovered.resume(token_b, 2, 4, now),
+            recovered.resume(token_b, 2, 3, 4, now),
             ResumeOutcome::Resumed(b)
         );
         let s = recovered.get(b).expect("re-attached");
@@ -686,22 +804,28 @@ mod tests {
         );
         assert!(SessionPriority::Critical > SessionPriority::Normal);
 
-        // Parking moves the buffer, it does not free it: the global ledger
-        // still counts detached pending samples.
+        // Parking keeps the buffer, it does not free it: the global ledger
+        // still counts parked pending samples.
         let token_b = mgr.get(b).expect("live").token;
-        assert!(mgr.detach(b, now));
+        assert!(mgr.park(b, now));
         assert_eq!(mgr.total_buffered_samples(), 12);
-        assert_eq!(mgr.detached_tokens(), vec![token_b]);
-        assert_eq!(mgr.detached_get(token_b).expect("parked").buffered(), 7);
+        let parked: Vec<u64> = mgr
+            .entries()
+            .filter(|(state, _)| matches!(state, SessionState::Parked(_)))
+            .map(|(_, s)| s.token)
+            .collect();
+        assert_eq!(parked, vec![token_b]);
+        assert_eq!(mgr.entry_mut(b).expect("parked").1.buffered(), 7);
 
         // Shedding a parked session's tail shows up in the recount.
-        mgr.detached_get_mut(token_b)
-            .expect("parked")
-            .pending
-            .truncate(2);
+        mgr.entry_mut(b).expect("parked").1.pending.truncate(2);
         assert_eq!(mgr.total_buffered_samples(), 7);
-        assert!(mgr.detached_get(0xDEAD).is_none());
-        assert!(mgr.detached_get_mut(0xDEAD).is_none());
+        assert!(mgr.get(b).is_none(), "a parked session is not attached");
+        assert!(mgr.entry_mut(0xDEAD).is_none());
+
+        // Ending frees the buffer.
+        assert!(mgr.end(a, WireReport::default(), Vec::new(), now));
+        assert_eq!(mgr.total_buffered_samples(), 2);
     }
 
     #[test]

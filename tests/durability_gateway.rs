@@ -20,7 +20,9 @@
 //!   cached report (by resume token or by retrying the close) within the
 //!   retention window, closing the protocol's last documented hole — and
 //!   so can a client whose session ended on a degenerate calibration
-//!   stretch.
+//!   stretch; past the window the cached end is gone and its memory freed;
+//! * **resume edges** — a takeover from a still-live connection continues
+//!   gap-free on the new one, and a denied resume moves nothing.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -37,7 +39,7 @@ use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
 use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{
-    dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, WireReport,
+    dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, WireOutcome, WireReport,
 };
 use heartbeat_rp::hbc_net::{
     replay_log, Gateway, GatewayConfig, GatewayStats, NodeClient, PROTOCOL_VERSION,
@@ -780,4 +782,383 @@ fn recovery_and_replay_agree_on_a_crashed_log() {
         .map(|o| o.to_outcome().expect("valid class code"))
         .collect();
     assert_full_match(&resumed, &replayed.outcomes, "recovered vs replayed");
+}
+
+/// Raw-socket helper: sends `OpenSession` and returns the session id and
+/// resume token from the `SessionOpened` reply.
+fn raw_open(
+    conn: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    patient_id: u32,
+    fs_millihertz: u32,
+    calib_len: u32,
+) -> (u32, u64) {
+    conn.write_all(
+        &Frame::OpenSession {
+            patient_id,
+            fs_millihertz,
+            calib_len,
+        }
+        .encode(),
+    )
+    .expect("open");
+    let Frame::SessionOpened { session, token, .. } =
+        read_until(conn, decoder, |f| matches!(f, Frame::SessionOpened { .. }))
+    else {
+        unreachable!()
+    };
+    (session, token)
+}
+
+#[test]
+fn denied_resume_leaves_the_session_with_its_owner() {
+    // A resume whose `last_acked_seq` claims more than the gateway received
+    // is denied. The denial must not move the session: its healthy owner
+    // keeps streaming and closes it normally.
+    let fw = firmware();
+    let record = wire_record(7700, 12);
+    let fs = record.fs;
+    let fs_millihertz = (fs * 1000.0).round() as u32;
+    let mut codes = Vec::new();
+    quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
+    let half = codes.len() / 2;
+
+    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+        let (mut owner, mut owner_decoder) = raw_connect(addr);
+        let (session, token) = raw_open(
+            &mut owner,
+            &mut owner_decoder,
+            record.id,
+            fs_millihertz,
+            512,
+        );
+        let samples = |seq: u32, chunk: &[i16]| {
+            Frame::Samples {
+                session,
+                seq,
+                samples: chunk.to_vec(),
+            }
+            .encode()
+        };
+        owner
+            .write_all(&samples(0, &codes[..half]))
+            .expect("samples");
+
+        let (mut thief, mut thief_decoder) = raw_connect(addr);
+        thief
+            .write_all(
+                &Frame::ResumeSession {
+                    patient_id: record.id,
+                    session_token: token,
+                    last_acked_seq: 1_000_000,
+                    outcomes_received: 0,
+                }
+                .encode(),
+            )
+            .expect("resume");
+        let Frame::Deny { message } = read_until(&mut thief, &mut thief_decoder, |f| {
+            matches!(f, Frame::SessionResumed { .. } | Frame::Deny { .. })
+        }) else {
+            panic!("an over-claiming resume must be denied");
+        };
+        assert!(message.contains("resume claims"), "{message}");
+
+        owner
+            .write_all(&samples(1, &codes[half..]))
+            .expect("samples");
+        owner
+            .write_all(&Frame::CloseSession { session }.encode())
+            .expect("close");
+        let end = read_until(&mut owner, &mut owner_decoder, |f| {
+            matches!(f, Frame::Report { .. } | Frame::Deny { .. })
+        });
+        let Frame::Report { report, .. } = end else {
+            panic!("the owner lost its session to a denied resume: {end:?}");
+        };
+        assert_eq!(report.samples as usize, codes.len());
+    });
+
+    assert_eq!(stats.denials, 1, "only the over-claiming resume");
+    assert_eq!(stats.sessions_resumed, 0);
+    assert_eq!(stats.sessions_detached, 0, "the session never moved");
+    assert_eq!(stats.sessions_closed, 1);
+}
+
+#[test]
+fn takeover_continues_gap_free_on_the_new_connection() {
+    // `ResumeSession` on a second connection while the first still holds
+    // the session takes it over: the outcome stream continues on the new
+    // connection without a gap or a duplicate, and the old connection's
+    // next frame for the session is refused.
+    let fw = firmware();
+    let record = wire_record(7800, 40);
+    let fs = record.fs;
+    let fs_millihertz = (fs * 1000.0).round() as u32;
+    let calib_len = 2048u32;
+    let reference = reference_outcomes(&fw, &record, calib_len as usize);
+    let mut codes = Vec::new();
+    quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
+    let cut = codes.len() / 2;
+    assert!(
+        cut > calib_len as usize,
+        "the takeover lands after calibration"
+    );
+
+    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+        let (mut old, mut old_decoder) = raw_connect(addr);
+        let (session, token) = raw_open(
+            &mut old,
+            &mut old_decoder,
+            record.id,
+            fs_millihertz,
+            calib_len,
+        );
+        let mut seq = 0u32;
+        for chunk in codes[..cut].chunks(512) {
+            old.write_all(
+                &Frame::Samples {
+                    session,
+                    seq,
+                    samples: chunk.to_vec(),
+                }
+                .encode(),
+            )
+            .expect("samples");
+            seq += 1;
+        }
+        // Collect outcomes until the gateway acknowledges every frame.
+        let mut outcomes = Vec::new();
+        loop {
+            match read_until(&mut old, &mut old_decoder, |f| {
+                matches!(f, Frame::Outcomes { .. } | Frame::Credit { .. })
+            }) {
+                Frame::Outcomes {
+                    outcomes: mut o, ..
+                } => outcomes.append(&mut o),
+                Frame::Credit { acked_seq, .. } if acked_seq == seq => break,
+                _ => {}
+            }
+        }
+
+        let (mut new, mut new_decoder) = raw_connect(addr);
+        new.write_all(
+            &Frame::ResumeSession {
+                patient_id: record.id,
+                session_token: token,
+                last_acked_seq: seq,
+                outcomes_received: outcomes.len() as u64,
+            }
+            .encode(),
+        )
+        .expect("resume");
+        let resumed = read_until(&mut new, &mut new_decoder, |f| {
+            matches!(f, Frame::SessionResumed { .. } | Frame::Deny { .. })
+        });
+        let Frame::SessionResumed {
+            next_expected_seq, ..
+        } = resumed
+        else {
+            panic!("takeover denied: {resumed:?}");
+        };
+        assert_eq!(next_expected_seq, seq);
+
+        old.write_all(
+            &Frame::Samples {
+                session,
+                seq,
+                samples: codes[cut..cut + 1].to_vec(),
+            }
+            .encode(),
+        )
+        .expect("stale samples");
+        let Frame::Deny { message } = read_until(&mut old, &mut old_decoder, |f| {
+            matches!(f, Frame::Deny { .. })
+        }) else {
+            unreachable!()
+        };
+        assert!(
+            message.contains("belongs to another connection"),
+            "{message}"
+        );
+
+        for chunk in codes[cut..].chunks(512) {
+            new.write_all(
+                &Frame::Samples {
+                    session,
+                    seq,
+                    samples: chunk.to_vec(),
+                }
+                .encode(),
+            )
+            .expect("samples");
+            seq += 1;
+        }
+        new.write_all(&Frame::CloseSession { session }.encode())
+            .expect("close");
+        while let Frame::Outcomes {
+            outcomes: mut o, ..
+        } = read_until(&mut new, &mut new_decoder, |f| {
+            matches!(f, Frame::Outcomes { .. } | Frame::Report { .. })
+        }) {
+            outcomes.append(&mut o);
+        }
+        let got: Vec<BeatOutcome> = outcomes
+            .into_iter()
+            .map(|o| o.to_outcome().expect("valid class code"))
+            .collect();
+        assert_full_match(&got, &reference, "old then new connection");
+    });
+
+    assert_eq!(stats.sessions_resumed, 1);
+    assert_eq!(stats.sessions_detached, 0, "a takeover never parks");
+    assert_eq!(stats.denials, 1, "only the stale frame on the old link");
+}
+
+/// Drives a gateway by hand until `conn` yields a frame `want` matches.
+fn poll_until(
+    gateway: &mut Gateway<'_>,
+    conn: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    want: impl Fn(&Frame) -> bool,
+) -> Frame {
+    use std::io::Read;
+    conn.set_read_timeout(Some(Duration::from_millis(2)))
+        .expect("read timeout");
+    let start = Instant::now();
+    let mut buf = [0u8; 4096];
+    loop {
+        while let Some(frame) = decoder.next_frame().expect("valid") {
+            if want(&frame) {
+                return frame;
+            }
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "no expected frame"
+        );
+        gateway.poll().expect("poll");
+        match conn.read(&mut buf) {
+            Ok(0) => panic!("gateway hung up before the expected frame"),
+            Ok(n) => decoder.feed(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(e) => panic!("read failed: {e}"),
+        }
+    }
+}
+
+#[test]
+fn expired_report_cache_denies_refetch_and_frees_its_memory() {
+    // Past the retention window an ended session's cached end is gone: a
+    // resume by its token is denied, a retried close of its retired wire id
+    // is ignored, and the cached history leaves the memory ledger.
+    let fw = firmware();
+    let record = wire_record(7900, 30);
+    let fs = record.fs;
+    let fs_millihertz = (fs * 1000.0).round() as u32;
+    let mut codes = Vec::new();
+    quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
+    let window = Duration::from_millis(200);
+    let config = GatewayConfig {
+        resume_window: window,
+        ..GatewayConfig::default()
+    };
+    let mut gateway = Gateway::bind("127.0.0.1:0", &fw, fs, config).expect("bind");
+    let addr = gateway.local_addr().expect("addr");
+
+    let (mut conn, mut decoder) = raw_connect(addr);
+    conn.write_all(
+        &Frame::OpenSession {
+            patient_id: record.id,
+            fs_millihertz,
+            calib_len: 2048,
+        }
+        .encode(),
+    )
+    .expect("open");
+    let Frame::SessionOpened { session, token, .. } =
+        poll_until(&mut gateway, &mut conn, &mut decoder, |f| {
+            matches!(f, Frame::SessionOpened { .. })
+        })
+    else {
+        unreachable!()
+    };
+    for (seq, chunk) in codes.chunks(4096).enumerate() {
+        conn.write_all(
+            &Frame::Samples {
+                session,
+                seq: seq as u32,
+                samples: chunk.to_vec(),
+            }
+            .encode(),
+        )
+        .expect("samples");
+    }
+    conn.write_all(&Frame::CloseSession { session }.encode())
+        .expect("close");
+    let Frame::Report { report, .. } = poll_until(&mut gateway, &mut conn, &mut decoder, |f| {
+        matches!(f, Frame::Report { .. })
+    }) else {
+        unreachable!()
+    };
+    assert!(report.beats > 0, "the session must cache a history");
+    drop(conn);
+    gateway.poll().expect("poll");
+    let cached = gateway.health().memory_used;
+    assert!(cached >= report.beats as usize * std::mem::size_of::<WireOutcome>());
+
+    std::thread::sleep(window + Duration::from_millis(50));
+    gateway.poll().expect("poll");
+    let expired = gateway.health().memory_used;
+    assert_eq!(
+        cached - expired,
+        report.beats as usize * std::mem::size_of::<WireOutcome>(),
+        "expiry frees exactly the cached history"
+    );
+
+    let (mut conn, mut decoder) = raw_connect(addr);
+    conn.write_all(
+        &Frame::ResumeSession {
+            patient_id: record.id,
+            session_token: token,
+            last_acked_seq: 0,
+            outcomes_received: 0,
+        }
+        .encode(),
+    )
+    .expect("resume");
+    let reply = poll_until(&mut gateway, &mut conn, &mut decoder, |f| {
+        matches!(f, Frame::SessionResumed { .. } | Frame::Deny { .. })
+    });
+    let Frame::Deny { message } = reply else {
+        panic!("an expired report was re-served: {reply:?}");
+    };
+    assert!(message.contains("unknown or expired"), "{message}");
+
+    // The retried close is dropped silently: the next reply on the same
+    // connection answers the open that follows it.
+    let (mut conn, mut decoder) = raw_connect(addr);
+    conn.write_all(&Frame::CloseSession { session }.encode())
+        .expect("retried close");
+    conn.write_all(
+        &Frame::OpenSession {
+            patient_id: record.id,
+            fs_millihertz,
+            calib_len: 2048,
+        }
+        .encode(),
+    )
+    .expect("open");
+    let reply = poll_until(&mut gateway, &mut conn, &mut decoder, |f| {
+        !matches!(f, Frame::Hello { .. })
+    });
+    assert!(
+        matches!(reply, Frame::SessionOpened { .. }),
+        "a retired id's close must be ignored, got {reply:?}"
+    );
+    assert_eq!(gateway.stats().reports_refetched, 0);
+    assert_eq!(gateway.stats().denials, 1, "only the expired resume");
 }
