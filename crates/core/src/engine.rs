@@ -8,8 +8,8 @@
 //! work-stealing runner that spreads records, batches of beats, or arbitrary
 //! sweep items over all cores.
 //!
-//! The generic substrate — the scoped-thread pool, the atomic work cursor and
-//! the ordered result slots that make the merged [`EvaluationReport`]
+//! The generic substrate — the scoped-thread pool, the shared work iterator
+//! and the ordered result slots that make the merged [`EvaluationReport`]
 //! *bit-identical* to the sequential pass for any thread count — lives in the
 //! [`hbc_par`] crate (training needs the same runner without depending on
 //! this framework crate). This module layers the domain on top: beat
@@ -41,8 +41,8 @@ pub struct EngineConfig {
     /// Worker threads to use; `None` means one per available core.
     pub threads: Option<NonZeroUsize>,
     /// Number of beats grouped into one work item when evaluating a flat
-    /// beat set. Small enough to load-balance, large enough that the atomic
-    /// cursor is uncontended.
+    /// beat set. Small enough to load-balance, large enough that the shared
+    /// work iterator is uncontended.
     pub batch_size: usize,
 }
 

@@ -92,7 +92,7 @@ impl PatientStream<'_> {
 /// Staged samples below which one [`StreamHub::ingest`] batch runs on the
 /// caller's thread instead of fanning out over the hub's workers.
 ///
-/// A fan-out spawns scoped threads on every call (`Par::map`), which the
+/// A fan-out spawns scoped threads on every call (`Par::for_each`), which the
 /// gateway benchmark's layer table measures at 65–110 µs per call on a
 /// 2-vCPU host, while the streaming firmware costs 240–370 ns per sample.
 /// 2 048 samples are therefore ≈0.5–0.75 ms of work, so at or above this
@@ -100,13 +100,17 @@ impl PatientStream<'_> {
 /// reactor sweeps (a few sessions × 36-sample packets, ~60–70 samples)
 /// fall far below it and run sequentially; calibration bursts and
 /// recovery replays (many sessions × thousands of samples) fall above it
-/// and still fan out. Outcomes are identical either way: sessions are
-/// independent and results are index-ordered.
+/// and still fan out. Outcomes are identical either way: each worker
+/// pushes whole chunks into sessions no other worker touches.
 pub const FANOUT_MIN_SAMPLES: usize = 2048;
 
 /// Whether any of the last `window` outcomes of `outcomes` carries an
-/// abnormal prediction — [`StreamHub::recent_abnormal`] over a borrowed
-/// history.
+/// abnormal prediction — the **priority hook** serving layers use to
+/// protect ARR-flagged streams when shedding load: a session that recently
+/// produced an abnormal beat must keep flowing, a session whose recent
+/// stream is all-normal may have telemetry dropped first. `window = 0`
+/// always reports `false`. Pass the history [`StreamHub::outcomes`]
+/// borrows.
 pub fn any_recent_abnormal(outcomes: &[BeatOutcome], window: usize) -> bool {
     outcomes[outcomes.len().saturating_sub(window)..]
         .iter()
@@ -127,7 +131,7 @@ pub struct StreamHub<'fw> {
     par: Par,
     /// Session slots. A closed session leaves a `None` hole whose index is
     /// queued on the free list and handed to the next [`Self::add_patient`].
-    sessions: Vec<Mutex<Option<PatientStream<'fw>>>>,
+    sessions: Vec<Option<PatientStream<'fw>>>,
     /// Indices of free slots, reused LIFO.
     free: Vec<usize>,
     /// Session-setup working sets: conditioning-chain scratch + filtered
@@ -138,14 +142,13 @@ pub struct StreamHub<'fw> {
     /// concurrent calibrations. Sits alongside the per-session `BeatScratch`
     /// the streaming firmware already owns.
     calibration: Mutex<Vec<CalibrationScratch>>,
-    /// Per-slot "already fed in this batch" marks, reused by every
-    /// [`Self::ingest`] call so batch validation allocates nothing once the
-    /// slot table has stopped growing.
-    fed: Mutex<Vec<bool>>,
+    /// Per-slot index of the feed the current [`Self::ingest`] batch holds
+    /// for that session, if any. Reused by every call, so batch validation
+    /// allocates nothing once the slot table has stopped growing.
+    fed: Vec<Option<usize>>,
     /// Wall-clock microseconds per [`Self::ingest`] batch (the whole sweep,
-    /// sequential or fanned out). Behind a mutex because `ingest` takes
-    /// `&self`; uncontended in the single-reactor serving path.
-    ingest_micros: Mutex<Histogram>,
+    /// sequential or fanned out).
+    ingest_micros: Histogram,
     /// Stage histograms of sessions that have closed, merged at close time
     /// so their timings survive slot reuse.
     closed_stages: StageMetrics,
@@ -185,8 +188,8 @@ impl<'fw> StreamHub<'fw> {
             sessions: Vec::new(),
             free: Vec::new(),
             calibration: Mutex::new(Vec::new()),
-            fed: Mutex::new(Vec::new()),
-            ingest_micros: Mutex::new(Histogram::new()),
+            fed: Vec::new(),
+            ingest_micros: Histogram::new(),
             closed_stages: StageMetrics::default(),
         }
     }
@@ -244,11 +247,11 @@ impl<'fw> StreamHub<'fw> {
         };
         match self.free.pop() {
             Some(index) => {
-                *self.sessions[index].lock().expect("session poisoned") = Some(session);
+                self.sessions[index] = Some(session);
                 SessionId(index)
             }
             None => {
-                self.sessions.push(Mutex::new(Some(session)));
+                self.sessions.push(Some(session));
                 SessionId(self.sessions.len() - 1)
             }
         }
@@ -264,11 +267,12 @@ impl<'fw> StreamHub<'fw> {
     /// Returns [`CoreError::Config`] for an unknown or already-closed
     /// session.
     pub fn close_session(&mut self, id: SessionId) -> Result<SessionReport> {
-        let mut slot = self.session(id)?.lock().expect("session poisoned");
-        let mut session = slot
+        let mut session = self
+            .sessions
+            .get_mut(id.0)
+            .ok_or_else(|| Self::unknown(id))?
             .take()
             .ok_or_else(|| CoreError::Config(format!("session #{} already closed", id.0)))?;
-        drop(slot);
         session.stream.finish();
         session.drain();
         self.closed_stages.merge(session.stream.stage_metrics());
@@ -281,14 +285,17 @@ impl<'fw> StreamHub<'fw> {
         })
     }
 
-    fn session(&self, id: SessionId) -> Result<&Mutex<Option<PatientStream<'fw>>>> {
+    /// The live session behind `id`.
+    fn session(&self, id: SessionId) -> Result<&PatientStream<'fw>> {
         self.sessions
             .get(id.0)
-            .ok_or_else(|| CoreError::Config(format!("unknown session #{}", id.0)))
+            .ok_or_else(|| Self::unknown(id))?
+            .as_ref()
+            .ok_or_else(|| CoreError::Config(format!("session #{} is closed", id.0)))
     }
 
-    fn closed(id: SessionId) -> CoreError {
-        CoreError::Config(format!("session #{} is closed", id.0))
+    fn unknown(id: SessionId) -> CoreError {
+        CoreError::Config(format!("unknown session #{}", id.0))
     }
 
     /// Ingests one batch of chunks — at most one chunk per session — pushing
@@ -299,66 +306,52 @@ impl<'fw> StreamHub<'fw> {
     ///
     /// Within a batch the sessions are independent, so the sweep is
     /// deterministic; feeding the same session twice in one batch would make
-    /// its sample order scheduling-dependent and is rejected.
+    /// its sample order scheduling-dependent and is rejected. The whole
+    /// batch is validated before any session is fed, so a rejected batch
+    /// feeds nothing.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] for an unknown or closed session or a
     /// duplicated session within the batch.
-    pub fn ingest<C: AsRef<[f64]> + Sync>(&self, feeds: &[(SessionId, C)]) -> Result<()> {
-        {
-            let mut fed = self.fed.lock().expect("batch scratch poisoned");
-            fed.clear();
-            fed.resize(self.sessions.len(), false);
-            for (id, _) in feeds {
-                let slot = fed
-                    .get_mut(id.0)
-                    .ok_or_else(|| CoreError::Config(format!("unknown session #{}", id.0)))?;
-                if std::mem::replace(slot, true) {
-                    return Err(CoreError::Config(format!(
-                        "session #{} fed twice in one batch",
-                        id.0
-                    )));
-                }
-                if self
-                    .session(*id)?
-                    .lock()
-                    .expect("session poisoned")
-                    .is_none()
-                {
-                    return Err(Self::closed(*id));
-                }
+    pub fn ingest<C: AsRef<[f64]> + Sync>(&mut self, feeds: &[(SessionId, C)]) -> Result<()> {
+        self.fed.clear();
+        self.fed.resize(self.sessions.len(), None);
+        let mut samples = 0;
+        for (index, (id, chunk)) in feeds.iter().enumerate() {
+            self.session(*id)?;
+            if self.fed[id.0].replace(index).is_some() {
+                return Err(CoreError::Config(format!(
+                    "session #{} fed twice in one batch",
+                    id.0
+                )));
             }
+            samples += chunk.as_ref().len();
         }
-        let samples: usize = feeds.iter().map(|(_, chunk)| chunk.as_ref().len()).sum();
-        let par = if samples < FANOUT_MIN_SAMPLES {
-            Par::sequential()
+        // One worker per fed session at most, as many as the hub's policy
+        // allows; the slot walk below would otherwise size the pool by the
+        // whole slot table.
+        let workers = if samples < FANOUT_MIN_SAMPLES {
+            1
         } else {
-            self.par
+            self.par.workers_for(feeds.len())
         };
         let started = std::time::Instant::now();
-        par.map(feeds, |(id, chunk)| {
-            let mut slot = self.sessions[id.0].lock().expect("session poisoned");
-            // Checked above; `ingest` takes `&self` and closing needs
-            // `&mut self`, so the slot cannot vanish during the sweep.
-            let session = slot.as_mut().expect("session closed mid-ingest");
-            session.stream.push_chunk(chunk.as_ref());
-            session.drain();
+        let par = Par::with_threads(NonZeroUsize::new(workers));
+        par.for_each(self.sessions.iter_mut().zip(&self.fed), |slot| {
+            if let (Some(session), Some(index)) = slot {
+                session.stream.push_chunk(feeds[*index].1.as_ref());
+                session.drain();
+            }
         });
         self.ingest_micros
-            .lock()
-            .expect("ingest histogram poisoned")
             .record(started.elapsed().as_micros() as u64);
         Ok(())
     }
 
-    /// Wall-clock microseconds per [`Self::ingest`] batch so far (cloned
-    /// snapshot).
-    pub fn ingest_latency(&self) -> Histogram {
-        self.ingest_micros
-            .lock()
-            .expect("ingest histogram poisoned")
-            .clone()
+    /// Wall-clock microseconds per [`Self::ingest`] batch so far.
+    pub fn ingest_latency(&self) -> &Histogram {
+        &self.ingest_micros
     }
 
     /// Per-stage latency histograms aggregated across the hub: every closed
@@ -367,25 +360,19 @@ impl<'fw> StreamHub<'fw> {
     /// independent of session scheduling and close order.
     pub fn stage_metrics(&self) -> StageMetrics {
         let mut merged = self.closed_stages.clone();
-        for slot in &self.sessions {
-            let slot = slot.lock().expect("session poisoned");
-            if let Some(session) = slot.as_ref() {
-                merged.merge(session.stream.stage_metrics());
-            }
+        for session in self.sessions.iter().flatten() {
+            merged.merge(session.stream.stage_metrics());
         }
         merged
     }
 
     /// Finishes every live session in parallel: borders are drained and all
     /// remaining beats emitted. Idempotent; closed slots are skipped.
-    pub fn finish(&self) {
-        let ids: Vec<usize> = (0..self.sessions.len()).collect();
-        self.par.map(&ids, |&i| {
-            let mut slot = self.sessions[i].lock().expect("session poisoned");
-            if let Some(session) = slot.as_mut() {
-                session.stream.finish();
-                session.drain();
-            }
+    pub fn finish(&mut self) {
+        let live = self.sessions.iter_mut().filter_map(Option::as_mut);
+        self.par.for_each(live, |session| {
+            session.stream.finish();
+            session.drain();
         });
     }
 
@@ -393,10 +380,10 @@ impl<'fw> StreamHub<'fw> {
     /// image (model hot-swap), without dropping or duplicating a single
     /// outcome.
     ///
-    /// The exclusive borrow *is* the swap barrier: `ingest` takes `&self`,
-    /// so no parallel sweep can be in flight while the swap runs, and each
-    /// session's mutex serialises the swap against any other reader. Beats
-    /// are classified atomically inside the streaming firmware's `push`, so
+    /// The exclusive borrow *is* the swap barrier: `ingest` and `finish`
+    /// take `&mut self` too, so no parallel sweep can be in flight while the
+    /// swap runs, and no reader can observe a half-swapped hub. Beats are
+    /// classified atomically inside the streaming firmware's `push`, so
     /// the swap always lands on a beat boundary — every beat is scored
     /// entirely by the old image or entirely by the new one, never a
     /// mixture. Emitted outcome histories are untouched; sessions keep
@@ -417,14 +404,11 @@ impl<'fw> StreamHub<'fw> {
                 ),
             )));
         }
-        for slot in &self.sessions {
-            let mut slot = slot.lock().expect("session poisoned");
-            if let Some(session) = slot.as_mut() {
-                session
-                    .stream
-                    .swap_firmware(firmware)
-                    .map_err(CoreError::Embedded)?;
-            }
+        for session in self.sessions.iter_mut().flatten() {
+            session
+                .stream
+                .swap_firmware(firmware)
+                .map_err(CoreError::Embedded)?;
         }
         self.firmware = firmware;
         Ok(())
@@ -441,103 +425,26 @@ impl<'fw> StreamHub<'fw> {
     ///
     /// Returns [`CoreError::Config`] for an unknown or closed session.
     pub fn patient_id(&self, id: SessionId) -> Result<u32> {
-        let slot = self.session(id)?.lock().expect("session poisoned");
-        Ok(slot.as_ref().ok_or_else(|| Self::closed(id))?.patient_id)
+        Ok(self.session(id)?.patient_id)
     }
 
-    /// Copy of the outcomes a session has emitted so far.
+    /// The outcomes a session has emitted so far, in temporal order —
+    /// borrowed, so serving layers that read every sweep copy only the tail
+    /// they have not forwarded yet.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] for an unknown or closed session.
-    pub fn outcomes(&self, id: SessionId) -> Result<Vec<BeatOutcome>> {
-        self.outcomes_since(id, 0)
-    }
-
-    /// Copy of the outcomes a session has emitted from index `from` onwards —
-    /// the incremental form serving layers poll between ingest batches (each
-    /// call clones only the tail the caller has not seen yet).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Config`] for an unknown or closed session.
-    pub fn outcomes_since(&self, id: SessionId, from: usize) -> Result<Vec<BeatOutcome>> {
-        self.with_outcomes(id, |all| all[from.min(all.len())..].to_vec())
-    }
-
-    /// Runs `read` over a session's whole outcome history in place — the
-    /// borrowing form of [`Self::outcomes_since`] for serving layers that
-    /// poll every sweep and must not copy (the session is locked while
-    /// `read` runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Config`] for an unknown or closed session.
-    pub fn with_outcomes<R>(
-        &self,
-        id: SessionId,
-        read: impl FnOnce(&[BeatOutcome]) -> R,
-    ) -> Result<R> {
-        let slot = self.session(id)?.lock().expect("session poisoned");
-        let session = slot.as_ref().ok_or_else(|| Self::closed(id))?;
-        Ok(read(&session.outcomes))
-    }
-
-    /// Whether any of a session's last `window` emitted outcomes carries an
-    /// abnormal prediction — the **priority hook** serving layers use to
-    /// protect ARR-flagged streams when shedding load: a session that
-    /// recently produced an abnormal beat must keep flowing, a session whose
-    /// recent stream is all-normal may have telemetry dropped first.
-    /// `window = 0` always reports `false`. See [`any_recent_abnormal`] for
-    /// the same test over a history already borrowed through
-    /// [`Self::with_outcomes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Config`] for an unknown or closed session.
-    pub fn recent_abnormal(&self, id: SessionId, window: usize) -> Result<bool> {
-        self.with_outcomes(id, |all| any_recent_abnormal(all, window))
-    }
-
-    /// Heap bytes a session's retained outcome history occupies — the
-    /// hub-side share of a serving layer's per-session memory accounting
-    /// (the layer adds its own buffers on top).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Config`] for an unknown or closed session.
-    pub fn session_memory_bytes(&self, id: SessionId) -> Result<usize> {
-        let slot = self.session(id)?.lock().expect("session poisoned");
-        let session = slot.as_ref().ok_or_else(|| Self::closed(id))?;
-        Ok(session.outcomes.capacity() * std::mem::size_of::<BeatOutcome>())
-    }
-
-    /// Heap bytes retained across every live session's outcome history —
-    /// [`Self::session_memory_bytes`] summed over the hub.
-    pub fn memory_footprint(&self) -> usize {
-        self.sessions
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("session poisoned")
-                    .as_ref()
-                    .map_or(0, |session| {
-                        session.outcomes.capacity() * std::mem::size_of::<BeatOutcome>()
-                    })
-            })
-            .sum()
+    pub fn outcomes(&self, id: SessionId) -> Result<&[BeatOutcome]> {
+        Ok(&self.session(id)?.outcomes)
     }
 
     /// Total beats emitted across all live sessions so far.
     pub fn total_beats(&self) -> usize {
         self.sessions
             .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("session poisoned")
-                    .as_ref()
-                    .map_or(0, |session| session.outcomes.len())
-            })
+            .flatten()
+            .map(|session| session.outcomes.len())
             .sum()
     }
 
@@ -555,9 +462,7 @@ impl<'fw> StreamHub<'fw> {
         annotations: &[Annotation],
         tolerance: usize,
     ) -> Result<EvaluationReport> {
-        let slot = self.session(id)?.lock().expect("session poisoned");
-        let session = slot.as_ref().ok_or_else(|| Self::closed(id))?;
-        Ok(report_for(&session.outcomes, annotations, tolerance))
+        Ok(report_for(self.outcomes(id)?, annotations, tolerance))
     }
 
     /// Fleet-wide report: every listed session is labelled in parallel and
@@ -572,21 +477,9 @@ impl<'fw> StreamHub<'fw> {
         truths: &[(SessionId, &[Annotation])],
         tolerance: usize,
     ) -> Result<EvaluationReport> {
-        for (id, _) in truths {
-            if self
-                .session(*id)?
-                .lock()
-                .expect("session poisoned")
-                .is_none()
-            {
-                return Err(Self::closed(*id));
-            }
-        }
-        let reports = self.par.map(truths, |&(id, annotations)| {
-            let slot = self.sessions[id.0].lock().expect("session poisoned");
-            let session = slot.as_ref().expect("session closed mid-report");
-            report_for(&session.outcomes, annotations, tolerance)
-        });
+        let reports = self.par.try_map(truths, |&(id, annotations)| {
+            self.session_report(id, annotations, tolerance)
+        })?;
         let mut merged = EvaluationReport::new();
         for report in &reports {
             merged.merge(report);
@@ -787,7 +680,7 @@ mod tests {
         let mut seen = 0usize;
         for chunk in lead.chunks(997) {
             hub.ingest(&[(id, chunk)]).expect("ingest");
-            seen += hub.outcomes_since(id, seen).expect("tail").len();
+            seen = hub.outcomes(id).expect("live").len();
         }
         let report = hub.close_session(id).expect("close");
         assert_eq!(report.patient_id, record.id);
@@ -808,7 +701,6 @@ mod tests {
         assert_eq!(hub.num_sessions(), 2);
         assert!(hub.ingest(&[(id, &lead[..8])]).is_err());
         assert!(hub.outcomes(id).is_err());
-        assert!(hub.outcomes_since(id, 0).is_err());
         assert!(hub.patient_id(id).is_err());
         assert!(hub
             .session_report(id, &record.annotations, tolerance)
@@ -861,7 +753,7 @@ mod tests {
                 hub.ingest(&[(id, c)]).expect("ingest");
             }
             hub.finish();
-            hub.outcomes(id).expect("live")
+            hub.outcomes(id).expect("live").to_vec()
         };
         let ref_old = reference(&old_fw);
         let ref_new = reference(&new_fw);
@@ -927,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn recent_abnormal_and_memory_accounting_track_the_outcome_stream() {
+    fn recent_abnormal_window_tracks_the_outcome_stream() {
         let fw = firmware();
         let record = patient_record(410, 40);
         let lead = record.lead(Lead(0)).expect("lead");
@@ -935,9 +827,8 @@ mod tests {
         let thresholds = hub.calibrate_thresholds(lead).expect("calibrate");
         let id = hub.add_patient(record.id, thresholds);
 
-        // A fresh session has no outcomes: not abnormal, no history bytes.
-        assert!(!hub.recent_abnormal(id, 64).expect("live"));
-        assert_eq!(hub.session_memory_bytes(id).expect("live"), 0);
+        // A fresh session has no outcomes: not abnormal.
+        assert!(!any_recent_abnormal(hub.outcomes(id).expect("live"), 64));
 
         hub.ingest(&[(id, lead)]).expect("ingest");
         hub.finish();
@@ -947,27 +838,16 @@ mod tests {
 
         // The full-history window agrees with a direct scan; a zero window
         // never reports abnormal; a window of 1 sees exactly the last beat.
+        assert_eq!(any_recent_abnormal(outcomes, outcomes.len()), any_abnormal);
+        assert!(!any_recent_abnormal(outcomes, 0));
         assert_eq!(
-            hub.recent_abnormal(id, outcomes.len()).expect("live"),
-            any_abnormal
-        );
-        assert!(!hub.recent_abnormal(id, 0).expect("live"));
-        assert_eq!(
-            hub.recent_abnormal(id, 1).expect("live"),
+            any_recent_abnormal(outcomes, 1),
             outcomes.last().expect("non-empty").predicted.is_abnormal()
         );
 
-        // Memory accounting covers at least the retained outcomes and the
-        // fleet total includes this session.
-        let bytes = hub.session_memory_bytes(id).expect("live");
-        assert!(bytes >= outcomes.len() * std::mem::size_of::<BeatOutcome>());
-        assert!(hub.memory_footprint() >= bytes);
-
-        // Closed sessions drop out of both accessors and the footprint.
+        // A closed session's history can no longer be read.
         hub.close_session(id).expect("close");
-        assert!(hub.recent_abnormal(id, 8).is_err());
-        assert!(hub.session_memory_bytes(id).is_err());
-        assert_eq!(hub.memory_footprint(), 0);
+        assert!(hub.outcomes(id).is_err());
     }
 
     #[test]
@@ -978,16 +858,29 @@ mod tests {
             first_scale: 1.0,
             cross_scale: vec![1.0; 3],
         };
-        let id = hub.add_patient(7, thresholds);
+        let id = hub.add_patient(7, thresholds.clone());
+        let other = hub.add_patient(8, thresholds.clone());
+        let closed = hub.add_patient(9, thresholds);
+        hub.close_session(closed).expect("close");
         let chunk = [0.0f64; 16];
         // Unknown session.
         assert!(hub.ingest(&[(SessionId(9), &chunk)]).is_err());
         // Duplicate session in one batch.
         assert!(hub.ingest(&[(id, &chunk), (id, &chunk)]).is_err());
+        // A duplicate after another session, and a closed session after a
+        // live one: the whole batch is validated before any session is fed.
+        assert!(hub
+            .ingest(&[(id, &chunk), (other, &chunk), (id, &chunk)])
+            .is_err());
+        assert!(hub.ingest(&[(id, &chunk), (closed, &chunk)]).is_err());
         // Valid batch.
         hub.ingest(&[(id, &chunk)]).expect("ok");
         assert!(hub.outcomes(SessionId(3)).is_err());
         assert!(hub.session_report(SessionId(3), &[], 10).is_err());
         assert!(hub.patient_id(SessionId(3)).is_err());
+        // Only the valid batch fed anything.
+        let fed = hub.close_session(id).expect("live").samples_pushed;
+        assert_eq!(fed, chunk.len());
+        assert_eq!(hub.close_session(other).expect("live").samples_pushed, 0);
     }
 }

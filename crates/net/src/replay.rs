@@ -259,7 +259,9 @@ pub fn replay_log(
                     .close_session(id)
                     .map(|report| report.outcomes)
                     .unwrap_or_default(),
-                Calibration::Streaming(id) => hub.outcomes_since(id, 0).unwrap_or_default(),
+                Calibration::Streaming(id) => {
+                    hub.outcomes(id).map(<[_]>::to_vec).unwrap_or_default()
+                }
                 Calibration::Pending | Calibration::Failed => Vec::new(),
             };
             sessions[i] = Some(ReplayedSession {

@@ -1873,31 +1873,25 @@ impl<'fw> Gateway<'fw> {
                 0
             };
             let (conn, sent, acked_seq) = (s.conn, s.outcomes_sent, s.next_seq);
+            let Ok(all) = self.hub.outcomes(hub_id) else {
+                self.stats.internal_skips += 1;
+                debug_assert!(false, "streaming session {wire_id} is not live in the hub");
+                continue;
+            };
+            if all.len() == sent && grant == 0 {
+                continue;
+            }
             // Copy the unsent tail into the reused scratch and refresh the
             // shedding priority from the recent outcome window: an abnormal
             // beat protects the stream under overload, and a clean window
             // decays the protection again.
             outcomes.clear();
-            let read = self.hub.with_outcomes(hub_id, |all| {
-                if all.len() == sent && grant == 0 {
-                    return None;
-                }
-                outcomes.extend(
-                    all[sent.min(all.len())..]
-                        .iter()
-                        .map(WireOutcome::from_outcome),
-                );
-                Some(priority_of(all))
-            });
-            s.priority = match read {
-                Ok(Some(priority)) => priority,
-                Ok(None) => continue,
-                Err(_) => {
-                    self.stats.internal_skips += 1;
-                    debug_assert!(false, "streaming session {wire_id} is not live in the hub");
-                    continue;
-                }
-            };
+            outcomes.extend(
+                all[sent.min(all.len())..]
+                    .iter()
+                    .map(WireOutcome::from_outcome),
+            );
+            s.priority = priority_of(all);
             if !outcomes.is_empty() {
                 let n = outcomes.len();
                 send_outcomes(&mut self.conns, &mut self.stats, conn, wire_id, &outcomes);
@@ -2071,7 +2065,14 @@ impl<'fw> Gateway<'fw> {
             self.buffered_samples -= s.buffered();
             self.wal_log(&WalRecord::SessionClose { token: s.token });
             if let Some(hub_id) = s.hub_id() {
-                let _ = self.hub.close_session(hub_id);
+                if self.hub.close_session(hub_id).is_err() {
+                    self.stats.internal_skips += 1;
+                    debug_assert!(
+                        false,
+                        "expired session {} is not live in the hub",
+                        s.wire_id
+                    );
+                }
             }
             self.stats.sessions_expired += 1;
             self.obs
@@ -2189,12 +2190,17 @@ fn recover_sessions(
         // which forwarding — skipping sessions with nothing unsent — would
         // otherwise never look at again.
         let (phase, pending, (outcomes_sent, priority)) = match r.calibration {
-            Calibration::Streaming(hub_id) => (
-                SessionPhase::Streaming { hub: hub_id },
-                Vec::new(),
-                hub.with_outcomes(hub_id, |all| (all.len(), priority_of(all)))
-                    .unwrap_or_default(),
-            ),
+            Calibration::Streaming(hub_id) => {
+                let read = match hub.outcomes(hub_id) {
+                    Ok(all) => (all.len(), priority_of(all)),
+                    Err(_) => {
+                        stats.internal_skips += 1;
+                        debug_assert!(false, "rebuilt session {hub_id:?} is not live in the hub");
+                        (0, SessionPriority::Normal)
+                    }
+                };
+                (SessionPhase::Streaming { hub: hub_id }, Vec::new(), read)
+            }
             Calibration::Pending => (
                 SessionPhase::Calibrating {
                     calib_len: r.session.calib_len,

@@ -112,7 +112,7 @@ impl Gateway<'_> {
         snap.push_histogram(
             "hbc_hub_ingest_micros",
             "Latency of one StreamHub ingest call.",
-            &self.hub.ingest_latency(),
+            self.hub.ingest_latency(),
         );
         self.hub.stage_metrics().export(&mut snap);
         if let Some(wal) = &self.wal {

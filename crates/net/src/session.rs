@@ -60,7 +60,7 @@ const RETIRED_CAP: usize = 4096;
 /// gateway sheds load under its global memory budget.
 ///
 /// Priority is **derived from the recent outcome stream** (see
-/// `StreamHub::recent_abnormal`): a session whose recent beats include an
+/// `hbc_core::stream::any_recent_abnormal`): a session whose recent beats include an
 /// abnormal prediction is ARR-critical and its buffers are shed last, so the
 /// safety invariant *abnormal ⇒ routed onward* holds under overload too. A
 /// session can decay back to [`SessionPriority::Normal`] once its recent

@@ -12,14 +12,17 @@
 //!
 //! Design constraints:
 //!
-//! * **Determinism** — results land in per-index slots and are read back in
-//!   submission order, so [`Par::map`] returns exactly what a sequential
+//! * **One scheduling loop** — [`Par::for_each`] is the runner's only
+//!   scheduler: workers repeatedly claim the next item from one shared
+//!   iterator (shared-queue work stealing), so one slow item never stalls
+//!   the rest of the batch. Items may be exclusive borrows, so each worker
+//!   can mutate its own disjoint item in place.
+//! * **Determinism** — [`Par::map`] runs on [`Par::for_each`] over pairs of
+//!   an item and its own result slot, and reads the slots back in
+//!   submission order, so it returns exactly what a sequential
 //!   `items.iter().map(f).collect()` would, regardless of scheduling. Any
 //!   ordered reduction over the output (report merges, GA selection) is
 //!   therefore bit-identical to the sequential run.
-//! * **Dynamic load balance** — workers repeatedly claim the next unclaimed
-//!   index from a shared atomic cursor (shared-queue work stealing), so one
-//!   slow item never stalls the rest of the batch.
 //! * **No external dependencies** — the build environment has no registry
 //!   access, so the runner uses `std::thread::scope` instead of rayon. The
 //!   API is deliberately rayon-shaped (`map`-style combinators) so a future
@@ -36,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Work-stealing parallel runner.
@@ -89,51 +91,66 @@ impl Par {
         hw.min(items).max(1)
     }
 
+    /// Runs `f` on every item `items` yields, each item exactly once.
+    ///
+    /// Workers claim the next item from the shared iterator, so a slow item
+    /// (a long record, an expensive training candidate) never stalls the
+    /// others. Items may be exclusive borrows (`slice.iter_mut()`): each
+    /// worker then mutates its own disjoint item in place. The worker count
+    /// follows the iterator's upper size hint; with one worker the items run
+    /// on the caller's thread, in iterator order.
+    pub fn for_each<I, F>(&self, items: I, f: F)
+    where
+        I: IntoIterator,
+        I::IntoIter: Send,
+        F: Fn(I::Item) + Sync,
+    {
+        let items = items.into_iter();
+        let workers = self.workers_for(items.size_hint().1.unwrap_or(usize::MAX));
+        if workers <= 1 {
+            items.for_each(f);
+            return;
+        }
+        let items = Mutex::new(items);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let next = items
+                        .lock()
+                        .expect("item iterator poisoned: its next() panicked")
+                        .next();
+                    let Some(item) = next else {
+                        break;
+                    };
+                    f(item);
+                });
+            }
+        });
+    }
+
     /// Applies `f` to every item, returning the results in item order.
     ///
-    /// Work is distributed dynamically: each worker repeatedly claims the
-    /// next unclaimed index from a shared atomic cursor, so a slow item (a
-    /// long record, an expensive training candidate) never stalls the others.
-    /// Results land in per-index slots, making the output order — and
-    /// therefore any ordered reduction over it — independent of scheduling.
+    /// Runs through [`Par::for_each`]: each item's result lands in its own
+    /// slot, so the output order — and therefore any ordered reduction over
+    /// it — is independent of scheduling.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.workers_for(items.len());
-        if workers <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else {
-                        break;
-                    };
-                    let result = f(item);
-                    *slots[index]
-                        .lock()
-                        .expect("result slot poisoned: a worker panicked") = Some(result);
-                });
-            }
+        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        self.for_each(results.iter_mut().zip(items), |(slot, item)| {
+            *slot = Some(f(item));
         });
-        slots
+        results
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned: a worker panicked")
-                    .expect("every index below the cursor was filled")
-            })
+            .map(|result| result.expect("for_each visits every item"))
             .collect()
     }
 
-    /// Fallible [`Par::map`]: short-circuits on the first error *in item
-    /// order* (all items still run, but the reported error is deterministic).
+    /// Fallible [`Par::map`]: every item runs, and the error reported is
+    /// the first *in item order*, so it is deterministic.
     ///
     /// # Errors
     ///
@@ -193,6 +210,62 @@ mod tests {
         assert_eq!(two.workers_for(10_000), 2);
         assert_eq!(Par::sequential().workers_for(10_000), 1);
         assert_eq!(two.threads(), NonZeroUsize::new(2));
+    }
+
+    #[test]
+    fn for_each_visits_every_item_once_in_place() {
+        for par in [
+            Par::sequential(),
+            Par::with_threads(NonZeroUsize::new(2)),
+            four_workers(),
+        ] {
+            // (value, visits): each worker mutates its own disjoint item.
+            let mut items: Vec<(usize, usize)> = (0..1000).map(|i| (i, 0)).collect();
+            par.for_each(&mut items, |(value, visits)| {
+                *value *= 2;
+                *visits += 1;
+            });
+            let expected: Vec<(usize, usize)> = (0..1000).map(|i| (2 * i, 1)).collect();
+            assert_eq!(items, expected, "{par:?}");
+        }
+    }
+
+    #[test]
+    fn for_each_with_one_worker_runs_in_iterator_order() {
+        let order = Mutex::new(Vec::new());
+        Par::sequential().for_each((0..100).rev(), |i| {
+            order.lock().expect("order log").push(i);
+        });
+        let order = order.into_inner().expect("order log");
+        assert_eq!(order, (0..100).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_tolerates_an_overstated_size_hint() {
+        // `filter_map` reports its input length as the upper bound, so the
+        // runner sizes its pool for far more items than the iterator yields.
+        for (len, keep) in [(1000, 3), (8, 8)] {
+            let seen = Mutex::new(Vec::new());
+            let items = (0..len).filter_map(|i| (i % keep == 0).then_some(i / keep));
+            assert_eq!(items.size_hint().1, Some(len));
+            four_workers().for_each(items, |i| seen.lock().expect("seen").push(i));
+            let mut seen = seen.into_inner().expect("seen");
+            seen.sort_unstable();
+            assert_eq!(seen, (0..len.div_ceil(keep)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn for_each_runs_items_on_distinct_threads() {
+        // As in `map_runs_items_on_distinct_threads`: both items wait on the
+        // barrier, so the call only returns if two workers run at once.
+        let barrier = Barrier::new(2);
+        let ids = Mutex::new(HashSet::new());
+        Par::with_threads(NonZeroUsize::new(2)).for_each(0..2, |_| {
+            barrier.wait();
+            ids.lock().expect("ids").insert(std::thread::current().id());
+        });
+        assert_eq!(ids.into_inner().expect("ids").len(), 2);
     }
 
     #[test]
