@@ -17,20 +17,36 @@
 //!
 //! This module also owns the one **log fold** both readers of the log
 //! share: `fold_log` groups records into sessions and `rebuild` turns
-//! the sessions of one hub back into hub state. Crash recovery
-//! (`Gateway::bind`) and [`replay_log`] differ only in the policy they
-//! apply on top.
+//! the sessions of one hub back into hub state. Crash recovery (`recover`,
+//! called by `Gateway::bind`) and [`replay_log`] differ only in the policy
+//! they apply on top.
 
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
 use std::path::Path;
+use std::time::Instant;
 
 use hbc_core::{SessionId, StreamHub};
 use hbc_embedded::{BeatOutcome, WbsnFirmware};
 use hbc_wal::WalRecord;
 
 use crate::proto::dequantize_mv_into;
-use crate::server::promote;
+use crate::session::{NetSession, SessionManager, SessionPhase, SessionPriority};
+
+/// Turns a calibration stretch into a hub session — the one place the
+/// gateway derives detection thresholds: calibrate on `stretch`, register
+/// the patient, and return the handle a [`SessionPhase::Streaming`] session
+/// carries. `None` when the stretch is degenerate (too short or too flat
+/// for the detector). Used by sweep promotion, close-while-calibrating and
+/// the log rebuild.
+pub(crate) fn promote(
+    hub: &mut StreamHub<'_>,
+    patient_id: u32,
+    stretch: &[f64],
+) -> Option<SessionId> {
+    let thresholds = hub.calibrate_thresholds(stretch).ok()?;
+    Some(hub.add_patient(patient_id, thresholds))
+}
 
 /// One logged session re-scored through the pipeline, in log open order.
 #[derive(Debug, Clone)]
@@ -207,6 +223,93 @@ pub(crate) fn rebuild(hub: &mut StreamHub<'_>, logged: Vec<LoggedSession>) -> (V
     let rejected = !feeds.is_empty() && hub.ingest(&feeds).is_err();
     debug_assert!(!rejected, "rebuilt hub sessions are fresh and unique");
     (rebuilt, rejected)
+}
+
+/// Rebuilds the sessions a previous gateway process left open in the
+/// durable log and parks them at `now` for
+/// [`crate::proto::Frame::ResumeSession`].
+///
+/// The log is folded and rebuilt by the code [`replay_log`] uses
+/// ([`fold_log`], [`rebuild`]), so the rebuilt outcome history is
+/// bit-identical to the pre-crash ingestion. The policy on top is
+/// recovery's: closed sessions are done, sessions logged at another
+/// sampling rate belong to a differently configured gateway, and a session
+/// whose calibration stretch is degenerate is dropped. A session whose log
+/// ends inside its calibration stretch is parked still calibrating, with
+/// its logged samples buffered. The manager's wire-id and token generators
+/// are fast-forwarded past every logged open so recovered and freshly
+/// opened sessions can never collide. Invariant violations are counted in
+/// `internal_skips`. Returns the number of sessions parked.
+pub(crate) fn recover(
+    hub: &mut StreamHub<'_>,
+    sessions: &mut SessionManager,
+    records: Vec<WalRecord>,
+    fs_millihertz: u32,
+    internal_skips: &mut u64,
+    now: Instant,
+) -> u64 {
+    let fold = fold_log(records);
+    // Replay the generators: every logged open consumed one wire id and one
+    // token, whether or not its session survives recovery, so the post-
+    // restart streams continue exactly where the pre-crash ones would have.
+    sessions.skip_tokens(fold.opens);
+    if let Some(max) = fold.max_wire_id {
+        sessions.ensure_next_id(max.wrapping_add(1));
+    }
+    let open = fold
+        .sessions
+        .into_iter()
+        .filter(|s| !s.closed && s.fs_millihertz == fs_millihertz)
+        .collect();
+    let (rebuilt, rejected) = rebuild(hub, open);
+    if rejected {
+        *internal_skips += 1;
+    }
+    let mut recovered = 0;
+    for r in rebuilt {
+        let logged = &r.session;
+        let mut session = NetSession::new(
+            logged.wire_id,
+            logged.token,
+            usize::MAX,
+            logged.patient_id,
+            logged.calib_len,
+            now,
+        );
+        session.next_seq = logged.next_seq;
+        session.samples_received = r.samples.len() as u64;
+        match r.calibration {
+            // `outcomes_sent` restarts at the full replayed history: the
+            // owner can only have received outcomes the pre-crash gateway
+            // actually sent, which the replay covers (samples are logged
+            // before they are ingested), so the resume-time `min()` rewind
+            // lands exactly on the client's claim. The priority is scored
+            // from the same history, which forwarding — skipping sessions
+            // with nothing unsent — would otherwise never look at again.
+            Calibration::Streaming(hub_id) => {
+                session.phase = SessionPhase::Streaming { hub: hub_id };
+                match hub.outcomes(hub_id) {
+                    Ok(all) => {
+                        session.outcomes_sent = all.len();
+                        session.priority = SessionPriority::of(all);
+                    }
+                    Err(_) => {
+                        *internal_skips += 1;
+                        debug_assert!(false, "rebuilt session {hub_id:?} is not live in the hub");
+                    }
+                }
+            }
+            Calibration::Pending => session.pending = r.samples,
+            // A degenerate calibration stretch would have ended the
+            // session live too; drop it.
+            Calibration::Failed => continue,
+        }
+        // Refused only when a log reuses a wire id: the first session keeps it.
+        if sessions.insert_parked(session, now) {
+            recovered += 1;
+        }
+    }
+    recovered
 }
 
 /// Re-scores every session in the log directory `dir` through `firmware`.

@@ -25,6 +25,11 @@
 //! hundred microseconds. [`Gateway::run`] loops `poll` until a shutdown
 //! flag flips, then reports [`GatewayStats`].
 //!
+//! Each sweep reads the clock once, at the top of `poll`; every timestamp
+//! and deadline of the sweep (activity, arrival anchors, parking and end
+//! times, the tick, eviction, reaping and expiry) uses that reading. Only
+//! the per-frame and per-ingest latency probes read the clock again.
+//!
 //! ## Credit-based flow control
 //!
 //! Every session holds a **credit budget** of `credit_budget` samples — the
@@ -106,8 +111,9 @@
 //! * **Watchdog + health** — every sweep stamps a shared [`Heartbeat`];
 //!   the run loop records the poll-latency high-water mark and counts
 //!   sweeps over [`GatewayConfig::watchdog_budget`]
-//!   ([`GatewayStats::watchdog_stalls`]), and [`Gateway::health`] snapshots
-//!   budget utilization and the shed/deny counters for supervisors.
+//!   ([`GatewayStats::watchdog_stalls`]). [`Gateway::health`] snapshots
+//!   session counts and budget utilization for supervisors; the shed/deny
+//!   counters are in [`Gateway::stats`].
 //!
 //! ## Observability
 //!
@@ -132,9 +138,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hbc_core::stream::any_recent_abnormal;
 use hbc_core::{SessionId, StreamHub};
-use hbc_embedded::firmware::BeatOutcome;
 use hbc_embedded::WbsnFirmware;
 use hbc_obs::{Histogram, MetricsSnapshot, TraceEvent, TraceRecord, TraceRing};
 use hbc_wal::{Wal, WalConfig, WalRecord};
@@ -147,10 +151,8 @@ use crate::proto::{
     encode_outcomes_into, Frame, FrameDecoder, WireOutcome, WireReport, MAX_SAMPLES_PER_FRAME,
     PROTOCOL_VERSION,
 };
-use crate::replay::{self, Calibration};
-use crate::session::{
-    NetSession, ResumeOutcome, SessionManager, SessionPhase, SessionPriority, SessionState,
-};
+use crate::replay::{self, promote};
+use crate::session::{ResumeOutcome, SessionManager, SessionPhase, SessionPriority, SessionState};
 
 /// Bytes one buffered sample occupies gateway-side (sessions buffer
 /// dequantized `f64`s).
@@ -168,21 +170,6 @@ const TRACE_CAPACITY: usize = 4096;
 /// mark ([`GatewayStats::poll_recent_high_water_micros`]) covers roughly
 /// the last two.
 const POLL_WINDOW: Duration = Duration::from_secs(10);
-
-/// How many recent outcomes the priority refresh scans: one abnormal beat
-/// in the window flags the session [`SessionPriority::Critical`]; a clean
-/// window decays it back to [`SessionPriority::Normal`].
-const PRIORITY_WINDOW: usize = 64;
-
-/// The shedding priority a session's outcome history earns: critical while
-/// its last [`PRIORITY_WINDOW`] outcomes hold an abnormal beat.
-fn priority_of(outcomes: &[BeatOutcome]) -> SessionPriority {
-    if any_recent_abnormal(outcomes, PRIORITY_WINDOW) {
-        SessionPriority::Critical
-    } else {
-        SessionPriority::Normal
-    }
-}
 
 /// Period of the reactor's housekeeping tick: accepting connections, the
 /// admin listener, idle eviction, slow-peer reaping, resume-window expiry
@@ -520,20 +507,21 @@ struct HeartbeatInner {
 }
 
 impl Heartbeat {
-    fn new() -> Self {
+    fn new(epoch: Instant) -> Self {
         Heartbeat {
             inner: Arc::new(HeartbeatInner {
-                epoch: Instant::now(),
+                epoch,
                 last_beat: AtomicU64::new(0),
                 polls: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Stamps the current instant; called by the reactor at the start of
-    /// every sweep.
-    fn beat(&self) {
-        let micros = u64::try_from(self.inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
+    /// Stamps `now`, the sweep's clock reading; called by the reactor at the
+    /// start of every sweep.
+    fn beat(&self, now: Instant) {
+        let micros =
+            u64::try_from(now.duration_since(self.inner.epoch).as_micros()).unwrap_or(u64::MAX);
         self.inner.last_beat.store(micros, Ordering::Release);
         self.inner.polls.fetch_add(1, Ordering::Release);
     }
@@ -551,58 +539,46 @@ impl Heartbeat {
     }
 }
 
-/// A point-in-time health snapshot of a gateway, from [`Gateway::health`]:
-/// everything a supervisor needs to decide whether the reactor is alive,
-/// how close it is to its global memory budget, and whether overload
-/// protections have been firing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GatewayHealth {
-    /// Live wire sessions.
-    pub live_sessions: usize,
-    /// Sessions parked for resume.
-    pub parked_sessions: usize,
-    /// Open connections (including ones draining toward a close).
-    pub connections: usize,
-    /// Bytes of buffered samples across live and parked sessions.
-    pub buffered_bytes: usize,
-    /// Total currently charged against the global memory budget: buffered
-    /// samples, connection outboxes and cached reports.
-    pub memory_used: usize,
-    /// The configured [`GatewayConfig::global_memory_budget`].
-    pub memory_budget: usize,
-    /// Worst sweep latency the run loop has observed.
-    pub poll_high_water: Duration,
-    /// Worst sweep latency over roughly the last two 10 s poll windows
-    /// (the decaying high-water mark).
-    pub poll_recent_high_water: Duration,
-    /// Sweeps that overran [`GatewayConfig::watchdog_budget`].
-    pub watchdog_stalls: u64,
-    /// Admission denials answered with [`Frame::Busy`].
-    pub busy_denials: u64,
-    /// Shed events so far.
-    pub sheds: u64,
-    /// Samples shed so far.
-    pub samples_shed: u64,
-    /// Durable-log append failures so far. Non-zero means the gateway gave
-    /// up on the log and is running undurably (see
-    /// [`GatewayStats::wal_errors`]).
-    pub wal_errors: u64,
-    /// Bytes the durable ingest log occupies on disk across its live
-    /// segments, `0` when no log is configured (or it was disabled by an
-    /// append failure).
-    pub wal_log_bytes: u64,
-    /// Whether the durable ingest log is still accepting appends.
-    pub wal_active: bool,
-}
-
-impl GatewayHealth {
-    /// Fraction of the global memory budget in use (may momentarily exceed
-    /// 1.0 while a shed sweep is catching up).
-    pub fn budget_utilization(&self) -> f64 {
-        if self.memory_budget == 0 {
-            return 0.0;
-        }
-        self.memory_used as f64 / self.memory_budget as f64
+hbc_obs::metric_struct! {
+    prefix = "hbc_gateway_";
+    /// A point-in-time health snapshot of a gateway, from [`Gateway::health`]:
+    /// the gauges a supervisor needs to decide whether the reactor is alive
+    /// and how close it is to its global memory budget. Every field is served
+    /// on `/metrics`; the overload counters (sheds, denials, stalls, log
+    /// errors) and the poll-latency high-water marks are in
+    /// [`Gateway::stats`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GatewayHealth {
+        /// Live wire sessions.
+        gauge pub live_sessions: usize,
+        /// Sessions parked for resume.
+        gauge pub parked_sessions: usize,
+        /// Open connections, including ones draining toward a close.
+        gauge pub open_connections: usize,
+        /// Bytes of buffered samples across live and parked sessions.
+        gauge pub buffered_bytes: usize,
+        /// Bytes charged against the global memory budget.
+        ///
+        /// Buffered samples, connection outboxes and cached reports.
+        gauge pub memory_used_bytes: usize,
+        /// The configured global memory budget.
+        ///
+        /// [`GatewayConfig::global_memory_budget`], in bytes.
+        gauge pub memory_budget_bytes: usize,
+        /// Fraction of the global memory budget in use.
+        ///
+        /// May momentarily exceed 1.0 while a shed sweep is catching up.
+        gauge pub budget_utilization: f64,
+        /// Bytes the durable ingest log occupies across its segments.
+        ///
+        /// `0` when no log is configured (or it was disabled by an append
+        /// failure).
+        gauge pub wal_log_bytes: u64,
+        /// Whether the durable log is still accepting appends (1/0).
+        ///
+        /// `0` after an append failure: the gateway gave up on the log and
+        /// runs undurably (see [`GatewayStats::wal_errors`]).
+        gauge pub wal_active: u8,
     }
 }
 
@@ -616,9 +592,6 @@ struct Connection {
     closing: bool,
     /// Socket gone; reaped immediately.
     dead: bool,
-    /// When the connection was accepted; drives the pre-session handshake
-    /// deadline.
-    accepted_at: Instant,
     /// The connection completed a session-level handshake (opened, resumed
     /// or re-fetched a session) and graduated from the handshake deadline
     /// to the minimum-progress check.
@@ -627,7 +600,9 @@ struct Connection {
     read_since_check: usize,
     /// Outbox bytes flushed since the current progress interval began.
     wrote_since_check: usize,
-    /// When the current minimum-progress interval began.
+    /// When the current minimum-progress interval began; until the
+    /// connection is established, when it was accepted (the handshake
+    /// deadline runs from it).
     checked_at: Instant,
 }
 
@@ -677,11 +652,11 @@ struct GatewayObs {
 }
 
 impl GatewayObs {
-    fn new() -> Self {
+    fn new(now: Instant) -> Self {
         GatewayObs {
             latency: GatewayLatency::default(),
             trace: TraceRing::new(TRACE_CAPACITY),
-            window_started: Instant::now(),
+            window_started: now,
             window_max_micros: 0,
             prev_window_max_micros: 0,
         }
@@ -741,6 +716,10 @@ pub struct Gateway<'fw> {
     heartbeat: Heartbeat,
     /// When the next housekeeping tick is due (see [`HOUSEKEEPING_TICK`]).
     next_tick: Instant,
+    /// The clock reading of the current sweep, taken once at the top of
+    /// [`Gateway::poll`] (at bind time before the first sweep): every
+    /// timestamp and deadline of the sweep uses it.
+    now: Instant,
     /// Telemetry: latency histograms, the trace ring and the poll-window
     /// rotation state.
     obs: GatewayObs,
@@ -777,6 +756,7 @@ impl<'fw> Gateway<'fw> {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        let now = Instant::now();
         let fs_millihertz = (fs * 1000.0).round() as u32;
         let mut hub = StreamHub::new(firmware, fs);
         let mut sessions = SessionManager::new();
@@ -785,14 +765,14 @@ impl<'fw> Gateway<'fw> {
             Some(wal_config) => {
                 let (wal, recovery) =
                     Wal::open(wal_config.clone()).map_err(std::io::Error::other)?;
-                let recovered = recover_sessions(
+                stats.sessions_recovered = replay::recover(
                     &mut hub,
                     &mut sessions,
                     recovery.records,
                     fs_millihertz,
-                    &mut stats,
+                    &mut stats.internal_skips,
+                    now,
                 );
-                stats.sessions_recovered = recovered;
                 Some(wal)
             }
             None => None,
@@ -800,7 +780,7 @@ impl<'fw> Gateway<'fw> {
         // Recovered sessions arrive with their replay buffers; seed the
         // global ledger from the recount so the budget sees them.
         let buffered_samples = sessions.total_buffered_samples();
-        let mut obs = GatewayObs::new();
+        let mut obs = GatewayObs::new(now);
         // Every session in the table at bind time is a recovered, parked one.
         for (_, s) in sessions.entries() {
             obs.trace
@@ -829,8 +809,9 @@ impl<'fw> Gateway<'fw> {
             outcomes: Vec::new(),
             wal,
             buffered_samples,
-            heartbeat: Heartbeat::new(),
-            next_tick: Instant::now(),
+            heartbeat: Heartbeat::new(now),
+            next_tick: now,
+            now,
             obs,
             admin,
             admin_conns: Vec::new(),
@@ -870,11 +851,6 @@ impl<'fw> Gateway<'fw> {
         &self.stats
     }
 
-    /// Live wire sessions.
-    pub fn active_sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Sessions parked for resume (their connection died within the
     /// retention window).
     pub fn parked_sessions(&self) -> usize {
@@ -891,48 +867,44 @@ impl<'fw> Gateway<'fw> {
         self.buffered_samples * SAMPLE_BYTES + outboxes + cached
     }
 
-    /// A point-in-time health snapshot: session and connection counts,
-    /// budget utilization, the poll-latency high-water mark and the
-    /// overload counters.
+    /// A point-in-time health snapshot: session and connection counts and
+    /// the memory budget's use. The overload counters are in
+    /// [`Gateway::stats`].
     pub fn health(&self) -> GatewayHealth {
+        let memory_used_bytes = self.memory_used();
+        let memory_budget_bytes = self.config.global_memory_budget;
         GatewayHealth {
             live_sessions: self.sessions.len(),
             parked_sessions: self.sessions.parked_len(),
-            connections: self.conns.iter().flatten().count(),
+            open_connections: self.conns.iter().flatten().count(),
             buffered_bytes: self.buffered_samples * SAMPLE_BYTES,
-            memory_used: self.memory_used(),
-            memory_budget: self.config.global_memory_budget,
-            poll_high_water: Duration::from_micros(self.stats.poll_high_water_micros),
-            poll_recent_high_water: Duration::from_micros(self.recent_high_water_micros()),
-            watchdog_stalls: self.stats.watchdog_stalls,
-            busy_denials: self.stats.busy_denials,
-            sheds: self.stats.sheds,
-            samples_shed: self.stats.samples_shed,
-            wal_errors: self.stats.wal_errors,
+            memory_used_bytes,
+            memory_budget_bytes,
+            budget_utilization: if memory_budget_bytes == 0 {
+                0.0
+            } else {
+                memory_used_bytes as f64 / memory_budget_bytes as f64
+            },
             wal_log_bytes: self.wal.as_ref().map_or(0, Wal::total_bytes),
-            wal_active: self.wal.is_some(),
+            wal_active: u8::from(self.wal.is_some()),
         }
     }
 
-    /// The windowed poll-latency high-water mark: the worst sweep over the
-    /// current and the previous [`POLL_WINDOW`].
-    fn recent_high_water_micros(&self) -> u64 {
-        self.obs
-            .window_max_micros
-            .max(self.obs.prev_window_max_micros)
-    }
-
-    /// Feeds one sweep latency into the telemetry: the sweep histogram and
-    /// the windowed high-water rotation.
+    /// Feeds the latency of the sweep that started at `self.now` into the
+    /// telemetry: the sweep histogram and the windowed high-water mark,
+    /// the worst sweep over the current and the previous [`POLL_WINDOW`].
     fn note_sweep(&mut self, micros: u64) {
         self.obs.latency.sweep_micros.record(micros);
-        if self.obs.window_started.elapsed() > POLL_WINDOW {
+        if self.now.duration_since(self.obs.window_started) > POLL_WINDOW {
             self.obs.prev_window_max_micros = self.obs.window_max_micros;
             self.obs.window_max_micros = 0;
-            self.obs.window_started = Instant::now();
+            self.obs.window_started = self.now;
         }
         self.obs.window_max_micros = self.obs.window_max_micros.max(micros);
-        self.stats.poll_recent_high_water_micros = self.recent_high_water_micros();
+        self.stats.poll_recent_high_water_micros = self
+            .obs
+            .window_max_micros
+            .max(self.obs.prev_window_max_micros);
     }
 
     /// The reactor's liveness probe. Clone it out *before*
@@ -970,9 +942,8 @@ impl<'fw> Gateway<'fw> {
     /// As [`Gateway::run`].
     pub fn run_with_report(mut self, shutdown: &AtomicBool) -> std::io::Result<GatewayReport> {
         while !shutdown.load(Ordering::Acquire) {
-            let sweep_started = Instant::now();
             let progress = self.poll()?;
-            let latency = sweep_started.elapsed();
+            let latency = self.now.elapsed();
             let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
             self.stats.poll_high_water_micros = self.stats.poll_high_water_micros.max(micros);
             self.note_sweep(micros);
@@ -1022,20 +993,22 @@ impl<'fw> Gateway<'fw> {
     }
 
     /// One reactor sweep; returns whether any progress was made (bytes
-    /// moved, frames handled, samples ingested). Stamps the [`Heartbeat`]
-    /// on entry. Housekeeping runs only when the [`HOUSEKEEPING_TICK`] is
-    /// due; staging and forwarding visit only the ready sessions.
+    /// moved, frames handled, samples ingested). Reads the clock once on
+    /// entry: that reading stamps the [`Heartbeat`] and dates every
+    /// timestamp and deadline of the sweep. Housekeeping runs only when the
+    /// [`HOUSEKEEPING_TICK`] is due; staging and forwarding visit only the
+    /// ready sessions.
     ///
     /// # Errors
     ///
     /// Propagates fatal listener errors.
     pub fn poll(&mut self) -> std::io::Result<bool> {
-        self.heartbeat.beat();
-        let now = Instant::now();
-        let tick = now >= self.next_tick;
+        self.now = Instant::now();
+        self.heartbeat.beat(self.now);
+        let tick = self.now >= self.next_tick;
         let mut progress = false;
         if tick {
-            self.next_tick = now + HOUSEKEEPING_TICK;
+            self.next_tick = self.now + HOUSEKEEPING_TICK;
             progress |= self.accept_new()?;
             progress |= self.serve_admin();
         }
@@ -1044,7 +1017,7 @@ impl<'fw> Gateway<'fw> {
         }
         if tick {
             self.sessions
-                .owing_quiet_into(Instant::now(), CREDIT_QUIET, &mut self.ready);
+                .owing_quiet_into(self.now, CREDIT_QUIET, &mut self.ready);
         }
         progress |= self.ingest_sweep();
         progress |= self.forward_outcomes_and_credit();
@@ -1091,7 +1064,6 @@ impl<'fw> Gateway<'fw> {
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            let now = Instant::now();
             let conn = Connection {
                 stream,
                 decoder: FrameDecoder::new(),
@@ -1100,11 +1072,10 @@ impl<'fw> Gateway<'fw> {
                 greeted: false,
                 closing: false,
                 dead: false,
-                accepted_at: now,
                 established: false,
                 read_since_check: 0,
                 wrote_since_check: 0,
-                checked_at: now,
+                checked_at: self.now,
             };
             let idx = match self.conns.iter().position(Option::is_none) {
                 Some(i) => {
@@ -1387,9 +1358,7 @@ impl<'fw> Gateway<'fw> {
             self.busy(idx);
             return;
         }
-        let wire_id = self
-            .sessions
-            .open(idx, patient_id, calib_len, Instant::now());
+        let wire_id = self.sessions.open(idx, patient_id, calib_len, self.now);
         let Some(token) = self.sessions.get(wire_id).map(|s| s.token) else {
             self.stats.internal_skips += 1;
             debug_assert!(false, "session {wire_id} vanished right after open");
@@ -1435,13 +1404,12 @@ impl<'fw> Gateway<'fw> {
         last_acked_seq: u32,
         outcomes_received: u64,
     ) {
-        let now = Instant::now();
         let (wire_id, next_expected_seq, credit) = match self.sessions.resume(
             token,
             patient_id,
             last_acked_seq,
             idx,
-            now,
+            self.now,
         ) {
             ResumeOutcome::Resumed(wire_id) => {
                 let budget = self.config.credit_budget;
@@ -1529,7 +1497,7 @@ impl<'fw> Gateway<'fw> {
 
     fn accept_samples(&mut self, idx: usize, session: u32, seq: u32, mut samples: Vec<i16>) {
         let budget = self.config.credit_budget;
-        let overflow = self.config.overflow;
+        let now = self.now;
         let Some(s) = self.sessions.get_mut(session) else {
             if self.sessions.is_retired(session) {
                 // Samples racing an asynchronous end (eviction): the sender
@@ -1560,37 +1528,31 @@ impl<'fw> Gateway<'fw> {
             self.deny(idx, "sample frame exceeds MAX_SAMPLES_PER_FRAME");
             return;
         }
-        s.next_seq += 1;
-        s.last_activity = Instant::now();
-        let token = s.token;
         let room = budget.saturating_sub(s.buffered());
-        let accepted = if samples.len() > room {
-            match overflow {
-                OverflowPolicy::Disconnect => {
-                    self.deny(
-                        idx,
-                        &format!(
-                            "credit exceeded: {} samples in flight + {} sent > budget {budget}",
-                            budget - room,
-                            samples.len()
-                        ),
-                    );
-                    return;
-                }
-                OverflowPolicy::DropExcess => {
-                    self.stats.samples_dropped += (samples.len() - room) as u64;
-                    room
-                }
-            }
-        } else {
-            samples.len()
-        };
+        if samples.len() > room && self.config.overflow == OverflowPolicy::Disconnect {
+            // A denied frame is not received: the receive position and the
+            // idle clock stay where they were, so a resume restarts at it.
+            self.deny(
+                idx,
+                &format!(
+                    "credit exceeded: {} samples in flight + {} sent > budget {budget}",
+                    budget - room,
+                    samples.len()
+                ),
+            );
+            return;
+        }
+        s.next_seq += 1;
+        s.last_activity = now;
+        let token = s.token;
+        // Under `DropExcess` the excess over the credit budget is dropped.
+        let mut accepted = samples.len().min(room);
+        self.stats.samples_dropped += (samples.len() - accepted) as u64;
         // Global-budget enforcement: shed buffered normal-priority
         // telemetry first (largest buffer first, live or parked); whatever
         // still does not fit — everything left is critical — is dropped
         // from the incoming frame instead, with credit returned either way
         // so the sender degrades (a stream gap) rather than deadlocking.
-        let mut accepted = accepted;
         let mut dropped_at_budget = 0usize;
         let budget_bytes = self.config.global_memory_budget;
         let need = (self.memory_used() + accepted * SAMPLE_BYTES).saturating_sub(budget_bytes);
@@ -1630,7 +1592,7 @@ impl<'fw> Gateway<'fw> {
         // Anchor the beat-to-outcome clock on the empty → non-empty
         // transition: the oldest buffered sample arrived now.
         if s.pending.is_empty() && accepted > 0 && s.oldest_pending_at.is_none() {
-            s.oldest_pending_at = Some(Instant::now());
+            s.oldest_pending_at = Some(now);
         }
         s.pending
             .extend(samples.iter().map(|&c| adc.dequantize_sample(i32::from(c))));
@@ -1701,7 +1663,7 @@ impl<'fw> Gateway<'fw> {
     /// connections are marked dead and their sessions detach through the
     /// ordinary resume path.
     fn reap_slow_peers(&mut self) {
-        let now = Instant::now();
+        let now = self.now;
         let handshake = self.config.handshake_timeout;
         let interval = self.config.progress_interval;
         let min_bytes = self.config.min_progress_bytes;
@@ -1712,7 +1674,7 @@ impl<'fw> Gateway<'fw> {
                 continue;
             }
             if !conn.established {
-                if !handshake.is_zero() && now.duration_since(conn.accepted_at) > handshake {
+                if !handshake.is_zero() && now.duration_since(conn.checked_at) > handshake {
                     conn.dead = true;
                     handshake_reaps += 1;
                     self.obs.trace.push(TraceEvent::ReapHandshake);
@@ -1752,7 +1714,7 @@ impl<'fw> Gateway<'fw> {
         self.sweep.sort_unstable();
         self.sweep.dedup();
         let sweep = std::mem::take(&mut self.sweep);
-        let now = Instant::now();
+        let now = self.now;
         let mut batch = 0;
         for &wire_id in &sweep {
             // A session that ended after it was marked has no work left.
@@ -1857,7 +1819,7 @@ impl<'fw> Gateway<'fw> {
         let sweep = std::mem::take(&mut self.sweep);
         let mut outcomes = std::mem::take(&mut self.outcomes);
         let budget = self.config.credit_budget;
-        let now = Instant::now();
+        let now = self.now;
         for &wire_id in &sweep {
             let Some(s) = self.sessions.get_mut(wire_id) else {
                 continue;
@@ -1891,19 +1853,16 @@ impl<'fw> Gateway<'fw> {
                     .iter()
                     .map(WireOutcome::from_outcome),
             );
-            s.priority = priority_of(all);
-            if !outcomes.is_empty() {
-                let n = outcomes.len();
-                send_outcomes(&mut self.conns, &mut self.stats, conn, wire_id, &outcomes);
-                let Some(s) = self.sessions.get_mut(wire_id) else {
-                    debug_assert!(false, "session {wire_id} vanished while forwarding");
-                    continue;
-                };
+            s.priority = SessionPriority::of(all);
+            let n = outcomes.len();
+            if n > 0 {
                 s.outcomes_sent += n;
+                let anchor = s.staged_anchor.take();
+                send_outcomes(&mut self.conns, &mut self.stats, conn, wire_id, &outcomes);
                 // The headline metric: from the arrival of the oldest
                 // sample behind these outcomes to the sweep forwarding
                 // them. One record per forwarding event.
-                if let Some(anchor) = s.staged_anchor.take() {
+                if let Some(anchor) = anchor {
                     self.obs
                         .latency
                         .beat_to_outcome_micros
@@ -1912,32 +1871,29 @@ impl<'fw> Gateway<'fw> {
                 self.stats.beats_out += n as u64;
                 progress = true;
             }
-            if grant > 0 {
-                let under_cap = self.conns[conn]
-                    .as_ref()
-                    .is_some_and(|c| !c.dead && c.queued() <= self.config.max_outbox_bytes);
-                if !under_cap {
-                    // Withheld while the outbox is over the cap; the session
-                    // stays ready until it drains.
-                    self.ready.push(wire_id);
-                    continue;
-                }
-                self.send(
-                    conn,
-                    &Frame::Credit {
-                        session: wire_id,
-                        grant: grant as u32,
-                        acked_seq,
-                    },
-                );
-                self.stats.credit_grants += 1;
-                let Some(s) = self.sessions.get_mut(wire_id) else {
-                    debug_assert!(false, "session {wire_id} vanished while granting");
-                    continue;
-                };
-                s.consumed_since_grant = 0;
-                progress = true;
+            if grant == 0 {
+                continue;
             }
+            // Credit is withheld while the outbox, these outcomes included,
+            // is over the cap; the session stays ready until it drains.
+            let under_cap = self.conns[conn]
+                .as_ref()
+                .is_some_and(|c| !c.dead && c.queued() <= self.config.max_outbox_bytes);
+            if !under_cap {
+                self.ready.push(wire_id);
+                continue;
+            }
+            s.consumed_since_grant = 0;
+            self.send(
+                conn,
+                &Frame::Credit {
+                    session: wire_id,
+                    grant: grant as u32,
+                    acked_seq,
+                },
+            );
+            self.stats.credit_grants += 1;
+            progress = true;
         }
         self.sweep = sweep;
         self.outcomes = outcomes;
@@ -1945,10 +1901,7 @@ impl<'fw> Gateway<'fw> {
     }
 
     fn evict_idle(&mut self) {
-        for wire_id in self
-            .sessions
-            .idle_ids(Instant::now(), self.config.idle_timeout)
-        {
+        for wire_id in self.sessions.idle_ids(self.now, self.config.idle_timeout) {
             self.close_wire_session(wire_id, true);
         }
     }
@@ -2016,7 +1969,7 @@ impl<'fw> Gateway<'fw> {
                 report,
             },
         );
-        self.sessions.end(wire_id, report, history, Instant::now());
+        self.sessions.end(wire_id, report, history, self.now);
         if evicted {
             self.stats.sessions_evicted += 1;
             self.obs
@@ -2034,7 +1987,6 @@ impl<'fw> Gateway<'fw> {
     /// drained, parking their sessions for resume within the retention
     /// window.
     fn reap(&mut self) {
-        let now = Instant::now();
         for idx in 0..self.conns.len() {
             let remove = match self.conns[idx].as_ref() {
                 Some(c) => c.dead || (c.closing && c.queued() == 0),
@@ -2044,7 +1996,7 @@ impl<'fw> Gateway<'fw> {
                 continue;
             }
             for wire_id in self.sessions.ids_for_conn(idx) {
-                if self.sessions.park(wire_id, now) {
+                if self.sessions.park(wire_id, self.now) {
                     self.stats.sessions_detached += 1;
                     self.obs
                         .trace
@@ -2060,8 +2012,7 @@ impl<'fw> Gateway<'fw> {
     /// any more: it leaves the ledger, is closed in the log so recovery
     /// does not resurrect it, and its hub session is discarded unreported.
     fn expire_sessions(&mut self) {
-        let now = Instant::now();
-        for s in self.sessions.expire(now, self.config.resume_window) {
+        for s in self.sessions.expire(self.now, self.config.resume_window) {
             self.buffered_samples -= s.buffered();
             self.wal_log(&WalRecord::SessionClose { token: s.token });
             if let Some(hub_id) = s.hub_id() {
@@ -2138,117 +2089,6 @@ fn send_outcomes(
         encode_outcomes_into(session, chunk, &mut conn.outbox);
         stats.frames_out += 1;
     }
-}
-
-/// Rebuilds the sessions a previous gateway process left open in the
-/// durable log and parks them for [`Frame::ResumeSession`].
-///
-/// The log is folded and rebuilt by the code [`crate::replay_log`] uses
-/// ([`replay::fold_log`], [`replay::rebuild`]), so the rebuilt outcome
-/// history is bit-identical to the pre-crash ingestion. The policy on top
-/// is recovery's: closed sessions are done, sessions logged at another
-/// sampling rate belong to a differently configured gateway, and a session
-/// whose calibration stretch is degenerate is dropped. A session whose log
-/// ends inside its calibration stretch is parked still calibrating, with
-/// its logged samples buffered. The manager's wire-id and token generators
-/// are fast-forwarded past every logged open so recovered and freshly
-/// opened sessions can never collide. Returns the number of sessions
-/// parked.
-fn recover_sessions(
-    hub: &mut StreamHub<'_>,
-    sessions: &mut SessionManager,
-    records: Vec<WalRecord>,
-    fs_millihertz: u32,
-    stats: &mut GatewayStats,
-) -> u64 {
-    let fold = replay::fold_log(records);
-    // Replay the generators: every logged open consumed one wire id and one
-    // token, whether or not its session survives recovery, so the post-
-    // restart streams continue exactly where the pre-crash ones would have.
-    sessions.skip_tokens(fold.opens);
-    if let Some(max) = fold.max_wire_id {
-        sessions.ensure_next_id(max.wrapping_add(1));
-    }
-    let open = fold
-        .sessions
-        .into_iter()
-        .filter(|s| !s.closed && s.fs_millihertz == fs_millihertz)
-        .collect();
-    let (rebuilt, rejected) = replay::rebuild(hub, open);
-    if rejected {
-        stats.internal_skips += 1;
-    }
-    let now = Instant::now();
-    let mut recovered = 0;
-    for r in rebuilt {
-        let samples_received = r.samples.len() as u64;
-        // `outcomes_sent` restarts at the full replayed history: the owner
-        // can only have received outcomes the pre-crash gateway actually
-        // sent, which the replay covers (samples are logged before they are
-        // ingested), so the resume-time `min()` rewind lands exactly on the
-        // client's claim. The priority is scored from the same history,
-        // which forwarding — skipping sessions with nothing unsent — would
-        // otherwise never look at again.
-        let (phase, pending, (outcomes_sent, priority)) = match r.calibration {
-            Calibration::Streaming(hub_id) => {
-                let read = match hub.outcomes(hub_id) {
-                    Ok(all) => (all.len(), priority_of(all)),
-                    Err(_) => {
-                        stats.internal_skips += 1;
-                        debug_assert!(false, "rebuilt session {hub_id:?} is not live in the hub");
-                        (0, SessionPriority::Normal)
-                    }
-                };
-                (SessionPhase::Streaming { hub: hub_id }, Vec::new(), read)
-            }
-            Calibration::Pending => (
-                SessionPhase::Calibrating {
-                    calib_len: r.session.calib_len,
-                },
-                r.samples,
-                (0, SessionPriority::Normal),
-            ),
-            // A degenerate calibration stretch would have ended the
-            // session live too; drop it.
-            Calibration::Failed => continue,
-        };
-        let session = NetSession {
-            wire_id: r.session.wire_id,
-            token: r.session.token,
-            conn: usize::MAX,
-            patient_id: r.session.patient_id,
-            phase,
-            pending,
-            next_seq: r.session.next_seq,
-            outcomes_sent,
-            consumed_since_grant: 0,
-            samples_received,
-            last_activity: now,
-            priority,
-            oldest_pending_at: None,
-            staged_anchor: None,
-        };
-        // Refused only when a log reuses a wire id: the first session keeps it.
-        if sessions.insert_parked(session, now) {
-            recovered += 1;
-        }
-    }
-    recovered
-}
-
-/// Turns a calibration stretch into a hub session — the one place the
-/// gateway derives detection thresholds: calibrate on `stretch`, register
-/// the patient, and return the handle a [`SessionPhase::Streaming`] session
-/// carries. `None` when the stretch is degenerate (too short or too flat
-/// for the detector). Used by sweep promotion, close-while-calibrating and
-/// the log rebuild.
-pub(crate) fn promote(
-    hub: &mut StreamHub<'_>,
-    patient_id: u32,
-    stretch: &[f64],
-) -> Option<SessionId> {
-    let thresholds = hub.calibrate_thresholds(stretch).ok()?;
-    Some(hub.add_patient(patient_id, thresholds))
 }
 
 impl std::fmt::Debug for Gateway<'_> {

@@ -46,9 +46,10 @@ impl Gateway<'_> {
     /// latency, the per-stage firmware timings aggregated across every
     /// session the hub has served, and the durable-log metrics.
     ///
-    /// Every field of [`super::GatewayStats`], of the latency histograms, of the
-    /// stage timings and of the log metrics is exported by its declaring
-    /// struct; only readings no struct field holds are listed here.
+    /// Every field of [`super::GatewayStats`], of [`super::GatewayHealth`], of
+    /// the latency histograms, of the stage timings and of the log metrics
+    /// is exported by its declaring struct; only readings no struct field
+    /// holds are listed here.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         self.stats.export(&mut snap);
@@ -62,52 +63,7 @@ impl Gateway<'_> {
             "Trace events lost to ring overwrites.",
             self.obs.trace.dropped(),
         );
-        let health = self.health();
-        snap.push_gauge(
-            "hbc_gateway_live_sessions",
-            "Live wire sessions.",
-            health.live_sessions as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_parked_sessions",
-            "Sessions parked for resume.",
-            health.parked_sessions as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_open_connections",
-            "Open connections, including ones draining toward a close.",
-            health.connections as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_buffered_bytes",
-            "Bytes of buffered samples across live and parked sessions.",
-            health.buffered_bytes as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_memory_used_bytes",
-            "Bytes charged against the global memory budget.",
-            health.memory_used as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_memory_budget_bytes",
-            "The configured global memory budget.",
-            health.memory_budget as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_budget_utilization",
-            "Fraction of the global memory budget in use.",
-            health.budget_utilization(),
-        );
-        snap.push_gauge(
-            "hbc_gateway_wal_log_bytes",
-            "Bytes the durable ingest log occupies across its segments.",
-            health.wal_log_bytes as f64,
-        );
-        snap.push_gauge(
-            "hbc_gateway_wal_active",
-            "Whether the durable log is still accepting appends (1/0).",
-            if health.wal_active { 1.0 } else { 0.0 },
-        );
+        self.health().export(&mut snap);
         self.obs.latency.export(&mut snap);
         snap.push_histogram(
             "hbc_hub_ingest_micros",
@@ -139,7 +95,7 @@ impl Gateway<'_> {
                         }
                         self.admin_conns.push(AdminConn {
                             stream,
-                            accepted_at: Instant::now(),
+                            accepted_at: self.now,
                             inbox: Vec::new(),
                             outbox: Vec::new(),
                             sent: 0,
@@ -159,6 +115,7 @@ impl Gateway<'_> {
         // second pass.
         let mut ready: Vec<(usize, String, String)> = Vec::new();
         let deadline = self.config.handshake_timeout;
+        let now = self.now;
         for (i, conn) in self.admin_conns.iter_mut().enumerate() {
             if conn.dead || conn.responding {
                 continue;
@@ -194,7 +151,7 @@ impl Gateway<'_> {
             }
             if let Some((method, path)) = admin_request_line(&conn.inbox) {
                 ready.push((i, method, path));
-            } else if !deadline.is_zero() && conn.accepted_at.elapsed() > deadline {
+            } else if !deadline.is_zero() && now.duration_since(conn.accepted_at) > deadline {
                 // Same deadline as a pre-session wire connection: a silent
                 // or trickling scraper cannot hold a socket and its inbox.
                 conn.dead = true;
@@ -282,9 +239,11 @@ impl Gateway<'_> {
         response
     }
 
-    /// The [`Gateway::health`] snapshot as a JSON object.
+    /// The [`Gateway::health`] snapshot and the overload counters of
+    /// [`Gateway::stats`] as one JSON object.
     fn health_json(&self) -> String {
         let h = self.health();
+        let s = &self.stats;
         format!(
             concat!(
                 "{{\"live_sessions\":{},\"parked_sessions\":{},",
@@ -297,20 +256,20 @@ impl Gateway<'_> {
             ),
             h.live_sessions,
             h.parked_sessions,
-            h.connections,
+            h.open_connections,
             h.buffered_bytes,
-            h.memory_used,
-            h.memory_budget,
-            h.budget_utilization(),
-            h.poll_high_water.as_micros(),
-            h.poll_recent_high_water.as_micros(),
-            h.watchdog_stalls,
-            h.busy_denials,
-            h.sheds,
-            h.samples_shed,
-            h.wal_errors,
+            h.memory_used_bytes,
+            h.memory_budget_bytes,
+            h.budget_utilization,
+            s.poll_high_water_micros,
+            s.poll_recent_high_water_micros,
+            s.watchdog_stalls,
+            s.busy_denials,
+            s.sheds,
+            s.samples_shed,
+            s.wal_errors,
             h.wal_log_bytes,
-            h.wal_active
+            h.wal_active == 1
         )
     }
 }

@@ -46,7 +46,9 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
+use hbc_core::stream::any_recent_abnormal;
 use hbc_core::SessionId;
+use hbc_embedded::firmware::BeatOutcome;
 
 use crate::proto::{WireOutcome, WireReport};
 
@@ -55,6 +57,11 @@ use crate::proto::{WireOutcome, WireReport};
 /// receive-buffer worth of traffic behind, so a small recent window
 /// suffices; the cap keeps a long-running gateway's memory flat.
 const RETIRED_CAP: usize = 4096;
+
+/// How many recent outcomes the priority refresh scans: one abnormal beat
+/// in the window flags the session [`SessionPriority::Critical`]; a clean
+/// window decays it back to [`SessionPriority::Normal`].
+const PRIORITY_WINDOW: usize = 64;
 
 /// How much a session's buffered telemetry is worth protecting when the
 /// gateway sheds load under its global memory budget.
@@ -74,6 +81,18 @@ pub enum SessionPriority {
     /// The recent outcome window contains an abnormal (ARR-flagged) beat;
     /// shed everything else before touching this stream.
     Critical,
+}
+
+impl SessionPriority {
+    /// The shedding priority a session's outcome history earns: critical
+    /// while its last [`PRIORITY_WINDOW`] outcomes hold an abnormal beat.
+    pub(crate) fn of(outcomes: &[BeatOutcome]) -> Self {
+        if any_recent_abnormal(outcomes, PRIORITY_WINDOW) {
+            SessionPriority::Critical
+        } else {
+            SessionPriority::Normal
+        }
+    }
 }
 
 /// Where a session is in its lifecycle.
@@ -135,6 +154,34 @@ pub struct NetSession {
 }
 
 impl NetSession {
+    /// A session attached to connection `conn`, calibrating, with nothing
+    /// received yet and `now` as its last activity.
+    pub(crate) fn new(
+        wire_id: u32,
+        token: u64,
+        conn: usize,
+        patient_id: u32,
+        calib_len: usize,
+        now: Instant,
+    ) -> Self {
+        NetSession {
+            wire_id,
+            token,
+            conn,
+            patient_id,
+            phase: SessionPhase::Calibrating { calib_len },
+            pending: Vec::new(),
+            next_seq: 0,
+            outcomes_sent: 0,
+            consumed_since_grant: 0,
+            samples_received: 0,
+            last_activity: now,
+            priority: SessionPriority::Normal,
+            oldest_pending_at: None,
+            staged_anchor: None,
+        }
+    }
+
     /// Samples currently buffered gateway-side for this session.
     pub fn buffered(&self) -> usize {
         self.pending.len()
@@ -245,22 +292,8 @@ impl SessionManager {
     pub fn open(&mut self, conn: usize, patient_id: u32, calib_len: usize, now: Instant) -> u32 {
         let wire_id = self.next_id;
         self.next_id += 1;
-        let session = NetSession {
-            wire_id,
-            token: self.next_token(),
-            conn,
-            patient_id,
-            phase: SessionPhase::Calibrating { calib_len },
-            pending: Vec::new(),
-            next_seq: 0,
-            outcomes_sent: 0,
-            consumed_since_grant: 0,
-            samples_received: 0,
-            last_activity: now,
-            priority: SessionPriority::Normal,
-            oldest_pending_at: None,
-            staged_anchor: None,
-        };
+        let token = self.next_token();
+        let session = NetSession::new(wire_id, token, conn, patient_id, calib_len, now);
         self.insert(session, SessionState::Attached);
         wire_id
     }
@@ -749,25 +782,10 @@ mod tests {
         let mut recovered = SessionManager::new();
         recovered.skip_tokens(2); // two opens counted from the log
         recovered.ensure_next_id(b + 1);
-        assert!(recovered.insert_parked(
-            NetSession {
-                wire_id: b,
-                token: token_b,
-                conn: usize::MAX,
-                patient_id: 2,
-                phase: SessionPhase::Calibrating { calib_len: 10 },
-                pending: Vec::new(),
-                next_seq: 3,
-                outcomes_sent: 0,
-                consumed_since_grant: 0,
-                samples_received: 30,
-                last_activity: now,
-                priority: SessionPriority::Normal,
-                oldest_pending_at: None,
-                staged_anchor: None,
-            },
-            now,
-        ));
+        let mut session = NetSession::new(b, token_b, usize::MAX, 2, 10, now);
+        session.next_seq = 3;
+        session.samples_received = 30;
+        assert!(recovered.insert_parked(session, now));
         assert_eq!(recovered.parked_len(), 1);
         assert_eq!(
             recovered.resume(token_b, 2, 3, 4, now),

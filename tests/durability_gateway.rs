@@ -885,6 +885,71 @@ fn denied_resume_leaves_the_session_with_its_owner() {
 }
 
 #[test]
+fn credit_overrun_deny_leaves_the_receive_position() {
+    // Under `OverflowPolicy::Disconnect` a frame past the credit budget is
+    // denied and never logged. The gateway did not take it, so a resume
+    // must restart at its seq, not one past it: a replaying sender would
+    // otherwise skip a frame the gateway never had.
+    let fw = firmware();
+    let record = wire_record(7750, 8);
+    let fs = record.fs;
+    let fs_millihertz = (fs * 1000.0).round() as u32;
+    let mut codes = Vec::new();
+    quantize_mv_into(&record.lead(Lead(0)).expect("lead 0")[..1025], &mut codes);
+    let config = GatewayConfig {
+        credit_budget: 1024,
+        ..GatewayConfig::default()
+    };
+
+    let ((), stats) = with_gateway(&fw, fs, config, |addr| {
+        let (mut conn, mut decoder) = raw_connect(addr);
+        let (session, token) = raw_open(&mut conn, &mut decoder, record.id, fs_millihertz, 512);
+        conn.write_all(
+            &Frame::Samples {
+                session,
+                seq: 0,
+                samples: codes.clone(),
+            }
+            .encode(),
+        )
+        .expect("samples");
+        let Frame::Deny { message } =
+            read_until(&mut conn, &mut decoder, |f| matches!(f, Frame::Deny { .. }))
+        else {
+            unreachable!()
+        };
+        assert!(message.starts_with("credit exceeded"), "{message}");
+
+        let (mut again, mut again_decoder) = raw_connect(addr);
+        again
+            .write_all(
+                &Frame::ResumeSession {
+                    patient_id: record.id,
+                    session_token: token,
+                    last_acked_seq: 0,
+                    outcomes_received: 0,
+                }
+                .encode(),
+            )
+            .expect("resume");
+        let resumed = read_until(&mut again, &mut again_decoder, |f| {
+            matches!(f, Frame::SessionResumed { .. } | Frame::Deny { .. })
+        });
+        let Frame::SessionResumed {
+            next_expected_seq, ..
+        } = resumed
+        else {
+            panic!("the resume must succeed: {resumed:?}");
+        };
+        assert_eq!(next_expected_seq, 0, "the denied frame was never received");
+    });
+
+    assert_eq!(stats.denials, 1, "only the credit overrun");
+    assert_eq!(stats.samples_in, 0);
+    assert_eq!(stats.sessions_resumed, 1);
+}
+
+#[test]
 fn takeover_continues_gap_free_on_the_new_connection() {
     // `ResumeSession` on a second connection while the first still holds
     // the session takes it over: the outcome stream continues on the new
@@ -1107,12 +1172,12 @@ fn expired_report_cache_denies_refetch_and_frees_its_memory() {
     assert!(report.beats > 0, "the session must cache a history");
     drop(conn);
     gateway.poll().expect("poll");
-    let cached = gateway.health().memory_used;
+    let cached = gateway.health().memory_used_bytes;
     assert!(cached >= report.beats as usize * std::mem::size_of::<WireOutcome>());
 
     std::thread::sleep(window + Duration::from_millis(50));
     gateway.poll().expect("poll");
-    let expired = gateway.health().memory_used;
+    let expired = gateway.health().memory_used_bytes;
     assert_eq!(
         cached - expired,
         report.beats as usize * std::mem::size_of::<WireOutcome>(),

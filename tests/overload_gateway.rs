@@ -717,10 +717,10 @@ fn health_snapshot_and_heartbeat_track_the_reactor() {
     let idle = gateway.health();
     assert_eq!(idle.live_sessions, 0);
     assert_eq!(idle.parked_sessions, 0);
-    assert_eq!(idle.connections, 0);
-    assert_eq!(idle.memory_budget, 1 << 20);
+    assert_eq!(idle.open_connections, 0);
+    assert_eq!(idle.memory_budget_bytes, 1 << 20);
     assert_eq!(idle.buffered_bytes, 0);
-    assert!(idle.budget_utilization() >= 0.0 && idle.budget_utilization() <= 1.0);
+    assert!(idle.budget_utilization >= 0.0 && idle.budget_utilization <= 1.0);
 
     // Open a session over a raw socket, driving the reactor by hand.
     let mut raw = TcpStream::connect(addr).expect("connect");
@@ -770,8 +770,8 @@ fn health_snapshot_and_heartbeat_track_the_reactor() {
 
     let busy = gateway.health();
     assert_eq!(busy.live_sessions, 1);
-    assert_eq!(busy.connections, 1);
-    assert!(busy.memory_used <= busy.memory_budget);
+    assert_eq!(busy.open_connections, 1);
+    assert!(busy.memory_used_bytes <= busy.memory_budget_bytes);
     assert!(heartbeat.polls() > 1);
 }
 

@@ -244,9 +244,9 @@ fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
     )
     .expect("rebind");
     let health = gw.health();
-    assert!(health.wal_active, "the log must be accepting appends");
+    assert_eq!(health.wal_active, 1, "the log must be accepting appends");
     assert!(health.wal_log_bytes > 0, "the log kept the run's records");
-    assert_eq!(health.wal_errors, 0);
+    assert_eq!(gw.stats().wal_errors, 0);
 }
 
 #[test]
@@ -397,6 +397,52 @@ fn admin_surface_serves_metrics_health_and_trace() {
     assert!(health.starts_with("HTTP/1.0 200 OK\r\n"));
     assert!(health.contains("\"live_sessions\":"));
     assert!(health.contains("\"wal_active\":false"));
+    // The /health document: 16 keys in a fixed order, `wal_active` a JSON
+    // boolean, and the overload counters read from the gateway's stats.
+    let body = health.split("\r\n\r\n").nth(1).expect("health body");
+    let fields: Vec<(&str, &str)> = body
+        .strip_prefix('{')
+        .and_then(|b| b.strip_suffix('}'))
+        .expect("a JSON object")
+        .split(',')
+        .map(|kv| {
+            let (key, value) = kv.split_once(':').expect("key:value");
+            (key.trim_matches('"'), value)
+        })
+        .collect();
+    let keys: Vec<&str> = fields.iter().map(|&(key, _)| key).collect();
+    assert_eq!(
+        keys,
+        [
+            "live_sessions",
+            "parked_sessions",
+            "connections",
+            "buffered_bytes",
+            "memory_used",
+            "memory_budget",
+            "budget_utilization",
+            "poll_high_water_micros",
+            "poll_recent_high_water_micros",
+            "watchdog_stalls",
+            "busy_denials",
+            "sheds",
+            "samples_shed",
+            "wal_errors",
+            "wal_log_bytes",
+            "wal_active",
+        ]
+    );
+    let value = |key: &str| fields.iter().find(|&&(k, _)| k == key).expect(key).1;
+    assert_eq!(value("wal_active"), "false");
+    let s = &report.stats;
+    for (key, counter) in [
+        ("busy_denials", s.busy_denials),
+        ("sheds", s.sheds),
+        ("samples_shed", s.samples_shed),
+        ("wal_errors", s.wal_errors),
+    ] {
+        assert_eq!(value(key), counter.to_string(), "{key}");
+    }
 
     assert!(trace.starts_with("HTTP/1.0 200 OK\r\n"));
     assert!(trace.contains("session_open"));
