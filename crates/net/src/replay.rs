@@ -16,10 +16,12 @@
 //! gateway before (or instead of) restarting it.
 //!
 //! This module also owns the one **log fold** both readers of the log
-//! share: `fold_log` groups records into sessions and `rebuild` turns
-//! the sessions of one hub back into hub state. Crash recovery (`recover`,
-//! called by `Gateway::bind`) and [`replay_log`] differ only in the policy
-//! they apply on top.
+//! share: `LogFold` groups records into sessions one at a time as the scan
+//! decodes them, and `rebuild` turns the sessions of one hub back into hub
+//! state in bounded rounds. Neither reader ever holds the log itself.
+//! Crash recovery (`recover`, called by `Gateway::bind`) and
+//! [`replay_log`] differ only in the policy they apply on top: recovery
+//! frees a session's codes at its close and rebuilds open sessions only.
 
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
@@ -28,7 +30,7 @@ use std::time::Instant;
 
 use hbc_core::{SessionId, StreamHub};
 use hbc_embedded::{BeatOutcome, WbsnFirmware};
-use hbc_wal::WalRecord;
+use hbc_wal::{Wal, WalConfig, WalRecord};
 
 use crate::proto::dequantize_mv_into;
 use crate::session::{NetSession, SessionManager, SessionPhase, SessionPriority};
@@ -90,7 +92,9 @@ pub(crate) struct LoggedSession {
     pub(crate) patient_id: u32,
     pub(crate) calib_len: usize,
     pub(crate) fs_millihertz: u32,
-    /// Every logged sample, as wire ADC codes.
+    /// Every logged sample, as wire ADC codes (2 B per sample). Emptied
+    /// when the session's close is folded, if the fold releases closed
+    /// sessions.
     pub(crate) codes: Vec<i16>,
     /// The receive position: one past the last logged `Samples` seq.
     pub(crate) next_seq: u32,
@@ -98,7 +102,8 @@ pub(crate) struct LoggedSession {
     pub(crate) closed: bool,
 }
 
-/// What [`fold_log`] reconstructs from a record prefix.
+/// A log folded into sessions keyed by resume token, one record at a time
+/// as the scan decodes them ([`LogFold::apply`]).
 pub(crate) struct LogFold {
     /// Logged sessions, in the order their opens were logged.
     pub(crate) sessions: Vec<LoggedSession>,
@@ -107,21 +112,32 @@ pub(crate) struct LogFold {
     pub(crate) opens: u64,
     /// The largest wire id any open carried.
     pub(crate) max_wire_id: Option<u32>,
+    by_token: HashMap<u64, usize>,
+    /// Whether a session's codes are freed when its close is folded.
+    release_closed: bool,
 }
 
-/// Folds a log's records into sessions keyed by resume token.
-///
-/// A gateway never logs the same token twice. Should a log do so anyway,
-/// the first open wins and later opens of the token are ignored. Samples
-/// logged after a session's close are ignored too.
-pub(crate) fn fold_log(records: Vec<WalRecord>) -> LogFold {
-    let mut fold = LogFold {
-        sessions: Vec::new(),
-        opens: 0,
-        max_wire_id: None,
-    };
-    let mut by_token: HashMap<u64, usize> = HashMap::new();
-    for record in records {
+impl LogFold {
+    /// An empty fold. With `release_closed`, a session's codes are freed
+    /// as soon as its close is folded, so the fold holds the codes of open
+    /// sessions only.
+    pub(crate) fn new(release_closed: bool) -> Self {
+        LogFold {
+            sessions: Vec::new(),
+            opens: 0,
+            max_wire_id: None,
+            by_token: HashMap::new(),
+            release_closed,
+        }
+    }
+
+    /// Folds the next record of the log.
+    ///
+    /// A gateway never logs the same token twice. Should a log do so
+    /// anyway, the first open wins and later opens of the token are
+    /// ignored, though `opens` and `max_wire_id` count them. Samples
+    /// logged after a session's close are ignored too.
+    pub(crate) fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::SessionOpen {
                 token,
@@ -130,10 +146,11 @@ pub(crate) fn fold_log(records: Vec<WalRecord>) -> LogFold {
                 calib_len,
                 fs_millihertz,
             } => {
-                fold.opens += 1;
-                fold.max_wire_id = fold.max_wire_id.max(Some(wire_id));
-                by_token.entry(token).or_insert_with(|| {
-                    fold.sessions.push(LoggedSession {
+                self.opens += 1;
+                self.max_wire_id = self.max_wire_id.max(Some(wire_id));
+                let sessions = &mut self.sessions;
+                self.by_token.entry(token).or_insert_with(|| {
+                    sessions.push(LoggedSession {
                         token,
                         wire_id,
                         patient_id,
@@ -143,12 +160,12 @@ pub(crate) fn fold_log(records: Vec<WalRecord>) -> LogFold {
                         next_seq: 0,
                         closed: false,
                     });
-                    fold.sessions.len() - 1
+                    sessions.len() - 1
                 });
             }
             WalRecord::Samples { token, seq, codes } => {
-                if let Some(&i) = by_token.get(&token) {
-                    let session = &mut fold.sessions[i];
+                if let Some(&i) = self.by_token.get(&token) {
+                    let session = &mut self.sessions[i];
                     if !session.closed {
                         session.codes.extend_from_slice(&codes);
                         session.next_seq = seq.wrapping_add(1);
@@ -156,14 +173,22 @@ pub(crate) fn fold_log(records: Vec<WalRecord>) -> LogFold {
                 }
             }
             WalRecord::SessionClose { token } => {
-                if let Some(&i) = by_token.get(&token) {
-                    fold.sessions[i].closed = true;
+                if let Some(&i) = self.by_token.get(&token) {
+                    let session = &mut self.sessions[i];
+                    session.closed = true;
+                    if self.release_closed {
+                        session.codes = Vec::new();
+                    }
                 }
             }
         }
     }
-    fold
 }
+
+/// Samples per session that [`rebuild`] dequantizes and ingests per round.
+/// Bounds the rebuild's `f64` buffers at 8 B × this per session, whatever
+/// the length of the logged streams.
+const REBUILD_ROUND: usize = 2048;
 
 /// How far a rebuilt session got through threshold calibration.
 pub(crate) enum Calibration {
@@ -178,77 +203,102 @@ pub(crate) enum Calibration {
 
 /// One logged session after [`rebuild`].
 pub(crate) struct Rebuilt {
-    /// The session as logged (its codes moved into `samples`).
+    /// The session as logged, codes included.
     pub(crate) session: LoggedSession,
-    /// The logged stream, dequantized exactly as the wire path does.
-    pub(crate) samples: Vec<f64>,
+    /// Length of the logged stream, in samples.
+    pub(crate) samples: u64,
     pub(crate) calibration: Calibration,
 }
 
 /// Rebuilds logged sessions into `hub`, which must run at their sampling
-/// rate: dequantizes each stream, derives its thresholds from the logged
-/// calibration stretch, and feeds every calibrated stream through one
-/// parallel [`StreamHub::ingest`]. By chunk invariance the outcome history
-/// is bit-identical to the live ingestion, whatever chunk sizes the node
-/// used.
+/// rate: derives each session's thresholds from its dequantized
+/// calibration stretch, then feeds every calibrated stream from its first
+/// sample through parallel [`StreamHub::ingest`] calls of [`REBUILD_ROUND`]
+/// samples per session, dequantizing each round into reused buffers. By
+/// chunk invariance the outcome history is bit-identical to the live
+/// ingestion, whatever chunk sizes the node used.
 ///
-/// Returns the sessions in input order, plus whether the hub rejected the
-/// batched ingest (a bug: the sessions are fresh and unique).
+/// Returns the sessions in input order, plus whether the hub rejected an
+/// ingest round (a bug: the sessions are fresh and unique).
 pub(crate) fn rebuild(hub: &mut StreamHub<'_>, logged: Vec<LoggedSession>) -> (Vec<Rebuilt>, bool) {
+    let mut stretch = Vec::new();
     let rebuilt: Vec<Rebuilt> = logged
         .into_iter()
-        .map(|mut session| {
-            let mut samples = Vec::new();
-            dequantize_mv_into(&std::mem::take(&mut session.codes), &mut samples);
-            let calibration = if samples.len() < session.calib_len {
-                Calibration::Pending
-            } else {
-                promote(hub, session.patient_id, &samples[..session.calib_len])
-                    .map_or(Calibration::Failed, Calibration::Streaming)
+        .map(|session| {
+            let calibration = match session.codes.get(..session.calib_len) {
+                None => Calibration::Pending,
+                Some(codes) => {
+                    dequantize_mv_into(codes, &mut stretch);
+                    promote(hub, session.patient_id, &stretch)
+                        .map_or(Calibration::Failed, Calibration::Streaming)
+                }
             };
             Rebuilt {
+                samples: session.codes.len() as u64,
                 session,
-                samples,
                 calibration,
             }
         })
         .collect();
-    let feeds: Vec<(SessionId, &[f64])> = rebuilt
+    // Each stream's codes not yet ingested, and its round buffer.
+    let mut streams: Vec<(SessionId, &[i16], Vec<f64>)> = rebuilt
         .iter()
         .filter_map(|r| match r.calibration {
-            Calibration::Streaming(id) => Some((id, r.samples.as_slice())),
+            Calibration::Streaming(id) => Some((id, r.session.codes.as_slice(), Vec::new())),
             Calibration::Pending | Calibration::Failed => None,
         })
         .collect();
-    let rejected = !feeds.is_empty() && hub.ingest(&feeds).is_err();
+    let mut rejected = false;
+    while !streams.is_empty() {
+        for (_, codes, round) in &mut streams {
+            let (now, later) = codes.split_at(codes.len().min(REBUILD_ROUND));
+            dequantize_mv_into(now, round);
+            *codes = later;
+        }
+        let feeds: Vec<(SessionId, &[f64])> = streams
+            .iter()
+            .map(|(id, _, round)| (*id, round.as_slice()))
+            .collect();
+        rejected |= hub.ingest(&feeds).is_err();
+        streams.retain(|(_, codes, _)| !codes.is_empty());
+    }
     debug_assert!(!rejected, "rebuilt hub sessions are fresh and unique");
     (rebuilt, rejected)
 }
 
-/// Rebuilds the sessions a previous gateway process left open in the
-/// durable log and parks them at `now` for
-/// [`crate::proto::Frame::ResumeSession`].
+/// Opens the durable log at `config` and rebuilds the sessions a previous
+/// gateway process left open in it, parked at `now` for
+/// [`crate::proto::Frame::ResumeSession`]. Returns the opened log and the
+/// number of sessions parked.
 ///
-/// The log is folded and rebuilt by the code [`replay_log`] uses
-/// ([`fold_log`], [`rebuild`]), so the rebuilt outcome history is
-/// bit-identical to the pre-crash ingestion. The policy on top is
-/// recovery's: closed sessions are done, sessions logged at another
-/// sampling rate belong to a differently configured gateway, and a session
-/// whose calibration stretch is degenerate is dropped. A session whose log
-/// ends inside its calibration stretch is parked still calibrating, with
-/// its logged samples buffered. The manager's wire-id and token generators
-/// are fast-forwarded past every logged open so recovered and freshly
-/// opened sessions can never collide. Invariant violations are counted in
-/// `internal_skips`. Returns the number of sessions parked.
+/// The log is folded record by record as [`Wal::open_with`] reads it, and
+/// rebuilt by the code [`replay_log`] uses ([`LogFold`], [`rebuild`]), so
+/// the rebuilt outcome history is bit-identical to the pre-crash
+/// ingestion. The policy on top is recovery's: closed sessions are done
+/// (their codes are freed as soon as their close is folded, so recovery
+/// holds the open sessions' codes, not the log), sessions logged at
+/// another sampling rate belong to a differently configured gateway, and a
+/// session whose calibration stretch is degenerate is dropped. A session
+/// whose log ends inside its calibration stretch is parked still
+/// calibrating, with its logged samples buffered. The manager's wire-id and
+/// token generators are fast-forwarded past every logged open so recovered
+/// and freshly opened sessions can never collide. Invariant violations are
+/// counted in `internal_skips`.
+///
+/// # Errors
+///
+/// Filesystem errors from opening the log; corrupt content is absorbed by
+/// the scan.
 pub(crate) fn recover(
     hub: &mut StreamHub<'_>,
     sessions: &mut SessionManager,
-    records: Vec<WalRecord>,
+    config: WalConfig,
     fs_millihertz: u32,
     internal_skips: &mut u64,
     now: Instant,
-) -> u64 {
-    let fold = fold_log(records);
+) -> hbc_wal::Result<(Wal, u64)> {
+    let mut fold = LogFold::new(true);
+    let (wal, _) = Wal::open_with(config, |record| fold.apply(record))?;
     // Replay the generators: every logged open consumed one wire id and one
     // token, whether or not its session survives recovery, so the post-
     // restart streams continue exactly where the pre-crash ones would have.
@@ -277,7 +327,7 @@ pub(crate) fn recover(
             now,
         );
         session.next_seq = logged.next_seq;
-        session.samples_received = r.samples.len() as u64;
+        session.samples_received = r.samples;
         match r.calibration {
             // `outcomes_sent` restarts at the full replayed history: the
             // owner can only have received outcomes the pre-crash gateway
@@ -299,7 +349,7 @@ pub(crate) fn recover(
                     }
                 }
             }
-            Calibration::Pending => session.pending = r.samples,
+            Calibration::Pending => dequantize_mv_into(&logged.codes, &mut session.pending),
             // A degenerate calibration stretch would have ended the
             // session live too; drop it.
             Calibration::Failed => continue,
@@ -309,16 +359,18 @@ pub(crate) fn recover(
             recovered += 1;
         }
     }
-    recovered
+    Ok((wal, recovered))
 }
 
 /// Re-scores every session in the log directory `dir` through `firmware`.
 ///
-/// Sessions are grouped by their logged sampling rate (one [`StreamHub`]
-/// per distinct rate — a hub is single-rate) and each group is replayed
-/// with one parallel [`StreamHub::ingest`] call over full streams; `threads`
-/// picks the worker policy (`None` = one per core) and has no effect on the
-/// produced outcomes. Sessions the log marks closed are finished and
+/// The log is folded record by record as [`hbc_wal::scan_with`] reads it,
+/// keeping every session's codes (closed ones included, since they are
+/// re-scored). Sessions are grouped by their logged sampling rate (one
+/// [`StreamHub`] per distinct rate — a hub is single-rate) and each group
+/// is rebuilt in rounds of parallel [`StreamHub::ingest`] calls, a bounded
+/// number of samples per session each; `threads` picks the worker policy
+/// (`None` = one per core) and has no effect on the produced outcomes. Sessions the log marks closed are finished and
 /// drained exactly like a live close, so their histories match the final
 /// reports the gateway sent; still-open sessions stop where the log stops,
 /// matching what crash recovery rebuilds. A session whose stream does not
@@ -335,11 +387,12 @@ pub fn replay_log(
     firmware: &WbsnFirmware,
     threads: Option<NonZeroUsize>,
 ) -> std::io::Result<ReplayReport> {
-    let recovery = hbc_wal::scan(dir.as_ref()).map_err(|e| match e {
-        hbc_wal::WalError::Io(io) => io,
-        other => std::io::Error::other(other.to_string()),
-    })?;
-    let fold = fold_log(recovery.records);
+    let mut fold = LogFold::new(false);
+    let recovery =
+        hbc_wal::scan_with(dir.as_ref(), |record| fold.apply(record)).map_err(|e| match e {
+            hbc_wal::WalError::Io(io) => io,
+            other => std::io::Error::other(other.to_string()),
+        })?;
 
     // A hub runs at one sampling rate; group sessions by theirs. Group
     // order does not matter for the outcomes (sessions are independent) —
@@ -372,7 +425,7 @@ pub fn replay_log(
                 wire_id: r.session.wire_id,
                 patient_id: r.session.patient_id,
                 fs_millihertz,
-                samples: r.samples.len() as u64,
+                samples: r.samples,
                 closed: r.session.closed,
                 calibrated: matches!(r.calibration, Calibration::Streaming(_)),
                 outcomes,
@@ -386,4 +439,106 @@ pub fn replay_log(
         bytes_truncated: recovery.bytes_truncated,
         truncated: recovery.truncated,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn open(token: u64, wire_id: u32) -> WalRecord {
+        WalRecord::SessionOpen {
+            token,
+            wire_id,
+            patient_id: 100 + wire_id,
+            calib_len: 4,
+            fs_millihertz: 360_000,
+        }
+    }
+
+    fn samples(token: u64, seq: u32, codes: &[i16]) -> WalRecord {
+        WalRecord::Samples {
+            token,
+            seq,
+            codes: codes.to_vec(),
+        }
+    }
+
+    fn fold(release_closed: bool, records: Vec<WalRecord>) -> LogFold {
+        let mut fold = LogFold::new(release_closed);
+        for record in records {
+            fold.apply(record);
+        }
+        fold
+    }
+
+    #[test]
+    fn a_duplicate_token_keeps_its_first_open() {
+        let fold = fold(false, vec![open(7, 1), samples(7, 0, &[1, 2]), open(7, 9)]);
+        assert_eq!(fold.sessions.len(), 1);
+        let s = &fold.sessions[0];
+        assert_eq!(
+            (s.wire_id, s.patient_id, s.codes.as_slice()),
+            (1, 101, &[1, 2][..])
+        );
+        assert_eq!(fold.opens, 2, "every open consumed a token");
+        assert_eq!(fold.max_wire_id, Some(9));
+    }
+
+    #[test]
+    fn samples_after_a_close_are_ignored() {
+        let records = vec![
+            open(7, 1),
+            samples(7, 0, &[1, 2]),
+            WalRecord::SessionClose { token: 7 },
+            samples(7, 1, &[3]),
+            samples(8, 0, &[4]),
+        ];
+        let fold = fold(false, records);
+        let s = &fold.sessions[0];
+        assert!(s.closed);
+        assert_eq!((s.codes.as_slice(), s.next_seq), (&[1, 2][..], 1));
+        assert_eq!(fold.sessions.len(), 1, "samples of an unopened token");
+    }
+
+    #[test]
+    fn release_on_close_frees_the_codes_but_keeps_the_counts() {
+        let records = vec![
+            open(7, 3),
+            samples(7, 0, &[1, 2, 3]),
+            open(8, 2),
+            samples(8, 0, &[5]),
+            WalRecord::SessionClose { token: 7 },
+        ];
+        let released = fold(true, records.clone());
+        let kept = fold(false, records);
+        assert!(released.sessions[0].closed && released.sessions[0].codes.is_empty());
+        assert_eq!(
+            released.sessions[0].codes.capacity(),
+            0,
+            "the memory is freed"
+        );
+        assert_eq!(released.sessions[0].next_seq, 1);
+        assert_eq!(kept.sessions[0].codes, [1, 2, 3]);
+        assert_eq!(released.sessions[1].codes, [5], "open sessions keep theirs");
+        assert_eq!((released.opens, released.max_wire_id), (2, Some(3)));
+        assert_eq!((kept.opens, kept.max_wire_id), (2, Some(3)));
+    }
+
+    #[test]
+    fn an_open_session_is_the_concatenation_of_its_records() {
+        let mut records = vec![open(7, 1), open(8, 2)];
+        let mut want = Vec::new();
+        for seq in 0..50u32 {
+            let chunk: Vec<i16> = (0..seq as i16 % 7).map(|i| i * 3 - seq as i16).collect();
+            want.extend_from_slice(&chunk);
+            records.push(samples(7, seq, &chunk));
+            records.push(samples(8, seq, &[1]));
+        }
+        let fold = fold(true, records);
+        let s = &fold.sessions[0];
+        assert!(!s.closed);
+        assert_eq!(s.codes, want);
+        assert_eq!(s.next_seq, 50);
+        assert_eq!(fold.sessions[1].codes.len(), 50);
+    }
 }

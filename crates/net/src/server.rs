@@ -71,11 +71,13 @@
 //! reaches the hub. A gateway re-bound to the same log directory rebuilds
 //! the state of every session that was open at the crash: the calibration
 //! stretch is re-derived from the logged samples (same thresholds), the
-//! whole logged stream is replayed through the hub in one parallel
-//! [`StreamHub::ingest`] call (bit-identical outcomes, by chunk invariance),
-//! and the session is parked in the session table — the owning node
-//! re-attaches with the ordinary [`Frame::ResumeSession`] flow, without
-//! re-calibration and without resending what the gateway already has.
+//! whole logged stream is replayed through the hub in bounded rounds of
+//! parallel [`StreamHub::ingest`] calls (bit-identical outcomes, by chunk
+//! invariance), and the session is parked in the session table — the
+//! owning node re-attaches with the ordinary [`Frame::ResumeSession`] flow,
+//! without re-calibration and without resending what the gateway already
+//! has. The log is folded record by record as it is read, so recovery
+//! holds the open sessions' logged samples, never the whole log.
 //!
 //! ## Overload protection & self-supervision
 //!
@@ -763,16 +765,16 @@ impl<'fw> Gateway<'fw> {
         let mut stats = GatewayStats::default();
         let wal = match &config.wal {
             Some(wal_config) => {
-                let (wal, recovery) =
-                    Wal::open(wal_config.clone()).map_err(std::io::Error::other)?;
-                stats.sessions_recovered = replay::recover(
+                let (wal, recovered) = replay::recover(
                     &mut hub,
                     &mut sessions,
-                    recovery.records,
+                    wal_config.clone(),
                     fs_millihertz,
                     &mut stats.internal_skips,
                     now,
-                );
+                )
+                .map_err(std::io::Error::other)?;
+                stats.sessions_recovered = recovered;
                 Some(wal)
             }
             None => None,

@@ -53,10 +53,20 @@
 //! hold data written *after* the corruption point) are deleted. What
 //! recovery returns is therefore always a valid prefix of what was appended,
 //! and the re-opened log continues appending exactly at that point.
+//!
+//! The scan streams: each segment is read through one reused 64 KiB buffer
+//! (grown only to hold a single record larger than that), and each record
+//! is decoded as soon as its bytes are in. [`Wal::open_with`] and
+//! [`scan_with`] hand every record to a visitor, so a caller that folds the
+//! log as it is read holds what it keeps, not the log; [`Wal::open`] and
+//! the read-only [`scan`] collect the records into [`Recovery::records`].
+//! Both report the same statistics for the same bytes, including the later
+//! segments past a corruption point, which are sized from their metadata
+//! and never read.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -379,14 +389,6 @@ fn decode_body(tag: u8, body: &[u8]) -> Option<WalRecord> {
     }
 }
 
-/// Decodes the record starting at `buf[at..]`. Returns the record and the
-/// total encoded length, or `None` if the bytes at `at` are not a complete
-/// valid record (short read, bad length, bad CRC, malformed body).
-fn decode_at(buf: &[u8], at: usize) -> Option<(WalRecord, usize)> {
-    let frame = split_frame(buf.get(at..)?, MAX_RECORD_LEN).ok()??;
-    Some((decode_body(frame.tag, frame.body)?, frame.total))
-}
-
 // -------------------------------------------------------------------------
 // Configuration
 // -------------------------------------------------------------------------
@@ -445,16 +447,19 @@ impl WalConfig {
 // Recovery
 // -------------------------------------------------------------------------
 
-/// What [`Wal::open`] found on disk: the valid record prefix plus scan
-/// statistics.
+/// What a recovery scan ([`Wal::open`], [`scan`] and their streaming
+/// forms) found on disk: the valid record prefix plus scan statistics.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Every valid record, in append order across all segments.
+    /// Every valid record, in append order across all segments. Empty from
+    /// [`Wal::open_with`] and [`scan_with`], which hand the records to
+    /// their visitor instead.
     pub records: Vec<WalRecord>,
     /// Number of segment files scanned.
     pub segments_scanned: usize,
     /// Bytes discarded from the corruption point onward (torn tail plus any
-    /// later segments).
+    /// later segments). A read-only [`scan`] counts the same bytes a
+    /// truncating [`Wal::open`] removes.
     pub bytes_truncated: u64,
     /// Whether the scan hit a torn tail / corrupt record and truncated.
     pub truncated: bool,
@@ -528,28 +533,77 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>> {
     Ok(out)
 }
 
-/// Reads the segments `indices` of `dir` in order, appending every valid
-/// record to `recovery`. A torn tail or corrupt record stops the scan:
-/// everything from there on, later segments included, is untrusted.
-/// Returns where it stopped — the position in `indices` and the valid
-/// length of that segment — or `None` for a clean log.
+/// Initial size of the recovery scan's read buffer. It grows only to hold a
+/// single record larger than this (at most [`MAX_RECORD_LEN`] + 8 bytes).
+const SCAN_BUF_BYTES: usize = 64 << 10;
+
+/// Reads the segments `indices` of `dir` in order through one reused
+/// buffer, handing every valid record to `visit` as soon as it is decoded.
+/// A torn tail or corrupt record stops the scan: everything from there on
+/// is untrusted and counted in `recovery.bytes_truncated` — the rest of
+/// that segment and every later segment, sized from metadata without
+/// reading it. Returns where it stopped — the position in `indices` and
+/// the valid length of that segment — or `None` for a clean log.
 fn scan_segments(
     dir: &Path,
     indices: &[u64],
     recovery: &mut Recovery,
+    visit: &mut impl FnMut(WalRecord),
 ) -> Result<Option<(usize, u64)>> {
+    let mut buf = vec![0u8; SCAN_BUF_BYTES];
     for (pos, &index) in indices.iter().enumerate() {
         recovery.segments_scanned += 1;
-        let buf = fs::read(segment_path(dir, index))?;
-        let mut at = 0usize;
-        while at < buf.len() {
-            let Some((rec, n)) = decode_at(&buf, at) else {
-                recovery.truncated = true;
-                recovery.bytes_truncated += (buf.len() - at) as u64;
-                return Ok(Some((pos, at as u64)));
-            };
-            recovery.records.push(rec);
-            at += n;
+        let file = File::open(segment_path(dir, index))?;
+        // Scan the segment as long as it is now: a live writer may append
+        // behind a read-only scan.
+        let len = file.metadata()?.len();
+        let mut file = file.take(len);
+        // `buf[start..end]` holds read bytes not yet decoded; `offset` is
+        // the segment offset of `buf[start]`.
+        let (mut start, mut end, mut offset) = (0usize, 0usize, 0u64);
+        let mut eof = false;
+        loop {
+            match split_frame(&buf[start..end], MAX_RECORD_LEN) {
+                Ok(Some(frame)) => {
+                    let Some(rec) = decode_body(frame.tag, frame.body) else {
+                        break;
+                    };
+                    start += frame.total;
+                    offset += frame.total as u64;
+                    visit(rec);
+                }
+                Ok(None) if !eof => {
+                    buf.copy_within(start..end, 0);
+                    end -= start;
+                    start = 0;
+                    // A complete length prefix names the record's size,
+                    // already checked against `MAX_RECORD_LEN`.
+                    let need = buf[..end]
+                        .first_chunk::<4>()
+                        .map_or(4, |prefix| 4 + u32::from_le_bytes(*prefix) as usize + 4);
+                    if need > buf.len() {
+                        buf.resize(need, 0);
+                    }
+                    let n = match file.read(&mut buf[end..]) {
+                        Ok(n) => n,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                        Err(e) => return Err(e.into()),
+                    };
+                    end += n;
+                    eof = n == 0;
+                }
+                // The segment ends here; whether it ended cleanly is
+                // decided below from how far the decode got.
+                Ok(None) | Err(_) => break,
+            }
+        }
+        if offset < len {
+            recovery.truncated = true;
+            recovery.bytes_truncated += len - offset;
+            for &later in &indices[pos + 1..] {
+                recovery.bytes_truncated += fs::metadata(segment_path(dir, later))?.len();
+            }
+            return Ok(Some((pos, offset)));
         }
     }
     Ok(None)
@@ -621,23 +675,40 @@ impl Wal {
     /// the scan and reported through [`Recovery`], never an error and never
     /// a panic.
     pub fn open(config: WalConfig) -> Result<(Self, Recovery)> {
+        let mut records = Vec::new();
+        let (wal, mut recovery) = Self::open_with(config, |record| records.push(record))?;
+        recovery.records = records;
+        Ok((wal, recovery))
+    }
+
+    /// [`Wal::open`] that hands every valid record to `visit` as the scan
+    /// decodes it, in append order, instead of collecting them: the
+    /// returned [`Recovery`] carries the scan statistics and no records.
+    /// The scan holds one read buffer, so a caller that folds records as
+    /// they arrive recovers in memory bounded by what it keeps.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::open`].
+    pub fn open_with(
+        config: WalConfig,
+        mut visit: impl FnMut(WalRecord),
+    ) -> Result<(Self, Recovery)> {
         fs::create_dir_all(&config.dir)?;
         let segments = list_segments(&config.dir)?;
         let mut recovery = Recovery::default();
-        let (active_index, active_len) = match scan_segments(&config.dir, &segments, &mut recovery)?
-        {
+        let stop = scan_segments(&config.dir, &segments, &mut recovery, &mut visit)?;
+        let (active_index, active_len) = match stop {
             Some((pos, valid_end)) => {
                 // Truncate the corrupt segment back to its valid prefix and
-                // delete every later segment.
+                // delete every later segment (the scan counted them).
                 let index = segments[pos];
                 let path = segment_path(&config.dir, index);
                 let f = OpenOptions::new().write(true).open(&path)?;
                 f.set_len(valid_end)?;
                 f.sync_all()?;
                 for &later in &segments[pos + 1..] {
-                    let path = segment_path(&config.dir, later);
-                    recovery.bytes_truncated += fs::metadata(&path)?.len();
-                    fs::remove_file(&path)?;
+                    fs::remove_file(segment_path(&config.dir, later))?;
                 }
                 sync_dir(&config.dir)?;
                 (index, valid_end)
@@ -768,16 +839,31 @@ impl Wal {
 }
 
 /// Scans the log at `dir` read-only (no truncation, no segment creation) and
-/// returns the valid record prefix. Used by the replay driver against a log
-/// directory that may still be owned by a live gateway.
+/// returns the valid record prefix, with the same statistics a truncating
+/// [`Wal::open`] would report. Usable against a log directory that may
+/// still be owned by a live gateway.
 ///
 /// # Errors
 ///
 /// Only on filesystem failure; corrupt content stops the scan cleanly.
 pub fn scan(dir: impl AsRef<Path>) -> Result<Recovery> {
+    let mut records = Vec::new();
+    let mut recovery = scan_with(dir, |record| records.push(record))?;
+    recovery.records = records;
+    Ok(recovery)
+}
+
+/// [`scan`] that hands every valid record to `visit` as it is decoded, in
+/// append order, instead of collecting them; the returned [`Recovery`]
+/// carries no records. The offline replay driver folds the log through it.
+///
+/// # Errors
+///
+/// As [`scan`].
+pub fn scan_with(dir: impl AsRef<Path>, mut visit: impl FnMut(WalRecord)) -> Result<Recovery> {
     let dir = dir.as_ref();
     let mut recovery = Recovery::default();
-    scan_segments(dir, &list_segments(dir)?, &mut recovery)?;
+    scan_segments(dir, &list_segments(dir)?, &mut recovery, &mut visit)?;
     Ok(recovery)
 }
 
@@ -932,6 +1018,87 @@ mod tests {
     }
 
     #[test]
+    fn scan_and_open_agree_past_a_mid_log_corruption() {
+        // A corrupt record in a non-final segment: the read-only scan must
+        // count the later segments it ignores exactly as `open` counts the
+        // ones it deletes.
+        let tmp = TempDir::new("scanagree");
+        let records: Vec<WalRecord> = (0..20)
+            .map(|seq| WalRecord::Samples {
+                token: 7,
+                seq,
+                codes: vec![seq as i16; 50],
+            })
+            .collect();
+        {
+            let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0).segment_bytes(256)).unwrap();
+            for r in &records {
+                wal.append(r).unwrap();
+            }
+            assert!(wal.active_segment() >= 2, "the log must span segments");
+        }
+        let path = segment_path(&tmp.0, 0);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[20] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+        let total: u64 = list_segments(&tmp.0)
+            .unwrap()
+            .iter()
+            .map(|&i| fs::metadata(segment_path(&tmp.0, i)).unwrap().len())
+            .sum();
+
+        let scanned = scan(&tmp.0).unwrap();
+        let (_, opened) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        assert!(scanned.truncated && opened.truncated);
+        assert!(scanned.records.is_empty());
+        assert_eq!(scanned.records, opened.records);
+        assert_eq!(
+            scanned.bytes_truncated, total,
+            "the whole log is past the flip"
+        );
+        assert_eq!(scanned.bytes_truncated, opened.bytes_truncated);
+    }
+
+    #[test]
+    fn records_larger_than_the_scan_buffer_stream_through() {
+        // One record bigger than the initial buffer, between small ones that
+        // straddle buffer refills.
+        let tmp = TempDir::new("bigrecord");
+        let mut records = sample_records();
+        records.insert(
+            2,
+            WalRecord::Samples {
+                token: 3,
+                seq: 9,
+                codes: (0..40_000).map(|i| (i % 4096) as i16).collect(),
+            },
+        );
+        for seq in 0..2_000 {
+            records.push(WalRecord::Samples {
+                token: 4,
+                seq,
+                codes: vec![seq as i16; 17],
+            });
+        }
+        let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        drop(wal);
+        assert!(fs::metadata(segment_path(&tmp.0, 0)).unwrap().len() > 2 * SCAN_BUF_BYTES as u64);
+        let mut seen = 0;
+        let rec = scan_with(&tmp.0, |r| {
+            assert_eq!(r, records[seen]);
+            seen += 1;
+        })
+        .unwrap();
+        assert_eq!(seen, records.len());
+        assert!(rec.records.is_empty() && !rec.truncated);
+        let (_, rec) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        assert_eq!(rec.records, records);
+    }
+
+    #[test]
     fn zero_and_huge_length_prefixes_are_corruption() {
         let tmp = TempDir::new("lenbomb");
         {
@@ -976,6 +1143,7 @@ mod tests {
         let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
         let crc = crc32(&bytes[4..4 + len]);
         bytes[4 + len..4 + len + 4].copy_from_slice(&crc.to_le_bytes());
-        assert!(decode_at(&bytes, 0).is_none());
+        let frame = split_frame(&bytes, MAX_RECORD_LEN).unwrap().unwrap();
+        assert!(decode_body(frame.tag, frame.body).is_none());
     }
 }

@@ -5,9 +5,14 @@
 //!   recovers a valid prefix of the written records without panicking;
 //! * flipping **any** bit recovers a valid prefix without panicking;
 //! * recovery is idempotent: a second open sees a clean log, and the log
-//!   stays appendable at the recovered position.
+//!   stays appendable at the recovered position;
+//! * all of the above for logs larger than the scan's 64 KiB read buffer,
+//!   with a record larger than the buffer and faults inside records that
+//!   straddle a read, where a read-only scan and a truncating open agree
+//!   on the records and on the bytes they discard.
 
 use std::fs::{self, OpenOptions};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use hbc_wal::{scan, Wal, WalConfig, WalRecord};
@@ -42,6 +47,40 @@ fn record_from(state: &mut u64) -> WalRecord {
             }
         }
     }
+}
+
+/// Builds a log that crosses the scan's 64 KiB read boundary: `num_records`
+/// records of up to 4 000 codes each, plus one `Samples` record of about
+/// 40 000 codes (larger than the read buffer) at a seeded position. Returns
+/// the records and the byte range the large one occupies in the
+/// concatenated segments (rotation adds no bytes between records).
+fn large_log(state: &mut u64, num_records: usize) -> (Vec<WalRecord>, Range<u64>) {
+    let mut records: Vec<WalRecord> = (0..num_records)
+        .map(|_| match next(state) % 4 {
+            0 => record_from(state),
+            _ => {
+                let n = (next(state) % 4000) as usize;
+                WalRecord::Samples {
+                    token: next(state),
+                    seq: next(state) as u32,
+                    codes: (0..n).map(|_| next(state) as i16).collect(),
+                }
+            }
+        })
+        .collect();
+    let at = (next(state) % (num_records as u64 + 1)) as usize;
+    let n = 40_000 + (next(state) % 1000) as usize;
+    records.insert(
+        at,
+        WalRecord::Samples {
+            token: next(state),
+            seq: next(state) as u32,
+            codes: (0..n).map(|_| next(state) as i16).collect(),
+        },
+    );
+    let start: u64 = records[..at].iter().map(|r| r.encode().len() as u64).sum();
+    let end = start + records[at].encode().len() as u64;
+    (records, start..end)
 }
 
 /// Fresh scratch directory removed on drop, unique per process + thread so
@@ -205,9 +244,78 @@ proptest! {
         let (_, rec) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
         assert_prefix(&rec.records, &records);
         prop_assert_eq!(&rec.records, &scanned.records);
+        prop_assert_eq!(rec.bytes_truncated, scanned.bytes_truncated);
 
         let (_, rec2) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
         prop_assert!(!rec2.truncated, "recovery must be idempotent");
         prop_assert_eq!(&rec2.records, &rec.records);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn logs_larger_than_the_scan_buffer_recover_a_valid_prefix(
+        record_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        num_records in 8usize..=32,
+        segment_kib in 16u64..=512,
+        fault in 0u8..3,
+    ) {
+        let tmp = TempDir::new("large");
+        let mut state = record_seed;
+        let (records, large) = large_log(&mut state, num_records);
+        write_log(&tmp.0, &records, segment_kib << 10);
+
+        // Faults land inside the record larger than the read buffer half
+        // the time, anywhere in the log otherwise.
+        let files = segment_files(&tmp.0);
+        let total: u64 = files.iter().map(|p| fs::metadata(p).unwrap().len()).sum();
+        prop_assert!(total > 64 << 10, "the log must exceed the read buffer");
+        let mut fault_state = fault_seed;
+        let mut at = if next(&mut fault_state).is_multiple_of(2) {
+            large.start + next(&mut fault_state) % (large.end - large.start)
+        } else {
+            next(&mut fault_state) % total
+        };
+        for path in &files {
+            let len = fs::metadata(path).unwrap().len();
+            if at >= len {
+                at -= len;
+                continue;
+            }
+            match fault {
+                // Torn tail: later segments stay for recovery to discard.
+                1 => OpenOptions::new().write(true).open(path).unwrap().set_len(at).unwrap(),
+                2 => {
+                    let mut bytes = fs::read(path).unwrap();
+                    bytes[at as usize] ^= 1 << (next(&mut fault_state) % 8);
+                    fs::write(path, &bytes).unwrap();
+                }
+                _ => {}
+            }
+            break;
+        }
+
+        let scanned = scan(&tmp.0).unwrap();
+        assert_prefix(&scanned.records, &records);
+        let (mut wal, rec) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        prop_assert_eq!(&rec.records, &scanned.records);
+        prop_assert_eq!(rec.truncated, scanned.truncated);
+        prop_assert_eq!(rec.bytes_truncated, scanned.bytes_truncated);
+        if fault == 0 {
+            prop_assert_eq!(&rec.records, &records);
+            prop_assert!(!rec.truncated);
+        }
+
+        let extra = WalRecord::SessionClose { token: 0x5EED };
+        wal.append(&extra).unwrap();
+        drop(wal);
+        let (_, rec2) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        prop_assert!(!rec2.truncated, "recovery must be idempotent");
+        let mut want = rec.records;
+        want.push(extra);
+        prop_assert_eq!(&rec2.records, &want);
     }
 }

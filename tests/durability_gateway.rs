@@ -252,6 +252,107 @@ fn kill_mid_ingest_recovers_from_the_log_and_converges() {
 }
 
 #[test]
+fn recovery_skips_a_closed_session_and_rebuilds_the_open_one() {
+    // A's frames interleave with B's on one connection and A closes before
+    // the kill: recovery folds A's records and frees them at its close, and
+    // rebuilds only B, whose logged stream spans several rebuild rounds.
+    let fw = firmware();
+    let record_a = wire_record(7150, 30);
+    let record_b = wire_record(7160, 60);
+    let fs = record_b.fs;
+    let calib_len = 2048usize;
+    let reference_a = reference_outcomes(&fw, &record_a, calib_len);
+    let reference_b = reference_outcomes(&fw, &record_b, calib_len);
+    let tmp = support::TempDir::new("wal-closed");
+
+    let lead_a = record_a.lead(Lead(0)).expect("lead 0");
+    let lead_b = record_b.lead(Lead(0)).expect("lead 0");
+    let cut = lead_b.len() / 2;
+    assert!(
+        cut > calib_len + 2048,
+        "B's log must run past calibration by more than one 2 048-sample rebuild round"
+    );
+
+    let ((mut client, id_b, summary_a), gw1) =
+        with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+            let mut client = NodeClient::connect(addr).expect("connect");
+            client
+                .set_io_timeout(Some(Duration::from_millis(750)))
+                .expect("io timeout");
+            let id_a = client
+                .open_session(record_a.id, fs, calib_len as u32)
+                .expect("open A");
+            let id_b = client
+                .open_session(record_b.id, fs, calib_len as u32)
+                .expect("open B");
+            let mut chunks_b = lead_b[..cut].chunks(512);
+            for chunk_a in lead_a.chunks(512) {
+                client.send_mv(id_a, chunk_a).expect("send A");
+                if let Some(chunk_b) = chunks_b.next() {
+                    client.send_mv(id_b, chunk_b).expect("send B");
+                }
+            }
+            let summary_a = client.close_session(id_a).expect("close A");
+            for chunk_b in chunks_b {
+                client.send_mv(id_b, chunk_b).expect("send B");
+            }
+            let start = Instant::now();
+            while client.replay_depth(id_b) > 0 {
+                client.pump().expect("pump");
+                assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "gateway never acked B's first half"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            (client, id_b, summary_a)
+        });
+    client.sever();
+    assert_eq!(gw1.sessions_opened, 2);
+    assert_eq!(
+        gw1.sessions_closed, 1,
+        "A closed, the kill preempted B's close"
+    );
+    assert_full_match(&summary_a.outcomes, &reference_a, "A before the kill");
+
+    let gateway2 = Gateway::bind("127.0.0.1:0", &fw, fs, wal_config(tmp.path())).expect("rebind");
+    assert_eq!(
+        gateway2.stats().sessions_recovered,
+        1,
+        "only the open session is rebuilt"
+    );
+    assert_eq!(gateway2.parked_sessions(), 1);
+    let addr2 = gateway2.local_addr().expect("addr");
+    let shutdown = AtomicBool::new(false);
+    let (summary_b, gw2) = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| gateway2.run(&shutdown).expect("gateway runs"));
+        let summary = {
+            struct FlipOnDrop<'a>(&'a AtomicBool);
+            impl Drop for FlipOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
+            let _flip = FlipOnDrop(&shutdown);
+            recover(&mut client, addr2);
+            for chunk in lead_b[cut..].chunks(512) {
+                if client.send_mv(id_b, chunk).is_err() {
+                    recover(&mut client, addr2);
+                }
+            }
+            client.close_session(id_b).expect("close B")
+        };
+        (summary, handle.join().expect("gateway thread"))
+    });
+
+    assert_full_match(&summary_b.outcomes, &reference_b, "B across the crash");
+    assert_eq!(summary_b.report.samples as usize, record_b.len());
+    assert_eq!(gw2.sessions_opened, 0);
+    assert_eq!(gw2.sessions_resumed, 1);
+    assert_eq!(gw2.sessions_closed, 1);
+}
+
+#[test]
 fn kill_during_calibration_recovers_the_partial_stretch() {
     let fw = firmware();
     let record = wire_record(7200, 30);
