@@ -4,8 +4,8 @@
 //! `StreamHub` classification).
 //!
 //! The stream is a real-looking signal: quantised `hbc_ecg::synthetic`
-//! records, cut into `Samples` frames, so the delta-varint sample codec
-//! sees the small sample-to-sample steps of an ECG.
+//! records, cut into `Samples` frames, so the Rice-coded sample deltas see
+//! the small sample-to-sample steps of an ECG.
 //!
 //! Records a baseline in `BENCH_net.json` (opt-in via `HBC_BENCH_BASELINE=1`)
 //! and gates regressions in CI (`HBC_BENCH_REGRESSION=1`) on two figures:
@@ -17,7 +17,9 @@
 //!   bytes**. Wall-clock nanoseconds do not transfer between hosts, but
 //!   both sides are measured on the same host, here and in the baseline, so
 //!   machine speed cancels out. A decoder regression (quadratic buffering,
-//!   extra copies, a slow varint path) inflates the ratio and fails the job.
+//!   extra copies, a slow bitstream path) inflates the ratio and fails the
+//!   job. The ratio is per byte, so it does not compare across codecs: the
+//!   same work per sample over fewer bytes raises it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -37,8 +39,9 @@ use hbc_rp::PackedProjection;
 /// Samples in the benchmark stream (about 24 minutes at 360 Hz).
 const STREAM_SAMPLES: usize = 1 << 19;
 
-/// Frame sizes measured and gated.
-const FRAME_SIZES: [usize; 2] = [64, 4096];
+/// Frame sizes measured and gated. 36 samples is the paper node's 100 ms
+/// packet at 360 Hz, the frame the gateway serves in real time.
+const FRAME_SIZES: [usize; 3] = [36, 64, 4096];
 
 /// ADC codes of seeded synthetic ECG records (mixed N/V/L rhythm, the
 /// generator's realistic noise) quantised through the wire's transfer

@@ -8,9 +8,9 @@
 //! offline policy of `crates/compat`. Its modules:
 //!
 //! * [`proto`] — the versioned binary **wire protocol**: length-prefixed
-//!   frames with a CRC-32 trailer, canonical varint fields and delta-coded
-//!   ADC samples, and a pure incremental [`FrameDecoder`], testable without
-//!   sockets;
+//!   frames with a CRC-32 trailer, canonical varint fields and Rice-coded
+//!   ADC sample deltas, and a pure incremental [`FrameDecoder`], testable
+//!   without sockets;
 //! * [`session`] — the **session manager** driving the full lifecycle
 //!   (handshake → threshold calibration from the first `calib_len` samples
 //!   → streaming → drain → final report), including idle eviction;

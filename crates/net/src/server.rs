@@ -164,6 +164,10 @@ const SAMPLE_BYTES: usize = std::mem::size_of::<f64>();
 /// rewind, a re-fetched history) goes out in several frames.
 const OUTCOMES_PER_FRAME: usize = 512;
 
+/// Size of the reactor's one socket read buffer: the most one `read`
+/// takes from a connection.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Capacity of the trace ring: older events are overwritten once it is
 /// full ([`TraceRing::dropped`] counts the overwrites).
 const TRACE_CAPACITY: usize = 4096;
@@ -204,8 +208,8 @@ const CREDIT_QUANTUM_SHARE: usize = 64;
 ///
 /// * `owed` reached the quantum;
 /// * the sender's window as the gateway sees it, `budget − buffered −
-///   owed`, is below `min(budget, MAX_SAMPLES_PER_FRAME)`. The gateway
-///   denies larger frames, so a sender blocked on credit always falls
+///   owed`, is below `min(budget, MAX_SAMPLES_PER_FRAME)`. The decoder
+///   rejects larger frames, so a sender blocked on credit always falls
 ///   below this line and is granted: the deadlock guard;
 /// * the session has been quiet for [`CREDIT_QUIET`].
 fn credit_due(budget: usize, buffered: usize, owed: usize, quiet_for: Duration) -> bool {
@@ -698,6 +702,8 @@ pub struct Gateway<'fw> {
     /// Per-sweep scratch, reused so a warm sweep allocates nothing: the
     /// ready session ids of the current sweep, sorted and unique,
     sweep: Vec<u32>,
+    /// the socket read buffer (one connection's reads at a time),
+    read_buf: Box<[u8]>,
     /// the frames decoded from one connection,
     frames: Vec<Frame>,
     /// one staging slot per session fed in this sweep (the first `n` slots
@@ -806,6 +812,7 @@ impl<'fw> Gateway<'fw> {
             stats,
             ready: Vec::new(),
             sweep: Vec::new(),
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             frames: Vec::new(),
             staged: Vec::new(),
             outcomes: Vec::new(),
@@ -1108,17 +1115,17 @@ impl<'fw> Gateway<'fw> {
     /// bytes or an EOF arriving after it are seen on the next sweep.
     fn service_reads(&mut self, idx: usize) -> bool {
         const READ_BUDGET: usize = 256 * 1024;
+        let buf = &mut self.read_buf;
         let Some(conn) = self.conns[idx].as_mut() else {
             return false;
         };
         if conn.closing || conn.dead {
             return false;
         }
-        let mut buf = [0u8; 16 * 1024];
         let mut taken = 0usize;
         let mut eof = false;
         while taken < READ_BUDGET {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(buf) {
                 Ok(0) => {
                     eof = true;
                     break;
@@ -1524,10 +1531,6 @@ impl<'fw> Gateway<'fw> {
                 idx,
                 &format!("sample frame gap: got seq {seq}, expected {expected}"),
             );
-            return;
-        }
-        if samples.len() > MAX_SAMPLES_PER_FRAME {
-            self.deny(idx, "sample frame exceeds MAX_SAMPLES_PER_FRAME");
             return;
         }
         let room = budget.saturating_sub(s.buffered());

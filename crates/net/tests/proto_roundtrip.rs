@@ -6,15 +6,54 @@
 //! * malformed input — flipped bits (CRC), truncation, oversized lengths,
 //!   unknown tags — errors without panicking and never yields a phantom
 //!   frame;
-//! * the v4 body codec: extreme sample runs round-trip, every body the
+//! * the v5 body codec: extreme sample runs round-trip, every body the
 //!   decoder accepts re-encodes to the identical bytes (one serialisation
-//!   per frame), and non-canonical or out-of-range varints are `Malformed`.
+//!   per frame), and non-canonical or out-of-range varints, and every
+//!   off-rule Rice bitstream, are `Malformed`;
+//! * a hostile `Samples` body allocates no more than a legal frame.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use hbc_net::proto::{
     crc32, Frame, FrameDecoder, ProtoError, WireOutcome, WireReport, MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    MAX_SAMPLES_PER_FRAME, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
+
+/// Records the largest single allocation (alloc or realloc) of each
+/// thread, so one test can bound what decoding a frame acquires without
+/// seeing the other tests' threads.
+struct PeakAllocator;
+
+thread_local! {
+    /// The largest allocation of this thread since the last reset.
+    /// Const-initialised and drop-free, so touching it never allocates.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for PeakAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAllocator = PeakAllocator;
 
 /// SplitMix64 step, the workspace's stock deterministic generator.
 fn next(state: &mut u64) -> u64 {
@@ -310,7 +349,65 @@ fn assert_samples_round_trip(samples: Vec<i16>, label: &str) {
         samples,
     };
     let bytes = frame.encode();
-    assert_eq!(decode_one(&bytes), Ok(Some(frame)), "{label}");
+    let decoded = decode_one(&bytes);
+    assert_eq!(decoded, Ok(Some(frame)), "{label}");
+    let decoded = decoded.expect("decoded").expect("a frame");
+    assert_eq!(decoded.encode(), bytes, "{label}: re-encoding");
+}
+
+fn zigzag(d: i32) -> u32 {
+    ((d << 1) ^ (d >> 31)) as u32
+}
+
+/// LSB-first bits, for hand-built `Samples` bitstreams.
+#[derive(Default)]
+struct Bits {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl Bits {
+    fn put(&mut self, value: u64, width: usize) {
+        for i in 0..width {
+            if self.len.is_multiple_of(8) {
+                self.bytes.push(0);
+            }
+            if value >> i & 1 == 1 {
+                *self.bytes.last_mut().expect("a byte") |= 1 << (self.len % 8);
+            }
+            self.len += 1;
+        }
+    }
+
+    /// One Rice code: `z >> k` zero bits, a one bit, the low `k` bits.
+    fn code(&mut self, z: u64, k: usize) {
+        for _ in 0..z >> k {
+            self.put(0, 1);
+        }
+        self.put(1, 1);
+        self.put(z & ((1 << k) - 1), k);
+    }
+}
+
+/// A `Samples` body (session 1, seq 0) whose first code is `first` and
+/// whose bitstream is `k` followed by `zs` Rice-coded with `k` — any `k`,
+/// so off-rule streams can be built — zero-padded to the byte.
+fn rice_body(first: i32, k: usize, zs: &[u64]) -> Vec<u8> {
+    let mut body = vec![1, 0];
+    body.extend(varint(u64::from(zigzag(first))));
+    let mut bits = Bits::default();
+    bits.put(k as u64, 4);
+    for &z in zs {
+        bits.code(z, k);
+    }
+    body.extend(bits.bytes);
+    body
+}
+
+/// The rule's Rice parameter for these deltas.
+fn rule_k(zs: &[u64]) -> usize {
+    let (m, sum) = (zs.len() as u64, zs.iter().sum::<u64>());
+    (0..=15).find(|&k| m << (k + 1) >= sum).unwrap_or(15)
 }
 
 /// Unsigned LEB128, for hand-built bodies.
@@ -335,6 +432,32 @@ fn extreme_sample_runs_round_trip() {
     }
     assert_samples_round_trip(Vec::new(), "empty frame");
     assert_samples_round_trip(vec![i16::MAX], "single extreme code");
+    assert_samples_round_trip(vec![i16::MIN], "single extreme code");
+    assert_samples_round_trip(vec![i16::MIN, i16::MAX], "two codes, largest delta");
+    let jumps: Vec<i16> = (0..36)
+        .map(|i| if i % 2 == 0 { -4095 } else { 4095 })
+        .collect();
+    assert_samples_round_trip(jumps, "±4095 jumps");
+    let staircase: Vec<i16> = (0..36).map(|i| (i * 4095 % 8191 - 4095) as i16).collect();
+    assert_samples_round_trip(staircase, "36 codes, large steps");
+    for n in [1, 2, 36, MAX_SAMPLES_PER_FRAME] {
+        let wave: Vec<i16> = (0..n).map(|i| (i % 97) as i16 * 11 - 500).collect();
+        assert_samples_round_trip(wave, "frame length");
+    }
+    // A unary part longer than 64 bits: k = 0 over 199 zero deltas and
+    // one of z = 200.
+    let mut long = vec![5i16; 200];
+    long.push(105);
+    let mut zs = vec![0; 199];
+    zs.push(200);
+    assert_eq!(rule_k(&zs), 0);
+    let frame = Frame::Samples {
+        session: 1,
+        seq: 0,
+        samples: long.clone(),
+    };
+    assert_eq!(frame.encode(), framed(0x03, &rice_body(5, 0, &zs)));
+    assert_samples_round_trip(long, "unary part past 64 bits");
     let mut state = 0x5EED;
     for walk in 0..32 {
         let step = 1 + (walk * 97) % 4096;
@@ -473,29 +596,204 @@ fn non_canonical_and_out_of_range_varints_are_malformed() {
         &framed(0x03, &[1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]),
         "varint past u32",
     );
-    // Truncation mid-varint: the last field's continuation never ends.
+    // Truncation mid-varint: the last field's continuation never ends —
+    // also the first sample code, the one varint of the sample payload.
     rejects(&framed(0x82, &[1, 36, 0x80]), "body ends inside a varint");
-    rejects(&framed(0x03, &[1, 0, 2, 0x80]), "body ends inside a varint");
-    // Deltas stepping outside i16 on either side, or in one jump.
+    rejects(&framed(0x03, &[1, 0, 0x80]), "body ends inside a varint");
+    // Overlong: the first sample code, 2 spelled in two bytes.
+    rejects(&framed(0x03, &[1, 0, 0x82, 0x00]), "overlong varint");
+    // Deltas stepping outside i16 on either side in the bitstream (under
+    // the rule's k, so only the range is wrong), or the first code in one
+    // jump from 0.
     let i16_range = "sample delta leaves the i16 range";
-    let mut up = vec![1, 0];
-    up.extend(varint(2 * 32_767)); // +32767
-    up.extend(varint(2)); // +1
-    rejects(&framed(0x03, &up), i16_range);
-    let mut down = vec![1, 0];
-    down.extend(varint(2 * 32_768 - 1)); // -32768
-    down.extend(varint(1)); // -1
-    rejects(&framed(0x03, &down), i16_range);
+    rejects(&framed(0x03, &rice_body(32_767, 0, &[2])), i16_range); // +1
+    rejects(&framed(0x03, &rice_body(-32_768, 0, &[1])), i16_range); // -1
+    let far = [u64::from(zigzag(40_000))];
+    rejects(&framed(0x03, &rice_body(0, rule_k(&far), &far)), i16_range);
     let mut jump = vec![1, 0];
     jump.extend(varint(2 * 70_000)); // +70000 from 0
     rejects(&framed(0x03, &jump), i16_range);
+}
+
+/// Each way a `Samples` bitstream can break the format, one by one.
+#[test]
+fn off_rule_sample_bitstreams_are_malformed() {
+    let rejects = |body: &[u8], why: &str| match decode_one(&framed(0x03, body)) {
+        Err(ProtoError::Malformed(what)) => assert_eq!(what, why),
+        other => panic!("expected Malformed({why:?}), got {other:?}"),
+    };
+    let zs = [6u64; 35];
+    let k = rule_k(&zs);
+    assert_eq!(k, 2);
+    let legal = rice_body(300, k, &zs);
+    assert!(matches!(
+        decode_one(&framed(0x03, &legal)),
+        Ok(Some(Frame::Samples { .. }))
+    ));
+    // Any k but the rule's, with the same deltas.
+    for other in (0..16).filter(|&o| o != k) {
+        rejects(
+            &rice_body(300, other, &zs),
+            "Rice parameter is not the frame's",
+        );
+    }
+    // Padding: non-zero (in the last four bits, a one bit with too few
+    // bits after it for k = 2), or a whole zero byte past the last code.
+    let mut bits = Bits::default();
+    bits.put(2, 4);
+    bits.code(6, 2);
+    bits.code(6, 2);
+    bits.put(0b1000, 4);
+    assert_eq!(bits.len, 16);
+    let mut body = vec![1, 0];
+    body.extend(varint(600));
+    body.extend(&bits.bytes);
+    rejects(&body, "non-zero padding");
+    let mut long_padding = legal.clone();
+    long_padding.push(0);
+    rejects(&long_padding, "padding of 8 bits or more");
+    // A bitstream after a one-code body: the four bits of k and nothing.
+    rejects(&[1, 0, 2, 0x00], "bitstream after a one-code body");
+    // A code cut off by the end of the body: at k = 15, the one bit of a
+    // code with eleven of its fifteen low bits left in the body.
+    let mut bits = Bits::default();
+    bits.put(15, 4);
+    bits.put(1, 1);
+    bits.put(0, 11);
+    assert_eq!(bits.len % 8, 0);
+    let mut body = vec![1, 0, 0];
+    body.extend(&bits.bytes);
+    rejects(&body, "body ends inside a code");
+    // A unary part that never ends: zeros to the end of the body.
+    let mut body = vec![1, 0, 0, 0x00];
+    body.extend([0u8; 12]);
+    rejects(&body, "padding of 8 bits or more");
+    // One code more than a frame may carry.
+    let flat = vec![0u64; MAX_SAMPLES_PER_FRAME];
+    assert_eq!(rule_k(&flat), 0);
+    rejects(
+        &rice_body(0, 0, &flat),
+        "more than MAX_SAMPLES_PER_FRAME samples",
+    );
+    let within = &flat[..MAX_SAMPLES_PER_FRAME - 1];
+    assert!(decode_one(&framed(0x03, &rice_body(0, 0, within))).is_ok());
+}
+
+#[test]
+fn a_hostile_samples_body_allocates_no_more_than_a_legal_frame() {
+    // Peak single allocation of decoding `bytes` (the decoder's buffer is
+    // filled first, so only the frame's own allocations are seen).
+    let decode_peak = |bytes: &[u8]| {
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(bytes);
+        LARGEST.with(|largest| largest.set(0));
+        let result = decoder.next_frame();
+        let peak = LARGEST.with(Cell::get);
+        (result, peak)
+    };
+    let legal = Frame::Samples {
+        session: 1,
+        seq: 0,
+        samples: vec![0; MAX_SAMPLES_PER_FRAME],
+    }
+    .encode();
+    let (frame, legal_peak) = decode_peak(&legal);
+    assert!(matches!(frame, Ok(Some(Frame::Samples { .. }))));
+    // The largest body a frame can have, k = 0 and every bit a code: eight
+    // codes per byte, ~8.4 M codes if the decoder believed it.
+    let mut body = vec![1, 0, 0, 0xF0];
+    body.resize(MAX_FRAME_LEN - 1, 0xFF);
+    let (rejected, hostile_peak) = decode_peak(&framed(0x03, &body));
+    assert_eq!(
+        rejected,
+        Err(ProtoError::Malformed(
+            "more than MAX_SAMPLES_PER_FRAME samples"
+        ))
+    );
+    assert!(
+        hostile_peak <= legal_peak,
+        "hostile body took {hostile_peak} B at once, a legal frame {legal_peak} B"
+    );
+    assert!(legal_peak >= MAX_SAMPLES_PER_FRAME * 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn samples_encode_to_the_reference_layout(
+        seed in any::<u64>(),
+        n in 1usize..=300,
+        scale in 0u32..=16,
+    ) {
+        // Deltas of every magnitude up to full scale, against the
+        // bit-at-a-time reference writer.
+        let mut state = seed;
+        let mut code = i32::from(next(&mut state) as i16);
+        let mut samples = vec![code as i16];
+        let mut zs = Vec::new();
+        for _ in 1..n {
+            let step = (next(&mut state) % (1 << scale)) as i32;
+            let d = if next(&mut state) & 1 == 1 { step } else { -step };
+            let to = (code + d).clamp(i16::MIN.into(), i16::MAX.into());
+            zs.push(u64::from(zigzag(to - code)));
+            code = to;
+            samples.push(code as i16);
+        }
+        let expected = if zs.is_empty() {
+            let mut body = vec![1, 0];
+            body.extend(varint(u64::from(zigzag(samples[0].into()))));
+            body
+        } else {
+            rice_body(samples[0].into(), rule_k(&zs), &zs)
+        };
+        let frame = Frame::Samples { session: 1, seq: 0, samples };
+        prop_assert_eq!(frame.encode(), framed(0x03, &expected));
+    }
+
+    #[test]
+    fn every_accepted_sample_bitstream_re_encodes_to_identical_bytes(
+        seed in any::<u64>(),
+        n in 0usize..=80,
+        padding in 0usize..=10,
+    ) {
+        // Random deltas under the rule's k most of the time, any k
+        // otherwise, with random trailing bits: whatever the decoder
+        // accepts must be the one serialisation of what it decoded.
+        let mut state = seed;
+        let scale = next(&mut state) % 17;
+        let zs: Vec<u64> = (0..n).map(|_| next(&mut state) % (1 << scale)).collect();
+        let k = if next(&mut state).is_multiple_of(4) {
+            (next(&mut state) % 16) as usize
+        } else if zs.is_empty() {
+            0
+        } else {
+            rule_k(&zs)
+        };
+        let mut body = vec![1, 0];
+        body.extend(varint(next(&mut state) % 70_000));
+        let mut bits = Bits::default();
+        bits.put(k as u64, 4);
+        for &z in &zs {
+            bits.code(z, k);
+        }
+        bits.put(next(&mut state) & ((1 << padding) - 1), padding);
+        body.extend(bits.bytes);
+        let bytes = framed(0x03, &body);
+        match decode_one(&bytes) {
+            Ok(Some(frame)) => prop_assert_eq!(frame.encode(), bytes),
+            Ok(None) => prop_assert!(false, "a whole frame must decode or fail"),
+            Err(ProtoError::Malformed(_)) => {}
+            Err(e) => prop_assert!(false, "unexpected error {:?}", e),
+        }
+    }
 }
 
 #[test]
 fn hello_layout_is_the_same_in_every_protocol_version() {
     // The version field stays a little-endian u16 so that peers of any two
     // versions can tell each other apart.
-    for version in [1u16, 3, PROTOCOL_VERSION, 0x1234] {
+    for version in [1u16, 3, 4, PROTOCOL_VERSION, 0x1234] {
         let bytes = Frame::Hello { version }.encode();
         assert_eq!(bytes, framed(0x01, &version.to_le_bytes()));
     }

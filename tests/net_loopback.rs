@@ -627,27 +627,30 @@ fn handshake_and_open_are_validated() {
 
 #[test]
 fn protocol_version_mismatches_are_refused_by_name_on_both_sides() {
-    // `Hello` is laid out the same in every protocol version (a
-    // little-endian u16), so these are the bytes a v3 node really sends.
-    let v3_hello = Frame::Hello { version: 3 }.encode();
-    assert_eq!(&v3_hello[5..7], &3u16.to_le_bytes());
-
-    // A v3 node is denied with the version it spoke.
     let fw = firmware();
-    let ((), stats) = with_gateway(&fw, 360.0, GatewayConfig::default(), |addr| {
-        let mut raw = TcpStream::connect(addr).expect("connect raw");
-        raw.write_all(&v3_hello).expect("hello");
-        let mut decoder = FrameDecoder::new();
-        let deny = read_until(&mut raw, &mut decoder, |f| matches!(f, Frame::Deny { .. }));
-        assert_eq!(
-            deny,
-            Frame::Deny {
-                message: "unsupported protocol version 3".into()
-            }
-        );
-    });
-    assert_eq!(stats.denials, 1);
-    assert_eq!(stats.sessions_opened, 0);
+    for old in [3u16, 4] {
+        // `Hello` is laid out the same in every protocol version (a
+        // little-endian u16), so these are the bytes a v3 or v4 node
+        // really sends.
+        let old_hello = Frame::Hello { version: old }.encode();
+        assert_eq!(&old_hello[5..7], &old.to_le_bytes());
+
+        // An older node is denied with the version it spoke.
+        let ((), stats) = with_gateway(&fw, 360.0, GatewayConfig::default(), |addr| {
+            let mut raw = TcpStream::connect(addr).expect("connect raw");
+            raw.write_all(&old_hello).expect("hello");
+            let mut decoder = FrameDecoder::new();
+            let deny = read_until(&mut raw, &mut decoder, |f| matches!(f, Frame::Deny { .. }));
+            assert_eq!(
+                deny,
+                Frame::Deny {
+                    message: format!("unsupported protocol version {old}")
+                }
+            );
+        });
+        assert_eq!(stats.denials, 1);
+        assert_eq!(stats.sessions_opened, 0);
+    }
 
     // A v3 gateway, emulated: it reads the client's Hello and answers the
     // way the v3 gateway does — a denial naming the version it got, or, for

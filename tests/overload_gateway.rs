@@ -320,7 +320,9 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
     let chaos = ChaosConfig {
         seed: support::chaos_seed(),
         kind: FaultKind::Trickle,
-        first_at: 8 * 1024,
+        // About three quarters into the trickle peer's ~8 KB uplink, so
+        // the stall starts well before the stream would have ended.
+        first_at: 6 * 1024,
         repeat_every: 0,
         max_faults: 1,
         direction: ChaosDirection::Up,
@@ -439,7 +441,7 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
             }
 
             // Phase 3: the trickle peer. The proxy passes the handshake
-            // and the first 8 KiB through, then drips one byte per 100 ms;
+            // and the first 6 KiB through, then drips one byte per 100 ms;
             // the minimum-progress check reaps the connection and the
             // client resumes directly, converging to the full stream.
             let lead = trickle_record.lead(Lead(0)).expect("lead 0");
