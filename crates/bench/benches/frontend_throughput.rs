@@ -5,13 +5,16 @@
 //! scratch-reused (`_into`) forms. Records the naive-vs-deque baseline in
 //! `BENCH_frontend.json` at the workspace root (next to
 //! `BENCH_projection.json`) so front-end kernel regressions are visible in
-//! review and gated in CI.
+//! review and gated in CI. Also prints, as a report without a baseline or a
+//! gate, the streaming baseline filter's per-sample cost fed millivolts and
+//! fed ADC codes.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hbc_dsp::filter::{dilate, erode, sliding_extreme_naive, ExtremumKind, MorphologicalFilter};
-use hbc_dsp::{DyadicWavelet, FrontendScratch};
+use hbc_dsp::{DyadicWavelet, FrontendScratch, StreamingBaselineFilter};
+use hbc_embedded::AdcModel;
 
 /// One minute of drifting synthetic ECG-like signal at `fs` Hz.
 fn test_signal(fs: f64) -> Vec<f64> {
@@ -375,5 +378,48 @@ fn regression_gate(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_frontend, baseline_json, regression_gate);
+/// Report only (no baseline, no gate): nanoseconds per pushed sample of the
+/// streaming baseline filter at the gateway's 360 Hz, fed one minute of
+/// signal as `f64` millivolts and as the same signal's 12-bit ADC codes
+/// (`i16`, dequantized only where the filter does arithmetic).
+fn streaming_filter_report(_c: &mut Criterion) {
+    let fs = 360.0;
+    let signal = test_signal(fs);
+    let adc = AdcModel::default_frontend();
+    let codes: Vec<i16> = signal
+        .iter()
+        .map(|&s| adc.quantize_sample(s) as i16)
+        .collect();
+    let n = signal.len() as f64;
+    let f64_ns = min_ns_per_iter(
+        || {
+            let mut filter = StreamingBaselineFilter::for_sampling_rate(fs);
+            for &s in &signal {
+                black_box(filter.push(black_box(s)));
+            }
+        },
+        5,
+    ) / n;
+    let code_ns = min_ns_per_iter(
+        || {
+            let mut filter = StreamingBaselineFilter::with_scale(fs, adc);
+            for &c in &codes {
+                black_box(filter.push(black_box(c)));
+            }
+        },
+        5,
+    ) / n;
+    println!(
+        "streaming_baseline_filter fs={fs}  f64 {f64_ns:>7.2} ns/sample  i16 codes {code_ns:>7.2} \
+         ns/sample  (report only)"
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_frontend,
+    baseline_json,
+    regression_gate,
+    streaming_filter_report
+);
 criterion_main!(benches);

@@ -19,7 +19,9 @@ use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
 use hbc_dsp::window::match_peaks;
-use hbc_dsp::{FrontendScratch, MorphologicalFilter, PeakDetector, PeakThresholds};
+use hbc_dsp::{
+    FrontendScratch, Millivolts, MorphologicalFilter, PeakDetector, PeakThresholds, SampleScale,
+};
 use hbc_ecg::record::Annotation;
 use hbc_embedded::firmware::BeatOutcome;
 use hbc_embedded::{StageMetrics, StreamingFirmware, WbsnFirmware};
@@ -75,13 +77,13 @@ impl SessionReport {
 /// One patient's live session: the streaming firmware plus the outcomes it
 /// has emitted so far.
 #[derive(Debug)]
-struct PatientStream<'fw> {
+struct PatientStream<'fw, S: SampleScale> {
     patient_id: u32,
-    stream: StreamingFirmware<'fw>,
+    stream: StreamingFirmware<'fw, S>,
     outcomes: Vec<BeatOutcome>,
 }
 
-impl PatientStream<'_> {
+impl<S: SampleScale> PatientStream<'_, S> {
     fn drain(&mut self) {
         while let Some(o) = self.stream.pop_outcome() {
             self.outcomes.push(o);
@@ -124,14 +126,21 @@ pub fn any_recent_abnormal(outcomes: &[BeatOutcome], window: usize) -> bool {
 /// — is ingested with one sweep, in parallel when the batch is large enough
 /// ([`FANOUT_MIN_SAMPLES`]); results (emitted beats, reports) depend only on
 /// each session's own sample stream, never on scheduling.
+///
+/// Sessions ingest samples of the [`SampleScale`] `S`: millivolts by
+/// default, or ADC codes read through an [`AdcModel`](hbc_embedded::AdcModel)
+/// ([`Self::with_scale`]), which every session then buffers and filters as
+/// codes, with outcomes equal to those of a millivolt hub fed the
+/// dequantized streams.
 #[derive(Debug)]
-pub struct StreamHub<'fw> {
+pub struct StreamHub<'fw, S: SampleScale = Millivolts> {
     firmware: &'fw WbsnFirmware,
     fs: f64,
+    scale: S,
     par: Par,
     /// Session slots. A closed session leaves a `None` hole whose index is
     /// queued on the free list and handed to the next [`Self::add_patient`].
-    sessions: Vec<Option<PatientStream<'fw>>>,
+    sessions: Vec<Option<PatientStream<'fw, S>>>,
     /// Indices of free slots, reused LIFO.
     free: Vec<usize>,
     /// Session-setup working sets: conditioning-chain scratch + filtered
@@ -154,17 +163,30 @@ pub struct StreamHub<'fw> {
     closed_stages: StageMetrics,
 }
 
-/// Buffers for one threshold calibration: the front-end scratch plus the
-/// baseline-filtered stretch the detector calibrates on.
+/// Buffers for one threshold calibration: the front-end scratch, the
+/// stretch in millivolts (when it arrives as samples of another scale) and
+/// the baseline-filtered stretch the detector calibrates on.
 #[derive(Debug, Default)]
 struct CalibrationScratch {
     frontend: FrontendScratch,
+    raw: Vec<f64>,
     filtered: Vec<f64>,
+}
+
+impl CalibrationScratch {
+    /// The detector's RMS calibration over the baseline-filtered `raw`.
+    fn calibrate(&mut self, fs: f64, raw: &[f64]) -> Result<PeakThresholds> {
+        let CalibrationScratch {
+            frontend, filtered, ..
+        } = self;
+        MorphologicalFilter::for_sampling_rate(fs).apply_into(raw, frontend, filtered)?;
+        Ok(PeakDetector::new(fs).calibrate_with_scratch(filtered, frontend)?)
+    }
 }
 
 impl<'fw> StreamHub<'fw> {
     /// Creates a hub serving sessions of `firmware` at sampling rate `fs`,
-    /// using one worker per core.
+    /// fed millivolt samples, using one worker per core.
     ///
     /// # Panics
     ///
@@ -181,9 +203,23 @@ impl<'fw> StreamHub<'fw> {
         fs: f64,
         threads: Option<NonZeroUsize>,
     ) -> Self {
+        Self::with_scale(firmware, fs, threads, Millivolts)
+    }
+}
+
+impl<'fw, S: SampleScale> StreamHub<'fw, S> {
+    /// Creates a hub whose sessions ingest samples read through `scale`,
+    /// with an explicit worker-thread policy (`None` = one per core).
+    pub fn with_scale(
+        firmware: &'fw WbsnFirmware,
+        fs: f64,
+        threads: Option<NonZeroUsize>,
+        scale: S,
+    ) -> Self {
         StreamHub {
             firmware,
             fs,
+            scale,
             par: Par::with_threads(threads),
             sessions: Vec::new(),
             free: Vec::new(),
@@ -215,24 +251,47 @@ impl<'fw> StreamHub<'fw> {
     /// Returns an error when the stretch is too short for the filter or the
     /// wavelet decomposition.
     pub fn calibrate_thresholds(&self, raw: &[f64]) -> Result<PeakThresholds> {
+        self.with_calibration_scratch(|scratch| scratch.calibrate(self.fs, raw))
+    }
+
+    /// [`Self::calibrate_thresholds`] over a stretch of the hub's own input
+    /// samples, converted to millivolts into the pooled scratch first (for
+    /// a code-fed hub, exactly `calibrate_thresholds` of the dequantized
+    /// stretch).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::calibrate_thresholds`].
+    pub fn calibrate_samples(&self, stretch: &[S::Sample]) -> Result<PeakThresholds> {
+        self.with_calibration_scratch(|scratch| {
+            let mut raw = std::mem::take(&mut scratch.raw);
+            raw.clear();
+            raw.extend(stretch.iter().map(|&s| self.scale.to_mv(s)));
+            let thresholds = scratch.calibrate(self.fs, &raw);
+            scratch.raw = raw;
+            thresholds
+        })
+    }
+
+    /// Runs `calibrate` on a scratch popped from the pool, and returns the
+    /// scratch to the pool afterwards. The lock is held for the pop and the
+    /// push only.
+    fn with_calibration_scratch<R>(
+        &self,
+        calibrate: impl FnOnce(&mut CalibrationScratch) -> R,
+    ) -> R {
         let mut scratch = self
             .calibration
             .lock()
             .expect("calibration pool poisoned")
             .pop()
             .unwrap_or_default();
-        let CalibrationScratch { frontend, filtered } = &mut scratch;
-        let thresholds = MorphologicalFilter::for_sampling_rate(self.fs)
-            .apply_into(raw, frontend, filtered)
-            .map_err(CoreError::from)
-            .and_then(|()| {
-                Ok(PeakDetector::new(self.fs).calibrate_with_scratch(filtered, frontend)?)
-            });
+        let result = calibrate(&mut scratch);
         self.calibration
             .lock()
             .expect("calibration pool poisoned")
             .push(scratch);
-        thresholds
+        result
     }
 
     /// Registers a new patient session with fixed detection thresholds,
@@ -242,7 +301,7 @@ impl<'fw> StreamHub<'fw> {
     pub fn add_patient(&mut self, patient_id: u32, thresholds: PeakThresholds) -> SessionId {
         let session = PatientStream {
             patient_id,
-            stream: StreamingFirmware::new(self.firmware, self.fs, thresholds),
+            stream: StreamingFirmware::with_scale(self.firmware, self.fs, thresholds, self.scale),
             outcomes: Vec::new(),
         };
         match self.free.pop() {
@@ -286,7 +345,7 @@ impl<'fw> StreamHub<'fw> {
     }
 
     /// The live session behind `id`.
-    fn session(&self, id: SessionId) -> Result<&PatientStream<'fw>> {
+    fn session(&self, id: SessionId) -> Result<&PatientStream<'fw, S>> {
         self.sessions
             .get(id.0)
             .ok_or_else(|| Self::unknown(id))?
@@ -314,7 +373,7 @@ impl<'fw> StreamHub<'fw> {
     ///
     /// Returns [`CoreError::Config`] for an unknown or closed session or a
     /// duplicated session within the batch.
-    pub fn ingest<C: AsRef<[f64]> + Sync>(&mut self, feeds: &[(SessionId, C)]) -> Result<()> {
+    pub fn ingest<C: AsRef<[S::Sample]> + Sync>(&mut self, feeds: &[(SessionId, C)]) -> Result<()> {
         self.fed.clear();
         self.fed.resize(self.sessions.len(), None);
         let mut samples = 0;

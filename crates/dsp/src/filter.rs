@@ -59,7 +59,7 @@ impl ExtremumKind {
     /// Whether a retained wedge value still dominates an incoming one (ties
     /// keep the earlier sample, like the streaming wedge).
     #[inline]
-    pub(crate) fn dominates(self, kept: f64, incoming: f64) -> bool {
+    pub(crate) fn dominates<T: PartialOrd>(self, kept: T, incoming: T) -> bool {
         match self {
             ExtremumKind::Min => kept <= incoming,
             ExtremumKind::Max => kept >= incoming,

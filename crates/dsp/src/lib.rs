@@ -45,8 +45,8 @@ pub use filter::{ExtremumKind, MorphologicalFilter};
 pub use frontend::FrontendScratch;
 pub use peak::{PeakDetector, PeakDetectorConfig, PeakScanner, PeakThresholds};
 pub use streaming::{
-    StreamingBaselineFilter, StreamingBeatWindower, StreamingDecimator, StreamingPeakDetector,
-    StreamingWavelet,
+    Millivolts, SampleScale, StreamingBaselineFilter, StreamingBeatWindower, StreamingDecimator,
+    StreamingPeakDetector, StreamingWavelet,
 };
 pub use wavelet::DyadicWavelet;
 

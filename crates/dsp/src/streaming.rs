@@ -11,7 +11,9 @@
 //! * [`StreamingErosion`] / [`StreamingDilation`] — centred structuring
 //!   elements with a fixed group delay of `size/2` samples;
 //! * [`StreamingBaselineFilter`] — the opening/closing baseline estimator of
-//!   [`crate::filter::MorphologicalFilter`] as a push-based pipeline;
+//!   [`crate::filter::MorphologicalFilter`] as a push-based pipeline, fed
+//!   millivolts or — through a [`SampleScale`] — raw ADC codes, which stay
+//!   codes up to the filter's output;
 //! * [`StreamingWavelet`] — the à-trous dyadic wavelet transform of
 //!   [`crate::wavelet::DyadicWavelet`] as a cascade of ring-buffered stages;
 //! * [`StreamingPeakDetector`] — the wavelet cascade feeding the incremental
@@ -45,40 +47,53 @@ pub use crate::filter::ExtremumKind;
 
 /// Sliding-window extremum over the last `window` pushed samples, computed in
 /// O(1) amortised time with a monotone wedge.
+///
+/// Generic over the sample type: the wedge only compares samples, so it
+/// runs unchanged on millivolts (`f64`) or on raw ADC codes (`i16`). The
+/// wedge is a ring sized at construction — it never holds more than
+/// `window` entries, so it never reallocates — and stores each entry's
+/// index relative to the stream as a wrapping `u16` (4 B per entry for
+/// codes, 16 B for `f64`).
 #[derive(Debug, Clone)]
-pub struct SlidingExtremum {
+pub struct SlidingExtremum<T = f64> {
     kind: ExtremumKind,
     window: usize,
-    /// (index, value) pairs forming a monotone sequence.
-    wedge: VecDeque<(u64, f64)>,
+    /// (index mod 2¹⁶, value) pairs forming a monotone sequence.
+    wedge: VecDeque<(u16, T)>,
     pushed: u64,
 }
 
-impl SlidingExtremum {
+impl<T: Copy + PartialOrd> SlidingExtremum<T> {
     /// Creates a tracker over the last `window` samples.
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0`.
+    /// Panics if `window == 0` or `window >= 65 536` (entry indices are
+    /// kept modulo 2¹⁶, which is unambiguous only for shorter windows).
     pub fn new(kind: ExtremumKind, window: usize) -> Self {
         assert!(window > 0, "window must be non-empty");
+        assert!(
+            window <= usize::from(u16::MAX),
+            "window must be below 65 536"
+        );
         SlidingExtremum {
             kind,
             window,
-            wedge: VecDeque::new(),
+            wedge: VecDeque::with_capacity(window),
             pushed: 0,
         }
     }
 
-    fn dominates(&self, kept: f64, incoming: f64) -> bool {
-        // The same tie-keeps-the-earlier rule as the batch deque kernel of
-        // `crate::filter`, which mirrors this wedge.
-        self.kind.dominates(kept, incoming)
+    /// The wrapping `u16` index of the next advance.
+    fn now(&self) -> u16 {
+        self.pushed as u16
     }
 
     fn expire(&mut self) {
+        // Every retained entry is at most `window` advances old, so the
+        // wrapping difference is its true age.
         while let Some(&(idx, _)) = self.wedge.front() {
-            if idx + self.window as u64 <= self.pushed {
+            if usize::from(self.now().wrapping_sub(idx)) >= self.window {
                 self.wedge.pop_front();
             } else {
                 break;
@@ -88,17 +103,20 @@ impl SlidingExtremum {
 
     /// Pushes a sample and returns the extremum of the last `window` samples
     /// (fewer at the start of the stream).
-    pub fn push(&mut self, value: f64) -> f64 {
+    pub fn push(&mut self, value: T) -> T {
         // Drop samples that left the window.
         self.expire();
-        // Maintain monotonicity: remove dominated tail entries.
+        // Maintain monotonicity: remove dominated tail entries. Ties keep
+        // the earlier sample, like the batch deque kernel of
+        // `crate::filter`, which mirrors this wedge.
         while let Some(&(_, v)) = self.wedge.back() {
-            if self.dominates(v, value) {
+            if self.kind.dominates(v, value) {
                 break;
             }
             self.wedge.pop_back();
         }
-        self.wedge.push_back((self.pushed, value));
+        debug_assert!(self.wedge.len() < self.window, "wedge ring overflow");
+        self.wedge.push_back((self.now(), value));
         self.pushed += 1;
         self.wedge.front().map(|&(_, v)| v).expect("just pushed")
     }
@@ -109,7 +127,7 @@ impl SlidingExtremum {
     /// This drains the right border at end of stream: the window degrades
     /// from centred to right-clamped exactly like the batch operators of
     /// [`crate::filter`], whose windows are truncated at the signal end.
-    pub fn skip(&mut self) -> Option<f64> {
+    pub fn skip(&mut self) -> Option<T> {
         self.expire();
         self.pushed += 1;
         self.wedge.front().map(|&(_, v)| v)
@@ -131,14 +149,14 @@ impl SlidingExtremum {
 /// One streaming morphological operator: a sliding extremum plus the
 /// bookkeeping aligning outputs to the centre of the structuring element.
 #[derive(Debug, Clone)]
-struct Morph {
-    extremum: SlidingExtremum,
+struct Morph<T> {
+    extremum: SlidingExtremum<T>,
     delay: usize,
     seen: usize,
     emitted: usize,
 }
 
-impl Morph {
+impl<T: Copy + PartialOrd> Morph<T> {
     fn new(kind: ExtremumKind, size: usize) -> Self {
         // Both the batch and the streaming operator derive their geometry
         // from the single even-`size` normalisation point, so an even
@@ -153,7 +171,7 @@ impl Morph {
         }
     }
 
-    fn push(&mut self, value: f64) -> Option<f64> {
+    fn push(&mut self, value: T) -> Option<T> {
         let out = self.extremum.push(value);
         self.seen += 1;
         if self.seen > self.delay {
@@ -168,7 +186,7 @@ impl Morph {
     /// `delay` outputs at end of stream, fewer if the stream was shorter
     /// than the delay). The shrinking window reproduces the batch
     /// operator's end-of-signal clamping sample for sample.
-    fn finish_one(&mut self) -> Option<f64> {
+    fn finish_one(&mut self) -> Option<T> {
         if self.emitted >= self.seen {
             return None;
         }
@@ -181,11 +199,11 @@ macro_rules! impl_streaming_morph {
     ($name:ident, $kind:expr, $doc:literal) => {
         #[doc = $doc]
         #[derive(Debug, Clone)]
-        pub struct $name {
-            inner: Morph,
+        pub struct $name<T = f64> {
+            inner: Morph<T>,
         }
 
-        impl $name {
+        impl<T: Copy + PartialOrd> $name<T> {
             /// Creates the operator for a structuring element of `size`
             /// samples.
             ///
@@ -208,14 +226,14 @@ macro_rules! impl_streaming_morph {
             /// Pushes one sample; returns the output aligned to the sample
             /// pushed `delay()` calls ago, or `None` while the pipeline is
             /// still filling.
-            pub fn push(&mut self, value: f64) -> Option<f64> {
+            pub fn push(&mut self, value: T) -> Option<T> {
                 self.inner.push(value)
             }
 
             /// Drains one of the `delay()` outputs still owed at end of
             /// stream (right-clamped windows, matching the batch border
             /// handling); `None` once fully drained.
-            pub fn finish_one(&mut self) -> Option<f64> {
+            pub fn finish_one(&mut self) -> Option<T> {
                 self.inner.finish_one()
             }
         }
@@ -237,6 +255,38 @@ impl_streaming_morph!(
      [`StreamingErosion`])."
 );
 
+/// How the streaming baseline filter reads its input samples as
+/// millivolts.
+///
+/// The filter's morphology only *selects* samples (sliding minima and
+/// maxima), so it runs on the input type itself. Millivolts appear only at
+/// the two places the filter does arithmetic — the average `0.5·(o + c)`
+/// of opening and closing, and the subtraction `delayed − baseline` — where
+/// each operand is converted first. For the output to equal the filter run
+/// on the converted signal bit for bit, [`Self::to_mv`] must be exact and
+/// strictly increasing, so that it commutes with min and max, ties
+/// included.
+pub trait SampleScale: Copy + std::fmt::Debug + Send + Sync + 'static {
+    /// The input sample type.
+    type Sample: Copy + PartialOrd + std::fmt::Debug + Send + Sync + 'static;
+
+    /// Converts one input sample to millivolts.
+    fn to_mv(&self, sample: Self::Sample) -> f64;
+}
+
+/// Input already in millivolts: the identity [`SampleScale`] over `f64`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Millivolts;
+
+impl SampleScale for Millivolts {
+    type Sample = f64;
+
+    #[inline]
+    fn to_mv(&self, sample: f64) -> f64 {
+        sample
+    }
+}
+
 /// Streaming baseline-wander filter: opening followed by closing with the
 /// short (QRS) structuring element, then the average of opening and closing
 /// with the long (beat) element, subtracted from the delayed input — the
@@ -247,17 +297,25 @@ impl_streaming_morph!(
 /// output sequence is bit-identical to the batch filter over the whole
 /// signal (the warm-up of each sliding window reproduces the batch
 /// operators' left clamping, the drain their right clamping).
+///
+/// The input type is set by the [`SampleScale`] `S`: millivolts by default,
+/// or ADC codes with a scale that dequantizes them exactly, in which case
+/// both morphology stages, their wedges and the delay line hold codes and
+/// the output equals that of the millivolt filter fed the dequantized
+/// signal.
 #[derive(Debug, Clone)]
-pub struct StreamingBaselineFilter {
+pub struct StreamingBaselineFilter<S: SampleScale = Millivolts> {
+    scale: S,
     /// Stage 1: opening (erode, dilate) then closing (dilate, erode) with
     /// the QRS element, chained.
-    stage1: [Morph; 4],
+    stage1: [Morph<S::Sample>; 4],
     /// Stage 2, in parallel on the stage-1 output: opening (erode, dilate)
     /// and closing (dilate, erode) with the beat element.
-    open2: [Morph; 2],
-    close2: [Morph; 2],
-    /// Delay line aligning the raw input with the baseline estimate.
-    input_delay: VecDeque<f64>,
+    open2: [Morph<S::Sample>; 2],
+    close2: [Morph<S::Sample>; 2],
+    /// Delay line aligning the raw input with the baseline estimate: a
+    /// ring of `total_delay + 1` samples.
+    input_delay: VecDeque<S::Sample>,
     total_delay: usize,
     finished: bool,
 }
@@ -270,11 +328,24 @@ impl StreamingBaselineFilter {
     ///
     /// Panics if `fs` is not positive.
     pub fn for_sampling_rate(fs: f64) -> Self {
+        Self::with_scale(fs, Millivolts)
+    }
+}
+
+impl<S: SampleScale> StreamingBaselineFilter<S> {
+    /// [`StreamingBaselineFilter::for_sampling_rate`] over input samples
+    /// read through `scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fs` is not positive.
+    pub fn with_scale(fs: f64, scale: S) -> Self {
         let batch = crate::filter::MorphologicalFilter::for_sampling_rate(fs);
         let qrs_half = batch.qrs_element / 2;
         let beat_half = batch.beat_element / 2;
         let total_delay = 4 * qrs_half + 2 * beat_half;
         StreamingBaselineFilter {
+            scale,
             stage1: [
                 Morph::new(ExtremumKind::Min, batch.qrs_element),
                 Morph::new(ExtremumKind::Max, batch.qrs_element),
@@ -289,7 +360,7 @@ impl StreamingBaselineFilter {
                 Morph::new(ExtremumKind::Max, batch.beat_element),
                 Morph::new(ExtremumKind::Min, batch.beat_element),
             ],
-            input_delay: VecDeque::new(),
+            input_delay: VecDeque::with_capacity(total_delay + 1),
             total_delay,
             finished: false,
         }
@@ -300,7 +371,7 @@ impl StreamingBaselineFilter {
         self.total_delay
     }
 
-    fn push_stage1_from(&mut self, value: f64, from: usize) -> Option<f64> {
+    fn push_stage1_from(&mut self, value: S::Sample, from: usize) -> Option<S::Sample> {
         let mut v = value;
         for m in &mut self.stage1[from..] {
             v = m.push(v)?;
@@ -308,11 +379,17 @@ impl StreamingBaselineFilter {
         Some(v)
     }
 
-    fn push_stage2(&mut self, s1: f64) -> Option<f64> {
+    /// The baseline estimate: the average of the stage-2 opening and
+    /// closing, in millivolts.
+    fn average(&self, open: S::Sample, close: S::Sample) -> f64 {
+        0.5 * (self.scale.to_mv(open) + self.scale.to_mv(close))
+    }
+
+    fn push_stage2(&mut self, s1: S::Sample) -> Option<f64> {
         let open = self.open2[0].push(s1).and_then(|v| self.open2[1].push(v));
         let close = self.close2[0].push(s1).and_then(|v| self.close2[1].push(v));
         match (open, close) {
-            (Some(o), Some(c)) => Some(0.5 * (o + c)),
+            (Some(o), Some(c)) => Some(self.average(o, c)),
             // Both branches share one delay, so they warm up in lockstep.
             (None, None) => None,
             _ => unreachable!("stage-2 branches have identical delays"),
@@ -322,8 +399,7 @@ impl StreamingBaselineFilter {
     fn emit(&mut self, baseline: f64) -> Option<f64> {
         // Align the raw input with the baseline estimate.
         if self.input_delay.len() > self.total_delay {
-            let delayed = self.input_delay.pop_front().expect("non-empty");
-            Some(delayed - baseline)
+            self.emit_tail(baseline)
         } else {
             None
         }
@@ -332,9 +408,8 @@ impl StreamingBaselineFilter {
     /// `emit` for the drain phase: no further inputs arrive, so every
     /// remaining baseline value pairs with the oldest delayed input.
     fn emit_tail(&mut self, baseline: f64) -> Option<f64> {
-        self.input_delay
-            .pop_front()
-            .map(|delayed| delayed - baseline)
+        let delayed = self.input_delay.pop_front()?;
+        Some(self.scale.to_mv(delayed) - baseline)
     }
 
     /// Pushes one raw sample; returns the baseline-corrected sample aligned
@@ -343,8 +418,12 @@ impl StreamingBaselineFilter {
     /// # Panics
     ///
     /// Panics if called after [`Self::finish_into`].
-    pub fn push(&mut self, value: f64) -> Option<f64> {
+    pub fn push(&mut self, value: S::Sample) -> Option<f64> {
         assert!(!self.finished, "push after finish");
+        debug_assert!(
+            self.input_delay.len() <= self.total_delay,
+            "delay ring overflow"
+        );
         self.input_delay.push_back(value);
         let s1 = self.push_stage1_from(value, 0)?;
         let baseline = self.push_stage2(s1)?;
@@ -376,7 +455,7 @@ impl StreamingBaselineFilter {
         }
         // Stage 1 fully drained: both stage-2 branches now hold the complete
         // intermediate signal. Drain them in lockstep.
-        let mut open_tail: VecDeque<f64> = VecDeque::new();
+        let mut open_tail = VecDeque::new();
         while let Some(v) = self.open2[0].finish_one() {
             if let Some(v) = self.open2[1].push(v) {
                 open_tail.push_back(v);
@@ -385,7 +464,7 @@ impl StreamingBaselineFilter {
         while let Some(v) = self.open2[1].finish_one() {
             open_tail.push_back(v);
         }
-        let mut close_tail: VecDeque<f64> = VecDeque::new();
+        let mut close_tail = VecDeque::new();
         while let Some(v) = self.close2[0].finish_one() {
             if let Some(v) = self.close2[1].push(v) {
                 close_tail.push_back(v);
@@ -396,7 +475,7 @@ impl StreamingBaselineFilter {
         }
         debug_assert_eq!(open_tail.len(), close_tail.len());
         while let (Some(o), Some(c)) = (open_tail.pop_front(), close_tail.pop_front()) {
-            let baseline = 0.5 * (o + c);
+            let baseline = self.average(o, c);
             if let Some(y) = self.emit_tail(baseline) {
                 out.push(y);
             }
@@ -1198,6 +1277,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be non-empty")]
     fn zero_window_panics() {
-        SlidingExtremum::new(ExtremumKind::Min, 0);
+        SlidingExtremum::<f64>::new(ExtremumKind::Min, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be below 65 536")]
+    fn a_window_the_u16_indices_cannot_age_panics() {
+        SlidingExtremum::<i16>::new(ExtremumKind::Max, 1 << 16);
     }
 }

@@ -7,6 +7,7 @@
 //! the same integer coefficient units. [`Quantizer`] performs that conversion
 //! from a trained floating-point [`NeuroFuzzyClassifier`].
 
+use hbc_dsp::SampleScale;
 use hbc_ecg::beat::Beat;
 use hbc_nfc::NeuroFuzzyClassifier;
 
@@ -82,6 +83,19 @@ impl AdcModel {
     pub fn quantize_samples_into(&self, samples: &[f64], out: &mut Vec<i32>) {
         out.clear();
         out.extend(samples.iter().map(|&s| self.quantize_sample(s)));
+    }
+}
+
+/// Wire and log ADC codes read as millivolts by the streaming baseline
+/// filter: [`AdcModel::dequantize_sample`], which is exact and strictly
+/// increasing, so a filter fed codes emits exactly what it emits when fed
+/// the dequantized signal.
+impl SampleScale for AdcModel {
+    type Sample = i16;
+
+    #[inline]
+    fn to_mv(&self, code: i16) -> f64 {
+        self.dequantize_sample(i32::from(code))
     }
 }
 

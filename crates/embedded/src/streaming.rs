@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use hbc_dsp::peak::{PeakDetector, PeakThresholds};
 use hbc_dsp::streaming::{StreamingBaselineFilter, StreamingBeatWindower};
-use hbc_dsp::{Delineator, StreamingPeakDetector};
+use hbc_dsp::{Delineator, Millivolts, SampleScale, StreamingPeakDetector};
 use hbc_obs::Histogram;
 
 use crate::firmware::{BeatOutcome, BeatScratch, StageNanos, WbsnFirmware};
@@ -88,10 +88,17 @@ impl StageMetrics {
 
 /// The Figure 6 application as a push-based stream processor with bounded
 /// memory and zero steady-state allocation.
+///
+/// The input sample type follows the [`SampleScale`] `S`: millivolts
+/// (`f64`) by default, or ADC codes (`i16`) read through the
+/// [`AdcModel`](crate::AdcModel) that produced them. Codes stay codes
+/// through the baseline filter, the first stage with `f64` arithmetic, and
+/// the outcomes equal those of the millivolt pipeline fed the dequantized
+/// signal.
 #[derive(Debug, Clone)]
-pub struct StreamingFirmware<'fw> {
+pub struct StreamingFirmware<'fw, S: SampleScale = Millivolts> {
     firmware: &'fw WbsnFirmware,
-    filter: StreamingBaselineFilter,
+    filter: StreamingBaselineFilter<S>,
     detector: StreamingPeakDetector,
     windower: StreamingBeatWindower,
     delineator: Delineator,
@@ -113,7 +120,8 @@ pub struct StreamingFirmware<'fw> {
 }
 
 impl<'fw> StreamingFirmware<'fw> {
-    /// Builds the online pipeline around a trained firmware image.
+    /// Builds the online pipeline around a trained firmware image, fed
+    /// millivolt samples.
     ///
     /// `fs` is the acquisition sampling rate; `thresholds` are the fixed
     /// detection thresholds of the deployment (calibrate with
@@ -124,13 +132,29 @@ impl<'fw> StreamingFirmware<'fw> {
     ///
     /// Panics if `fs` is not positive (propagated from the DSP stages).
     pub fn new(firmware: &'fw WbsnFirmware, fs: f64, thresholds: PeakThresholds) -> Self {
+        Self::with_scale(firmware, fs, thresholds, Millivolts)
+    }
+}
+
+impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
+    /// [`StreamingFirmware::new`] fed samples read through `scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fs` is not positive (propagated from the DSP stages).
+    pub fn with_scale(
+        firmware: &'fw WbsnFirmware,
+        fs: f64,
+        thresholds: PeakThresholds,
+        scale: S,
+    ) -> Self {
         let detector_cfg = PeakDetector::new(fs);
         let detector = StreamingPeakDetector::new(&detector_cfg, thresholds);
         // The windower must retain enough history to serve a window whose
         // peak is only finalized `detector.delay()` samples later.
         let history = firmware.window.len() + detector.delay() + 64;
         StreamingFirmware {
-            filter: StreamingBaselineFilter::for_sampling_rate(fs),
+            filter: StreamingBaselineFilter::with_scale(fs, scale),
             windower: StreamingBeatWindower::new(firmware.window, history),
             delineator: Delineator::new(fs),
             detector,
@@ -178,12 +202,12 @@ impl<'fw> StreamingFirmware<'fw> {
         }
     }
 
-    /// Pushes one raw ADC-rate sample (classification lead, millivolts).
+    /// Pushes one raw ADC-rate sample of the classification lead.
     ///
     /// # Panics
     ///
     /// Panics if called after [`Self::finish`].
-    pub fn push(&mut self, sample: f64) {
+    pub fn push(&mut self, sample: S::Sample) {
         assert!(!self.finished, "push after finish");
         self.samples_in += 1;
         if let Some(filtered) = self.filter.push(sample) {
@@ -199,7 +223,7 @@ impl<'fw> StreamingFirmware<'fw> {
     /// histogram (chunk wall-clock minus the per-beat stage time), so the
     /// serving path's batch ingestion is telemetered for free; the
     /// per-sample [`Self::push`] entry point stays clock-free.
-    pub fn push_chunk(&mut self, samples: &[f64]) {
+    pub fn push_chunk(&mut self, samples: &[S::Sample]) {
         if samples.is_empty() {
             return;
         }

@@ -19,7 +19,8 @@
 //!   (bounded per-session sample budget; slow consumers stall senders
 //!   instead of ballooning memory), batches ready chunks into
 //!   [`StreamHub::ingest`] so decode and classification fan out over
-//!   `hbc-par` when the batch is large enough, and protects itself under overload — admission control
+//!   `hbc-par` when the batch is large enough (samples stay `i16` codes up to the hub's
+//!   baseline filter), and protects itself under overload — admission control
 //!   (connection/session caps and a global memory budget answered with
 //!   [`Frame::Busy`]), priority-aware shed-before-stall that drops
 //!   normal-outcome telemetry before starving ARR-critical sessions,

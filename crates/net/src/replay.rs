@@ -29,10 +29,10 @@ use std::path::Path;
 use std::time::Instant;
 
 use hbc_core::{SessionId, StreamHub};
-use hbc_embedded::{BeatOutcome, WbsnFirmware};
+use hbc_embedded::{AdcModel, BeatOutcome, WbsnFirmware};
 use hbc_wal::{Wal, WalConfig, WalRecord};
 
-use crate::proto::dequantize_mv_into;
+use crate::proto::wire_adc;
 use crate::session::{NetSession, SessionManager, SessionPhase, SessionPriority};
 
 /// Turns a calibration stretch into a hub session — the one place the
@@ -42,11 +42,11 @@ use crate::session::{NetSession, SessionManager, SessionPhase, SessionPriority};
 /// for the detector). Used by sweep promotion, close-while-calibrating and
 /// the log rebuild.
 pub(crate) fn promote(
-    hub: &mut StreamHub<'_>,
+    hub: &mut StreamHub<'_, AdcModel>,
     patient_id: u32,
-    stretch: &[f64],
+    stretch: &[i16],
 ) -> Option<SessionId> {
-    let thresholds = hub.calibrate_thresholds(stretch).ok()?;
+    let thresholds = hub.calibrate_samples(stretch).ok()?;
     Some(hub.add_patient(patient_id, thresholds))
 }
 
@@ -185,9 +185,9 @@ impl LogFold {
     }
 }
 
-/// Samples per session that [`rebuild`] dequantizes and ingests per round.
-/// Bounds the rebuild's `f64` buffers at 8 B × this per session, whatever
-/// the length of the logged streams.
+/// Samples per session that [`rebuild`] ingests per round, straight from
+/// the logged codes (no buffer is filled). Bounds the work of one hub
+/// ingest, whatever the length of the logged streams.
 const REBUILD_ROUND: usize = 2048;
 
 /// How far a rebuilt session got through threshold calibration.
@@ -211,27 +211,25 @@ pub(crate) struct Rebuilt {
 }
 
 /// Rebuilds logged sessions into `hub`, which must run at their sampling
-/// rate: derives each session's thresholds from its dequantized
-/// calibration stretch, then feeds every calibrated stream from its first
-/// sample through parallel [`StreamHub::ingest`] calls of [`REBUILD_ROUND`]
-/// samples per session, dequantizing each round into reused buffers. By
-/// chunk invariance the outcome history is bit-identical to the live
-/// ingestion, whatever chunk sizes the node used.
+/// rate: derives each session's thresholds from its calibration stretch,
+/// then feeds every calibrated stream's codes from its first sample through
+/// parallel [`StreamHub::ingest`] calls of [`REBUILD_ROUND`] samples per
+/// session. By chunk invariance the outcome history is bit-identical to the
+/// live ingestion, whatever chunk sizes the node used.
 ///
 /// Returns the sessions in input order, plus whether the hub rejected an
 /// ingest round (a bug: the sessions are fresh and unique).
-pub(crate) fn rebuild(hub: &mut StreamHub<'_>, logged: Vec<LoggedSession>) -> (Vec<Rebuilt>, bool) {
-    let mut stretch = Vec::new();
+pub(crate) fn rebuild(
+    hub: &mut StreamHub<'_, AdcModel>,
+    logged: Vec<LoggedSession>,
+) -> (Vec<Rebuilt>, bool) {
     let rebuilt: Vec<Rebuilt> = logged
         .into_iter()
         .map(|session| {
             let calibration = match session.codes.get(..session.calib_len) {
                 None => Calibration::Pending,
-                Some(codes) => {
-                    dequantize_mv_into(codes, &mut stretch);
-                    promote(hub, session.patient_id, &stretch)
-                        .map_or(Calibration::Failed, Calibration::Streaming)
-                }
+                Some(stretch) => promote(hub, session.patient_id, stretch)
+                    .map_or(Calibration::Failed, Calibration::Streaming),
             };
             Rebuilt {
                 samples: session.codes.len() as u64,
@@ -240,27 +238,26 @@ pub(crate) fn rebuild(hub: &mut StreamHub<'_>, logged: Vec<LoggedSession>) -> (V
             }
         })
         .collect();
-    // Each stream's codes not yet ingested, and its round buffer.
-    let mut streams: Vec<(SessionId, &[i16], Vec<f64>)> = rebuilt
+    // Each stream's codes not yet ingested.
+    let mut streams: Vec<(SessionId, &[i16])> = rebuilt
         .iter()
         .filter_map(|r| match r.calibration {
-            Calibration::Streaming(id) => Some((id, r.session.codes.as_slice(), Vec::new())),
+            Calibration::Streaming(id) => Some((id, r.session.codes.as_slice())),
             Calibration::Pending | Calibration::Failed => None,
         })
         .collect();
     let mut rejected = false;
     while !streams.is_empty() {
-        for (_, codes, round) in &mut streams {
-            let (now, later) = codes.split_at(codes.len().min(REBUILD_ROUND));
-            dequantize_mv_into(now, round);
-            *codes = later;
-        }
-        let feeds: Vec<(SessionId, &[f64])> = streams
-            .iter()
-            .map(|(id, _, round)| (*id, round.as_slice()))
+        let feeds: Vec<(SessionId, &[i16])> = streams
+            .iter_mut()
+            .map(|(id, codes)| {
+                let (now, later) = codes.split_at(codes.len().min(REBUILD_ROUND));
+                *codes = later;
+                (*id, now)
+            })
             .collect();
         rejected |= hub.ingest(&feeds).is_err();
-        streams.retain(|(_, codes, _)| !codes.is_empty());
+        streams.retain(|(_, codes)| !codes.is_empty());
     }
     debug_assert!(!rejected, "rebuilt hub sessions are fresh and unique");
     (rebuilt, rejected)
@@ -290,7 +287,7 @@ pub(crate) fn rebuild(hub: &mut StreamHub<'_>, logged: Vec<LoggedSession>) -> (V
 /// Filesystem errors from opening the log; corrupt content is absorbed by
 /// the scan.
 pub(crate) fn recover(
-    hub: &mut StreamHub<'_>,
+    hub: &mut StreamHub<'_, AdcModel>,
     sessions: &mut SessionManager,
     config: WalConfig,
     fs_millihertz: u32,
@@ -317,7 +314,7 @@ pub(crate) fn recover(
     }
     let mut recovered = 0;
     for r in rebuilt {
-        let logged = &r.session;
+        let logged = r.session;
         let mut session = NetSession::new(
             logged.wire_id,
             logged.token,
@@ -349,7 +346,7 @@ pub(crate) fn recover(
                     }
                 }
             }
-            Calibration::Pending => dequantize_mv_into(&logged.codes, &mut session.pending),
+            Calibration::Pending => session.pending = logged.codes,
             // A degenerate calibration stretch would have ended the
             // session live too; drop it.
             Calibration::Failed => continue,
@@ -407,7 +404,7 @@ pub fn replay_log(
 
     for (fs_millihertz, (order, group)) in by_fs {
         let fs = f64::from(fs_millihertz) / 1000.0;
-        let mut hub = StreamHub::with_threads(firmware, fs, threads);
+        let mut hub = StreamHub::with_scale(firmware, fs, threads, wire_adc());
         let (rebuilt, _) = rebuild(&mut hub, group);
         for (i, r) in order.into_iter().zip(rebuilt) {
             let outcomes = match r.calibration {

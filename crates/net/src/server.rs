@@ -141,7 +141,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbc_core::{SessionId, StreamHub};
-use hbc_embedded::WbsnFirmware;
+use hbc_embedded::{AdcModel, WbsnFirmware};
 use hbc_obs::{Histogram, MetricsSnapshot, TraceEvent, TraceRecord, TraceRing};
 use hbc_wal::{Wal, WalConfig, WalRecord};
 
@@ -150,15 +150,15 @@ mod admin;
 use admin::AdminConn;
 
 use crate::proto::{
-    encode_outcomes_into, Frame, FrameDecoder, WireOutcome, WireReport, MAX_SAMPLES_PER_FRAME,
-    PROTOCOL_VERSION,
+    encode_outcomes_into, wire_adc, Frame, FrameDecoder, WireOutcome, WireReport,
+    MAX_SAMPLES_PER_FRAME, PROTOCOL_VERSION,
 };
 use crate::replay::{self, promote};
 use crate::session::{ResumeOutcome, SessionManager, SessionPhase, SessionPriority, SessionState};
 
-/// Bytes one buffered sample occupies gateway-side (sessions buffer
-/// dequantized `f64`s).
-const SAMPLE_BYTES: usize = std::mem::size_of::<f64>();
+/// Bytes one buffered sample occupies gateway-side: sessions buffer and
+/// stage the wire's `i16` ADC codes (4× the signal of `f64`s per budget).
+const SAMPLE_BYTES: usize = std::mem::size_of::<i16>();
 
 /// Most beats one [`Frame::Outcomes`] carries; a longer tail (a resume
 /// rewind, a re-fetched history) goes out in several frames.
@@ -687,7 +687,7 @@ pub struct GatewayReport {
 /// [`StreamHub`] every session streams into.
 pub struct Gateway<'fw> {
     listener: TcpListener,
-    hub: StreamHub<'fw>,
+    hub: StreamHub<'fw, AdcModel>,
     fs_millihertz: u32,
     config: GatewayConfig,
     conns: Vec<Option<Connection>>,
@@ -709,7 +709,7 @@ pub struct Gateway<'fw> {
     /// one staging slot per session fed in this sweep (the first `n` slots
     /// are the batch; each keeps its sample buffer's capacity across
     /// sweeps),
-    staged: Vec<(SessionId, Vec<f64>)>,
+    staged: Vec<(SessionId, Vec<i16>)>,
     /// and the outcome tail being forwarded to one session.
     outcomes: Vec<WireOutcome>,
     /// Durable ingest log, when configured. `None` after an append failure
@@ -766,7 +766,7 @@ impl<'fw> Gateway<'fw> {
         listener.set_nonblocking(true)?;
         let now = Instant::now();
         let fs_millihertz = (fs * 1000.0).round() as u32;
-        let mut hub = StreamHub::new(firmware, fs);
+        let mut hub = StreamHub::with_scale(firmware, fs, None, wire_adc());
         let mut sessions = SessionManager::new();
         let mut stats = GatewayStats::default();
         let wal = match &config.wal {
@@ -1574,7 +1574,7 @@ impl<'fw> Gateway<'fw> {
         // log is always a superset of what was ingested, so the post-crash
         // replay can never be behind what the session already reported. The
         // decoded frame's own buffer, cut to what was accepted, is the log
-        // record's payload and comes back for dequantization — no copy.
+        // record's payload and comes back to be buffered — no copy.
         samples.truncate(accepted);
         if accepted > 0 && self.wal.is_some() {
             let record = WalRecord::Samples {
@@ -1593,14 +1593,12 @@ impl<'fw> Gateway<'fw> {
             debug_assert!(false, "session {session} vanished mid-frame");
             return;
         };
-        let adc = crate::proto::wire_adc();
         // Anchor the beat-to-outcome clock on the empty → non-empty
         // transition: the oldest buffered sample arrived now.
         if s.pending.is_empty() && accepted > 0 && s.oldest_pending_at.is_none() {
             s.oldest_pending_at = Some(now);
         }
-        s.pending
-            .extend(samples.iter().map(|&c| adc.dequantize_sample(i32::from(c))));
+        s.pending.extend_from_slice(&samples);
         s.samples_received += accepted as u64;
         s.consumed_since_grant += dropped_at_budget;
         if accepted > 0 || dropped_at_budget > 0 {

@@ -124,9 +124,9 @@ pub struct NetSession {
     pub patient_id: u32,
     /// Lifecycle phase.
     pub phase: SessionPhase,
-    /// Decoded millivolt samples received but not yet consumed by the hub.
-    /// Bounded by the credit budget for well-behaved senders.
-    pub pending: Vec<f64>,
+    /// Wire ADC codes received but not yet consumed by the hub (2 B per
+    /// sample). Bounded by the credit budget for well-behaved senders.
+    pub pending: Vec<i16>,
     /// Next expected [`crate::proto::Frame::Samples`] sequence number.
     pub next_seq: u32,
     /// Hub outcomes already forwarded to the client.
@@ -812,8 +812,8 @@ mod tests {
         let now = Instant::now();
         let a = mgr.open(0, 1, 10, now);
         let b = mgr.open(1, 2, 10, now);
-        mgr.get_mut(a).expect("live").pending.extend([0.0; 5]);
-        mgr.get_mut(b).expect("live").pending.extend([0.0; 7]);
+        mgr.get_mut(a).expect("live").pending.extend([0; 5]);
+        mgr.get_mut(b).expect("live").pending.extend([0; 7]);
         assert_eq!(mgr.total_buffered_samples(), 12);
         assert_eq!(
             mgr.get(a).expect("live").priority,
@@ -853,7 +853,7 @@ mod tests {
         let s = mgr.get_mut(id).expect("live");
         assert!(s.hub_id().is_none());
         assert_eq!(s.buffered(), 0);
-        s.pending.extend([0.0; 5]);
+        s.pending.extend([0; 5]);
         assert_eq!(s.buffered(), 5);
     }
 }

@@ -31,7 +31,7 @@ use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::Lead;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
-use heartbeat_rp::hbc_embedded::{BeatScratch, WbsnFirmware};
+use heartbeat_rp::hbc_embedded::{AdcModel, BeatScratch, WbsnFirmware};
 use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 use proptest::prelude::*;
@@ -198,6 +198,108 @@ proptest! {
         }
         prop_assert_eq!(&eroded, &batch_eroded, "size={}, n={}", size, n);
         prop_assert_eq!(&dilated, &batch_dilated, "size={}, n={}", size, n);
+    }
+}
+
+/// 12-bit ADC codes in one of three shapes that stress the ring wedge:
+/// noise spanning the full ±2 048 code range (`shape` 0), flat runs of a
+/// few levels, so most comparisons are ties (1), and long monotone ramps
+/// that fill a wedge to its capacity, reversing every `2·size` samples (2).
+fn codes(n: usize, size: usize, shape: u8, seed: u64) -> Vec<i16> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    let mut level = 0i16;
+    let mut run = 0u32;
+    (0..n)
+        .map(|i| match shape {
+            0 => (next() % 4096) as i16 - 2048,
+            1 => {
+                if run == 0 {
+                    level = [-2048, -7, 0, 3, 2047][next() as usize % 5];
+                    run = 1 + next() % 40;
+                }
+                run -= 1;
+                level
+            }
+            _ => {
+                let period = 4 * size.max(1);
+                let phase = i % period;
+                let ramp = phase.min(period - phase) as i64 - size as i64;
+                ramp.clamp(-2048, 2047) as i16
+            }
+        })
+        .collect()
+}
+
+/// Streaming erosion and dilation of `T` samples, right border drained.
+fn stream_morphology<T: Copy + PartialOrd>(x: &[T], size: usize) -> (Vec<T>, Vec<T>) {
+    let mut erosion = StreamingErosion::new(size);
+    let mut dilation = StreamingDilation::new(size);
+    let mut eroded = Vec::with_capacity(x.len());
+    let mut dilated = Vec::with_capacity(x.len());
+    for &s in x {
+        eroded.extend(erosion.push(s));
+        dilated.extend(dilation.push(s));
+    }
+    eroded.extend(std::iter::from_fn(|| erosion.finish_one()));
+    dilated.extend(std::iter::from_fn(|| dilation.finish_one()));
+    (eroded, dilated)
+}
+
+/// The generic ring wedge, instantiated for codes and for millivolts,
+/// against the batch deque kernel (`erode` / `dilate`) on the dequantized
+/// signal: the `f64` wedge must equal it, and the `i16` wedge must equal it
+/// once its output is dequantized.
+fn check_ring_wedge(x: &[i16], size: usize) -> Result<(), TestCaseError> {
+    let adc = AdcModel::default_frontend();
+    let mv = |c: &i16| adc.dequantize_sample(i32::from(*c));
+    let x_mv: Vec<f64> = x.iter().map(mv).collect();
+    let (batch_eroded, batch_dilated) = (erode(&x_mv, size), dilate(&x_mv, size));
+    let (eroded, dilated) = stream_morphology(&x_mv, size);
+    prop_assert_eq!(&eroded, &batch_eroded, "f64 erosion, size={}", size);
+    prop_assert_eq!(&dilated, &batch_dilated, "f64 dilation, size={}", size);
+    let (eroded, dilated) = stream_morphology(x, size);
+    let eroded: Vec<f64> = eroded.iter().map(mv).collect();
+    let dilated: Vec<f64> = dilated.iter().map(mv).collect();
+    prop_assert_eq!(&eroded, &batch_eroded, "i16 erosion, size={}", size);
+    prop_assert_eq!(&dilated, &batch_dilated, "i16 dilation, size={}", size);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Ties, ramps that fill the wedge ring and full-range noise, for both
+    // sample types.
+    #[test]
+    fn ring_wedge_matches_the_batch_kernel_for_f64_and_codes(
+        n in 1usize..=2_000,
+        size in 1usize..=300,
+        shape in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        check_ring_wedge(&codes(n, size, shape, seed), size)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // Streams longer than 65 536 samples: the wedge's `u16` entry indices
+    // wrap, and expiry must still see every entry's true age.
+    #[test]
+    fn ring_wedge_survives_the_u16_index_wrap(
+        n in 65_537usize..=70_000,
+        size in 1usize..=3_000,
+        shape in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        check_ring_wedge(&codes(n, size, shape, seed), size)?;
     }
 }
 

@@ -48,7 +48,9 @@ use heartbeat_rp::pipeline::TrainedSystem;
 
 mod support;
 
-const SAMPLE_BYTES: usize = std::mem::size_of::<f64>();
+/// Bytes one buffered sample occupies gateway-side (the gateway buffers
+/// the wire's `i16` ADC codes).
+const SAMPLE_BYTES: usize = std::mem::size_of::<i16>();
 
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();

@@ -23,8 +23,10 @@ use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::streaming::StreamingFirmware;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
+use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, wire_adc};
 use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
+use heartbeat_rp::StreamHub;
 use proptest::prelude::*;
 
 fn trained_system() -> &'static TrainedSystem {
@@ -275,6 +277,83 @@ proptest! {
             prop_assert_eq!(a.delineated, b.delineated);
             prop_assert_eq!(a.fiducials_transmitted, b.fiducials_transmitted);
         }
+    }
+}
+
+/// A synthetic record's classification lead quantized to wire codes, cut
+/// to `len` samples, with `clips` bursts of ±2 048-code extremes (the
+/// ADC's rails) written over it past the first `calib` samples.
+fn wire_codes(seed: u64, len: usize, calib: usize, clips: &[(usize, usize, bool)]) -> Vec<i16> {
+    let mut gen = SyntheticEcg::with_seed(500 + seed);
+    let rhythm = gen.rhythm(30, 0.15, 0.1);
+    let record = gen.record(3, &rhythm, 1).expect("record");
+    let mut codes = Vec::new();
+    quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
+    codes.truncate(len);
+    let n = codes.len();
+    for &(at, width, high) in clips {
+        let from = calib + at % (n - calib);
+        let rail = if high { 2047 } else { -2048 };
+        codes[from..(from + width).min(n)].fill(rail);
+    }
+    codes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // Codes in, the same outcomes out: the streaming firmware and the hub
+    // fed wire codes emit exactly what they emit when fed the dequantized
+    // signal, for random chunkings, rail-to-rail extremes and streams cut
+    // anywhere (the close-time drain runs on whatever tail is left).
+    #[test]
+    fn code_fed_firmware_and_hub_match_millivolt_input(
+        chunks in prop::collection::vec(1usize..400, 1..10),
+        clips in prop::collection::vec((0usize..20_000, 1usize..60, any::<bool>()), 0..6),
+        len in 2_000usize..9_000,
+        seed in 0u64..4,
+    ) {
+        let fw = firmware();
+        let fs = 360.0;
+        let calib = 1_800;
+        let codes = wire_codes(seed, len, calib, &clips);
+        let mut mv = Vec::new();
+        dequantize_mv_into(&codes, &mut mv);
+        let spans = chunk_spans(codes.len(), &chunks);
+
+        let mv_hub = StreamHub::new(&fw, fs);
+        let code_hub = StreamHub::with_scale(&fw, fs, None, wire_adc());
+        let thresholds = mv_hub.calibrate_thresholds(&mv[..calib]);
+        let code_thresholds = code_hub.calibrate_samples(&codes[..calib]);
+        prop_assert_eq!(code_thresholds.as_ref().ok(), thresholds.as_ref().ok());
+        let Ok(thresholds) = thresholds else { return Ok(()); };
+
+        let mut by_mv = StreamingFirmware::new(&fw, fs, thresholds.clone());
+        let mut by_code = StreamingFirmware::with_scale(&fw, fs, thresholds.clone(), wire_adc());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for &(lo, hi) in &spans {
+            by_mv.push_chunk(&mv[lo..hi]);
+            by_code.push_chunk(&codes[lo..hi]);
+            want.extend(std::iter::from_fn(|| by_mv.pop_outcome()));
+            got.extend(std::iter::from_fn(|| by_code.pop_outcome()));
+            prop_assert_eq!(&got, &want, "outcomes after sample {}", hi);
+        }
+        by_mv.finish();
+        by_code.finish();
+        want.extend(std::iter::from_fn(|| by_mv.pop_outcome()));
+        got.extend(std::iter::from_fn(|| by_code.pop_outcome()));
+        prop_assert_eq!(&got, &want, "outcomes after the close-time drain");
+
+        let (mut mv_hub, mut code_hub) = (mv_hub, code_hub);
+        let mv_id = mv_hub.add_patient(7, thresholds.clone());
+        let code_id = code_hub.add_patient(7, thresholds);
+        for &(lo, hi) in &spans {
+            mv_hub.ingest(&[(mv_id, &mv[lo..hi])]).expect("live session");
+            code_hub.ingest(&[(code_id, &codes[lo..hi])]).expect("live session");
+        }
+        let report = code_hub.close_session(code_id).expect("live session");
+        prop_assert_eq!(report, mv_hub.close_session(mv_id).expect("live session"));
+        prop_assert_eq!(&got, &want);
     }
 }
 

@@ -38,6 +38,10 @@ use heartbeat_rp::pipeline::TrainedSystem;
 
 mod support;
 
+/// Bytes one buffered sample occupies gateway-side (the gateway buffers
+/// the wire's `i16` ADC codes).
+const SAMPLE_BYTES: usize = std::mem::size_of::<i16>();
+
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
@@ -255,14 +259,14 @@ fn sever_resume_and_overload_order_detach_resume_shed_on_the_trace() {
     let record = wire_record(9200, 30);
     let fs = record.fs;
     assert!(record.leads[0].len() >= 4096, "record long enough");
-    // 36000 bytes = 4500 samples of budget. Session A's calibration
+    // A budget of 4500 samples (9000 bytes). Session A's calibration
     // stretch (4096 samples) fits under the hard-deny check but occupies
     // most of the budget once buffered — a session still *calibrating*
     // never drains, so its buffer sits there deterministically. Session
     // B's very first frame then breaches the budget by arithmetic, not by
     // racing the drain, and the shedder must fire.
     let config = GatewayConfig {
-        global_memory_budget: 36_000,
+        global_memory_budget: 4_500 * SAMPLE_BYTES,
         resume_window: Duration::from_secs(30),
         ..GatewayConfig::default()
     };
@@ -293,8 +297,8 @@ fn sever_resume_and_overload_order_detach_resume_shed_on_the_trace() {
             }
         }
         // Session B: a small calibration stretch keeps its open admissible
-        // (32000 + 2048 < 36000); its first 1024-sample frame then charges
-        // 8192 bytes against the ~4000 remaining — shed.
+        // (8000 + 512 < 9000); its first 1024-sample frame then charges
+        // 2048 bytes against the ~1000 remaining — shed.
         let mut b = NodeClient::connect(addr).expect("connect B");
         let sb = b.open_session(record.id + 1, fs, 256).expect("open B");
         for chunk in record.leads[0][..4096].chunks(1024) {
