@@ -5,15 +5,18 @@
 //! scratch-reused (`_into`) forms. Records the naive-vs-deque baseline in
 //! `BENCH_frontend.json` at the workspace root (next to
 //! `BENCH_projection.json`) so front-end kernel regressions are visible in
-//! review and gated in CI. Also prints, as a report without a baseline or a
-//! gate, the streaming baseline filter's per-sample cost fed millivolts and
-//! fed ADC codes.
+//! review and gated in CI. One more row gates the streaming front-end: the
+//! code-fed streaming conditioning chain (baseline filter + wavelet cascade,
+//! block by block over 36-sample chunks) against the batch deque chain, so
+//! a return to per-sample streaming kernels fails the gate. Also prints, as
+//! a report without a baseline or a gate, the streaming baseline filter's
+//! per-sample cost fed millivolts and fed ADC codes.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hbc_dsp::filter::{dilate, erode, sliding_extreme_naive, ExtremumKind, MorphologicalFilter};
-use hbc_dsp::{DyadicWavelet, FrontendScratch, StreamingBaselineFilter};
+use hbc_dsp::{DyadicWavelet, FrontendScratch, StreamingBaselineFilter, StreamingWavelet};
 use hbc_embedded::AdcModel;
 
 /// One minute of drifting synthetic ECG-like signal at `fs` Hz.
@@ -113,13 +116,83 @@ fn min_ns_per_iter<F: FnMut()>(mut f: F, samples: usize) -> f64 {
     best
 }
 
-/// One row of the recorded baseline: an operator at one window length, naive
-/// vs deque, in nanoseconds per input *sample*.
+/// One row of the recorded baseline: an operator at one window length, a
+/// reference implementation against the measured one, in nanoseconds per
+/// input *sample*. The kernel rows compare naive vs deque; the streaming
+/// row compares the batch deque chain vs the streaming chain.
 struct BaselineRow {
     stage: &'static str,
     window: usize,
-    naive_ns: f64,
-    deque_ns: f64,
+    /// JSON keys of the reference and measured costs.
+    keys: (&'static str, &'static str),
+    reference_ns: f64,
+    measured_ns: f64,
+}
+
+/// The streaming row's stage name.
+const STREAMING_CHAIN: &str = "streaming_chain_codes";
+
+/// Samples per chunk of the streaming row: one gateway packet.
+const STREAMING_CHUNK: usize = 36;
+
+/// The code-fed streaming conditioning chain over `codes`, fed in
+/// [`STREAMING_CHUNK`]-sample chunks: the baseline filter on codes, then the
+/// wavelet cascade, with every frame popped.
+fn streaming_chain(fs: f64, adc: AdcModel, codes: &[i16]) -> f64 {
+    let mut filter = StreamingBaselineFilter::with_scale(fs, adc);
+    let mut wavelet = StreamingWavelet::new(4);
+    let mut filtered = [0.0; STREAMING_CHUNK];
+    let mut acc = 0.0;
+    for chunk in codes.chunks(STREAMING_CHUNK) {
+        let n = filter.push_chunk(black_box(chunk), &mut filtered);
+        wavelet.push_chunk(&filtered[..n]);
+        while let Some(frame) = wavelet.pop_frame() {
+            acc += frame.details[0];
+        }
+    }
+    acc
+}
+
+/// The signal as 12-bit ADC codes.
+fn to_codes(adc: &AdcModel, signal: &[f64]) -> Vec<i16> {
+    signal
+        .iter()
+        .map(|&s| adc.quantize_sample(s) as i16)
+        .collect()
+}
+
+/// Batch deque chain vs code-fed streaming chain, ns per sample.
+fn measure_streaming_row(
+    filter: &MorphologicalFilter,
+    fs: f64,
+    signal: &[f64],
+    samples: usize,
+) -> (f64, f64) {
+    let adc = AdcModel::default_frontend();
+    let codes = to_codes(&adc, signal);
+    let wavelet = DyadicWavelet::new();
+    let mut scratch = FrontendScratch::default();
+    let mut filtered = Vec::new();
+    let mut details = Vec::new();
+    let n = signal.len() as f64;
+    let batch = min_ns_per_iter(
+        || {
+            filter
+                .apply_into(black_box(signal), &mut scratch, &mut filtered)
+                .expect("filter");
+            wavelet
+                .transform_into(&filtered, &mut scratch, &mut details)
+                .expect("transform");
+        },
+        samples,
+    );
+    let streaming = min_ns_per_iter(
+        || {
+            black_box(streaming_chain(fs, adc, &codes));
+        },
+        samples,
+    );
+    (batch / n, streaming / n)
 }
 
 /// Measures naive vs deque at the 250 Hz operating point and writes
@@ -145,7 +218,8 @@ fn baseline_json(_c: &mut Criterion) {
         rows.push(BaselineRow {
             stage: "erode",
             window,
-            naive_ns: min_ns_per_iter(
+            keys: ("naive_ns", "deque_ns"),
+            reference_ns: min_ns_per_iter(
                 || {
                     black_box(sliding_extreme_naive(
                         black_box(&signal),
@@ -155,7 +229,7 @@ fn baseline_json(_c: &mut Criterion) {
                 },
                 samples,
             ) / n,
-            deque_ns: min_ns_per_iter(
+            measured_ns: min_ns_per_iter(
                 || {
                     black_box(erode(black_box(&signal), window));
                 },
@@ -165,7 +239,8 @@ fn baseline_json(_c: &mut Criterion) {
         rows.push(BaselineRow {
             stage: "dilate",
             window,
-            naive_ns: min_ns_per_iter(
+            keys: ("naive_ns", "deque_ns"),
+            reference_ns: min_ns_per_iter(
                 || {
                     black_box(sliding_extreme_naive(
                         black_box(&signal),
@@ -175,7 +250,7 @@ fn baseline_json(_c: &mut Criterion) {
                 },
                 samples,
             ) / n,
-            deque_ns: min_ns_per_iter(
+            measured_ns: min_ns_per_iter(
                 || {
                     black_box(dilate(black_box(&signal), window));
                 },
@@ -192,14 +267,15 @@ fn baseline_json(_c: &mut Criterion) {
     rows.push(BaselineRow {
         stage: "conditioning_chain",
         window: filter.beat_element,
-        naive_ns: min_ns_per_iter(
+        keys: ("naive_ns", "deque_ns"),
+        reference_ns: min_ns_per_iter(
             || {
                 let f = filter.apply_naive(black_box(&signal)).expect("filter");
                 black_box(wavelet.transform(&f).expect("transform"));
             },
             samples,
         ) / n,
-        deque_ns: min_ns_per_iter(
+        measured_ns: min_ns_per_iter(
             || {
                 filter
                     .apply_into(black_box(&signal), &mut scratch, &mut filtered)
@@ -211,30 +287,41 @@ fn baseline_json(_c: &mut Criterion) {
             samples,
         ) / n,
     });
+    let (batch_ns, streaming_ns) = measure_streaming_row(&filter, fs, &signal, samples);
+    rows.push(BaselineRow {
+        stage: STREAMING_CHAIN,
+        window: filter.beat_element,
+        keys: ("batch_ns", "streaming_ns"),
+        reference_ns: batch_ns,
+        measured_ns: streaming_ns,
+    });
 
     let mut json = String::from(
         "{\n  \"bench\": \"frontend_throughput\",\n  \"units\": \"ns_per_sample\",\n  \
-         \"kernel\": \"monotone-deque sliding extremum (van Herk/Gil-Werman) + scratch-reused \
-         conditioning chain\",\n  \"operating_point\": \"250 Hz, one minute of signal\",\n  \
+         \"kernel\": \"monotone-deque sliding extremum + scratch-reused conditioning chain; \
+         streaming row: van Herk/Gil-Werman block front-end on ADC codes, 36-sample chunks\",\n  \
+         \"operating_point\": \"250 Hz, one minute of signal\",\n  \
          \"estimator\": \"min of 9 calibrated samples\",\n  \"results\": [\n",
     );
     for (i, r) in rows.iter().enumerate() {
+        let (reference, measured) = r.keys;
         println!(
-            "baseline {:<18} w={:>3}  naive {:>8.2} ns/sample  deque {:>8.2} ns/sample  ({:.2}x)",
+            "baseline {:<21} w={:>3}  {reference} {:>8.2} ns/sample  {measured} {:>8.2} \
+             ns/sample  ({:.2}x)",
             r.stage,
             r.window,
-            r.naive_ns,
-            r.deque_ns,
-            r.naive_ns / r.deque_ns
+            r.reference_ns,
+            r.measured_ns,
+            r.reference_ns / r.measured_ns
         );
         json.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"window\": {}, \"naive_ns\": {:.3}, \"deque_ns\": {:.3}, \
-             \"speedup\": {:.2}}}{}\n",
+            "    {{\"stage\": \"{}\", \"window\": {}, \"{reference}\": {:.3}, \
+             \"{measured}\": {:.3}, \"speedup\": {:.2}}}{}\n",
             r.stage,
             r.window,
-            r.naive_ns,
-            r.deque_ns,
-            r.naive_ns / r.deque_ns,
+            r.reference_ns,
+            r.measured_ns,
+            r.reference_ns / r.measured_ns,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -283,7 +370,10 @@ fn parse_baseline(json: &str) -> Vec<(String, usize, f64)> {
 /// checks the *naive-to-deque speedup ratio* — both sides measured on the
 /// same host, here and in the baseline — against the checked-in value with a
 /// generous noise margin (2× by default, `HBC_BENCH_MARGIN` to override). A
-/// kernel regression that erases the deque advantage fails the job.
+/// kernel regression that erases the deque advantage fails the job. The
+/// streaming row's ratio is the batch deque chain's cost over the code-fed
+/// streaming chain's, so streaming kernels that fall back to pushing each
+/// sample through the whole cascade fail it.
 fn regression_gate(_c: &mut Criterion) {
     if std::env::var("HBC_BENCH_REGRESSION").map_or(true, |v| v != "1") {
         println!("regression_gate: skipped (set HBC_BENCH_REGRESSION=1 to enable)");
@@ -316,46 +406,50 @@ fn regression_gate(_c: &mut Criterion) {
             "dilate" => Some(ExtremumKind::Max),
             _ => None,
         };
-        let (naive_ns, deque_ns) = match kind {
-            Some(kind) => (
-                min_ns_per_iter(
-                    || {
-                        black_box(sliding_extreme_naive(black_box(&signal), window, kind));
-                    },
-                    samples,
+        let (naive_ns, deque_ns) = if stage == STREAMING_CHAIN {
+            measure_streaming_row(&filter, fs, &signal, samples)
+        } else {
+            match kind {
+                Some(kind) => (
+                    min_ns_per_iter(
+                        || {
+                            black_box(sliding_extreme_naive(black_box(&signal), window, kind));
+                        },
+                        samples,
+                    ),
+                    min_ns_per_iter(
+                        || match kind {
+                            ExtremumKind::Min => {
+                                black_box(erode(black_box(&signal), window));
+                            }
+                            ExtremumKind::Max => {
+                                black_box(dilate(black_box(&signal), window));
+                            }
+                        },
+                        samples,
+                    ),
                 ),
-                min_ns_per_iter(
-                    || match kind {
-                        ExtremumKind::Min => {
-                            black_box(erode(black_box(&signal), window));
-                        }
-                        ExtremumKind::Max => {
-                            black_box(dilate(black_box(&signal), window));
-                        }
-                    },
-                    samples,
+                None => (
+                    min_ns_per_iter(
+                        || {
+                            let f = filter.apply_naive(black_box(&signal)).expect("filter");
+                            black_box(wavelet.transform(&f).expect("transform"));
+                        },
+                        samples,
+                    ),
+                    min_ns_per_iter(
+                        || {
+                            filter
+                                .apply_into(black_box(&signal), &mut scratch, &mut filtered)
+                                .expect("filter");
+                            wavelet
+                                .transform_into(&filtered, &mut scratch, &mut details)
+                                .expect("transform");
+                        },
+                        samples,
+                    ),
                 ),
-            ),
-            None => (
-                min_ns_per_iter(
-                    || {
-                        let f = filter.apply_naive(black_box(&signal)).expect("filter");
-                        black_box(wavelet.transform(&f).expect("transform"));
-                    },
-                    samples,
-                ),
-                min_ns_per_iter(
-                    || {
-                        filter
-                            .apply_into(black_box(&signal), &mut scratch, &mut filtered)
-                            .expect("filter");
-                        wavelet
-                            .transform_into(&filtered, &mut scratch, &mut details)
-                            .expect("transform");
-                    },
-                    samples,
-                ),
-            ),
+            }
         };
         let speedup = naive_ns / deque_ns;
         let floor = baseline_speedup / margin;

@@ -95,15 +95,17 @@ impl<S: SampleScale> PatientStream<'_, S> {
 /// caller's thread instead of fanning out over the hub's workers.
 ///
 /// A fan-out spawns scoped threads on every call (`Par::for_each`), which the
-/// gateway benchmark's layer table measures at 65–110 µs per call on a
-/// 2-vCPU host, while the streaming firmware costs 240–370 ns per sample.
-/// 2 048 samples are therefore ≈0.5–0.75 ms of work, so at or above this
-/// size the fan-out overhead stays under ~15 % of the batch. Realtime
-/// reactor sweeps (a few sessions × 36-sample packets, ~60–70 samples)
-/// fall far below it and run sequentially; calibration bursts and
-/// recovery replays (many sessions × thousands of samples) fall above it
-/// and still fan out. Outcomes are identical either way: each worker
-/// pushes whole chunks into sessions no other worker touches.
+/// gateway benchmark's layer table measures at 50–90 µs per call on a
+/// 2-vCPU host, while the block-at-a-time streaming firmware costs
+/// 120–180 ns per sample cache-hot, and its conditioning alone 235–300 ns
+/// per sample inside the hub, where each session's state is cold (traced
+/// `fleet_realtime` runs). 2 048 samples are therefore ≈0.25–0.6 ms of
+/// work, and the fan-out overhead is ~10–35 % of a batch at this size.
+/// Realtime reactor sweeps (a few sessions × 36-sample packets, ~60–70
+/// samples) fall far below it and run sequentially; calibration bursts
+/// and recovery replays (many sessions × thousands of samples) fall far
+/// above it and still fan out. Outcomes are identical either way: each
+/// worker pushes whole chunks into sessions no other worker touches.
 pub const FANOUT_MIN_SAMPLES: usize = 2048;
 
 /// Whether any of the last `window` outcomes of `outcomes` carries an

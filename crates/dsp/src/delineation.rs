@@ -15,10 +15,10 @@
 //!
 //! Like the morphological baseline filter, the per-sample window scans of the
 //! operator are sliding extrema, so [`Delineator::mmd`] runs on the same
-//! monotone-wedge kernel ([`SlidingExtremum`]) as the rest of the front-end:
-//! the trailing maximum is one forward pass with a `s + 1`-sample wedge, the
-//! leading minimum one backward pass, O(n) total and independent of the
-//! scale. The original per-output rescans are kept as
+//! streaming sliding-extremum kernel ([`SlidingExtremum`], van Herk /
+//! Gil–Werman) as the rest of the front-end: the trailing maximum is one
+//! forward pass over a `s + 1`-sample window, the leading minimum one
+//! backward pass, O(n) total and independent of the scale. The original per-output rescans are kept as
 //! [`Delineator::mmd_naive`] — the equivalence oracle (min/max are pure
 //! comparisons, so the two are *exactly* equal) and the pre-deque reference
 //! of the embedded cycle model.
@@ -103,9 +103,9 @@ impl Delineator {
         self.fs
     }
 
-    /// Computes the MMD of `signal` at the given scale with the monotone-
-    /// wedge kernel: the trailing maximum `max(x[i−s..=i])` is a forward
-    /// [`SlidingExtremum`] pass over the last `s + 1` samples (the wedge
+    /// Computes the MMD of `signal` at the given scale with the streaming
+    /// sliding-extremum kernel: the trailing maximum `max(x[i−s..=i])` is a
+    /// forward [`SlidingExtremum`] pass over the last `s + 1` samples (its
     /// warm-up reproduces the left clamping), the leading minimum
     /// `min(x[i..=i+s])` the same pass over the reversed signal. Two O(n)
     /// passes regardless of the scale, bit-identical to
@@ -118,7 +118,7 @@ impl Delineator {
         }
         let mut trailing_max = SlidingExtremum::new(ExtremumKind::Max, scale + 1);
         for (i, &x) in signal.iter().enumerate() {
-            // After this push the wedge covers the last `min(i, s) + 1`
+            // After this push the window covers the last `min(i, s) + 1`
             // samples: exactly the clamped window `[i − s, i]`.
             out[i] = trailing_max.push(x);
         }

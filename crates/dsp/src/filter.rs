@@ -18,17 +18,19 @@
 //! ## The deque kernel
 //!
 //! Every operator is a sliding-window extremum, computed here with the
-//! monotone-deque (van Herk / Gil–Werman style) kernel: a wedge of candidate
-//! indices whose values are monotone, so each sample enters the wedge once
-//! and leaves it at most once — O(n) total, ~[`DEQUE_COMPARISONS_PER_SAMPLE`]
-//! comparisons per sample *independent of the window length*, against the
-//! O(n·w) of the naive per-output window rescan (kept as
-//! [`sliding_extreme_naive`], the equivalence oracle and the pre-deque cost
-//! reference). It is the batch mirror of the streaming
-//! [`SlidingExtremum`](crate::streaming::SlidingExtremum) wedge, with the
-//! same clamped-border semantics, and since min/max are pure comparisons the
-//! two formulations are *exactly* equal — `tests/frontend_equivalence.rs`
-//! proptests this across window parities and border positions.
+//! monotone-deque kernel: a wedge of candidate indices whose values are
+//! monotone, so each sample enters the wedge once and leaves it at most
+//! once — O(n) total, ~[`DEQUE_COMPARISONS_PER_SAMPLE`] comparisons per
+//! sample *independent of the window length*, against the O(n·w) of the
+//! naive per-output window rescan (kept as [`sliding_extreme_naive`], the
+//! equivalence oracle and the pre-deque cost reference). The streaming
+//! [`SlidingExtremum`](crate::streaming::SlidingExtremum) computes the same
+//! windows with the van Herk / Gil–Werman algorithm instead (prefix and
+//! suffix extrema over blocks of the window length, no data-dependent
+//! loop). Both keep the earlier sample on ties and clamp borders the same
+//! way, and since min/max are pure comparisons the two formulations are
+//! *exactly* equal — `tests/frontend_equivalence.rs` proptests this across
+//! window parities and border positions.
 //!
 //! ## Window normalisation
 //!
@@ -57,7 +59,7 @@ pub enum ExtremumKind {
 
 impl ExtremumKind {
     /// Whether a retained wedge value still dominates an incoming one (ties
-    /// keep the earlier sample, like the streaming wedge).
+    /// keep the earlier sample, like the streaming van Herk kernel).
     #[inline]
     pub(crate) fn dominates<T: PartialOrd>(self, kept: T, incoming: T) -> bool {
         match self {

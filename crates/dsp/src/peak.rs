@@ -24,6 +24,7 @@
 use std::collections::VecDeque;
 
 use crate::frontend::FrontendScratch;
+use crate::streaming::BLOCK;
 use crate::tape::Tape;
 use crate::wavelet::DyadicWavelet;
 use crate::{DspError, Result};
@@ -285,6 +286,12 @@ impl PeakDetector {
 /// at which point its decision is exactly the one the whole-record scan
 /// would take.
 ///
+/// The streaming detector's wavelet cascade writes into the scanner's tapes
+/// directly, a block of up to [`BLOCK`] frames at a time with each scale's
+/// details and the signal running ahead of the last scale, and the scanner
+/// scans once per block. The tapes are sized for that at construction, so
+/// they never reallocate.
+///
 /// A detected peak is held back until it can no longer be displaced by a
 /// larger peak inside the refractory period, so the emission latency is
 /// bounded by `refractory + 2 × pair_window + 2` frames.
@@ -327,20 +334,32 @@ impl PeakScanner {
             scales - 1,
             "one cross-scale threshold per scale beyond the first"
         );
+        // After a scan the tapes keep `pair_window + 2` samples behind the
+        // scan index and fewer than `lookahead` ahead of it; a block adds up
+        // to `BLOCK` frames before the next scan. The cascade's scale `s`
+        // runs `2·(2^scales − 2^(s+1))` samples ahead of the last scale, and
+        // its input `2·(2^scales − 1)`.
+        let retained = pair_window + 2 + 2 * pair_window + 1;
+        let lead = |s: usize| 2 * ((1usize << scales) - (2 << s));
+        let lead_input = 2 * ((1usize << scales) - 1);
         PeakScanner {
             scales,
             min_scales_agreeing,
             thresholds,
             refractory,
             pair_window,
-            details: vec![Tape::default(); scales],
-            signal: Tape::default(),
+            details: (0..scales)
+                .map(|s| Tape::with_capacity(retained + BLOCK + lead(s)))
+                .collect(),
+            // The pending peak trails the scan index by less than
+            // `refractory + pair_window`, and its signal is kept.
+            signal: Tape::with_capacity(retained + refractory + 1 + BLOCK + lead_input),
             avail: 0,
             n: None,
             i: 1, // index 0 can never be a local extremum
             last: None,
             last_emitted: false,
-            out: VecDeque::new(),
+            out: VecDeque::with_capacity(4),
         }
     }
 
@@ -365,7 +384,19 @@ impl PeakScanner {
             tape.push(d);
         }
         self.signal.push(signal);
-        self.avail += 1;
+        self.scan_available();
+    }
+
+    /// The per-scale detail tapes and the signal tape, for a producer that
+    /// fills them ahead of [`Self::scan_available`].
+    pub(crate) fn tapes(&mut self) -> (&mut [Tape], &mut Tape) {
+        (&mut self.details, &mut self.signal)
+    }
+
+    /// Scans every frame the tapes complete: a frame is complete once the
+    /// last (slowest) scale holds its coefficient.
+    pub(crate) fn scan_available(&mut self) {
+        self.avail = self.details.last().expect("at least one scale").end();
         self.pump();
     }
 

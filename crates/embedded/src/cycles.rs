@@ -127,10 +127,11 @@ pub fn nfc_ops_per_beat(classifier: &IntegerNfc) -> OperationCounts {
 
 /// Operation mix of the MMD delineation of one beat on one lead
 /// (`window` samples analysed at `scales` morphological scales), charged at
-/// the cost of the **shipped monotone-wedge kernel**
-/// (`hbc_dsp::Delineator::mmd`): two deque passes per scale (trailing max,
-/// leading min) at ~`DEQUE_COMPARISONS_PER_SAMPLE` amortised comparisons per
-/// sample each, *independent of the scale length*, plus the three-term
+/// the cost of a **monotone-wedge kernel**: two deque passes per scale
+/// (trailing max, leading min) at ~`DEQUE_COMPARISONS_PER_SAMPLE` amortised
+/// comparisons per sample each, *independent of the scale length* (the van
+/// Herk kernel `hbc_dsp::Delineator::mmd` runs on the host also makes three
+/// comparisons per sample: prefix, suffix pick, backward pass), plus the three-term
 /// combine — against a full `s`-sample max and min rescan per output sample
 /// for the naive operator the model charged before (kept as
 /// [`naive_delineation_ops_per_beat_per_lead`]).

@@ -37,11 +37,22 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use hbc_dsp::peak::{PeakDetector, PeakThresholds};
-use hbc_dsp::streaming::{StreamingBaselineFilter, StreamingBeatWindower};
+use hbc_dsp::streaming::{StreamingBaselineFilter, StreamingBeatWindower, BLOCK};
 use hbc_dsp::{Delineator, Millivolts, SampleScale, StreamingPeakDetector};
 use hbc_obs::Histogram;
 
 use crate::firmware::{BeatOutcome, BeatScratch, StageNanos, WbsnFirmware};
+
+/// The windower's history slack beyond the detector's latency bound, in
+/// samples. The front-end runs in blocks of [`BLOCK`] samples, and a peak
+/// found inside a block reaches the windower only after the whole block
+/// has, up to `BLOCK − 1` samples later than its latency bound says; a
+/// slack of at least the block width keeps its window in the ring.
+const HISTORY_SLACK: usize = BLOCK;
+const _: () = assert!(
+    BLOCK <= HISTORY_SLACK,
+    "the windower's slack must cover one block"
+);
 
 hbc_obs::metric_struct! {
     prefix = "hbc_stage_";
@@ -151,8 +162,9 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
         let detector_cfg = PeakDetector::new(fs);
         let detector = StreamingPeakDetector::new(&detector_cfg, thresholds);
         // The windower must retain enough history to serve a window whose
-        // peak is only finalized `detector.delay()` samples later.
-        let history = firmware.window.len() + detector.delay() + 64;
+        // peak is only finalized `detector.delay()` samples later, plus the
+        // block it was found in.
+        let history = firmware.window.len() + detector.delay() + HISTORY_SLACK;
         StreamingFirmware {
             filter: StreamingBaselineFilter::with_scale(fs, scale),
             windower: StreamingBeatWindower::new(firmware.window, history),
@@ -211,13 +223,14 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
         assert!(!self.finished, "push after finish");
         self.samples_in += 1;
         if let Some(filtered) = self.filter.push(sample) {
-            self.ingest_filtered(filtered);
+            self.ingest_filtered(&[filtered]);
         }
     }
 
-    /// Pushes a chunk of consecutive samples. Chunking is immaterial: any
-    /// partition of the signal into `push_chunk`/`push` calls produces the
-    /// identical outcome stream.
+    /// Pushes a chunk of consecutive samples, in blocks of at most
+    /// [`BLOCK`]: each front-end stage runs over a whole block before the
+    /// next one starts. Chunking is immaterial: any partition of the signal
+    /// into `push_chunk`/`push` calls produces the identical outcome stream.
     ///
     /// Each call records one observation in the conditioning-stage
     /// histogram (chunk wall-clock minus the per-beat stage time), so the
@@ -229,8 +242,8 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
         }
         let started = Instant::now();
         let beats_before = self.beat_nanos_acc;
-        for &s in samples {
-            self.push(s);
+        for block in samples.chunks(BLOCK) {
+            self.push_block(block);
         }
         let total = started.elapsed().as_nanos() as u64;
         let beat_time = self.beat_nanos_acc - beats_before;
@@ -250,8 +263,8 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
         self.finished = true;
         let mut tail = Vec::new();
         self.filter.finish_into(&mut tail);
-        for v in tail {
-            self.ingest_filtered(v);
+        for block in tail.chunks(BLOCK) {
+            self.ingest_filtered(block);
         }
         self.detector.finish();
         self.drain_peaks();
@@ -295,9 +308,20 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
         Ok(())
     }
 
-    fn ingest_filtered(&mut self, filtered: f64) {
-        self.windower.push_sample(filtered);
-        self.detector.push(filtered);
+    /// One block through filter, windower, detector and classification.
+    fn push_block(&mut self, block: &[S::Sample]) {
+        assert!(!self.finished, "push after finish");
+        self.samples_in += block.len();
+        let mut filtered = [0.0; BLOCK];
+        let n = self.filter.push_chunk(block, &mut filtered);
+        self.ingest_filtered(&filtered[..n]);
+    }
+
+    fn ingest_filtered(&mut self, filtered: &[f64]) {
+        for &y in filtered {
+            self.windower.push_sample(y);
+        }
+        self.detector.push_chunk(filtered);
         self.drain_peaks();
         self.drain_windows();
     }

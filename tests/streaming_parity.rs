@@ -14,7 +14,8 @@ use heartbeat_rp::config::ExperimentConfig;
 use heartbeat_rp::hbc_dsp::filter::MorphologicalFilter;
 use heartbeat_rp::hbc_dsp::peak::PeakDetector;
 use heartbeat_rp::hbc_dsp::streaming::{
-    ExtremumKind, SlidingExtremum, StreamingBaselineFilter, StreamingDecimator, StreamingWavelet,
+    ExtremumKind, SlidingExtremum, StreamingBaselineFilter, StreamingBeatWindower,
+    StreamingDecimator, StreamingPeakDetector, StreamingWavelet, BLOCK,
 };
 use heartbeat_rp::hbc_dsp::wavelet::DyadicWavelet;
 use heartbeat_rp::hbc_ecg::beat::{BeatClass, BeatWindow};
@@ -441,29 +442,59 @@ proptest! {
     }
 
     // SlidingExtremum is exact against a naive window scan for any window
-    // size, including the degenerate window of one sample.
+    // size, including the degenerate window of one sample: over flat runs
+    // (every comparison a tie) and runs of alternating +0.0 / -0.0, where
+    // the selected sample must be the earliest extreme one bit for bit, and
+    // through the `skip()` drain of the right border.
     #[test]
     fn sliding_extremum_matches_naive_for_any_window(
         window in 1usize..80,
         len in 1usize..300,
         seed in 0u64..8,
+        runs in prop::collection::vec((0usize..300, 1usize..60, 0u8..3), 0..5),
     ) {
-        let signal = synthetic_stretch(len, seed);
+        let mut signal = synthetic_stretch(len, seed);
+        let n = signal.len();
+        for &(at, width, shape) in &runs {
+            for (k, x) in signal.iter_mut().enumerate().skip(at % n).take(width) {
+                *x = match shape {
+                    0 => 0.25,
+                    1 => if k % 2 == 0 { 0.0 } else { -0.0 },
+                    _ => if k % 3 == 0 { -0.0 } else { 0.0 },
+                };
+            }
+        }
+        // The earliest sample holding the window's extreme value: the
+        // batch kernel's tie rule.
+        let earliest = |window: &[f64], kind: ExtremumKind| {
+            window.iter().copied().reduce(|kept, x| match kind {
+                ExtremumKind::Min if x < kept => x,
+                ExtremumKind::Max if x > kept => x,
+                _ => kept,
+            })
+        };
         for kind in [ExtremumKind::Min, ExtremumKind::Max] {
             let mut tracker = SlidingExtremum::new(kind, window);
             for (i, &s) in signal.iter().enumerate() {
                 let got = tracker.push(s);
                 let lo = i.saturating_sub(window - 1);
-                let expected = signal[lo..=i]
-                    .iter()
-                    .copied()
-                    .reduce(match kind {
-                        ExtremumKind::Min => f64::min,
-                        ExtremumKind::Max => f64::max,
-                    })
-                    .expect("non-empty window");
-                prop_assert_eq!(got, expected, "index {}", i);
+                let expected = earliest(&signal[lo..=i], kind).expect("non-empty window");
+                prop_assert_eq!(got.to_bits(), expected.to_bits(), "index {}", i);
             }
+            // Advance `k` past the end covers the real samples from
+            // `n + k − window` on, and none once `k` reaches the window.
+            for k in 1..=window + 2 {
+                let got = tracker.skip();
+                let expected = (k < window)
+                    .then(|| earliest(&signal[(n + k).saturating_sub(window)..], kind))
+                    .flatten();
+                prop_assert_eq!(
+                    got.map(f64::to_bits),
+                    expected.map(f64::to_bits),
+                    "skip {}", k
+                );
+            }
+            prop_assert_eq!(tracker.len(), (n + window + 2) as u64);
         }
     }
 
@@ -479,5 +510,156 @@ proptest! {
         let got: Vec<f64> = signal.iter().filter_map(|&s| dec.push(s)).collect();
         let expected: Vec<f64> = signal.iter().copied().step_by(factor).collect();
         prop_assert_eq!(got, expected);
+    }
+}
+
+/// Runs the block front-end over `signal` cut into `chunks` (cycled) and
+/// returns every output: the filtered samples (fed millivolts and fed the
+/// codes), the wavelet frames as bits, the detector's peaks, and the beat
+/// windows the firmware's windower cuts, with its dropped-window count. A
+/// chunking of `[1]` is the sample-at-a-time reference, since `push` is a
+/// block of one.
+#[allow(clippy::type_complexity)]
+fn run_front_end(
+    codes: &[i16],
+    chunks: &[usize],
+) -> (
+    Vec<u64>,
+    Vec<u64>,
+    Vec<Vec<u64>>,
+    Vec<usize>,
+    Vec<(usize, Vec<u64>)>,
+    usize,
+) {
+    let fs = 360.0;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut mv = Vec::new();
+    dequantize_mv_into(codes, &mut mv);
+    let spans = chunk_spans(codes.len(), chunks);
+    let per_sample = chunks == [1];
+
+    let mut by_mv = StreamingBaselineFilter::for_sampling_rate(fs);
+    let mut by_code = StreamingBaselineFilter::with_scale(fs, wire_adc());
+    let (mut filtered, mut filtered_codes) = (Vec::new(), Vec::new());
+    let mut out = vec![0.0; codes.len()];
+    for &(lo, hi) in &spans {
+        if per_sample {
+            filtered.extend(by_mv.push(mv[lo]));
+            filtered_codes.extend(by_code.push(codes[lo]));
+        } else {
+            let n = by_mv.push_chunk(&mv[lo..hi], &mut out);
+            filtered.extend_from_slice(&out[..n]);
+            let n = by_code.push_chunk(&codes[lo..hi], &mut out);
+            filtered_codes.extend_from_slice(&out[..n]);
+        }
+    }
+    by_mv.finish_into(&mut filtered);
+    by_code.finish_into(&mut filtered_codes);
+
+    let spans = chunk_spans(filtered.len(), chunks);
+    let mut wavelet = StreamingWavelet::new(4);
+    let mut frames = Vec::new();
+    let mut pop_frames = |wavelet: &mut StreamingWavelet| {
+        while let Some(frame) = wavelet.pop_frame() {
+            let mut row = vec![frame.index as u64, frame.input.to_bits()];
+            row.extend(bits(frame.details));
+            frames.push(row);
+        }
+    };
+    for &(lo, hi) in &spans {
+        if per_sample {
+            wavelet.push(filtered[lo]);
+        } else {
+            wavelet.push_chunk(&filtered[lo..hi]);
+        }
+        pop_frames(&mut wavelet);
+    }
+    wavelet.finish();
+    pop_frames(&mut wavelet);
+
+    // The detector and the windower fed as the firmware feeds them: each
+    // chunk in blocks, the windower first, with a history slack of one
+    // block; a second detector takes the whole chunks.
+    let detector = PeakDetector::new(fs);
+    let thresholds = detector.calibrate(&filtered).expect("calibrate");
+    let mut online = StreamingPeakDetector::new(&detector, thresholds.clone());
+    let mut whole = StreamingPeakDetector::new(&detector, thresholds);
+    let window = BeatWindow::PAPER;
+    let mut windower = StreamingBeatWindower::new(window, window.len() + online.delay() + BLOCK);
+    let (mut peaks, mut whole_peaks, mut windows) = (Vec::new(), Vec::new(), Vec::new());
+    let mut cut = Vec::new();
+    let mut drain = |online: &mut StreamingPeakDetector,
+                     windower: &mut StreamingBeatWindower,
+                     peaks: &mut Vec<usize>| {
+        while let Some(p) = online.pop_peak() {
+            peaks.push(p);
+            windower.push_peak(p);
+        }
+        while let Some(p) = windower.pop_window(&mut cut) {
+            windows.push((p, bits(&cut)));
+        }
+    };
+    for &(lo, hi) in &spans {
+        if per_sample {
+            windower.push_sample(filtered[lo]);
+            online.push(filtered[lo]);
+            whole.push(filtered[lo]);
+        } else {
+            for block in filtered[lo..hi].chunks(BLOCK) {
+                for &y in block {
+                    windower.push_sample(y);
+                }
+                online.push_chunk(block);
+                drain(&mut online, &mut windower, &mut peaks);
+            }
+            whole.push_chunk(&filtered[lo..hi]);
+        }
+        drain(&mut online, &mut windower, &mut peaks);
+        whole_peaks.extend(std::iter::from_fn(|| whole.pop_peak()));
+    }
+    online.finish();
+    whole.finish();
+    drain(&mut online, &mut windower, &mut peaks);
+    whole_peaks.extend(std::iter::from_fn(|| whole.pop_peak()));
+    assert_eq!(
+        whole_peaks, peaks,
+        "whole chunks and blocks find the same peaks"
+    );
+    (
+        bits(&filtered),
+        bits(&filtered_codes),
+        frames,
+        peaks,
+        windows,
+        windower.dropped_history(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // The block front-end is the per-sample front-end: the filter fed
+    // millivolts and fed codes, the wavelet and the detector emit exactly
+    // the outputs of one `push` per sample, bit for bit, for chunkings with
+    // blocks longer than `BLOCK` and streams cut anywhere (the `finish`
+    // tails run on whatever is left). The windower, fed block by block
+    // with one block of history slack, never loses a window.
+    #[test]
+    fn block_front_end_matches_the_per_sample_front_end(
+        chunks in prop::collection::vec(1usize..200, 1..8),
+        len in 1_200usize..4_000,
+        seed in 0u64..4,
+    ) {
+        let codes = wire_codes(seed, len, 0, &[]);
+        let reference = run_front_end(&codes, &[1]);
+        let blocks = run_front_end(&codes, &chunks);
+        prop_assert!(!reference.3.is_empty(), "the stream must hold peaks");
+        prop_assert_eq!(&blocks.0, &reference.0, "filtered millivolts");
+        prop_assert_eq!(&blocks.1, &reference.0, "filtered codes");
+        prop_assert_eq!(&blocks.2, &reference.2, "wavelet frames");
+        prop_assert_eq!(&blocks.3, &reference.3, "peaks");
+        prop_assert_eq!(&blocks.4, &reference.4, "beat windows");
+        prop_assert_eq!(reference.5, 0, "per-sample windower dropped a window");
+        prop_assert_eq!(blocks.5, 0, "block windower dropped a window");
     }
 }
