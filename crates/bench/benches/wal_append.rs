@@ -9,7 +9,10 @@
 //! append sits within a small constant of it — both sides measured on the
 //! same host, here and in the baseline. An append regression (extra copies,
 //! per-record allocation, accidental fsync) inflates the ratio and fails
-//! the job; machine speed cancels out.
+//! the job; machine speed cancels out. The ratio is per byte, so it does
+//! not compare across log formats: format 2 Rice-codes the samples, doing
+//! per-code work over about half the bytes of format 1's raw `i16`s, which
+//! doubled the ratio at the same cost per record.
 
 use std::time::{Duration, Instant};
 

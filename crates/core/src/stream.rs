@@ -26,7 +26,7 @@ use hbc_ecg::record::Annotation;
 use hbc_embedded::firmware::BeatOutcome;
 use hbc_embedded::{StageMetrics, StreamingFirmware, WbsnFirmware};
 use hbc_nfc::EvaluationReport;
-use hbc_obs::Histogram;
+use hbc_obs::{round_micros, Histogram};
 use hbc_par::Par;
 
 use crate::{CoreError, Result};
@@ -405,8 +405,7 @@ impl<'fw, S: SampleScale> StreamHub<'fw, S> {
                 session.drain();
             }
         });
-        self.ingest_micros
-            .record(started.elapsed().as_micros() as u64);
+        self.ingest_micros.record(round_micros(started.elapsed()));
         Ok(())
     }
 

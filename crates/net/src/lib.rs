@@ -7,10 +7,11 @@
 //! `std`** (nonblocking `TcpListener`/`TcpStream`), consistent with the
 //! offline policy of `crates/compat`. Its modules:
 //!
-//! * [`proto`] — the versioned binary **wire protocol**: length-prefixed
-//!   frames with a CRC-32 trailer, canonical varint fields and Rice-coded
-//!   ADC sample deltas, and a pure incremental [`FrameDecoder`], testable
-//!   without sockets;
+//! * [`proto`] — the versioned binary **wire protocol**: varint-length
+//!   frames with a CRC-32 trailer (the handshake in the fixed envelope
+//!   every version reads), canonical varint fields and the Rice-coded
+//!   sample payload the durable log shares, and a pure incremental
+//!   [`FrameDecoder`], testable without sockets;
 //! * [`session`] — the **session manager** driving the full lifecycle
 //!   (handshake → threshold calibration from the first `calib_len` samples
 //!   → streaming → drain → final report), including idle eviction;

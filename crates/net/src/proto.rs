@@ -1,48 +1,49 @@
 //! The versioned binary wire protocol of the ingestion gateway.
 //!
-//! Every message travels as one **frame**:
+//! Every message travels as one **frame**, in one of two envelopes:
 //!
 //! ```text
-//! ┌────────────┬───────┬───────────────┬─────────────┐
-//! │ len (u32)  │ tag   │ body          │ crc32 (u32) │
-//! │ little-end │ (u8)  │ (len−1 bytes) │ over tag+body│
-//! └────────────┴───────┴───────────────┴─────────────┘
+//! compact: ┌────────────────┬──────┬──────┬─────────────┐
+//!          │ len (varint)   │ tag  │ body │ crc32 (u32) │
+//!          └────────────────┴──────┴──────┴─────────────┘
+//! fixed:   ┌────────────────┬──────┬──────┬─────────────┐
+//!          │ len (u32, LE)  │ tag  │ body │ crc32 (u32) │
+//!          └────────────────┴──────┴──────┴─────────────┘
 //! ```
 //!
 //! `len` counts the tag byte plus the body; the CRC-32 (IEEE, the ZIP/PNG
-//! polynomial) trailer covers exactly those bytes, and both are
-//! little-endian `u32`s. The envelope is the one the durable log uses,
-//! implemented once in `hbc_wal`, so the decoder verifies length *and*
-//! checksum before touching the payload.
+//! polynomial) trailer covers exactly those bytes, little-endian. Every
+//! frame travels in the **compact** envelope, the durable log's, whose
+//! length is a canonical varint (one byte below 128 — every `Samples`,
+//! `Outcomes` and `Credit` frame of a 36-sample node stream — and at most
+//! three up to [`MAX_FRAME_LEN`]). It is implemented once in `hbc_wal`, so
+//! the decoder verifies length *and* checksum before touching the payload.
+//! The exception is the **first frame in each direction**: the
+//! [`Frame::Hello`], or the [`Frame::Busy`] or [`Frame::Deny`] that answers
+//! it, travels in the **fixed** envelope of protocol versions 1–5
+//! ([`Frame::encode_handshake_into`]). A peer of any version therefore
+//! reads the handshake, and an older node is denied by name. The decoder
+//! tells the two apart by the second byte: a fixed frame's length is below
+//! 256, so that byte is zero, while in a compact frame it is the tag or a
+//! varint's last byte, never zero. A fixed frame carries only Hello, Busy
+//! or Deny, and a Hello only ever travels fixed.
 //!
 //! Inside the body every integer field is a **canonical unsigned LEB128
-//! varint**: seven value bits per byte, low group first, the high bit set
-//! on every byte but the last. The decoder rejects overlong encodings (a
+//! varint** ([`hbc_wal::codec`]): the decoder rejects overlong encodings (a
 //! multi-byte varint whose last byte is zero) and values past the field's
-//! type, so every frame still has exactly one serialisation. The exception
-//! is [`Frame::Hello`]'s version, a little-endian `u16` in every protocol
-//! version: it is what tells versions apart, so a peer of any version must
-//! read it the same way (and a v3 or v4 node is denied by name, not by a
-//! parse error). Two fields are coded relative to their predecessor in the
-//! frame:
+//! type, so every frame has exactly one serialisation in its envelope. The
+//! exception is [`Frame::Hello`]'s version, a little-endian `u16` in every
+//! protocol version: it is what tells versions apart, so a peer of any
+//! version must read it the same way. Two fields are coded relative to
+//! their predecessor in the frame:
 //!
-//! * `Samples` carries each ADC code as the zigzag-mapped difference `z`
-//!   from the previous code. The first code is a varint (its difference
-//!   from 0). The rest, if any, follow as one **Rice-coded bitstream**,
-//!   least significant bit first:
-//!
-//!   ```text
-//!   k (4 bits) │ per code: z >> k zero bits, a one bit, the low k bits of z │ zero padding (< 8 bits)
-//!   ```
-//!
-//!   `k` is not free: it is the smallest `k ≤ 15` with `m · 2^(k+1) ≥ Σz`
-//!   over the frame's `m` deltas, so the frame keeps one serialisation and
-//!   averages at most ~19 bits per code. An ECG moves little between
-//!   consecutive samples, so a code takes about 6.4 bits instead of v4's
-//!   one-byte varint. There is no count field: the codes run to the end of
-//!   the body. The decoder rejects any other `k`, non-zero padding or
-//!   padding of a whole byte, a bitstream after a one-code body, a body
-//!   that ends inside a code, a delta that leaves `i16` and more than
+//! * `Samples` carries its ADC codes as the sample payload of
+//!   [`hbc_wal::codec`], the one the durable log stores too: the first code
+//!   as a zigzag varint, then a Rice-coded bitstream of the zigzag deltas
+//!   whose parameter the frame's deltas fix. An ECG moves little between
+//!   consecutive samples, so a code takes about 6.4 bits. There is no count
+//!   field: the codes run to the end of the body. The decoder rejects every
+//!   off-rule bitstream, a delta that leaves `i16` and more than
 //!   [`MAX_SAMPLES_PER_FRAME`] codes.
 //! * `Outcomes` carries each beat's `peak` as the wrapping difference from
 //!   the previous beat's (the first from 0) — in temporal order, the RR
@@ -52,9 +53,10 @@
 //! slices ([`FrameDecoder::feed`]) and pop complete frames
 //! ([`FrameDecoder::next_frame`]) — chunking is immaterial, which is what
 //! the round-trip property tests exercise. Malformed input (bad CRC,
-//! oversized length, unknown tag, short or overlong body) is reported as a
-//! [`ProtoError`] and never panics; framing errors are fatal for the stream
-//! (the decoder cannot resynchronise after a corrupt length).
+//! oversized or overlong length, unknown tag, short or overlong body, a
+//! frame in the wrong envelope) is reported as a [`ProtoError`] and never
+//! panics; framing errors are fatal for the stream (the decoder cannot
+//! resynchronise after a corrupt length).
 //!
 //! Samples travel as **i16 ADC codes** — what the node's front-end actually
 //! produces — quantised with the same 12-bit ±5 mV transfer function as the
@@ -87,7 +89,12 @@ use hbc_embedded::fixed::AdcModel;
 /// one parameter per frame fixed by the deltas (see the module docs): about
 /// 0.80 instead of 1.03 bytes per code in 36-sample frames of synthetic
 /// ECG (the `net_ingest` stream). Every other frame is unchanged.
-pub const PROTOCOL_VERSION: u16 = 5;
+///
+/// Version 6 moves every frame after the handshake to the compact envelope
+/// (a varint length instead of a `u32`), 6 bytes of framing instead of 9
+/// below 128 bytes. The handshake keeps the fixed envelope and its version
+/// 5 bytes, so older peers are still denied by name. Bodies are unchanged.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on `len` (tag + body) the decoder accepts. A corrupt or
 /// hostile length prefix beyond this is rejected before any buffering.
@@ -97,10 +104,16 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// [`MAX_FRAME_LEN`] and bounds per-frame latency).
 pub const MAX_SAMPLES_PER_FRAME: usize = 16_384;
 
-// The frame envelope (length prefix, CRC-32 trailer) is the durable log's:
-// `hbc_wal` owns it, and frames here are built and split with its
-// functions. The CRC stays reachable from this module for the wire's users.
+// The compact envelope (varint length prefix, CRC-32 trailer), the varints
+// and the sample codec are the durable log's: `hbc_wal` owns them, and
+// frames here are built, split and coded with its functions. The CRC stays
+// reachable from this module for the wire's users.
+use hbc_wal::codec::{decode_samples, encode_samples, put_varint, read_varint, CodecError};
 pub use hbc_wal::crc32;
+
+/// Largest `len` (tag + body) of a frame in the fixed envelope. Its length
+/// prefix's second byte is then zero, which tells the envelopes apart.
+const FIXED_MAX_LEN: usize = 255;
 
 /// The ADC transfer function of the wire: the firmware's default front-end
 /// (12-bit, ±5 mV), whose codes fit an `i16` with headroom.
@@ -348,11 +361,16 @@ const TAG_BUSY: u8 = 0x87;
 /// after a framing error the decoder cannot find the next frame boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
-    /// The length prefix exceeds [`MAX_FRAME_LEN`] (or is zero).
+    /// The length prefix exceeds [`MAX_FRAME_LEN`] (255 in the fixed
+    /// envelope) or is zero.
     BadLength {
-        /// The offending length.
+        /// The offending length; for a prefix rejected before it ends, the
+        /// least length it can still spell.
         len: usize,
     },
+    /// The compact length prefix spells its value in more bytes than it
+    /// needs.
+    OverlongLength,
     /// The CRC-32 trailer does not match the frame contents.
     BadCrc {
         /// Checksum computed over the received bytes.
@@ -377,6 +395,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::BadLength { len } => {
                 write!(f, "frame length {len} outside (0, {MAX_FRAME_LEN}]")
             }
+            ProtoError::OverlongLength => write!(f, "overlong frame length prefix"),
             ProtoError::BadCrc { computed, found } => {
                 write!(
                     f,
@@ -398,9 +417,21 @@ impl From<hbc_wal::EnvelopeError> for ProtoError {
     fn from(e: hbc_wal::EnvelopeError) -> Self {
         match e {
             hbc_wal::EnvelopeError::BadLength { len } => ProtoError::BadLength { len },
+            hbc_wal::EnvelopeError::OverlongLength => ProtoError::OverlongLength,
             hbc_wal::EnvelopeError::BadCrc { computed, found } => {
                 ProtoError::BadCrc { computed, found }
             }
+        }
+    }
+}
+
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::TooManyCodes => {
+                ProtoError::Malformed("more than MAX_SAMPLES_PER_FRAME samples")
+            }
+            CodecError::Malformed(what) => ProtoError::Malformed(what),
         }
     }
 }
@@ -409,46 +440,6 @@ impl From<hbc_wal::EnvelopeError> for ProtoError {
 /// low two, the delineation flag above them, the rest zero.
 const OUTCOME_CLASS_MASK: u8 = 0b011;
 const OUTCOME_DELINEATED: u8 = 0b100;
-
-/// Appends `v` as an unsigned LEB128 varint (the shortest encoding).
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Maps a signed difference onto the unsigned varints, small magnitudes of
-/// either sign to small values: 0, −1, 1, −2, … ↦ 0, 1, 2, 3, …
-fn zigzag(d: i32) -> u32 {
-    ((d << 1) ^ (d >> 31)) as u32
-}
-
-fn unzigzag(z: u32) -> i32 {
-    (z >> 1) as i32 ^ -((z & 1) as i32)
-}
-
-/// Reads one canonical varint from the front of `bytes`, returning the value
-/// and the bytes it took. Rejects truncation, more than ten bytes, bits past
-/// 64 and overlong encodings (a multi-byte varint ending in a zero byte).
-fn read_varint(bytes: &[u8]) -> Result<(u64, usize), ProtoError> {
-    let mut value = 0u64;
-    for (i, &b) in bytes.iter().enumerate().take(10) {
-        let group = u64::from(b & 0x7F);
-        if i == 9 && b > 1 {
-            return Err(ProtoError::Malformed("varint past 64 bits"));
-        }
-        value |= group << (7 * i);
-        if b < 0x80 {
-            if b == 0 && i > 0 {
-                return Err(ProtoError::Malformed("overlong varint"));
-            }
-            return Ok((value, i + 1));
-        }
-    }
-    Err(ProtoError::Malformed("body ends inside a varint"))
-}
 
 /// Bounds-checked varint reader over a frame body.
 struct Cursor<'a> {
@@ -509,346 +500,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Width of the Rice parameter at the head of a `Samples` bitstream.
-const RICE_K_BITS: u32 = 4;
-
-/// Largest Rice parameter (what [`RICE_K_BITS`] can hold).
-const MAX_RICE_K: u32 = (1 << RICE_K_BITS) - 1;
-
-/// Largest zigzag delta between two `i16` codes (`zigzag(65_535)`).
-const MAX_SAMPLE_ZIGZAG: u32 = 2 * (u16::MAX as u32);
-
-/// The one Rice parameter a `Samples` frame may use: the smallest `k ≤ 15`
-/// with `m · 2^(k+1) ≥ Σz` over its `m ≥ 1` zigzag deltas. It keeps the
-/// mean unary part at most two bits for `k < 15` (at most three at the
-/// cap), so a frame averages at most `k + 3 ≤ 18` bits per delta, and at
-/// worst ~19 bits per code.
-fn rice_parameter(m: u64, sum: u64) -> u32 {
-    (0..MAX_RICE_K)
-        .find(|&k| m << (k + 1) >= sum)
-        .unwrap_or(MAX_RICE_K)
-}
-
-/// Whether `k` is [`rice_parameter`]`(m, sum)`, in O(1): `k` covers the
-/// sum (or is the cap) and `k − 1` does not (or `k` is 0).
-fn is_rice_parameter(k: u32, m: u64, sum: u64) -> bool {
-    let covers = |k: u32| m << (k + 1) >= sum;
-    (k == MAX_RICE_K || covers(k)) && (k == 0 || !covers(k - 1))
-}
-
-/// LSB-first bit writer into a zero-filled buffer with 8 bytes of slack.
-/// Every `put` stores the whole 64-bit accumulator and moves past the
-/// bytes it completed, so writing never branches on a flush.
-struct BitWriter<'a> {
-    buf: &'a mut [u8],
-    /// Index of the byte `acc` starts at.
-    at: usize,
-    /// The pending bits of that byte and the ones after it.
-    acc: u64,
-    /// How many bits of `acc` are pending, below 8 between calls.
-    bits: u32,
-}
-
-impl BitWriter<'_> {
-    /// Appends the low `len ≤ 56` bits of `value`.
-    fn put(&mut self, value: u64, len: u32) {
-        debug_assert!(len <= 56 && value >> len == 0);
-        self.acc |= value << self.bits;
-        self.bits += len;
-        self.buf[self.at..self.at + 8].copy_from_slice(&self.acc.to_le_bytes());
-        let done = self.bits / 8;
-        self.at += done as usize;
-        self.acc >>= 8 * done;
-        self.bits %= 8;
-    }
-
-    /// Bytes written, the last one zero-padded.
-    fn len(&self) -> usize {
-        self.at + usize::from(self.bits > 0)
-    }
-}
-
-/// Appends ADC codes as a `Samples` payload: the first code as a zigzag
-/// varint from 0, then — if more codes follow — a Rice-coded bitstream of
-/// the remaining codes' zigzag deltas (see the module docs).
-fn encode_samples(samples: &[i16], out: &mut Vec<u8>) {
-    let Some((&first, rest)) = samples.split_first() else {
-        return;
-    };
-    put_varint(out, u64::from(zigzag(i32::from(first))));
-    if rest.is_empty() {
-        return;
-    }
-    let deltas = || {
-        samples
-            .windows(2)
-            .map(|pair| zigzag(i32::from(pair[1]) - i32::from(pair[0])))
-    };
-    let m = rest.len() as u64;
-    let k = rice_parameter(m, deltas().map(u64::from).sum());
-    // Σ(z >> k) ≤ 2m below the cap and ≤ 3m at it (every z < 2^17), so the
-    // stream holds at most 4 + m(k + 4) bits.
-    let start = out.len();
-    let most = (u64::from(RICE_K_BITS) + m * u64::from(k + 4)).div_ceil(8) as usize;
-    out.resize(start + most + 8, 0);
-    let mut bits = BitWriter {
-        buf: &mut out[start..],
-        at: 0,
-        acc: 0,
-        bits: 0,
-    };
-    bits.put(u64::from(k), RICE_K_BITS);
-    for z in deltas() {
-        let mut zeros = z >> k;
-        // The terminating one bit and the low k bits of z.
-        let tail = u64::from(1 | (z & ((1 << k) - 1)) << 1);
-        while zeros + 1 + k > 56 {
-            bits.put(0, 32);
-            zeros -= 32;
-        }
-        bits.put(tail << zeros, zeros + 1 + k);
-    }
-    let len = bits.len();
-    out.truncate(start + len);
-}
-
-/// The eight bytes at `at` as a little-endian `u64`, zero-extended past
-/// the end of `bytes`.
-#[inline(always)]
-fn load_le(bytes: &[u8], at: usize) -> u64 {
-    match bytes.get(at..at + 8) {
-        Some(word) => u64::from_le_bytes(word.try_into().expect("eight bytes")),
-        None => bytes
-            .get(at..)
-            .unwrap_or(&[])
-            .iter()
-            .rev()
-            .fold(0, |word, &b| word << 8 | u64::from(b)),
-    }
-}
-
-/// Decodes a `Samples` payload (see [`encode_samples`]).
-///
-/// Every code takes at least `k + 1` bits, so the output is reserved once
-/// for the most codes the body can hold — capped at
-/// [`MAX_SAMPLES_PER_FRAME`], so a hostile body allocates no more than a
-/// legal frame. (Reserved, not zero-filled: `calloc` skips the allocator's
-/// per-thread cache and cost ~0.2 µs per small frame.) The bitstream is
-/// read by [`decode_bitstream`], compiled once per Rice parameter so that
-/// its shifts and mask are constants.
-fn decode_samples(bytes: &[u8]) -> Result<Vec<i16>, ProtoError> {
-    if bytes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut c = Cursor::new(bytes);
-    let first = i16::try_from(unzigzag(c.u32()?))
-        .map_err(|_| ProtoError::Malformed("sample delta leaves the i16 range"))?;
-    let stream = c.rest();
-    if stream.is_empty() {
-        return Ok(vec![first]);
-    }
-    let k = u32::from(stream[0]) & MAX_RICE_K;
-    let most = (stream.len() * 8 - RICE_K_BITS as usize) / (k as usize + 1) + 1;
-    let mut out = Vec::with_capacity(most.min(MAX_SAMPLES_PER_FRAME));
-    out.push(first);
-    let decode = match k {
-        0 => decode_bitstream::<0>,
-        1 => decode_bitstream::<1>,
-        2 => decode_bitstream::<2>,
-        3 => decode_bitstream::<3>,
-        4 => decode_bitstream::<4>,
-        5 => decode_bitstream::<5>,
-        6 => decode_bitstream::<6>,
-        7 => decode_bitstream::<7>,
-        8 => decode_bitstream::<8>,
-        9 => decode_bitstream::<9>,
-        10 => decode_bitstream::<10>,
-        11 => decode_bitstream::<11>,
-        12 => decode_bitstream::<12>,
-        13 => decode_bitstream::<13>,
-        14 => decode_bitstream::<14>,
-        _ => decode_bitstream::<15>,
-    };
-    let sum = decode(stream, &mut out)?;
-    let m = out.len() as u64 - 1;
-    if m == 0 {
-        return Err(ProtoError::Malformed("bitstream after a one-code body"));
-    }
-    if !is_rice_parameter(k, m, sum) {
-        return Err(ProtoError::Malformed("Rice parameter is not the frame's"));
-    }
-    Ok(out)
-}
-
-/// Codes in one optimistic batch of [`decode_bitstream`]: at the rule's
-/// bound of two unary bits per code on average, a batch still fits the
-/// shortest window (57 bits).
-const fn batch_len(k: u32) -> usize {
-    57 / (k as usize + 3)
-}
-
-/// The largest batch, at `k = 0`.
-const MAX_BATCH: usize = batch_len(0);
-
-/// Decodes the Rice codes (parameter `K`) of `stream` after its 4-bit
-/// header, appending to `out` from the first code already in it, and
-/// returns Σz.
-///
-/// The stream is read a 63-bit little-endian window at a time.
-/// `trailing_zeros` finds each code's unary part, one shift by it brings
-/// the code's one bit to bit 0, and shifts by constants take the low bits
-/// and move to the next code. Each window first decodes a fixed batch of
-/// [`batch_len`] codes without checking them one by one, and keeps the
-/// batch if it fits the window and cannot leave `i16`: the batch's loop
-/// has no branch to mispredict. Otherwise the window is decoded code by
-/// code. Only a code longer than a window (a unary part past ~40 bits)
-/// takes the slow path.
-fn decode_bitstream<const K: u32>(stream: &[u8], out: &mut Vec<i16>) -> Result<u64, ProtoError> {
-    let low_mask = (1u64 << K) - 1;
-    let total = stream.len() * 8;
-    let mut prev = i32::from(out[0]);
-    // Σz < 2^32: at most 16 384 deltas, each below 2^17 or the last.
-    let mut sum = 0u32;
-    let mut pos = RICE_K_BITS as usize;
-    while pos < total {
-        let rem = total - pos;
-        let shift = pos % 8;
-        // Bits of the window that belong to the body (the rest read zero),
-        // at most 63 so that no shift of a whole code reaches 64.
-        let full = (63 - shift).min(rem) as u32;
-        let window = load_le(stream, pos / 8) >> shift;
-        // The batch, unless the body ends inside the window. A code that
-        // does not fit the window makes `used` exceed `full`, and so does
-        // every code after it, whose shifts may wrap: the batch is then
-        // dropped. Its deltas stay below 2^21, so nothing overflows.
-        if rem >= 64 {
-            let mut w = window;
-            let mut used = 0;
-            let (mut code, mut batch_sum) = (prev, sum);
-            let mut batch = [0i16; MAX_BATCH];
-            for slot in &mut batch[..batch_len(K)] {
-                let t = w.trailing_zeros();
-                // The code's one bit at bit 0 (all zero when t = 64).
-                let w1 = w.wrapping_shr(t);
-                let z = (t << K) | ((w1 >> 1) & low_mask) as u32;
-                w = w1 >> (K + 1);
-                used += t + 1 + K;
-                code += unzigzag(z);
-                batch_sum += z;
-                *slot = code as i16;
-            }
-            // A step moves the code by at most (z + 1) / 2, so no code of
-            // the batch is further than `reach` from `prev`. A batch that
-            // could leave `i16` is decoded again code by code, which finds
-            // the step that does.
-            let reach = ((batch_sum - sum) as usize + batch_len(K)) / 2;
-            if used <= full && prev.unsigned_abs() as usize + reach <= i16::MAX as usize {
-                if out.len() + batch_len(K) > MAX_SAMPLES_PER_FRAME {
-                    return Err(ProtoError::Malformed(
-                        "more than MAX_SAMPLES_PER_FRAME samples",
-                    ));
-                }
-                out.extend_from_slice(&batch[..batch_len(K)]);
-                (prev, sum) = (code, batch_sum);
-                pos += used as usize;
-                continue;
-            }
-        }
-        // Code by code.
-        let mut w = window;
-        let mut avail = full;
-        loop {
-            let t = w.trailing_zeros();
-            let code_len = t + 1 + K;
-            if code_len > avail {
-                break;
-            }
-            let w1 = w >> t;
-            push_code(
-                out,
-                &mut prev,
-                &mut sum,
-                (t << K) | ((w1 >> 1) & low_mask) as u32,
-            )?;
-            w = w1 >> (K + 1);
-            avail -= code_len;
-        }
-        pos += (full - avail) as usize;
-        if avail < full {
-            continue;
-        }
-        // No whole code fits in a window starting at `pos`.
-        if full as usize == rem {
-            end_of_bitstream(rem, w)?;
-            break;
-        }
-        let (z, next) = long_code(stream, pos, K)?;
-        push_code(out, &mut prev, &mut sum, z)?;
-        pos = next;
-    }
-    Ok(u64::from(sum))
-}
-
-/// Appends the code the zigzag delta `z` steps to from `prev` (an `i32`,
-/// so that a step past `i16` is seen), adding `z` to `sum`. Pushing never
-/// reallocates: `out` is reserved for the most codes the body can hold.
-#[inline(always)]
-fn push_code(out: &mut Vec<i16>, prev: &mut i32, sum: &mut u32, z: u32) -> Result<(), ProtoError> {
-    *prev += unzigzag(z);
-    *sum += z;
-    let code = i16::try_from(*prev)
-        .map_err(|_| ProtoError::Malformed("sample delta leaves the i16 range"))?;
-    if out.len() == MAX_SAMPLES_PER_FRAME {
-        return Err(ProtoError::Malformed(
-            "more than MAX_SAMPLES_PER_FRAME samples",
-        ));
-    }
-    out.push(code);
-    Ok(())
-}
-
-/// Why a bitstream stopped short of a whole code `rem` bits before its end,
-/// given the (zero-extended) window `w` at that point: a short all-zero
-/// tail is the padding and ends the body, anything else is malformed.
-fn end_of_bitstream(rem: usize, w: u64) -> Result<(), ProtoError> {
-    match (rem < 8, w == 0) {
-        (true, true) => Ok(()),
-        (true, false) => Err(ProtoError::Malformed("non-zero padding")),
-        (false, true) => Err(ProtoError::Malformed("padding of 8 bits or more")),
-        (false, false) => Err(ProtoError::Malformed("body ends inside a code")),
-    }
-}
-
-/// The slow path of [`decode_bitstream`]: the code at bit `pos`, longer
-/// than a window and so more than 8 bits from the end, counted word by
-/// word. Returns its zigzag delta (clamped just past the largest legal
-/// one) and the bit after it.
-#[cold]
-fn long_code(stream: &[u8], pos: usize, k: u32) -> Result<(u32, usize), ProtoError> {
-    let total = stream.len() * 8;
-    let mut one = pos;
-    loop {
-        let shift = one % 8;
-        let a = (64 - shift).min(total - one);
-        let t = (load_le(stream, one / 8) >> shift).trailing_zeros() as usize;
-        if t < a {
-            one += t;
-            break;
-        }
-        one += a;
-        if one == total {
-            return Err(ProtoError::Malformed("padding of 8 bits or more"));
-        }
-    }
-    let next = one + 1 + k as usize;
-    if next > total {
-        return Err(ProtoError::Malformed("body ends inside a code"));
-    }
-    let low = (load_le(stream, (one + 1) / 8) >> ((one + 1) % 8)) & ((1 << k) - 1);
-    let z = ((one - pos) as u64) << k | low;
-    Ok((z.min(u64::from(MAX_SAMPLE_ZIGZAG) + 1) as u32, next))
-}
-
 /// Appends a [`Frame::Outcomes`] carrying `outcomes` to `out`: the bytes
 /// that frame encodes to, straight from a borrowed slice.
 pub(crate) fn encode_outcomes_into(session: u32, outcomes: &[WireOutcome], out: &mut Vec<u8>) {
@@ -877,9 +528,52 @@ fn put_outcomes(out: &mut Vec<u8>, session: u32, outcomes: &[WireOutcome]) {
 
 impl Frame {
     /// Appends the frame's serialisation (length prefix, tag, body, CRC
-    /// trailer) to `out`.
+    /// trailer) to `out`: a [`Frame::Hello`] in the fixed envelope, every
+    /// other frame in the compact one (see the module docs).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        if let Frame::Hello { .. } = self {
+            self.encode_handshake_into(out);
+            return;
+        }
         let start = hbc_wal::begin_frame(out);
+        self.put_tag_and_body(out);
+        hbc_wal::seal_frame(out, start);
+    }
+
+    /// Appends the frame in the fixed envelope of protocol versions 1–5,
+    /// the form of the first frame in each direction: a [`Frame::Hello`],
+    /// or the [`Frame::Busy`] or [`Frame::Deny`] answering it, so that a
+    /// peer of any version reads it. A Deny message is cut, at a character
+    /// boundary, to the 254 bytes the fixed envelope holds. Other frames
+    /// have no fixed form and are appended as [`Frame::encode_into`] does.
+    pub fn encode_handshake_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        match self {
+            Frame::Hello { .. } | Frame::Busy { .. } => self.put_tag_and_body(out),
+            Frame::Deny { message } => {
+                let mut end = message.len().min(FIXED_MAX_LEN - 1);
+                while !message.is_char_boundary(end) {
+                    end -= 1;
+                }
+                out.push(TAG_DENY);
+                out.extend_from_slice(&message.as_bytes()[..end]);
+            }
+            _ => {
+                out.truncate(start);
+                self.encode_into(out);
+                return;
+            }
+        }
+        let len = out.len() - start - 4;
+        debug_assert!(len <= FIXED_MAX_LEN);
+        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        let crc = crc32(&out[start + 4..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Appends the frame's tag and body.
+    fn put_tag_and_body(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello { version } => {
                 out.push(TAG_HELLO);
@@ -968,7 +662,6 @@ impl Frame {
                 put_varint(out, u64::from(*retry_after_ms));
             }
         }
-        hbc_wal::seal_frame(out, start);
     }
 
     /// Convenience: the frame as a fresh byte vector.
@@ -992,7 +685,7 @@ impl Frame {
             TAG_SAMPLES => Frame::Samples {
                 session: c.u32()?,
                 seq: c.u32()?,
-                samples: decode_samples(c.rest())?,
+                samples: decode_samples(c.rest(), MAX_SAMPLES_PER_FRAME)?,
             },
             TAG_CLOSE_SESSION => Frame::CloseSession { session: c.u32()? },
             TAG_RESUME_SESSION => Frame::ResumeSession {
@@ -1060,18 +753,64 @@ impl Frame {
     }
 }
 
+/// Splits the fixed-envelope frame at the start of `buf`, whose second byte
+/// is zero: its length is then 1 to [`FIXED_MAX_LEN`], so the first byte
+/// must not be zero and the last two must be, each checked as soon as it
+/// arrives.
+fn split_fixed_frame(buf: &[u8]) -> Result<Option<hbc_wal::SplitFrame<'_>>, ProtoError> {
+    let prefix = &buf[..buf.len().min(4)];
+    let len = prefix
+        .iter()
+        .rev()
+        .fold(0usize, |len, &b| len << 8 | usize::from(b));
+    if prefix[0] == 0 || len > FIXED_MAX_LEN {
+        return Err(ProtoError::BadLength { len });
+    }
+    let total = 4 + len + 4;
+    let Some(frame) = buf.get(4..total) else {
+        return Ok(None);
+    };
+    let (payload, trailer) = frame.split_at(len);
+    let found = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+    let computed = crc32(payload);
+    if computed != found {
+        return Err(ProtoError::BadCrc { computed, found });
+    }
+    Ok(Some(hbc_wal::SplitFrame {
+        tag: payload[0],
+        body: &payload[1..],
+        total,
+    }))
+}
+
 /// Incremental frame parser: buffer bytes from any transport, pop complete
 /// frames. Pure (no I/O), so the protocol is testable without sockets.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     start: usize,
+    /// Whether the first frame must be in the fixed envelope and has not
+    /// been decoded yet.
+    awaiting_hello: bool,
 }
 
 impl FrameDecoder {
-    /// Creates an empty decoder.
+    /// Creates an empty decoder that reads either envelope anywhere.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty decoder for a stream that must open with a
+    /// [`Frame::Hello`] — the gateway's side of a connection. Its first
+    /// frame must be in the fixed envelope: anything else is rejected as
+    /// soon as its second byte arrives, instead of buffering up to a
+    /// compact frame's length of whatever a peer that skipped the
+    /// handshake sent.
+    pub fn awaiting_hello() -> Self {
+        FrameDecoder {
+            awaiting_hello: true,
+            ..Self::default()
+        }
     }
 
     /// Appends raw bytes from the transport.
@@ -1097,11 +836,36 @@ impl FrameDecoder {
     /// Any [`ProtoError`] is fatal for the stream: the decoder's state is
     /// left untouched and every subsequent call fails the same way.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        let Some(split) = hbc_wal::split_frame(&self.buf[self.start..], MAX_FRAME_LEN)? else {
+        let buf = &self.buf[self.start..];
+        // A zero second byte marks the fixed envelope: see the module docs.
+        let fixed = buf.get(1) == Some(&0);
+        if self.awaiting_hello && !fixed && buf.len() >= 2 {
+            return Err(ProtoError::Malformed(
+                "first frame outside the fixed envelope",
+            ));
+        }
+        let split = if fixed {
+            split_fixed_frame(buf)?
+        } else {
+            hbc_wal::split_frame(buf, MAX_FRAME_LEN)?
+        };
+        let Some(split) = split else {
             return Ok(None);
         };
         let frame = Frame::decode_body(split.tag, split.body)?;
+        match (&frame, fixed) {
+            (Frame::Hello { .. }, false) => {
+                return Err(ProtoError::Malformed("Hello outside the fixed envelope"));
+            }
+            (Frame::Hello { .. } | Frame::Busy { .. } | Frame::Deny { .. }, true) | (_, false) => {}
+            (_, true) => {
+                return Err(ProtoError::Malformed(
+                    "only Hello, Busy and Deny travel in the fixed envelope",
+                ));
+            }
+        }
         self.start += split.total;
+        self.awaiting_hello = false;
         Ok(Some(frame))
     }
 
@@ -1271,13 +1035,22 @@ mod tests {
         }
     }
 
-    /// A frame with an arbitrary tag and body under a valid envelope.
+    /// A frame with an arbitrary tag and body under a valid envelope: the
+    /// fixed one for Hello, the compact one otherwise.
     fn framed(tag: u8, body: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        let start = hbc_wal::begin_frame(&mut bytes);
-        bytes.push(tag);
-        bytes.extend_from_slice(body);
-        hbc_wal::seal_frame(&mut bytes, start);
+        if tag == TAG_HELLO {
+            bytes.extend_from_slice(&(body.len() as u32 + 1).to_le_bytes());
+            bytes.push(tag);
+            bytes.extend_from_slice(body);
+            let crc = crc32(&bytes[4..]);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+        } else {
+            let start = hbc_wal::begin_frame(&mut bytes);
+            bytes.push(tag);
+            bytes.extend_from_slice(body);
+            hbc_wal::seal_frame(&mut bytes, start);
+        }
         bytes
     }
 
@@ -1333,8 +1106,8 @@ mod tests {
         }
         .encode();
         let stream = (4 + 35 * 4) / 8;
-        assert_eq!(bytes.len(), 4 + 1 + 1 + 2 + (2 + stream) + 4);
-        assert_eq!(bytes[10] & 0x0F, 2, "Rice parameter");
+        assert_eq!(bytes.len(), 1 + 1 + 1 + 2 + (2 + stream) + 4);
+        assert_eq!(bytes[7] & 0x0F, 2, "Rice parameter");
         // A flat stretch costs one bit per code (k = 0, z = 0).
         let flat = Frame::Samples {
             session: 5,
@@ -1344,105 +1117,14 @@ mod tests {
         .encode();
         assert_eq!(
             flat.len(),
-            4 + 1 + 1 + 2 + (1 + (4 + 35usize).div_ceil(8)) + 4
+            1 + 1 + 1 + 2 + (1 + (4 + 35usize).div_ceil(8)) + 4
         );
         let credit = Frame::Credit {
             session: 5,
             grant: 36,
             acked_seq: 1000,
         };
-        assert_eq!(credit.encode().len(), 4 + 1 + 1 + 1 + 2 + 4);
-    }
-
-    #[test]
-    fn varints_are_shortest_and_zigzag_is_a_bijection() {
-        for (v, len) in [(0u64, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3)] {
-            let mut out = Vec::new();
-            put_varint(&mut out, v);
-            assert_eq!(out.len(), len, "{v}");
-            assert_eq!(read_varint(&out), Ok((v, len)));
-        }
-        let mut out = Vec::new();
-        put_varint(&mut out, u64::MAX);
-        assert_eq!(out.len(), 10);
-        assert_eq!(read_varint(&out), Ok((u64::MAX, 10)));
-        out[9] = 2;
-        assert_eq!(
-            read_varint(&out),
-            Err(ProtoError::Malformed("varint past 64 bits"))
-        );
-        for d in [0, -1, 1, -2, 2, i32::MIN, i32::MAX, -65_535, 65_535] {
-            assert_eq!(unzigzag(zigzag(d)), d);
-        }
-        assert_eq!((zigzag(0), zigzag(-1), zigzag(1)), (0, 1, 2));
-    }
-
-    #[test]
-    fn the_o1_rice_check_accepts_exactly_the_rule_parameter() {
-        // Known values: flat frames take k = 0, a mean z of 6 takes k = 2,
-        // full-scale deltas hit the cap.
-        assert_eq!(rice_parameter(35, 0), 0);
-        assert_eq!(rice_parameter(35, 70), 0);
-        assert_eq!(rice_parameter(35, 71), 1);
-        assert_eq!(rice_parameter(35, 210), 2);
-        assert_eq!(rice_parameter(1, u64::from(MAX_SAMPLE_ZIGZAG)), MAX_RICE_K);
-        let check = |m: u64, sum: u64| {
-            let rule = rice_parameter(m, sum);
-            for k in 0..=MAX_RICE_K {
-                assert_eq!(
-                    is_rice_parameter(k, m, sum),
-                    k == rule,
-                    "k {k} m {m} sum {sum}"
-                );
-            }
-        };
-        for m in 1..=64u64 {
-            for sum in (0..=8 * m).chain([m << 15, (m << 16) - 1, m << 16, (m << 16) + 1]) {
-                check(m, sum);
-            }
-        }
-        let mut state = 0x0123_4567_89AB_CDEFu64;
-        for _ in 0..10_000 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1);
-            let m = 1 + (state >> 50) % MAX_SAMPLES_PER_FRAME as u64;
-            check(m, (state >> 7) % (m * u64::from(MAX_SAMPLE_ZIGZAG) + 1));
-        }
-    }
-
-    #[test]
-    fn samples_codec_round_trips_across_window_boundaries() {
-        // Every length up to a few windows, with deltas from flat to
-        // full-scale, so codes start at every bit offset of a window and
-        // straddle window ends.
-        let mut state = 0x5EEDu64;
-        for scale in [0u64, 1, 7, 100, 4095, 65_535] {
-            for n in 0..=150 {
-                let mut code = 0i32;
-                let samples: Vec<i16> = (0..n)
-                    .map(|_| {
-                        state = state
-                            .wrapping_mul(6_364_136_223_846_793_005)
-                            .wrapping_add(1);
-                        let d = ((state >> 33) % (2 * scale + 1)) as i32 - scale as i32;
-                        code = (code + d).clamp(i16::MIN.into(), i16::MAX.into());
-                        code as i16
-                    })
-                    .collect();
-                let mut body = Vec::new();
-                encode_samples(&samples, &mut body);
-                assert_eq!(decode_samples(&body), Ok(samples), "scale {scale} n {n}");
-            }
-        }
-        // A unary part longer than a window and than 64 bits: k = 0 over
-        // 99 zero deltas and one of z = 150.
-        let mut samples = vec![0i16; 100];
-        samples.push(75);
-        let mut body = Vec::new();
-        encode_samples(&samples, &mut body);
-        assert_eq!(body[1] & 0x0F, 0);
-        assert_eq!(decode_samples(&body), Ok(samples));
+        assert_eq!(credit.encode().len(), 1 + 1 + 1 + 1 + 2 + 4);
     }
 
     #[test]

@@ -284,8 +284,9 @@ pub(crate) fn rebuild(
 ///
 /// # Errors
 ///
-/// Filesystem errors from opening the log; corrupt content is absorbed by
-/// the scan.
+/// Filesystem errors from opening the log, and
+/// [`hbc_wal::WalError::UnsupportedFormat`] for a log in another format
+/// (no file is changed); corrupt content is absorbed by the scan.
 pub(crate) fn recover(
     hub: &mut StreamHub<'_, AdcModel>,
     sessions: &mut SessionManager,
@@ -376,9 +377,11 @@ pub(crate) fn recover(
 ///
 /// # Errors
 ///
-/// Only filesystem errors (unreadable directory or segments). Corrupt log
-/// content is absorbed: the valid prefix is replayed and
-/// [`ReplayReport::truncated`] is set.
+/// Filesystem errors (unreadable directory or segments), and a log in
+/// another format: an [`std::io::Error`] of kind `Other` wrapping
+/// [`hbc_wal::WalError::UnsupportedFormat`] (reach it with
+/// `get_ref()` and `downcast_ref`). Corrupt log content is absorbed: the
+/// valid prefix is replayed and [`ReplayReport::truncated`] is set.
 pub fn replay_log(
     dir: impl AsRef<Path>,
     firmware: &WbsnFirmware,
@@ -388,7 +391,7 @@ pub fn replay_log(
     let recovery =
         hbc_wal::scan_with(dir.as_ref(), |record| fold.apply(record)).map_err(|e| match e {
             hbc_wal::WalError::Io(io) => io,
-            other => std::io::Error::other(other.to_string()),
+            other => std::io::Error::other(other),
         })?;
 
     // A hub runs at one sampling rate; group sessions by theirs. Group

@@ -66,10 +66,14 @@
 //! ## Durable ingest log
 //!
 //! With [`GatewayConfig::wal`] set, every session open, every *accepted*
-//! `Samples` chunk (post credit-truncation, as raw ADC codes) and every
+//! `Samples` chunk (post credit-truncation, as ADC codes) and every
 //! session end is appended to an `hbc_wal` segment log **before** the data
-//! reaches the hub. A gateway re-bound to the same log directory rebuilds
-//! the state of every session that was open at the crash: the calibration
+//! reaches the hub and before anything is acknowledged on the wire. Frame
+//! handling stages the records; the sweep writes them as one group, with
+//! one `write(2)`, before it feeds the hub, before a close feeds its
+//! session's tail, and before it flushes any socket. A gateway re-bound
+//! to the same log directory rebuilds the state of every session that was
+//! open at the crash: the calibration
 //! stretch is re-derived from the logged samples (same thresholds), the
 //! whole logged stream is replayed through the hub in bounded rounds of
 //! parallel [`StreamHub::ingest`] calls (bit-identical outcomes, by chunk
@@ -142,7 +146,7 @@ use std::time::{Duration, Instant};
 
 use hbc_core::{SessionId, StreamHub};
 use hbc_embedded::{AdcModel, WbsnFirmware};
-use hbc_obs::{Histogram, MetricsSnapshot, TraceEvent, TraceRecord, TraceRing};
+use hbc_obs::{round_micros, Histogram, MetricsSnapshot, TraceEvent, TraceRecord, TraceRing};
 use hbc_wal::{Wal, WalConfig, WalRecord};
 
 mod admin;
@@ -754,8 +758,10 @@ impl<'fw> Gateway<'fw> {
     /// # Errors
     ///
     /// Propagates socket errors from binding the listener and filesystem
-    /// errors from opening the log. Corrupt log *content* is never an
-    /// error: recovery keeps the valid prefix.
+    /// errors from opening the log. A log in another format is refused
+    /// untouched: an error of kind `Other` wrapping
+    /// [`hbc_wal::WalError::UnsupportedFormat`]. Corrupt log *content* is
+    /// never an error: recovery keeps the valid prefix.
     pub fn bind(
         addr: impl ToSocketAddrs,
         firmware: &'fw WbsnFirmware,
@@ -827,23 +833,39 @@ impl<'fw> Gateway<'fw> {
         })
     }
 
-    /// Appends one record to the durable log. An append failure disables
-    /// the log for the rest of the gateway's lifetime (counted in
-    /// [`GatewayStats::wal_errors`]): the service keeps running, the log on
-    /// disk stays a valid prefix of the accepted traffic.
+    /// Stages one record for the durable log's next group write
+    /// ([`Gateway::wal_commit`]).
     fn wal_log(&mut self, record: &WalRecord) {
         if let Some(wal) = self.wal.as_mut() {
-            match wal.append(record) {
+            if wal.stage(record).is_err() {
+                self.wal_failed();
+            }
+        }
+    }
+
+    /// Writes the staged records as one group, traced as one append. Runs
+    /// before the hub sees samples and before a socket flush, so the log
+    /// always holds what was ingested or acknowledged.
+    fn wal_commit(&mut self) {
+        if let Some(wal) = self.wal.as_mut() {
+            match wal.commit() {
+                Ok(0) => {}
                 Ok(bytes) => self.obs.trace.push(TraceEvent::WalAppend {
                     bytes: u32::try_from(bytes).unwrap_or(u32::MAX),
                 }),
-                Err(_) => {
-                    self.stats.wal_errors += 1;
-                    self.obs.trace.push(TraceEvent::WalError);
-                    self.wal = None;
-                }
+                Err(_) => self.wal_failed(),
             }
         }
+    }
+
+    /// A failed append disables the log for the rest of the gateway's
+    /// lifetime (counted in [`GatewayStats::wal_errors`]): the service
+    /// keeps running, the log on disk stays a valid prefix of the accepted
+    /// traffic.
+    fn wal_failed(&mut self) {
+        self.stats.wal_errors += 1;
+        self.obs.trace.push(TraceEvent::WalError);
+        self.wal = None;
     }
 
     /// The address the gateway listens on (use with port 0 binds).
@@ -953,7 +975,7 @@ impl<'fw> Gateway<'fw> {
         while !shutdown.load(Ordering::Acquire) {
             let progress = self.poll()?;
             let latency = self.now.elapsed();
-            let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+            let micros = round_micros(latency);
             self.stats.poll_high_water_micros = self.stats.poll_high_water_micros.max(micros);
             self.note_sweep(micros);
             if latency > self.config.watchdog_budget {
@@ -1028,6 +1050,7 @@ impl<'fw> Gateway<'fw> {
             self.sessions
                 .owing_quiet_into(self.now, CREDIT_QUIET, &mut self.ready);
         }
+        self.wal_commit();
         progress |= self.ingest_sweep();
         progress |= self.forward_outcomes_and_credit();
         if tick {
@@ -1038,6 +1061,7 @@ impl<'fw> Gateway<'fw> {
         if tick {
             self.expire_sessions();
         }
+        self.wal_commit();
         for idx in 0..self.conns.len() {
             progress |= self.flush(idx);
         }
@@ -1075,7 +1099,7 @@ impl<'fw> Gateway<'fw> {
             let _ = stream.set_nodelay(true);
             let conn = Connection {
                 stream,
-                decoder: FrameDecoder::new(),
+                decoder: FrameDecoder::awaiting_hello(),
                 outbox: Vec::new(),
                 sent: 0,
                 greeted: false,
@@ -1173,11 +1197,14 @@ impl<'fw> Gateway<'fw> {
             self.obs
                 .latency
                 .frame_micros
-                .record(u64::try_from(frame_started.elapsed().as_micros()).unwrap_or(u64::MAX));
+                .record(round_micros(frame_started.elapsed()));
         }
         self.frames = frames;
         if let Some(message) = violation {
-            self.deny(idx, &message);
+            // Unless a frame before the bad bytes already ended it.
+            if self.conns[idx].as_ref().is_some_and(|c| !c.closing) {
+                self.deny(idx, &message);
+            }
         }
         if eof {
             // EOF only closes the peer's *write* side (a client may
@@ -1191,11 +1218,18 @@ impl<'fw> Gateway<'fw> {
         progress
     }
 
-    /// Queues a frame on a connection's outbox.
+    /// Queues a frame on a connection's outbox: in the fixed envelope
+    /// until the peer's Hello is accepted (the Hello echo, or the Busy or
+    /// Deny answering a connection that never got that far), so a peer of
+    /// any protocol version reads it; in the compact one after.
     fn send(&mut self, idx: usize, frame: &Frame) {
         if let Some(conn) = self.conns[idx].as_mut() {
             if !conn.dead {
-                frame.encode_into(&mut conn.outbox);
+                if conn.greeted {
+                    frame.encode_into(&mut conn.outbox);
+                } else {
+                    frame.encode_handshake_into(&mut conn.outbox);
+                }
                 self.stats.frames_out += 1;
             }
         }
@@ -1804,7 +1838,7 @@ impl<'fw> Gateway<'fw> {
         self.obs
             .latency
             .ingest_batch_micros
-            .record(u64::try_from(ingest_started.elapsed().as_micros()).unwrap_or(u64::MAX));
+            .record(round_micros(ingest_started.elapsed()));
         if rejected {
             self.stats.internal_skips += 1;
             debug_assert!(false, "staged ingest rejected by the hub");
@@ -1869,7 +1903,7 @@ impl<'fw> Gateway<'fw> {
                     self.obs
                         .latency
                         .beat_to_outcome_micros
-                        .record(u64::try_from(anchor.elapsed().as_micros()).unwrap_or(u64::MAX));
+                        .record(round_micros(anchor.elapsed()));
                 }
                 self.stats.beats_out += n as u64;
                 progress = true;
@@ -1915,6 +1949,8 @@ impl<'fw> Gateway<'fw> {
     /// retention window so a client that loses its link around the close
     /// can still fetch the end of its session.
     fn close_wire_session(&mut self, wire_id: u32, evicted: bool) {
+        // The tail's staged Samples records reach the log before the hub.
+        self.wal_commit();
         let Some(s) = self.sessions.get_mut(wire_id) else {
             return;
         };

@@ -10,7 +10,11 @@
 //!   decoder accepts re-encodes to the identical bytes (one serialisation
 //!   per frame), and non-canonical or out-of-range varints, and every
 //!   off-rule Rice bitstream, are `Malformed`;
-//! * a hostile `Samples` body allocates no more than a legal frame.
+//! * a hostile `Samples` body allocates no more than a legal frame;
+//! * the v6 envelopes: the handshake travels fixed and everything else
+//!   compact, compact length prefixes are rejected as soon as they are
+//!   known to be zero, overlong or too long, and the wire and the durable
+//!   log carry one sample payload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -325,13 +329,19 @@ fn hello_round_trips_with_the_shipped_version() {
     assert_eq!(decoder.next_frame().expect("valid"), Some(frame));
 }
 
-/// A frame with an arbitrary tag and body under a valid envelope.
+/// A frame with an arbitrary tag and body under a valid envelope: the
+/// fixed one (`len u32`) for Hello, the compact one (`len` varint) for
+/// every other tag.
 fn framed(tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(body.len() + 9);
-    bytes.extend_from_slice(&(body.len() as u32 + 1).to_le_bytes());
+    let mut bytes = if tag == 0x01 {
+        (body.len() as u32 + 1).to_le_bytes().to_vec()
+    } else {
+        varint(body.len() as u64 + 1)
+    };
+    let payload = bytes.len();
     bytes.push(tag);
     bytes.extend_from_slice(body);
-    let crc = crc32(&bytes[4..]);
+    let crc = crc32(&bytes[payload..]);
     bytes.extend_from_slice(&crc.to_le_bytes());
     bytes
 }
@@ -796,5 +806,211 @@ fn hello_layout_is_the_same_in_every_protocol_version() {
     for version in [1u16, 3, 4, PROTOCOL_VERSION, 0x1234] {
         let bytes = Frame::Hello { version }.encode();
         assert_eq!(bytes, framed(0x01, &version.to_le_bytes()));
+    }
+}
+
+/// A frame in the fixed envelope of protocol versions 1–5, whatever its
+/// tag.
+fn framed_fixed(tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut bytes = (body.len() as u32 + 1).to_le_bytes().to_vec();
+    bytes.push(tag);
+    bytes.extend_from_slice(body);
+    let crc = crc32(&bytes[4..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn the_handshake_travels_fixed_and_everything_else_compact() {
+    // Hello is fixed wherever it is; Busy and Deny are fixed when they
+    // answer a Hello and compact after it; both decode.
+    let busy = Frame::Busy {
+        retry_after_ms: 250,
+    };
+    let deny = Frame::Deny {
+        message: "unsupported protocol version 5".into(),
+    };
+    for frame in [busy.clone(), deny.clone()] {
+        let mut fixed = Vec::new();
+        frame.encode_handshake_into(&mut fixed);
+        let body = &frame.encode()[2..frame.encode().len() - 4];
+        assert_eq!(fixed, framed_fixed(frame.encode()[1], body));
+        assert_eq!(decode_one(&fixed), Ok(Some(frame.clone())));
+        assert_eq!(frame.encode(), framed(frame.encode()[1], body));
+        assert_eq!(decode_one(&frame.encode()), Ok(Some(frame)));
+    }
+    // Every other frame has no fixed form.
+    let credit = Frame::Credit {
+        session: 1,
+        grant: 36,
+        acked_seq: 9,
+    };
+    let mut bytes = Vec::new();
+    credit.encode_handshake_into(&mut bytes);
+    assert_eq!(bytes, credit.encode());
+    // ... and is refused in it, as a Hello is refused compact.
+    assert_eq!(
+        decode_one(&framed_fixed(0x82, &[1, 36, 9])),
+        Err(ProtoError::Malformed(
+            "only Hello, Busy and Deny travel in the fixed envelope"
+        ))
+    );
+    let mut hello = varint(3);
+    hello.extend_from_slice(&[0x01, 6, 0]);
+    hello.extend_from_slice(&crc32(&[0x01, 6, 0]).to_le_bytes());
+    assert_eq!(
+        decode_one(&hello),
+        Err(ProtoError::Malformed("Hello outside the fixed envelope"))
+    );
+    // A Deny answering a Hello is cut to what the fixed envelope holds, at
+    // a character boundary.
+    let long = Frame::Deny {
+        message: "é".repeat(200),
+    };
+    let mut bytes = Vec::new();
+    long.encode_handshake_into(&mut bytes);
+    assert_eq!(bytes.len(), 4 + 1 + 254 + 4);
+    assert_eq!(
+        decode_one(&bytes),
+        Ok(Some(Frame::Deny {
+            message: "é".repeat(127)
+        }))
+    );
+}
+
+#[test]
+fn a_gateway_decoder_refuses_a_compact_first_frame_at_its_second_byte() {
+    let mut decoder = FrameDecoder::awaiting_hello();
+    decoder.feed(&[0x55]);
+    assert_eq!(decoder.next_frame(), Ok(None));
+    decoder.feed(&[0x55]);
+    assert_eq!(
+        decoder.next_frame(),
+        Err(ProtoError::Malformed(
+            "first frame outside the fixed envelope"
+        ))
+    );
+    // After the Hello, compact frames flow.
+    let mut decoder = FrameDecoder::awaiting_hello();
+    let close = Frame::CloseSession { session: 4 };
+    decoder.feed(
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode(),
+    );
+    decoder.feed(&close.encode());
+    assert!(matches!(
+        decoder.next_frame(),
+        Ok(Some(Frame::Hello { .. }))
+    ));
+    assert_eq!(decoder.next_frame(), Ok(Some(close)));
+}
+
+#[test]
+fn compact_length_prefixes_are_rejected_as_soon_as_they_end() {
+    // Zero, overlong and too-long prefixes: the prefix bytes alone, with
+    // nothing after them, are enough to reject the stream.
+    for (prefix, want) in [
+        (&[0x00][..], ProtoError::BadLength { len: 0 }),
+        (&[0x85, 0x80, 0x00], ProtoError::OverlongLength),
+        (&[0x80, 0x80, 0x00], ProtoError::OverlongLength),
+        (
+            &[0x81, 0x80, 0x41],
+            ProtoError::BadLength {
+                len: 1 + (0x41 << 14),
+            },
+        ),
+        (
+            &[0xFF, 0xFF, 0xFF],
+            ProtoError::BadLength {
+                len: (1 << 21) - 1 + (1 << 21),
+            },
+        ),
+    ] {
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(prefix);
+        assert_eq!(decoder.next_frame(), Err(want), "{prefix:02x?}");
+    }
+    // A fixed prefix past what the fixed envelope holds is rejected at its
+    // third byte.
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&[0x00, 0x00]);
+    assert_eq!(decoder.next_frame(), Err(ProtoError::BadLength { len: 0 }));
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&[0x05, 0x00, 0x01]);
+    assert_eq!(
+        decoder.next_frame(),
+        Err(ProtoError::BadLength { len: 0x1_0005 })
+    );
+    // The largest legal length waits for its frame.
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&varint(MAX_FRAME_LEN as u64));
+    assert_eq!(decoder.next_frame(), Ok(None));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn log_records_and_wire_frames_carry_one_sample_payload(
+        seed in any::<u64>(),
+        n in 0usize..=400,
+        scale in 0u32..=16,
+        seq in any::<u32>(),
+    ) {
+        // Arbitrary code runs, from flat to full-scale deltas: the wire's
+        // Samples body and the log's Samples record both carry the codec's
+        // payload, both round-trip, and both re-encode to the same bytes.
+        let mut state = seed;
+        let mut code = i32::from(next(&mut state) as i16);
+        let codes: Vec<i16> = (0..n)
+            .map(|_| {
+                let step = (next(&mut state) % (1 << scale)) as i32;
+                let d = if next(&mut state) & 1 == 1 { step } else { -step };
+                code = (code + d).clamp(i16::MIN.into(), i16::MAX.into());
+                code as i16
+            })
+            .collect();
+        let mut payload = Vec::new();
+        hbc_wal::codec::encode_samples(&codes, &mut payload);
+
+        let frame = Frame::Samples { session: 1, seq, samples: codes.clone() };
+        let mut body = vec![1];
+        body.extend(varint(u64::from(seq)));
+        body.extend_from_slice(&payload);
+        let bytes = framed(0x03, &body);
+        prop_assert_eq!(frame.encode(), bytes.clone());
+        let decoded = decode_one(&bytes).expect("valid").expect("whole");
+        prop_assert_eq!(decoded.encode(), bytes);
+        prop_assert_eq!(decoded, frame);
+
+        let record = hbc_wal::WalRecord::Samples { token: seed, seq, codes: codes.clone() };
+        let encoded = record.encode();
+        let split = hbc_wal::split_frame(&encoded, hbc_wal::MAX_RECORD_LEN)
+            .expect("valid")
+            .expect("whole");
+        prop_assert_eq!(split.total, encoded.len());
+        prop_assert_eq!(&split.body[..8], &seed.to_le_bytes()[..]);
+        prop_assert_eq!(&split.body[8 + varint(u64::from(seq)).len()..], &payload[..]);
+        prop_assert_eq!(
+            hbc_wal::codec::decode_samples(&payload, MAX_SAMPLES_PER_FRAME),
+            Ok(codes)
+        );
+        // Through a log on disk and back.
+        let dir = std::env::temp_dir().join(format!(
+            "hbc-proto-log-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut wal, _) = hbc_wal::Wal::open(hbc_wal::WalConfig::new(&dir)).expect("open");
+        wal.append(&record).expect("append");
+        drop(wal);
+        let scanned = hbc_wal::scan(&dir).expect("scan").records;
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(scanned.len(), 1);
+        prop_assert_eq!(scanned[0].encode(), encoded);
+        prop_assert_eq!(&scanned[0], &record);
     }
 }

@@ -1,4 +1,5 @@
-//! Append-only segment log for the ingestion gateway.
+//! Append-only segment log for the ingestion gateway, and the envelope and
+//! sample codec it shares with the wire protocol.
 //!
 //! Every `Samples` chunk the gateway accepts is appended here *before* it is
 //! fed to the `StreamHub`, so a process crash loses nothing that was
@@ -8,7 +9,7 @@
 //! (re-score logged streams through any fitted pipeline, bit-identical to
 //! live ingestion thanks to the hub's chunk invariance), and post-hoc audit.
 //!
-//! # On-disk format
+//! # On-disk format (log format 2)
 //!
 //! The log is a directory of fixed-capacity segment files named
 //! `<index>.wal` with a zero-padded 16-digit decimal index
@@ -16,43 +17,69 @@
 //! strictly in index order and never modified once rotated away from; only
 //! the highest-index segment is ever open for append.
 //!
-//! Each record is one **frame envelope**: a little-endian `u32` length
-//! prefix counting the tag byte plus the body, the tag byte, the body, and a
-//! CRC-32 trailer (IEEE 802.3 reflected polynomial — the ZIP/PNG CRC)
-//! computed over tag + body. All integers are little-endian. This crate owns
+//! Each segment starts with an 8-byte **header**: the magic `HBCL`, then
+//! the format version ([`LOG_FORMAT_VERSION`]) as a little-endian `u16` and
+//! its bitwise complement. Records follow back to back, each one **frame
+//! envelope**: the length of tag + body as a canonical varint (one byte
+//! below 128, at most three up to [`MAX_RECORD_LEN`]), the tag byte, the
+//! body, and a little-endian CRC-32 trailer (IEEE 802.3 reflected
+//! polynomial — the ZIP/PNG CRC) computed over tag + body. This crate owns
 //! the envelope ([`crc32`], [`begin_frame`], [`seal_frame`],
-//! [`split_frame`]); the wire protocol (`hbc_net::proto`) frames its
-//! messages with the same functions, so the socket and the log detect torn
-//! and corrupt data in exactly one way.
+//! [`split_frame`]) and the varint and sample codec ([`codec`]); the wire
+//! protocol (`hbc_net::proto`) frames and codes its messages with the same
+//! functions, so the socket and the log detect torn and corrupt data in
+//! exactly one way and carry samples in exactly one form.
 //!
 //! | tag | record | body |
 //! |-----|--------|------|
-//! | `0x01` | [`WalRecord::SessionOpen`] | token `u64`, wire id `u32`, patient id `u32`, calibration length `u32`, sampling rate `u32` (mHz) |
-//! | `0x02` | [`WalRecord::Samples`] | token `u64`, seq `u32`, count `u32`, count × ADC code `i16` |
-//! | `0x03` | [`WalRecord::SessionClose`] | token `u64` |
+//! | `0x01` | [`WalRecord::SessionOpen`] | token `u64`, wire id `u32`, patient id `u32`, calibration length `u32`, sampling rate `u32` (mHz), all little-endian |
+//! | `0x02` | [`WalRecord::Samples`] | token `u64` little-endian, seq varint, the codes as a sample payload ([`codec::encode_samples`]) |
+//! | `0x03` | [`WalRecord::SessionClose`] | token `u64` little-endian |
 //!
-//! Samples are logged as the raw 12-bit ADC codes from the wire, not as
+//! Samples are logged as the 12-bit ADC codes from the wire, not as
 //! floating-point millivolts: codes are the canonical representation
-//! (dequantisation is deterministic), and they halve the log volume.
+//! (dequantisation is deterministic). A 36-sample chunk of ECG takes about
+//! 45 bytes, envelope included.
+//!
+//! A log in another format — the header-less segments of format 1, a
+//! header naming another version, or a file that is no log — is refused:
+//! [`Wal::open`], [`scan`] and their streaming forms return
+//! [`WalError::UnsupportedFormat`] before reading a record and change no
+//! file. Treating it as corruption would truncate it.
+//!
+//! # Group commit
+//!
+//! [`Wal::stage`] encodes a record into the pending group; [`Wal::commit`]
+//! writes the group with one `write(2)` (rotating first if the group would
+//! overflow the active segment, so a segment exceeds its capacity by at
+//! most one group). [`Wal::append`] is one record staged and committed. A
+//! caller that must log before it acts — the gateway logs before it feeds
+//! the hub and before it acknowledges on the wire — commits before acting;
+//! staged records that were never committed are not in the log.
 //!
 //! # Durability policy
 //!
 //! [`SyncPolicy`] controls when `fsync` runs: [`SyncPolicy::Always`] after
-//! every append, [`SyncPolicy::OnRotation`] (the default) when a segment
+//! every commit, [`SyncPolicy::OnRotation`] (the default) when a segment
 //! fills and is sealed, [`SyncPolicy::Never`] for benchmarks and tests.
 //! Directory metadata is synced after every segment creation so a crash
 //! cannot orphan a sealed segment.
 //!
 //! # Recovery
 //!
-//! [`Wal::open`] scans the segments in index order and validates every
-//! record. The scan *never panics* on corrupt input — a torn tail (partial
-//! write from a crash), a bit flip, or an impossible length prefix all stop
-//! the scan at the last valid record: the active segment is truncated back
-//! to the end of the valid prefix and any later segments (which can only
-//! hold data written *after* the corruption point) are deleted. What
-//! recovery returns is therefore always a valid prefix of what was appended,
-//! and the re-opened log continues appending exactly at that point.
+//! [`Wal::open`] checks every segment's header, then scans the segments in
+//! index order and validates every record. The scan *never panics* on
+//! corrupt input — a torn tail (partial write from a crash), a bit flip, or
+//! an impossible length prefix all stop the scan at the last valid record:
+//! the active segment is truncated back to the end of the valid prefix and
+//! any later segments (which can only hold data written *after* the
+//! corruption point) are deleted. What recovery returns is therefore always
+//! a valid prefix of what was appended, and the re-opened log continues
+//! appending exactly at that point. A header is corrupt, not foreign, when
+//! it is a strict prefix of this format's header (a crash between creating
+//! a segment and writing its header; an empty segment reads as empty) or
+//! one bit away from it; two headers of different versions differ in at
+//! least two bits.
 //!
 //! The scan streams: each segment is read through one reused 64 KiB buffer
 //! (grown only to hold a single record larger than that), and each record
@@ -72,15 +99,44 @@ use std::time::Instant;
 
 use hbc_obs::{Counter, Histogram};
 
+pub mod codec;
+
+use codec::{decode_samples, encode_samples, put_varint, read_varint};
+
 /// Upper bound on `len` (tag + body) of a single record. Mirrors the wire
 /// protocol's `MAX_FRAME_LEN`; anything larger in a length prefix is treated
 /// as corruption by the recovery scan.
 pub const MAX_RECORD_LEN: usize = 1 << 20;
 
-/// Default capacity of one segment file (8 MiB). A record that would
+/// Largest encoded record: [`MAX_RECORD_LEN`] plus a three-byte length
+/// prefix and the CRC trailer.
+const MAX_ENCODED_RECORD: usize = MAX_RECORD_LEN + 3 + 4;
+
+/// Default capacity of one segment file (8 MiB). A group that would
 /// overflow the active segment triggers rotation, so segments may exceed
-/// this by at most one record.
+/// this by at most one group.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
+
+/// The log format this build writes and reads. Format 1 had no segment
+/// header and stored `Samples` codes as raw `i16`s behind a `u32` count;
+/// format 2 added the header, the varint envelope and the shared sample
+/// codec.
+pub const LOG_FORMAT_VERSION: u16 = 2;
+
+/// Size of the header that starts every segment.
+pub const SEGMENT_HEADER_LEN: u64 = 8;
+
+const SEGMENT_MAGIC: [u8; 4] = *b"HBCL";
+
+/// The header of a segment in log format `version`.
+const fn segment_header(version: u16) -> [u8; 8] {
+    let v = version.to_le_bytes();
+    let c = (!version).to_le_bytes();
+    let m = SEGMENT_MAGIC;
+    [m[0], m[1], m[2], m[3], v[0], v[1], c[0], c[1]]
+}
+
+const HEADER: [u8; 8] = segment_header(LOG_FORMAT_VERSION);
 
 const TAG_SESSION_OPEN: u8 = 0x01;
 const TAG_SAMPLES: u8 = 0x02;
@@ -89,7 +145,7 @@ const TAG_SESSION_CLOSE: u8 = 0x03;
 const SEGMENT_EXT: &str = "wal";
 
 // -------------------------------------------------------------------------
-// Frame envelope: `len u32 | tag u8 | body | crc32(tag + body) u32`
+// Frame envelope: `len varint | tag u8 | body | crc32(tag + body) u32`
 // -------------------------------------------------------------------------
 
 const fn build_crc32_table() -> [u32; 256] {
@@ -129,9 +185,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum EnvelopeError {
     /// The length prefix is zero or exceeds the caller's maximum.
     BadLength {
-        /// The offending length.
+        /// The offending length; for a prefix rejected before it ends, the
+        /// least length it can still spell.
         len: usize,
     },
+    /// The length prefix spells its value in more bytes than it needs.
+    OverlongLength,
     /// The CRC-32 trailer does not match tag + body.
     BadCrc {
         /// Checksum computed over the received tag + body.
@@ -141,25 +200,40 @@ pub enum EnvelopeError {
     },
 }
 
-/// Starts a frame at the end of `out` by reserving its length prefix, and
-/// returns the frame's start offset. Push the tag and the body next, then
-/// call [`seal_frame`].
+/// Starts a frame at the end of `out` by reserving one byte for its length
+/// prefix, and returns the frame's start offset. Push the tag and the body
+/// next, then call [`seal_frame`].
 #[inline]
 pub fn begin_frame(out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    out.extend_from_slice(&[0; 4]);
+    out.push(0);
     start
 }
 
-/// Seals the frame [`begin_frame`] started at `start`: patches the length
-/// prefix and appends the CRC-32 of tag + body. Returns the frame's total
-/// encoded length.
+/// Seals the frame [`begin_frame`] started at `start`: writes the length
+/// prefix (moving tag and body up when it needs more than one byte, for
+/// frames of 128 bytes and more) and appends the CRC-32 of tag + body.
+/// Returns the frame's total encoded length.
 #[inline]
 pub fn seal_frame(out: &mut Vec<u8>, start: usize) -> usize {
-    let payload = start + 4;
-    let len = out.len() - payload;
-    out[start..payload].copy_from_slice(&(len as u32).to_le_bytes());
-    let crc = crc32(&out[payload..]);
+    let len = out.len() - start - 1;
+    let mut prefix = [0u8; 10];
+    let mut n = 0;
+    let mut v = len;
+    while v >= 0x80 {
+        prefix[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    prefix[n] = v as u8;
+    n += 1;
+    if n > 1 {
+        let end = out.len();
+        out.resize(end + n - 1, 0);
+        out.copy_within(start + 1..end, start + n);
+    }
+    out[start..start + n].copy_from_slice(&prefix[..n]);
+    let crc = crc32(&out[start + n..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out.len() - start
 }
@@ -175,29 +249,61 @@ pub struct SplitFrame<'a> {
     pub total: usize,
 }
 
+/// Reads a frame's length prefix from the front of `buf`: `Ok(None)` while
+/// the prefix is incomplete, else the length and the prefix's size.
+///
+/// # Errors
+///
+/// As [`split_frame`], as soon as the bytes at hand decide it.
+#[inline]
+fn frame_length(
+    buf: &[u8],
+    max_len: usize,
+) -> std::result::Result<Option<(usize, usize)>, EnvelopeError> {
+    let mut len = 0usize;
+    for (i, &b) in buf.iter().enumerate() {
+        let shift = 7 * i as u32;
+        len |= usize::from(b & 0x7F).checked_shl(shift).unwrap_or(0);
+        if b < 0x80 {
+            if b == 0 && i > 0 {
+                return Err(EnvelopeError::OverlongLength);
+            }
+            if len == 0 || len > max_len {
+                return Err(EnvelopeError::BadLength { len });
+            }
+            return Ok(Some((len, i + 1)));
+        }
+        // The prefix goes on, and its last byte is not zero: it spells at
+        // least `len + 2^(7(i+1))`.
+        let least = len.saturating_add(1usize.checked_shl(shift + 7).unwrap_or(usize::MAX));
+        if least > max_len {
+            return Err(EnvelopeError::BadLength { len: least });
+        }
+    }
+    Ok(None)
+}
+
 /// Splits the frame at the start of `buf`: checks the length prefix against
 /// `max_len` and the CRC trailer. `Ok(None)` means `buf` holds only a
 /// prefix of the frame.
 ///
 /// # Errors
 ///
-/// [`EnvelopeError::BadLength`] for a zero or oversized length prefix
-/// (reported as soon as the prefix is complete, before the rest arrives),
-/// [`EnvelopeError::BadCrc`] when the trailer does not match.
+/// [`EnvelopeError::BadLength`] for a zero length or one past `max_len`,
+/// and [`EnvelopeError::OverlongLength`] for a prefix longer than its value
+/// needs — each reported as soon as the prefix bytes decide it, before the
+/// rest of the frame arrives — and [`EnvelopeError::BadCrc`] when the
+/// trailer does not match.
 #[inline]
 pub fn split_frame(
     buf: &[u8],
     max_len: usize,
 ) -> std::result::Result<Option<SplitFrame<'_>>, EnvelopeError> {
-    let Some(prefix) = buf.get(..4) else {
+    let Some((len, prefix)) = frame_length(buf, max_len)? else {
         return Ok(None);
     };
-    let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
-    if len == 0 || len > max_len {
-        return Err(EnvelopeError::BadLength { len });
-    }
-    let total = 4 + len + 4;
-    let Some(frame) = buf.get(4..total) else {
+    let total = prefix + len + 4;
+    let Some(frame) = buf.get(prefix..total) else {
         return Ok(None);
     };
     let (payload, trailer) = frame.split_at(len);
@@ -288,18 +394,14 @@ impl WalRecord {
             } => {
                 out.push(TAG_SAMPLES);
                 out.extend_from_slice(&token.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-                for &c in codes {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
+                put_varint(out, u64::from(seq));
+                encode_samples(codes, out);
             }
             WalRecord::SessionClose { token } => {
                 out.push(TAG_SESSION_CLOSE);
                 out.extend_from_slice(&token.to_le_bytes());
             }
         }
-        debug_assert!(out.len() - start - 4 <= MAX_RECORD_LEN);
         seal_frame(out, start)
     }
 
@@ -342,9 +444,17 @@ impl<'a> Cursor<'a> {
             .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
     }
 
-    fn i16(&mut self) -> Option<i16> {
-        self.take(2)
-            .map(|s| i16::from_le_bytes(s.try_into().unwrap()))
+    fn varint_u32(&mut self) -> Option<u32> {
+        let (value, n) = read_varint(&self.buf[self.at..]).ok()?;
+        self.at += n;
+        u32::try_from(value).ok()
+    }
+
+    /// The unread rest of the body; the cursor ends there.
+    fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.at..];
+        self.at = self.buf.len();
+        rest
     }
 
     fn exhausted(&self) -> bool {
@@ -364,21 +474,12 @@ fn decode_body(tag: u8, body: &[u8]) -> Option<WalRecord> {
             calib_len: c.u32()?,
             fs_millihertz: c.u32()?,
         },
-        TAG_SAMPLES => {
-            let token = c.u64()?;
-            let seq = c.u32()?;
-            let count = c.u32()? as usize;
-            // Reject counts the remaining body cannot hold before
-            // allocating: a bit-flipped count must not OOM the scan.
-            if count.checked_mul(2)? != body.len().checked_sub(c.at)? {
-                return None;
-            }
-            let mut codes = Vec::with_capacity(count);
-            for _ in 0..count {
-                codes.push(c.i16()?);
-            }
-            WalRecord::Samples { token, seq, codes }
-        }
+        TAG_SAMPLES => WalRecord::Samples {
+            token: c.u64()?,
+            seq: c.varint_u32()?,
+            // The body bounds the codes: every code takes at least a bit.
+            codes: decode_samples(c.rest(), usize::MAX).ok()?,
+        },
         TAG_SESSION_CLOSE => WalRecord::SessionClose { token: c.u64()? },
         _ => return None,
     };
@@ -466,13 +567,23 @@ pub struct Recovery {
 }
 
 /// Errors surfaced by the log. Corrupt data is *not* an error — the
-/// recovery scan absorbs it — so this is I/O plus configuration misuse only.
+/// recovery scan absorbs it — so this is I/O, a log in another format and
+/// configuration misuse only.
 #[derive(Debug)]
 pub enum WalError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
     /// A single record larger than [`MAX_RECORD_LEN`] was submitted.
     RecordTooLarge(usize),
+    /// A segment is not in this build's log format: it has no segment
+    /// header (a format-1 log, or a file that is no log) or its header
+    /// names another format version. The log was left as it was.
+    UnsupportedFormat {
+        /// The first segment found in another format.
+        segment: PathBuf,
+        /// The format version its header names; `None` without a header.
+        version: Option<u16>,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -482,6 +593,22 @@ impl fmt::Display for WalError {
             WalError::RecordTooLarge(n) => {
                 write!(f, "wal record of {n} bytes exceeds {MAX_RECORD_LEN}")
             }
+            WalError::UnsupportedFormat {
+                segment,
+                version: Some(v),
+            } => write!(
+                f,
+                "wal segment {} is in log format {v}; this build reads format {LOG_FORMAT_VERSION}",
+                segment.display()
+            ),
+            WalError::UnsupportedFormat {
+                segment,
+                version: None,
+            } => write!(
+                f,
+                "wal segment {} has no log header (a format-1 log or not a log); this build reads format {LOG_FORMAT_VERSION}",
+                segment.display()
+            ),
         }
     }
 }
@@ -490,7 +617,7 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io(e) => Some(e),
-            WalError::RecordTooLarge(_) => None,
+            WalError::RecordTooLarge(_) | WalError::UnsupportedFormat { .. } => None,
         }
     }
 }
@@ -533,35 +660,94 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>> {
     Ok(out)
 }
 
+/// Checks the header of the segment at `path`: `Ok(true)` for this
+/// format's header, `Ok(false)` for one that holds no valid record — empty,
+/// a strict prefix of the header (torn while it was written) or one bit
+/// away from it (corrupt).
+///
+/// # Errors
+///
+/// [`WalError::UnsupportedFormat`] for a header of another version or no
+/// header at all.
+fn check_header(path: &Path) -> Result<bool> {
+    let mut head = Vec::with_capacity(HEADER.len());
+    File::open(path)?
+        .take(SEGMENT_HEADER_LEN)
+        .read_to_end(&mut head)?;
+    if head == HEADER {
+        return Ok(true);
+    }
+    let foreign = |version| WalError::UnsupportedFormat {
+        segment: path.to_path_buf(),
+        version,
+    };
+    let Ok(head) = <[u8; 8]>::try_from(head.as_slice()) else {
+        return if HEADER.starts_with(&head) {
+            Ok(false)
+        } else {
+            Err(foreign(None))
+        };
+    };
+    let version = u16::from_le_bytes([head[4], head[5]]);
+    if head[..4] == SEGMENT_MAGIC && head == segment_header(version) {
+        return Err(foreign(Some(version)));
+    }
+    let flipped: u32 = head
+        .iter()
+        .zip(HEADER)
+        .map(|(a, b)| (a ^ b).count_ones())
+        .sum();
+    if flipped == 1 {
+        Ok(false)
+    } else {
+        Err(foreign(None))
+    }
+}
+
 /// Initial size of the recovery scan's read buffer. It grows only to hold a
-/// single record larger than this (at most [`MAX_RECORD_LEN`] + 8 bytes).
+/// single record larger than this (at most [`MAX_RECORD_LEN`] + 7 bytes).
 const SCAN_BUF_BYTES: usize = 64 << 10;
 
-/// Reads the segments `indices` of `dir` in order through one reused
-/// buffer, handing every valid record to `visit` as soon as it is decoded.
-/// A torn tail or corrupt record stops the scan: everything from there on
-/// is untrusted and counted in `recovery.bytes_truncated` — the rest of
-/// that segment and every later segment, sized from metadata without
-/// reading it. Returns where it stopped — the position in `indices` and
-/// the valid length of that segment — or `None` for a clean log.
+/// Checks the header of every segment `indices` of `dir`, then reads them in
+/// order through one reused buffer, handing every valid record to `visit`
+/// as soon as it is decoded. A torn tail or corrupt record stops the scan:
+/// everything from there on is untrusted and counted in
+/// `recovery.bytes_truncated` — the rest of that segment and every later
+/// segment, sized from metadata without reading it. Returns where it
+/// stopped — the position in `indices` and the valid length of that
+/// segment (0 when its header is torn or corrupt) — or `None` for a clean
+/// log.
+///
+/// # Errors
+///
+/// [`WalError::UnsupportedFormat`] before any record is read when a segment
+/// is in another format; I/O errors.
 fn scan_segments(
     dir: &Path,
     indices: &[u64],
     recovery: &mut Recovery,
     visit: &mut impl FnMut(WalRecord),
 ) -> Result<Option<(usize, u64)>> {
+    let headed = indices
+        .iter()
+        .map(|&index| check_header(&segment_path(dir, index)))
+        .collect::<Result<Vec<bool>>>()?;
     let mut buf = vec![0u8; SCAN_BUF_BYTES];
     for (pos, &index) in indices.iter().enumerate() {
         recovery.segments_scanned += 1;
-        let file = File::open(segment_path(dir, index))?;
+        let mut file = File::open(segment_path(dir, index))?;
         // Scan the segment as long as it is now: a live writer may append
         // behind a read-only scan.
         let len = file.metadata()?.len();
-        let mut file = file.take(len);
         // `buf[start..end]` holds read bytes not yet decoded; `offset` is
         // the segment offset of `buf[start]`.
         let (mut start, mut end, mut offset) = (0usize, 0usize, 0u64);
-        let mut eof = false;
+        if headed[pos] {
+            file.seek(SeekFrom::Start(SEGMENT_HEADER_LEN))?;
+            offset = SEGMENT_HEADER_LEN;
+        }
+        let mut file = file.take(len - offset);
+        let mut eof = !headed[pos];
         loop {
             match split_frame(&buf[start..end], MAX_RECORD_LEN) {
                 Ok(Some(frame)) => {
@@ -578,11 +764,11 @@ fn scan_segments(
                     start = 0;
                     // A complete length prefix names the record's size,
                     // already checked against `MAX_RECORD_LEN`.
-                    let need = buf[..end]
-                        .first_chunk::<4>()
-                        .map_or(4, |prefix| 4 + u32::from_le_bytes(*prefix) as usize + 4);
-                    if need > buf.len() {
-                        buf.resize(need, 0);
+                    if let Ok(Some((len, prefix))) = frame_length(&buf[..end], MAX_RECORD_LEN) {
+                        let need = prefix + len + 4;
+                        if need > buf.len() {
+                            buf.resize(need, 0);
+                        }
                     }
                     let n = match file.read(&mut buf[end..]) {
                         Ok(n) => n,
@@ -603,7 +789,7 @@ fn scan_segments(
             for &later in &indices[pos + 1..] {
                 recovery.bytes_truncated += fs::metadata(segment_path(dir, later))?.len();
             }
-            return Ok(Some((pos, offset)));
+            return Ok(Some((pos, if headed[pos] { offset } else { 0 })));
         }
     }
     Ok(None)
@@ -621,15 +807,15 @@ fn sync_dir(dir: &Path) -> Result<()> {
 
 hbc_obs::metric_struct! {
     prefix = "hbc_wal_";
-    /// Telemetry for one [`Wal`]: append/fsync call counts, appended byte
-    /// volume, and log2-bucketed latency histograms for both syscalls. Updated
-    /// inline on the append path (two clock reads per call); read via
-    /// [`Wal::metrics`].
+    /// Telemetry for one [`Wal`]: record and commit counts, committed byte
+    /// volume, and log2-bucketed latency histograms for group writes and
+    /// explicit fsyncs. Updated inline on the commit path (two clock reads
+    /// per commit); read via [`Wal::metrics`].
     #[derive(Debug, Clone, Default)]
     pub struct WalMetrics {
         /// Records appended to the durable log.
         ///
-        /// Successful [`Wal::append`] calls.
+        /// Records written by [`Wal::commit`] (and [`Wal::append`]).
         counter pub appends: Counter,
         /// Encoded bytes appended to the durable log.
         ///
@@ -637,12 +823,14 @@ hbc_obs::metric_struct! {
         counter pub appended_bytes: Counter,
         /// Explicit fsyncs of the durable log.
         ///
-        /// [`Wal::sync`] calls; policy-driven fsyncs inside `append` are
+        /// [`Wal::sync`] calls; policy-driven fsyncs inside `commit` are
         /// timed as part of the append histogram instead.
         counter pub syncs: Counter,
         /// Latency of one durable-log append, in nanoseconds.
         ///
-        /// Wall clock per append: encode + write + policy fsync.
+        /// Wall clock per [`Wal::commit`] of a non-empty group: rotation,
+        /// one `write(2)` and the policy fsync. Its count is the number of
+        /// group writes.
         histogram pub append_nanos: Histogram,
         /// Latency of one durable-log fsync, in nanoseconds.
         ///
@@ -660,7 +848,9 @@ pub struct Wal {
     active_index: u64,
     active_len: u64,
     total_bytes: u64,
-    scratch: Vec<u8>,
+    /// The staged group: encoded records not yet written.
+    staged: Vec<u8>,
+    staged_records: u64,
     metrics: WalMetrics,
 }
 
@@ -671,9 +861,10 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Only on filesystem failure — corrupt log *content* is absorbed by
-    /// the scan and reported through [`Recovery`], never an error and never
-    /// a panic.
+    /// On filesystem failure, and [`WalError::UnsupportedFormat`] — with no
+    /// file changed — when a segment is in another log format. Corrupt log
+    /// *content* is absorbed by the scan and reported through
+    /// [`Recovery`], never an error and never a panic.
     pub fn open(config: WalConfig) -> Result<(Self, Recovery)> {
         let mut records = Vec::new();
         let (wal, mut recovery) = Self::open_with(config, |record| records.push(record))?;
@@ -698,7 +889,7 @@ impl Wal {
         let segments = list_segments(&config.dir)?;
         let mut recovery = Recovery::default();
         let stop = scan_segments(&config.dir, &segments, &mut recovery, &mut visit)?;
-        let (active_index, active_len) = match stop {
+        let (active_index, valid_len) = match stop {
             Some((pos, valid_end)) => {
                 // Truncate the corrupt segment back to its valid prefix and
                 // delete every later segment (the scan counted them).
@@ -729,8 +920,16 @@ impl Wal {
             .append(true)
             .open(segment_path(&config.dir, active_index))?;
         active.seek(SeekFrom::End(0))?;
+        // A segment without its header (fresh, or torn back to nothing)
+        // gets it before any record.
+        let active_len = if valid_len == 0 {
+            active.write_all(&HEADER)?;
+            SEGMENT_HEADER_LEN
+        } else {
+            valid_len
+        };
         // Durable footprint carried forward from previous runs: the segment
-        // files as they stand after recovery truncation.
+        // files as they stand after recovery.
         let mut total_bytes = 0u64;
         for &index in &list_segments(&config.dir)? {
             total_bytes += fs::metadata(segment_path(&config.dir, index))?.len();
@@ -741,39 +940,53 @@ impl Wal {
             active_index,
             active_len,
             total_bytes,
-            scratch: Vec::new(),
+            staged: Vec::new(),
+            staged_records: 0,
             metrics: WalMetrics::default(),
         };
         Ok((wal, recovery))
     }
 
-    /// Appends one record, rotating the active segment first if it is full.
-    /// Returns the encoded size in bytes (framing included).
+    /// Encodes one record into the staged group, to be written by the next
+    /// [`Wal::commit`]. Returns the encoded size in bytes (framing
+    /// included).
     ///
     /// # Errors
     ///
-    /// On filesystem failure, or [`WalError::RecordTooLarge`] for a record
-    /// whose encoding exceeds [`MAX_RECORD_LEN`].
-    pub fn append(&mut self, record: &WalRecord) -> Result<usize> {
-        let started = Instant::now();
-        self.scratch.clear();
-        let n = record.encode_into(&mut self.scratch);
-        if n > MAX_RECORD_LEN + 8 {
+    /// [`WalError::RecordTooLarge`] for a record whose encoding exceeds
+    /// [`MAX_RECORD_LEN`]; nothing is staged then.
+    pub fn stage(&mut self, record: &WalRecord) -> Result<usize> {
+        let before = self.staged.len();
+        let n = record.encode_into(&mut self.staged);
+        if n > MAX_ENCODED_RECORD {
+            self.staged.truncate(before);
             return Err(WalError::RecordTooLarge(n));
         }
-        if self.active_len > 0 && self.active_len + n as u64 > self.config.segment_bytes {
-            self.rotate()?;
+        self.staged_records += 1;
+        Ok(n)
+    }
+
+    /// Writes the staged group with one `write(2)`, rotating the active
+    /// segment first if the group would overflow it, and fsyncs under
+    /// [`SyncPolicy::Always`]. Returns the bytes written; an empty group
+    /// writes nothing and returns 0.
+    ///
+    /// # Errors
+    ///
+    /// On filesystem failure. The group is dropped either way, and the
+    /// segment may then end in a torn record that the next open truncates.
+    pub fn commit(&mut self) -> Result<usize> {
+        let n = self.staged.len();
+        if n == 0 {
+            return Ok(0);
         }
-        let scratch = std::mem::take(&mut self.scratch);
-        let res = self.active.write_all(&scratch);
-        self.scratch = scratch;
-        res?;
-        self.active_len += n as u64;
-        if self.config.sync == SyncPolicy::Always {
-            self.active.sync_data()?;
-        }
+        let started = Instant::now();
+        let written = self.write_group();
+        let records = std::mem::take(&mut self.staged_records);
+        self.staged.clear();
+        written?;
         self.total_bytes += n as u64;
-        self.metrics.appends.inc();
+        self.metrics.appends.add(records);
         self.metrics.appended_bytes.add(n as u64);
         self.metrics
             .append_nanos
@@ -781,7 +994,33 @@ impl Wal {
         Ok(n)
     }
 
-    /// Seals the active segment (fsync per policy) and opens the next one.
+    fn write_group(&mut self) -> Result<()> {
+        let n = self.staged.len() as u64;
+        if self.active_len > SEGMENT_HEADER_LEN && self.active_len + n > self.config.segment_bytes {
+            self.rotate()?;
+        }
+        self.active.write_all(&self.staged)?;
+        self.active_len += n;
+        if self.config.sync == SyncPolicy::Always {
+            self.active.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// Appends one record: [`Wal::stage`] then [`Wal::commit`]. Returns the
+    /// record's encoded size in bytes (framing included).
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::stage`] and [`Wal::commit`].
+    pub fn append(&mut self, record: &WalRecord) -> Result<usize> {
+        let n = self.stage(record)?;
+        self.commit()?;
+        Ok(n)
+    }
+
+    /// Seals the active segment (fsync per policy) and opens the next one,
+    /// headed.
     fn rotate(&mut self) -> Result<()> {
         if self.config.sync != SyncPolicy::Never {
             self.active.sync_all()?;
@@ -789,7 +1028,9 @@ impl Wal {
         self.active_index += 1;
         let path = segment_path(&self.config.dir, self.active_index);
         self.active = OpenOptions::new().create(true).append(true).open(&path)?;
-        self.active_len = 0;
+        self.active.write_all(&HEADER)?;
+        self.active_len = SEGMENT_HEADER_LEN;
+        self.total_bytes += SEGMENT_HEADER_LEN;
         if self.config.sync != SyncPolicy::Never {
             sync_dir(&self.config.dir)?;
         }
@@ -816,13 +1057,13 @@ impl Wal {
         self.active_index
     }
 
-    /// Bytes written to the active segment so far.
+    /// Bytes written to the active segment so far, its header included.
     pub fn active_len(&self) -> u64 {
         self.active_len
     }
 
     /// Total durable footprint of the log in bytes: every segment on disk as
-    /// of open (post-recovery) plus everything appended since.
+    /// of open (post-recovery) plus everything committed since.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
@@ -845,7 +1086,9 @@ impl Wal {
 ///
 /// # Errors
 ///
-/// Only on filesystem failure; corrupt content stops the scan cleanly.
+/// On filesystem failure, and [`WalError::UnsupportedFormat`] when a
+/// segment is in another log format; corrupt content stops the scan
+/// cleanly.
 pub fn scan(dir: impl AsRef<Path>) -> Result<Recovery> {
     let mut records = Vec::new();
     let mut recovery = scan_with(dir, |record| records.push(record))?;
@@ -992,7 +1235,7 @@ mod tests {
         // Flip a byte in the middle of segment 0's first record body.
         let path = segment_path(&tmp.0, 0);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[6] ^= 0xFF;
+        bytes[SEGMENT_HEADER_LEN as usize + 6] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
         let (_, rec) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
@@ -1031,7 +1274,7 @@ mod tests {
             })
             .collect();
         {
-            let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0).segment_bytes(256)).unwrap();
+            let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0).segment_bytes(64)).unwrap();
             for r in &records {
                 wal.append(r).unwrap();
             }
@@ -1053,8 +1296,9 @@ mod tests {
         assert!(scanned.records.is_empty());
         assert_eq!(scanned.records, opened.records);
         assert_eq!(
-            scanned.bytes_truncated, total,
-            "the whole log is past the flip"
+            scanned.bytes_truncated,
+            total - SEGMENT_HEADER_LEN,
+            "the whole log past segment 0's header is past the flip"
         );
         assert_eq!(scanned.bytes_truncated, opened.bytes_truncated);
     }
@@ -1070,14 +1314,14 @@ mod tests {
             WalRecord::Samples {
                 token: 3,
                 seq: 9,
-                codes: (0..40_000).map(|i| (i % 4096) as i16).collect(),
+                codes: noise(40_000, 1),
             },
         );
         for seq in 0..2_000 {
             records.push(WalRecord::Samples {
                 token: 4,
                 seq,
-                codes: vec![seq as i16; 17],
+                codes: noise(17, u64::from(seq) + 2),
             });
         }
         let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
@@ -1127,23 +1371,275 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// `n` codes of full-scale noise (the codec cannot shrink them), seeded.
+    fn noise(n: usize, seed: u64) -> Vec<i16> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 48) as i16
+            })
+            .collect()
+    }
+
     #[test]
-    fn samples_count_overflow_is_rejected() {
-        // A Samples body whose count field disagrees with the body length
-        // must decode to None, not allocate count elements.
-        let rec = WalRecord::Samples {
-            token: 1,
-            seq: 0,
-            codes: vec![1, 2, 3],
+    fn a_samples_payload_the_codec_rejects_is_corruption() {
+        // A CRC-valid Samples record whose payload breaks the codec decodes
+        // to None, like a CRC failure: three steps of +6 (z = 12) coded
+        // with k = 2 where the rule picks k = 3, then the same payload
+        // with a whole byte of padding.
+        let off_rule = vec![0xD8, 0x04, 0x82, 0x40, 0x08];
+        let mut payload = Vec::new();
+        encode_samples(&[300, 306, 312, 318], &mut payload);
+        payload.push(0);
+        for bad in [off_rule, payload] {
+            let mut bytes = Vec::new();
+            let start = begin_frame(&mut bytes);
+            bytes.push(TAG_SAMPLES);
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            put_varint(&mut bytes, 0);
+            bytes.extend_from_slice(&bad);
+            seal_frame(&mut bytes, start);
+            let frame = split_frame(&bytes, MAX_RECORD_LEN).unwrap().unwrap();
+            assert!(decode_body(frame.tag, frame.body).is_none());
+        }
+    }
+
+    #[test]
+    fn the_envelope_prefix_is_the_shortest_varint_and_checked_early() {
+        for (body, prefix) in [
+            (0usize, 1usize),
+            (126, 1),
+            (127, 2),
+            (16_382, 2),
+            (16_383, 3),
+        ] {
+            let mut out = vec![0xEE];
+            let start = begin_frame(&mut out);
+            out.push(TAG_SESSION_CLOSE);
+            out.extend(std::iter::repeat_n(0x5A, body));
+            let total = seal_frame(&mut out, start);
+            assert_eq!(total, prefix + 1 + body + 4, "body {body}");
+            let frame = split_frame(&out[1..], MAX_RECORD_LEN).unwrap().unwrap();
+            assert_eq!(
+                (frame.tag, frame.body.len(), frame.total),
+                (TAG_SESSION_CLOSE, body, total)
+            );
+            assert_eq!(split_frame(&out[1..total], MAX_RECORD_LEN), Ok(None));
+        }
+        // Rejected from the prefix bytes alone, before the rest arrives.
+        for (prefix, err) in [
+            (&[0x00][..], EnvelopeError::BadLength { len: 0 }),
+            (&[0x85, 0x00], EnvelopeError::OverlongLength),
+            (&[0x80, 0x80, 0x00], EnvelopeError::OverlongLength),
+            (
+                &[0x81, 0x80, 0x41],
+                EnvelopeError::BadLength {
+                    len: 1 + (0x41 << 14),
+                },
+            ),
+            (
+                &[0xFF, 0xFF, 0xFF],
+                EnvelopeError::BadLength {
+                    len: (1 << 21) - 1 + (1 << 21),
+                },
+            ),
+        ] {
+            assert_eq!(
+                split_frame(prefix, MAX_RECORD_LEN),
+                Err(err),
+                "{prefix:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn samples_records_are_the_token_a_varint_seq_and_the_codec() {
+        let codes: Vec<i16> = (0..36).map(|i| 300 + i * 3).collect();
+        let record = WalRecord::Samples {
+            token: 0xDEAD_BEEF_F00D_CAFE,
+            seq: 1000,
+            codes: codes.clone(),
         };
-        let mut bytes = rec.encode();
-        // Patch the count (body offset: 4 len + 1 tag + 8 token + 4 seq).
-        bytes[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
-        // Fix the CRC so only the count is inconsistent.
-        let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let crc = crc32(&bytes[4..4 + len]);
-        bytes[4 + len..4 + len + 4].copy_from_slice(&crc.to_le_bytes());
+        let mut payload = Vec::new();
+        encode_samples(&codes, &mut payload);
+        let bytes = record.encode();
+        // Prefix, tag, token, two-byte seq, payload, CRC.
+        assert_eq!(bytes.len(), 1 + 1 + 8 + 2 + payload.len() + 4);
+        assert_eq!(&bytes[12..12 + payload.len()], &payload[..]);
         let frame = split_frame(&bytes, MAX_RECORD_LEN).unwrap().unwrap();
-        assert!(decode_body(frame.tag, frame.body).is_none());
+        assert_eq!(decode_body(frame.tag, frame.body), Some(record));
+    }
+
+    /// Every segment file of `dir` with its bytes, by name.
+    fn snapshot(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A format-1 record: `len u32 | tag | body | crc32`, the codes raw.
+    fn format_1_record(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut out = ((body.len() + 1) as u32).to_le_bytes().to_vec();
+        out.push(tag);
+        out.extend_from_slice(body);
+        let crc = crc32(&out[4..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn format_1_and_unknown_version_logs_are_refused_untouched() {
+        let tmp = TempDir::new("foreign");
+        let mut samples_body = 7u64.to_le_bytes().to_vec();
+        samples_body.extend_from_slice(&0u32.to_le_bytes());
+        samples_body.extend_from_slice(&3u32.to_le_bytes());
+        for c in [-5i16, 0, 5] {
+            samples_body.extend_from_slice(&c.to_le_bytes());
+        }
+        let mut v1 = format_1_record(TAG_SAMPLES, &samples_body);
+        v1.extend(format_1_record(TAG_SESSION_CLOSE, &7u64.to_le_bytes()));
+        let mut v3 = segment_header(3).to_vec();
+        v3.extend(WalRecord::SessionClose { token: 7 }.encode());
+        let v2 = {
+            let mut v2 = HEADER.to_vec();
+            v2.extend(WalRecord::SessionClose { token: 7 }.encode());
+            v2
+        };
+        // A foreign segment anywhere refuses the whole log, even behind a
+        // valid one and even past a corrupt one.
+        let torn_v2 = v2[..v2.len() - 2].to_vec();
+        for (segments, want) in [
+            (vec![v1.clone()], None),
+            (vec![v1[..3].to_vec()], None),
+            (vec![v3.clone()], Some(3)),
+            (vec![v2.clone(), v1.clone()], None),
+            (vec![torn_v2, v3], Some(3)),
+            (vec![b"not a log at all".to_vec()], None),
+        ] {
+            let _ = fs::remove_dir_all(&tmp.0);
+            fs::create_dir_all(&tmp.0).unwrap();
+            for (i, bytes) in segments.iter().enumerate() {
+                fs::write(segment_path(&tmp.0, i as u64), bytes).unwrap();
+            }
+            let before = snapshot(&tmp.0);
+            let refused = |r: Result<()>| match r {
+                Err(WalError::UnsupportedFormat { version, .. }) => assert_eq!(version, want),
+                other => panic!("expected a refusal, got {other:?}"),
+            };
+            refused(scan(&tmp.0).map(drop));
+            refused(scan_with(&tmp.0, |_| panic!("no record may be read")).map(drop));
+            refused(Wal::open(WalConfig::new(&tmp.0)).map(drop));
+            refused(Wal::open_with(WalConfig::new(&tmp.0), |_| panic!("no record")).map(drop));
+            assert_eq!(snapshot(&tmp.0), before, "a refused log is left as it was");
+        }
+    }
+
+    #[test]
+    fn an_empty_or_torn_header_segment_reads_as_empty() {
+        let tmp = TempDir::new("emptyseg");
+        let records = sample_records();
+        // A crash between creating segment 0 and writing its header.
+        fs::write(segment_path(&tmp.0, 0), b"").unwrap();
+        let (mut wal, rec) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        assert!(rec.records.is_empty() && !rec.truncated);
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        drop(wal);
+        assert_eq!(scan(&tmp.0).unwrap().records, records);
+        // The same crash after a rotation: an empty last segment.
+        fs::write(segment_path(&tmp.0, 1), b"").unwrap();
+        let scanned = scan(&tmp.0).unwrap();
+        assert_eq!(scanned.records, records);
+        assert!(!scanned.truncated);
+        let (mut wal, rec) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        assert_eq!(rec.records, records);
+        assert_eq!(wal.active_segment(), 1);
+        wal.append(&WalRecord::SessionClose { token: 1 }).unwrap();
+        drop(wal);
+        assert_eq!(scan(&tmp.0).unwrap().records.len(), records.len() + 1);
+        // A header torn mid-write is a torn tail: truncated, then headed.
+        fs::write(segment_path(&tmp.0, 2), &HEADER[..5]).unwrap();
+        let scanned = scan(&tmp.0).unwrap();
+        let (_, opened) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        assert!(opened.truncated && scanned.truncated);
+        assert_eq!((scanned.bytes_truncated, opened.bytes_truncated), (5, 5));
+        assert_eq!(fs::read(segment_path(&tmp.0, 2)).unwrap(), HEADER);
+        assert!(!scan(&tmp.0).unwrap().truncated);
+    }
+
+    #[test]
+    fn a_header_one_bit_off_is_corruption_not_a_foreign_log() {
+        let tmp = TempDir::new("headerflip");
+        let records: Vec<WalRecord> = (0..6)
+            .map(|token| WalRecord::SessionClose { token })
+            .collect();
+        for bit in 0..64 {
+            let _ = fs::remove_dir_all(&tmp.0);
+            {
+                let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0).segment_bytes(40)).unwrap();
+                for r in &records {
+                    wal.append(r).unwrap();
+                }
+                assert!(wal.active_segment() >= 2);
+            }
+            let path = segment_path(&tmp.0, 1);
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bytes).unwrap();
+            let scanned = scan(&tmp.0).unwrap();
+            let (_, opened) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+            assert!(scanned.truncated, "bit {bit}");
+            assert_eq!(scanned.records, records[..2], "bit {bit}");
+            assert_eq!(opened.records, scanned.records);
+            assert_eq!(opened.bytes_truncated, scanned.bytes_truncated);
+            assert!(!scan(&tmp.0).unwrap().truncated, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn a_staged_group_is_written_once_and_only_when_committed() {
+        let tmp = TempDir::new("group");
+        let records = sample_records();
+        let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        let mut staged = 0;
+        for r in &records {
+            staged += wal.stage(r).unwrap();
+        }
+        assert!(
+            scan(&tmp.0).unwrap().records.is_empty(),
+            "nothing written yet"
+        );
+        assert_eq!(wal.commit().unwrap(), staged);
+        assert_eq!(wal.commit().unwrap(), 0, "an empty group writes nothing");
+        let m = wal.metrics();
+        assert_eq!(m.appends.get(), records.len() as u64);
+        assert_eq!(m.appended_bytes.get(), staged as u64);
+        assert_eq!(m.append_nanos.count(), 1, "one write for the group");
+        assert_eq!(scan(&tmp.0).unwrap().records, records);
+        // Staged and dropped without a commit: not in the log.
+        wal.stage(&WalRecord::SessionClose { token: 99 }).unwrap();
+        drop(wal);
+        assert_eq!(scan(&tmp.0).unwrap().records, records);
+        // A group that would overflow the segment rotates as a unit.
+        let (mut wal, _) = Wal::open(WalConfig::new(&tmp.0).segment_bytes(64)).unwrap();
+        for r in &records {
+            wal.stage(r).unwrap();
+        }
+        wal.commit().unwrap();
+        assert_eq!(wal.active_segment(), 1);
+        assert_eq!(wal.active_len(), SEGMENT_HEADER_LEN + staged as u64);
+        drop(wal);
+        let rec = scan(&tmp.0).unwrap();
+        assert_eq!(rec.records.len(), 2 * records.len());
     }
 }

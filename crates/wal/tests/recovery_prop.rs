@@ -9,13 +9,21 @@
 //! * all of the above for logs larger than the scan's 64 KiB read buffer,
 //!   with a record larger than the buffer and faults inside records that
 //!   straddle a read, where a read-only scan and a truncating open agree
-//!   on the records and on the bytes they discard.
+//!   on the records and on the bytes they discard;
+//! * a log with a segment in another format — format 1's header-less
+//!   layout or a header naming another version — is refused by `open` and
+//!   `scan` and left byte-identical, wherever that segment sits;
+//! * an empty last segment (a crash between creating a segment and writing
+//!   its header) reads as empty.
 
 use std::fs::{self, OpenOptions};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use hbc_wal::{scan, Wal, WalConfig, WalRecord};
+use hbc_wal::{
+    crc32, scan, scan_with, Wal, WalConfig, WalError, WalRecord, LOG_FORMAT_VERSION,
+    SEGMENT_HEADER_LEN,
+};
 use proptest::prelude::*;
 
 /// SplitMix64 step, the workspace's stock deterministic generator.
@@ -52,9 +60,8 @@ fn record_from(state: &mut u64) -> WalRecord {
 /// Builds a log that crosses the scan's 64 KiB read boundary: `num_records`
 /// records of up to 4 000 codes each, plus one `Samples` record of about
 /// 40 000 codes (larger than the read buffer) at a seeded position. Returns
-/// the records and the byte range the large one occupies in the
-/// concatenated segments (rotation adds no bytes between records).
-fn large_log(state: &mut u64, num_records: usize) -> (Vec<WalRecord>, Range<u64>) {
+/// the records and the large one's position.
+fn large_log(state: &mut u64, num_records: usize) -> (Vec<WalRecord>, usize) {
     let mut records: Vec<WalRecord> = (0..num_records)
         .map(|_| match next(state) % 4 {
             0 => record_from(state),
@@ -78,9 +85,28 @@ fn large_log(state: &mut u64, num_records: usize) -> (Vec<WalRecord>, Range<u64>
             codes: (0..n).map(|_| next(state) as i16).collect(),
         },
     );
-    let start: u64 = records[..at].iter().map(|r| r.encode().len() as u64).sum();
-    let end = start + records[at].encode().len() as u64;
-    (records, start..end)
+    (records, at)
+}
+
+/// The byte range record `at` occupies in the concatenated segments of a
+/// log `records` were appended to one by one with `segment_bytes`: each
+/// segment starts with its header, and a record that would overflow a
+/// segment holding records opens the next one.
+fn record_range(records: &[WalRecord], segment_bytes: u64, at: usize) -> Range<u64> {
+    let (mut offset, mut in_segment) = (SEGMENT_HEADER_LEN, SEGMENT_HEADER_LEN);
+    for (i, r) in records.iter().enumerate() {
+        let n = r.encode().len() as u64;
+        if in_segment > SEGMENT_HEADER_LEN && in_segment + n > segment_bytes {
+            offset += SEGMENT_HEADER_LEN;
+            in_segment = SEGMENT_HEADER_LEN;
+        }
+        if i == at {
+            return offset..offset + n;
+        }
+        offset += n;
+        in_segment += n;
+    }
+    unreachable!("record {at} is in the log")
 }
 
 /// Fresh scratch directory removed on drop, unique per process + thread so
@@ -265,8 +291,9 @@ proptest! {
     ) {
         let tmp = TempDir::new("large");
         let mut state = record_seed;
-        let (records, large) = large_log(&mut state, num_records);
+        let (records, at) = large_log(&mut state, num_records);
         write_log(&tmp.0, &records, segment_kib << 10);
+        let large = record_range(&records, segment_kib << 10, at);
 
         // Faults land inside the record larger than the read buffer half
         // the time, anywhere in the log otherwise.
@@ -317,5 +344,144 @@ proptest! {
         let mut want = rec.records;
         want.push(extra);
         prop_assert_eq!(&rec2.records, &want);
+    }
+}
+
+/// A segment of format 1: header-less, `len u32 | tag | body | crc32`
+/// records, `Samples` codes as raw `i16`s behind a `u32` count.
+fn format_1_segment(records: &[WalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in records {
+        let (tag, mut body) = match r {
+            WalRecord::SessionOpen {
+                token,
+                wire_id,
+                patient_id,
+                calib_len,
+                fs_millihertz,
+            } => {
+                let mut b = token.to_le_bytes().to_vec();
+                for v in [wire_id, patient_id, calib_len, fs_millihertz] {
+                    b.extend_from_slice(&v.to_le_bytes());
+                }
+                (1u8, b)
+            }
+            WalRecord::Samples { token, seq, codes } => {
+                let mut b = token.to_le_bytes().to_vec();
+                b.extend_from_slice(&seq.to_le_bytes());
+                b.extend_from_slice(&(codes.len() as u32).to_le_bytes());
+                for c in codes {
+                    b.extend_from_slice(&c.to_le_bytes());
+                }
+                (2, b)
+            }
+            WalRecord::SessionClose { token } => (3, token.to_le_bytes().to_vec()),
+        };
+        body.insert(0, tag);
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+    }
+    out
+}
+
+/// Every file of `dir` with its bytes, by name.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    segment_files(dir)
+        .into_iter()
+        .map(|p| {
+            let bytes = fs::read(&p).unwrap();
+            (p, bytes)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_log_in_another_format_is_refused_and_left_byte_identical(
+        record_seed in any::<u64>(),
+        num_records in 1usize..=16,
+        segment_bytes in 16u64..=1024,
+        pick in any::<u64>(),
+        kind in 0u8..3,
+    ) {
+        let tmp = TempDir::new("foreign");
+        let mut state = record_seed;
+        let records: Vec<WalRecord> =
+            (0..num_records).map(|_| record_from(&mut state)).collect();
+        let want = match kind {
+            // A whole format-1 log, as a format-1 gateway left it.
+            0 => {
+                fs::create_dir_all(&tmp.0).unwrap();
+                let at = records.len() / 2;
+                fs::write(tmp.0.join("0000000000000000.wal"), format_1_segment(&records[..at]))
+                    .unwrap();
+                fs::write(tmp.0.join("0000000000000001.wal"), format_1_segment(&records[at..]))
+                    .unwrap();
+                None
+            }
+            // One segment of a format-2 log swapped for a format-1 one, or
+            // re-headed with another version (header and complement
+            // consistent, so no bit flip).
+            _ => {
+                write_log(&tmp.0, &records, segment_bytes);
+                let files = segment_files(&tmp.0);
+                let path = &files[(pick % files.len() as u64) as usize];
+                if kind == 1 {
+                    fs::write(path, format_1_segment(&records[..1])).unwrap();
+                    None
+                } else {
+                    let version = LOG_FORMAT_VERSION + 1 + (pick >> 32) as u16 % 100;
+                    let mut bytes = fs::read(path).unwrap();
+                    bytes[4..6].copy_from_slice(&version.to_le_bytes());
+                    bytes[6..8].copy_from_slice(&(!version).to_le_bytes());
+                    fs::write(path, &bytes).unwrap();
+                    Some(version)
+                }
+            }
+        };
+        let before = snapshot(&tmp.0);
+        let check = |r: Result<(), WalError>| match r {
+            Err(WalError::UnsupportedFormat { version, .. }) => {
+                prop_assert_eq!(version, want);
+                Ok(())
+            }
+            other => Err(TestCaseError::fail(format!("expected a refusal, got {other:?}"))),
+        };
+        check(scan(&tmp.0).map(drop))?;
+        check(scan_with(&tmp.0, |_| {}).map(drop))?;
+        check(Wal::open(WalConfig::new(&tmp.0)).map(drop))?;
+        prop_assert_eq!(snapshot(&tmp.0), before, "a refused log is left as it was");
+    }
+
+    #[test]
+    fn an_empty_last_segment_reads_as_empty(
+        record_seed in any::<u64>(),
+        num_records in 0usize..=16,
+        segment_bytes in 16u64..=1024,
+    ) {
+        let tmp = TempDir::new("emptylast");
+        let mut state = record_seed;
+        let records: Vec<WalRecord> =
+            (0..num_records).map(|_| record_from(&mut state)).collect();
+        write_log(&tmp.0, &records, segment_bytes);
+        let next = segment_files(&tmp.0).len();
+        fs::write(tmp.0.join(format!("{next:016}.wal")), b"").unwrap();
+
+        let scanned = scan(&tmp.0).unwrap();
+        prop_assert_eq!(&scanned.records, &records);
+        prop_assert!(!scanned.truncated);
+        let (mut wal, rec) = Wal::open(WalConfig::new(&tmp.0)).unwrap();
+        prop_assert_eq!(&rec.records, &records);
+        prop_assert!(!rec.truncated);
+        prop_assert_eq!(wal.active_segment(), next as u64);
+        let extra = WalRecord::SessionClose { token: 0x5EED };
+        wal.append(&extra).unwrap();
+        drop(wal);
+        let mut want = records;
+        want.push(extra);
+        prop_assert_eq!(&scan(&tmp.0).unwrap().records, &want);
     }
 }

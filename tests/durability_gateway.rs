@@ -22,7 +22,9 @@
 //!   so can a client whose session ended on a degenerate calibration
 //!   stretch; past the window the cached end is gone and its memory freed;
 //! * **resume edges** — a takeover from a still-live connection continues
-//!   gap-free on the new one, and a denied resume moves nothing.
+//!   gap-free on the new one, and a denied resume moves nothing;
+//! * **format refusal** — a log in another format is refused by replay and
+//!   by a recovering bind, with every byte left in place.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -45,7 +47,7 @@ use heartbeat_rp::hbc_net::{
     replay_log, Gateway, GatewayConfig, GatewayStats, NodeClient, PROTOCOL_VERSION,
 };
 use heartbeat_rp::hbc_rp::PackedProjection;
-use heartbeat_rp::hbc_wal::WalConfig;
+use heartbeat_rp::hbc_wal::{crc32, WalConfig, WalError};
 use heartbeat_rp::pipeline::TrainedSystem;
 use heartbeat_rp::StreamHub;
 
@@ -450,6 +452,61 @@ fn replay_rescores_the_log_bit_identically_for_any_thread_count() {
         assert_eq!(s.patient_id, record.id, "{label}");
         assert_eq!(s.samples as usize, record.len(), "{label}");
         assert_full_match(&s.outcomes, &summary.outcomes, label);
+    }
+}
+
+#[test]
+fn a_log_in_another_format_is_refused_by_replay_and_bind_untouched() {
+    // A format-1 log (header-less, `len u32` envelope, raw i16 codes) and
+    // a headed log of an unknown version: replay and a recovering bind
+    // refuse both with the typed error and leave every byte in place,
+    // where treating them as corrupt would truncate them away.
+    fn format_1_record(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut out = ((body.len() + 1) as u32).to_le_bytes().to_vec();
+        out.push(tag);
+        out.extend_from_slice(body);
+        let crc = crc32(&out[4..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+    let token = 0x5EED_u64.to_le_bytes();
+    let mut open = token.to_vec();
+    for v in [1u32, 42, 512, 360_000] {
+        open.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut samples = token.to_vec();
+    samples.extend_from_slice(&0u32.to_le_bytes());
+    samples.extend_from_slice(&600u32.to_le_bytes());
+    for i in 0..600i16 {
+        samples.extend_from_slice(&(i % 50).to_le_bytes());
+    }
+    let mut format_1 = format_1_record(1, &open);
+    format_1.extend(format_1_record(2, &samples));
+    let mut format_9 = b"HBCL".to_vec();
+    format_9.extend_from_slice(&9u16.to_le_bytes());
+    format_9.extend_from_slice(&(!9u16).to_le_bytes());
+    format_9.extend_from_slice(&format_1);
+
+    let fw = firmware();
+    let tmp = support::TempDir::new("wal-foreign");
+    let segment = tmp.path().join("0000000000000000.wal");
+    for (bytes, want) in [(format_1, None), (format_9, Some(9))] {
+        std::fs::write(&segment, &bytes).expect("write segment");
+        let refused = |e: std::io::Error| match e.get_ref().and_then(|e| e.downcast_ref()) {
+            Some(WalError::UnsupportedFormat { version, .. }) => assert_eq!(*version, want),
+            _ => panic!("expected a format refusal, got {e:?}"),
+        };
+        refused(replay_log(tmp.path(), &fw, None).expect_err("replay refuses"));
+        refused(
+            Gateway::bind("127.0.0.1:0", &fw, 360.0, wal_config(tmp.path()))
+                .expect_err("bind refuses"),
+        );
+        assert_eq!(std::fs::read(&segment).expect("read back"), bytes);
+        let names: Vec<_> = std::fs::read_dir(tmp.path())
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, [segment.file_name().expect("name")]);
     }
 }
 

@@ -31,7 +31,7 @@ use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
 use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{
-    dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, MAX_SAMPLES_PER_FRAME,
+    crc32, dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, MAX_SAMPLES_PER_FRAME,
 };
 use heartbeat_rp::hbc_net::{
     Gateway, GatewayConfig, GatewayStats, NetError, NodeClient, OverflowPolicy, CREDIT_QUIET,
@@ -689,6 +689,38 @@ fn protocol_version_mismatches_are_refused_by_name_on_both_sides() {
             other => panic!("expected the mismatch to surface, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn a_byte_exact_v5_hello_is_denied_by_name_in_a_frame_a_v5_node_reads() {
+    // The bytes a protocol-5 node sends, spelled out: the fixed envelope
+    // (`len u32` = 3, tag 0x01), version 5 as a little-endian u16, CRC-32.
+    let mut hello = vec![3, 0, 0, 0, 0x01, 5, 0];
+    let crc = crc32(&hello[4..]);
+    hello.extend_from_slice(&crc.to_le_bytes());
+    let fw = firmware();
+    let ((), stats) = with_gateway(&fw, 360.0, GatewayConfig::default(), |addr| {
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        raw.write_all(&hello).expect("hello");
+        // The gateway denies and hangs up; read it all and parse it the
+        // way a v5 node does: `len u32 | tag | body | crc32`.
+        let mut bytes = Vec::new();
+        raw.read_to_end(&mut bytes).expect("read to the hang-up");
+        let len = u32::from_le_bytes(bytes[..4].try_into().expect("prefix")) as usize;
+        assert_eq!(bytes.len(), 4 + len + 4, "exactly one frame: {bytes:02x?}");
+        let (payload, trailer) = bytes[4..].split_at(len);
+        assert_eq!(
+            u32::from_le_bytes(trailer.try_into().expect("trailer")),
+            crc32(payload)
+        );
+        assert_eq!(payload[0], 0x85, "a Deny");
+        assert_eq!(
+            std::str::from_utf8(&payload[1..]).expect("UTF-8"),
+            "unsupported protocol version 5"
+        );
+    });
+    assert_eq!(stats.denials, 1);
+    assert_eq!(stats.sessions_opened, 0);
 }
 
 /// `record` cut to its first `len` samples, annotations included, so the
