@@ -16,6 +16,7 @@
 
 use hbc_baseline::Pca;
 use hbc_ecg::beat::Beat;
+use hbc_ecg::Dataset;
 use hbc_nfc::metrics::{calibrate_alpha, EvaluationReport};
 use hbc_nfc::training::TrainingExample;
 use hbc_nfc::{NeuroFuzzyClassifier, NfcTrainer};
@@ -116,40 +117,53 @@ pub fn table2_ndr(config: &ExperimentConfig) -> Result<Table2Report> {
 pub fn table2_ndr_with(engine: &Engine, config: &ExperimentConfig) -> Result<Table2Report> {
     config.validate()?;
     let mut columns = Vec::with_capacity(config.coefficient_sweep.len());
+    // Every column trains on the same seeded dataset: synthesise it once and
+    // hand it from one column's system to the next.
+    let mut dataset = Dataset::synthetic_with(config.dataset, config.seed, engine.par());
     for &k in &config.coefficient_sweep {
-        let system = TrainedSystem::train_with_coefficients(config, k)?;
-
-        // --- NDR-PC: calibrate α on the test set for the target ARR. ---
-        let pc_projected = project_all(engine, &system, &system.dataset.test)?;
-        let (_, pc_report) = calibrate_on(
-            engine,
-            &system.pc.classifier,
-            &pc_projected,
-            config.target_arr,
-        );
-
-        // --- NDR-WBSN: integer pipeline on full-rate windows (it downsamples
-        //     and quantises internally). ---
-        let (_, wbsn_report) =
-            system
-                .wbsn
-                .calibrate_alpha_with(engine, &system.dataset.test, config.target_arr)?;
-
-        // --- PCA-PC: fit PCA on training set 1, train the same NFC on the
-        //     PCA coefficients, calibrate on the test set. ---
-        let pca_report = pca_baseline(engine, config, &system, k)?;
-
-        columns.push(Table2Column {
-            coefficients: k,
-            ndr_pc: pc_report.ndr(),
-            ndr_wbsn: wbsn_report.ndr(),
-            pca_pc: pca_report.ndr(),
-            achieved_arr: [pc_report.arr(), wbsn_report.arr(), pca_report.arr()],
-        });
+        let system = TrainedSystem::train_on(config, dataset, k)?;
+        columns.push(column(engine, config, &system, k)?);
+        dataset = system.dataset;
     }
     Ok(Table2Report {
         columns,
         target_arr: config.target_arr,
+    })
+}
+
+/// One column of Table II from a system trained with `k` coefficients.
+fn column(
+    engine: &Engine,
+    config: &ExperimentConfig,
+    system: &TrainedSystem,
+    k: usize,
+) -> Result<Table2Column> {
+    // --- NDR-PC: calibrate α on the test set for the target ARR. ---
+    let pc_projected = project_all(engine, system, &system.dataset.test)?;
+    let (_, pc_report) = calibrate_on(
+        engine,
+        &system.pc.classifier,
+        &pc_projected,
+        config.target_arr,
+    );
+
+    // --- NDR-WBSN: integer pipeline on full-rate windows (it downsamples
+    //     and quantises internally). ---
+    let (_, wbsn_report) =
+        system
+            .wbsn
+            .calibrate_alpha_with(engine, &system.dataset.test, config.target_arr)?;
+
+    // --- PCA-PC: fit PCA on training set 1, train the same NFC on the
+    //     PCA coefficients, calibrate on the test set. ---
+    let pca_report = pca_baseline(engine, config, system, k)?;
+
+    Ok(Table2Column {
+        coefficients: k,
+        ndr_pc: pc_report.ndr(),
+        ndr_wbsn: wbsn_report.ndr(),
+        pca_pc: pca_report.ndr(),
+        achieved_arr: [pc_report.arr(), wbsn_report.arr(), pca_report.arr()],
     })
 }
 
@@ -308,6 +322,29 @@ mod tests {
                     column.coefficients
                 );
             }
+        }
+    }
+
+    #[test]
+    fn one_synthesis_gives_the_columns_of_per_column_training() {
+        // Each column as the sweep computed it before it shared one
+        // dataset: a system trained from scratch for every coefficient
+        // count.
+        let config = ExperimentConfig::quick();
+        let engine = Engine::default();
+        let report = quick_report();
+        for (&k, shared) in config.coefficient_sweep.iter().zip(&report.columns) {
+            let system = TrainedSystem::train_with_coefficients(&config, k).expect("training");
+            let fresh = column(&engine, &config, &system, k).expect("column");
+            let bits = |c: &Table2Column| {
+                [c.ndr_pc, c.ndr_wbsn, c.pca_pc]
+                    .into_iter()
+                    .chain(c.achieved_arr)
+                    .map(f64::to_bits)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(shared.coefficients, k);
+            assert_eq!(bits(shared), bits(&fresh), "k = {k}");
         }
     }
 

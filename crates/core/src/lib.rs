@@ -67,6 +67,7 @@ pub use hbc_ecg;
 pub use hbc_embedded;
 pub use hbc_nfc;
 pub use hbc_obs;
+pub use hbc_par;
 pub use hbc_rp;
 
 /// Errors surfaced by the framework crate.

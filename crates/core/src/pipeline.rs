@@ -238,6 +238,29 @@ impl TrainedSystem {
     pub fn train_with_coefficients(config: &ExperimentConfig, coefficients: usize) -> Result<Self> {
         config.validate()?;
         let dataset = Dataset::synthetic(config.dataset, config.seed);
+        Self::train_on(config, dataset, coefficients)
+    }
+
+    /// Same as [`Self::train_with_coefficients`] over an already generated
+    /// `dataset` (the Table II sweep synthesises its dataset once for every
+    /// coefficient count). `config.dataset` is not consulted; the seed still
+    /// drives the projection draw.
+    ///
+    /// The full-rate and the downsampled pipeline are fitted one after the
+    /// other on the calling thread. Fitting them concurrently saves ~4 ms of
+    /// the gateway benchmark's set-up, but the fit on the spawned thread
+    /// leaves its allocations in a second malloc arena, which raised
+    /// `fleet_durable`'s peak RSS by ~0.45 MiB.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the configuration is invalid or training fails.
+    pub fn train_on(
+        config: &ExperimentConfig,
+        dataset: Dataset,
+        coefficients: usize,
+    ) -> Result<Self> {
+        config.validate()?;
         let dataset_downsampled = downsample_dataset(&dataset, config.downsample);
 
         let pc = fit(config, &dataset, coefficients)?;

@@ -94,9 +94,12 @@ impl<S: SampleScale> PatientStream<'_, S> {
 /// Staged samples below which one [`StreamHub::ingest`] batch runs on the
 /// caller's thread instead of fanning out over the hub's workers.
 ///
-/// A fan-out spawns scoped threads on every call (`Par::for_each`), which the
-/// gateway benchmark's layer table measures at 50–90 µs per call on a
-/// 2-vCPU host, while the block-at-a-time streaming firmware costs
+/// A fan-out spawns `workers − 1` scoped threads on every call
+/// (`Par::for_each` runs the caller as the remaining worker, so a 2-vCPU
+/// host spawns one). With every worker spawned, the gateway benchmark's
+/// layer table measured that at 50–90 µs per call on a 2-vCPU host
+/// (`par.map_overhead_us` fell from 53–63 to 38–45 µs when the caller
+/// became a worker), while the block-at-a-time streaming firmware costs
 /// 120–180 ns per sample cache-hot, and its conditioning alone 235–300 ns
 /// per sample inside the hub, where each session's state is cold (traced
 /// `fleet_realtime` runs). 2 048 samples are therefore ≈0.25–0.6 ms of
@@ -273,6 +276,24 @@ impl<'fw, S: SampleScale> StreamHub<'fw, S> {
             scratch.raw = raw;
             thresholds
         })
+    }
+
+    /// [`Self::calibrate_samples`] over a batch of stretches at once, on the
+    /// hub's workers: `stretch` picks each item's stretch, and the results
+    /// come back in batch order, each exactly what `calibrate_samples`
+    /// returns for its stretch. A stretch costs a few hundred microseconds
+    /// of filtering, far above the cost of a fan-out, so any batch of two or
+    /// more fans out.
+    pub fn calibrate_batch<'s, T: Sync>(
+        &self,
+        batch: &[T],
+        stretch: impl Fn(&T) -> &'s [S::Sample] + Sync,
+    ) -> Vec<Result<PeakThresholds>>
+    where
+        S::Sample: 's,
+    {
+        self.par
+            .map(batch, |item| self.calibrate_samples(stretch(item)))
     }
 
     /// Runs `calibrate` on a scratch popped from the pool, and returns the

@@ -21,6 +21,7 @@
 use crate::beat::{Beat, BeatClass, NUM_CLASSES};
 use crate::synthetic::SyntheticEcg;
 use crate::{EcgError, Result};
+use hbc_par::Par;
 
 /// Identifier of one of the three splits used by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,31 +182,51 @@ impl Dataset {
     /// overlap like real MIT-BIH morphologies do — without this the
     /// classification experiments saturate at 100 % and the paper's
     /// comparisons become meaningless.
+    ///
+    /// Rendering runs on all cores ([`Self::synthetic_with`]); the dataset
+    /// is bit-identical for any thread count.
     pub fn synthetic(spec: DatasetSpec, seed: u64) -> Dataset {
+        Self::synthetic_with(spec, seed, Par::default())
+    }
+
+    /// [`Self::synthetic`] rendered on `par`.
+    ///
+    /// Every beat's randomness is drawn in generation order first
+    /// ([`SyntheticEcg::plan_beat`]: split by split, class by class), and
+    /// every sample buffer is allocated here on the calling thread; the
+    /// workers then only compute samples ([`SyntheticEcg::render`]), which
+    /// is where nearly all the time goes — about ten libm calls per sample.
+    pub fn synthetic_with(spec: DatasetSpec, seed: u64, par: Par) -> Dataset {
         let mut gen = SyntheticEcg::with_seed(seed)
             .with_variability(crate::synthetic::Variability::challenging())
             .with_noise(crate::noise::NoiseModel::ambulatory());
-        let build = |gen: &mut SyntheticEcg, s: SplitSpec| -> Vec<Beat> {
-            let mut beats = Vec::with_capacity(s.total());
-            for (class_idx, &count) in s.counts.iter().enumerate() {
+        let splits = [spec.training1, spec.training2, spec.test];
+        let mut plans = Vec::with_capacity(spec.total());
+        for split in splits {
+            for (class_idx, &count) in split.counts.iter().enumerate() {
                 let class = BeatClass::from_index(class_idx).expect("class index in range");
-                beats.extend(gen.beats(class, count));
+                plans.extend((0..count).map(|_| gen.plan_beat(class)));
             }
+        }
+        let mut beats: Vec<Beat> = plans.iter().map(|p| gen.empty_beat(p.class())).collect();
+        par.for_each(beats.iter_mut().zip(&plans), |(beat, plan)| {
+            gen.render(plan, &mut beat.samples);
+        });
+        let mut rest = beats.into_iter();
+        let [training1, training2, test] = splits.map(|split| {
+            let mut beats: Vec<Beat> = rest.by_ref().take(split.total()).collect();
             // Interleave classes deterministically so batch-order effects do
-            // not leak class information into any downstream consumer.
-            beats.sort_by_key(|b| {
-                // A simple deterministic shuffle key derived from the sample
-                // content keeps the operation reproducible without an RNG.
-                let h = b.samples.iter().fold(0u64, |acc, &s| {
+            // not leak class information into any downstream consumer. A
+            // simple deterministic shuffle key derived from the sample
+            // content keeps the operation reproducible without an RNG; the
+            // sort is stable, so equal keys keep generation order.
+            beats.sort_by_cached_key(|b| {
+                b.samples.iter().fold(0u64, |acc, &s| {
                     acc.wrapping_mul(31).wrapping_add(s.to_bits())
-                });
-                h
+                })
             });
             beats
-        };
-        let training1 = build(&mut gen, spec.training1);
-        let training2 = build(&mut gen, spec.training2);
-        let test = build(&mut gen, spec.test);
+        });
         Dataset {
             training1,
             training2,

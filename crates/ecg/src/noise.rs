@@ -86,6 +86,17 @@ impl NoiseModel {
             && self.powerline_amplitude_mv == 0.0
     }
 
+    /// The number of 64-bit words [`Self::apply`] draws from its generator
+    /// for a signal of `len` samples: two per sample for the EMG term, none
+    /// at all for a clean model.
+    pub fn rng_draws(&self, len: usize) -> usize {
+        if self.is_clean() {
+            0
+        } else {
+            2 * len
+        }
+    }
+
     /// Adds the configured noise, in place, to `signal` sampled at `fs` Hz.
     ///
     /// `phase_seed` decorrelates the deterministic components across leads and
@@ -159,6 +170,26 @@ mod tests {
         let bound =
             model.baseline_amplitude_mv + model.powerline_amplitude_mv + 6.0 * model.emg_std_mv;
         assert!(max < bound + 1e-9, "noise {max} exceeds bound {bound}");
+    }
+
+    #[test]
+    fn rng_draws_counts_what_apply_draws() {
+        use rand::RngCore;
+        for model in [
+            NoiseModel::clean(),
+            NoiseModel::ambulatory(),
+            NoiseModel::heavy(),
+        ] {
+            for len in [0, 1, 200] {
+                let mut applied = StdRng::seed_from_u64(9);
+                model.apply(&mut vec![0.0; len], 360.0, 0.4, &mut applied);
+                let mut skipped = StdRng::seed_from_u64(9);
+                for _ in 0..model.rng_draws(len) {
+                    skipped.next_u64();
+                }
+                assert_eq!(applied, skipped, "{model:?}, {len} samples");
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! faces a realistic within-class spread rather than copies of one template.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::beat::{Beat, BeatClass, BeatWindow};
 use crate::noise::{standard_normal, NoiseModel};
@@ -221,6 +221,22 @@ pub struct SyntheticEcg {
     pub noise: NoiseModel,
 }
 
+/// The randomness of one beat, drawn by [`SyntheticEcg::plan_beat`] and
+/// rendered by [`SyntheticEcg::render`].
+#[derive(Debug, Clone)]
+pub struct BeatPlan {
+    template: BeatTemplate,
+    phase: f64,
+    noise_rng: StdRng,
+}
+
+impl BeatPlan {
+    /// The class of the planned beat.
+    pub fn class(&self) -> BeatClass {
+        self.template.class
+    }
+}
+
 impl SyntheticEcg {
     /// Creates a generator with the paper's acquisition parameters (360 Hz,
     /// 100+100-sample window, ambulatory noise) and the given seed.
@@ -279,24 +295,70 @@ impl SyntheticEcg {
     /// Panics if `class` is [`BeatClass::Unknown`].
     pub fn beat(&mut self, class: BeatClass) -> Beat {
         let template = self.jittered_template(&BeatTemplate::for_class(class));
-        let pre = self.window.pre;
-        let n = self.window.len();
-        let fs = self.fs;
-        let mut samples: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = (i as f64 - pre as f64) / fs;
-                template.value_at(t)
-            })
-            .collect();
+        let mut beat = self.empty_beat(class);
+        self.sample_template(&template, &mut beat.samples);
         let phase: f64 = self.rng.gen::<f64>() * std::f64::consts::TAU;
         let noise = self.noise;
-        noise.apply(&mut samples, fs, phase, &mut self.rng);
+        noise.apply(&mut beat.samples, self.fs, phase, &mut self.rng);
+        beat
+    }
+
+    /// Draws the randomness of the next beat of `class` — exactly what
+    /// [`Self::beat`] would draw — without rendering it: the jittered
+    /// template, the noise phase, and a copy of the generator state the
+    /// noise is drawn from. The generator then skips the noise draws, so
+    /// the next call plans the beat after this one.
+    ///
+    /// Plans are rendered by [`Self::render`], in any order and on any
+    /// thread: planning `k` beats and rendering them gives the `k` beats
+    /// `k` calls to [`Self::beat`] would, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is [`BeatClass::Unknown`].
+    pub fn plan_beat(&mut self, class: BeatClass) -> BeatPlan {
+        let template = self.jittered_template(&BeatTemplate::for_class(class));
+        let phase: f64 = self.rng.gen::<f64>() * std::f64::consts::TAU;
+        let noise_rng = self.rng.clone();
+        for _ in 0..self.noise.rng_draws(self.window.len()) {
+            self.rng.next_u64();
+        }
+        BeatPlan {
+            template,
+            phase,
+            noise_rng,
+        }
+    }
+
+    /// A beat of `class` with an all-zero window, ready for [`Self::render`].
+    pub fn empty_beat(&self, class: BeatClass) -> Beat {
         Beat {
-            samples,
+            samples: vec![0.0; self.window.len()],
             class,
-            peak_index: pre,
+            peak_index: self.window.pre,
             record_id: 0,
             record_position: 0,
+        }
+    }
+
+    /// Renders a planned beat into `samples`, which must hold one window
+    /// (as [`Self::empty_beat`] allocates it). Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is not one window long.
+    pub fn render(&self, plan: &BeatPlan, samples: &mut [f64]) {
+        assert_eq!(samples.len(), self.window.len(), "one beat window");
+        self.sample_template(&plan.template, samples);
+        let mut rng = plan.noise_rng.clone();
+        self.noise.apply(samples, self.fs, plan.phase, &mut rng);
+    }
+
+    /// Overwrites `samples` with `template` sampled over the beat window.
+    fn sample_template(&self, template: &BeatTemplate, samples: &mut [f64]) {
+        let pre = self.window.pre as f64;
+        for (i, s) in samples.iter_mut().enumerate() {
+            *s = template.value_at((i as f64 - pre) / self.fs);
         }
     }
 

@@ -35,19 +35,27 @@ use hbc_wal::{Wal, WalConfig, WalRecord};
 use crate::proto::wire_adc;
 use crate::session::{NetSession, SessionManager, SessionPhase, SessionPriority};
 
-/// Turns a calibration stretch into a hub session — the one place the
-/// gateway derives detection thresholds: calibrate on `stretch`, register
-/// the patient, and return the handle a [`SessionPhase::Streaming`] session
-/// carries. `None` when the stretch is degenerate (too short or too flat
-/// for the detector). Used by sweep promotion, close-while-calibrating and
-/// the log rebuild.
-pub(crate) fn promote(
+/// Turns calibration stretches into hub sessions — the one place the
+/// gateway derives detection thresholds. `request` gives each batch item's
+/// patient and stretch. The thresholds of every stretch are computed at
+/// once on the hub's workers ([`StreamHub::calibrate_batch`]); the patients
+/// are then registered in batch order, so hub slots are assigned exactly as
+/// one-at-a-time promotion in that order would assign them. Returns, per
+/// item, the handle a [`SessionPhase::Streaming`] session carries, or
+/// `None` when the stretch is degenerate (too short or too flat for the
+/// detector). Used by sweep promotion, close-while-calibrating and the log
+/// rebuild.
+pub(crate) fn promote<'s, T: Sync>(
     hub: &mut StreamHub<'_, AdcModel>,
-    patient_id: u32,
-    stretch: &[i16],
-) -> Option<SessionId> {
-    let thresholds = hub.calibrate_samples(stretch).ok()?;
-    Some(hub.add_patient(patient_id, thresholds))
+    batch: &[T],
+    request: impl Fn(&T) -> (u32, &'s [i16]) + Sync,
+) -> Vec<Option<SessionId>> {
+    let thresholds = hub.calibrate_batch(batch, |item| request(item).1);
+    batch
+        .iter()
+        .zip(thresholds)
+        .map(|(item, thresholds)| Some(hub.add_patient(request(item).0, thresholds.ok()?)))
+        .collect()
 }
 
 /// One logged session re-scored through the pipeline, in log open order.
@@ -211,10 +219,10 @@ pub(crate) struct Rebuilt {
 }
 
 /// Rebuilds logged sessions into `hub`, which must run at their sampling
-/// rate: derives each session's thresholds from its calibration stretch,
-/// then feeds every calibrated stream's codes from its first sample through
-/// parallel [`StreamHub::ingest`] calls of [`REBUILD_ROUND`] samples per
-/// session. By chunk invariance the outcome history is bit-identical to the
+/// rate: derives every session's thresholds from its calibration stretch
+/// (one parallel [`promote`] batch), then feeds every calibrated stream's
+/// codes from its first sample through parallel [`StreamHub::ingest`]
+/// calls of [`REBUILD_ROUND`] samples per session. By chunk invariance the outcome history is bit-identical to the
 /// live ingestion, whatever chunk sizes the node used.
 ///
 /// Returns the sessions in input order, plus whether the hub rejected an
@@ -223,13 +231,23 @@ pub(crate) fn rebuild(
     hub: &mut StreamHub<'_, AdcModel>,
     logged: Vec<LoggedSession>,
 ) -> (Vec<Rebuilt>, bool) {
+    // Every complete stretch is calibrated in one batch, and its session
+    // registered in input order.
+    let complete: Vec<(u32, &[i16])> = logged
+        .iter()
+        .filter_map(|s| Some((s.patient_id, s.codes.get(..s.calib_len)?)))
+        .collect();
+    let mut promoted = promote(hub, &complete, |&request| request).into_iter();
     let rebuilt: Vec<Rebuilt> = logged
         .into_iter()
         .map(|session| {
-            let calibration = match session.codes.get(..session.calib_len) {
-                None => Calibration::Pending,
-                Some(stretch) => promote(hub, session.patient_id, stretch)
-                    .map_or(Calibration::Failed, Calibration::Streaming),
+            let calibration = if session.codes.len() < session.calib_len {
+                Calibration::Pending
+            } else {
+                promoted
+                    .next()
+                    .expect("one promotion per complete stretch")
+                    .map_or(Calibration::Failed, Calibration::Streaming)
             };
             Rebuilt {
                 samples: session.codes.len() as u64,

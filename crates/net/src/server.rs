@@ -714,6 +714,8 @@ pub struct Gateway<'fw> {
     /// are the batch; each keeps its sample buffer's capacity across
     /// sweeps),
     staged: Vec<(SessionId, Vec<i16>)>,
+    /// the sessions whose calibration stretch completed in this sweep,
+    promoting: Vec<u32>,
     /// and the outcome tail being forwarded to one session.
     outcomes: Vec<WireOutcome>,
     /// Durable ingest log, when configured. `None` after an append failure
@@ -821,6 +823,7 @@ impl<'fw> Gateway<'fw> {
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             frames: Vec::new(),
             staged: Vec::new(),
+            promoting: Vec::new(),
             outcomes: Vec::new(),
             wal,
             buffered_samples,
@@ -1738,19 +1741,21 @@ impl<'fw> Gateway<'fw> {
         self.stats.progress_reaps += progress_reaps;
     }
 
-    /// Visits this sweep's ready sessions in wire-id order. A session whose
-    /// calibration stretch is complete is promoted first, so the stretch is
-    /// staged (and its credit granted) in the sweep that completes it. Each
-    /// streaming session then stages at most one pending chunk, and the
-    /// batch goes into the hub with a single [`StreamHub::ingest`] call
-    /// (which fans out only when the batch is large enough to pay for it).
-    /// The ready set stays in `sweep` for forwarding.
+    /// Visits this sweep's ready sessions in wire-id order. Sessions whose
+    /// calibration stretch is complete are promoted first
+    /// ([`Self::promote_completed`]), so the stretch is staged (and its
+    /// credit granted) in the sweep that completes it. Each streaming
+    /// session then stages at most one pending chunk, and the batch goes
+    /// into the hub with a single [`StreamHub::ingest`] call (which fans out
+    /// only when the batch is large enough to pay for it). The ready set
+    /// stays in `sweep` for forwarding.
     fn ingest_sweep(&mut self) -> bool {
         std::mem::swap(&mut self.ready, &mut self.sweep);
         self.ready.clear();
         self.sweep.sort_unstable();
         self.sweep.dedup();
         let sweep = std::mem::take(&mut self.sweep);
+        self.promote_completed(&sweep);
         let now = self.now;
         let mut batch = 0;
         for &wire_id in &sweep {
@@ -1760,26 +1765,15 @@ impl<'fw> Gateway<'fw> {
             };
             let hub_id = match s.phase {
                 SessionPhase::Streaming { hub } => hub,
-                // Promotion: derive thresholds from the first `calib_len`
-                // samples and create the hub session; the stretch stays in
-                // `pending` and is staged below, like a node's start-up
-                // phase.
-                SessionPhase::Calibrating { calib_len } if s.pending.len() >= calib_len => {
-                    match promote(&mut self.hub, s.patient_id, &s.pending[..calib_len]) {
-                        Some(hub) => {
-                            s.phase = SessionPhase::Streaming { hub };
-                            hub
-                        }
-                        // A degenerate calibration stretch is a per-session
-                        // failure: end *this* session like any close — an
-                        // empty Report whose samples counter tells the
-                        // client how much was consumed for nothing — and
-                        // leave the connection's other sessions untouched.
-                        None => {
-                            self.close_wire_session(wire_id, false);
-                            continue;
-                        }
-                    }
+                // Still calibrating with the whole stretch buffered: its
+                // promotion above failed. A degenerate calibration stretch
+                // is a per-session failure: end *this* session like any
+                // close — an empty Report whose samples counter tells the
+                // client how much was consumed for nothing — and leave the
+                // connection's other sessions untouched.
+                SessionPhase::Calibrating { .. } if s.completed_stretch().is_some() => {
+                    self.close_wire_session(wire_id, false);
+                    continue;
                 }
                 SessionPhase::Calibrating { .. } => continue,
             };
@@ -1844,6 +1838,39 @@ impl<'fw> Gateway<'fw> {
             debug_assert!(false, "staged ingest rejected by the hub");
         }
         true
+    }
+
+    /// Promotes every session of `sweep` whose calibration stretch is
+    /// complete: one [`promote`] batch derives all their thresholds on the
+    /// hub's workers and creates their hub sessions in wire-id order (the
+    /// order `sweep` is in), so hub slots are those one-at-a-time promotion
+    /// would assign. Each stretch stays in `pending` and is staged by the
+    /// sweep, like a node's start-up phase. A session whose stretch is
+    /// degenerate is left calibrating, for the sweep to close. A sweep in
+    /// which no stretch completes allocates nothing.
+    fn promote_completed(&mut self, sweep: &[u32]) {
+        let sessions = &self.sessions;
+        self.promoting.clear();
+        self.promoting.extend(sweep.iter().copied().filter(|&id| {
+            sessions
+                .get(id)
+                .is_some_and(|s| s.completed_stretch().is_some())
+        }));
+        if self.promoting.is_empty() {
+            return;
+        }
+        let promoted = promote(&mut self.hub, &self.promoting, |&id| {
+            let s = sessions.get(id).expect("promoting a live session");
+            (
+                s.patient_id,
+                s.completed_stretch().expect("a complete stretch"),
+            )
+        });
+        for (&id, hub) in self.promoting.iter().zip(promoted) {
+            if let (Some(s), Some(hub)) = (self.sessions.get_mut(id), hub) {
+                s.phase = SessionPhase::Streaming { hub };
+            }
+        }
     }
 
     /// Forwards freshly classified beats of this sweep's ready sessions and
@@ -1963,7 +1990,7 @@ impl<'fw> Gateway<'fw> {
         // empty session).
         if let SessionPhase::Calibrating { calib_len } = s.phase {
             let stretch = &pending[..calib_len.min(pending.len())];
-            if let Some(hub) = promote(&mut self.hub, s.patient_id, stretch) {
+            if let [Some(hub)] = promote(&mut self.hub, &[(s.patient_id, stretch)], |&r| r)[..] {
                 s.phase = SessionPhase::Streaming { hub };
             }
         }
@@ -2143,6 +2170,176 @@ impl std::fmt::Debug for Gateway<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use hbc_core::hbc_rp::PackedProjection;
+    use hbc_core::{ExperimentConfig, TrainedSystem};
+    use hbc_ecg::record::Lead;
+    use hbc_ecg::synthetic::SyntheticEcg;
+    use hbc_ecg::BeatWindow;
+    use hbc_embedded::int_classifier::AlphaQ16;
+
+    use crate::proto::{dequantize_mv_into, quantize_mv_into, MAX_SAMPLES_PER_FRAME};
+    use crate::PROTOCOL_VERSION;
+
+    /// Reads whatever frames have arrived on a client socket whose read
+    /// timeout makes an empty socket return at once.
+    fn read_frames(conn: &mut TcpStream, decoder: &mut FrameDecoder, frames: &mut Vec<Frame>) {
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match conn.read(&mut buf) {
+                Ok(0) => return,
+                Ok(n) => decoder.feed(&buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                Err(e) => panic!("client read: {e}"),
+            }
+        }
+        while let Some(frame) = decoder.next_frame().expect("well-formed frames") {
+            frames.push(frame);
+        }
+    }
+
+    #[test]
+    fn a_burst_of_completed_stretches_promotes_in_wire_id_order() {
+        // Four sessions send their whole calibration stretch in one write,
+        // so every stretch completes in the same sweep and is calibrated in
+        // one batch. Session 2's stretch is too short for the detector: it
+        // alone ends, with an empty Report. The others get the hub slots
+        // one-at-a-time promotion would give them — wire-id order — and
+        // outcomes bit-identical to `process_record` (the stretch is the
+        // whole record, as in `process_record`'s calibration).
+        let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
+        let fw = WbsnFirmware::new(
+            PackedProjection::from_matrix(&system.pc_downsampled.projection),
+            system.wbsn.classifier.clone(),
+            AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
+            system.config.downsample,
+            BeatWindow::PAPER,
+        )
+        .expect("firmware dimensions");
+        let mut records = Vec::new();
+        let mut streams = Vec::new();
+        for seed in 0..4u64 {
+            let mut gen = SyntheticEcg::with_seed(4100 + seed);
+            let rhythm = gen.rhythm(14, 0.1, 0.1);
+            let mut record = gen.record(seed as u32, &rhythm, 1).expect("record");
+            let mut codes = Vec::new();
+            quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
+            if seed == 2 {
+                codes.truncate(4);
+            }
+            dequantize_mv_into(&codes, &mut record.leads[0]);
+            records.push(record);
+            streams.push(codes);
+        }
+        let fs = records[0].fs;
+        let config = GatewayConfig {
+            credit_budget: 1 << 20,
+            ..GatewayConfig::default()
+        };
+        let mut gateway = Gateway::bind("127.0.0.1:0", &fw, fs, config).expect("bind");
+        let mut conn = TcpStream::connect(gateway.local_addr().expect("addr")).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_millis(1)))
+            .expect("read timeout");
+        let mut decoder = FrameDecoder::new();
+        let mut hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode();
+        for codes in &streams {
+            hello.extend(
+                Frame::OpenSession {
+                    patient_id: 7,
+                    fs_millihertz: (fs * 1000.0).round() as u32,
+                    calib_len: codes.len() as u32,
+                }
+                .encode(),
+            );
+        }
+        conn.write_all(&hello).expect("open");
+        let mut frames = Vec::new();
+        let mut ids = Vec::new();
+        while ids.len() < streams.len() {
+            gateway.poll().expect("poll");
+            read_frames(&mut conn, &mut decoder, &mut frames);
+            ids.extend(frames.drain(..).filter_map(|f| match f {
+                Frame::SessionOpened { session, .. } => Some(session),
+                _ => None,
+            }));
+        }
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "wire ids {ids:?}");
+
+        let mut burst = Vec::new();
+        for (&session, codes) in ids.iter().zip(&streams) {
+            for (seq, chunk) in codes.chunks(MAX_SAMPLES_PER_FRAME).enumerate() {
+                let frame = Frame::Samples {
+                    session,
+                    seq: seq as u32,
+                    samples: chunk.to_vec(),
+                };
+                burst.extend(frame.encode());
+            }
+        }
+        conn.write_all(&burst).expect("burst");
+        gateway
+            .poll()
+            .expect("the sweep that completes every stretch");
+        let slots: Vec<Option<usize>> = ids
+            .iter()
+            .map(|&id| {
+                gateway
+                    .sessions
+                    .get(id)
+                    .and_then(|s| s.hub_id().map(|h| h.index()))
+            })
+            .collect();
+        assert_eq!(slots, [Some(0), Some(1), None, Some(2)]);
+        assert!(
+            gateway.sessions.get(ids[2]).is_none(),
+            "the short stretch ended"
+        );
+
+        let mut closes = Vec::new();
+        for &session in [ids[0], ids[1], ids[3]].iter() {
+            closes.extend(Frame::CloseSession { session }.encode());
+        }
+        conn.write_all(&closes).expect("close");
+        let mut outcomes: Vec<Vec<WireOutcome>> = vec![Vec::new(); ids.len()];
+        let mut reports: Vec<Option<WireReport>> = vec![None; ids.len()];
+        while reports.iter().any(Option::is_none) {
+            gateway.poll().expect("poll");
+            read_frames(&mut conn, &mut decoder, &mut frames);
+            for frame in frames.drain(..) {
+                let index = |session| ids.iter().position(|&id| id == session).expect("known");
+                match frame {
+                    Frame::Outcomes {
+                        session,
+                        outcomes: o,
+                    } => outcomes[index(session)].extend(o),
+                    Frame::Report { session, report } => reports[index(session)] = Some(report),
+                    _ => {}
+                }
+            }
+        }
+        for (i, record) in records.iter().enumerate() {
+            let report = reports[i].expect("every session reported");
+            assert_eq!(report.samples as usize, streams[i].len(), "session {i}");
+            if i == 2 {
+                assert_eq!((report.beats, report.forwarded), (0, 0));
+                assert!(outcomes[i].is_empty());
+                continue;
+            }
+            let reference: Vec<WireOutcome> = fw
+                .process_record(record)
+                .expect("batch")
+                .beats
+                .iter()
+                .map(WireOutcome::from_outcome)
+                .collect();
+            assert!(!reference.is_empty(), "session {i} must emit beats");
+            assert_eq!(outcomes[i], reference, "session {i} vs process_record");
+            assert_eq!(report.beats as usize, reference.len());
+        }
+    }
 
     #[test]
     fn credit_schedule_coalesces_large_budgets_and_grants_small_ones_at_once() {

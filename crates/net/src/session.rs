@@ -187,6 +187,15 @@ impl NetSession {
         self.pending.len()
     }
 
+    /// The calibration stretch, once the session is calibrating and has
+    /// buffered all of it.
+    pub fn completed_stretch(&self) -> Option<&[i16]> {
+        match self.phase {
+            SessionPhase::Calibrating { calib_len } => self.pending.get(..calib_len),
+            SessionPhase::Streaming { .. } => None,
+        }
+    }
+
     /// The hub handle, if the session has finished calibrating.
     pub fn hub_id(&self) -> Option<SessionId> {
         match self.phase {
