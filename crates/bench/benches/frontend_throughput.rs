@@ -1,22 +1,24 @@
-//! Micro-benchmark: per-sample cost of the conditioning front-end kernels —
-//! the naive O(n·w) sliding-extremum scan against the O(n) monotone-deque
-//! kernel at the paper's structuring-element lengths, and the full
-//! baseline-removal + wavelet conditioning chain in its allocating and
-//! scratch-reused (`_into`) forms. Records the naive-vs-deque baseline in
+//! Micro-benchmark: per-sample cost of the conditioning front-end — the
+//! naive O(n·w) sliding-extremum oracle against the shipped van Herk /
+//! Gil–Werman streaming kernel at the paper's structuring-element lengths,
+//! and the full baseline-removal + wavelet conditioning chain, naive against
+//! the streaming-backed whole-signal filter. Records the ratios in
 //! `BENCH_frontend.json` at the workspace root (next to
 //! `BENCH_projection.json`) so front-end kernel regressions are visible in
-//! review and gated in CI. One more row gates the streaming front-end: the
-//! code-fed streaming conditioning chain (baseline filter + wavelet cascade,
-//! block by block over 36-sample chunks) against the batch deque chain, so
-//! a return to per-sample streaming kernels fails the gate. Also prints, as
-//! a report without a baseline or a gate, the streaming baseline filter's
-//! per-sample cost fed millivolts and fed ADC codes.
+//! review and gated in CI. One more row gates the gateway's block
+//! front-end: the code-fed streaming conditioning chain (baseline filter +
+//! wavelet cascade, block by block over 36-sample chunks) against the same
+//! naive chain, so a return to per-sample streaming kernels shows in the
+//! ratio. Also prints, as a report without a baseline or a gate, the
+//! streaming baseline filter's per-sample cost fed millivolts and fed ADC
+//! codes.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hbc_dsp::filter::{dilate, erode, sliding_extreme_naive, ExtremumKind, MorphologicalFilter};
-use hbc_dsp::{DyadicWavelet, FrontendScratch, StreamingBaselineFilter, StreamingWavelet};
+use hbc_dsp::filter::{sliding_extreme_naive, ExtremumKind, MorphologicalFilter};
+use hbc_dsp::streaming::{StreamingDilation, StreamingErosion};
+use hbc_dsp::{DyadicWavelet, StreamingBaselineFilter, StreamingWavelet};
 use hbc_embedded::AdcModel;
 
 /// One minute of drifting synthetic ECG-like signal at `fs` Hz.
@@ -32,6 +34,38 @@ fn test_signal(fs: f64) -> Vec<f64> {
         .collect()
 }
 
+/// The shipped streaming erosion (`Min`) or dilation (`Max`) of `signal`,
+/// pushed one sample at a time, right border drained.
+fn streaming_extreme(signal: &[f64], size: usize, kind: ExtremumKind) -> Vec<f64> {
+    let mut out = Vec::with_capacity(signal.len());
+    match kind {
+        ExtremumKind::Min => {
+            let mut op = StreamingErosion::new(size);
+            out.extend(signal.iter().filter_map(|&s| op.push(s)));
+            out.extend(std::iter::from_fn(|| op.finish_one()));
+        }
+        ExtremumKind::Max => {
+            let mut op = StreamingDilation::new(size);
+            out.extend(signal.iter().filter_map(|&s| op.push(s)));
+            out.extend(std::iter::from_fn(|| op.finish_one()));
+        }
+    }
+    out
+}
+
+/// The naive conditioning chain: naive filter, then the wavelet transform.
+fn naive_chain(filter: &MorphologicalFilter, wavelet: &DyadicWavelet, signal: &[f64]) {
+    let filtered = filter.apply_naive(black_box(signal)).expect("filter");
+    black_box(wavelet.transform(&filtered).expect("transform"));
+}
+
+/// The shipped whole-signal chain: the streaming-backed filter, then the
+/// wavelet transform.
+fn conditioning_chain(filter: &MorphologicalFilter, wavelet: &DyadicWavelet, signal: &[f64]) {
+    let filtered = filter.apply(black_box(signal)).expect("filter");
+    black_box(wavelet.transform(&filtered).expect("transform"));
+}
+
 fn bench_frontend(c: &mut Criterion) {
     // The 250 Hz operating point of the reference filter: a 50-sample QRS
     // element and a 133-sample beat element.
@@ -39,9 +73,6 @@ fn bench_frontend(c: &mut Criterion) {
     let filter = MorphologicalFilter::for_sampling_rate(fs);
     let signal = test_signal(fs);
     let wavelet = DyadicWavelet::new();
-    let mut scratch = FrontendScratch::default();
-    let mut out = Vec::new();
-    let mut details = Vec::new();
 
     let mut group = c.benchmark_group("frontend_one_minute");
     group.sample_size(10);
@@ -49,42 +80,21 @@ fn bench_frontend(c: &mut Criterion) {
         group.bench_function(format!("erode_naive/w{window}"), |b| {
             b.iter(|| sliding_extreme_naive(black_box(&signal), window, ExtremumKind::Min))
         });
-        group.bench_function(format!("erode_deque/w{window}"), |b| {
-            b.iter(|| erode(black_box(&signal), window))
+        group.bench_function(format!("erode_streaming/w{window}"), |b| {
+            b.iter(|| streaming_extreme(black_box(&signal), window, ExtremumKind::Min))
         });
     }
     group.bench_function("baseline_filter_naive", |b| {
         b.iter(|| filter.apply_naive(black_box(&signal)).expect("filter"))
     });
-    group.bench_function("baseline_filter_deque", |b| {
+    group.bench_function("baseline_filter", |b| {
         b.iter(|| filter.apply(black_box(&signal)).expect("filter"))
-    });
-    group.bench_function("baseline_filter_deque_into", |b| {
-        b.iter(|| {
-            filter
-                .apply_into(black_box(&signal), &mut scratch, &mut out)
-                .expect("filter")
-        })
     });
     group.bench_function("wavelet_transform", |b| {
         b.iter(|| wavelet.transform(black_box(&signal)).expect("transform"))
     });
-    group.bench_function("wavelet_transform_into", |b| {
-        b.iter(|| {
-            wavelet
-                .transform_into(black_box(&signal), &mut scratch, &mut details)
-                .expect("transform")
-        })
-    });
-    group.bench_function("conditioning_chain_into", |b| {
-        b.iter(|| {
-            filter
-                .apply_into(black_box(&signal), &mut scratch, &mut out)
-                .expect("filter");
-            wavelet
-                .transform_into(&out, &mut scratch, &mut details)
-                .expect("transform");
-        })
+    group.bench_function("conditioning_chain", |b| {
+        b.iter(|| conditioning_chain(&filter, &wavelet, &signal))
     });
     group.finish();
 }
@@ -116,21 +126,11 @@ fn min_ns_per_iter<F: FnMut()>(mut f: F, samples: usize) -> f64 {
     best
 }
 
-/// One row of the recorded baseline: an operator at one window length, a
-/// reference implementation against the measured one, in nanoseconds per
-/// input *sample*. The kernel rows compare naive vs deque; the streaming
-/// row compares the batch deque chain vs the streaming chain.
-struct BaselineRow {
-    stage: &'static str,
-    window: usize,
-    /// JSON keys of the reference and measured costs.
-    keys: (&'static str, &'static str),
-    reference_ns: f64,
-    measured_ns: f64,
-}
-
 /// The streaming row's stage name.
 const STREAMING_CHAIN: &str = "streaming_chain_codes";
+
+/// The whole-chain row's stage name.
+const CONDITIONING_CHAIN: &str = "conditioning_chain";
 
 /// Samples per chunk of the streaming row: one gateway packet.
 const STREAMING_CHUNK: usize = 36;
@@ -153,49 +153,103 @@ fn streaming_chain(fs: f64, adc: AdcModel, codes: &[i16]) -> f64 {
     acc
 }
 
-/// The signal as 12-bit ADC codes.
-fn to_codes(adc: &AdcModel, signal: &[f64]) -> Vec<i16> {
-    signal
-        .iter()
-        .map(|&s| adc.quantize_sample(s) as i16)
-        .collect()
-}
-
-/// Batch deque chain vs code-fed streaming chain, ns per sample.
-fn measure_streaming_row(
-    filter: &MorphologicalFilter,
+/// The fixture every row is measured on: the 250 Hz operating point, one
+/// minute of signal, and the same signal as 12-bit ADC codes.
+struct Fixture {
     fs: f64,
-    signal: &[f64],
-    samples: usize,
-) -> (f64, f64) {
-    let adc = AdcModel::default_frontend();
-    let codes = to_codes(&adc, signal);
-    let wavelet = DyadicWavelet::new();
-    let mut scratch = FrontendScratch::default();
-    let mut filtered = Vec::new();
-    let mut details = Vec::new();
-    let n = signal.len() as f64;
-    let batch = min_ns_per_iter(
-        || {
-            filter
-                .apply_into(black_box(signal), &mut scratch, &mut filtered)
-                .expect("filter");
-            wavelet
-                .transform_into(&filtered, &mut scratch, &mut details)
-                .expect("transform");
-        },
-        samples,
-    );
-    let streaming = min_ns_per_iter(
-        || {
-            black_box(streaming_chain(fs, adc, &codes));
-        },
-        samples,
-    );
-    (batch / n, streaming / n)
+    filter: MorphologicalFilter,
+    wavelet: DyadicWavelet,
+    signal: Vec<f64>,
+    adc: AdcModel,
+    codes: Vec<i16>,
 }
 
-/// Measures naive vs deque at the 250 Hz operating point and writes
+impl Fixture {
+    fn new() -> Self {
+        let fs = 250.0;
+        let signal = test_signal(fs);
+        let adc = AdcModel::default_frontend();
+        let codes = signal
+            .iter()
+            .map(|&s| adc.quantize_sample(s) as i16)
+            .collect();
+        Fixture {
+            fs,
+            filter: MorphologicalFilter::for_sampling_rate(fs),
+            wavelet: DyadicWavelet::new(),
+            signal,
+            adc,
+            codes,
+        }
+    }
+
+    /// The recorded rows, as `(stage, window)`.
+    fn rows(&self) -> Vec<(&'static str, usize)> {
+        let mut rows = Vec::new();
+        for window in [self.filter.qrs_element, self.filter.beat_element] {
+            rows.push(("erode", window));
+            rows.push(("dilate", window));
+        }
+        rows.push((CONDITIONING_CHAIN, self.filter.beat_element));
+        rows.push((STREAMING_CHAIN, self.filter.beat_element));
+        rows
+    }
+
+    /// One row's naive and streaming costs, in nanoseconds per input
+    /// sample: the naive oracle (for the chains: naive filter + wavelet
+    /// transform) against the shipped streaming path.
+    fn measure(&self, stage: &str, window: usize, samples: usize) -> (f64, f64) {
+        let Fixture {
+            fs,
+            filter,
+            wavelet,
+            signal,
+            adc,
+            codes,
+        } = self;
+        let n = signal.len() as f64;
+        let naive_chain_ns = || min_ns_per_iter(|| naive_chain(filter, wavelet, signal), samples);
+        let (naive, streaming) = match stage {
+            CONDITIONING_CHAIN => (
+                naive_chain_ns(),
+                min_ns_per_iter(|| conditioning_chain(filter, wavelet, signal), samples),
+            ),
+            STREAMING_CHAIN => (
+                naive_chain_ns(),
+                min_ns_per_iter(
+                    || {
+                        black_box(streaming_chain(*fs, *adc, codes));
+                    },
+                    samples,
+                ),
+            ),
+            _ => {
+                let kind = match stage {
+                    "erode" => ExtremumKind::Min,
+                    "dilate" => ExtremumKind::Max,
+                    other => panic!("unknown BENCH_frontend stage {other}"),
+                };
+                (
+                    min_ns_per_iter(
+                        || {
+                            black_box(sliding_extreme_naive(black_box(signal), window, kind));
+                        },
+                        samples,
+                    ),
+                    min_ns_per_iter(
+                        || {
+                            black_box(streaming_extreme(black_box(signal), window, kind));
+                        },
+                        samples,
+                    ),
+                )
+            }
+        };
+        (naive / n, streaming / n)
+    }
+}
+
+/// Measures every row at the 250 Hz operating point and writes
 /// `BENCH_frontend.json` at the workspace root.
 ///
 /// Opt-in via `HBC_BENCH_BASELINE=1`: the file is a checked-in reviewed
@@ -208,120 +262,27 @@ fn baseline_json(_c: &mut Criterion) {
         );
         return;
     }
-    let samples = 9;
-    let fs = 250.0;
-    let filter = MorphologicalFilter::for_sampling_rate(fs);
-    let signal = test_signal(fs);
-    let n = signal.len() as f64;
-    let mut rows = Vec::new();
-    for window in [filter.qrs_element, filter.beat_element] {
-        rows.push(BaselineRow {
-            stage: "erode",
-            window,
-            keys: ("naive_ns", "deque_ns"),
-            reference_ns: min_ns_per_iter(
-                || {
-                    black_box(sliding_extreme_naive(
-                        black_box(&signal),
-                        window,
-                        ExtremumKind::Min,
-                    ));
-                },
-                samples,
-            ) / n,
-            measured_ns: min_ns_per_iter(
-                || {
-                    black_box(erode(black_box(&signal), window));
-                },
-                samples,
-            ) / n,
-        });
-        rows.push(BaselineRow {
-            stage: "dilate",
-            window,
-            keys: ("naive_ns", "deque_ns"),
-            reference_ns: min_ns_per_iter(
-                || {
-                    black_box(sliding_extreme_naive(
-                        black_box(&signal),
-                        window,
-                        ExtremumKind::Max,
-                    ));
-                },
-                samples,
-            ) / n,
-            measured_ns: min_ns_per_iter(
-                || {
-                    black_box(dilate(black_box(&signal), window));
-                },
-                samples,
-            ) / n,
-        });
-    }
-    // The full conditioning chain (8 morphology passes + baseline subtraction
-    // + 4-scale wavelet): naive-allocating versus deque + scratch reuse.
-    let wavelet = DyadicWavelet::new();
-    let mut scratch = FrontendScratch::default();
-    let mut filtered = Vec::new();
-    let mut details = Vec::new();
-    rows.push(BaselineRow {
-        stage: "conditioning_chain",
-        window: filter.beat_element,
-        keys: ("naive_ns", "deque_ns"),
-        reference_ns: min_ns_per_iter(
-            || {
-                let f = filter.apply_naive(black_box(&signal)).expect("filter");
-                black_box(wavelet.transform(&f).expect("transform"));
-            },
-            samples,
-        ) / n,
-        measured_ns: min_ns_per_iter(
-            || {
-                filter
-                    .apply_into(black_box(&signal), &mut scratch, &mut filtered)
-                    .expect("filter");
-                wavelet
-                    .transform_into(&filtered, &mut scratch, &mut details)
-                    .expect("transform");
-            },
-            samples,
-        ) / n,
-    });
-    let (batch_ns, streaming_ns) = measure_streaming_row(&filter, fs, &signal, samples);
-    rows.push(BaselineRow {
-        stage: STREAMING_CHAIN,
-        window: filter.beat_element,
-        keys: ("batch_ns", "streaming_ns"),
-        reference_ns: batch_ns,
-        measured_ns: streaming_ns,
-    });
-
+    let fixture = Fixture::new();
+    let rows = fixture.rows();
     let mut json = String::from(
         "{\n  \"bench\": \"frontend_throughput\",\n  \"units\": \"ns_per_sample\",\n  \
-         \"kernel\": \"monotone-deque sliding extremum + scratch-reused conditioning chain; \
-         streaming row: van Herk/Gil-Werman block front-end on ADC codes, 36-sample chunks\",\n  \
+         \"kernel\": \"naive oracle vs van Herk/Gil-Werman streaming kernel: operators pushed \
+         per sample; conditioning_chain: whole-signal streaming filter + wavelet transform; \
+         streaming_chain_codes: block front-end on ADC codes, 36-sample chunks\",\n  \
          \"operating_point\": \"250 Hz, one minute of signal\",\n  \
          \"estimator\": \"min of 9 calibrated samples\",\n  \"results\": [\n",
     );
-    for (i, r) in rows.iter().enumerate() {
-        let (reference, measured) = r.keys;
+    for (i, &(stage, window)) in rows.iter().enumerate() {
+        let (naive, streaming) = fixture.measure(stage, window, 9);
         println!(
-            "baseline {:<21} w={:>3}  {reference} {:>8.2} ns/sample  {measured} {:>8.2} \
-             ns/sample  ({:.2}x)",
-            r.stage,
-            r.window,
-            r.reference_ns,
-            r.measured_ns,
-            r.reference_ns / r.measured_ns
+            "baseline {stage:<21} w={window:>3}  naive_ns {naive:>8.2} ns/sample  streaming_ns \
+             {streaming:>8.2} ns/sample  ({:.2}x)",
+            naive / streaming
         );
         json.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"window\": {}, \"{reference}\": {:.3}, \
-             \"{measured}\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            r.stage,
-            r.window,
-            r.reference_ns,
-            r.measured_ns,
-            r.reference_ns / r.measured_ns,
+            "    {{\"stage\": \"{stage}\", \"window\": {window}, \"naive_ns\": {naive:.3}, \
+             \"streaming_ns\": {streaming:.3}, \"speedup\": {:.2}}}{}\n",
+            naive / streaming,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -364,16 +325,14 @@ fn parse_baseline(json: &str) -> Vec<(String, usize, f64)> {
         .collect()
 }
 
-/// Regression gate for the deque front-end kernel, run by the CI bench smoke
+/// Regression gate for the streaming front-end, run by the CI bench smoke
 /// job (`HBC_BENCH_REGRESSION=1`), using the same scheme as the projection
 /// gate: wall-clock nanoseconds do not transfer between hosts, so the gate
-/// checks the *naive-to-deque speedup ratio* — both sides measured on the
-/// same host, here and in the baseline — against the checked-in value with a
-/// generous noise margin (2× by default, `HBC_BENCH_MARGIN` to override). A
-/// kernel regression that erases the deque advantage fails the job. The
-/// streaming row's ratio is the batch deque chain's cost over the code-fed
-/// streaming chain's, so streaming kernels that fall back to pushing each
-/// sample through the whole cascade fail it.
+/// checks each row's *naive-to-streaming speedup ratio* — both sides
+/// measured on the same host, here and in the baseline — against the
+/// checked-in value with a generous noise margin (2× by default,
+/// `HBC_BENCH_MARGIN` to override). A kernel regression that erases the
+/// streaming kernel's advantage over the naive oracle fails the job.
 fn regression_gate(_c: &mut Criterion) {
     if std::env::var("HBC_BENCH_REGRESSION").map_or(true, |v| v != "1") {
         println!("regression_gate: skipped (set HBC_BENCH_REGRESSION=1 to enable)");
@@ -391,71 +350,15 @@ fn regression_gate(_c: &mut Criterion) {
         "no rows parsed from BENCH_frontend.json"
     );
 
-    let samples = 5;
-    let fs = 250.0;
-    let filter = MorphologicalFilter::for_sampling_rate(fs);
-    let signal = test_signal(fs);
-    let wavelet = DyadicWavelet::new();
-    let mut scratch = FrontendScratch::default();
-    let mut filtered = Vec::new();
-    let mut details = Vec::new();
+    let fixture = Fixture::new();
     let mut failures = Vec::new();
     for (stage, window, baseline_speedup) in baseline {
-        let kind = match stage.as_str() {
-            "erode" => Some(ExtremumKind::Min),
-            "dilate" => Some(ExtremumKind::Max),
-            _ => None,
-        };
-        let (naive_ns, deque_ns) = if stage == STREAMING_CHAIN {
-            measure_streaming_row(&filter, fs, &signal, samples)
-        } else {
-            match kind {
-                Some(kind) => (
-                    min_ns_per_iter(
-                        || {
-                            black_box(sliding_extreme_naive(black_box(&signal), window, kind));
-                        },
-                        samples,
-                    ),
-                    min_ns_per_iter(
-                        || match kind {
-                            ExtremumKind::Min => {
-                                black_box(erode(black_box(&signal), window));
-                            }
-                            ExtremumKind::Max => {
-                                black_box(dilate(black_box(&signal), window));
-                            }
-                        },
-                        samples,
-                    ),
-                ),
-                None => (
-                    min_ns_per_iter(
-                        || {
-                            let f = filter.apply_naive(black_box(&signal)).expect("filter");
-                            black_box(wavelet.transform(&f).expect("transform"));
-                        },
-                        samples,
-                    ),
-                    min_ns_per_iter(
-                        || {
-                            filter
-                                .apply_into(black_box(&signal), &mut scratch, &mut filtered)
-                                .expect("filter");
-                            wavelet
-                                .transform_into(&filtered, &mut scratch, &mut details)
-                                .expect("transform");
-                        },
-                        samples,
-                    ),
-                ),
-            }
-        };
-        let speedup = naive_ns / deque_ns;
+        let (naive_ns, streaming_ns) = fixture.measure(&stage, window, 5);
+        let speedup = naive_ns / streaming_ns;
         let floor = baseline_speedup / margin;
         let verdict = if speedup >= floor { "ok" } else { "REGRESSION" };
         println!(
-            "regression_gate {stage:<18} w={window:>3}  speedup {speedup:>6.2}x (baseline \
+            "regression_gate {stage:<21} w={window:>3}  speedup {speedup:>6.2}x (baseline \
              {baseline_speedup:.2}x, floor {floor:.2}x)  {verdict}"
         );
         if speedup < floor {
@@ -467,7 +370,7 @@ fn regression_gate(_c: &mut Criterion) {
     }
     assert!(
         failures.is_empty(),
-        "deque front-end kernel regressed:\n{}",
+        "streaming front-end kernel regressed:\n{}",
         failures.join("\n")
     );
 }

@@ -23,7 +23,6 @@
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
-use hbc_dsp::FrontendScratch;
 use hbc_ecg::beat::{Beat, BeatClass, BeatWindow};
 use hbc_ecg::record::{EcgRecord, Lead};
 use hbc_embedded::firmware::{BeatScratch, FirmwareReport, WbsnFirmware};
@@ -178,10 +177,11 @@ impl Engine {
     /// [`FirmwareReport`]s in input order (bit-identical to a sequential
     /// pass — each record's outcome depends only on its own samples).
     ///
-    /// The conditioning-chain and per-beat working sets are drawn from a
-    /// pool bounded by the worker count, so steady-state multi-record
-    /// processing reuses a few [`FrontendScratch`]/[`BeatScratch`] pairs
-    /// instead of re-allocating the front-end buffers per record.
+    /// Each record's conditioning front-end runs whole-signal on the
+    /// streaming filter ([`WbsnFirmware::process_record_with`]); the
+    /// per-beat working sets are drawn from a pool bounded by the worker
+    /// count, so steady-state multi-record processing reuses a few
+    /// [`BeatScratch`]es instead of re-allocating them per record.
     ///
     /// # Errors
     ///
@@ -191,19 +191,17 @@ impl Engine {
         firmware: &WbsnFirmware,
         records: &[EcgRecord],
     ) -> Result<Vec<FirmwareReport>> {
-        let pool: Mutex<Vec<(FrontendScratch, BeatScratch)>> = Mutex::new(Vec::new());
+        let pool: Mutex<Vec<BeatScratch>> = Mutex::new(Vec::new());
         self.try_map(records, |record| {
-            let (mut frontend, mut beat) = pool
+            let mut beat = pool
                 .lock()
                 .expect("scratch pool poisoned")
                 .pop()
                 .unwrap_or_default();
             let report = firmware
-                .process_record_with(record, &mut frontend, &mut beat)
+                .process_record_with(record, &mut beat)
                 .map_err(crate::CoreError::Embedded);
-            pool.lock()
-                .expect("scratch pool poisoned")
-                .push((frontend, beat));
+            pool.lock().expect("scratch pool poisoned").push(beat);
             report
         })
     }

@@ -49,15 +49,6 @@ pub struct WbsnPipeline {
 /// time — the engine creates one per batch.
 pub type WbsnScratch = hbc_embedded::BeatScratch;
 
-/// Conditioning-chain scratch (morphology wedge + stage buffers + wavelet
-/// planes), re-exported from [`hbc_dsp`] next to [`WbsnScratch`] so
-/// record-level drivers can hold both working sets of the deployment: the
-/// front-end runs through a `FrontendScratch`
-/// (`WbsnFirmware::process_record_with`, the engine's `process_records`
-/// pool, the `StreamHub` calibration) and the per-beat stages through a
-/// `WbsnScratch`. Same ownership rule: one scratch per worker at a time.
-pub use hbc_dsp::FrontendScratch;
-
 impl WbsnPipeline {
     /// Classifies one acquisition-rate beat window exactly as the node would.
     ///

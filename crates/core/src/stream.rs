@@ -16,11 +16,10 @@
 //! with the same tolerance the batch firmware reports with.
 
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
 
 use hbc_dsp::window::match_peaks;
 use hbc_dsp::{
-    FrontendScratch, Millivolts, MorphologicalFilter, PeakDetector, PeakThresholds, SampleScale,
+    DspError, Millivolts, MorphologicalFilter, PeakDetector, PeakThresholds, SampleScale,
 };
 use hbc_ecg::record::Annotation;
 use hbc_embedded::firmware::BeatOutcome;
@@ -148,14 +147,6 @@ pub struct StreamHub<'fw, S: SampleScale = Millivolts> {
     sessions: Vec<Option<PatientStream<'fw, S>>>,
     /// Indices of free slots, reused LIFO.
     free: Vec<usize>,
-    /// Session-setup working sets: conditioning-chain scratch + filtered
-    /// buffer pairs, pooled so concurrent `calibrate_thresholds` calls
-    /// (calibration takes `&self`) each pop one, compute unlocked, and push
-    /// it back — the lock is held for the pop/push only, never across the
-    /// O(n) filter+wavelet work. The pool is bounded by the peak number of
-    /// concurrent calibrations. Sits alongside the per-session `BeatScratch`
-    /// the streaming firmware already owns.
-    calibration: Mutex<Vec<CalibrationScratch>>,
     /// Per-slot index of the feed the current [`Self::ingest`] batch holds
     /// for that session, if any. Reused by every call, so batch validation
     /// allocates nothing once the slot table has stopped growing.
@@ -166,27 +157,6 @@ pub struct StreamHub<'fw, S: SampleScale = Millivolts> {
     /// Stage histograms of sessions that have closed, merged at close time
     /// so their timings survive slot reuse.
     closed_stages: StageMetrics,
-}
-
-/// Buffers for one threshold calibration: the front-end scratch, the
-/// stretch in millivolts (when it arrives as samples of another scale) and
-/// the baseline-filtered stretch the detector calibrates on.
-#[derive(Debug, Default)]
-struct CalibrationScratch {
-    frontend: FrontendScratch,
-    raw: Vec<f64>,
-    filtered: Vec<f64>,
-}
-
-impl CalibrationScratch {
-    /// The detector's RMS calibration over the baseline-filtered `raw`.
-    fn calibrate(&mut self, fs: f64, raw: &[f64]) -> Result<PeakThresholds> {
-        let CalibrationScratch {
-            frontend, filtered, ..
-        } = self;
-        MorphologicalFilter::for_sampling_rate(fs).apply_into(raw, frontend, filtered)?;
-        Ok(PeakDetector::new(fs).calibrate_with_scratch(filtered, frontend)?)
-    }
 }
 
 impl<'fw> StreamHub<'fw> {
@@ -228,7 +198,6 @@ impl<'fw, S: SampleScale> StreamHub<'fw, S> {
             par: Par::with_threads(threads),
             sessions: Vec::new(),
             free: Vec::new(),
-            calibration: Mutex::new(Vec::new()),
             fed: Vec::new(),
             ingest_micros: Histogram::new(),
             closed_stages: StageMetrics::default(),
@@ -247,35 +216,50 @@ impl<'fw, S: SampleScale> StreamHub<'fw, S> {
     }
 
     /// Derives per-patient detection thresholds from a raw calibration
-    /// stretch (typically the first seconds of the patient's signal): the
-    /// stretch is baseline-filtered and the detector's RMS calibration runs
-    /// over it — the same procedure the batch path applies to whole records.
+    /// stretch in millivolts (typically the first seconds of the patient's
+    /// signal): the stretch is baseline-filtered and the detector's RMS
+    /// calibration runs over it — the same procedure the record path
+    /// applies to whole records.
     ///
     /// # Errors
     ///
     /// Returns an error when the stretch is too short for the filter or the
-    /// wavelet decomposition.
+    /// wavelet decomposition, and [`DspError::InvalidParameter`] when it is
+    /// flat: a stretch whose filtered first wavelet scale is all zero
+    /// calibrates a zero detection threshold, which no session can run on.
     pub fn calibrate_thresholds(&self, raw: &[f64]) -> Result<PeakThresholds> {
-        self.with_calibration_scratch(|scratch| scratch.calibrate(self.fs, raw))
+        self.calibrate_stretch(Millivolts, raw)
     }
 
     /// [`Self::calibrate_thresholds`] over a stretch of the hub's own input
-    /// samples, converted to millivolts into the pooled scratch first (for
-    /// a code-fed hub, exactly `calibrate_thresholds` of the dequantized
-    /// stretch).
+    /// samples, filtered as they are (for a code-fed hub, exactly
+    /// `calibrate_thresholds` of the dequantized stretch).
     ///
     /// # Errors
     ///
     /// As [`Self::calibrate_thresholds`].
     pub fn calibrate_samples(&self, stretch: &[S::Sample]) -> Result<PeakThresholds> {
-        self.with_calibration_scratch(|scratch| {
-            let mut raw = std::mem::take(&mut scratch.raw);
-            raw.clear();
-            raw.extend(stretch.iter().map(|&s| self.scale.to_mv(s)));
-            let thresholds = scratch.calibrate(self.fs, &raw);
-            scratch.raw = raw;
-            thresholds
-        })
+        self.calibrate_stretch(self.scale, stretch)
+    }
+
+    /// The calibration behind both entry points: the stretch goes through
+    /// the streaming baseline filter whole
+    /// ([`MorphologicalFilter::apply_scaled`]), then the detector's RMS
+    /// calibration runs over the filtered stretch.
+    fn calibrate_stretch<T: SampleScale>(
+        &self,
+        scale: T,
+        stretch: &[T::Sample],
+    ) -> Result<PeakThresholds> {
+        let filtered =
+            MorphologicalFilter::for_sampling_rate(self.fs).apply_scaled(scale, stretch)?;
+        let thresholds = PeakDetector::new(self.fs).calibrate(&filtered)?;
+        if thresholds.first_scale == 0.0 {
+            return Err(CoreError::Dsp(DspError::InvalidParameter(
+                "calibration stretch is flat: its first-scale detection threshold is zero".into(),
+            )));
+        }
+        Ok(thresholds)
     }
 
     /// [`Self::calibrate_samples`] over a batch of stretches at once, on the
@@ -294,27 +278,6 @@ impl<'fw, S: SampleScale> StreamHub<'fw, S> {
     {
         self.par
             .map(batch, |item| self.calibrate_samples(stretch(item)))
-    }
-
-    /// Runs `calibrate` on a scratch popped from the pool, and returns the
-    /// scratch to the pool afterwards. The lock is held for the pop and the
-    /// push only.
-    fn with_calibration_scratch<R>(
-        &self,
-        calibrate: impl FnOnce(&mut CalibrationScratch) -> R,
-    ) -> R {
-        let mut scratch = self
-            .calibration
-            .lock()
-            .expect("calibration pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let result = calibrate(&mut scratch);
-        self.calibration
-            .lock()
-            .expect("calibration pool poisoned")
-            .push(scratch);
-        result
     }
 
     /// Registers a new patient session with fixed detection thresholds,
@@ -619,6 +582,45 @@ mod tests {
         let mut gen = SyntheticEcg::with_seed(seed);
         let rhythm = gen.rhythm(beats, 0.1, 0.1);
         gen.record(seed as u32, &rhythm, 1).expect("record")
+    }
+
+    #[test]
+    fn flat_calibration_stretches_are_rejected() {
+        // A flat stretch filters to zero, so its wavelet RMS — and with it
+        // every detection threshold — is zero: degenerate, like a stretch
+        // too short for the filter.
+        let fw = firmware();
+        let adc = hbc_embedded::AdcModel::default_frontend();
+        let hub = StreamHub::with_scale(&fw, 360.0, None, adc);
+        for level in [0i16, 100] {
+            assert!(
+                matches!(
+                    hub.calibrate_samples(&[level; 1800]),
+                    Err(CoreError::Dsp(DspError::InvalidParameter(_)))
+                ),
+                "flat stretch of code {level}"
+            );
+            let mv = adc.dequantize_sample(i32::from(level));
+            assert!(
+                matches!(
+                    hub.calibrate_thresholds(&[mv; 1800]),
+                    Err(CoreError::Dsp(DspError::InvalidParameter(_)))
+                ),
+                "flat stretch of {mv} mV"
+            );
+        }
+        assert!(matches!(
+            hub.calibrate_samples(&[0; 4]),
+            Err(CoreError::Dsp(DspError::SignalTooShort { .. }))
+        ));
+        // A real stretch still calibrates, to a positive threshold.
+        let mut codes: Vec<i16> = patient_record(7, 10).leads[0]
+            .iter()
+            .map(|&v| adc.quantize_sample(v) as i16)
+            .collect();
+        codes.truncate(1800);
+        let thresholds = hub.calibrate_samples(&codes).expect("calibrates");
+        assert!(thresholds.first_scale > 0.0);
     }
 
     #[test]

@@ -15,35 +15,37 @@
 //! 2. a second pass with a longer element smooths the estimate,
 //! 3. the estimate is subtracted from the input.
 //!
-//! ## The deque kernel
+//! ## One kernel and its oracle
 //!
-//! Every operator is a sliding-window extremum, computed here with the
-//! monotone-deque kernel: a wedge of candidate indices whose values are
-//! monotone, so each sample enters the wedge once and leaves it at most
-//! once — O(n) total, ~[`DEQUE_COMPARISONS_PER_SAMPLE`] comparisons per
-//! sample *independent of the window length*, against the O(n·w) of the
-//! naive per-output window rescan (kept as [`sliding_extreme_naive`], the
-//! equivalence oracle and the pre-deque cost reference). The streaming
-//! [`SlidingExtremum`](crate::streaming::SlidingExtremum) computes the same
-//! windows with the van Herk / Gil–Werman algorithm instead (prefix and
-//! suffix extrema over blocks of the window length, no data-dependent
-//! loop). Both keep the earlier sample on ties and clamp borders the same
-//! way, and since min/max are pure comparisons the two formulations are
-//! *exactly* equal — `tests/frontend_equivalence.rs` proptests this across
-//! window parities and border positions.
+//! Every operator is a sliding-window extremum. Production code runs one
+//! kernel for it, the streaming van Herk / Gil–Werman
+//! [`SlidingExtremum`](crate::streaming::SlidingExtremum): prefix and
+//! suffix extrema over blocks of the window length, no data-dependent loop,
+//! ~[`EXTREMUM_COMPARISONS_PER_SAMPLE`] comparisons per sample *independent
+//! of the window length*. [`MorphologicalFilter::apply`] pushes the whole
+//! signal through a [`StreamingBaselineFilter`] built from the filter's own
+//! geometry and drains its right border, so record processing and the
+//! gateway's sessions run the same code.
+//!
+//! The naive O(n·w) per-output window rescan is kept as
+//! [`sliding_extreme_naive`] and [`MorphologicalFilter::apply_naive`]. It
+//! is the oracle the streaming kernel is tested against
+//! (`tests/frontend_equivalence.rs`, `tests/streaming_parity.rs`), the naive
+//! side of the `frontend_throughput` bench and the pre-kernel reference of
+//! the embedded cost model. Both keep the earlier sample on ties and clamp
+//! borders the same way, and since min/max are pure comparisons the two are
+//! *exactly* equal for every window parity and border position.
 //!
 //! ## Window normalisation
 //!
 //! A structuring element of `size` samples is centred on the output sample,
 //! which only has a symmetric meaning for odd `size`. The effective window is
 //! normalised in **one place** — [`effective_window`]: `2·(size/2) + 1`
-//! samples, so an even `size` yields a `size + 1`-sample window. Batch and
-//! streaming operators both derive their geometry from it and therefore
-//! agree for every parity.
+//! samples, so an even `size` yields a `size + 1`-sample window. The
+//! streaming operators and the naive oracle both derive their geometry from
+//! it and therefore agree for every parity.
 
-use std::collections::VecDeque;
-
-use crate::frontend::FrontendScratch;
+use crate::streaming::{Millivolts, SampleScale, StreamingBaselineFilter};
 use crate::{DspError, Result};
 
 /// Which extremum a sliding-window morphological operator tracks. Shared
@@ -58,8 +60,8 @@ pub enum ExtremumKind {
 }
 
 impl ExtremumKind {
-    /// Whether a retained wedge value still dominates an incoming one (ties
-    /// keep the earlier sample, like the streaming van Herk kernel).
+    /// Whether a kept value still dominates an incoming one (ties keep the
+    /// earlier sample, like the naive oracle's left-to-right scan).
     #[inline]
     pub(crate) fn dominates<T: PartialOrd>(self, kept: T, incoming: T) -> bool {
         match self {
@@ -73,18 +75,18 @@ impl ExtremumKind {
 /// sample: 2 openings + 2 closings, each an erosion followed by a dilation.
 pub const MORPHOLOGY_PASSES: usize = 8;
 
-/// Amortised comparisons per input sample of one deque-kernel pass,
-/// independent of the structuring-element length: one wedge-domination test
-/// per push (each sample is popped at most once, amortising the pop loop to
-/// one extra comparison) plus one front-expiry test per output.
-pub const DEQUE_COMPARISONS_PER_SAMPLE: usize = 3;
+/// Comparisons per input sample of one van Herk / Gil–Werman pass,
+/// independent of the structuring-element length: one to extend the
+/// running prefix extremum, one to pick between it and the previous
+/// block's suffix extremum, and one in the backward pass that builds the
+/// suffix extrema of each completed block.
+pub const EXTREMUM_COMPARISONS_PER_SAMPLE: usize = 3;
 
 /// The effective (odd, centred) window of a structuring element of `size`
 /// samples: `2·(size/2) + 1`. This is the **single normalisation point** for
 /// the even-`size` asymmetry — an even `size` silently yields a
-/// `size + 1`-sample window — used by the batch deque kernel, the naive
-/// reference and the streaming operators alike, so all three agree for every
-/// window parity.
+/// `size + 1`-sample window — used by the streaming operators and the naive
+/// oracle alike, so both agree for every window parity.
 ///
 /// # Panics
 ///
@@ -94,116 +96,11 @@ pub fn effective_window(size: usize) -> usize {
     2 * (size / 2) + 1
 }
 
-/// Flat-structuring-element erosion: each output sample is the minimum of the
-/// input over [`effective_window(size)`](effective_window) samples centred on
-/// it (edges are clamped).
-///
-/// # Panics
-///
-/// Panics if `size == 0`.
-pub fn erode(signal: &[f64], size: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    erode_into(signal, size, &mut FrontendScratch::default(), &mut out);
-    out
-}
-
-/// Flat-structuring-element dilation: each output sample is the maximum of
-/// the input over [`effective_window(size)`](effective_window) samples
-/// centred on it.
-///
-/// # Panics
-///
-/// Panics if `size == 0`.
-pub fn dilate(signal: &[f64], size: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    dilate_into(signal, size, &mut FrontendScratch::default(), &mut out);
-    out
-}
-
-/// [`erode`] against caller-owned scratch: `out` is cleared and refilled, and
-/// nothing is allocated once the scratch has grown to size.
-///
-/// # Panics
-///
-/// Panics if `size == 0`.
-pub fn erode_into(signal: &[f64], size: usize, scratch: &mut FrontendScratch, out: &mut Vec<f64>) {
-    sliding_extreme_into(signal, size, ExtremumKind::Min, &mut scratch.wedge, out);
-}
-
-/// [`dilate`] against caller-owned scratch (see [`erode_into`]).
-///
-/// # Panics
-///
-/// Panics if `size == 0`.
-pub fn dilate_into(signal: &[f64], size: usize, scratch: &mut FrontendScratch, out: &mut Vec<f64>) {
-    sliding_extreme_into(signal, size, ExtremumKind::Max, &mut scratch.wedge, out);
-}
-
-/// The O(n) monotone-deque sliding extremum. The wedge holds indices whose
-/// values are monotone (front = current extremum); each index is pushed once
-/// and popped at most once, so the whole pass is O(n) with
-/// ~[`DEQUE_COMPARISONS_PER_SAMPLE`] comparisons per sample. Borders are
-/// clamped exactly like the naive reference: output `i` covers
-/// `[i−half, min(i+half+1, n))`.
-fn sliding_extreme_into(
-    signal: &[f64],
-    size: usize,
-    kind: ExtremumKind,
-    wedge: &mut VecDeque<usize>,
-    out: &mut Vec<f64>,
-) {
-    let half = effective_window(size) / 2;
-    let n = signal.len();
-    out.clear();
-    wedge.clear();
-    if n == 0 {
-        return;
-    }
-    out.reserve(n);
-    for j in 0..n {
-        let incoming = signal[j];
-        while let Some(&back) = wedge.back() {
-            if kind.dominates(signal[back], incoming) {
-                break;
-            }
-            wedge.pop_back();
-        }
-        wedge.push_back(j);
-        if j >= half {
-            let centre = j - half;
-            emit_extremum(signal, centre, half, wedge, out);
-        }
-    }
-    // Right border: the window clamps at the signal end and shrinks, exactly
-    // like the naive reference (and the streaming operators' `finish` drain).
-    for centre in n.saturating_sub(half.min(n))..n {
-        emit_extremum(signal, centre, half, wedge, out);
-    }
-}
-
-/// Expires wedge entries left of `centre − half` and emits the front value.
-#[inline]
-fn emit_extremum(
-    signal: &[f64],
-    centre: usize,
-    half: usize,
-    wedge: &mut VecDeque<usize>,
-    out: &mut Vec<f64>,
-) {
-    while wedge.front().is_some_and(|&front| front + half < centre) {
-        wedge.pop_front();
-    }
-    let front = *wedge
-        .front()
-        .expect("window always covers its newest index");
-    out.push(signal[front]);
-}
-
-/// The naive O(n·w) sliding extremum: rescans the clamped window for every
-/// output sample. Kept as the equivalence oracle for the deque kernel
-/// (`tests/frontend_equivalence.rs`), the naive side of the
-/// `frontend_throughput` bench, and the pre-deque reference of the embedded
-/// cost model.
+/// The naive O(n·w) sliding extremum: rescans the clamped window
+/// `[i−half, min(i+half+1, n))` for every output sample `i`. Kept as the
+/// oracle of the streaming kernel (`tests/frontend_equivalence.rs`), the
+/// naive side of the `frontend_throughput` bench, and the pre-kernel
+/// reference of the embedded cost model.
 ///
 /// # Panics
 ///
@@ -228,45 +125,11 @@ pub fn sliding_extreme_naive(signal: &[f64], size: usize, kind: ExtremumKind) ->
     out
 }
 
-/// Morphological opening: erosion followed by dilation. Removes upward peaks
-/// narrower than the structuring element.
-pub fn open(signal: &[f64], size: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    open_into(signal, size, &mut FrontendScratch::default(), &mut out);
-    out
-}
-
-/// Morphological closing: dilation followed by erosion. Removes downward
-/// spikes narrower than the structuring element.
-pub fn close(signal: &[f64], size: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    close_into(signal, size, &mut FrontendScratch::default(), &mut out);
-    out
-}
-
-/// [`open`] against caller-owned scratch (see [`erode_into`]).
-///
-/// # Panics
-///
-/// Panics if `size == 0`.
-pub fn open_into(signal: &[f64], size: usize, scratch: &mut FrontendScratch, out: &mut Vec<f64>) {
-    let FrontendScratch { wedge, stage_a, .. } = scratch;
-    sliding_extreme_into(signal, size, ExtremumKind::Min, wedge, stage_a);
-    sliding_extreme_into(stage_a, size, ExtremumKind::Max, wedge, out);
-}
-
-/// [`close`] against caller-owned scratch (see [`erode_into`]).
-///
-/// # Panics
-///
-/// Panics if `size == 0`.
-pub fn close_into(signal: &[f64], size: usize, scratch: &mut FrontendScratch, out: &mut Vec<f64>) {
-    let FrontendScratch { wedge, stage_a, .. } = scratch;
-    sliding_extreme_into(signal, size, ExtremumKind::Max, wedge, stage_a);
-    sliding_extreme_into(stage_a, size, ExtremumKind::Min, wedge, out);
-}
-
 /// Baseline-wander removal filter built from morphological opening/closing.
+///
+/// The filter is its geometry — the two structuring-element lengths — which
+/// the streaming filter, the oracle and the embedded cycle model (Table III)
+/// all read; [`Self::apply`] runs it through the streaming kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MorphologicalFilter {
     /// First structuring element length in samples (slightly longer than the
@@ -292,95 +155,6 @@ impl MorphologicalFilter {
         }
     }
 
-    /// Estimates the baseline of `signal`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::SignalTooShort`] when the signal is shorter than
-    /// the longest structuring element.
-    pub fn baseline(&self, signal: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.baseline_into(signal, &mut FrontendScratch::default(), &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::baseline`] against caller-owned scratch: the six intermediate
-    /// passes live in `scratch` and `out` receives the estimate, with no
-    /// allocation once the buffers have grown to size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::SignalTooShort`] when the signal is shorter than
-    /// the longest structuring element.
-    pub fn baseline_into(
-        &self,
-        signal: &[f64],
-        scratch: &mut FrontendScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let required = self.beat_element.max(self.qrs_element);
-        if signal.len() < required {
-            return Err(DspError::SignalTooShort {
-                required,
-                provided: signal.len(),
-            });
-        }
-        let FrontendScratch {
-            wedge,
-            stage_a,
-            stage_b,
-            stage_c,
-            ..
-        } = scratch;
-        // Stage 1: remove beats (opening then closing with the short
-        // element); the four passes ping-pong between two buffers.
-        sliding_extreme_into(signal, self.qrs_element, ExtremumKind::Min, wedge, stage_a);
-        sliding_extreme_into(stage_a, self.qrs_element, ExtremumKind::Max, wedge, stage_b);
-        sliding_extreme_into(stage_b, self.qrs_element, ExtremumKind::Max, wedge, stage_a);
-        sliding_extreme_into(stage_a, self.qrs_element, ExtremumKind::Min, wedge, stage_b);
-        // Stage 2 on the stage-1 output (now in `stage_b`): opening into
-        // `stage_c`, then closing back into `stage_b` (its last read), and
-        // the average of the two to avoid the bias either one introduces
-        // alone — same expressions, same order as the allocating original.
-        sliding_extreme_into(
-            stage_b,
-            self.beat_element,
-            ExtremumKind::Min,
-            wedge,
-            stage_a,
-        );
-        sliding_extreme_into(
-            stage_a,
-            self.beat_element,
-            ExtremumKind::Max,
-            wedge,
-            stage_c,
-        );
-        sliding_extreme_into(
-            stage_b,
-            self.beat_element,
-            ExtremumKind::Max,
-            wedge,
-            stage_a,
-        );
-        sliding_extreme_into(
-            stage_a,
-            self.beat_element,
-            ExtremumKind::Min,
-            wedge,
-            stage_b,
-        );
-        out.clear();
-        out.reserve(signal.len());
-        out.extend(
-            stage_c
-                .iter()
-                .zip(stage_b.iter())
-                .map(|(a, b)| 0.5 * (a + b)),
-        );
-        Ok(())
-    }
-
     /// Removes the baseline from `signal`, returning the corrected signal.
     ///
     /// # Errors
@@ -388,48 +162,48 @@ impl MorphologicalFilter {
     /// Returns [`DspError::SignalTooShort`] when the signal is shorter than
     /// the longest structuring element.
     pub fn apply(&self, signal: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.apply_into(signal, &mut FrontendScratch::default(), &mut out)?;
-        Ok(out)
+        self.apply_scaled(Millivolts, signal)
     }
 
-    /// [`Self::apply`] against caller-owned scratch (see
-    /// [`Self::baseline_into`]): bit-identical output, zero steady-state
-    /// allocation.
+    /// [`Self::apply`] over input samples read through `scale` (ADC codes,
+    /// for instance): the whole signal goes through one
+    /// [`StreamingBaselineFilter`] with this filter's geometry, whose right
+    /// border is then drained. The output equals [`Self::apply`] of the
+    /// signal converted to millivolts, bit for bit (see [`SampleScale`]).
     ///
     /// # Errors
     ///
     /// Returns [`DspError::SignalTooShort`] when the signal is shorter than
     /// the longest structuring element.
-    pub fn apply_into(
-        &self,
-        signal: &[f64],
-        scratch: &mut FrontendScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.baseline_into(signal, scratch, out)?;
-        for (corrected, &s) in out.iter_mut().zip(signal) {
-            *corrected = s - *corrected;
+    pub fn apply_scaled<S: SampleScale>(&self, scale: S, signal: &[S::Sample]) -> Result<Vec<f64>> {
+        self.check_length(signal.len())?;
+        let mut filter = StreamingBaselineFilter::with_geometry(*self, scale);
+        let mut out = vec![0.0; signal.len()];
+        let produced = filter.push_chunk(signal, &mut out);
+        out.truncate(produced);
+        filter.finish_into(&mut out);
+        Ok(out)
+    }
+
+    /// Rejects signals shorter than the longest structuring element.
+    fn check_length(&self, provided: usize) -> Result<()> {
+        let required = self.beat_element.max(self.qrs_element);
+        if provided < required {
+            return Err(DspError::SignalTooShort { required, provided });
         }
         Ok(())
     }
 
-    /// The naive (pre-deque) filter: every pass rescans its window. Kept as
-    /// the equivalence oracle — [`Self::apply`] must match it exactly — and
-    /// the naive side of the `frontend_throughput` bench.
+    /// The naive filter: every pass rescans its window. Kept as the oracle
+    /// — [`Self::apply`] and every streaming filter must match it exactly —
+    /// and the naive side of the `frontend_throughput` bench.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::SignalTooShort`] when the signal is shorter than
     /// the longest structuring element.
     pub fn apply_naive(&self, signal: &[f64]) -> Result<Vec<f64>> {
-        let required = self.beat_element.max(self.qrs_element);
-        if signal.len() < required {
-            return Err(DspError::SignalTooShort {
-                required,
-                provided: signal.len(),
-            });
-        }
+        self.check_length(signal.len())?;
         let naive = |signal: &[f64], size: usize, kind| sliding_extreme_naive(signal, size, kind);
         let open = |signal: &[f64], size: usize| {
             naive(
@@ -455,19 +229,19 @@ impl MorphologicalFilter {
             .collect())
     }
 
-    /// Comparison operations per input sample of the **shipped deque
+    /// Comparison operations per input sample of the **shipped van Herk
     /// kernel** — [`MORPHOLOGY_PASSES`] passes at
-    /// ~[`DEQUE_COMPARISONS_PER_SAMPLE`] amortised comparisons each,
-    /// independent of the structuring-element lengths. Used by the platform
-    /// cycle model of `hbc-embedded`.
+    /// [`EXTREMUM_COMPARISONS_PER_SAMPLE`] comparisons each, independent of
+    /// the structuring-element lengths. Used by the platform cycle model of
+    /// `hbc-embedded`.
     pub fn comparisons_per_sample(&self) -> usize {
-        MORPHOLOGY_PASSES * DEQUE_COMPARISONS_PER_SAMPLE
+        MORPHOLOGY_PASSES * EXTREMUM_COMPARISONS_PER_SAMPLE
     }
 
     /// Comparison operations per input sample of the **naive window scan**
     /// (one comparison per effective-window element per pass), the cost the
-    /// embedded model charged before the deque kernel shipped. Kept so
-    /// reports can call out the model delta.
+    /// embedded model charged before an O(1)-per-sample kernel shipped. Kept
+    /// so reports can call out the model delta.
     pub fn naive_comparisons_per_sample(&self) -> usize {
         4 * effective_window(self.qrs_element) + 4 * effective_window(self.beat_element)
     }
@@ -514,6 +288,7 @@ pub fn moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::{StreamingDilation, StreamingErosion};
 
     fn synthetic_ecg_with_drift(n: usize, fs: f64) -> (Vec<f64>, Vec<f64>) {
         // Impulsive "QRS" every second plus a slow sinusoidal drift.
@@ -530,6 +305,30 @@ mod tests {
         (clean, noisy)
     }
 
+    /// Erosion and dilation of `x` through the shipped streaming operators,
+    /// right border drained.
+    fn erode(x: &[f64], size: usize) -> Vec<f64> {
+        let mut op = StreamingErosion::new(size);
+        let mut out: Vec<f64> = x.iter().filter_map(|&s| op.push(s)).collect();
+        out.extend(std::iter::from_fn(|| op.finish_one()));
+        out
+    }
+
+    fn dilate(x: &[f64], size: usize) -> Vec<f64> {
+        let mut op = StreamingDilation::new(size);
+        let mut out: Vec<f64> = x.iter().filter_map(|&s| op.push(s)).collect();
+        out.extend(std::iter::from_fn(|| op.finish_one()));
+        out
+    }
+
+    fn open(x: &[f64], size: usize) -> Vec<f64> {
+        dilate(&erode(x, size), size)
+    }
+
+    fn close(x: &[f64], size: usize) -> Vec<f64> {
+        erode(&dilate(x, size), size)
+    }
+
     #[test]
     fn erosion_and_dilation_are_extremes() {
         let x = vec![0.0, 1.0, 5.0, 1.0, 0.0, -3.0, 0.0];
@@ -542,17 +341,19 @@ mod tests {
         assert_eq!(d[2], 5.0);
     }
 
+    // The shipped streaming kernel against the naive rescan. (The name dates
+    // from the monotone-deque kernel the streaming one replaced.)
     #[test]
     fn deque_kernel_matches_naive_reference() {
         let (_, signal) = synthetic_ecg_with_drift(700, 360.0);
         for size in [1, 2, 3, 4, 7, 8, 31, 50, 132, 133, 699, 700, 1400] {
             for kind in [ExtremumKind::Min, ExtremumKind::Max] {
                 let naive = sliding_extreme_naive(&signal, size, kind);
-                let deque = match kind {
+                let streamed = match kind {
                     ExtremumKind::Min => erode(&signal, size),
                     ExtremumKind::Max => dilate(&signal, size),
                 };
-                assert_eq!(deque, naive, "size {size}, {kind:?}");
+                assert_eq!(streamed, naive, "size {size}, {kind:?}");
             }
         }
     }
@@ -565,8 +366,12 @@ mod tests {
         assert_eq!(effective_window(1), 1);
         let (_, signal) = synthetic_ecg_with_drift(200, 360.0);
         for even in [2usize, 4, 8, 72] {
-            assert_eq!(erode(&signal, even), erode(&signal, even + 1));
-            assert_eq!(dilate(&signal, even), dilate(&signal, even + 1));
+            for kind in [ExtremumKind::Min, ExtremumKind::Max] {
+                assert_eq!(
+                    sliding_extreme_naive(&signal, even, kind),
+                    sliding_extreme_naive(&signal, even + 1, kind)
+                );
+            }
         }
     }
 
@@ -637,17 +442,15 @@ mod tests {
         let fs = 360.0;
         let (_, noisy) = synthetic_ecg_with_drift(2000, fs);
         let filter = MorphologicalFilter::for_sampling_rate(fs);
-        let naive = filter.apply_naive(&noisy).expect("long enough");
-        let deque = filter.apply(&noisy).expect("long enough");
-        assert_eq!(deque, naive, "deque chain must equal the naive chain");
-        // One scratch reused across calls (different signals) stays exact.
-        let mut scratch = FrontendScratch::default();
-        let mut out = Vec::new();
-        for n in [2000, 1500, 1999] {
-            filter
-                .apply_into(&noisy[..n], &mut scratch, &mut out)
-                .expect("long enough");
-            assert_eq!(out, filter.apply_naive(&noisy[..n]).expect("long enough"));
+        // Lengths around the filter's 334-sample group delay and the
+        // longest element, and calls on different lengths in a row: every
+        // call builds its own streaming filter, so nothing carries over.
+        for n in [2000, 191, 200, 333, 334, 335, 1500, 1999] {
+            assert_eq!(
+                filter.apply(&noisy[..n]).expect("long enough"),
+                filter.apply_naive(&noisy[..n]).expect("long enough"),
+                "n = {n}"
+            );
         }
     }
 
@@ -660,10 +463,13 @@ mod tests {
             filter.apply_naive(&[0.0; 10]),
             Err(DspError::SignalTooShort { .. })
         ));
-        assert!(matches!(
-            filter.baseline(&[0.0; 10]),
-            Err(DspError::SignalTooShort { .. })
-        ));
+        assert_eq!(
+            filter.apply(&[0.0; 190]),
+            Err(DspError::SignalTooShort {
+                required: 191,
+                provided: 190
+            })
+        );
     }
 
     #[test]
@@ -671,11 +477,11 @@ mod tests {
         let f = MorphologicalFilter::default();
         assert_eq!(f.qrs_element, 72);
         assert_eq!(f.beat_element, 191);
-        // The deque cost is window-independent; the naive reference scales
-        // with the effective windows.
+        // The kernel's cost is window-independent; the naive reference
+        // scales with the effective windows.
         assert_eq!(
             f.comparisons_per_sample(),
-            MORPHOLOGY_PASSES * DEQUE_COMPARISONS_PER_SAMPLE
+            MORPHOLOGY_PASSES * EXTREMUM_COMPARISONS_PER_SAMPLE
         );
         assert_eq!(f.naive_comparisons_per_sample(), 4 * 73 + 4 * 191);
         assert!(f.naive_comparisons_per_sample() > 10 * f.comparisons_per_sample());
@@ -705,6 +511,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "structuring element must be non-empty")]
     fn zero_size_panics() {
-        erode(&[0.0; 4], 0);
+        sliding_extreme_naive(&[0.0; 4], 0, ExtremumKind::Min);
     }
 }

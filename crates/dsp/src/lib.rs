@@ -6,9 +6,9 @@
 //! (reference \[1\] of the paper):
 //!
 //! * [`filter`] — **morphological filtering** removing baseline wander and
-//!   motion artefacts with erosion/dilation (opening/closing) operators,
-//!   computed by an O(n) monotone-deque kernel with allocation-free `_into`
-//!   variants over a shared [`FrontendScratch`];
+//!   motion artefacts with erosion/dilation (opening/closing) operators: the
+//!   filter geometry, its whole-signal entry point (which runs the streaming
+//!   kernel) and the naive O(n·w) oracle the kernel is tested against;
 //! * [`wavelet`] — an **à-trous dyadic wavelet transform** (quadratic-spline
 //!   mother wavelet) producing the four scales the peak detector works on;
 //! * [`peak`] — the **R-peak detector**: maximum–minimum pairs across scales
@@ -18,10 +18,12 @@
 //!   points), combinable across three leads;
 //! * [`downsample`] / [`window`] — decimation and beat-window extraction
 //!   utilities shared by the PC and WBSN pipelines;
-//! * [`streaming`] — push-based, bounded-memory equivalents of the
-//!   conditioning chain (baseline filter, à-trous wavelet, R-peak scan,
-//!   decimation and beat windowing), bit-identical to the batch kernels and
-//!   the substrate of the online firmware in `hbc-embedded`.
+//! * [`streaming`] — push-based, bounded-memory kernels of the conditioning
+//!   chain (baseline filter, à-trous wavelet, R-peak scan, decimation and
+//!   beat windowing), bit-identical to the naive morphology oracle and the
+//!   whole-signal wavelet transform, and the substrate of the online
+//!   firmware in `hbc-embedded`. Its van Herk / Gil–Werman sliding extremum
+//!   is the only morphology kernel production code runs.
 //!
 //! All algorithms are implemented both in `f64` (PC-side, training) and — for
 //! the blocks that run on the WBSN — in integer arithmetic, so that the
@@ -33,7 +35,6 @@
 pub mod delineation;
 pub mod downsample;
 pub mod filter;
-pub mod frontend;
 pub mod peak;
 pub mod streaming;
 mod tape;
@@ -42,7 +43,6 @@ pub mod window;
 
 pub use delineation::{BeatFiducials, Delineator, FiducialPoint, WaveFiducials};
 pub use filter::{ExtremumKind, MorphologicalFilter};
-pub use frontend::FrontendScratch;
 pub use peak::{PeakDetector, PeakDetectorConfig, PeakScanner, PeakThresholds};
 pub use streaming::{
     Millivolts, SampleScale, StreamingBaselineFilter, StreamingBeatWindower, StreamingDecimator,

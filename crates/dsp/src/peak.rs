@@ -9,10 +9,10 @@
 //!
 //! The scan itself is implemented once, as the incremental [`PeakScanner`]
 //! state machine consuming one multi-scale coefficient frame at a time from a
-//! bounded ring buffer. The batch [`PeakDetector::detect`] drives the scanner
-//! over a whole record; the streaming front-end
-//! ([`crate::streaming::StreamingPeakDetector`]) drives the *same* scanner
-//! one sample at a time, so the two paths agree by construction.
+//! bounded ring buffer. The whole-signal [`PeakDetector::detect`] drives the
+//! scanner over the [`DyadicWavelet::transform`] of a record; the streaming
+//! front-end ([`crate::streaming::StreamingPeakDetector`]) drives the *same*
+//! scanner from its wavelet cascade, so the two paths agree by construction.
 //!
 //! Detection thresholds are derived from the RMS of the wavelet detail
 //! coefficients. The batch path computes them over the record it is given; an
@@ -23,11 +23,10 @@
 
 use std::collections::VecDeque;
 
-use crate::frontend::FrontendScratch;
 use crate::streaming::BLOCK;
 use crate::tape::Tape;
 use crate::wavelet::DyadicWavelet;
-use crate::{DspError, Result};
+use crate::Result;
 
 /// Configuration of the wavelet peak detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,35 +142,11 @@ impl PeakDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::SignalTooShort`] when the signal cannot support
-    /// the wavelet decomposition.
+    /// Returns [`DspError::SignalTooShort`](crate::DspError::SignalTooShort)
+    /// when the signal cannot support the wavelet decomposition.
     pub fn calibrate(&self, signal: &[f64]) -> Result<PeakThresholds> {
-        self.calibrate_with_scratch(signal, &mut FrontendScratch::default())
-    }
-
-    /// [`Self::calibrate`] against caller-owned scratch: the wavelet detail
-    /// planes live in `scratch` and are reused across calls, so repeated
-    /// calibrations (e.g. per-session start-up in a serving hub) do not
-    /// re-allocate the decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::SignalTooShort`] when the signal cannot support
-    /// the wavelet decomposition.
-    pub fn calibrate_with_scratch(
-        &self,
-        signal: &[f64],
-        scratch: &mut FrontendScratch,
-    ) -> Result<PeakThresholds> {
-        let wavelet = DyadicWavelet::with_scales(self.config.scales);
-        // The detail planes live in the scratch too; take them out so the
-        // scratch can be threaded into the transform (plain moves, no
-        // allocation).
-        let mut details = std::mem::take(&mut scratch.details);
-        let transformed = wavelet.transform_into(signal, scratch, &mut details);
-        let thresholds = transformed.map(|()| self.thresholds_from_details(&details));
-        scratch.details = details;
-        thresholds
+        let details = DyadicWavelet::with_scales(self.config.scales).transform(signal)?;
+        Ok(self.thresholds_from_details(&details))
     }
 
     /// Creates the incremental scan state machine for these thresholds.
@@ -190,88 +165,24 @@ impl PeakDetector {
     ///
     /// Thresholds are calibrated over `signal` itself, then the incremental
     /// [`PeakScanner`] consumes the coefficient frames in order — the same
-    /// state machine the streaming front-end drives sample by sample.
+    /// state machine the streaming front-end drives block by block.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::SignalTooShort`] when the signal cannot support the
-    /// wavelet decomposition.
+    /// Returns [`DspError::SignalTooShort`](crate::DspError::SignalTooShort)
+    /// when the signal cannot support the wavelet decomposition.
     pub fn detect(&self, signal: &[f64]) -> Result<Vec<usize>> {
-        self.detect_with_scratch(signal, &mut FrontendScratch::default())
-    }
-
-    /// [`Self::detect`] against caller-owned scratch: the wavelet
-    /// decomposition and the scan frame are computed into reused scratch
-    /// buffers, so record-processing loops pay no per-record transform
-    /// allocation. (The scanner's own bounded ring buffers and the returned
-    /// peak vector still allocate — they are small and peak-count-bound, not
-    /// signal-length-bound.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::SignalTooShort`] when the signal cannot support
-    /// the wavelet decomposition.
-    pub fn detect_with_scratch(
-        &self,
-        signal: &[f64],
-        scratch: &mut FrontendScratch,
-    ) -> Result<Vec<usize>> {
-        let wavelet = DyadicWavelet::with_scales(self.config.scales);
-        let mut details = std::mem::take(&mut scratch.details);
-        let transformed = wavelet.transform_into(signal, scratch, &mut details);
-        let result = transformed.and_then(|()| {
-            let n = details[0].len();
-            if n < 4 {
-                return Err(DspError::SignalTooShort {
-                    required: 4,
-                    provided: n,
-                });
-            }
-            let thresholds = self.thresholds_from_details(&details);
-            let mut frame = std::mem::take(&mut scratch.frame);
-            let peaks = self.scan_details(signal, &details, thresholds, &mut frame);
-            scratch.frame = frame;
-            Ok(peaks)
-        });
-        scratch.details = details;
-        result
-    }
-
-    /// Runs the scan over precomputed detail coefficients with explicit
-    /// thresholds (the deployment split: calibrate once, scan forever).
-    pub fn detect_with_thresholds(
-        &self,
-        signal: &[f64],
-        details: &[Vec<f64>],
-        thresholds: PeakThresholds,
-    ) -> Vec<usize> {
-        self.scan_details(signal, details, thresholds, &mut Vec::new())
-    }
-
-    /// The shared scan loop: drives the incremental [`PeakScanner`] over the
-    /// coefficient planes, assembling one frame at a time into `frame`.
-    fn scan_details(
-        &self,
-        signal: &[f64],
-        details: &[Vec<f64>],
-        thresholds: PeakThresholds,
-        frame: &mut Vec<f64>,
-    ) -> Vec<usize> {
-        let mut scanner = self.scanner(thresholds);
-        frame.clear();
-        frame.resize(self.config.scales, 0.0);
+        let details = DyadicWavelet::with_scales(self.config.scales).transform(signal)?;
+        let mut scanner = self.scanner(self.thresholds_from_details(&details));
+        let mut frame = vec![0.0; self.config.scales];
         for (i, &s) in signal.iter().enumerate() {
-            for (f, d) in frame.iter_mut().zip(details) {
+            for (f, d) in frame.iter_mut().zip(&details) {
                 *f = d[i];
             }
-            scanner.push(frame, s);
+            scanner.push(&frame, s);
         }
         scanner.finish();
-        let mut peaks = Vec::new();
-        while let Some(p) = scanner.pop_peak() {
-            peaks.push(p);
-        }
-        peaks
+        Ok(std::iter::from_fn(|| scanner.pop_peak()).collect())
     }
 }
 
@@ -577,6 +488,7 @@ impl PeakScanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DspError;
     use hbc_ecg::noise::NoiseModel;
     use hbc_ecg::record::Lead;
     use hbc_ecg::synthetic::SyntheticEcg;
@@ -700,7 +612,13 @@ mod tests {
         let wavelet = DyadicWavelet::with_scales(detector.config().scales);
         let details = wavelet.transform(signal).expect("transform");
         let thresholds = detector.calibrate(signal).expect("calibrate");
-        let split = detector.detect_with_thresholds(signal, &details, thresholds);
+        let mut scanner = detector.scanner(thresholds);
+        for (i, &s) in signal.iter().enumerate() {
+            let frame: Vec<f64> = details.iter().map(|d| d[i]).collect();
+            scanner.push(&frame, s);
+        }
+        scanner.finish();
+        let split: Vec<usize> = std::iter::from_fn(|| scanner.pop_peak()).collect();
         assert_eq!(split, reference);
     }
 

@@ -1,9 +1,10 @@
-//! Streaming (sample-by-sample) versions of the conditioning kernels.
+//! Streaming (sample-by-sample) conditioning kernels.
 //!
-//! The batch functions of [`crate::filter`] and [`crate::wavelet`] are
-//! convenient for training and for record-level experiments, but the firmware
-//! on the WBSN processes one ADC sample at a time with bounded memory. This
-//! module provides the online equivalents:
+//! The firmware on the WBSN processes one ADC sample at a time with bounded
+//! memory, and so does every gateway session. This module holds those
+//! online kernels; its baseline filter is also the only morphology the
+//! record path runs ([`MorphologicalFilter::apply`] pushes a whole signal
+//! through it):
 //!
 //! * [`SlidingExtremum`] — O(1) sliding-window minimum/maximum (the
 //!   streaming van Herk / Gil–Werman algorithm), the primitive behind
@@ -11,7 +12,7 @@
 //! * [`StreamingErosion`] / [`StreamingDilation`] — centred structuring
 //!   elements with a fixed group delay of `size/2` samples;
 //! * [`StreamingBaselineFilter`] — the opening/closing baseline estimator of
-//!   [`crate::filter::MorphologicalFilter`] as a push-based pipeline, fed
+//!   a [`MorphologicalFilter`] geometry as a push-based pipeline, fed
 //!   millivolts or — through a [`SampleScale`] — raw ADC codes, which stay
 //!   codes up to the filter's output;
 //! * [`StreamingWavelet`] — the à-trous dyadic wavelet transform of
@@ -25,11 +26,14 @@
 //!
 //! Every operator exposes its **group delay** explicitly, and every operator
 //! with a right-border obligation exposes a `finish` drain that reproduces
-//! the batch implementation's border handling (clamped windows for the
-//! morphological operators, symmetric reflection for the wavelet). As a
-//! result the streaming chain is *bit-identical* to the batch chain over the
-//! whole record — not merely in the interior — which is what lets the
-//! firmware parity suite compare per-beat classifications exactly.
+//! the whole-signal border handling (clamped windows for the morphological
+//! operators, symmetric reflection for the wavelet). As a result the
+//! streaming chain is *bit-identical* over the whole record — not merely in
+//! the interior — to its references: the naive morphology oracle
+//! ([`crate::filter::sliding_extreme_naive`],
+//! [`MorphologicalFilter::apply_naive`]) and the whole-signal wavelet
+//! transform ([`crate::wavelet::DyadicWavelet::transform`]). That is what
+//! lets the firmware parity suite compare per-beat classifications exactly.
 //!
 //! The filter, the wavelet and the peak detector also take chunks
 //! (`push_chunk`), which they process **stage by stage** in blocks of at
@@ -47,6 +51,7 @@ use std::collections::VecDeque;
 
 use hbc_ecg::beat::BeatWindow;
 
+use crate::filter::MorphologicalFilter;
 use crate::peak::{PeakDetector, PeakScanner, PeakThresholds};
 use crate::tape::Tape;
 
@@ -77,11 +82,10 @@ pub const BLOCK: usize = 64;
 /// samples in the array, and one backward pass turns them into suffix
 /// extrema in place.
 ///
-/// Ties keep the earlier sample, exactly like the batch deque kernel of
-/// [`crate::filter`]: the suffix beats the prefix, the prefix keeps its
-/// value against an equal incoming sample, and the backward pass keeps the
-/// earlier sample. For `f64` this selects the same one of `+0.0` and
-/// `-0.0` the batch kernel selects.
+/// Ties keep the earlier sample, like a left-to-right window scan: the
+/// suffix beats the prefix, the prefix keeps its value against an equal
+/// incoming sample, and the backward pass keeps the earlier sample. For
+/// `f64` this selects the earliest of equal `+0.0` and `-0.0` samples.
 ///
 /// Generic over the sample type: the algorithm only compares samples, so
 /// it runs unchanged on millivolts (`f64`) or on raw ADC codes (`i16`).
@@ -225,7 +229,7 @@ impl<T: Copy + PartialOrd> SlidingExtremum<T> {
     /// extremum of the samples still covered, or `None` once none remain.
     ///
     /// This drains the right border at end of stream: the window degrades
-    /// from centred to right-clamped exactly like the batch operators of
+    /// from centred to right-clamped exactly like the naive oracle of
     /// [`crate::filter`], whose windows are truncated at the signal end.
     /// The window advances over a copy of the last pushed sample: while
     /// that sample is still covered, the copies change neither the
@@ -270,10 +274,10 @@ struct Morph<T> {
 
 impl<T: Copy + PartialOrd> Morph<T> {
     fn new(kind: ExtremumKind, size: usize) -> Self {
-        // Both the batch and the streaming operator derive their geometry
+        // The streaming operator and the naive oracle derive their geometry
         // from the single even-`size` normalisation point, so an even
-        // structuring element yields the same `size + 1`-sample window on
-        // both paths.
+        // structuring element yields the same `size + 1`-sample window in
+        // both.
         let window = crate::filter::effective_window(size);
         Morph {
             extremum: SlidingExtremum::new(kind, window),
@@ -302,8 +306,8 @@ impl<T: Copy + PartialOrd> Morph<T> {
 
     /// Drains one pending right-border output (the operator owes exactly
     /// `delay` outputs at end of stream, fewer if the stream was shorter
-    /// than the delay). The shrinking window reproduces the batch
-    /// operator's end-of-signal clamping sample for sample.
+    /// than the delay). The shrinking window reproduces the naive
+    /// oracle's end-of-signal clamping sample for sample.
     fn finish_one(&mut self) -> Option<T> {
         if self.emitted >= self.seen {
             return None;
@@ -349,8 +353,8 @@ macro_rules! impl_streaming_morph {
             }
 
             /// Drains one of the `delay()` outputs still owed at end of
-            /// stream (right-clamped windows, matching the batch border
-            /// handling); `None` once fully drained.
+            /// stream (right-clamped windows, matching the naive oracle's
+            /// border handling); `None` once fully drained.
             pub fn finish_one(&mut self) -> Option<T> {
                 self.inner.finish_one()
             }
@@ -363,8 +367,9 @@ impl_streaming_morph!(
     ExtremumKind::Min,
     "Streaming erosion with a centred flat structuring element of `size`\n\
      samples: the output for input sample `n` is produced `size/2` samples\n\
-     later (the group delay), matching [`crate::filter::erode`] exactly once\n\
-     the right border is drained with [`StreamingErosion::finish_one`]."
+     later (the group delay), matching [`crate::filter::sliding_extreme_naive`]\n\
+     exactly once the right border is drained with\n\
+     [`StreamingErosion::finish_one`]."
 );
 impl_streaming_morph!(
     StreamingDilation,
@@ -408,13 +413,15 @@ impl SampleScale for Millivolts {
 /// Streaming baseline-wander filter: opening followed by closing with the
 /// short (QRS) structuring element, then the average of opening and closing
 /// with the long (beat) element, subtracted from the delayed input — the
-/// same computation as [`crate::filter::MorphologicalFilter`], expressed as a
-/// push pipeline with a fixed total latency of [`Self::delay`] samples.
+/// baseline removal of a [`MorphologicalFilter`] geometry as a push pipeline
+/// with a fixed total latency of [`Self::delay`] samples.
 ///
 /// After [`Self::finish_into`] has drained the right border, the complete
-/// output sequence is bit-identical to the batch filter over the whole
-/// signal (the warm-up of each sliding window reproduces the batch
-/// operators' left clamping, the drain their right clamping).
+/// output sequence is bit-identical to the naive oracle
+/// [`MorphologicalFilter::apply_naive`] over the whole signal (the warm-up
+/// of each sliding window reproduces its left clamping, the drain its right
+/// clamping). [`MorphologicalFilter::apply`] is this filter run over a
+/// whole signal.
 ///
 /// The input type is set by the [`SampleScale`] `S`: millivolts by default,
 /// or ADC codes with a scale that dequantizes them exactly, in which case
@@ -444,8 +451,8 @@ pub struct StreamingBaselineFilter<S: SampleScale = Millivolts> {
 }
 
 impl StreamingBaselineFilter {
-    /// Builds the streaming filter for a sampling rate, using the same
-    /// structuring-element durations as the batch filter.
+    /// Builds the streaming filter for a sampling rate, with the geometry of
+    /// [`MorphologicalFilter::for_sampling_rate`].
     ///
     /// # Panics
     ///
@@ -463,25 +470,36 @@ impl<S: SampleScale> StreamingBaselineFilter<S> {
     ///
     /// Panics if `fs` is not positive.
     pub fn with_scale(fs: f64, scale: S) -> Self {
-        let batch = crate::filter::MorphologicalFilter::for_sampling_rate(fs);
-        let qrs_half = batch.qrs_element / 2;
-        let beat_half = batch.beat_element / 2;
-        let total_delay = 4 * qrs_half + 2 * beat_half;
+        Self::with_geometry(MorphologicalFilter::for_sampling_rate(fs), scale)
+    }
+
+    /// The streaming filter with the structuring elements of `geometry`,
+    /// over input samples read through `scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either structuring element is empty.
+    pub fn with_geometry(geometry: MorphologicalFilter, scale: S) -> Self {
+        let MorphologicalFilter {
+            qrs_element: qrs,
+            beat_element: beat,
+        } = geometry;
+        let total_delay = 4 * (qrs / 2) + 2 * (beat / 2);
         StreamingBaselineFilter {
             scale,
             stage1: [
-                Morph::new(ExtremumKind::Min, batch.qrs_element),
-                Morph::new(ExtremumKind::Max, batch.qrs_element),
-                Morph::new(ExtremumKind::Max, batch.qrs_element),
-                Morph::new(ExtremumKind::Min, batch.qrs_element),
+                Morph::new(ExtremumKind::Min, qrs),
+                Morph::new(ExtremumKind::Max, qrs),
+                Morph::new(ExtremumKind::Max, qrs),
+                Morph::new(ExtremumKind::Min, qrs),
             ],
             open2: [
-                Morph::new(ExtremumKind::Min, batch.beat_element),
-                Morph::new(ExtremumKind::Max, batch.beat_element),
+                Morph::new(ExtremumKind::Min, beat),
+                Morph::new(ExtremumKind::Max, beat),
             ],
             close2: [
-                Morph::new(ExtremumKind::Max, batch.beat_element),
-                Morph::new(ExtremumKind::Min, batch.beat_element),
+                Morph::new(ExtremumKind::Max, beat),
+                Morph::new(ExtremumKind::Min, beat),
             ],
             input_delay: Tape::with_capacity(total_delay + BLOCK),
             total_delay,
@@ -594,10 +612,11 @@ impl<S: SampleScale> StreamingBaselineFilter<S> {
     }
 
     /// Drains the `delay()` outputs still owed at end of stream into `out`,
-    /// reproducing the batch filter's right-border clamping, and seals the
+    /// reproducing the whole-signal right-border clamping, and seals the
     /// filter. For streams shorter than the group delay this produces one
-    /// output per input pushed (the batch filter would reject such signals
-    /// outright). Idempotent: a second call appends nothing.
+    /// output per input pushed ([`MorphologicalFilter::apply`] rejects
+    /// signals shorter than the longest element outright). Idempotent: a
+    /// second call appends nothing.
     pub fn finish_into(&mut self, out: &mut Vec<f64>) {
         if self.finished {
             return;
@@ -1263,7 +1282,7 @@ impl StreamingBeatWindower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{dilate, erode, MorphologicalFilter};
+    use crate::filter::{sliding_extreme_naive, MorphologicalFilter};
     use crate::wavelet::DyadicWavelet;
     use hbc_ecg::noise::NoiseModel;
     use hbc_ecg::record::Lead;
@@ -1317,8 +1336,8 @@ mod tests {
     fn streaming_erosion_and_dilation_match_batch_everywhere() {
         let signal = test_signal(800);
         let size = 25;
-        let batch_eroded = erode(&signal, size);
-        let batch_dilated = dilate(&signal, size);
+        let batch_eroded = sliding_extreme_naive(&signal, size, ExtremumKind::Min);
+        let batch_dilated = sliding_extreme_naive(&signal, size, ExtremumKind::Max);
 
         let mut erosion = StreamingErosion::new(size);
         let mut dilation = StreamingDilation::new(size);
@@ -1332,8 +1351,8 @@ mod tests {
                 dilated.push(v);
             }
         }
-        // The warm-up reproduces the batch left clamping; the drain
-        // reproduces the right clamping. Full-signal equality, bit for bit.
+        // The warm-up reproduces the naive oracle's left clamping; the drain
+        // reproduces its right clamping. Full-signal equality, bit for bit.
         while let Some(v) = erosion.finish_one() {
             eroded.push(v);
         }
@@ -1348,11 +1367,15 @@ mod tests {
     fn even_structuring_elements_pin_batch_and_streaming_to_one_semantics() {
         // The even-`size` asymmetry is normalised in exactly one place
         // (`filter::effective_window`): an even element behaves as the next
-        // odd one, identically on the batch and streaming paths.
+        // odd one, identically in the naive oracle and the streaming path.
         let signal = test_signal(400);
         for even in [2usize, 4, 24, 72] {
-            let batch_even = erode(&signal, even);
-            assert_eq!(batch_even, erode(&signal, even + 1), "size {even}");
+            let batch_even = sliding_extreme_naive(&signal, even, ExtremumKind::Min);
+            assert_eq!(
+                batch_even,
+                sliding_extreme_naive(&signal, even + 1, ExtremumKind::Min),
+                "size {even}"
+            );
             let mut erosion = StreamingErosion::new(even);
             let mut dilation = StreamingDilation::new(even);
             assert_eq!(erosion.delay(), even / 2);
@@ -1371,7 +1394,7 @@ mod tests {
             assert_eq!(eroded, batch_even, "streaming erosion, size {even}");
             assert_eq!(
                 dilated,
-                dilate(&signal, even),
+                sliding_extreme_naive(&signal, even, ExtremumKind::Max),
                 "streaming dilation, size {even}"
             );
         }
@@ -1393,7 +1416,7 @@ mod tests {
         let fs = 360.0;
         let signal = test_signal(3000);
         let batch = MorphologicalFilter::for_sampling_rate(fs)
-            .apply(&signal)
+            .apply_naive(&signal)
             .expect("long enough");
 
         let mut streaming = StreamingBaselineFilter::for_sampling_rate(fs);
@@ -1408,14 +1431,14 @@ mod tests {
         assert_eq!(out.len(), batch.len());
         // Same comparisons, same arithmetic, same order: exact equality.
         for (k, (a, b)) in out.iter().zip(&batch).enumerate() {
-            assert_eq!(a, b, "streaming and batch filters differ at sample {k}");
+            assert_eq!(a, b, "streaming and naive filters differ at sample {k}");
         }
     }
 
     #[test]
     fn baseline_filter_on_a_stream_shorter_than_its_delay() {
-        // The batch filter rejects signals shorter than its structuring
-        // elements; the streaming filter emits nothing while running and
+        // `MorphologicalFilter::apply` rejects signals shorter than its
+        // structuring elements; the streaming filter emits nothing while running and
         // produces one best-effort output per input at finish.
         let mut streaming = StreamingBaselineFilter::for_sampling_rate(360.0);
         let short = test_signal(25);

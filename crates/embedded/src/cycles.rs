@@ -24,21 +24,25 @@ use crate::int_classifier::IntegerNfc;
 use crate::platform::{IcyHeartPlatform, OperationCounts};
 
 /// Operation mix of the morphological filtering stage, per input sample of
-/// one lead, charged at the cost of the **shipped monotone-deque kernel**
-/// (`hbc_dsp::filter`): each sample enters the wedge once and leaves it at
-/// most once per pass, so the per-sample comparison count is
-/// ~`DEQUE_COMPARISONS_PER_SAMPLE` per pass *independent of the
-/// structuring-element length* — against one comparison per window element
-/// for the naive scan the model charged before (kept as
-/// [`naive_filtering_ops_per_sample`] so reports can call out the delta).
+/// one lead, charged at the cost of the **shipped van Herk / Gil–Werman
+/// kernel** (`hbc_dsp::streaming::SlidingExtremum`): per pass, one
+/// comparison extends the block's running prefix extremum, one picks
+/// between it and the previous block's suffix extremum, and one builds the
+/// suffix extrema in the backward pass over each completed block — the 3
+/// of `EXTREMUM_COMPARISONS_PER_SAMPLE`, *independent of the
+/// structuring-element length*. (The same 3 per pass once charged the
+/// monotone-deque kernel this one replaced, so Table III is unchanged.)
+/// The naive scan the model charged before costs one comparison per window
+/// element (kept as [`naive_filtering_ops_per_sample`] so reports can call
+/// out the delta).
 pub fn filtering_ops_per_sample(filter: &MorphologicalFilter) -> OperationCounts {
     let compares = filter.comparisons_per_sample() as u64;
     let passes = hbc_dsp::filter::MORPHOLOGY_PASSES as u64;
     OperationCounts {
         compares,
-        // Each wedge comparison reads one buffered sample.
+        // Each comparison reads one buffered sample.
         loads: compares,
-        // Wedge push + output write per pass.
+        // Block-buffer write + output write per pass.
         stores: 2 * passes,
         // Window-index bookkeeping per pass, plus the baseline averaging and
         // subtraction.
@@ -50,9 +54,9 @@ pub fn filtering_ops_per_sample(filter: &MorphologicalFilter) -> OperationCounts
 
 /// Operation mix of the morphological filtering stage under the **naive
 /// window rescan** (one comparison per effective-window element per pass) —
-/// the pre-deque kernel and the cost a literal reading of the original
-/// firmware loop would charge. Kept as the reference point for the
-/// model-delta callout in the Table III report.
+/// the cost before an O(1)-per-sample kernel, and what a literal reading of
+/// the original firmware loop would charge. Kept as the reference point for
+/// the model-delta callout in the Table III report.
 pub fn naive_filtering_ops_per_sample(filter: &MorphologicalFilter) -> OperationCounts {
     let compares = filter.naive_comparisons_per_sample() as u64;
     OperationCounts {
@@ -67,16 +71,16 @@ pub fn naive_filtering_ops_per_sample(filter: &MorphologicalFilter) -> Operation
     }
 }
 
-/// How many times cheaper the deque morphology kernel is than the naive
+/// How many times cheaper the shipped morphology kernel is than the naive
 /// window scan on `platform`, per filtered sample — the model delta the
 /// Table III report calls out.
 pub fn morphology_model_speedup(filter: &MorphologicalFilter, platform: &IcyHeartPlatform) -> f64 {
     let naive = platform.cycles(&naive_filtering_ops_per_sample(filter));
-    let deque = platform.cycles(&filtering_ops_per_sample(filter));
-    if deque == 0 {
+    let shipped = platform.cycles(&filtering_ops_per_sample(filter));
+    if shipped == 0 {
         return 1.0;
     }
-    naive as f64 / deque as f64
+    naive as f64 / shipped as f64
 }
 
 /// Operation mix of the à-trous wavelet decomposition + peak search, per
@@ -128,7 +132,7 @@ pub fn nfc_ops_per_beat(classifier: &IntegerNfc) -> OperationCounts {
 /// Operation mix of the MMD delineation of one beat on one lead
 /// (`window` samples analysed at `scales` morphological scales), charged at
 /// the cost of a **monotone-wedge kernel**: two deque passes per scale
-/// (trailing max, leading min) at ~`DEQUE_COMPARISONS_PER_SAMPLE` amortised
+/// (trailing max, leading min) at ~`EXTREMUM_COMPARISONS_PER_SAMPLE` amortised
 /// comparisons per sample each, *independent of the scale length* (the van
 /// Herk kernel `hbc_dsp::Delineator::mmd` runs on the host also makes three
 /// comparisons per sample: prefix, suffix pick, backward pass), plus the three-term
@@ -139,7 +143,7 @@ pub fn delineation_ops_per_beat_per_lead(window: usize, scales: &[usize]) -> Ope
     let window = window as u64;
     // One trailing-max and one leading-min wedge pass per scale.
     let passes = 2 * scales.len() as u64;
-    let compares = hbc_dsp::filter::DEQUE_COMPARISONS_PER_SAMPLE as u64 * passes * window;
+    let compares = hbc_dsp::filter::EXTREMUM_COMPARISONS_PER_SAMPLE as u64 * passes * window;
     OperationCounts {
         compares,
         // Each wedge comparison reads one buffered sample.

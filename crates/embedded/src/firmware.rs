@@ -17,7 +17,7 @@
 //! consumes, and the duty-cycle report of the platform model.
 
 use hbc_dsp::window::{match_peaks, windows_at_peaks};
-use hbc_dsp::{Delineator, FrontendScratch, MorphologicalFilter, PeakDetector};
+use hbc_dsp::{Delineator, MorphologicalFilter, PeakDetector};
 use hbc_ecg::beat::{BeatClass, BeatWindow};
 use hbc_ecg::record::{EcgRecord, Lead};
 use hbc_rp::PackedProjection;
@@ -366,23 +366,20 @@ impl WbsnFirmware {
     /// Returns [`EmbeddedError::Dimension`] when the record has no leads or is
     /// too short for the conditioning front-end.
     pub fn process_record(&self, record: &EcgRecord) -> Result<FirmwareReport> {
-        self.process_record_with(
-            record,
-            &mut FrontendScratch::default(),
-            &mut BeatScratch::default(),
-        )
+        self.process_record_with(record, &mut BeatScratch::default())
     }
 
-    /// [`Self::process_record`] against caller-owned scratch buffers: the
-    /// conditioning front-end (morphological filter of every lead + wavelet
-    /// peak detection) runs its intermediates — wedge, stage buffers,
-    /// wavelet planes — through `frontend` and the per-beat classification
-    /// stages through `beat`, so multi-record drivers (the evaluation
-    /// engine, sweeps) reuse both working sets across records. The filtered
-    /// per-lead output signals themselves are still per-record `Vec`s: they
-    /// must outlive the scratch borrows (windowing and delineation read them
-    /// for the whole record), so one O(n) allocation per lead per record
-    /// remains. Output is identical to [`Self::process_record`].
+    /// [`Self::process_record`] against a caller-owned per-beat scratch, so
+    /// multi-record drivers (the evaluation engine, sweeps) reuse the
+    /// classification working set across records. The conditioning
+    /// front-end runs whole-signal: every lead goes through
+    /// [`MorphologicalFilter::apply`] (the streaming baseline filter the
+    /// gateway sessions run, fed the whole lead), and the classification
+    /// lead through [`PeakDetector::detect`]. Detection matches *every*
+    /// peak against the annotations, border peaks that no window is cut
+    /// around included, and delineation reads the other filtered leads, so
+    /// both stay whole-record. Output is identical to
+    /// [`Self::process_record`].
     ///
     /// # Errors
     ///
@@ -391,23 +388,19 @@ impl WbsnFirmware {
     pub fn process_record_with(
         &self,
         record: &EcgRecord,
-        frontend: &mut FrontendScratch,
         beat_scratch: &mut BeatScratch,
     ) -> Result<FirmwareReport> {
         let lead0 = record
             .lead(Lead(0))
             .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
 
-        // Stage 1-2: filtering + peak detection on the classification lead,
-        // all intermediates living in the shared frontend scratch.
+        // Stage 1-2: filtering + peak detection on the classification lead.
         let filter = MorphologicalFilter::for_sampling_rate(record.fs);
-        let mut filtered = Vec::with_capacity(lead0.len());
-        filter
-            .apply_into(lead0, frontend, &mut filtered)
+        let filtered = filter
+            .apply(lead0)
             .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
-        let detector = PeakDetector::new(record.fs);
-        let peaks = detector
-            .detect_with_scratch(&filtered, frontend)
+        let peaks = PeakDetector::new(record.fs)
+            .detect(&filtered)
             .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
 
         // Ground-truth association for reporting. The matching is indexed by
@@ -426,11 +419,7 @@ impl WbsnFirmware {
         let filtered_rest: Vec<Vec<f64>> = (1..record.num_leads())
             .map(|l| {
                 let signal = record.lead(Lead(l)).expect("lead index < num_leads");
-                let mut lead = Vec::with_capacity(signal.len());
-                filter
-                    .apply_into(signal, frontend, &mut lead)
-                    .expect("same length as lead 0");
-                lead
+                filter.apply(signal).expect("same length as lead 0")
             })
             .collect();
 

@@ -1324,7 +1324,7 @@ impl<'fw> Gateway<'fw> {
             ),
             Frame::CloseSession { session } => {
                 if self.sessions.get(session).is_some_and(|s| s.conn == idx) {
-                    self.close_wire_session(session, false);
+                    self.close_requested(session, false);
                 } else if let Some(report) = self.sessions.ended(session).map(|(_, r, _)| r) {
                     // The session already ended and the client retried its
                     // close (its link died before the Report arrived):
@@ -1769,7 +1769,8 @@ impl<'fw> Gateway<'fw> {
                 // promotion above failed. A degenerate calibration stretch
                 // is a per-session failure: end *this* session like any
                 // close — an empty Report whose samples counter tells the
-                // client how much was consumed for nothing — and leave the
+                // client how much was consumed for nothing — without
+                // calibrating the stretch a second time, and leave the
                 // connection's other sessions untouched.
                 SessionPhase::Calibrating { .. } if s.completed_stretch().is_some() => {
                     self.close_wire_session(wire_id, false);
@@ -1966,8 +1967,28 @@ impl<'fw> Gateway<'fw> {
 
     fn evict_idle(&mut self) {
         for wire_id in self.sessions.idle_ids(self.now, self.config.idle_timeout) {
-            self.close_wire_session(wire_id, true);
+            self.close_requested(wire_id, true);
         }
+    }
+
+    /// Ends a session its client closed or the gateway evicted. Such a
+    /// close can arrive while the calibration stretch is still short, or
+    /// complete but not yet promoted by a sweep; the session calibrates on
+    /// what exists first (best effort — a degenerate stretch simply yields
+    /// an empty session). A session whose sweep promotion already failed is
+    /// ended by [`Self::close_wire_session`] directly, without calibrating
+    /// the same stretch again.
+    fn close_requested(&mut self, wire_id: u32, evicted: bool) {
+        if let Some(s) = self.sessions.get_mut(wire_id) {
+            if let SessionPhase::Calibrating { calib_len } = s.phase {
+                let stretch = &s.pending[..calib_len.min(s.pending.len())];
+                if let [Some(hub)] = promote(&mut self.hub, &[(s.patient_id, stretch)], |&r| r)[..]
+                {
+                    s.phase = SessionPhase::Streaming { hub };
+                }
+            }
+        }
+        self.close_wire_session(wire_id, evicted);
     }
 
     /// Ends a wire session: flushes its buffer into the hub, closes the hub
@@ -1982,18 +2003,10 @@ impl<'fw> Gateway<'fw> {
             return;
         };
         // Off the books: the buffer is drained into the hub below, and an
-        // ended session keeps none.
+        // ended session keeps none. A session still calibrating has no hub
+        // session and ends with an empty report.
         let pending = std::mem::take(&mut s.pending);
         self.buffered_samples -= pending.len();
-        // A close can arrive while the calibration stretch is still short;
-        // calibrate on what exists (best effort — too short simply yields an
-        // empty session).
-        if let SessionPhase::Calibrating { calib_len } = s.phase {
-            let stretch = &pending[..calib_len.min(pending.len())];
-            if let [Some(hub)] = promote(&mut self.hub, &[(s.patient_id, stretch)], |&r| r)[..] {
-                s.phase = SessionPhase::Streaming { hub };
-            }
-        }
         let mut report = WireReport {
             beats: 0,
             forwarded: 0,
@@ -2339,6 +2352,100 @@ mod tests {
             assert_eq!(outcomes[i], reference, "session {i} vs process_record");
             assert_eq!(report.beats as usize, reference.len());
         }
+    }
+
+    #[test]
+    fn a_flat_calibration_stretch_ends_its_session_like_a_short_one() {
+        // A flat stretch calibrates to a zero detection threshold, which the
+        // hub rejects: the session ends in the sweep that completes its
+        // stretch with the same empty Report as a stretch too short for the
+        // detector (the 4-sample case of the burst test above).
+        let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
+        let fw = WbsnFirmware::new(
+            PackedProjection::from_matrix(&system.pc_downsampled.projection),
+            system.wbsn.classifier.clone(),
+            AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
+            system.config.downsample,
+            BeatWindow::PAPER,
+        )
+        .expect("firmware dimensions");
+        let fs = 360.0;
+        let streams: [Vec<i16>; 3] = [vec![0; 4], vec![0; 1800], vec![100; 1800]];
+        let config = GatewayConfig {
+            credit_budget: 1 << 20,
+            ..GatewayConfig::default()
+        };
+        let mut gateway = Gateway::bind("127.0.0.1:0", &fw, fs, config).expect("bind");
+        let mut conn = TcpStream::connect(gateway.local_addr().expect("addr")).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_millis(1)))
+            .expect("read timeout");
+        let mut decoder = FrameDecoder::new();
+        let mut hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode();
+        for codes in &streams {
+            hello.extend(
+                Frame::OpenSession {
+                    patient_id: 9,
+                    fs_millihertz: (fs * 1000.0) as u32,
+                    calib_len: codes.len() as u32,
+                }
+                .encode(),
+            );
+        }
+        conn.write_all(&hello).expect("open");
+        let mut frames = Vec::new();
+        let mut ids = Vec::new();
+        while ids.len() < streams.len() {
+            gateway.poll().expect("poll");
+            read_frames(&mut conn, &mut decoder, &mut frames);
+            ids.extend(frames.drain(..).filter_map(|f| match f {
+                Frame::SessionOpened { session, .. } => Some(session),
+                _ => None,
+            }));
+        }
+        let mut samples = Vec::new();
+        for (&session, codes) in ids.iter().zip(&streams) {
+            for (seq, chunk) in codes.chunks(MAX_SAMPLES_PER_FRAME).enumerate() {
+                let frame = Frame::Samples {
+                    session,
+                    seq: seq as u32,
+                    samples: chunk.to_vec(),
+                };
+                samples.extend(frame.encode());
+            }
+        }
+        conn.write_all(&samples).expect("samples");
+        let mut reports: Vec<Option<WireReport>> = vec![None; ids.len()];
+        while reports.iter().any(Option::is_none) {
+            gateway.poll().expect("poll");
+            read_frames(&mut conn, &mut decoder, &mut frames);
+            for frame in frames.drain(..) {
+                match frame {
+                    Frame::Report { session, report } => {
+                        let i = ids.iter().position(|&id| id == session).expect("known");
+                        reports[i] = Some(report);
+                    }
+                    Frame::Outcomes { session, .. } => panic!("session {session} emitted beats"),
+                    _ => {}
+                }
+            }
+        }
+        for (i, codes) in streams.iter().enumerate() {
+            let expected = WireReport {
+                beats: 0,
+                forwarded: 0,
+                samples: codes.len() as u64,
+            };
+            assert_eq!(reports[i], Some(expected), "session {i}");
+            assert!(gateway.sessions.get(ids[i]).is_none(), "session {i} ended");
+        }
+        assert_eq!(
+            gateway.hub.active_sessions(),
+            0,
+            "no hub session was created"
+        );
     }
 
     #[test]

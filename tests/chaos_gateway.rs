@@ -480,7 +480,10 @@ fn expired_retention_window_denies_resume_and_retires_the_wire_id() {
     let ((), stats) = with_gateway(&fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client.open_session(77, fs, 512).expect("open");
-        client.send_mv(id, &vec![0.0; 1024]).expect("send");
+        // A wavy stream: a flat calibration stretch is degenerate and
+        // would end the session instead of leaving it to be parked.
+        let stream: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.05).sin()).collect();
+        client.send_mv(id, &stream).expect("send");
         client.sever();
 
         // Wait out the retention window (detach happens when the gateway

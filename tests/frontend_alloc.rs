@@ -1,8 +1,9 @@
-//! Allocation gate for the scratch-reused conditioning front-end: once the
-//! [`FrontendScratch`] buffers have grown to size, repeated runs of the full
-//! conditioning chain (morphological baseline removal + à-trous wavelet +
-//! peak-detection transform) must perform **zero** heap allocations for the
-//! filter/wavelet stages.
+//! Allocation gate for the streaming conditioning chain: once warm, the
+//! code-fed baseline filter (`StreamingBaselineFilter<AdcModel>`) feeding
+//! the streaming R-peak detector (`StreamingPeakDetector`, the wavelet
+//! cascade and the peak scan), pushed in 36-sample chunks as a gateway
+//! session pushes them, must perform **zero** heap allocations — every
+//! ring buffer is sized at construction.
 //!
 //! This lives in its own test binary on purpose: the gate counts allocations
 //! through a global counting allocator, and any concurrently running test in
@@ -12,9 +13,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use heartbeat_rp::hbc_dsp::filter::MorphologicalFilter;
-use heartbeat_rp::hbc_dsp::wavelet::DyadicWavelet;
-use heartbeat_rp::hbc_dsp::FrontendScratch;
+use heartbeat_rp::hbc_dsp::{
+    MorphologicalFilter, PeakDetector, StreamingBaselineFilter, StreamingPeakDetector,
+};
+use heartbeat_rp::hbc_embedded::AdcModel;
 
 /// Counts every allocation (alloc + realloc) made through the global
 /// allocator; deallocations are not counted — the gate is about acquiring
@@ -46,52 +48,70 @@ fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Samples per chunk: one gateway packet.
+const CHUNK: usize = 36;
+
 #[test]
 fn conditioning_chain_allocates_nothing_in_steady_state() {
     let fs = 250.0;
-    let filter = MorphologicalFilter::for_sampling_rate(fs);
-    let wavelet = DyadicWavelet::new();
     let n = (60.0 * fs) as usize;
-    let signal: Vec<f64> = (0..n)
+    let adc = AdcModel::default_frontend();
+    let codes: Vec<i16> = (0..n)
         .map(|i| {
             let t = i as f64 / fs;
-            0.4 * (2.0 * std::f64::consts::PI * 0.25 * t).sin()
-                + if i % (fs as usize) < 8 { 1.0 } else { 0.0 }
+            let mv = 0.4 * (2.0 * std::f64::consts::PI * 0.25 * t).sin()
+                + if i % (fs as usize) < 8 { 1.0 } else { 0.0 };
+            adc.quantize_sample(mv) as i16
         })
         .collect();
+    let mv: Vec<f64> = codes
+        .iter()
+        .map(|&c| adc.dequantize_sample(i32::from(c)))
+        .collect();
 
-    let mut scratch = FrontendScratch::default();
-    let mut filtered = Vec::new();
-    let mut details = Vec::new();
-    let chain =
-        |scratch: &mut FrontendScratch, filtered: &mut Vec<f64>, details: &mut Vec<Vec<f64>>| {
-            filter
-                .apply_into(&signal, scratch, filtered)
-                .expect("long enough");
-            wavelet
-                .transform_into(filtered, scratch, details)
-                .expect("long enough");
-        };
+    // Calibration and construction allocate; both happen before the gate.
+    let calib = (8.0 * fs) as usize;
+    let detector = PeakDetector::new(fs);
+    let thresholds = detector
+        .calibrate(
+            &MorphologicalFilter::for_sampling_rate(fs)
+                .apply(&mv[..calib])
+                .expect("long enough"),
+        )
+        .expect("calibrates");
+    let mut filter = StreamingBaselineFilter::with_scale(fs, adc);
+    let mut peaks = StreamingPeakDetector::new(&detector, thresholds);
+    let mut filtered = [0.0; CHUNK];
+    let mut found = Vec::with_capacity(n);
+    let mut push = |chunk: &[i16]| {
+        let produced = filter.push_chunk(chunk, &mut filtered);
+        peaks.push_chunk(&filtered[..produced]);
+        while let Some(p) = peaks.pop_peak() {
+            found.push(p);
+        }
+    };
 
-    // Warm-up: every buffer grows to its steady-state size.
-    chain(&mut scratch, &mut filtered, &mut details);
-    chain(&mut scratch, &mut filtered, &mut details);
-
+    // Warm-up: the first ten seconds fill every delay line and ring.
+    let (warm, steady) = codes.split_at((10.0 * fs) as usize);
+    for chunk in warm.chunks(CHUNK) {
+        push(chunk);
+    }
     let before = allocations();
-    for _ in 0..16 {
-        chain(&mut scratch, &mut filtered, &mut details);
+    for chunk in steady.chunks(CHUNK) {
+        push(chunk);
     }
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "scratch-reused conditioning chain allocated {} times in steady state",
+        "warm streaming conditioning chain allocated {} times",
         after - before
     );
 
-    // Sanity: the outputs are still the real thing, not stale buffers.
-    assert_eq!(filtered.len(), signal.len());
-    assert_eq!(details.len(), wavelet.scales);
-    assert!(details.iter().all(|d| d.len() == signal.len()));
-    assert_eq!(filtered, filter.apply(&signal).expect("long enough"));
+    // Sanity: the chain did real work, one beat per second.
+    assert!(
+        found.len() >= 55,
+        "expected ~59 peaks in a minute, got {}",
+        found.len()
+    );
 }

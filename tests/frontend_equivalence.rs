@@ -1,16 +1,17 @@
-//! Equivalence suite for the O(n) conditioning front-end.
+//! Equivalence suite for the conditioning front-end.
 //!
-//! The monotone-deque sliding-extremum kernel behind
-//! `hbc_dsp::filter::{erode, dilate, open, close}` must be indistinguishable
-//! from the naive O(n·w) window rescan (`sliding_extreme_naive`) for every
-//! window parity and border position — min/max are pure comparisons, so the
-//! equality is exact, not approximate — and the allocation-free `_into`
-//! variants must agree bit for bit with their allocating counterparts across
-//! the full conditioning chain (morphological baseline removal + à-trous
-//! wavelet). The capstone test reconstructs the *pre-deque* record pipeline
-//! from the naive kernels and checks `WbsnFirmware::process_record` against
-//! it beat by beat: per-beat classifications, ground-truth labels and the
-//! NDR/ARR figures of merit are bit-identical.
+//! Production code runs one morphology kernel: the streaming van Herk /
+//! Gil–Werman sliding extremum behind `hbc_dsp::streaming` (the erosion and
+//! dilation operators, and the baseline filter that
+//! `MorphologicalFilter::apply` runs over whole signals). It must be
+//! indistinguishable from the naive O(n·w) window rescan
+//! (`sliding_extreme_naive`, `MorphologicalFilter::apply_naive`) for every
+//! window parity, border position and element geometry, fed millivolts or
+//! ADC codes — min/max are pure comparisons, so the equality is exact, not
+//! approximate. The capstone test reconstructs the record pipeline from the
+//! naive kernels and checks `WbsnFirmware::process_record` against it beat
+//! by beat: per-beat classifications, ground-truth labels and the NDR/ARR
+//! figures of merit are bit-identical.
 //!
 //! (The zero-steady-state-allocation gate lives in `tests/frontend_alloc.rs`
 //! — it needs a counting global allocator and therefore a test binary of its
@@ -20,13 +21,11 @@ use std::sync::OnceLock;
 
 use heartbeat_rp::config::ExperimentConfig;
 use heartbeat_rp::hbc_dsp::filter::{
-    close, close_into, dilate, dilate_into, effective_window, erode, erode_into, open, open_into,
-    sliding_extreme_naive, ExtremumKind, MorphologicalFilter,
+    effective_window, sliding_extreme_naive, ExtremumKind, MorphologicalFilter,
 };
 use heartbeat_rp::hbc_dsp::streaming::{StreamingDilation, StreamingErosion};
-use heartbeat_rp::hbc_dsp::wavelet::DyadicWavelet;
 use heartbeat_rp::hbc_dsp::window::{match_peaks, windows_at_peaks};
-use heartbeat_rp::hbc_dsp::{Delineator, FrontendScratch, PeakDetector};
+use heartbeat_rp::hbc_dsp::{Delineator, PeakDetector, StreamingBaselineFilter};
 use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::Lead;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
@@ -58,8 +57,9 @@ fn signal(n: usize, seed: u64) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Deque kernel == naive rescan for every window parity and for signals
-    // short enough that the borders dominate.
+    // Streaming kernel == naive rescan for every window parity and for
+    // signals short enough that the borders dominate. (The name dates from
+    // the monotone-deque kernel the streaming one replaced.)
     #[test]
     fn deque_kernel_matches_naive_for_all_parities_and_borders(
         n in 1usize..=400,
@@ -67,18 +67,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let x = signal(n, seed);
-        let eroded = erode(&x, size);
-        let dilated = dilate(&x, size);
+        let (eroded, dilated) = stream_morphology(&x, size);
         prop_assert_eq!(&eroded, &sliding_extreme_naive(&x, size, ExtremumKind::Min),
             "erode, n={}, size={}", n, size);
         prop_assert_eq!(&dilated, &sliding_extreme_naive(&x, size, ExtremumKind::Max),
             "dilate, n={}, size={}", n, size);
         // Even sizes are normalised to the next odd effective window, in one
-        // place, on both kernels.
+        // place, for the kernel and the oracle.
         prop_assert_eq!(effective_window(size), 2 * (size / 2) + 1);
         if size.is_multiple_of(2) {
-            prop_assert_eq!(&eroded, &erode(&x, size + 1));
-            prop_assert_eq!(&dilated, &dilate(&x, size + 1));
+            prop_assert_eq!((eroded, dilated), stream_morphology(&x, size + 1));
         }
     }
 
@@ -101,34 +99,8 @@ proptest! {
         );
     }
 
-    // The `_into` variants reuse one scratch across wildly different
-    // geometries and still agree bit for bit with the allocating paths.
-    #[test]
-    fn into_variants_match_allocating_variants_bit_for_bit(
-        n in 1usize..=300,
-        size in 1usize..=80,
-        seed in any::<u64>(),
-    ) {
-        // One scratch shared by every call — stale state from a previous
-        // (differently-sized) call must never leak into the next output.
-        static SCRATCH: OnceLock<std::sync::Mutex<FrontendScratch>> = OnceLock::new();
-        let scratch = SCRATCH.get_or_init(|| std::sync::Mutex::new(FrontendScratch::default()));
-        let scratch = &mut *scratch.lock().expect("scratch lock");
-
-        let x = signal(n, seed);
-        let mut out = Vec::new();
-        erode_into(&x, size, scratch, &mut out);
-        prop_assert_eq!(&out, &erode(&x, size));
-        dilate_into(&x, size, scratch, &mut out);
-        prop_assert_eq!(&out, &dilate(&x, size));
-        open_into(&x, size, scratch, &mut out);
-        prop_assert_eq!(&out, &open(&x, size));
-        close_into(&x, size, scratch, &mut out);
-        prop_assert_eq!(&out, &close(&x, size));
-    }
-
-    // The full baseline filter: deque chain == naive chain == `_into` chain,
-    // for arbitrary element geometries (both parities, qrs ≶ beat).
+    // The full baseline filter: the streaming-backed `apply` == the naive
+    // chain, for arbitrary element geometries (both parities, qrs ≶ beat).
     #[test]
     fn baseline_filter_matches_naive_chain_for_all_element_geometries(
         n in 60usize..=400,
@@ -142,36 +114,47 @@ proptest! {
         };
         let x = signal(n, seed);
         let naive = filter.apply_naive(&x).expect("long enough");
-        let deque = filter.apply(&x).expect("long enough");
-        prop_assert_eq!(&deque, &naive, "qrs={}, beat={}, n={}", qrs, beat, n);
-        let mut scratch = FrontendScratch::default();
-        let mut out = Vec::new();
-        filter.apply_into(&x, &mut scratch, &mut out).expect("long enough");
-        prop_assert_eq!(&out, &naive);
-        filter.baseline_into(&x, &mut scratch, &mut out).expect("long enough");
-        prop_assert_eq!(&out, &filter.baseline(&x).expect("long enough"));
+        let streamed = filter.apply(&x).expect("long enough");
+        prop_assert_eq!(&streamed, &naive, "qrs={}, beat={}, n={}", qrs, beat, n);
     }
 
-    // Wavelet: `transform_into` == `transform` bit for bit, across scale
-    // counts, with one reused scratch and details buffer.
+    // The code-fed streaming filter (`StreamingBaselineFilter<AdcModel>`,
+    // as the gateway runs it) == the naive chain over the dequantized
+    // signal, for arbitrary element geometries, code shapes and chunkings,
+    // through the whole-signal entry point and chunk by chunk.
     #[test]
-    fn wavelet_transform_into_matches_transform(
-        n in 50usize..=400,
-        scales in 1usize..=5,
+    fn code_fed_baseline_filter_matches_naive_chain_for_all_element_geometries(
+        n in 60usize..=400,
+        qrs in 1usize..=40,
+        beat in 1usize..=60,
+        shape in 0u8..3,
+        chunk in 1usize..=100,
         seed in any::<u64>(),
     ) {
-        let w = DyadicWavelet::with_scales(scales);
-        let x = signal(n.max(w.minimum_length()), seed);
-        let reference = w.transform(&x).expect("long enough");
-        let mut scratch = FrontendScratch::default();
-        let mut details = Vec::new();
-        w.transform_into(&x, &mut scratch, &mut details).expect("long enough");
-        prop_assert_eq!(&details, &reference, "scales={}", scales);
+        let filter = MorphologicalFilter {
+            qrs_element: qrs,
+            beat_element: beat,
+        };
+        let adc = AdcModel::default_frontend();
+        let x = codes(n, qrs.max(beat), shape, seed);
+        let x_mv: Vec<f64> = x.iter().map(|&c| adc.dequantize_sample(i32::from(c))).collect();
+        let naive = filter.apply_naive(&x_mv).expect("long enough");
+        let whole = filter.apply_scaled(adc, &x).expect("long enough");
+        prop_assert_eq!(&whole, &naive, "qrs={}, beat={}, n={}", qrs, beat, n);
+        let mut streaming = StreamingBaselineFilter::with_geometry(filter, adc);
+        let mut out = vec![0.0; n];
+        let mut produced = 0;
+        for piece in x.chunks(chunk) {
+            produced += streaming.push_chunk(piece, &mut out[produced..]);
+        }
+        out.truncate(produced);
+        streaming.finish_into(&mut out);
+        prop_assert_eq!(&out, &naive, "qrs={}, beat={}, n={}, chunk={}", qrs, beat, n, chunk);
     }
 
-    // Streaming erosion/dilation == batch deque kernel == naive reference,
-    // pinned for *both* window parities (the even-`size` normalisation is
-    // shared, so all three paths see the same effective window).
+    // Streaming erosion/dilation == naive reference, pinned for *both*
+    // window parities (the even-`size` normalisation is shared, so both see
+    // the same effective window and the operator's delay is half of it).
     #[test]
     fn streaming_and_batch_morphology_share_even_size_semantics(
         n in 1usize..=300,
@@ -179,8 +162,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let x = signal(n, seed);
-        let batch_eroded = erode(&x, size);
-        let batch_dilated = dilate(&x, size);
+        let batch_eroded = sliding_extreme_naive(&x, size, ExtremumKind::Min);
+        let batch_dilated = sliding_extreme_naive(&x, size, ExtremumKind::Max);
         let mut erosion = StreamingErosion::new(size);
         let mut dilation = StreamingDilation::new(size);
         prop_assert_eq!(erosion.delay(), effective_window(size) / 2);
@@ -201,10 +184,11 @@ proptest! {
     }
 }
 
-/// 12-bit ADC codes in one of three shapes that stress the ring wedge:
-/// noise spanning the full ±2 048 code range (`shape` 0), flat runs of a
-/// few levels, so most comparisons are ties (1), and long monotone ramps
-/// that fill a wedge to its capacity, reversing every `2·size` samples (2).
+/// 12-bit ADC codes in one of three shapes that stress the sliding
+/// extremum: noise spanning the full ±2 048 code range (`shape` 0), flat
+/// runs of a few levels, so most comparisons are ties (1), and long
+/// monotone ramps that span whole windows, reversing every `2·size`
+/// samples (2).
 fn codes(n: usize, size: usize, shape: u8, seed: u64) -> Vec<i16> {
     let mut state = seed | 1;
     let mut next = move || {
@@ -251,15 +235,16 @@ fn stream_morphology<T: Copy + PartialOrd>(x: &[T], size: usize) -> (Vec<T>, Vec
     (eroded, dilated)
 }
 
-/// The generic ring wedge, instantiated for codes and for millivolts,
-/// against the batch deque kernel (`erode` / `dilate`) on the dequantized
-/// signal: the `f64` wedge must equal it, and the `i16` wedge must equal it
-/// once its output is dequantized.
+/// The generic streaming kernel, instantiated for codes and for
+/// millivolts, against the naive oracle on the dequantized signal: the
+/// `f64` kernel must equal it, and the `i16` kernel must equal it once its
+/// output is dequantized.
 fn check_ring_wedge(x: &[i16], size: usize) -> Result<(), TestCaseError> {
     let adc = AdcModel::default_frontend();
     let mv = |c: &i16| adc.dequantize_sample(i32::from(*c));
     let x_mv: Vec<f64> = x.iter().map(mv).collect();
-    let (batch_eroded, batch_dilated) = (erode(&x_mv, size), dilate(&x_mv, size));
+    let batch_eroded = sliding_extreme_naive(&x_mv, size, ExtremumKind::Min);
+    let batch_dilated = sliding_extreme_naive(&x_mv, size, ExtremumKind::Max);
     let (eroded, dilated) = stream_morphology(&x_mv, size);
     prop_assert_eq!(&eroded, &batch_eroded, "f64 erosion, size={}", size);
     prop_assert_eq!(&dilated, &batch_dilated, "f64 dilation, size={}", size);
@@ -274,7 +259,7 @@ fn check_ring_wedge(x: &[i16], size: usize) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Ties, ramps that fill the wedge ring and full-range noise, for both
+    // Ties, ramps across whole windows and full-range noise, for both
     // sample types.
     #[test]
     fn ring_wedge_matches_the_batch_kernel_for_f64_and_codes(
@@ -290,8 +275,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Streams longer than 65 536 samples: the wedge's `u16` entry indices
-    // wrap, and expiry must still see every entry's true age.
+    // Streams longer than 65 536 samples, past any 16-bit index or counter,
+    // over many thousands of van Herk blocks.
     #[test]
     fn ring_wedge_survives_the_u16_index_wrap(
         n in 65_537usize..=70_000,
@@ -322,10 +307,10 @@ fn firmware() -> WbsnFirmware {
     .expect("firmware dimensions are consistent")
 }
 
-/// The acceptance bar of the PR: `process_record` (now running the deque
-/// kernel + scratch reuse) is bit-identical to the *pre-change* pipeline,
-/// reconstructed here from the naive kernels: naive filter → peak detection
-/// → peak/annotation matching → windowing → per-beat classification.
+/// The acceptance bar: `process_record` (running the streaming kernel) is
+/// bit-identical to the pipeline reconstructed here from the naive
+/// kernels: naive filter → peak detection → peak/annotation matching →
+/// windowing → per-beat classification.
 #[test]
 fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
     let fw = firmware();
@@ -333,10 +318,9 @@ fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
     let rhythm = gen.rhythm(80, 0.12, 0.12);
     let record = gen.record(50, &rhythm, 2).expect("record generation");
 
-    let mut frontend = FrontendScratch::default();
     let mut beat_scratch = BeatScratch::default();
     let report = fw
-        .process_record_with(&record, &mut frontend, &mut beat_scratch)
+        .process_record_with(&record, &mut beat_scratch)
         .expect("firmware run");
     assert!(report.beats.len() >= 60, "enough beats to compare");
     // The scratch entry point and the plain one agree exactly.
@@ -394,8 +378,8 @@ fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
 }
 
 /// Scratch-carried state never leaks across records: interleaving records of
-/// different lengths and sampling rates through one scratch pair reproduces
-/// fresh-scratch runs exactly.
+/// different lengths and sampling rates through one per-beat scratch
+/// reproduces fresh-scratch runs exactly.
 #[test]
 fn scratch_reuse_across_heterogeneous_records_is_transparent() {
     let fw = firmware();
@@ -408,12 +392,11 @@ fn scratch_reuse_across_heterogeneous_records_is_transparent() {
         gen.record(3, &gen.clone().rhythm(55, 0.05, 0.15), 2)
             .expect("record"),
     ];
-    let mut frontend = FrontendScratch::default();
     let mut beat_scratch = BeatScratch::default();
     for _round in 0..2 {
         for record in &records {
             let reused = fw
-                .process_record_with(record, &mut frontend, &mut beat_scratch)
+                .process_record_with(record, &mut beat_scratch)
                 .expect("reused-scratch run");
             let fresh = fw.process_record(record).expect("fresh run");
             assert_eq!(reused, fresh, "record {}", record.id);

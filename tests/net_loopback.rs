@@ -566,7 +566,10 @@ fn sending_into_an_evicted_session_errors_instead_of_hanging() {
     let (result, stats) = with_gateway(&fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client.open_session(3, fs, 720).expect("open");
-        client.send_mv(id, &vec![0.0; 720]).expect("send");
+        // A wavy stretch: a flat one is degenerate and would end the
+        // session at calibration instead of leaving it to go idle.
+        let stretch: Vec<f64> = (0..720).map(|i| (i as f64 * 0.05).sin()).collect();
+        client.send_mv(id, &stretch).expect("send");
         // Fall silent until the gateway evicts and its report arrives —
         // deadline-polled, not a fixed sleep, so the test is immune to
         // scheduler hiccups on loaded machines.

@@ -399,8 +399,9 @@ proptest! {
         }
     }
 
-    // The streaming baseline filter equals the batch filter bit for bit for
-    // random signal lengths at and above the batch minimum.
+    // The streaming baseline filter equals the naive oracle bit for bit for
+    // random signal lengths at and above the whole-signal minimum (the
+    // longest structuring element).
     #[test]
     fn streaming_baseline_filter_matches_batch_for_random_lengths(
         len in 191usize..1200,
@@ -408,7 +409,7 @@ proptest! {
     ) {
         let signal = synthetic_stretch(len, seed);
         let batch = MorphologicalFilter::for_sampling_rate(360.0)
-            .apply(&signal)
+            .apply_naive(&signal)
             .expect("length at least the longest structuring element");
         let mut streaming = StreamingBaselineFilter::for_sampling_rate(360.0);
         let mut out = Vec::new();
@@ -425,7 +426,7 @@ proptest! {
     }
 
     // Signals shorter than the group delay produce exactly one output per
-    // input at finish, without panicking — the edge the batch filter
+    // input at finish, without panicking — the edge the whole-signal filter
     // rejects outright.
     #[test]
     fn streaming_baseline_filter_survives_short_streams(len in 0usize..64) {
@@ -464,8 +465,8 @@ proptest! {
                 };
             }
         }
-        // The earliest sample holding the window's extreme value: the
-        // batch kernel's tie rule.
+        // The earliest sample holding the window's extreme value: the tie
+        // rule of a left-to-right window scan.
         let earliest = |window: &[f64], kind: ExtremumKind| {
             window.iter().copied().reduce(|kept, x| match kind {
                 ExtremumKind::Min if x < kept => x,
