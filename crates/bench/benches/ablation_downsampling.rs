@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbc_bench::bench_config;
-use hbc_core::pipeline::TrainedSystem;
+use hbc_core::pipeline::{calibrate_wbsn_alpha, TrainedSystem};
+use hbc_core::Engine;
 
 fn bench_downsampling(c: &mut Criterion) {
     let base = bench_config();
@@ -20,10 +21,13 @@ fn bench_downsampling(c: &mut Criterion) {
         let mut config = base;
         config.downsample = factor;
         let system = TrainedSystem::train(&config).expect("training succeeds");
-        let (_, report) = system
-            .wbsn
-            .calibrate_alpha(&system.dataset.test, config.target_arr)
-            .expect("calibration");
+        let (_, report) = calibrate_wbsn_alpha(
+            &Engine::default(),
+            &system.wbsn,
+            &system.dataset.test,
+            config.target_arr,
+        )
+        .expect("calibration");
         println!(
             "{:<10} {:>10} {:>14.2} {:>18}",
             factor,
@@ -41,7 +45,14 @@ fn bench_downsampling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("wbsn_classify_per_beat", factor),
             factor,
-            |b, _| b.iter(|| system.wbsn.classify(&beat).expect("window matches")),
+            |b, _| {
+                b.iter(|| {
+                    system
+                        .wbsn
+                        .classify_window(&beat.samples)
+                        .expect("window matches")
+                })
+            },
         );
     }
     group.finish();

@@ -53,7 +53,12 @@ fn bench_classifier(c: &mut Criterion) {
         })
     });
     group.bench_function("end_to_end_wbsn_beat", |b| {
-        b.iter(|| system.wbsn.classify(beat).expect("window matches"))
+        b.iter(|| {
+            system
+                .wbsn
+                .classify_window(&beat.samples)
+                .expect("window matches")
+        })
     });
     group.finish();
 }

@@ -24,24 +24,15 @@ use hbc_core::config::ExperimentConfig;
 use hbc_core::pipeline::TrainedSystem;
 use hbc_core::StreamHub;
 use hbc_dsp::PeakThresholds;
-use hbc_ecg::beat::BeatWindow;
 use hbc_ecg::record::Lead;
 use hbc_ecg::synthetic::SyntheticEcg;
-use hbc_embedded::int_classifier::AlphaQ16;
 use hbc_embedded::streaming::StreamingFirmware;
 use hbc_embedded::WbsnFirmware;
-use hbc_rp::PackedProjection;
 
 fn quick_firmware() -> WbsnFirmware {
-    let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
+    TrainedSystem::train(&ExperimentConfig::quick())
+        .expect("training")
+        .wbsn
 }
 
 /// The shared workload: a synthetic lead and the detection thresholds its

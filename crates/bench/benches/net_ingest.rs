@@ -27,14 +27,11 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hbc_core::config::ExperimentConfig;
 use hbc_core::pipeline::TrainedSystem;
-use hbc_ecg::beat::BeatWindow;
 use hbc_ecg::record::Lead;
 use hbc_ecg::synthetic::SyntheticEcg;
-use hbc_embedded::int_classifier::AlphaQ16;
 use hbc_embedded::WbsnFirmware;
 use hbc_net::proto::{crc32, quantize_mv_into, Frame, FrameDecoder};
 use hbc_net::{Gateway, GatewayConfig, NodeClient};
-use hbc_rp::PackedProjection;
 
 /// Samples in the benchmark stream (about 24 minutes at 360 Hz).
 const STREAM_SAMPLES: usize = 1 << 19;
@@ -123,15 +120,9 @@ fn bench_decoder(c: &mut Criterion) {
 }
 
 fn quick_firmware() -> WbsnFirmware {
-    let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
+    TrainedSystem::train(&ExperimentConfig::quick())
+        .expect("training")
+        .wbsn
 }
 
 /// End-to-end loopback throughput: one session streamed through sockets,

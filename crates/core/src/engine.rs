@@ -31,7 +31,6 @@ use hbc_nfc::metrics::EvaluationReport;
 use hbc_nfc::FittedPipeline;
 use hbc_par::Par;
 
-use crate::pipeline::WbsnPipeline;
 use crate::Result;
 
 /// Configuration of the parallel runner.
@@ -243,35 +242,59 @@ pub trait BeatEvaluator: Sync {
     }
 }
 
-/// The WBSN integer pipeline at its calibrated α.
-impl BeatEvaluator for WbsnPipeline {
+/// The WBSN firmware image at its own α.
+impl BeatEvaluator for WbsnFirmware {
     fn classify_beat(&self, beat: &Beat) -> Result<BeatClass> {
-        self.classify(beat)
+        Ok(self.classify_window(&beat.samples)?)
     }
 
     fn evaluate_batch(&self, beats: &[Beat]) -> Result<EvaluationReport> {
-        // One scratch per batch: the downsample/quantise/projection buffers
-        // are reused across every beat of the batch.
-        self.evaluate(beats, self.alpha)
+        WbsnEvaluator {
+            firmware: self,
+            alpha: self.alpha,
+        }
+        .evaluate_batch(beats)
     }
 }
 
-/// The WBSN integer pipeline at an explicit α_test (Figure 5 sweeps).
+/// The WBSN firmware image at an explicit α_test (calibration probes and
+/// the Figure 5 sweeps).
 #[derive(Debug, Clone, Copy)]
 pub struct WbsnEvaluator<'a> {
-    /// The integer deployment being driven.
-    pub pipeline: &'a WbsnPipeline,
+    /// The deployed image being driven.
+    pub firmware: &'a WbsnFirmware,
     /// The α_test operating point.
     pub alpha: AlphaQ16,
 }
 
 impl BeatEvaluator for WbsnEvaluator<'_> {
     fn classify_beat(&self, beat: &Beat) -> Result<BeatClass> {
-        self.pipeline.classify_with_alpha(beat, self.alpha)
+        Ok(self.firmware.classify_window_with(
+            &beat.samples,
+            self.alpha,
+            &mut BeatScratch::default(),
+            None,
+        )?)
     }
 
     fn evaluate_batch(&self, beats: &[Beat]) -> Result<EvaluationReport> {
-        self.pipeline.evaluate(beats, self.alpha)
+        // One scratch per batch: the downsample/quantise/projection buffers
+        // are reused across every beat of the batch.
+        let mut scratch = BeatScratch::default();
+        let mut report = EvaluationReport::new();
+        for beat in beats {
+            if beat.class.index().is_none() {
+                continue;
+            }
+            let predicted = self.firmware.classify_window_with(
+                &beat.samples,
+                self.alpha,
+                &mut scratch,
+                None,
+            )?;
+            report.record(beat.class, predicted);
+        }
+        Ok(report)
     }
 }
 
@@ -405,7 +428,7 @@ mod tests {
         let system = system();
         let reference = system
             .wbsn
-            .evaluate(&system.dataset.test, system.wbsn.alpha)
+            .evaluate_batch(&system.dataset.test)
             .expect("sequential evaluation");
         for engine in [
             Engine::sequential(),
@@ -426,18 +449,8 @@ mod tests {
     #[test]
     fn process_records_is_bit_identical_for_any_thread_count() {
         use hbc_ecg::synthetic::SyntheticEcg;
-        use hbc_embedded::int_classifier::AlphaQ16;
-        use hbc_rp::PackedProjection;
 
-        let system = system();
-        let firmware = WbsnFirmware::new(
-            PackedProjection::from_matrix(&system.pc_downsampled.projection),
-            system.wbsn.classifier.clone(),
-            AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-            system.config.downsample,
-            hbc_ecg::beat::BeatWindow::PAPER,
-        )
-        .expect("firmware dimensions");
+        let firmware = &system().wbsn;
         let mut generator = SyntheticEcg::with_seed(41);
         let records: Vec<EcgRecord> = (0..4)
             .map(|i| {
@@ -452,7 +465,7 @@ mod tests {
             .collect();
         for engine in [Engine::sequential(), four_workers()] {
             let parallel = engine
-                .process_records(&firmware, &records)
+                .process_records(firmware, &records)
                 .expect("parallel");
             assert_eq!(parallel, reference);
         }

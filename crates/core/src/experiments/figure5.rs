@@ -11,7 +11,7 @@ use hbc_embedded::MembershipKind;
 use hbc_nfc::metrics::{pareto_front, ParetoPoint};
 
 use crate::config::ExperimentConfig;
-use crate::engine::Engine;
+use crate::engine::{BeatEvaluator, Engine, WbsnEvaluator};
 use crate::pipeline::TrainedSystem;
 use crate::Result;
 
@@ -138,9 +138,13 @@ pub fn figure5_pareto_with(engine: &Engine, config: &ExperimentConfig) -> Result
         (MfFamily::Linearized, MembershipKind::Linearized),
         (MfFamily::Triangular, MembershipKind::Triangular),
     ] {
-        let pipeline = system.wbsn_with_kind(kind)?;
+        let firmware = system.wbsn_with_kind(kind)?;
         let points = engine.try_map(&alphas, |&alpha| {
-            let report = pipeline.evaluate(&system.dataset.test, AlphaQ16::from_f64(alpha)?)?;
+            let report = WbsnEvaluator {
+                firmware: &firmware,
+                alpha: AlphaQ16::from_f64(alpha)?,
+            }
+            .evaluate_batch(&system.dataset.test)?;
             Ok(ParetoPoint {
                 alpha,
                 ndr: report.ndr(),

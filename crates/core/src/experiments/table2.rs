@@ -23,7 +23,7 @@ use hbc_nfc::{NeuroFuzzyClassifier, NfcTrainer};
 
 use crate::config::ExperimentConfig;
 use crate::engine::Engine;
-use crate::pipeline::TrainedSystem;
+use crate::pipeline::{calibrate_wbsn_alpha, TrainedSystem};
 use crate::Result;
 
 /// One column of Table II (one coefficient count).
@@ -149,10 +149,12 @@ fn column(
 
     // --- NDR-WBSN: integer pipeline on full-rate windows (it downsamples
     //     and quantises internally). ---
-    let (_, wbsn_report) =
-        system
-            .wbsn
-            .calibrate_alpha_with(engine, &system.dataset.test, config.target_arr)?;
+    let (_, wbsn_report) = calibrate_wbsn_alpha(
+        engine,
+        &system.wbsn,
+        &system.dataset.test,
+        config.target_arr,
+    )?;
 
     // --- PCA-PC: fit PCA on training set 1, train the same NFC on the
     //     PCA coefficients, calibrate on the test set. ---

@@ -19,8 +19,10 @@
 //! and exposes, on top of them:
 //!
 //! * [`config`] — experiment configuration with `quick` / `paper` presets;
-//! * [`pipeline`] — training of the PC (floating-point) and WBSN (integer)
-//!   pipelines from one dataset;
+//! * [`pipeline`] — training of the PC (floating-point) pipeline and the
+//!   WBSN firmware image from one dataset; [`TrainedSystem::wbsn`] is the
+//!   [`hbc_embedded::WbsnFirmware`] every consumer runs, from the offline
+//!   experiments to the gateway sessions;
 //! * [`engine`] — a work-stealing parallel runner that evaluates trained
 //!   pipelines over beat sets, α sweeps and whole record collections on all
 //!   cores, with bit-identical results to the sequential path;
@@ -56,7 +58,7 @@ pub mod stream;
 
 pub use config::{ExperimentConfig, Scale};
 pub use engine::{BeatEvaluator, Engine, EngineConfig, MultiRecordReport};
-pub use pipeline::{TrainedSystem, WbsnPipeline, WbsnScratch};
+pub use pipeline::TrainedSystem;
 pub use stream::{SessionId, SessionReport, StreamHub};
 
 // Re-export the substrate crates so downstream users need a single

@@ -9,12 +9,16 @@
 //! integer membership functions, shift-normalised fuzzification.
 //!
 //! [`TrainedSystem`] trains both halves from one [`ExperimentConfig`] so that
-//! every experiment compares them on exactly the same data.
+//! every experiment compares them on exactly the same data. Its WBSN half is
+//! the deployed image itself, a [`WbsnFirmware`]: offline evaluation, the
+//! record-level firmware, the streaming sessions and the gateway all run the
+//! one artefact [`TrainedSystem::train`] produced. [`calibrate_wbsn_alpha`]
+//! retunes that image's α_test on the Q16 grid.
 
-use hbc_ecg::beat::Beat;
+use hbc_ecg::beat::{Beat, BeatWindow};
 use hbc_ecg::dataset::Dataset;
 use hbc_embedded::int_classifier::AlphaQ16;
-use hbc_embedded::{IntegerNfc, MembershipKind, Quantizer};
+use hbc_embedded::{MembershipKind, Quantizer, WbsnFirmware};
 use hbc_nfc::metrics::EvaluationReport;
 use hbc_nfc::{FittedPipeline, TwoStepTrainer};
 use hbc_rp::PackedProjection;
@@ -23,171 +27,53 @@ use crate::config::ExperimentConfig;
 use crate::engine::{Engine, WbsnEvaluator};
 use crate::Result;
 
-/// The integer (WBSN) deployment of a trained classifier.
-#[derive(Debug, Clone)]
-pub struct WbsnPipeline {
-    /// 2-bit packed projection operating on the downsampled window.
-    pub projection: PackedProjection,
-    /// Integer classifier (linearised or triangular membership functions).
-    pub classifier: IntegerNfc,
-    /// Calibrated defuzzification coefficient.
-    pub alpha: AlphaQ16,
-    /// Downsampling factor applied to acquisition-rate beat windows.
-    pub downsample: usize,
-    /// ADC front-end model used for quantisation.
-    pub adc: hbc_embedded::AdcModel,
-}
-
-/// Reusable buffers for the WBSN per-beat hot path (downsampled window,
-/// quantised codes, projected coefficients) — the same working set the
-/// firmware uses, re-exported from [`hbc_embedded`].
+/// Calibrates the image's α_test on the Q16 grid so the ARR measured on
+/// `beats` reaches `target_arr`, returning the calibrated α and its report.
 ///
-/// Classifying a beat through [`WbsnPipeline::classify_with_alpha`] allocates
-/// three vectors; batch loops instead hold one `WbsnScratch` and call
-/// [`WbsnPipeline::classify_with_scratch`], so steady-state evaluation
-/// performs no per-beat allocation. A scratch belongs to one worker at a
-/// time — the engine creates one per batch.
-pub type WbsnScratch = hbc_embedded::BeatScratch;
-
-impl WbsnPipeline {
-    /// Classifies one acquisition-rate beat window exactly as the node would.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the window length does not match the pipeline.
-    pub fn classify(&self, beat: &Beat) -> Result<hbc_ecg::BeatClass> {
-        self.classify_with_alpha(beat, self.alpha)
-    }
-
-    /// Classifies one beat with an explicit α_test (used for the Figure 5
-    /// sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the window length does not match the pipeline.
-    pub fn classify_with_alpha(&self, beat: &Beat, alpha: AlphaQ16) -> Result<hbc_ecg::BeatClass> {
-        self.classify_with_scratch(beat, alpha, &mut WbsnScratch::default())
-    }
-
-    /// [`Self::classify_with_alpha`] against caller-owned scratch buffers:
-    /// the per-beat intermediates live in `scratch` and are reused across
-    /// calls, so batch loops perform no per-beat allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the window length does not match the pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pipeline's downsampling factor is zero.
-    pub fn classify_with_scratch(
-        &self,
-        beat: &Beat,
-        alpha: AlphaQ16,
-        scratch: &mut WbsnScratch,
-    ) -> Result<hbc_ecg::BeatClass> {
-        scratch
-            .classify(
-                &beat.samples,
-                self.downsample,
-                &self.adc,
-                &self.projection,
-                &self.classifier,
-                alpha,
-            )
-            .map_err(crate::CoreError::Embedded)
-    }
-
-    /// Evaluates the pipeline over a set of acquisition-rate beats, reusing
-    /// one scratch across the whole set.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a beat window does not match the pipeline.
-    pub fn evaluate(&self, beats: &[Beat], alpha: AlphaQ16) -> Result<EvaluationReport> {
-        let mut scratch = WbsnScratch::default();
-        let mut report = EvaluationReport::new();
-        for beat in beats {
-            if beat.class.index().is_none() {
-                continue;
-            }
-            let predicted = self.classify_with_scratch(beat, alpha, &mut scratch)?;
-            report.record(beat.class, predicted);
-        }
-        Ok(report)
-    }
-
-    /// [`Self::evaluate`] spread over `engine`'s workers; the report is
-    /// bit-identical to the sequential pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a beat window does not match the pipeline.
-    pub fn evaluate_with(
-        &self,
-        engine: &Engine,
-        beats: &[Beat],
-        alpha: AlphaQ16,
-    ) -> Result<EvaluationReport> {
+/// A binary search over `[0, 65 536]` (ARR is non-decreasing in α) that
+/// probes α = 1, then α = 0, then midpoints until the bracket is at most 64
+/// steps wide. It is not [`hbc_nfc::metrics::calibrate_alpha`]: that search
+/// runs on an `f64` grid with its own tolerance and probe order, and the
+/// integer classifier only takes Q16 values. Every probe scans the full beat
+/// set on `engine`'s workers.
+///
+/// # Errors
+///
+/// Returns an error when a beat window does not match the image.
+pub fn calibrate_wbsn_alpha(
+    engine: &Engine,
+    firmware: &WbsnFirmware,
+    beats: &[Beat],
+    target_arr: f64,
+) -> Result<(AlphaQ16, EvaluationReport)> {
+    let mut lo = 0u32;
+    let mut hi = 65_536u32;
+    let eval = |alpha: u32| {
         engine.evaluate_beats(
             &WbsnEvaluator {
-                pipeline: self,
-                alpha,
+                firmware,
+                alpha: AlphaQ16(alpha),
             },
             beats,
         )
+    };
+    let hi_report = eval(hi)?;
+    let mut best = (AlphaQ16(hi), hi_report);
+    let lo_report = eval(lo)?;
+    if lo_report.arr() >= target_arr {
+        return Ok((AlphaQ16(lo), lo_report));
     }
-
-    /// Calibrates α_test so the ARR measured on `beats` reaches
-    /// `target_arr`, returning the calibrated α and its report.
-    ///
-    /// Every probe of the binary search scans the full beat set, so the
-    /// probes run on all cores by default.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a beat window does not match the pipeline.
-    pub fn calibrate_alpha(
-        &self,
-        beats: &[Beat],
-        target_arr: f64,
-    ) -> Result<(AlphaQ16, EvaluationReport)> {
-        self.calibrate_alpha_with(&Engine::default(), beats, target_arr)
-    }
-
-    /// [`Self::calibrate_alpha`] with an explicit evaluation engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a beat window does not match the pipeline.
-    pub fn calibrate_alpha_with(
-        &self,
-        engine: &Engine,
-        beats: &[Beat],
-        target_arr: f64,
-    ) -> Result<(AlphaQ16, EvaluationReport)> {
-        // Binary search over the Q16 grid (ARR is non-decreasing in α).
-        let mut lo = 0u32;
-        let mut hi = 65_536u32;
-        let eval = |alpha: u32| self.evaluate_with(engine, beats, AlphaQ16(alpha));
-        let hi_report = eval(hi)?;
-        let mut best = (AlphaQ16(hi), hi_report);
-        let lo_report = eval(lo)?;
-        if lo_report.arr() >= target_arr {
-            return Ok((AlphaQ16(lo), lo_report));
+    while hi - lo > 64 {
+        let mid = lo + (hi - lo) / 2;
+        let report = eval(mid)?;
+        if report.arr() >= target_arr {
+            best = (AlphaQ16(mid), report);
+            hi = mid;
+        } else {
+            lo = mid;
         }
-        while hi - lo > 64 {
-            let mid = lo + (hi - lo) / 2;
-            let report = eval(mid)?;
-            if report.arr() >= target_arr {
-                best = (AlphaQ16(mid), report);
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(best)
     }
+    Ok(best)
 }
 
 /// Both halves of the framework trained on the same dataset.
@@ -204,8 +90,10 @@ pub struct TrainedSystem {
     /// The floating-point pipeline trained on downsampled windows, from which
     /// the integer deployments are derived.
     pub pc_downsampled: FittedPipeline,
-    /// The integer WBSN deployment with linearised membership functions.
-    pub wbsn: WbsnPipeline,
+    /// The deployed WBSN firmware image: packed projection, integer
+    /// classifier with linearised membership functions, α, downsampling
+    /// factor, ADC and the [`BeatWindow::PAPER`] window the dataset cuts.
+    pub wbsn: WbsnFirmware,
     /// The configuration the system was trained with.
     pub config: ExperimentConfig,
 }
@@ -274,7 +162,7 @@ impl TrainedSystem {
     /// # Errors
     ///
     /// Returns an error when quantisation fails.
-    pub fn wbsn_with_kind(&self, kind: MembershipKind) -> Result<WbsnPipeline> {
+    pub fn wbsn_with_kind(&self, kind: MembershipKind) -> Result<WbsnFirmware> {
         build_wbsn(&self.config, &self.pc_downsampled, kind)
     }
 
@@ -319,8 +207,7 @@ impl TrainedSystem {
     ///
     /// Returns an error when a beat window does not match the projection.
     pub fn evaluate_wbsn_on_test_with(&self, engine: &Engine) -> Result<EvaluationReport> {
-        self.wbsn
-            .evaluate_with(engine, &self.dataset.test, self.wbsn.alpha)
+        engine.evaluate_beats(&self.wbsn, &self.dataset.test)
     }
 }
 
@@ -342,24 +229,26 @@ fn fit(
     Ok(fitted)
 }
 
-/// Derives the integer WBSN deployment from a pipeline trained on
-/// downsampled windows.
+/// Derives the WBSN firmware image from a pipeline trained on downsampled
+/// windows. The image's ADC is the firmware default, which is the
+/// quantiser's, and its window is the one the synthetic dataset cuts.
 fn build_wbsn(
     config: &ExperimentConfig,
     pc_downsampled: &FittedPipeline,
     kind: MembershipKind,
-) -> Result<WbsnPipeline> {
-    let quantizer = Quantizer::new().with_kind(kind);
-    let classifier = quantizer.quantize_classifier(&pc_downsampled.classifier)?;
+) -> Result<WbsnFirmware> {
+    let classifier = Quantizer::new()
+        .with_kind(kind)
+        .quantize_classifier(&pc_downsampled.classifier)?;
     let projection = PackedProjection::from_matrix(&pc_downsampled.projection);
     let alpha = AlphaQ16::from_f64(pc_downsampled.alpha_train)?;
-    Ok(WbsnPipeline {
+    Ok(WbsnFirmware::new(
         projection,
         classifier,
         alpha,
-        downsample: config.downsample,
-        adc: quantizer.adc,
-    })
+        config.downsample,
+        BeatWindow::PAPER,
+    )?)
 }
 
 /// Downsamples every beat window of a dataset (used to train the WBSN-rate
@@ -424,10 +313,13 @@ mod tests {
     #[test]
     fn wbsn_alpha_calibration_reaches_the_target() {
         let system = quick_system();
-        let (alpha, report) = system
-            .wbsn
-            .calibrate_alpha(&system.dataset.training2, 0.97)
-            .expect("calibrate");
+        let (alpha, report) = calibrate_wbsn_alpha(
+            &Engine::default(),
+            &system.wbsn,
+            &system.dataset.training2,
+            0.97,
+        )
+        .expect("calibrate");
         assert!(report.arr() >= 0.97);
         // α = 1 always reaches the target, so the calibrated value is valid.
         assert!(alpha.0 <= 65_536);
@@ -440,8 +332,8 @@ mod tests {
             .wbsn_with_kind(MembershipKind::Triangular)
             .expect("triangular variant");
         assert_eq!(tri.classifier.kind(), MembershipKind::Triangular);
-        let report = tri
-            .evaluate(&system.dataset.test, tri.alpha)
+        let report = Engine::default()
+            .evaluate_beats(&tri, &system.dataset.test)
             .expect("evaluate");
         assert!(report.total() > 0);
     }

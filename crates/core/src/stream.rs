@@ -557,8 +557,6 @@ mod tests {
     use crate::pipeline::TrainedSystem;
     use hbc_ecg::record::{EcgRecord, Lead};
     use hbc_ecg::synthetic::SyntheticEcg;
-    use hbc_embedded::int_classifier::AlphaQ16;
-    use hbc_rp::PackedProjection;
     use std::sync::OnceLock;
 
     fn system() -> &'static TrainedSystem {
@@ -567,15 +565,7 @@ mod tests {
     }
 
     fn firmware() -> WbsnFirmware {
-        let system = system();
-        WbsnFirmware::new(
-            PackedProjection::from_matrix(&system.pc_downsampled.projection),
-            system.wbsn.classifier.clone(),
-            AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-            system.config.downsample,
-            hbc_ecg::beat::BeatWindow::PAPER,
-        )
-        .expect("firmware dimensions")
+        system().wbsn.clone()
     }
 
     fn patient_record(seed: u64, beats: usize) -> EcgRecord {
@@ -811,15 +801,7 @@ mod tests {
         // boundary on part of the beats.
         let mut retrain_cfg = ExperimentConfig::quick();
         retrain_cfg.seed = 7777;
-        let retrained = TrainedSystem::train(&retrain_cfg).expect("training");
-        let new_fw = WbsnFirmware::new(
-            PackedProjection::from_matrix(&retrained.pc_downsampled.projection),
-            retrained.wbsn.classifier.clone(),
-            AlphaQ16::from_f64(retrained.pc_downsampled.alpha_train).expect("alpha in range"),
-            retrained.config.downsample,
-            hbc_ecg::beat::BeatWindow::PAPER,
-        )
-        .expect("firmware dimensions");
+        let new_fw = TrainedSystem::train(&retrain_cfg).expect("training").wbsn;
         let record = patient_record(700, 60);
         let lead = record.lead(Lead(0)).expect("lead");
         let chunk = record.fs as usize;

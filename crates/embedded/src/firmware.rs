@@ -16,6 +16,8 @@
 //! outcome of every detected beat, the session statistics the energy model
 //! consumes, and the duty-cycle report of the platform model.
 
+use std::time::Instant;
+
 use hbc_dsp::window::{match_peaks, windows_at_peaks};
 use hbc_dsp::{Delineator, MorphologicalFilter, PeakDetector};
 use hbc_ecg::beat::{BeatClass, BeatWindow};
@@ -109,8 +111,9 @@ impl FirmwareReport {
 /// Reusable working buffers for the per-beat stage 3-5 path (downsampled
 /// window, ADC codes, projected coefficients) — on the node these live in
 /// statically allocated RAM; on the host they are reused across beats so
-/// classification allocates nothing in steady state. Shared by
-/// [`WbsnFirmware`] and `hbc_core`'s `WbsnPipeline`.
+/// [`WbsnFirmware::classify_window_with`] allocates nothing in steady state.
+/// A scratch belongs to one caller at a time: a streaming session, or one
+/// engine batch.
 #[derive(Debug, Clone, Default)]
 pub struct BeatScratch {
     downsampled: Vec<f64>,
@@ -118,88 +121,10 @@ pub struct BeatScratch {
     coefficients: Vec<i32>,
 }
 
-impl BeatScratch {
-    /// Runs the per-beat classification stages — downsample, ADC
-    /// quantisation, packed integer projection, integer NFC — against these
-    /// buffers, allocating nothing once they have grown to size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddedError::Dimension`] when the downsampled window does
-    /// not match the projection width or the classifier input size.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `downsample` is zero.
-    pub fn classify(
-        &mut self,
-        samples: &[f64],
-        downsample: usize,
-        adc: &AdcModel,
-        projection: &PackedProjection,
-        classifier: &IntegerNfc,
-        alpha: AlphaQ16,
-    ) -> Result<BeatClass> {
-        self.downsampled.clear();
-        self.downsampled.extend(samples.iter().step_by(downsample));
-        adc.quantize_samples_into(&self.downsampled, &mut self.quantized);
-        self.coefficients.resize(projection.rows(), 0);
-        projection
-            .project_into(&self.quantized, &mut self.coefficients)
-            .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
-        Ok(classifier.classify(&self.coefficients, alpha)?.class)
-    }
-
-    /// [`Self::classify`] with per-stage wall-clock attribution: runs the
-    /// *identical* operations (bit-identical result) and additionally fills
-    /// `stages` with the nanoseconds spent in window preparation
-    /// (downsample + ADC quantisation), packed projection, and integer NFC.
-    /// The untimed path stays clock-free for batch runs that do not need
-    /// telemetry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::classify`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `downsample` is zero.
-    // One argument over clippy's limit: the signature is `classify` plus
-    // the `stages` out-parameter, and grouping the model handles into a
-    // struct here would fork the two call shapes apart.
-    #[allow(clippy::too_many_arguments)]
-    pub fn classify_timed(
-        &mut self,
-        samples: &[f64],
-        downsample: usize,
-        adc: &AdcModel,
-        projection: &PackedProjection,
-        classifier: &IntegerNfc,
-        alpha: AlphaQ16,
-        stages: &mut StageNanos,
-    ) -> Result<BeatClass> {
-        let t0 = std::time::Instant::now();
-        self.downsampled.clear();
-        self.downsampled.extend(samples.iter().step_by(downsample));
-        adc.quantize_samples_into(&self.downsampled, &mut self.quantized);
-        let t1 = std::time::Instant::now();
-        self.coefficients.resize(projection.rows(), 0);
-        projection
-            .project_into(&self.quantized, &mut self.coefficients)
-            .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
-        let t2 = std::time::Instant::now();
-        let class = classifier.classify(&self.coefficients, alpha)?.class;
-        let t3 = std::time::Instant::now();
-        stages.prepare = (t1 - t0).as_nanos() as u64;
-        stages.project = (t2 - t1).as_nanos() as u64;
-        stages.classify = (t3 - t2).as_nanos() as u64;
-        Ok(class)
-    }
-}
-
 /// Wall-clock nanoseconds one beat spent in each stage of
-/// [`BeatScratch::classify_timed`]. A plain out-parameter so the scratch
-/// path stays allocation-free.
+/// [`WbsnFirmware::classify_window_with`], filled only when the caller
+/// passes one in. A plain out-parameter so the scratch path stays
+/// allocation-free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
     /// Window preparation: downsample + ADC quantisation.
@@ -292,13 +217,18 @@ impl WbsnFirmware {
     /// Returns [`EmbeddedError::Dimension`] when the window length does not
     /// match the firmware configuration.
     pub fn classify_window(&self, samples: &[f64]) -> Result<BeatClass> {
-        self.classify_window_with(samples, &mut BeatScratch::default())
+        self.classify_window_with(samples, self.alpha, &mut BeatScratch::default(), None)
     }
 
-    /// [`Self::classify_window`] against caller-owned scratch buffers — the
-    /// firmware equivalent of the node's statically allocated working RAM:
-    /// per-beat loops hold one [`BeatScratch`] and perform no allocation in
-    /// steady state.
+    /// The per-beat classification stages — downsample, ADC quantisation,
+    /// packed integer projection, integer NFC at `alpha` — against
+    /// caller-owned scratch buffers, the host equivalent of the node's
+    /// statically allocated working RAM: per-beat loops hold one
+    /// [`BeatScratch`] and perform no allocation in steady state.
+    ///
+    /// With `stages` set, the wall-clock nanoseconds of window preparation,
+    /// projection and classification are written to it; with `None` the
+    /// clock is never read. The class is the same either way.
     ///
     /// # Errors
     ///
@@ -307,7 +237,9 @@ impl WbsnFirmware {
     pub fn classify_window_with(
         &self,
         samples: &[f64],
+        alpha: AlphaQ16,
         scratch: &mut BeatScratch,
+        stages: Option<&mut StageNanos>,
     ) -> Result<BeatClass> {
         if samples.len() != self.window.len() {
             return Err(EmbeddedError::Dimension(format!(
@@ -316,46 +248,40 @@ impl WbsnFirmware {
                 samples.len()
             )));
         }
-        scratch.classify(
-            samples,
-            self.downsample,
-            &self.adc,
-            &self.projection,
-            &self.classifier,
-            self.alpha,
-        )
-    }
-
-    /// [`Self::classify_window_with`] with per-stage timing attribution (see
-    /// [`BeatScratch::classify_timed`]); the classification result is
-    /// bit-identical to the untimed path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddedError::Dimension`] when the window length does not
-    /// match the firmware configuration.
-    pub fn classify_window_timed(
-        &self,
-        samples: &[f64],
-        scratch: &mut BeatScratch,
-        stages: &mut StageNanos,
-    ) -> Result<BeatClass> {
-        if samples.len() != self.window.len() {
-            return Err(EmbeddedError::Dimension(format!(
-                "expected a {}-sample window, got {}",
-                self.window.len(),
-                samples.len()
-            )));
+        let mut last = stages.is_some().then(Instant::now);
+        let mut lap = || {
+            last.as_mut().map_or(0, |t| {
+                let now = Instant::now();
+                let nanos = (now - *t).as_nanos() as u64;
+                *t = now;
+                nanos
+            })
+        };
+        scratch.downsampled.clear();
+        scratch
+            .downsampled
+            .extend(samples.iter().step_by(self.downsample));
+        self.adc
+            .quantize_samples_into(&scratch.downsampled, &mut scratch.quantized);
+        let prepare = lap();
+        scratch.coefficients.resize(self.projection.rows(), 0);
+        self.projection
+            .project_into(&scratch.quantized, &mut scratch.coefficients)
+            .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
+        let project = lap();
+        let class = self
+            .classifier
+            .classify(&scratch.coefficients, alpha)?
+            .class;
+        let classify = lap();
+        if let Some(stages) = stages {
+            *stages = StageNanos {
+                prepare,
+                project,
+                classify,
+            };
         }
-        scratch.classify_timed(
-            samples,
-            self.downsample,
-            &self.adc,
-            &self.projection,
-            &self.classifier,
-            self.alpha,
-            stages,
-        )
+        Ok(class)
     }
 
     /// Processes a full multi-lead record through the complete Figure 6
@@ -428,7 +354,8 @@ impl WbsnFirmware {
         let mut outcomes = Vec::with_capacity(beats.len());
         let mut forwarded = 0usize;
         for (peak_index, beat) in &beats {
-            let predicted = self.classify_window_with(&beat.samples, beat_scratch)?;
+            let predicted =
+                self.classify_window_with(&beat.samples, self.alpha, beat_scratch, None)?;
             let truth =
                 matching.matched_annotation[*peak_index].map(|a| record.annotations[a].class);
             let delineated = predicted.is_abnormal();
@@ -586,6 +513,35 @@ mod tests {
         let fw = build_firmware();
         assert!(fw.classify_window(&[0.0; 199]).is_err());
         assert!(fw.classify_window(&[0.0; 200]).is_ok());
+        let mut scratch = BeatScratch::default();
+        let mut stages = StageNanos::default();
+        for (len, ok) in [(199, false), (201, false), (200, true)] {
+            let timed =
+                fw.classify_window_with(&vec![0.0; len], fw.alpha, &mut scratch, Some(&mut stages));
+            assert_eq!(timed.is_ok(), ok, "timed call on a {len}-sample window");
+        }
+    }
+
+    #[test]
+    fn timed_and_untimed_classification_agree_on_every_test_beat() {
+        let fw = build_firmware();
+        // The quick experiment configuration's test split.
+        let test = Dataset::synthetic(DatasetSpec::tiny(), 2013).test;
+        assert!(!test.is_empty());
+        let mut scratch = BeatScratch::default();
+        let mut total = 0u64;
+        for beat in &test {
+            let untimed = fw
+                .classify_window_with(&beat.samples, fw.alpha, &mut scratch, None)
+                .expect("untimed");
+            let mut stages = StageNanos::default();
+            let timed = fw
+                .classify_window_with(&beat.samples, fw.alpha, &mut scratch, Some(&mut stages))
+                .expect("timed");
+            assert_eq!(timed, untimed);
+            total += stages.total();
+        }
+        assert!(total > 0, "the timed calls read the clock");
     }
 
     #[test]

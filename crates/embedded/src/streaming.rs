@@ -12,7 +12,8 @@
 //!    feeding the incremental R-peak scanner with pre-calibrated thresholds;
 //! 3. a [`StreamingBeatWindower`] cuts the 200-sample window of every
 //!    finalized peak from a bounded ring buffer;
-//! 4. the shared [`BeatScratch`] runs phase-correct decimation (the grid
+//! 4. [`WbsnFirmware::classify_window_with`] runs, against a reused
+//!    [`BeatScratch`], phase-correct decimation (the grid
 //!    anchors at each window start, so the classifier sees the same
 //!    4×-downsampled view wherever the beat occurred in the stream — the
 //!    semantics `hbc_dsp::streaming::StreamingDecimator` captures as a
@@ -346,14 +347,14 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
     }
 
     fn emit_beat(&mut self, peak: usize, window: &[f64]) {
-        // Stage 3-5 exactly as the batch path runs them: the decimation grid
-        // anchors at the window start (phase-correct relative to the R peak,
-        // the `step_by` inside the shared scratch), then ADC quantisation,
-        // packed projection and integer NFC against reused buffers.
+        // Stage 3-5 through the one classification body the batch path
+        // runs: the decimation grid anchors at the window start
+        // (phase-correct relative to the R peak), then ADC quantisation,
+        // packed projection and integer NFC against reused buffers, timed.
         let fw = self.firmware;
         let mut beat_stages = StageNanos::default();
         let predicted = fw
-            .classify_window_timed(window, &mut self.scratch, &mut beat_stages)
+            .classify_window_with(window, fw.alpha, &mut self.scratch, Some(&mut beat_stages))
             .expect("windower emits firmware-sized windows");
         let delineated = predicted.is_abnormal();
         let fiducials_transmitted = if delineated {

@@ -2184,12 +2184,9 @@ impl std::fmt::Debug for Gateway<'_> {
 mod tests {
     use super::*;
 
-    use hbc_core::hbc_rp::PackedProjection;
     use hbc_core::{ExperimentConfig, TrainedSystem};
     use hbc_ecg::record::Lead;
     use hbc_ecg::synthetic::SyntheticEcg;
-    use hbc_ecg::BeatWindow;
-    use hbc_embedded::int_classifier::AlphaQ16;
 
     use crate::proto::{dequantize_mv_into, quantize_mv_into, MAX_SAMPLES_PER_FRAME};
     use crate::PROTOCOL_VERSION;
@@ -2220,15 +2217,9 @@ mod tests {
         // one-at-a-time promotion would give them — wire-id order — and
         // outcomes bit-identical to `process_record` (the stretch is the
         // whole record, as in `process_record`'s calibration).
-        let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
-        let fw = WbsnFirmware::new(
-            PackedProjection::from_matrix(&system.pc_downsampled.projection),
-            system.wbsn.classifier.clone(),
-            AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-            system.config.downsample,
-            BeatWindow::PAPER,
-        )
-        .expect("firmware dimensions");
+        let fw = TrainedSystem::train(&ExperimentConfig::quick())
+            .expect("training")
+            .wbsn;
         let mut records = Vec::new();
         let mut streams = Vec::new();
         for seed in 0..4u64 {
@@ -2360,15 +2351,9 @@ mod tests {
         // hub rejects: the session ends in the sweep that completes its
         // stretch with the same empty Report as a stretch too short for the
         // detector (the 4-sample case of the burst test above).
-        let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
-        let fw = WbsnFirmware::new(
-            PackedProjection::from_matrix(&system.pc_downsampled.projection),
-            system.wbsn.classifier.clone(),
-            AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-            system.config.downsample,
-            BeatWindow::PAPER,
-        )
-        .expect("firmware dimensions");
+        let fw = TrainedSystem::train(&ExperimentConfig::quick())
+            .expect("training")
+            .wbsn;
         let fs = 360.0;
         let streams: [Vec<i16>; 3] = [vec![0; 4], vec![0; 1800], vec![100; 1800]];
         let config = GatewayConfig {

@@ -2,7 +2,11 @@
 //! fleet of annotated synthetic records (one per "patient") and scores all
 //! of them concurrently on every core through the evaluation engine,
 //! printing per-record and aggregate figures plus the measured speed-up over
-//! the single-threaded reference pass.
+//! the single-threaded reference pass. Two passes are timed: beats cut at
+//! the annotations and classified by the trained image
+//! (`Engine::evaluate_records`), and the whole Figure 6 firmware — filter,
+//! peak detection, classification, gated delineation — over every record
+//! (`Engine::process_records`), which is where a firmware change shows.
 //!
 //! ```text
 //! cargo run --release --example parallel_records          # quick scale
@@ -14,7 +18,7 @@ use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::TrainedSystem;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = heartbeat_rp::scale_from_args();
@@ -70,10 +74,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * report.merged.arr()
     );
     println!();
-    println!(
-        "sequential: {sequential_time:>10.2?}   parallel ({} workers): {parallel_time:>10.2?}   speed-up: {:.2}x",
-        parallel.workers_for(records.len()),
-        sequential_time.as_secs_f64() / parallel_time.as_secs_f64().max(1e-9)
+    let workers = parallel.workers_for(records.len());
+    let timings = |label: &str, sequential: Duration, parallel: Duration| {
+        println!(
+            "{label}sequential: {sequential:>10.2?}   parallel ({workers} workers): {parallel:>10.2?}   speed-up: {:.2}x",
+            sequential.as_secs_f64() / parallel.as_secs_f64().max(1e-9)
+        );
+    };
+    timings("", sequential_time, parallel_time);
+
+    let start = Instant::now();
+    let reference = sequential.process_records(&system.wbsn, &records)?;
+    let sequential_time = start.elapsed();
+
+    let start = Instant::now();
+    let firmware = parallel.process_records(&system.wbsn, &records)?;
+    let parallel_time = start.elapsed();
+
+    assert_eq!(
+        firmware, reference,
+        "parallel firmware runs must be bit-identical"
     );
+    timings("firmware   ", sequential_time, parallel_time);
     Ok(())
 }

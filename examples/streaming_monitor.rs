@@ -16,24 +16,16 @@
 
 use heartbeat_rp::hbc_ecg::record::{Annotation, EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::{int_classifier::AlphaQ16, WbsnFirmware};
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
+use heartbeat_rp::scale_from_args;
 use heartbeat_rp::stream::{SessionId, StreamHub};
-use heartbeat_rp::{hbc_ecg::beat::BeatWindow, scale_from_args};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Train the classifier off-line and burn the firmware image.
     let config = scale_from_args();
     println!("training the classifier off-line...");
     let system = TrainedSystem::train(&config)?;
-    let firmware = WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train)?,
-        config.downsample,
-        BeatWindow::PAPER,
-    )?;
+    let firmware = &system.wbsn;
 
     // 2. A fleet of synthetic patients, each with their own rhythm mix.
     let patients: Vec<EcgRecord> = (0..8u32)
@@ -48,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Register one streaming session per patient; thresholds are
     //    calibrated per patient from the first seconds of their signal,
     //    like a node's start-up calibration phase.
-    let mut hub = StreamHub::new(&firmware, fs);
+    let mut hub = StreamHub::new(firmware, fs);
     let calibration_window = (8.0 * fs) as usize;
     let ids: Vec<SessionId> = patients
         .iter()

@@ -26,12 +26,10 @@ use heartbeat_rp::hbc_dsp::window::match_peaks;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::{int_classifier::AlphaQ16, WbsnFirmware};
 use heartbeat_rp::hbc_net::{Gateway, GatewayConfig, NodeClient, SessionSummary};
 use heartbeat_rp::hbc_nfc::EvaluationReport;
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
-use heartbeat_rp::{hbc_ecg::beat::BeatWindow, scale_from_args};
+use heartbeat_rp::scale_from_args;
 
 /// Labels received beats against the held-back annotations (position match
 /// within the firmware's tolerance) and accumulates the confusion counts.
@@ -53,13 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = scale_from_args();
     println!("training the classifier off-line...");
     let system = TrainedSystem::train(&config)?;
-    let firmware = WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train)?,
-        config.downsample,
-        BeatWindow::PAPER,
-    )?;
+    let firmware = &system.wbsn;
 
     // 2. A fleet of synthetic patients.
     let patients: Vec<EcgRecord> = (0..6u32)
@@ -73,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let calib_len = (8.0 * fs) as u32;
 
     // 3. Gateway on an ephemeral loopback port.
-    let gateway = Gateway::bind("127.0.0.1:0", &firmware, fs, GatewayConfig::default())?;
+    let gateway = Gateway::bind("127.0.0.1:0", firmware, fs, GatewayConfig::default())?;
     let addr = gateway.local_addr()?;
     println!(
         "gateway listening on {addr} (credit budget {} samples/session)",

@@ -10,8 +10,6 @@
 
 use heartbeat_rp::hbc_ecg::record::Lead;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::{int_classifier::AlphaQ16, WbsnFirmware};
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 use heartbeat_rp::scale_from_args;
 
@@ -22,13 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = TrainedSystem::train(&config)?;
 
     // 2. Burn the trained artefacts into a firmware image.
-    let firmware = WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train)?,
-        config.downsample,
-        heartbeat_rp::hbc_ecg::beat::BeatWindow::PAPER,
-    )?;
+    let firmware = &system.wbsn;
 
     // 3. Acquire a three-lead ambulatory recording (synthetic stand-in for a
     //    patient wearing the node) with occasional PVCs and LBBB beats.

@@ -16,30 +16,16 @@
 use std::sync::OnceLock;
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::{BeatClass, BeatWindow};
+use heartbeat_rp::hbc_ecg::beat::BeatClass;
 use heartbeat_rp::hbc_ecg::record::EcgRecord;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::FirmwareReport;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-fn firmware() -> WbsnFirmware {
-    let system = system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
 }
 
 /// The ARR-safe routing invariant plus basic liveness.
@@ -75,14 +61,14 @@ fn process(fw: &WbsnFirmware, record: &EcgRecord, label: &str) -> FirmwareReport
 
 #[test]
 fn af_like_rhythm_is_degraded_arr_safely() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let mut gen = SyntheticEcg::with_seed(901);
     let record = gen.af_record(400, 35, 2).expect("af record");
     assert!(record
         .annotations
         .iter()
         .all(|a| a.class == BeatClass::Unknown));
-    let report = process(&fw, &record, "AF rhythm");
+    let report = process(fw, &record, "AF rhythm");
     // The irregular rhythm must not collapse beat detection: the pipeline
     // sees a substantial share of the conducted beats.
     assert!(
@@ -95,17 +81,17 @@ fn af_like_rhythm_is_degraded_arr_safely() {
 
 #[test]
 fn electrode_pops_do_not_silence_the_pipeline() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let mut gen = SyntheticEcg::with_seed(902);
     let rhythm = gen.rhythm(35, 0.1, 0.1);
     let mut record = gen.record(401, &rhythm, 2).expect("record");
     gen.electrode_pop(&mut record, 4);
-    process(&fw, &record, "electrode pops");
+    process(fw, &record, "electrode pops");
 }
 
 #[test]
 fn lead_dropout_on_any_lead_keeps_the_pipeline_running() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let mut gen = SyntheticEcg::with_seed(903);
     let rhythm = gen.rhythm(35, 0.1, 0.1);
     let record = gen.record(402, &rhythm, 3).expect("record");
@@ -114,38 +100,38 @@ fn lead_dropout_on_any_lead_keeps_the_pipeline_running() {
     for lead in 0..record.num_leads() {
         let mut dropped = record.clone();
         SyntheticEcg::lead_dropout(&mut dropped, lead, 5.0, 4.0);
-        process(&fw, &dropped, &format!("dropout on lead {lead}"));
+        process(fw, &dropped, &format!("dropout on lead {lead}"));
     }
 }
 
 #[test]
 fn baseline_storm_is_degraded_arr_safely() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let mut gen = SyntheticEcg::with_seed(904);
     let rhythm = gen.rhythm(35, 0.1, 0.1);
     let mut record = gen.record(403, &rhythm, 2).expect("record");
     gen.baseline_storm(&mut record, 1.5);
-    process(&fw, &record, "baseline storm");
+    process(fw, &record, "baseline storm");
 }
 
 #[test]
 fn pacing_artifacts_are_degraded_arr_safely() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let mut gen = SyntheticEcg::with_seed(905);
     let rhythm = gen.rhythm(35, 0.1, 0.1);
     let mut record = gen.record(404, &rhythm, 2).expect("record");
     gen.pacing_artifacts(&mut record, 1.0);
-    process(&fw, &record, "pacing artifacts");
+    process(fw, &record, "pacing artifacts");
 }
 
 #[test]
 fn sample_rate_skew_is_degraded_arr_safely() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let mut gen = SyntheticEcg::with_seed(906);
     let rhythm = gen.rhythm(35, 0.1, 0.1);
     let record = gen.record(405, &rhythm, 2).expect("record");
     for factor in [0.92, 1.08] {
         let skewed = SyntheticEcg::rate_skew(&record, factor).expect("skew");
-        process(&fw, &skewed, &format!("rate skew ×{factor}"));
+        process(fw, &skewed, &format!("rate skew ×{factor}"));
     }
 }

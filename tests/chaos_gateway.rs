@@ -27,18 +27,15 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder};
 use heartbeat_rp::hbc_net::{
     ChaosConfig, ChaosDirection, ChaosProxy, ChaosStats, FaultKind, Gateway, GatewayConfig,
     GatewayStats, NetError, NodeClient, SessionSummary, PROTOCOL_VERSION,
 };
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 
 mod support;
@@ -46,18 +43,6 @@ mod support;
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-fn firmware() -> WbsnFirmware {
-    let system = system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
 }
 
 /// A single-lead synthetic record passed once through the wire ADC transfer
@@ -136,14 +121,14 @@ fn run_chaos(
     calib_len: Option<usize>,
     label: &str,
 ) -> (SessionSummary, GatewayStats, ChaosStats) {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(6100, 45);
     let fs = record.fs;
     let calib = calib_len.unwrap_or(record.len());
     let reference = match calib_len {
         None => fw.process_record(&record).expect("reference").beats,
         Some(n) => {
-            let mut hub = heartbeat_rp::StreamHub::new(&fw, fs);
+            let mut hub = heartbeat_rp::StreamHub::new(fw, fs);
             let lead = record.lead(Lead(0)).expect("lead 0");
             let thresholds = hub.calibrate_thresholds(&lead[..n]).expect("calibrate");
             let id = hub.add_patient(record.id, thresholds);
@@ -158,7 +143,7 @@ fn run_chaos(
         max_ingest_per_poll: 2048,
         ..GatewayConfig::default()
     };
-    let gateway = Gateway::bind("127.0.0.1:0", &fw, fs, config).expect("bind gateway");
+    let gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind gateway");
     let gw_addr = gateway.local_addr().expect("gateway addr");
     let proxy = ChaosProxy::bind(gw_addr, chaos).expect("bind proxy");
     let px_addr = proxy.local_addr().expect("proxy addr");
@@ -360,12 +345,12 @@ fn severed_client_resumes_without_recalibration() {
     // Prefix calibration (not whole-record) proves thresholds survive the
     // resume: were calibration re-run on post-resume data, the outcome
     // stream would diverge from this reference.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(6200, 40);
     let fs = record.fs;
     let calib_len = 2048usize;
     let reference = {
-        let mut hub = heartbeat_rp::StreamHub::new(&fw, fs);
+        let mut hub = heartbeat_rp::StreamHub::new(fw, fs);
         let lead = record.lead(Lead(0)).expect("lead 0");
         let thresholds = hub
             .calibrate_thresholds(&lead[..calib_len])
@@ -375,7 +360,7 @@ fn severed_client_resumes_without_recalibration() {
         hub.close_session(id).expect("close").outcomes
     };
 
-    let (summary, stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+    let (summary, stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client
             .open_session(record.id, fs, calib_len as u32)
@@ -409,13 +394,13 @@ fn credit_stalled_sender_resumes_without_losing_or_double_counting_beats() {
     // connection dies mid-stall must resume inside the retention window and
     // converge with *exactly* one copy of every sample — the unacked replay
     // tail is retransmitted, `next_expected_seq` deduplicates it.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(6300, 40);
     let fs = record.fs;
     let budget = 4096usize;
     let calib_len = 2048usize;
     let reference = {
-        let mut hub = heartbeat_rp::StreamHub::new(&fw, fs);
+        let mut hub = heartbeat_rp::StreamHub::new(fw, fs);
         let lead = record.lead(Lead(0)).expect("lead 0");
         let thresholds = hub
             .calibrate_thresholds(&lead[..calib_len])
@@ -432,7 +417,7 @@ fn credit_stalled_sender_resumes_without_losing_or_double_counting_beats() {
         max_ingest_per_poll: 256,
         ..GatewayConfig::default()
     };
-    let (summary, stats) = with_gateway(&fw, fs, config, |addr| {
+    let (summary, stats) = with_gateway(fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client
             .open_session(record.id, fs, calib_len as u32)
@@ -471,13 +456,13 @@ fn credit_stalled_sender_resumes_without_losing_or_double_counting_beats() {
 
 #[test]
 fn expired_retention_window_denies_resume_and_retires_the_wire_id() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let fs = 360.0;
     let config = GatewayConfig {
         resume_window: Duration::from_millis(50),
         ..GatewayConfig::default()
     };
-    let ((), stats) = with_gateway(&fw, fs, config, |addr| {
+    let ((), stats) = with_gateway(fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client.open_session(77, fs, 512).expect("open");
         // A wavy stream: a flat calibration stretch is degenerate and

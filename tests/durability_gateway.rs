@@ -34,11 +34,9 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{
     dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, WireOutcome, WireReport,
@@ -46,7 +44,6 @@ use heartbeat_rp::hbc_net::proto::{
 use heartbeat_rp::hbc_net::{
     replay_log, Gateway, GatewayConfig, GatewayStats, NodeClient, PROTOCOL_VERSION,
 };
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::hbc_wal::{crc32, WalConfig, WalError};
 use heartbeat_rp::pipeline::TrainedSystem;
 use heartbeat_rp::StreamHub;
@@ -56,18 +53,6 @@ mod support;
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-fn firmware() -> WbsnFirmware {
-    let system = system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
 }
 
 /// A single-lead synthetic record passed once through the wire ADC transfer
@@ -166,11 +151,11 @@ fn wal_config(dir: &std::path::Path) -> GatewayConfig {
 
 #[test]
 fn kill_mid_ingest_recovers_from_the_log_and_converges() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7100, 40);
     let fs = record.fs;
     let calib_len = 2048usize;
-    let reference = reference_outcomes(&fw, &record, calib_len);
+    let reference = reference_outcomes(fw, &record, calib_len);
     assert!(!reference.is_empty(), "reference must emit beats");
     let tmp = support::TempDir::new("wal-kill");
 
@@ -180,7 +165,7 @@ fn kill_mid_ingest_recovers_from_the_log_and_converges() {
 
     // Phase 1: stream the first half, drain the acks (everything sent is
     // logged *and* ingested), then the gateway dies — no close, no goodbye.
-    let ((mut client, id), gw1) = with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+    let ((mut client, id), gw1) = with_gateway(fw, fs, wal_config(tmp.path()), |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         client
             .set_io_timeout(Some(Duration::from_millis(750)))
@@ -208,7 +193,7 @@ fn kill_mid_ingest_recovers_from_the_log_and_converges() {
 
     // Phase 2: a fresh gateway on the same log directory rebuilds the
     // session before accepting a single connection.
-    let gateway2 = Gateway::bind("127.0.0.1:0", &fw, fs, wal_config(tmp.path())).expect("rebind");
+    let gateway2 = Gateway::bind("127.0.0.1:0", fw, fs, wal_config(tmp.path())).expect("rebind");
     assert_eq!(
         gateway2.stats().sessions_recovered,
         1,
@@ -258,13 +243,13 @@ fn recovery_skips_a_closed_session_and_rebuilds_the_open_one() {
     // A's frames interleave with B's on one connection and A closes before
     // the kill: recovery folds A's records and frees them at its close, and
     // rebuilds only B, whose logged stream spans several rebuild rounds.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record_a = wire_record(7150, 30);
     let record_b = wire_record(7160, 60);
     let fs = record_b.fs;
     let calib_len = 2048usize;
-    let reference_a = reference_outcomes(&fw, &record_a, calib_len);
-    let reference_b = reference_outcomes(&fw, &record_b, calib_len);
+    let reference_a = reference_outcomes(fw, &record_a, calib_len);
+    let reference_b = reference_outcomes(fw, &record_b, calib_len);
     let tmp = support::TempDir::new("wal-closed");
 
     let lead_a = record_a.lead(Lead(0)).expect("lead 0");
@@ -276,7 +261,7 @@ fn recovery_skips_a_closed_session_and_rebuilds_the_open_one() {
     );
 
     let ((mut client, id_b, summary_a), gw1) =
-        with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+        with_gateway(fw, fs, wal_config(tmp.path()), |addr| {
             let mut client = NodeClient::connect(addr).expect("connect");
             client
                 .set_io_timeout(Some(Duration::from_millis(750)))
@@ -317,7 +302,7 @@ fn recovery_skips_a_closed_session_and_rebuilds_the_open_one() {
     );
     assert_full_match(&summary_a.outcomes, &reference_a, "A before the kill");
 
-    let gateway2 = Gateway::bind("127.0.0.1:0", &fw, fs, wal_config(tmp.path())).expect("rebind");
+    let gateway2 = Gateway::bind("127.0.0.1:0", fw, fs, wal_config(tmp.path())).expect("rebind");
     assert_eq!(
         gateway2.stats().sessions_recovered,
         1,
@@ -356,17 +341,17 @@ fn recovery_skips_a_closed_session_and_rebuilds_the_open_one() {
 
 #[test]
 fn kill_during_calibration_recovers_the_partial_stretch() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7200, 30);
     let fs = record.fs;
     let calib_len = 2048usize;
-    let reference = reference_outcomes(&fw, &record, calib_len);
+    let reference = reference_outcomes(fw, &record, calib_len);
     let tmp = support::TempDir::new("wal-calib");
 
     let lead = record.lead(Lead(0)).expect("lead 0");
     let cut = calib_len / 2; // the kill lands before promotion
 
-    let ((mut client, id), gw1) = with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+    let ((mut client, id), gw1) = with_gateway(fw, fs, wal_config(tmp.path()), |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         client
             .set_io_timeout(Some(Duration::from_millis(750)))
@@ -384,7 +369,7 @@ fn kill_during_calibration_recovers_the_partial_stretch() {
     client.sever();
     assert_eq!(gw1.sessions_opened, 1);
 
-    let gateway2 = Gateway::bind("127.0.0.1:0", &fw, fs, wal_config(tmp.path())).expect("rebind");
+    let gateway2 = Gateway::bind("127.0.0.1:0", fw, fs, wal_config(tmp.path())).expect("rebind");
     assert_eq!(gateway2.stats().sessions_recovered, 1);
     let addr2 = gateway2.local_addr().expect("addr");
     let shutdown = AtomicBool::new(false);
@@ -417,14 +402,14 @@ fn kill_during_calibration_recovers_the_partial_stretch() {
 
 #[test]
 fn replay_rescores_the_log_bit_identically_for_any_thread_count() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7300, 35);
     let fs = record.fs;
     let calib_len = 2048usize;
     let tmp = support::TempDir::new("wal-replay");
 
     // Live run: stream the whole record in uneven chunks and close cleanly.
-    let (summary, gw) = with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+    let (summary, gw) = with_gateway(fw, fs, wal_config(tmp.path()), |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client
             .open_session(record.id, fs, calib_len as u32)
@@ -440,9 +425,9 @@ fn replay_rescores_the_log_bit_identically_for_any_thread_count() {
 
     // Replay the dead gateway's log through the same firmware: one worker,
     // many workers, default policy — all bit-identical to the live run.
-    let single = replay_log(tmp.path(), &fw, NonZeroUsize::new(1)).expect("replay single");
-    let wide = replay_log(tmp.path(), &fw, NonZeroUsize::new(8)).expect("replay wide");
-    let auto = replay_log(tmp.path(), &fw, None).expect("replay auto");
+    let single = replay_log(tmp.path(), fw, NonZeroUsize::new(1)).expect("replay single");
+    let wide = replay_log(tmp.path(), fw, NonZeroUsize::new(8)).expect("replay wide");
+    let auto = replay_log(tmp.path(), fw, None).expect("replay auto");
     for (label, report) in [("single", &single), ("wide", &wide), ("auto", &auto)] {
         assert_eq!(report.sessions.len(), 1, "{label}: one logged session");
         assert!(!report.truncated, "{label}: clean log");
@@ -487,7 +472,7 @@ fn a_log_in_another_format_is_refused_by_replay_and_bind_untouched() {
     format_9.extend_from_slice(&(!9u16).to_le_bytes());
     format_9.extend_from_slice(&format_1);
 
-    let fw = firmware();
+    let fw = &system().wbsn;
     let tmp = support::TempDir::new("wal-foreign");
     let segment = tmp.path().join("0000000000000000.wal");
     for (bytes, want) in [(format_1, None), (format_9, Some(9))] {
@@ -496,9 +481,9 @@ fn a_log_in_another_format_is_refused_by_replay_and_bind_untouched() {
             Some(WalError::UnsupportedFormat { version, .. }) => assert_eq!(*version, want),
             _ => panic!("expected a format refusal, got {e:?}"),
         };
-        refused(replay_log(tmp.path(), &fw, None).expect_err("replay refuses"));
+        refused(replay_log(tmp.path(), fw, None).expect_err("replay refuses"));
         refused(
-            Gateway::bind("127.0.0.1:0", &fw, 360.0, wal_config(tmp.path()))
+            Gateway::bind("127.0.0.1:0", fw, 360.0, wal_config(tmp.path()))
                 .expect_err("bind refuses"),
         );
         assert_eq!(std::fs::read(&segment).expect("read back"), bytes);
@@ -536,14 +521,14 @@ fn lost_report_after_close_is_refetchable_within_the_window() {
     // processed `CloseSession` but before the client read the `Report`.
     // The token must stay good for a re-fetch within the retention window —
     // via resume *and* via a retried close.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7400, 30);
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
     let calib_len = 2048usize;
-    let reference = reference_outcomes(&fw, &record, calib_len);
+    let reference = reference_outcomes(fw, &record, calib_len);
 
-    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+    let ((), stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         // Connection 1: open, stream everything, close — then lose the link
         // without reading a single reply past the open.
         let mut conn = TcpStream::connect(addr).expect("connect");
@@ -720,7 +705,7 @@ fn degenerate_calibration_report_is_refetchable_within_the_window() {
     // session with an empty Report. That end is a close like any other:
     // a retried close and a resume by token both re-serve the cached
     // Report instead of going unanswered or being denied.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7500, 4);
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
@@ -732,7 +717,7 @@ fn degenerate_calibration_report_is_refetchable_within_the_window() {
         samples: 4,
     };
 
-    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+    let ((), stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         let (mut conn, mut decoder) = raw_connect(addr);
         conn.write_all(
             &Frame::OpenSession {
@@ -825,7 +810,7 @@ fn recovery_and_replay_agree_on_a_crashed_log() {
     // the same crashed log they must agree: the session the restarted
     // gateway resumes has the receive position and the outcome history
     // that `replay_log` reconstructs.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7600, 40);
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
@@ -841,7 +826,7 @@ fn recovery_and_replay_agree_on_a_crashed_log() {
 
     // Phase 1: stream the first half, wait until the gateway acks every
     // frame (logged and ingested), then kill it.
-    let ((session, token, sent), _) = with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+    let ((session, token, sent), _) = with_gateway(fw, fs, wal_config(tmp.path()), |addr| {
         let (mut conn, mut decoder) = raw_connect(addr);
         conn.write_all(
             &Frame::OpenSession {
@@ -880,7 +865,7 @@ fn recovery_and_replay_agree_on_a_crashed_log() {
         (session, token, sent)
     });
 
-    let replay = replay_log(tmp.path(), &fw, None).expect("replay");
+    let replay = replay_log(tmp.path(), fw, None).expect("replay");
     assert_eq!(replay.sessions.len(), 1);
     let replayed = &replay.sessions[0];
     assert!(!replayed.closed, "the kill preempted the close");
@@ -892,7 +877,7 @@ fn recovery_and_replay_agree_on_a_crashed_log() {
     // bytes; resuming with no outcomes received rewinds forwarding to the
     // start of the rebuilt history.
     let ((next_expected_seq, resumed), gw2) =
-        with_gateway(&fw, fs, wal_config(tmp.path()), |addr| {
+        with_gateway(fw, fs, wal_config(tmp.path()), |addr| {
             let (mut conn, mut decoder) = raw_connect(addr);
             conn.write_all(
                 &Frame::ResumeSession {
@@ -973,7 +958,7 @@ fn denied_resume_leaves_the_session_with_its_owner() {
     // A resume whose `last_acked_seq` claims more than the gateway received
     // is denied. The denial must not move the session: its healthy owner
     // keeps streaming and closes it normally.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7700, 12);
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
@@ -981,7 +966,7 @@ fn denied_resume_leaves_the_session_with_its_owner() {
     quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
     let half = codes.len() / 2;
 
-    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+    let ((), stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         let (mut owner, mut owner_decoder) = raw_connect(addr);
         let (session, token) = raw_open(
             &mut owner,
@@ -1048,7 +1033,7 @@ fn credit_overrun_deny_leaves_the_receive_position() {
     // denied and never logged. The gateway did not take it, so a resume
     // must restart at its seq, not one past it: a replaying sender would
     // otherwise skip a frame the gateway never had.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7750, 8);
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
@@ -1059,7 +1044,7 @@ fn credit_overrun_deny_leaves_the_receive_position() {
         ..GatewayConfig::default()
     };
 
-    let ((), stats) = with_gateway(&fw, fs, config, |addr| {
+    let ((), stats) = with_gateway(fw, fs, config, |addr| {
         let (mut conn, mut decoder) = raw_connect(addr);
         let (session, token) = raw_open(&mut conn, &mut decoder, record.id, fs_millihertz, 512);
         conn.write_all(
@@ -1113,12 +1098,12 @@ fn takeover_continues_gap_free_on_the_new_connection() {
     // the session takes it over: the outcome stream continues on the new
     // connection without a gap or a duplicate, and the old connection's
     // next frame for the session is refused.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7800, 40);
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
     let calib_len = 2048u32;
-    let reference = reference_outcomes(&fw, &record, calib_len as usize);
+    let reference = reference_outcomes(fw, &record, calib_len as usize);
     let mut codes = Vec::new();
     quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
     let cut = codes.len() / 2;
@@ -1127,7 +1112,7 @@ fn takeover_continues_gap_free_on_the_new_connection() {
         "the takeover lands after calibration"
     );
 
-    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+    let ((), stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         let (mut old, mut old_decoder) = raw_connect(addr);
         let (session, token) = raw_open(
             &mut old,
@@ -1278,7 +1263,7 @@ fn expired_report_cache_denies_refetch_and_frees_its_memory() {
     // Past the retention window an ended session's cached end is gone: a
     // resume by its token is denied, a retried close of its retired wire id
     // is ignored, and the cached history leaves the memory ledger.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(7900, 30);
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
@@ -1289,7 +1274,7 @@ fn expired_report_cache_denies_refetch_and_frees_its_memory() {
         resume_window: window,
         ..GatewayConfig::default()
     };
-    let mut gateway = Gateway::bind("127.0.0.1:0", &fw, fs, config).expect("bind");
+    let mut gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind");
     let addr = gateway.local_addr().expect("addr");
 
     let (mut conn, mut decoder) = raw_connect(addr);

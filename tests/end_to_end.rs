@@ -3,11 +3,9 @@
 //! accounting.
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
+use heartbeat_rp::engine::{BeatEvaluator, WbsnEvaluator};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
-use heartbeat_rp::hbc_embedded::WbsnFirmware;
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 
 fn trained_system() -> TrainedSystem {
@@ -40,15 +38,7 @@ fn trained_system_meets_the_paper_operating_point_on_synthetic_data() {
 #[test]
 fn firmware_built_from_the_trained_system_processes_a_full_recording() {
     let system = trained_system();
-    let config = system.config;
-    let firmware = WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions are consistent");
+    let firmware = &system.wbsn;
 
     let mut generator = SyntheticEcg::with_seed(99);
     let rhythm = generator.rhythm(120, 0.1, 0.08);
@@ -98,14 +88,15 @@ fn alpha_train_and_alpha_test_can_diverge_like_the_paper_describes() {
     // α_test must never decrease the ARR.
     let system = trained_system();
     let beats = &system.dataset.test;
-    let lax = system
-        .wbsn
-        .evaluate(beats, AlphaQ16::from_f64(0.0).expect("valid"))
-        .expect("evaluate");
-    let strict = system
-        .wbsn
-        .evaluate(beats, AlphaQ16::from_f64(0.6).expect("valid"))
-        .expect("evaluate");
+    let at = |alpha: f64| {
+        WbsnEvaluator {
+            firmware: &system.wbsn,
+            alpha: AlphaQ16::from_f64(alpha).expect("valid"),
+        }
+        .evaluate_batch(beats)
+        .expect("evaluate")
+    };
+    let (lax, strict) = (at(0.0), at(0.6));
     assert!(strict.arr() >= lax.arr() - 1e-12);
     assert!(strict.ndr() <= lax.ndr() + 1e-12);
 }

@@ -4,7 +4,7 @@
 //! contract that lets every experiment route its dataset-scale scans through
 //! the engine without changing a single reported figure.
 
-use heartbeat_rp::engine::{Engine, EngineConfig, PcEvaluator, WbsnEvaluator};
+use heartbeat_rp::engine::{BeatEvaluator, Engine, EngineConfig, PcEvaluator, WbsnEvaluator};
 use heartbeat_rp::hbc_ecg::beat::{Beat, BeatWindow};
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
@@ -97,7 +97,7 @@ fn record_evaluation_matches_flat_concatenated_beats() {
         .collect();
     let reference = system
         .wbsn
-        .evaluate(&flat, system.wbsn.alpha)
+        .evaluate_batch(&flat)
         .expect("flat sequential evaluation");
     assert_eq!(multi.merged, reference);
 }
@@ -109,19 +109,15 @@ fn parallel_split_evaluation_matches_sequential_for_both_pipelines() {
 
     // WBSN integer pipeline at a non-calibrated α, via the explicit
     // evaluator.
-    let alpha = AlphaQ16::from_f64(0.25).expect("valid alpha");
-    let reference = system
-        .wbsn
-        .evaluate(&system.dataset.test, alpha)
+    let evaluator = WbsnEvaluator {
+        firmware: &system.wbsn,
+        alpha: AlphaQ16::from_f64(0.25).expect("valid alpha"),
+    };
+    let reference = evaluator
+        .evaluate_batch(&system.dataset.test)
         .expect("sequential WBSN evaluation");
     let report = parallel
-        .evaluate_beats(
-            &WbsnEvaluator {
-                pipeline: &system.wbsn,
-                alpha,
-            },
-            &system.dataset.test,
-        )
+        .evaluate_beats(&evaluator, &system.dataset.test)
         .expect("parallel WBSN evaluation");
     assert_eq!(report, reference);
 
@@ -150,7 +146,7 @@ fn engine_backed_test_split_helpers_match_direct_loops() {
         .expect("engine-backed helper");
     let direct = system
         .wbsn
-        .evaluate(&system.dataset.test, system.wbsn.alpha)
+        .evaluate_batch(&system.dataset.test)
         .expect("direct loop");
     assert_eq!(wbsn, direct);
 

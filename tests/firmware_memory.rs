@@ -16,14 +16,10 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use heartbeat_rp::config::ExperimentConfig;
 use heartbeat_rp::hbc_dsp::filter::MorphologicalFilter;
 use heartbeat_rp::hbc_dsp::peak::PeakDetector;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::Lead;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::streaming::StreamingFirmware;
-use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, wire_adc};
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 
 /// Tracks the net live heap bytes: allocations add their size,
@@ -67,15 +63,9 @@ const HEAP_BOUND: isize = 22_800;
 
 #[test]
 fn session_firmware_heap_is_fixed_and_bounded() {
-    let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
-    let fw = WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions");
+    let fw = TrainedSystem::train(&ExperimentConfig::quick())
+        .expect("training")
+        .wbsn;
     let mut gen = SyntheticEcg::with_seed(901);
     let rhythm = gen.rhythm(60, 0.1, 0.1);
     let record = gen.record(901, &rhythm, 1).expect("record");

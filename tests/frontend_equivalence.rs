@@ -26,12 +26,9 @@ use heartbeat_rp::hbc_dsp::filter::{
 use heartbeat_rp::hbc_dsp::streaming::{StreamingDilation, StreamingErosion};
 use heartbeat_rp::hbc_dsp::window::{match_peaks, windows_at_peaks};
 use heartbeat_rp::hbc_dsp::{Delineator, PeakDetector, StreamingBaselineFilter};
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::Lead;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
-use heartbeat_rp::hbc_embedded::{AdcModel, BeatScratch, WbsnFirmware};
-use heartbeat_rp::hbc_rp::PackedProjection;
+use heartbeat_rp::hbc_embedded::{AdcModel, BeatScratch};
 use heartbeat_rp::pipeline::TrainedSystem;
 use proptest::prelude::*;
 
@@ -295,25 +292,13 @@ fn trained_system() -> &'static TrainedSystem {
     })
 }
 
-fn firmware() -> WbsnFirmware {
-    let system = trained_system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions are consistent")
-}
-
 /// The acceptance bar: `process_record` (running the streaming kernel) is
 /// bit-identical to the pipeline reconstructed here from the naive
 /// kernels: naive filter → peak detection → peak/annotation matching →
 /// windowing → per-beat classification.
 #[test]
 fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
-    let fw = firmware();
+    let fw = &trained_system().wbsn;
     let mut gen = SyntheticEcg::with_seed(77);
     let rhythm = gen.rhythm(80, 0.12, 0.12);
     let record = gen.record(50, &rhythm, 2).expect("record generation");
@@ -382,7 +367,7 @@ fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
 /// reproduces fresh-scratch runs exactly.
 #[test]
 fn scratch_reuse_across_heterogeneous_records_is_transparent() {
-    let fw = firmware();
+    let fw = &trained_system().wbsn;
     let mut gen = SyntheticEcg::with_seed(123);
     let records = [
         gen.record(1, &gen.clone().rhythm(40, 0.1, 0.1), 1)

@@ -17,14 +17,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::Lead;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::quantize_mv_into;
 use heartbeat_rp::hbc_net::{Gateway, GatewayConfig, NodeClient};
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 
 /// Counts every allocation (alloc + realloc) made through the global
@@ -74,15 +71,9 @@ const MEASURED_POLLS: u64 = 2000;
 const MEASURED_FRAMES: u64 = 100 * SESSIONS as u64;
 
 fn firmware() -> WbsnFirmware {
-    let system = TrainedSystem::train(&ExperimentConfig::quick()).expect("training");
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
+    TrainedSystem::train(&ExperimentConfig::quick())
+        .expect("training")
+        .wbsn
 }
 
 /// One patient's lead as wire ADC codes.

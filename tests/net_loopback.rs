@@ -24,11 +24,9 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{
     crc32, dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, MAX_SAMPLES_PER_FRAME,
@@ -37,7 +35,6 @@ use heartbeat_rp::hbc_net::{
     Gateway, GatewayConfig, GatewayStats, NetError, NodeClient, OverflowPolicy, CREDIT_QUIET,
     HOUSEKEEPING_TICK, PROTOCOL_VERSION,
 };
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 use heartbeat_rp::StreamHub;
 
@@ -46,18 +43,6 @@ mod support;
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-fn firmware() -> WbsnFirmware {
-    let system = system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
 }
 
 /// A single-lead synthetic record whose lead has passed through the wire ADC
@@ -156,7 +141,7 @@ fn assert_outcomes_match(got: &[BeatOutcome], want: &[BeatOutcome], label: &str)
 
 #[test]
 fn socket_outcomes_match_process_record_for_interleaved_randomized_sessions() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let records: Vec<EcgRecord> = (0..3)
         .map(|i| wire_record(7000 + i, 35 + 5 * i as usize))
         .collect();
@@ -175,7 +160,7 @@ fn socket_outcomes_match_process_record_for_interleaved_randomized_sessions() {
         max_ingest_per_poll: 2048,
         ..GatewayConfig::default()
     };
-    let (summaries, stats) = with_gateway(&fw, fs, config, |addr| {
+    let (summaries, stats) = with_gateway(fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let ids: Vec<u32> = records
             .iter()
@@ -227,11 +212,11 @@ fn socket_outcomes_match_process_record_for_interleaved_randomized_sessions() {
 
 #[test]
 fn prefix_calibrated_streaming_matches_the_hub_for_any_packetization() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(8100, 45);
     let fs = record.fs;
     let calib_len = (8.0 * fs) as usize;
-    let reference = hub_reference(&fw, &record, calib_len);
+    let reference = hub_reference(fw, &record, calib_len);
     assert!(!reference.is_empty(), "reference session must emit beats");
 
     // Two different reactor batch sizes must yield the same outcome stream:
@@ -242,7 +227,7 @@ fn prefix_calibrated_streaming_matches_the_hub_for_any_packetization() {
             max_ingest_per_poll: max_ingest,
             ..GatewayConfig::default()
         };
-        let (summary, stats) = with_gateway(&fw, fs, config, |addr| {
+        let (summary, stats) = with_gateway(fw, fs, config, |addr| {
             let mut client = NodeClient::connect(addr).expect("connect");
             let id = client
                 .open_session(record.id, fs, calib_len as u32)
@@ -258,14 +243,14 @@ fn prefix_calibrated_streaming_matches_the_hub_for_any_packetization() {
 
 #[test]
 fn slow_consumption_stalls_senders_at_the_credit_budget_without_cross_talk() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record_a = wire_record(9000, 40);
     let record_b = wire_record(9001, 40);
     let fs = record_a.fs;
     let budget = 4096usize;
     let calib_len = 2048usize;
-    let ref_a = hub_reference(&fw, &record_a, calib_len);
-    let ref_b = hub_reference(&fw, &record_b, calib_len);
+    let ref_a = hub_reference(fw, &record_a, calib_len);
+    let ref_b = hub_reference(fw, &record_b, calib_len);
 
     // A deliberately slow hub: at most 256 samples consumed per session per
     // sweep, so compliant senders repeatedly exhaust their credit and must
@@ -275,7 +260,7 @@ fn slow_consumption_stalls_senders_at_the_credit_budget_without_cross_talk() {
         max_ingest_per_poll: 256,
         ..GatewayConfig::default()
     };
-    let ((summary_a, summary_b), stats) = with_gateway(&fw, fs, config, |addr| {
+    let ((summary_a, summary_b), stats) = with_gateway(fw, fs, config, |addr| {
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
                 let mut client = NodeClient::connect(addr).expect("connect B");
@@ -330,19 +315,19 @@ fn read_until(
 
 #[test]
 fn credit_violators_are_disconnected_and_other_sessions_survive() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9100, 35);
     let fs = record.fs;
     let budget = 2048usize;
     let calib_len = 1024usize;
-    let reference = hub_reference(&fw, &record, calib_len);
+    let reference = hub_reference(fw, &record, calib_len);
 
     let config = GatewayConfig {
         credit_budget: budget,
         overflow: OverflowPolicy::Disconnect,
         ..GatewayConfig::default()
     };
-    let (summary, stats) = with_gateway(&fw, fs, config, |addr| {
+    let (summary, stats) = with_gateway(fw, fs, config, |addr| {
         // The violator: a raw socket ignoring the credit protocol.
         let mut raw = TcpStream::connect(addr).expect("connect raw");
         let mut decoder = FrameDecoder::new();
@@ -410,7 +395,7 @@ fn credit_violators_are_disconnected_and_other_sessions_survive() {
 
 #[test]
 fn drop_excess_policy_keeps_the_connection_and_counts_the_loss() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let fs = 360.0;
     let budget = 2048usize;
     let config = GatewayConfig {
@@ -421,7 +406,7 @@ fn drop_excess_policy_keeps_the_connection_and_counts_the_loss() {
         max_ingest_per_poll: 1,
         ..GatewayConfig::default()
     };
-    let (report, stats) = with_gateway(&fw, fs, config, |addr| {
+    let (report, stats) = with_gateway(fw, fs, config, |addr| {
         let mut raw = TcpStream::connect(addr).expect("connect raw");
         let mut decoder = FrameDecoder::new();
         raw.write_all(
@@ -473,7 +458,7 @@ fn drop_excess_policy_keeps_the_connection_and_counts_the_loss() {
 
 #[test]
 fn idle_sessions_are_evicted_drained_and_reported() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9200, 30);
     let fs = record.fs;
     let calib_len = 1024usize;
@@ -481,7 +466,7 @@ fn idle_sessions_are_evicted_drained_and_reported() {
     let reference = {
         // What an evicted session should have classified: thresholds from
         // the calibration prefix, stream cut at the last received sample.
-        let mut hub = StreamHub::new(&fw, fs);
+        let mut hub = StreamHub::new(fw, fs);
         let lead = record.lead(Lead(0)).expect("lead 0");
         let thresholds = hub
             .calibrate_thresholds(&lead[..calib_len])
@@ -495,7 +480,7 @@ fn idle_sessions_are_evicted_drained_and_reported() {
         idle_timeout: Duration::from_millis(250),
         ..GatewayConfig::default()
     };
-    let (summary, stats) = with_gateway(&fw, fs, config, |addr| {
+    let (summary, stats) = with_gateway(fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client
             .open_session(record.id, fs, calib_len as u32)
@@ -556,14 +541,14 @@ fn idle_sessions_are_evicted_drained_and_reported() {
 
 #[test]
 fn sending_into_an_evicted_session_errors_instead_of_hanging() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let fs = 360.0;
     let config = GatewayConfig {
         credit_budget: 1024,
         idle_timeout: Duration::from_millis(200),
         ..GatewayConfig::default()
     };
-    let (result, stats) = with_gateway(&fw, fs, config, |addr| {
+    let (result, stats) = with_gateway(fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client.open_session(3, fs, 720).expect("open");
         // A wavy stretch: a flat one is degenerate and would end the
@@ -595,9 +580,9 @@ fn sending_into_an_evicted_session_errors_instead_of_hanging() {
 
 #[test]
 fn handshake_and_open_are_validated() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let fs = 360.0;
-    let ((), stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+    let ((), stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         // Wrong sampling rate is refused.
         let mut client = NodeClient::connect(addr).expect("connect");
         match client.open_session(1, 250.0, 1024) {
@@ -630,7 +615,7 @@ fn handshake_and_open_are_validated() {
 
 #[test]
 fn protocol_version_mismatches_are_refused_by_name_on_both_sides() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     for old in [3u16, 4] {
         // `Hello` is laid out the same in every protocol version (a
         // little-endian u16), so these are the bytes a v3 or v4 node
@@ -639,7 +624,7 @@ fn protocol_version_mismatches_are_refused_by_name_on_both_sides() {
         assert_eq!(&old_hello[5..7], &old.to_le_bytes());
 
         // An older node is denied with the version it spoke.
-        let ((), stats) = with_gateway(&fw, 360.0, GatewayConfig::default(), |addr| {
+        let ((), stats) = with_gateway(fw, 360.0, GatewayConfig::default(), |addr| {
             let mut raw = TcpStream::connect(addr).expect("connect raw");
             raw.write_all(&old_hello).expect("hello");
             let mut decoder = FrameDecoder::new();
@@ -701,8 +686,8 @@ fn a_byte_exact_v5_hello_is_denied_by_name_in_a_frame_a_v5_node_reads() {
     let mut hello = vec![3, 0, 0, 0, 0x01, 5, 0];
     let crc = crc32(&hello[4..]);
     hello.extend_from_slice(&crc.to_le_bytes());
-    let fw = firmware();
-    let ((), stats) = with_gateway(&fw, 360.0, GatewayConfig::default(), |addr| {
+    let fw = &system().wbsn;
+    let ((), stats) = with_gateway(fw, 360.0, GatewayConfig::default(), |addr| {
         let mut raw = TcpStream::connect(addr).expect("connect raw");
         raw.write_all(&hello).expect("hello");
         // The gateway denies and hangs up; read it all and parse it the
@@ -846,11 +831,11 @@ fn wire_codes(seed: u64, beats: usize) -> Vec<i16> {
 
 #[test]
 fn steady_streamers_get_coalesced_credit_and_monotone_acks_at_the_default_budget() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let codes = wire_codes(9400, 40);
     let (frames, calib_len) = (300usize, 1800usize);
     assert!(codes.len() >= frames * 36, "record too short");
-    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    let (mut p, session) = Polled::open(fw, GatewayConfig::default(), calib_len);
     for (seq, chunk) in codes[..frames * 36].chunks(36).enumerate() {
         p.write(&Frame::Samples {
             session,
@@ -885,14 +870,14 @@ fn steady_streamers_get_coalesced_credit_and_monotone_acks_at_the_default_budget
 
 #[test]
 fn budgets_up_to_one_frame_grant_every_consumed_chunk_in_its_sweep() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let codes = wire_codes(9401, 30);
     let calib_len = 1024;
     let config = GatewayConfig {
         credit_budget: 4096,
         ..GatewayConfig::default()
     };
-    let (mut p, session) = Polled::open(&fw, config, calib_len);
+    let (mut p, session) = Polled::open(fw, config, calib_len);
     let chunks = std::iter::once(&codes[..calib_len]).chain(codes[calib_len..].chunks(36).take(20));
     let mut received = 0;
     for (seq, chunk) in chunks.enumerate() {
@@ -921,10 +906,10 @@ fn budgets_up_to_one_frame_grant_every_consumed_chunk_in_its_sweep() {
 
 #[test]
 fn a_quiet_sender_gets_its_whole_budget_back_within_the_quiet_period() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let codes = wire_codes(9402, 30);
     let calib_len = 1800;
-    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    let (mut p, session) = Polled::open(fw, GatewayConfig::default(), calib_len);
     p.write(&Frame::Samples {
         session,
         seq: 0,
@@ -990,7 +975,7 @@ fn a_quiet_sender_gets_its_whole_budget_back_within_the_quiet_period() {
 
 #[test]
 fn a_sender_at_the_nodes_real_time_rate_is_not_granted_per_packet() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let codes = wire_codes(9405, 30);
     let (calib_len, packets) = (1800usize, 10usize);
     // One 36-sample packet per 100 ms: the paper's node at 360 Hz.
@@ -999,7 +984,7 @@ fn a_sender_at_the_nodes_real_time_rate_is_not_granted_per_packet() {
         CREDIT_QUIET > 2 * period,
         "a node streaming in real time must not look quiet between packets"
     );
-    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    let (mut p, session) = Polled::open(fw, GatewayConfig::default(), calib_len);
     p.write(&Frame::Samples {
         session,
         seq: 0,
@@ -1053,10 +1038,10 @@ fn a_sender_at_the_nodes_real_time_rate_is_not_granted_per_packet() {
 
 #[test]
 fn the_first_credit_of_a_short_calibration_needs_no_further_samples() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let codes = wire_codes(9403, 30);
     let calib_len = 720;
-    let (mut p, session) = Polled::open(&fw, GatewayConfig::default(), calib_len);
+    let (mut p, session) = Polled::open(fw, GatewayConfig::default(), calib_len);
     p.write(&Frame::Samples {
         session,
         seq: 0,
@@ -1076,11 +1061,11 @@ fn the_first_credit_of_a_short_calibration_needs_no_further_samples() {
 
 #[test]
 fn maximal_frames_stream_bit_identically_at_and_just_past_a_one_frame_budget() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9500, 200);
     let fs = record.fs;
     let calib_len = 2048;
-    let prefix_reference = hub_reference(&fw, &record, calib_len);
+    let prefix_reference = hub_reference(fw, &record, calib_len);
     for budget in [
         GatewayConfig::default().credit_budget,
         MAX_SAMPLES_PER_FRAME + 1,
@@ -1093,7 +1078,7 @@ fn maximal_frames_stream_bit_identically_at_and_just_past_a_one_frame_budget() {
             credit_budget: budget,
             ..GatewayConfig::default()
         };
-        let ((whole_summary, prefix_summary), stats) = with_gateway(&fw, fs, config, |addr| {
+        let ((whole_summary, prefix_summary), stats) = with_gateway(fw, fs, config, |addr| {
             let mut client = NodeClient::connect(addr).expect("connect");
             client
                 .set_io_timeout(Some(Duration::from_secs(10)))
@@ -1128,12 +1113,12 @@ fn maximal_frames_stream_bit_identically_at_and_just_past_a_one_frame_budget() {
 
 #[test]
 fn a_connect_while_the_reactor_is_busy_is_served_within_a_few_ticks() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9600, 60);
     let fs = record.fs;
     let stop = AtomicBool::new(false);
     let packets = AtomicU64::new(0);
-    let (latencies, stats) = with_gateway(&fw, fs, GatewayConfig::default(), |addr| {
+    let (latencies, stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         struct StopOnDrop<'a>(&'a AtomicBool);
         impl Drop for StopOnDrop<'_> {
             fn drop(&mut self) {

@@ -32,18 +32,15 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder};
 use heartbeat_rp::hbc_net::{
     ChaosConfig, ChaosDirection, ChaosProxy, FaultKind, Gateway, GatewayConfig, GatewayStats,
     NetError, NodeClient, SessionSummary, PROTOCOL_VERSION,
 };
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 
 mod support;
@@ -55,18 +52,6 @@ const SAMPLE_BYTES: usize = std::mem::size_of::<i16>();
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-fn firmware() -> WbsnFirmware {
-    let system = system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
 }
 
 /// A single-lead synthetic record with the given abnormal-beat mix, passed
@@ -290,16 +275,16 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
     let budget_samples = blasters * CREDIT / 2;
     let budget_bytes = budget_samples * SAMPLE_BYTES;
 
-    let fw = firmware();
+    let fw = &system().wbsn;
     let arr_records: Vec<EcgRecord> = (0..ARR_SENDERS)
         .map(|i| wire_record(9100 + i as u64, 40, 0.5, 0.1))
         .collect();
     let arr_refs: Vec<Vec<BeatOutcome>> = arr_records
         .iter()
-        .map(|r| hub_reference(&fw, r, ARR_CALIB))
+        .map(|r| hub_reference(fw, r, ARR_CALIB))
         .collect();
     let trickle_record = wire_record(9300, 35, 0.1, 0.1);
-    let trickle_ref = hub_reference(&fw, &trickle_record, ARR_CALIB);
+    let trickle_ref = hub_reference(fw, &trickle_record, ARR_CALIB);
     let fs = trickle_record.fs;
     for r in &arr_records {
         assert_eq!(r.fs, fs, "all records share the gateway sampling rate");
@@ -317,7 +302,7 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
         min_progress_bytes: 128,
         ..GatewayConfig::default()
     };
-    let gateway = Gateway::bind("127.0.0.1:0", &fw, fs, config).expect("bind gateway");
+    let gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind gateway");
     let addr = gateway.local_addr().expect("gateway addr");
     let chaos = ChaosConfig {
         seed: support::chaos_seed(),
@@ -508,7 +493,7 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
 
 #[test]
 fn busy_denial_converges_after_the_hinted_pause() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9700, 25, 0.1, 0.1);
     let fs = record.fs;
     let reference = fw.process_record(&record).expect("reference").beats;
@@ -518,7 +503,7 @@ fn busy_denial_converges_after_the_hinted_pause() {
         busy_retry_after: retry_after,
         ..GatewayConfig::default()
     };
-    let ((), stats) = with_gateway(&fw, fs, config, |addr| {
+    let ((), stats) = with_gateway(fw, fs, config, |addr| {
         let mut first = NodeClient::connect(addr).expect("connect");
         let a = first.open_session(1, fs, 512).expect("open");
 
@@ -531,14 +516,15 @@ fn busy_denial_converges_after_the_hinted_pause() {
         };
         assert_eq!(after, retry_after, "the wire hint echoes the config");
 
-        first.send_mv(a, &vec![0.0; 1024]).expect("send");
-        first.close_session(a).expect("close first");
+        let lead = record.lead(Lead(0)).expect("lead 0");
+        first.send_mv(a, &lead[..1024]).expect("send");
+        let first_summary = first.close_session(a).expect("close first");
+        assert!(first_summary.report.beats > 0, "the first session streamed");
 
         // A compliant client waits out the hint, then converges to the
         // exact fault-free stream — denial cost it latency, nothing else.
         std::thread::sleep(after);
         let (mut client, id) = open_with_retry(addr, record.id, fs, record.len() as u32);
-        let lead = record.lead(Lead(0)).expect("lead 0");
         for chunk in lead.chunks(1024) {
             if client.send_mv(id, chunk).is_err() {
                 recover(&mut client, addr);
@@ -560,11 +546,11 @@ fn detached_session_resumes_at_capacity_without_double_counting() {
     // newcomer is denied), its own resume is admission-exempt, and once
     // it closes the slot frees — i.e. parked state is counted exactly
     // once through detach → resume → close.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9800, 30, 0.1, 0.1);
     let fs = record.fs;
     let calib_len = 2048usize;
-    let reference = hub_reference(&fw, &record, calib_len);
+    let reference = hub_reference(fw, &record, calib_len);
     let config = GatewayConfig {
         max_sessions: 1,
         busy_retry_after: Duration::from_millis(25),
@@ -579,7 +565,7 @@ fn detached_session_resumes_at_capacity_without_double_counting() {
         }
     };
 
-    let (summary, stats) = with_gateway(&fw, fs, config, |addr| {
+    let (summary, stats) = with_gateway(fw, fs, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client
             .open_session(record.id, fs, calib_len as u32)
@@ -600,8 +586,9 @@ fn detached_session_resumes_at_capacity_without_double_counting() {
 
         // The close freed the only slot; a newcomer is now admitted.
         let (mut late, late_id) = open_with_retry(addr, 903, fs, 512);
-        late.send_mv(late_id, &vec![0.0; 1024]).expect("send");
-        late.close_session(late_id).expect("close late");
+        late.send_mv(late_id, &lead[..1024]).expect("send");
+        let late_summary = late.close_session(late_id).expect("close late");
+        assert!(late_summary.report.beats > 0, "the late session streamed");
         summary
     });
 
@@ -620,12 +607,12 @@ fn detached_session_resumes_at_capacity_without_double_counting() {
 
 #[test]
 fn handshake_deadline_reaps_a_silent_connection() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let config = GatewayConfig {
         handshake_timeout: Duration::from_millis(100),
         ..GatewayConfig::default()
     };
-    let ((), stats) = with_gateway(&fw, 360.0, config, |addr| {
+    let ((), stats) = with_gateway(fw, 360.0, config, |addr| {
         // Says hello, then never opens a session: reaped at the deadline.
         let mut idler = TcpStream::connect(addr).expect("connect");
         idler
@@ -666,12 +653,12 @@ fn oversized_calibration_is_denied_outright() {
     // A calibration request that alone exceeds the global budget can never
     // be admitted: that is a hard Deny (the client must not retry), not a
     // Busy (which promises the request is admissible later).
-    let fw = firmware();
+    let fw = &system().wbsn;
     let config = GatewayConfig {
         global_memory_budget: 1024 * SAMPLE_BYTES,
         ..GatewayConfig::default()
     };
-    let ((), stats) = with_gateway(&fw, 360.0, config, |addr| {
+    let ((), stats) = with_gateway(fw, 360.0, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         match client.open_session(50, 360.0, 2048) {
             Err(NetError::Denied(message)) => assert!(
@@ -684,8 +671,11 @@ fn oversized_calibration_is_denied_outright() {
         // The same request scaled inside the budget is admitted.
         let mut client = NodeClient::connect(addr).expect("reconnect");
         let id = client.open_session(51, 360.0, 512).expect("open");
-        client.send_mv(id, &vec![0.0; 768]).expect("send");
-        client.close_session(id).expect("close");
+        let record = wire_record(9900, 8, 0.1, 0.1);
+        let lead = record.lead(Lead(0)).expect("lead 0");
+        client.send_mv(id, &lead[..768]).expect("send");
+        let summary = client.close_session(id).expect("close");
+        assert!(summary.report.beats > 0, "the admitted session streamed");
     });
     assert!(stats.denials >= 1, "the oversized request was denied");
     assert_eq!(stats.busy_denials, 0, "never invited to retry");
@@ -694,12 +684,12 @@ fn oversized_calibration_is_denied_outright() {
 
 #[test]
 fn health_snapshot_and_heartbeat_track_the_reactor() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let config = GatewayConfig {
         global_memory_budget: 1 << 20,
         ..GatewayConfig::default()
     };
-    let mut gateway = Gateway::bind("127.0.0.1:0", &fw, 360.0, config).expect("bind");
+    let mut gateway = Gateway::bind("127.0.0.1:0", fw, 360.0, config).expect("bind");
     let addr = gateway.local_addr().expect("addr");
     let heartbeat = gateway.heartbeat();
 
@@ -783,16 +773,19 @@ fn health_snapshot_and_heartbeat_track_the_reactor() {
 fn watchdog_counts_over_budget_sweeps() {
     // A zero budget makes every sweep an overrun: the run loop's watchdog
     // must notice and the high-water mark must be recorded.
-    let fw = firmware();
+    let fw = &system().wbsn;
     let config = GatewayConfig {
         watchdog_budget: Duration::ZERO,
         ..GatewayConfig::default()
     };
-    let ((), stats) = with_gateway(&fw, 360.0, config, |addr| {
+    let ((), stats) = with_gateway(fw, 360.0, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client.open_session(70, 360.0, 512).expect("open");
-        client.send_mv(id, &vec![0.0; 1024]).expect("send");
-        client.close_session(id).expect("close");
+        let record = wire_record(10_000, 8, 0.1, 0.1);
+        let lead = record.lead(Lead(0)).expect("lead 0");
+        client.send_mv(id, &lead[..1024]).expect("send");
+        let summary = client.close_session(id).expect("close");
+        assert!(summary.report.beats > 0, "the session streamed");
     });
     assert!(
         stats.watchdog_stalls >= 1,

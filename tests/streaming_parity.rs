@@ -21,11 +21,9 @@ use heartbeat_rp::hbc_dsp::wavelet::DyadicWavelet;
 use heartbeat_rp::hbc_ecg::beat::{BeatClass, BeatWindow};
 use heartbeat_rp::hbc_ecg::record::{Annotation, EcgRecord, Lead};
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::streaming::StreamingFirmware;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, wire_adc};
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::pipeline::TrainedSystem;
 use heartbeat_rp::StreamHub;
 use proptest::prelude::*;
@@ -35,18 +33,6 @@ fn trained_system() -> &'static TrainedSystem {
     SYSTEM.get_or_init(|| {
         TrainedSystem::train(&ExperimentConfig::quick()).expect("training succeeds")
     })
-}
-
-fn firmware() -> WbsnFirmware {
-    let system = trained_system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions are consistent")
 }
 
 /// Runs the streaming firmware over `raw` in the given chunking and returns
@@ -92,7 +78,7 @@ fn run_streaming(
 /// chunkings alike.
 #[test]
 fn streaming_firmware_reproduces_process_record_for_any_chunking() {
-    let fw = firmware();
+    let fw = &trained_system().wbsn;
     let mut gen = SyntheticEcg::with_seed(99);
     let rhythm = gen.rhythm(120, 0.1, 0.08);
     let record = gen.record(1, &rhythm, 3).expect("record generation");
@@ -107,7 +93,7 @@ fn streaming_firmware_reproduces_process_record_for_any_chunking() {
         ("whole record", Box::new(std::iter::once(raw.len()))),
     ];
     for (label, chunks) in chunkings {
-        let outcomes = run_streaming(&fw, record.fs, raw, chunks);
+        let outcomes = run_streaming(fw, record.fs, raw, chunks);
         assert_eq!(
             outcomes.len(),
             batch.beats.len(),
@@ -169,7 +155,7 @@ fn record_with_border_beat() -> EcgRecord {
 /// beat labelled `V` instead of `N`.
 #[test]
 fn ground_truth_labels_stay_aligned_across_skipped_border_peaks() {
-    let fw = firmware();
+    let fw = &trained_system().wbsn;
     let record = record_with_border_beat();
     let window = BeatWindow::PAPER;
 
@@ -257,16 +243,16 @@ proptest! {
         chunks in prop::collection::vec(1usize..97, 1..12),
         seed in 0u64..4,
     ) {
-        let fw = firmware();
+        let fw = &trained_system().wbsn;
         let mut gen = SyntheticEcg::with_seed(300 + seed);
         let rhythm = gen.rhythm(24, 0.15, 0.1);
         let record = gen.record(2, &rhythm, 1).expect("record");
         let raw = record.lead(Lead(0)).expect("lead 0");
 
-        let reference = run_streaming(&fw, record.fs, raw, std::iter::repeat(1));
+        let reference = run_streaming(fw, record.fs, raw, std::iter::repeat(1));
         let spans = chunk_spans(raw.len(), &chunks);
         let ragged = run_streaming(
-            &fw,
+            fw,
             record.fs,
             raw,
             spans.iter().map(|(lo, hi)| hi - lo),
@@ -314,7 +300,7 @@ proptest! {
         len in 2_000usize..9_000,
         seed in 0u64..4,
     ) {
-        let fw = firmware();
+        let fw = &trained_system().wbsn;
         let fs = 360.0;
         let calib = 1_800;
         let codes = wire_codes(seed, len, calib, &clips);
@@ -322,15 +308,15 @@ proptest! {
         dequantize_mv_into(&codes, &mut mv);
         let spans = chunk_spans(codes.len(), &chunks);
 
-        let mv_hub = StreamHub::new(&fw, fs);
-        let code_hub = StreamHub::with_scale(&fw, fs, None, wire_adc());
+        let mv_hub = StreamHub::new(fw, fs);
+        let code_hub = StreamHub::with_scale(fw, fs, None, wire_adc());
         let thresholds = mv_hub.calibrate_thresholds(&mv[..calib]);
         let code_thresholds = code_hub.calibrate_samples(&codes[..calib]);
         prop_assert_eq!(code_thresholds.as_ref().ok(), thresholds.as_ref().ok());
         let Ok(thresholds) = thresholds else { return Ok(()); };
 
-        let mut by_mv = StreamingFirmware::new(&fw, fs, thresholds.clone());
-        let mut by_code = StreamingFirmware::with_scale(&fw, fs, thresholds.clone(), wire_adc());
+        let mut by_mv = StreamingFirmware::new(fw, fs, thresholds.clone());
+        let mut by_code = StreamingFirmware::with_scale(fw, fs, thresholds.clone(), wire_adc());
         let (mut want, mut got) = (Vec::new(), Vec::new());
         for &(lo, hi) in &spans {
             by_mv.push_chunk(&mv[lo..hi]);

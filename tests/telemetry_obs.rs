@@ -24,15 +24,12 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::beat::BeatWindow;
 use heartbeat_rp::hbc_ecg::record::EcgRecord;
 use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::int_classifier::AlphaQ16;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into};
 use heartbeat_rp::hbc_net::{Gateway, GatewayConfig, GatewayReport, NodeClient};
 use heartbeat_rp::hbc_obs::{MetricValue, MetricsSnapshot, TraceEvent};
-use heartbeat_rp::hbc_rp::PackedProjection;
 use heartbeat_rp::hbc_wal::WalConfig;
 use heartbeat_rp::pipeline::TrainedSystem;
 
@@ -45,18 +42,6 @@ const SAMPLE_BYTES: usize = std::mem::size_of::<i16>();
 fn system() -> &'static TrainedSystem {
     static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-fn firmware() -> WbsnFirmware {
-    let system = system();
-    WbsnFirmware::new(
-        PackedProjection::from_matrix(&system.pc_downsampled.projection),
-        system.wbsn.classifier.clone(),
-        AlphaQ16::from_f64(system.pc_downsampled.alpha_train).expect("alpha in range"),
-        system.config.downsample,
-        BeatWindow::PAPER,
-    )
-    .expect("firmware dimensions")
 }
 
 /// A single-lead synthetic record pre-quantised through the wire ADC.
@@ -130,7 +115,7 @@ fn stream_record(addr: SocketAddr, record: &EcgRecord, calib_len: u32) -> u64 {
 
 #[test]
 fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9100, 30);
     let fs = record.fs;
     let tmp = support::TempDir::new("obs-headline");
@@ -138,9 +123,8 @@ fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
         wal: Some(WalConfig::new(tmp.path())),
         ..GatewayConfig::default()
     };
-    let (beats, report) = with_gateway_report(&fw, fs, config, |addr, _| {
-        stream_record(addr, &record, 2048)
-    });
+    let (beats, report) =
+        with_gateway_report(fw, fs, config, |addr, _| stream_record(addr, &record, 2048));
     assert!(beats > 0, "the session must classify beats");
 
     // The headline metric: non-empty after real traffic, quantiles ordered.
@@ -239,7 +223,7 @@ fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
     // same log directory sees the bytes the run left behind.
     let gw = Gateway::bind(
         "127.0.0.1:0",
-        &fw,
+        fw,
         fs,
         GatewayConfig {
             wal: Some(WalConfig::new(tmp.path())),
@@ -255,7 +239,7 @@ fn loopback_traffic_fills_the_headline_histogram_and_matches_counters() {
 
 #[test]
 fn sever_resume_and_overload_order_detach_resume_shed_on_the_trace() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9200, 30);
     let fs = record.fs;
     assert!(record.leads[0].len() >= 4096, "record long enough");
@@ -270,7 +254,7 @@ fn sever_resume_and_overload_order_detach_resume_shed_on_the_trace() {
         resume_window: Duration::from_secs(30),
         ..GatewayConfig::default()
     };
-    let ((), report) = with_gateway_report(&fw, fs, config, |addr, _| {
+    let ((), report) = with_gateway_report(fw, fs, config, |addr, _| {
         // Session A: buffer a partial calibration stretch (4000 of 4096 —
         // nothing drains while calibrating), then sever and resume:
         // detach → resume on the trace.
@@ -367,14 +351,14 @@ fn scrape(admin: SocketAddr, path: &str) -> String {
 
 #[test]
 fn admin_surface_serves_metrics_health_and_trace() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let record = wire_record(9300, 25);
     let fs = record.fs;
     let config = GatewayConfig {
         admin_addr: Some("127.0.0.1:0".parse().expect("addr")),
         ..GatewayConfig::default()
     };
-    let (scrapes, report) = with_gateway_report(&fw, fs, config, |addr, admin| {
+    let (scrapes, report) = with_gateway_report(fw, fs, config, |addr, admin| {
         let admin = admin.expect("admin listener configured");
         let beats = stream_record(addr, &record, 2048);
         assert!(beats > 0);
@@ -760,14 +744,14 @@ fn exposition_of(snap: &MetricsSnapshot) -> Vec<(String, &'static str, String)> 
 
 #[test]
 fn exposition_names_kinds_and_help_are_pinned() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let tmp = support::TempDir::new("obs-exposition");
     for with_wal in [true, false] {
         let config = GatewayConfig {
             wal: with_wal.then(|| WalConfig::new(tmp.path())),
             ..GatewayConfig::default()
         };
-        let gateway = Gateway::bind("127.0.0.1:0", &fw, 360.0, config).expect("bind");
+        let gateway = Gateway::bind("127.0.0.1:0", fw, 360.0, config).expect("bind");
         let snap = gateway.metrics_snapshot();
         let served = exposition_of(&snap);
 
@@ -819,14 +803,14 @@ fn exposition_names_kinds_and_help_are_pinned() {
 
 #[test]
 fn silent_admin_peer_is_closed_at_the_handshake_deadline() {
-    let fw = firmware();
+    let fw = &system().wbsn;
     let deadline = Duration::from_millis(300);
     let config = GatewayConfig {
         admin_addr: Some("127.0.0.1:0".parse().expect("addr")),
         handshake_timeout: deadline,
         ..GatewayConfig::default()
     };
-    let ((waited, metrics), _report) = with_gateway_report(&fw, 360.0, config, |_, admin| {
+    let ((waited, metrics), _report) = with_gateway_report(fw, 360.0, config, |_, admin| {
         let admin = admin.expect("admin listener configured");
         // Connect and say nothing: the gateway must not hold the socket
         // (and its request inbox) forever.
