@@ -45,8 +45,8 @@ pub use delineation::{BeatFiducials, Delineator, FiducialPoint, WaveFiducials};
 pub use filter::{ExtremumKind, MorphologicalFilter};
 pub use peak::{PeakDetector, PeakDetectorConfig, PeakScanner, PeakThresholds};
 pub use streaming::{
-    Millivolts, SampleScale, StreamingBaselineFilter, StreamingBeatWindower, StreamingDecimator,
-    StreamingPeakDetector, StreamingWavelet,
+    Millivolts, SampleScale, StreamingBaselineFilter, StreamingBeatWindower, StreamingPeakDetector,
+    StreamingWavelet,
 };
 pub use wavelet::DyadicWavelet;
 

@@ -20,7 +20,6 @@
 //! * [`StreamingPeakDetector`] — the wavelet cascade feeding the incremental
 //!   [`PeakScanner`], for online R-peak detection with pre-calibrated
 //!   thresholds;
-//! * [`StreamingDecimator`] — phase-anchored keep-one-in-N decimation;
 //! * [`StreamingBeatWindower`] — fixed-length beat windows cut around
 //!   detected peaks from a bounded ring buffer.
 //!
@@ -1117,52 +1116,6 @@ impl StreamingPeakDetector {
     }
 }
 
-/// Phase-anchored keep-one-in-N decimation: emits the samples at positions
-/// `0, factor, 2·factor, …` relative to the most recent [`Self::reset`].
-///
-/// Re-anchoring at every beat window start is what makes the firmware's
-/// decimation *phase-correct*: the decimation grid is locked to the R peak
-/// (matching the batch `step_by` over the extracted window) instead of
-/// free-running over the record, so the classifier sees the same 50-sample
-/// vector regardless of where in the stream the beat occurred.
-#[derive(Debug, Clone)]
-pub struct StreamingDecimator {
-    factor: usize,
-    phase: usize,
-}
-
-impl StreamingDecimator {
-    /// Creates a decimator keeping one sample in `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn new(factor: usize) -> Self {
-        assert!(factor > 0, "decimation factor must be non-zero");
-        StreamingDecimator { factor, phase: 0 }
-    }
-
-    /// The decimation factor.
-    pub fn factor(&self) -> usize {
-        self.factor
-    }
-
-    /// Re-anchors the decimation grid: the next pushed sample is kept.
-    pub fn reset(&mut self) {
-        self.phase = 0;
-    }
-
-    /// Pushes one sample; returns it when it falls on the decimation grid.
-    pub fn push(&mut self, value: f64) -> Option<f64> {
-        let keep = self.phase == 0;
-        self.phase += 1;
-        if self.phase == self.factor {
-            self.phase = 0;
-        }
-        keep.then_some(value)
-    }
-}
-
 /// Streaming beat windower: buffers the most recent stretch of the
 /// (filtered) signal in a bounded ring buffer and cuts fixed-length windows
 /// around peak positions as they are finalized by the detector.
@@ -1542,28 +1495,6 @@ mod tests {
         }
         assert_eq!(peaks, reference);
         assert!(streaming.delay() > 0);
-    }
-
-    #[test]
-    fn decimator_keeps_the_anchored_grid() {
-        let signal: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let mut dec = StreamingDecimator::new(4);
-        assert_eq!(dec.factor(), 4);
-        let kept: Vec<f64> = signal.iter().filter_map(|&s| dec.push(s)).collect();
-        assert_eq!(kept, vec![0.0, 4.0, 8.0, 12.0, 16.0]);
-        // Re-anchoring restarts the grid mid-stream.
-        dec.reset();
-        let kept: Vec<f64> = signal[2..8].iter().filter_map(|&s| dec.push(s)).collect();
-        assert_eq!(kept, vec![2.0, 6.0]);
-        // Factor 1 keeps everything.
-        let mut unit = StreamingDecimator::new(1);
-        assert!(signal.iter().all(|&s| unit.push(s) == Some(s)));
-    }
-
-    #[test]
-    #[should_panic(expected = "decimation factor")]
-    fn zero_decimation_factor_panics() {
-        StreamingDecimator::new(0);
     }
 
     #[test]

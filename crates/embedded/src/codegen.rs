@@ -14,15 +14,18 @@
 //! * the defuzzification coefficient in Q16,
 //! * the window geometry and downsampling factor.
 //!
+//! Every table and constant is read from one deployed [`WbsnFirmware`]
+//! image, whose constructor checks that the projection, the classifier,
+//! the window and the downsampling factor agree: a header cannot pair a
+//! matrix with a geometry it was not trained for.
+//!
 //! The emitted header is plain C99, uses only `stdint.h` types and contains
 //! no code — decoding the 2-bit entries and evaluating the linear segments is
 //! a dozen lines on the firmware side, mirroring
 //! [`crate::int_classifier::IntegerNfc`].
 
-use hbc_ecg::beat::BeatWindow;
-use hbc_rp::PackedProjection;
-
-use crate::int_classifier::{AlphaQ16, IntegerNfc, MembershipKind};
+use crate::firmware::WbsnFirmware;
+use crate::int_classifier::MembershipKind;
 
 /// Configuration of the generated header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,10 +34,6 @@ pub struct CodegenOptions {
     pub symbol_prefix: String,
     /// Include-guard macro name.
     pub include_guard: String,
-    /// Downsampling factor the firmware must apply before projecting.
-    pub downsample: usize,
-    /// Beat window at the acquisition rate.
-    pub window: BeatWindow,
 }
 
 impl Default for CodegenOptions {
@@ -42,13 +41,12 @@ impl Default for CodegenOptions {
         CodegenOptions {
             symbol_prefix: "hbc".to_string(),
             include_guard: "HBC_CLASSIFIER_TABLES_H".to_string(),
-            downsample: 4,
-            window: BeatWindow::PAPER,
         }
     }
 }
 
-/// Emits a C header containing the classifier tables.
+/// Emits a C header containing the classifier tables of `firmware`: its
+/// projection, classifier, α, downsampling factor and beat window.
 ///
 /// The header defines, for a prefix `hbc`:
 ///
@@ -57,12 +55,9 @@ impl Default for CodegenOptions {
 /// * `hbc_projection_packed[]` — the row-major 2-bit packed matrix;
 /// * `hbc_mf_center[][3]` and `hbc_mf_half_width[][3]` — membership
 ///   parameters per (coefficient, class), classes ordered N, V, L.
-pub fn emit_c_header(
-    projection: &PackedProjection,
-    classifier: &IntegerNfc,
-    alpha: AlphaQ16,
-    options: &CodegenOptions,
-) -> String {
+pub fn emit_c_header(firmware: &WbsnFirmware, options: &CodegenOptions) -> String {
+    let projection = &firmware.projection;
+    let classifier = &firmware.classifier;
     let prefix = options.symbol_prefix.as_str();
     let upper = prefix.to_uppercase();
     let mut out = String::with_capacity(4096);
@@ -93,13 +88,16 @@ pub fn emit_c_header(
     ));
     out.push_str(&format!(
         "#define {upper}_WINDOW_SAMPLES {}\n",
-        options.window.len()
+        firmware.window.len()
     ));
     out.push_str(&format!(
         "#define {upper}_DOWNSAMPLE {}\n",
-        options.downsample
+        firmware.downsample
     ));
-    out.push_str(&format!("#define {upper}_ALPHA_Q16 {}u\n", alpha.0));
+    out.push_str(&format!(
+        "#define {upper}_ALPHA_Q16 {}u\n",
+        firmware.alpha.0
+    ));
     let kind_code = match classifier.kind() {
         MembershipKind::Linearized => 0,
         MembershipKind::Triangular => 1,
@@ -157,10 +155,14 @@ pub fn emit_c_header(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::int_classifier::{AlphaQ16, IntegerNfc};
     use crate::linear_mf::IntMembership;
-    use hbc_rp::AchlioptasMatrix;
+    use hbc_ecg::beat::BeatWindow;
+    use hbc_rp::{AchlioptasMatrix, PackedProjection};
 
-    fn artefacts() -> (PackedProjection, IntegerNfc, AlphaQ16) {
+    /// An 8 × 50 image: the paper's 200-sample window downsampled 4×, or
+    /// the given geometry when it also yields 50 samples.
+    fn image(downsample: usize, window: BeatWindow) -> WbsnFirmware {
         let projection = PackedProjection::from_matrix(&AchlioptasMatrix::generate(8, 50, 3));
         let classifier = IntegerNfc::new(
             (0..8)
@@ -174,17 +176,18 @@ mod tests {
                 .collect(),
         )
         .expect("non-empty");
-        (
-            projection,
-            classifier,
-            AlphaQ16::from_f64(0.125).expect("valid"),
-        )
+        let alpha = AlphaQ16::from_f64(0.125).expect("valid");
+        WbsnFirmware::new(projection, classifier, alpha, downsample, window).expect("consistent")
+    }
+
+    fn artefacts() -> WbsnFirmware {
+        image(4, BeatWindow::PAPER)
     }
 
     #[test]
     fn header_contains_guards_constants_and_tables() {
-        let (projection, classifier, alpha) = artefacts();
-        let header = emit_c_header(&projection, &classifier, alpha, &CodegenOptions::default());
+        let firmware = artefacts();
+        let header = emit_c_header(&firmware, &CodegenOptions::default());
         assert!(header.starts_with("/* Auto-generated"));
         assert!(header.contains("#ifndef HBC_CLASSIFIER_TABLES_H"));
         assert!(header.contains("#define HBC_NUM_COEFFICIENTS 8"));
@@ -203,22 +206,22 @@ mod tests {
 
     #[test]
     fn every_packed_byte_is_emitted() {
-        let (projection, classifier, alpha) = artefacts();
-        let header = emit_c_header(&projection, &classifier, alpha, &CodegenOptions::default());
+        let firmware = artefacts();
+        let header = emit_c_header(&firmware, &CodegenOptions::default());
         let hex_count = header.matches("0x").count();
-        assert_eq!(hex_count, projection.size_bytes());
+        assert_eq!(hex_count, firmware.projection.size_bytes());
         // Spot-check the first byte value.
-        let first = format!("0x{:02x}", projection.as_bytes()[0]);
+        let first = format!("0x{:02x}", firmware.projection.as_bytes()[0]);
         assert!(header.contains(&first));
     }
 
     #[test]
     fn membership_rows_match_the_classifier() {
-        let (projection, classifier, alpha) = artefacts();
-        let header = emit_c_header(&projection, &classifier, alpha, &CodegenOptions::default());
+        let firmware = artefacts();
+        let header = emit_c_header(&firmware, &CodegenOptions::default());
         // One centre row per coefficient with the exact values.
-        for c in 0..classifier.num_coefficients() {
-            let row = classifier.membership(c);
+        for c in 0..firmware.classifier.num_coefficients() {
+            let row = firmware.classifier.membership(c);
             let expected = format!(
                 "{{ {}, {}, {} }},",
                 row[0].center(),
@@ -234,14 +237,12 @@ mod tests {
 
     #[test]
     fn custom_prefix_and_guard_are_respected() {
-        let (projection, classifier, alpha) = artefacts();
+        let firmware = image(2, BeatWindow::new(50, 50));
         let options = CodegenOptions {
             symbol_prefix: "ecg_node".to_string(),
             include_guard: "ECG_NODE_TABLES_H".to_string(),
-            downsample: 2,
-            window: BeatWindow::new(50, 50),
         };
-        let header = emit_c_header(&projection, &classifier, alpha, &options);
+        let header = emit_c_header(&firmware, &options);
         assert!(header.contains("#ifndef ECG_NODE_TABLES_H"));
         assert!(header.contains("ECG_NODE_NUM_COEFFICIENTS"));
         assert!(header.contains("static const uint8_t ecg_node_projection_packed"));
@@ -251,9 +252,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let (projection, classifier, alpha) = artefacts();
-        let a = emit_c_header(&projection, &classifier, alpha, &CodegenOptions::default());
-        let b = emit_c_header(&projection, &classifier, alpha, &CodegenOptions::default());
+        let firmware = artefacts();
+        let a = emit_c_header(&firmware, &CodegenOptions::default());
+        let b = emit_c_header(&firmware, &CodegenOptions::default());
         assert_eq!(a, b);
     }
 }

@@ -13,12 +13,11 @@
 //! 3. a [`StreamingBeatWindower`] cuts the 200-sample window of every
 //!    finalized peak from a bounded ring buffer;
 //! 4. [`WbsnFirmware::classify_window_with`] runs, against a reused
-//!    [`BeatScratch`], phase-correct decimation (the grid
-//!    anchors at each window start, so the classifier sees the same
-//!    4×-downsampled view wherever the beat occurred in the stream — the
-//!    semantics `hbc_dsp::streaming::StreamingDecimator` captures as a
-//!    standalone operator), ADC quantisation, packed projection and the
-//!    integer NFC without allocating in steady state;
+//!    [`BeatScratch`], phase-correct decimation (`step_by` over the cut
+//!    window, so the grid anchors at each window start and the classifier
+//!    sees the same 4×-downsampled view wherever the beat occurred in the
+//!    stream), ADC quantisation, packed projection and the integer NFC
+//!    without allocating in steady state;
 //! 5. beats flagged pathological are delineated on the classification lead
 //!    and their fiducial count recorded, as the node would transmit them.
 //!

@@ -33,10 +33,11 @@
 //! transform → write, and [`ChaosProxy::run`] loops until a shutdown flag
 //! flips.
 
-use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+use crate::transport::{self, Accepted, Outbox, ReadEnd};
 
 /// Which direction of the link a fault schedule applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,8 +184,7 @@ enum Xform {
 struct Pipe {
     /// Bytes consumed from the source so far (fault offsets index this).
     consumed: u64,
-    out: Vec<u8>,
-    sent: usize,
+    out: Outbox,
     xform: Xform,
     /// Offset of the next scheduled fault, if armed.
     next_fault_at: Option<u64>,
@@ -212,8 +212,7 @@ impl Pipe {
         };
         Pipe {
             consumed: 0,
-            out: Vec::new(),
-            sent: 0,
+            out: Outbox::default(),
             xform: Xform::None,
             next_fault_at,
             rng,
@@ -269,8 +268,8 @@ impl Pipe {
                     buf.push(b);
                     if buf.len() == *span {
                         let buf = std::mem::take(buf);
-                        self.out.extend_from_slice(&buf);
-                        self.out.extend_from_slice(&buf);
+                        self.out.bytes.extend_from_slice(&buf);
+                        self.out.bytes.extend_from_slice(&buf);
                         self.xform = Xform::None;
                     }
                     continue;
@@ -285,10 +284,10 @@ impl Pipe {
                     continue;
                 }
                 Xform::HoldPass { held, pass_left } => {
-                    self.out.push(b);
+                    self.out.bytes.push(b);
                     *pass_left -= 1;
                     if *pass_left == 0 {
-                        self.out.extend_from_slice(held);
+                        self.out.bytes.extend_from_slice(held);
                         self.xform = Xform::None;
                     }
                     continue;
@@ -301,17 +300,17 @@ impl Pipe {
                 self.schedule_next(cfg);
                 let span = cfg.span.max(1);
                 match cfg.kind {
-                    FaultKind::Passthrough => self.out.push(b),
+                    FaultKind::Passthrough => self.out.bytes.push(b),
                     FaultKind::Corrupt => {
                         let bit = (splitmix(&mut self.rng) % 8) as u8;
-                        self.out.push(b ^ (1 << bit));
+                        self.out.bytes.push(b ^ (1 << bit));
                     }
                     FaultKind::Duplicate => {
                         let mut buf = Vec::with_capacity(span);
                         buf.push(b);
                         if buf.len() == span {
-                            self.out.extend_from_slice(&buf);
-                            self.out.extend_from_slice(&buf);
+                            self.out.bytes.extend_from_slice(&buf);
+                            self.out.bytes.extend_from_slice(&buf);
                         } else {
                             self.xform = Xform::DupFill { buf, span };
                         }
@@ -334,14 +333,14 @@ impl Pipe {
                         }
                     }
                     FaultKind::Stall => {
-                        self.out.push(b);
+                        self.out.bytes.push(b);
                         self.stall_until = Some(now + cfg.stall);
                         stats.stalls += 1;
                     }
                     FaultKind::Trickle => {
                         // Byte-preserving: the transform is pure relay; the
                         // starvation happens on the flush side.
-                        self.out.push(b);
+                        self.out.bytes.push(b);
                         if !self.trickle {
                             self.trickle = true;
                             stats.trickles += 1;
@@ -353,14 +352,10 @@ impl Pipe {
                     }
                 }
             } else {
-                self.out.push(b);
+                self.out.bytes.push(b);
             }
         }
         false
-    }
-
-    fn queued(&self) -> usize {
-        self.out.len() - self.sent
     }
 }
 
@@ -461,47 +456,42 @@ impl ChaosProxy {
 
     fn accept_new(&mut self) -> std::io::Result<bool> {
         let mut accepted = false;
-        loop {
-            match self.listener.accept() {
-                Ok((client, _peer)) => {
-                    // Loopback connect is immediate; nonblocking afterwards.
-                    let Ok(server) = TcpStream::connect(self.upstream) else {
-                        let _ = client.shutdown(Shutdown::Both);
-                        continue;
-                    };
-                    client.set_nonblocking(true)?;
-                    server.set_nonblocking(true)?;
-                    let _ = client.set_nodelay(true);
-                    let _ = server.set_nodelay(true);
-                    let arm_up = matches!(
-                        self.config.direction,
-                        ChaosDirection::Up | ChaosDirection::Both
-                    );
-                    let arm_down = matches!(
-                        self.config.direction,
-                        ChaosDirection::Down | ChaosDirection::Both
-                    );
-                    let up_seed = splitmix(&mut self.seed_state);
-                    let down_seed = splitmix(&mut self.seed_state);
-                    let link = Link {
-                        client,
-                        server,
-                        up: Pipe::new(arm_up, &self.config, up_seed),
-                        down: Pipe::new(arm_down, &self.config, down_seed),
-                        dead: false,
-                    };
-                    let slot = self.links.iter().position(Option::is_none);
-                    match slot {
-                        Some(i) => self.links[i] = Some(link),
-                        None => self.links.push(Some(link)),
-                    }
-                    self.stats.connections += 1;
-                    accepted = true;
+        while let Some(accepted_stream) = transport::accept(&self.listener)? {
+            let Accepted::Stream(client) = accepted_stream else {
+                continue;
+            };
+            // Loopback connect is immediate; nonblocking afterwards.
+            let server = match TcpStream::connect(self.upstream) {
+                Ok(server) if transport::prepare(&server).is_ok() => server,
+                _ => {
+                    let _ = client.shutdown(Shutdown::Both);
+                    continue;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+            };
+            let arm_up = matches!(
+                self.config.direction,
+                ChaosDirection::Up | ChaosDirection::Both
+            );
+            let arm_down = matches!(
+                self.config.direction,
+                ChaosDirection::Down | ChaosDirection::Both
+            );
+            let up_seed = splitmix(&mut self.seed_state);
+            let down_seed = splitmix(&mut self.seed_state);
+            let link = Link {
+                client,
+                server,
+                up: Pipe::new(arm_up, &self.config, up_seed),
+                down: Pipe::new(arm_down, &self.config, down_seed),
+                dead: false,
+            };
+            let slot = self.links.iter().position(Option::is_none);
+            match slot {
+                Some(i) => self.links[i] = Some(link),
+                None => self.links.push(Some(link)),
             }
+            self.stats.connections += 1;
+            accepted = true;
         }
         Ok(accepted)
     }
@@ -517,139 +507,69 @@ impl ChaosProxy {
         let mut progress = false;
         let mut kill = false;
 
-        // Read + transform each direction unless it is mid-stall (a
-        // stalled pipe also stops reading, so back-pressure propagates to
-        // the source instead of ballooning the proxy).
-        for dir in 0..2 {
-            let (src, pipe) = if dir == 0 {
-                (&mut link.client, &mut link.up)
-            } else {
-                (&mut link.server, &mut link.down)
-            };
-            if pipe.eof || pipe.stalled(now) {
-                continue;
-            }
-            // A trickling pipe stops reading once a small backlog has
-            // accumulated, so back-pressure reaches the source instead of
-            // ballooning the proxy.
-            if pipe.trickle && pipe.queued() >= 16 * 1024 {
+        // Read + transform each direction, except a stalled pipe or a
+        // trickling one with a backlog: back-pressure then reaches the
+        // source instead of ballooning the proxy.
+        for (src, pipe) in [
+            (&mut link.client, &mut link.up),
+            (&mut link.server, &mut link.down),
+        ] {
+            if pipe.eof || pipe.stalled(now) || (pipe.trickle && pipe.out.queued() >= 16 * 1024) {
                 continue;
             }
             let mut buf = [0u8; 16 * 1024];
-            loop {
-                match src.read(&mut buf) {
-                    Ok(0) => {
-                        pipe.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        progress = true;
-                        if pipe.feed(&buf[..n], cfg, faults_left, stats, now) {
-                            kill = true;
-                        }
-                        if kill {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        link.dead = true;
-                        break;
-                    }
-                }
+            let pass = transport::read_pass(src, &mut buf, usize::MAX, |chunk| {
+                kill = pipe.feed(chunk, cfg, faults_left, stats, now);
+                !kill
+            });
+            progress |= pass.bytes > 0;
+            match pass.end {
+                ReadEnd::Eof => pipe.eof = true,
+                ReadEnd::Failed(_) => link.dead = true,
+                ReadEnd::WouldBlock | ReadEnd::Paused => {}
             }
             if kill || link.dead {
                 break;
             }
         }
 
-        if kill || link.dead {
-            let _ = link.client.shutdown(Shutdown::Both);
-            let _ = link.server.shutdown(Shutdown::Both);
-            self.links[idx] = None;
-            return true;
-        }
-
         // Flush each direction (skipping stalled pipes), then propagate
-        // half-closes once drained.
-        for dir in 0..2 {
-            let (dst, pipe) = if dir == 0 {
-                (&mut link.server, &mut link.up)
-            } else {
-                (&mut link.client, &mut link.down)
-            };
+        // half-closes once drained. A trickling pipe writes one byte per
+        // `stall` interval: the slow-loris drip.
+        for (dst, pipe, relayed) in [
+            (&mut link.server, &mut link.up, &mut stats.bytes_up),
+            (&mut link.client, &mut link.down, &mut stats.bytes_down),
+        ] {
+            if kill || link.dead {
+                break;
+            }
             if pipe.stall_until.is_some() && pipe.stalled(now) {
                 continue;
             }
-            if pipe.trickle {
-                // One byte per `stall` interval: the slow-loris drip.
-                let due = pipe.next_emit.is_none_or(|t| now >= t);
-                if due && pipe.queued() > 0 {
-                    match dst.write(&pipe.out[pipe.sent..=pipe.sent]) {
-                        Ok(0) => link.dead = true,
-                        Ok(n) => {
-                            pipe.sent += n;
-                            if dir == 0 {
-                                stats.bytes_up += n as u64;
-                            } else {
-                                stats.bytes_down += n as u64;
-                            }
-                            pipe.next_emit = Some(now + cfg.stall);
-                            progress = true;
-                        }
-                        Err(e)
-                            if e.kind() == ErrorKind::WouldBlock
-                                || e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => link.dead = true,
-                    }
+            let limit = match pipe.trickle {
+                false => usize::MAX,
+                true => usize::from(pipe.next_emit.is_none_or(|t| now >= t)),
+            };
+            let flushed = pipe.out.flush(dst, limit);
+            if flushed.written > 0 {
+                *relayed += flushed.written as u64;
+                if pipe.trickle {
+                    pipe.next_emit = Some(now + cfg.stall);
                 }
-                if pipe.sent == pipe.out.len() {
-                    pipe.out.clear();
-                    pipe.sent = 0;
-                    if pipe.eof {
-                        let _ = dst.shutdown(Shutdown::Write);
-                    }
-                }
-                continue;
+                progress = true;
             }
-            while pipe.sent < pipe.out.len() {
-                match dst.write(&pipe.out[pipe.sent..]) {
-                    Ok(0) => {
-                        link.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        pipe.sent += n;
-                        if dir == 0 {
-                            stats.bytes_up += n as u64;
-                        } else {
-                            stats.bytes_down += n as u64;
-                        }
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        link.dead = true;
-                        break;
-                    }
-                }
-            }
-            if pipe.sent == pipe.out.len() {
-                pipe.out.clear();
-                pipe.sent = 0;
-                if pipe.eof {
-                    let _ = dst.shutdown(Shutdown::Write);
-                }
-            } else if pipe.sent > 64 * 1024 {
-                pipe.out.drain(..pipe.sent);
-                pipe.sent = 0;
+            link.dead |= flushed.dead;
+            if pipe.eof && pipe.out.queued() == 0 {
+                let _ = dst.shutdown(Shutdown::Write);
             }
         }
 
-        if link.dead
-            || (link.up.eof && link.down.eof && link.up.queued() == 0 && link.down.queued() == 0)
+        if kill
+            || link.dead
+            || (link.up.eof
+                && link.down.eof
+                && link.up.out.queued() == 0
+                && link.down.out.queued() == 0)
         {
             let _ = link.client.shutdown(Shutdown::Both);
             let _ = link.server.shutdown(Shutdown::Both);
@@ -698,7 +618,7 @@ mod tests {
             for c in data.chunks(chunk) {
                 assert!(!pipe.feed(c, &cfg, &mut left, &mut stats, now));
             }
-            (pipe.out.clone(), stats.faults_injected)
+            (pipe.out.bytes.clone(), stats.faults_injected)
         };
 
         let (whole, n1) = run(data.len());
@@ -732,12 +652,12 @@ mod tests {
             assert!(!pipe.feed(&data, &cfg, &mut left, &mut stats, now));
             assert_eq!(stats.faults_injected, 1);
             match kind {
-                FaultKind::Duplicate => assert_eq!(pipe.out.len(), data.len() + 16),
+                FaultKind::Duplicate => assert_eq!(pipe.out.bytes.len(), data.len() + 16),
                 FaultKind::Reorder => {
-                    assert_eq!(pipe.out.len(), data.len());
-                    assert_ne!(pipe.out, data);
+                    assert_eq!(pipe.out.bytes.len(), data.len());
+                    assert_ne!(pipe.out.bytes, data);
                 }
-                FaultKind::Truncate => assert_eq!(pipe.out.len(), data.len() - 16),
+                FaultKind::Truncate => assert_eq!(pipe.out.bytes.len(), data.len() - 16),
                 _ => unreachable!(),
             }
         }
@@ -752,7 +672,7 @@ mod tests {
         let mut stats = ChaosStats::default();
         let mut left = 0u32;
         assert!(!pipe.feed(&data, &cfg, &mut left, &mut stats, now));
-        assert_eq!(pipe.out, data);
+        assert_eq!(pipe.out.bytes, data);
         assert_eq!(stats.faults_injected, 0);
 
         // Budget exhausted → transparent even with a destructive kind.
@@ -763,7 +683,7 @@ mod tests {
         let mut pipe = Pipe::new(true, &cfg, 1);
         let mut left = 0u32;
         assert!(!pipe.feed(&data, &cfg, &mut left, &mut stats, now));
-        assert_eq!(pipe.out, data);
+        assert_eq!(pipe.out.bytes, data);
     }
 
     #[test]
@@ -784,7 +704,10 @@ mod tests {
         let mut stats = ChaosStats::default();
         let mut left = cfg.max_faults;
         assert!(!pipe.feed(&data, &cfg, &mut left, &mut stats, now));
-        assert_eq!(pipe.out, data, "trickle must not change the byte stream");
+        assert_eq!(
+            pipe.out.bytes, data,
+            "trickle must not change the byte stream"
+        );
         assert!(pipe.trickle, "pipe must be in trickle mode after the fault");
         assert_eq!(stats.trickles, 1, "re-fires must not re-count the mode");
         assert!(stats.faults_injected >= 1);
@@ -804,7 +727,7 @@ mod tests {
         assert!(pipe.feed(&data, &cfg, &mut left, &mut stats, now));
         assert_eq!(stats.kills, 1);
         assert!(
-            pipe.out.len() < data.len(),
+            pipe.out.bytes.len() < data.len(),
             "bytes after the kill offset are discarded"
         );
     }

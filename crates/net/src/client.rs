@@ -31,7 +31,7 @@
 //! and must not be sent again by the caller.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -40,6 +40,7 @@ use hbc_embedded::firmware::BeatOutcome;
 use crate::proto::{
     quantize_mv_into, Frame, FrameDecoder, WireReport, MAX_SAMPLES_PER_FRAME, PROTOCOL_VERSION,
 };
+use crate::transport::{self, ReadEnd};
 use crate::NetError;
 
 /// Client-side view of one open session.
@@ -210,11 +211,7 @@ impl NodeClient {
     ///
     /// Fails on socket/protocol errors or a [`Frame::Deny`].
     pub fn pump(&mut self) -> Result<(), NetError> {
-        self.stream.set_nonblocking(true)?;
-        let result = self.read_available();
-        self.stream.set_nonblocking(false)?;
-        result?;
-        self.dispatch_buffered()
+        self.receive(true, &|_| false).map(drop)
     }
 
     /// Streams millivolt samples into a session, quantising to wire ADC
@@ -308,14 +305,7 @@ impl NodeClient {
             self.transmit_queued(session)?;
             self.send_frame(&Frame::CloseSession { session })?;
         }
-        while self.session(session)?.report.is_none() {
-            self.read_and_dispatch()?;
-        }
-        let s = self.sessions.remove(&session).expect("checked above");
-        Ok(SessionSummary {
-            outcomes: s.outcomes,
-            report: s.report.expect("loop above"),
-        })
+        self.wait_session_end(session)
     }
 
     /// Waits for a session to end without asking for it — e.g. for the
@@ -474,85 +464,81 @@ impl NodeClient {
     /// Blocking read of at least one byte, then dispatch of every complete
     /// frame.
     fn read_and_dispatch(&mut self) -> Result<(), NetError> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.broken = true;
-                    return Err(self
-                        .denied
-                        .take()
-                        .map_or(NetError::Closed, NetError::Denied));
-                }
-                Ok(n) => {
-                    self.decoder.feed(&buf[..n]);
-                    break;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.broken = true;
-                    return Err(e.into());
-                }
-            }
-        }
-        self.dispatch_buffered()
+        self.receive(false, &|_| false).map(drop)
     }
 
-    /// Nonblocking read of everything currently available.
-    fn read_available(&mut self) -> Result<(), NetError> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.broken = true;
-                    return Err(self
-                        .denied
-                        .take()
-                        .map_or(NetError::Closed, NetError::Denied));
-                }
-                Ok(n) => self.decoder.feed(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.broken = true;
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-
-    fn dispatch_buffered(&mut self) -> Result<(), NetError> {
-        while let Some(frame) = self.decoder.next_frame()? {
-            self.dispatch(frame)?;
-        }
-        Ok(())
-    }
-
+    /// Dispatches incoming frames, reading as needed, until one matches
+    /// `want`, and returns that one undispatched.
     fn wait_frame(&mut self, want: impl Fn(&Frame) -> bool) -> Result<Frame, NetError> {
         loop {
-            while let Some(frame) = self.decoder.next_frame()? {
-                if want(&frame) {
-                    return Ok(frame);
-                }
-                self.dispatch(frame)?;
-            }
-            let mut buf = [0u8; 16 * 1024];
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.broken = true;
-                    return Err(self
-                        .denied
-                        .take()
-                        .map_or(NetError::Closed, NetError::Denied));
-                }
-                Ok(n) => self.decoder.feed(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.broken = true;
-                    return Err(e.into());
-                }
+            if let Some(frame) = self.receive(false, &want)? {
+                return Ok(frame);
             }
         }
+    }
+
+    /// The one read path. Dispatches the frames already decoded, then reads
+    /// (one blocking `read`, or with `drain` everything the socket holds,
+    /// without blocking) and dispatches what arrived; the first frame
+    /// `want` matches is returned instead of dispatched. A hang-up, a
+    /// failed read or a read timeout is reported only after every frame
+    /// decoded before it has been dispatched, so a [`Frame::Deny`] or
+    /// [`Frame::Busy`] sent with the FIN surfaces as itself.
+    fn receive(
+        &mut self,
+        drain: bool,
+        want: &dyn Fn(&Frame) -> bool,
+    ) -> Result<Option<Frame>, NetError> {
+        if let Some(frame) = self.dispatch_until(want)? {
+            return Ok(Some(frame));
+        }
+        let mut buf = [0u8; 16 * 1024];
+        let budget = if drain { usize::MAX } else { buf.len() };
+        if drain {
+            self.stream.set_nonblocking(true)?;
+        }
+        let decoder = &mut self.decoder;
+        let pass = transport::read_pass(&mut self.stream, &mut buf, budget, |chunk| {
+            decoder.feed(chunk);
+            true
+        });
+        if drain {
+            self.stream.set_nonblocking(false)?;
+        }
+        let hang_up = match pass.end {
+            ReadEnd::Paused => None,
+            ReadEnd::WouldBlock if drain => None,
+            // A blocking socket would block only at its read timeout.
+            ReadEnd::WouldBlock => Some(NetError::Io(ErrorKind::TimedOut.into())),
+            ReadEnd::Eof => Some(NetError::Closed),
+            ReadEnd::Failed(e) => Some(NetError::Io(e)),
+        };
+        if let Some(frame) = self.dispatch_until(want)? {
+            return Ok(Some(frame));
+        }
+        let Some(error) = hang_up else {
+            return Ok(None);
+        };
+        self.broken = true;
+        Err(match error {
+            NetError::Closed => self
+                .denied
+                .take()
+                .map_or(NetError::Closed, NetError::Denied),
+            error => error,
+        })
+    }
+
+    /// Dispatches decoded frames up to the first one `want` matches, which
+    /// is returned undispatched.
+    fn dispatch_until(&mut self, want: &dyn Fn(&Frame) -> bool) -> Result<Option<Frame>, NetError> {
+        while let Some(frame) = self.decoder.next_frame()? {
+            if want(&frame) {
+                return Ok(Some(frame));
+            }
+            self.dispatch(frame)?;
+        }
+        Ok(None)
     }
 
     fn dispatch(&mut self, frame: Frame) -> Result<(), NetError> {
@@ -632,5 +618,70 @@ impl NodeClient {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use std::io::Read;
+    use std::net::{Shutdown, TcpListener};
+
+    /// Dials a one-shot gateway that answers the client's Hello, then sends
+    /// `last` and hangs up, and pumps once the hang-up has been sent.
+    fn pump_after_hang_up(last: Frame) -> NetError {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (hung_up, on_hang_up) = std::sync::mpsc::channel();
+        let gateway = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut decoder = FrameDecoder::awaiting_hello();
+            let mut buf = [0u8; 256];
+            while decoder.next_frame().expect("client hello").is_none() {
+                let n = conn.read(&mut buf).expect("read hello");
+                decoder.feed(&buf[..n]);
+            }
+            let mut bytes = Vec::new();
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+            }
+            .encode_handshake_into(&mut bytes);
+            last.encode_into(&mut bytes);
+            conn.write_all(&bytes).expect("write");
+            conn.shutdown(Shutdown::Write).expect("shutdown");
+            hung_up.send(()).expect("client waits");
+            // Hold the socket until the client has read the FIN.
+            let _ = conn.read(&mut buf);
+        });
+        let mut client = NodeClient::connect(addr).expect("handshake");
+        on_hang_up.recv().expect("gateway hangs up");
+        let error = client.pump().expect_err("the gateway hung up");
+        assert!(client.broken, "a hang-up breaks the connection");
+        drop(client);
+        gateway.join().expect("gateway thread");
+        error
+    }
+
+    #[test]
+    fn pump_reports_a_deny_that_arrives_with_the_fin() {
+        let error = pump_after_hang_up(Frame::Deny {
+            message: "probe deny".into(),
+        });
+        assert!(
+            matches!(&error, NetError::Denied(m) if m == "probe deny"),
+            "got {error:?}"
+        );
+    }
+
+    #[test]
+    fn pump_reports_a_busy_that_arrives_with_the_fin() {
+        let error = pump_after_hang_up(Frame::Busy {
+            retry_after_ms: 250,
+        });
+        assert!(
+            matches!(error, NetError::Busy(after) if after == Duration::from_millis(250)),
+            "got {error:?}"
+        );
     }
 }

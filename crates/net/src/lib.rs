@@ -44,7 +44,11 @@
 //! * [`chaos`] — a deterministic fault-injecting TCP proxy
 //!   ([`ChaosProxy`]): corruption, duplication, reordering, truncation,
 //!   slow-loris stalls and mid-stream kills on a seeded, replayable
-//!   schedule, for wire-level failure testing.
+//!   schedule, for wire-level failure testing;
+//! * `transport` (private) — the nonblocking socket mechanics all of the
+//!   above share: one read pass, one outbox flush and one listener drain,
+//!   so how a read or write ends and when an outbox compacts are decided
+//!   in one place.
 //!
 //! Per-beat outcomes received over the socket are **bit-identical** to the
 //! batch `process_record` pipeline for any packetization — the network
@@ -63,6 +67,7 @@ pub mod proto;
 pub mod replay;
 pub mod server;
 pub mod session;
+mod transport;
 
 pub use chaos::{ChaosConfig, ChaosDirection, ChaosProxy, ChaosStats, FaultKind};
 pub use client::{NodeClient, SessionSummary};

@@ -4,16 +4,17 @@
 //! ## Reactor
 //!
 //! [`Gateway::poll`] runs one sweep, and its cost follows its events rather
-//! than the number of sessions. Every sweep reads every socket until it
-//! would block, decodes and handles frames, then visits only the **ready**
-//! sessions, in wire-id order: those with an accepted frame, pending
-//! samples left over from an earlier sweep, a skip over the outbox cap, a
-//! resume rewind, credit owed for shed or dropped samples, or a flag from
-//! the quiet-credit scan. The visit promotes a session whose calibration
-//! stretch is complete (in the sweep that completes it), stages at most
-//! one pending chunk per session into a single [`StreamHub::ingest`] call
-//! (which fans decode and classification out over `hbc-par` when the batch
-//! is large enough), forwards freshly classified beats and grants credit.
+//! than the number of sessions. Every sweep reads every socket (until a
+//! short read, or until it would block), decodes and handles frames, then
+//! visits only the **ready** sessions, in wire-id order: those with an
+//! accepted frame, pending samples left over from an earlier sweep, a skip
+//! over the outbox cap, a resume rewind, credit owed for shed or dropped
+//! samples, or a flag from the quiet-credit scan. The visit promotes a
+//! session whose calibration stretch is complete (in the sweep that
+//! completes it), stages at most one pending chunk per session into a
+//! single [`StreamHub::ingest`] call (which fans decode and classification
+//! out over `hbc-par` when the batch is large enough), forwards freshly
+//! classified beats and grants credit.
 //! An idle session costs no map lookup and no hub lock. The sweep then
 //! releases dead and drained connections, parking their sessions for
 //! resumption, and flushes write buffers.
@@ -24,6 +25,13 @@
 //! Their deadlines are seconds long, while a busy reactor sweeps every few
 //! hundred microseconds. [`Gateway::run`] loops `poll` until a shutdown
 //! flag flips, then reports [`GatewayStats`].
+//!
+//! Every accept, read and flush, here and in the admin surface, goes
+//! through the crate's private `transport` module, which the chaos proxy
+//! and the node client share: how a nonblocking read or write ends, when
+//! an outbox compacts and how a stream is prepared are decided there once.
+//! This module keeps the policy (which accept errors are fatal, what EOF
+//! and a dead socket mean for a connection and its sessions).
 //!
 //! Each sweep reads the clock once, at the top of `poll`; every timestamp
 //! and deadline of the sweep (activity, arrival anchors, parking and end
@@ -138,7 +146,7 @@
 //! outcomes: every classification path stays bit-identical with telemetry
 //! enabled.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -159,6 +167,7 @@ use crate::proto::{
 };
 use crate::replay::{self, promote};
 use crate::session::{ResumeOutcome, SessionManager, SessionPhase, SessionPriority, SessionState};
+use crate::transport::{self, Accepted, Outbox, ReadEnd};
 
 /// Bytes one buffered sample occupies gateway-side: sessions buffer and
 /// stage the wire's `i16` ADC codes (4× the signal of `f64`s per budget).
@@ -595,8 +604,7 @@ hbc_obs::metric_struct! {
 struct Connection {
     stream: TcpStream,
     decoder: FrameDecoder,
-    outbox: Vec<u8>,
-    sent: usize,
+    outbox: Outbox,
     greeted: bool,
     /// Outbox still flushing, no further reads; reaped once drained.
     closing: bool,
@@ -614,12 +622,6 @@ struct Connection {
     /// connection is established, when it was accepted (the handshake
     /// deadline runs from it).
     checked_at: Instant,
-}
-
-impl Connection {
-    fn queued(&self) -> usize {
-        self.outbox.len() - self.sent
-    }
 }
 
 hbc_obs::metric_struct! {
@@ -896,7 +898,7 @@ impl<'fw> Gateway<'fw> {
     /// and parked sessions, connection outboxes and the cached reports of
     /// ended sessions — the gateway's one memory ledger.
     fn memory_used(&self) -> usize {
-        let outboxes: usize = self.conns.iter().flatten().map(Connection::queued).sum();
+        let outboxes: usize = self.conns.iter().flatten().map(|c| c.outbox.queued()).sum();
         let cached = self.sessions.cached_outcomes() * std::mem::size_of::<WireOutcome>();
         self.buffered_samples * SAMPLE_BYTES + outboxes + cached
     }
@@ -1083,28 +1085,23 @@ impl<'fw> Gateway<'fw> {
     fn accept_new(&mut self) -> std::io::Result<bool> {
         let mut accepted = false;
         loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _peer)) => stream,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            let stream = match transport::accept(&self.listener) {
+                Ok(Some(Accepted::Stream(stream))) => stream,
+                Ok(Some(Accepted::Dropped)) => {
+                    self.stats.accept_errors += 1;
+                    continue;
+                }
+                Ok(None) => break,
                 Err(e) if transient_accept_error(&e) => {
                     self.stats.accept_errors += 1;
                     break;
                 }
                 Err(e) => return Err(e),
             };
-            // A socket that cannot be made nonblocking would stall the
-            // reactor: drop it, the peer sees a reset.
-            if stream.set_nonblocking(true).is_err() {
-                self.stats.accept_errors += 1;
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
             let conn = Connection {
                 stream,
                 decoder: FrameDecoder::awaiting_hello(),
-                outbox: Vec::new(),
-                sent: 0,
+                outbox: Outbox::default(),
                 greeted: false,
                 closing: false,
                 dead: false,
@@ -1136,10 +1133,9 @@ impl<'fw> Gateway<'fw> {
         Ok(accepted)
     }
 
-    /// Reads one connection until a short read drains the socket (bounded
-    /// per sweep) and handles every complete frame. A short read ends the
-    /// loop without the extra `read` that would only return `WouldBlock`;
-    /// bytes or an EOF arriving after it are seen on the next sweep.
+    /// Reads one connection with one [`transport::read_pass`] (bounded per
+    /// sweep; a short read ends it, and bytes or an EOF arriving after it
+    /// are seen on the next sweep) and handles every complete frame.
     fn service_reads(&mut self, idx: usize) -> bool {
         const READ_BUDGET: usize = 256 * 1024;
         let buf = &mut self.read_buf;
@@ -1149,30 +1145,15 @@ impl<'fw> Gateway<'fw> {
         if conn.closing || conn.dead {
             return false;
         }
-        let mut taken = 0usize;
-        let mut eof = false;
-        while taken < READ_BUDGET {
-            match conn.stream.read(buf) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.decoder.feed(&buf[..n]);
-                    conn.read_since_check = conn.read_since_check.saturating_add(n);
-                    taken += n;
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
-        }
+        let decoder = &mut conn.decoder;
+        let pass = transport::read_pass(&mut conn.stream, buf, READ_BUDGET, |chunk| {
+            decoder.feed(chunk);
+            true
+        });
+        let taken = pass.bytes;
+        conn.read_since_check = conn.read_since_check.saturating_add(taken);
+        conn.dead = matches!(pass.end, ReadEnd::Failed(_));
+        let eof = matches!(pass.end, ReadEnd::Eof);
         let mut frames = std::mem::take(&mut self.frames);
         let mut violation = None;
         loop {
@@ -1229,9 +1210,9 @@ impl<'fw> Gateway<'fw> {
         if let Some(conn) = self.conns[idx].as_mut() {
             if !conn.dead {
                 if conn.greeted {
-                    frame.encode_into(&mut conn.outbox);
+                    frame.encode_into(&mut conn.outbox.bytes);
                 } else {
-                    frame.encode_handshake_into(&mut conn.outbox);
+                    frame.encode_handshake_into(&mut conn.outbox.bytes);
                 }
                 self.stats.frames_out += 1;
             }
@@ -1727,7 +1708,7 @@ impl<'fw> Gateway<'fw> {
             // One whole progress interval has elapsed: judge it, then
             // start the next one.
             let trickling = conn.decoder.buffered() > 0 && conn.read_since_check < min_bytes;
-            let frozen = conn.queued() > 0 && conn.wrote_since_check == 0;
+            let frozen = conn.outbox.queued() > 0 && conn.wrote_since_check == 0;
             if trickling || frozen {
                 conn.dead = true;
                 progress_reaps += 1;
@@ -1786,7 +1767,7 @@ impl<'fw> Gateway<'fw> {
             // They stay ready until the outbox drains.
             let writable = self.conns[s.conn]
                 .as_ref()
-                .is_some_and(|c| !c.dead && c.queued() <= self.config.max_outbox_bytes);
+                .is_some_and(|c| !c.dead && c.outbox.queued() <= self.config.max_outbox_bytes);
             if !writable {
                 self.ready.push(wire_id);
                 continue;
@@ -1943,7 +1924,7 @@ impl<'fw> Gateway<'fw> {
             // is over the cap; the session stays ready until it drains.
             let under_cap = self.conns[conn]
                 .as_ref()
-                .is_some_and(|c| !c.dead && c.queued() <= self.config.max_outbox_bytes);
+                .is_some_and(|c| !c.dead && c.outbox.queued() <= self.config.max_outbox_bytes);
             if !under_cap {
                 self.ready.push(wire_id);
                 continue;
@@ -2068,7 +2049,7 @@ impl<'fw> Gateway<'fw> {
     fn reap(&mut self) {
         for idx in 0..self.conns.len() {
             let remove = match self.conns[idx].as_ref() {
-                Some(c) => c.dead || (c.closing && c.queued() == 0),
+                Some(c) => c.dead || (c.closing && c.outbox.queued() == 0),
                 None => false,
             };
             if !remove {
@@ -2119,35 +2100,11 @@ impl<'fw> Gateway<'fw> {
         if conn.dead {
             return false;
         }
-        let mut progress = false;
-        while conn.sent < conn.outbox.len() {
-            match conn.stream.write(&conn.outbox[conn.sent..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.sent += n;
-                    conn.wrote_since_check = conn.wrote_since_check.saturating_add(n);
-                    self.stats.wire_bytes_out += n as u64;
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
-        }
-        if conn.sent == conn.outbox.len() {
-            conn.outbox.clear();
-            conn.sent = 0;
-        } else if conn.sent > 64 * 1024 {
-            conn.outbox.drain(..conn.sent);
-            conn.sent = 0;
-        }
-        progress
+        let flushed = conn.outbox.flush(&mut conn.stream, usize::MAX);
+        conn.dead = flushed.dead;
+        conn.wrote_since_check = conn.wrote_since_check.saturating_add(flushed.written);
+        self.stats.wire_bytes_out += flushed.written as u64;
+        flushed.written > 0
     }
 }
 
@@ -2165,7 +2122,7 @@ fn send_outcomes(
         return;
     };
     for chunk in outcomes.chunks(OUTCOMES_PER_FRAME) {
-        encode_outcomes_into(session, chunk, &mut conn.outbox);
+        encode_outcomes_into(session, chunk, &mut conn.outbox.bytes);
         stats.frames_out += 1;
     }
 }
@@ -2183,6 +2140,8 @@ impl std::fmt::Debug for Gateway<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::io::{Read, Write};
 
     use hbc_core::{ExperimentConfig, TrainedSystem};
     use hbc_ecg::record::Lead;

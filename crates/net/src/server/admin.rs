@@ -2,15 +2,18 @@
 //! `GET /metrics` (Prometheus text), `/metrics.json`, `/health` and
 //! `/trace` over HTTP/1.0, plus the [`MetricsSnapshot`] those routes
 //! render. The reactor calls [`Gateway::serve_admin`] on every
-//! housekeeping tick.
+//! housekeeping tick; the sockets are driven through `crate::transport`.
 
-use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
 use hbc_obs::MetricsSnapshot;
 
 use super::Gateway;
+use crate::transport::{self, Accepted, Outbox, ReadEnd};
+
+/// Largest request an admin peer may send; a longer one closes it.
+const ADMIN_INBOX_CAP: usize = 16 * 1024;
 
 /// One in-flight exchange on the admin listener: read an HTTP request
 /// until its request line is complete, write one response, flush, close.
@@ -20,10 +23,7 @@ pub(super) struct AdminConn {
     /// within [`super::GatewayConfig::handshake_timeout`] of it.
     accepted_at: Instant,
     inbox: Vec<u8>,
-    outbox: Vec<u8>,
-    sent: usize,
-    /// The response is built; only flushing remains.
-    responding: bool,
+    outbox: Outbox,
     dead: bool,
 }
 
@@ -82,32 +82,21 @@ impl Gateway<'_> {
     /// closes. One call makes all progress the sockets allow; the admin
     /// path never blocks the reactor.
     pub(super) fn serve_admin(&mut self) -> bool {
-        if self.admin.is_none() {
+        let Some(listener) = self.admin.as_ref() else {
             return false;
-        }
+        };
         let mut progress = false;
-        if let Some(listener) = self.admin.as_ref() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        self.admin_conns.push(AdminConn {
-                            stream,
-                            accepted_at: self.now,
-                            inbox: Vec::new(),
-                            outbox: Vec::new(),
-                            sent: 0,
-                            responding: false,
-                            dead: false,
-                        });
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
+        // Accept errors are ignored: the next tick retries.
+        while let Ok(Some(accepted)) = transport::accept(listener) {
+            if let Accepted::Stream(stream) = accepted {
+                self.admin_conns.push(AdminConn {
+                    stream,
+                    accepted_at: self.now,
+                    inbox: Vec::new(),
+                    outbox: Outbox::default(),
+                    dead: false,
+                });
+                progress = true;
             }
         }
         // Read requests first; building a response needs `&self` (the
@@ -117,35 +106,28 @@ impl Gateway<'_> {
         let deadline = self.config.handshake_timeout;
         let now = self.now;
         for (i, conn) in self.admin_conns.iter_mut().enumerate() {
-            if conn.dead || conn.responding {
+            // A queued response means the request is answered.
+            if conn.dead || conn.outbox.queued() > 0 {
                 continue;
             }
             let mut buf = [0u8; 4096];
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        // EOF before a request line: nothing to answer.
-                        if admin_request_line(&conn.inbox).is_none() {
-                            conn.dead = true;
-                        }
-                        break;
-                    }
-                    Ok(n) => {
-                        if conn.inbox.len() + n > 16 * 1024 {
-                            conn.dead = true;
-                            break;
-                        }
-                        conn.inbox.extend_from_slice(&buf[..n]);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
+            let inbox = &mut conn.inbox;
+            let mut overflow = false;
+            let pass = transport::read_pass(&mut conn.stream, &mut buf, usize::MAX, |chunk| {
+                overflow = inbox.len() + chunk.len() > ADMIN_INBOX_CAP;
+                if !overflow {
+                    inbox.extend_from_slice(chunk);
                 }
-            }
+                !overflow
+            });
+            progress |= pass.bytes > 0;
+            conn.dead = overflow
+                || match pass.end {
+                    // EOF before a request line: nothing to answer.
+                    ReadEnd::Eof => admin_request_line(&conn.inbox).is_none(),
+                    ReadEnd::Failed(_) => true,
+                    ReadEnd::WouldBlock | ReadEnd::Paused => false,
+                };
             if conn.dead {
                 continue;
             }
@@ -160,33 +142,16 @@ impl Gateway<'_> {
         for (i, method, path) in ready {
             let response = self.admin_response(&method, &path);
             let conn = &mut self.admin_conns[i];
-            conn.outbox = response;
-            conn.responding = true;
+            conn.outbox.bytes = response;
             progress = true;
         }
         for conn in &mut self.admin_conns {
-            if conn.dead || !conn.responding {
+            if conn.dead || conn.outbox.queued() == 0 {
                 continue;
             }
-            while conn.sent < conn.outbox.len() {
-                match conn.stream.write(&conn.outbox[conn.sent..]) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.sent += n;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            if conn.sent == conn.outbox.len() {
+            let flushed = conn.outbox.flush(&mut conn.stream, usize::MAX);
+            progress |= flushed.written > 0;
+            if flushed.dead || conn.outbox.queued() == 0 {
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
                 conn.dead = true;
             }

@@ -21,88 +21,22 @@
 //! witness), and retention-window expiry (resume denied, wire id retired).
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
-use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::WbsnFirmware;
-use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder};
+use heartbeat_rp::hbc_ecg::record::Lead;
+use heartbeat_rp::hbc_net::proto::{Frame, FrameDecoder};
 use heartbeat_rp::hbc_net::{
     ChaosConfig, ChaosDirection, ChaosProxy, ChaosStats, FaultKind, Gateway, GatewayConfig,
     GatewayStats, NetError, NodeClient, SessionSummary, PROTOCOL_VERSION,
 };
-use heartbeat_rp::pipeline::TrainedSystem;
 
 mod support;
 
-fn system() -> &'static TrainedSystem {
-    static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
-    SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-/// A single-lead synthetic record passed once through the wire ADC transfer
-/// function, so socket replay and local reference consume identical signals
-/// and every comparison below is exact.
-fn wire_record(seed: u64, beats: usize) -> EcgRecord {
-    let mut gen = SyntheticEcg::with_seed(seed);
-    let rhythm = gen.rhythm(beats, 0.1, 0.1);
-    let mut record = gen.record(seed as u32, &rhythm, 1).expect("record");
-    let mut codes = Vec::new();
-    let mut exact = Vec::new();
-    quantize_mv_into(&record.leads[0], &mut codes);
-    dequantize_mv_into(&codes, &mut exact);
-    record.leads[0] = exact;
-    record
-}
-
-/// `got` must be a bit-identical prefix of `want` (`truth` is `None` online).
-fn assert_prefix(got: &[BeatOutcome], want: &[BeatOutcome], label: &str) {
-    assert!(
-        got.len() <= want.len(),
-        "{label}: {} outcomes delivered, reference has only {}",
-        got.len(),
-        want.len()
-    );
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(g.peak, w.peak, "{label}: beat {i} peak");
-        assert_eq!(g.predicted, w.predicted, "{label}: beat {i} class");
-        assert_eq!(g.delineated, w.delineated, "{label}: beat {i} delineated");
-        assert_eq!(
-            g.fiducials_transmitted, w.fiducials_transmitted,
-            "{label}: beat {i} fiducials"
-        );
-        assert_eq!(g.truth, None, "{label}: online beats carry no ground truth");
-    }
-}
-
-fn assert_full_match(got: &[BeatOutcome], want: &[BeatOutcome], label: &str) {
-    assert_eq!(got.len(), want.len(), "{label}: beat count");
-    assert_prefix(got, want, label);
-}
-
-/// Reconnects through whatever chaos the link throws, with an overall
-/// deadline. A failed resume attempt (e.g. the fault hit during the resume
-/// handshake, or a spurious I/O timeout) is retried.
-fn recover(client: &mut NodeClient, addr: SocketAddr) {
-    let start = Instant::now();
-    loop {
-        match client.reconnect_with_backoff(addr, 4, Duration::from_millis(5)) {
-            Ok(()) => return,
-            Err(e) => {
-                assert!(
-                    start.elapsed() < Duration::from_secs(30),
-                    "could not resume within the deadline: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
+use support::{
+    assert_full_match, assert_prefix, read_until, recover, system, wire_record, with_gateway,
+};
 
 /// Runs one full chaos scenario: stream a record through a fault-injecting
 /// proxy, reconnect-and-resume over every failure, close, and return the
@@ -312,34 +246,6 @@ fn passthrough_proxy_is_invisible() {
     assert_eq!(gw.denials, 0);
 }
 
-/// Runs `body` against a live gateway on a loopback port (no proxy); flips
-/// the shutdown flag (even on panic) and returns the final counters.
-fn with_gateway<R>(
-    fw: &WbsnFirmware,
-    fs: f64,
-    config: GatewayConfig,
-    body: impl FnOnce(SocketAddr) -> R,
-) -> (R, GatewayStats) {
-    struct FlipOnDrop<'a>(&'a AtomicBool);
-    impl Drop for FlipOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let shutdown = AtomicBool::new(false);
-    let gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind");
-    let addr = gateway.local_addr().expect("addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| gateway.run(&shutdown).expect("gateway runs"));
-        let result = {
-            let _flip = FlipOnDrop(&shutdown);
-            body(addr)
-        };
-        let stats = handle.join().expect("gateway thread");
-        (result, stats)
-    })
-}
-
 #[test]
 fn severed_client_resumes_without_recalibration() {
     // Prefix calibration (not whole-record) proves thresholds survive the
@@ -534,24 +440,4 @@ fn expired_retention_window_denies_resume_and_retires_the_wire_id() {
     });
     assert!(stats.sessions_expired >= 1, "the parked session expired");
     assert!(stats.sessions_detached >= 1);
-}
-
-/// Raw-socket helper: blocking-reads frames until `want` matches.
-fn read_until(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    want: impl Fn(&Frame) -> bool,
-) -> Frame {
-    use std::io::Read;
-    let mut buf = [0u8; 4096];
-    loop {
-        while let Some(frame) = decoder.next_frame().expect("valid") {
-            if want(&frame) {
-                return frame;
-            }
-        }
-        let n = stream.read(&mut buf).expect("read");
-        assert!(n > 0, "gateway hung up before the expected frame");
-        decoder.feed(&buf[..n]);
-    }
 }

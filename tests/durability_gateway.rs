@@ -30,117 +30,21 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use heartbeat_rp::config::ExperimentConfig;
-use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
-use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
+use heartbeat_rp::hbc_ecg::record::Lead;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{
-    dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, WireOutcome, WireReport,
+    quantize_mv_into, Frame, FrameDecoder, WireOutcome, WireReport,
 };
-use heartbeat_rp::hbc_net::{
-    replay_log, Gateway, GatewayConfig, GatewayStats, NodeClient, PROTOCOL_VERSION,
-};
+use heartbeat_rp::hbc_net::{replay_log, Gateway, GatewayConfig, NodeClient, PROTOCOL_VERSION};
 use heartbeat_rp::hbc_wal::{crc32, WalConfig, WalError};
-use heartbeat_rp::pipeline::TrainedSystem;
-use heartbeat_rp::StreamHub;
 
 mod support;
 
-fn system() -> &'static TrainedSystem {
-    static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
-    SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-/// A single-lead synthetic record passed once through the wire ADC transfer
-/// function, so socket replay and local reference consume identical signals.
-fn wire_record(seed: u64, beats: usize) -> EcgRecord {
-    let mut gen = SyntheticEcg::with_seed(seed);
-    let rhythm = gen.rhythm(beats, 0.1, 0.1);
-    let mut record = gen.record(seed as u32, &rhythm, 1).expect("record");
-    let mut codes = Vec::new();
-    let mut exact = Vec::new();
-    quantize_mv_into(&record.leads[0], &mut codes);
-    dequantize_mv_into(&codes, &mut exact);
-    record.leads[0] = exact;
-    record
-}
-
-/// The fault-free reference: the equivalent `StreamHub` lifecycle with
-/// prefix calibration.
-fn reference_outcomes(fw: &WbsnFirmware, record: &EcgRecord, calib_len: usize) -> Vec<BeatOutcome> {
-    let mut hub = StreamHub::new(fw, record.fs);
-    let lead = record.lead(Lead(0)).expect("lead 0");
-    let thresholds = hub
-        .calibrate_thresholds(&lead[..calib_len])
-        .expect("calibrate");
-    let id = hub.add_patient(record.id, thresholds);
-    hub.ingest(&[(id, lead)]).expect("ingest");
-    hub.close_session(id).expect("close").outcomes
-}
-
-fn assert_full_match(got: &[BeatOutcome], want: &[BeatOutcome], label: &str) {
-    assert_eq!(got.len(), want.len(), "{label}: beat count");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(g.peak, w.peak, "{label}: beat {i} peak");
-        assert_eq!(g.predicted, w.predicted, "{label}: beat {i} class");
-        assert_eq!(g.delineated, w.delineated, "{label}: beat {i} delineated");
-        assert_eq!(
-            g.fiducials_transmitted, w.fiducials_transmitted,
-            "{label}: beat {i} fiducials"
-        );
-    }
-}
-
-/// Runs `body` against a live gateway (flipping the shutdown flag even on
-/// panic) and returns the body's result plus the final counters. Same shape
-/// as the chaos suite's helper, parameterised so a second "restarted"
-/// gateway can reuse the log directory of a first.
-fn with_gateway<R>(
-    fw: &WbsnFirmware,
-    fs: f64,
-    config: GatewayConfig,
-    body: impl FnOnce(SocketAddr) -> R,
-) -> (R, GatewayStats) {
-    struct FlipOnDrop<'a>(&'a AtomicBool);
-    impl Drop for FlipOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let shutdown = AtomicBool::new(false);
-    let gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind");
-    let addr = gateway.local_addr().expect("addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| gateway.run(&shutdown).expect("gateway runs"));
-        let result = {
-            let _flip = FlipOnDrop(&shutdown);
-            body(addr)
-        };
-        let stats = handle.join().expect("gateway thread");
-        (result, stats)
-    })
-}
-
-/// Resumes with a deadline, retrying failed attempts.
-fn recover(client: &mut NodeClient, addr: SocketAddr) {
-    let start = Instant::now();
-    loop {
-        match client.reconnect_with_backoff(addr, 4, Duration::from_millis(5)) {
-            Ok(()) => return,
-            Err(e) => {
-                assert!(
-                    start.elapsed() < Duration::from_secs(30),
-                    "could not resume within the deadline: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
+use support::{
+    assert_full_match, hub_reference, read_until, recover, system, wire_record, with_gateway,
+};
 
 fn wal_config(dir: &std::path::Path) -> GatewayConfig {
     GatewayConfig {
@@ -155,7 +59,7 @@ fn kill_mid_ingest_recovers_from_the_log_and_converges() {
     let record = wire_record(7100, 40);
     let fs = record.fs;
     let calib_len = 2048usize;
-    let reference = reference_outcomes(fw, &record, calib_len);
+    let reference = hub_reference(fw, &record, calib_len);
     assert!(!reference.is_empty(), "reference must emit beats");
     let tmp = support::TempDir::new("wal-kill");
 
@@ -248,8 +152,8 @@ fn recovery_skips_a_closed_session_and_rebuilds_the_open_one() {
     let record_b = wire_record(7160, 60);
     let fs = record_b.fs;
     let calib_len = 2048usize;
-    let reference_a = reference_outcomes(fw, &record_a, calib_len);
-    let reference_b = reference_outcomes(fw, &record_b, calib_len);
+    let reference_a = hub_reference(fw, &record_a, calib_len);
+    let reference_b = hub_reference(fw, &record_b, calib_len);
     let tmp = support::TempDir::new("wal-closed");
 
     let lead_a = record_a.lead(Lead(0)).expect("lead 0");
@@ -345,7 +249,7 @@ fn kill_during_calibration_recovers_the_partial_stretch() {
     let record = wire_record(7200, 30);
     let fs = record.fs;
     let calib_len = 2048usize;
-    let reference = reference_outcomes(fw, &record, calib_len);
+    let reference = hub_reference(fw, &record, calib_len);
     let tmp = support::TempDir::new("wal-calib");
 
     let lead = record.lead(Lead(0)).expect("lead 0");
@@ -495,26 +399,6 @@ fn a_log_in_another_format_is_refused_by_replay_and_bind_untouched() {
     }
 }
 
-/// Raw-socket helper: blocking-reads frames until `want` matches.
-fn read_until(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    want: impl Fn(&Frame) -> bool,
-) -> Frame {
-    use std::io::Read;
-    let mut buf = [0u8; 4096];
-    loop {
-        while let Some(frame) = decoder.next_frame().expect("valid") {
-            if want(&frame) {
-                return frame;
-            }
-        }
-        let n = stream.read(&mut buf).expect("read");
-        assert!(n > 0, "gateway hung up before the expected frame");
-        decoder.feed(&buf[..n]);
-    }
-}
-
 #[test]
 fn lost_report_after_close_is_refetchable_within_the_window() {
     // The formerly documented hole: the link dies after the gateway
@@ -526,7 +410,7 @@ fn lost_report_after_close_is_refetchable_within_the_window() {
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
     let calib_len = 2048usize;
-    let reference = reference_outcomes(fw, &record, calib_len);
+    let reference = hub_reference(fw, &record, calib_len);
 
     let ((), stats) = with_gateway(fw, fs, GatewayConfig::default(), |addr| {
         // Connection 1: open, stream everything, close — then lose the link
@@ -1103,7 +987,7 @@ fn takeover_continues_gap_free_on_the_new_connection() {
     let fs = record.fs;
     let fs_millihertz = (fs * 1000.0).round() as u32;
     let calib_len = 2048u32;
-    let reference = reference_outcomes(fw, &record, calib_len as usize);
+    let reference = hub_reference(fw, &record, calib_len as usize);
     let mut codes = Vec::new();
     quantize_mv_into(record.lead(Lead(0)).expect("lead 0"), &mut codes);
     let cut = codes.len() / 2;

@@ -18,47 +18,25 @@
 //! signal, so every comparison below is exact, not approximate.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
-use heartbeat_rp::config::ExperimentConfig;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
-use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
 use heartbeat_rp::hbc_embedded::WbsnFirmware;
 use heartbeat_rp::hbc_net::proto::{
-    crc32, dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder, MAX_SAMPLES_PER_FRAME,
+    crc32, quantize_mv_into, Frame, FrameDecoder, MAX_SAMPLES_PER_FRAME,
 };
 use heartbeat_rp::hbc_net::{
-    Gateway, GatewayConfig, GatewayStats, NetError, NodeClient, OverflowPolicy, CREDIT_QUIET,
-    HOUSEKEEPING_TICK, PROTOCOL_VERSION,
+    Gateway, GatewayConfig, NetError, NodeClient, OverflowPolicy, CREDIT_QUIET, HOUSEKEEPING_TICK,
+    PROTOCOL_VERSION,
 };
-use heartbeat_rp::pipeline::TrainedSystem;
 use heartbeat_rp::StreamHub;
 
 mod support;
 
-fn system() -> &'static TrainedSystem {
-    static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
-    SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-/// A single-lead synthetic record whose lead has passed through the wire ADC
-/// transfer function once, so socket replay and local reference consume the
-/// identical signal.
-fn wire_record(seed: u64, beats: usize) -> EcgRecord {
-    let mut gen = SyntheticEcg::with_seed(seed);
-    let rhythm = gen.rhythm(beats, 0.1, 0.1);
-    let mut record = gen.record(seed as u32, &rhythm, 1).expect("record");
-    let mut codes = Vec::new();
-    let mut exact = Vec::new();
-    quantize_mv_into(&record.leads[0], &mut codes);
-    dequantize_mv_into(&codes, &mut exact);
-    record.leads[0] = exact;
-    record
-}
+use support::{hub_reference, read_until, system, wire_record, with_gateway};
 
 /// SplitMix64 step driving the pseudo-random packetization.
 fn next(state: &mut u64) -> u64 {
@@ -67,48 +45,6 @@ fn next(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Runs `body` against a live gateway on a loopback port; flips the
-/// shutdown flag (even on panic) and returns the gateway's final counters.
-fn with_gateway<R>(
-    fw: &WbsnFirmware,
-    fs: f64,
-    config: GatewayConfig,
-    body: impl FnOnce(SocketAddr) -> R,
-) -> (R, GatewayStats) {
-    struct FlipOnDrop<'a>(&'a AtomicBool);
-    impl Drop for FlipOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let shutdown = AtomicBool::new(false);
-    let gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind");
-    let addr = gateway.local_addr().expect("addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| gateway.run(&shutdown).expect("gateway runs"));
-        let result = {
-            let _flip = FlipOnDrop(&shutdown);
-            body(addr)
-        };
-        let stats = handle.join().expect("gateway thread");
-        (result, stats)
-    })
-}
-
-/// The in-process reference: a `StreamHub` session calibrated on the first
-/// `calib_len` samples, fed the whole lead, closed — exactly the lifecycle
-/// the gateway drives remotely.
-fn hub_reference(fw: &WbsnFirmware, record: &EcgRecord, calib_len: usize) -> Vec<BeatOutcome> {
-    let mut hub = StreamHub::new(fw, record.fs);
-    let lead = record.lead(Lead(0)).expect("lead 0");
-    let thresholds = hub
-        .calibrate_thresholds(&lead[..calib_len])
-        .expect("calibrate");
-    let id = hub.add_patient(record.id, thresholds);
-    hub.ingest(&[(id, lead)]).expect("ingest");
-    hub.close_session(id).expect("close").outcomes
 }
 
 /// Streams a lead into a session in pseudo-random ragged chunks.
@@ -291,26 +227,6 @@ fn slow_consumption_stalls_senders_at_the_credit_budget_without_cross_talk() {
     // Neither stalled session corrupted the other.
     assert_outcomes_match(&summary_a.outcomes, &ref_a, "slow A");
     assert_outcomes_match(&summary_b.outcomes, &ref_b, "slow B");
-}
-
-/// Raw-socket helper: blocking-reads frames until `want` matches, dispatching
-/// nothing. Returns the matched frame.
-fn read_until(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    want: impl Fn(&Frame) -> bool,
-) -> Frame {
-    let mut buf = [0u8; 4096];
-    loop {
-        while let Some(frame) = decoder.next_frame().expect("valid") {
-            if want(&frame) {
-                return frame;
-            }
-        }
-        let n = stream.read(&mut buf).expect("read");
-        assert!(n > 0, "gateway hung up before the expected frame");
-        decoder.feed(&buf[..n]);
-    }
 }
 
 #[test]

@@ -28,99 +28,25 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use heartbeat_rp::config::ExperimentConfig;
 use heartbeat_rp::hbc_ecg::record::{EcgRecord, Lead};
-use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
 use heartbeat_rp::hbc_embedded::firmware::BeatOutcome;
-use heartbeat_rp::hbc_embedded::WbsnFirmware;
-use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into, Frame, FrameDecoder};
+use heartbeat_rp::hbc_net::proto::{Frame, FrameDecoder};
 use heartbeat_rp::hbc_net::{
-    ChaosConfig, ChaosDirection, ChaosProxy, FaultKind, Gateway, GatewayConfig, GatewayStats,
-    NetError, NodeClient, SessionSummary, PROTOCOL_VERSION,
+    ChaosConfig, ChaosDirection, ChaosProxy, FaultKind, Gateway, GatewayConfig, NetError,
+    NodeClient, SessionSummary, PROTOCOL_VERSION,
 };
-use heartbeat_rp::pipeline::TrainedSystem;
 
 mod support;
+
+use support::{
+    assert_full_match, assert_prefix, hub_reference, recover, system, wire_record_mix, with_gateway,
+};
 
 /// Bytes one buffered sample occupies gateway-side (the gateway buffers
 /// the wire's `i16` ADC codes).
 const SAMPLE_BYTES: usize = std::mem::size_of::<i16>();
-
-fn system() -> &'static TrainedSystem {
-    static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
-    SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-/// A single-lead synthetic record with the given abnormal-beat mix, passed
-/// once through the wire ADC transfer function so socket replay and local
-/// reference consume identical signals.
-fn wire_record(seed: u64, beats: usize, p_v: f64, p_l: f64) -> EcgRecord {
-    let mut gen = SyntheticEcg::with_seed(seed);
-    let rhythm = gen.rhythm(beats, p_v, p_l);
-    let mut record = gen.record(seed as u32, &rhythm, 1).expect("record");
-    let mut codes = Vec::new();
-    let mut exact = Vec::new();
-    quantize_mv_into(&record.leads[0], &mut codes);
-    dequantize_mv_into(&codes, &mut exact);
-    record.leads[0] = exact;
-    record
-}
-
-/// The fault-free [`StreamHub`] reference for a prefix-calibrated session.
-fn hub_reference(fw: &WbsnFirmware, record: &EcgRecord, calib_len: usize) -> Vec<BeatOutcome> {
-    let mut hub = heartbeat_rp::StreamHub::new(fw, record.fs);
-    let lead = record.lead(Lead(0)).expect("lead 0");
-    let thresholds = hub
-        .calibrate_thresholds(&lead[..calib_len])
-        .expect("calibrate");
-    let id = hub.add_patient(record.id, thresholds);
-    hub.ingest(&[(id, lead)]).expect("ingest");
-    hub.close_session(id).expect("close").outcomes
-}
-
-/// `got` must be a bit-identical prefix of `want`.
-fn assert_prefix(got: &[BeatOutcome], want: &[BeatOutcome], label: &str) {
-    assert!(
-        got.len() <= want.len(),
-        "{label}: {} outcomes delivered, reference has only {}",
-        got.len(),
-        want.len()
-    );
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(g.peak, w.peak, "{label}: beat {i} peak");
-        assert_eq!(g.predicted, w.predicted, "{label}: beat {i} class");
-        assert_eq!(g.delineated, w.delineated, "{label}: beat {i} delineated");
-        assert_eq!(
-            g.fiducials_transmitted, w.fiducials_transmitted,
-            "{label}: beat {i} fiducials"
-        );
-    }
-}
-
-fn assert_full_match(got: &[BeatOutcome], want: &[BeatOutcome], label: &str) {
-    assert_eq!(got.len(), want.len(), "{label}: beat count");
-    assert_prefix(got, want, label);
-}
-
-/// Reconnects through transient failures with an overall deadline.
-fn recover(client: &mut NodeClient, addr: SocketAddr) {
-    let start = Instant::now();
-    loop {
-        match client.reconnect_with_backoff(addr, 4, Duration::from_millis(5)) {
-            Ok(()) => return,
-            Err(e) => {
-                assert!(
-                    start.elapsed() < Duration::from_secs(30),
-                    "could not resume within the deadline: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
 
 /// Connects and opens a session, honoring `Busy { retry_after_ms }` by
 /// pausing for exactly the hinted interval before retrying — the compliant
@@ -214,34 +140,6 @@ fn close_with_retry(
     }
 }
 
-/// Runs `body` against a live gateway on a loopback port; flips the
-/// shutdown flag (even on panic) and returns the final counters.
-fn with_gateway<R>(
-    fw: &WbsnFirmware,
-    fs: f64,
-    config: GatewayConfig,
-    body: impl FnOnce(SocketAddr) -> R,
-) -> (R, GatewayStats) {
-    struct FlipOnDrop<'a>(&'a AtomicBool);
-    impl Drop for FlipOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let shutdown = AtomicBool::new(false);
-    let gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind");
-    let addr = gateway.local_addr().expect("addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| gateway.run(&shutdown).expect("gateway runs"));
-        let result = {
-            let _flip = FlipOnDrop(&shutdown);
-            body(addr)
-        };
-        let stats = handle.join().expect("gateway thread");
-        (result, stats)
-    })
-}
-
 /// Blaster fleet size: `HBC_SOAK_STORM` caps it in CI; the floor of 4
 /// keeps the storm's combined credit at twice the budget it implies.
 fn storm_size() -> usize {
@@ -277,13 +175,13 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
 
     let fw = &system().wbsn;
     let arr_records: Vec<EcgRecord> = (0..ARR_SENDERS)
-        .map(|i| wire_record(9100 + i as u64, 40, 0.5, 0.1))
+        .map(|i| wire_record_mix(9100 + i as u64, 40, 0.5, 0.1))
         .collect();
     let arr_refs: Vec<Vec<BeatOutcome>> = arr_records
         .iter()
         .map(|r| hub_reference(fw, r, ARR_CALIB))
         .collect();
-    let trickle_record = wire_record(9300, 35, 0.1, 0.1);
+    let trickle_record = wire_record_mix(9300, 35, 0.1, 0.1);
     let trickle_ref = hub_reference(fw, &trickle_record, ARR_CALIB);
     let fs = trickle_record.fs;
     for r in &arr_records {
@@ -385,7 +283,7 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
                 .map(|i| {
                     let armed = &armed;
                     scope.spawn(move || {
-                        let record = wire_record(9500 + i as u64, 20, 0.0, 0.0);
+                        let record = wire_record_mix(9500 + i as u64, 20, 0.0, 0.0);
                         let lead = record.lead(Lead(0)).expect("lead 0");
                         let hold = Instant::now();
                         while armed.load(Ordering::Acquire) < ARR_SENDERS {
@@ -494,7 +392,7 @@ fn overload_soak_bounds_memory_and_protects_abnormal_streams() {
 #[test]
 fn busy_denial_converges_after_the_hinted_pause() {
     let fw = &system().wbsn;
-    let record = wire_record(9700, 25, 0.1, 0.1);
+    let record = wire_record_mix(9700, 25, 0.1, 0.1);
     let fs = record.fs;
     let reference = fw.process_record(&record).expect("reference").beats;
     let retry_after = Duration::from_millis(100);
@@ -547,7 +445,7 @@ fn detached_session_resumes_at_capacity_without_double_counting() {
     // it closes the slot frees — i.e. parked state is counted exactly
     // once through detach → resume → close.
     let fw = &system().wbsn;
-    let record = wire_record(9800, 30, 0.1, 0.1);
+    let record = wire_record_mix(9800, 30, 0.1, 0.1);
     let fs = record.fs;
     let calib_len = 2048usize;
     let reference = hub_reference(fw, &record, calib_len);
@@ -671,7 +569,7 @@ fn oversized_calibration_is_denied_outright() {
         // The same request scaled inside the budget is admitted.
         let mut client = NodeClient::connect(addr).expect("reconnect");
         let id = client.open_session(51, 360.0, 512).expect("open");
-        let record = wire_record(9900, 8, 0.1, 0.1);
+        let record = wire_record_mix(9900, 8, 0.1, 0.1);
         let lead = record.lead(Lead(0)).expect("lead 0");
         client.send_mv(id, &lead[..768]).expect("send");
         let summary = client.close_session(id).expect("close");
@@ -781,7 +679,7 @@ fn watchdog_counts_over_budget_sweeps() {
     let ((), stats) = with_gateway(fw, 360.0, config, |addr| {
         let mut client = NodeClient::connect(addr).expect("connect");
         let id = client.open_session(70, 360.0, 512).expect("open");
-        let record = wire_record(10_000, 8, 0.1, 0.1);
+        let record = wire_record_mix(10_000, 8, 0.1, 0.1);
         let lead = record.lead(Lead(0)).expect("lead 0");
         client.send_mv(id, &lead[..1024]).expect("send");
         let summary = client.close_session(id).expect("close");

@@ -15,7 +15,7 @@ use heartbeat_rp::hbc_dsp::filter::MorphologicalFilter;
 use heartbeat_rp::hbc_dsp::peak::PeakDetector;
 use heartbeat_rp::hbc_dsp::streaming::{
     ExtremumKind, SlidingExtremum, StreamingBaselineFilter, StreamingBeatWindower,
-    StreamingDecimator, StreamingPeakDetector, StreamingWavelet, BLOCK,
+    StreamingPeakDetector, StreamingWavelet, BLOCK,
 };
 use heartbeat_rp::hbc_dsp::wavelet::DyadicWavelet;
 use heartbeat_rp::hbc_ecg::beat::{BeatClass, BeatWindow};
@@ -483,20 +483,6 @@ proptest! {
             }
             prop_assert_eq!(tracker.len(), (n + window + 2) as u64);
         }
-    }
-
-    // Decimation through the streaming operator equals `step_by` for any
-    // factor and any chunking of the pushes.
-    #[test]
-    fn streaming_decimator_matches_step_by(
-        factor in 1usize..9,
-        len in 0usize..200,
-    ) {
-        let signal: Vec<f64> = (0..len).map(|i| i as f64 * 0.25).collect();
-        let mut dec = StreamingDecimator::new(factor);
-        let got: Vec<f64> = signal.iter().filter_map(|&s| dec.push(s)).collect();
-        let expected: Vec<f64> = signal.iter().copied().step_by(factor).collect();
-        prop_assert_eq!(got, expected);
     }
 }
 

@@ -19,74 +19,20 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use heartbeat_rp::config::ExperimentConfig;
 use heartbeat_rp::hbc_ecg::record::EcgRecord;
-use heartbeat_rp::hbc_ecg::synthetic::SyntheticEcg;
-use heartbeat_rp::hbc_embedded::WbsnFirmware;
-use heartbeat_rp::hbc_net::proto::{dequantize_mv_into, quantize_mv_into};
-use heartbeat_rp::hbc_net::{Gateway, GatewayConfig, GatewayReport, NodeClient};
+use heartbeat_rp::hbc_net::{Gateway, GatewayConfig, NodeClient};
 use heartbeat_rp::hbc_obs::{MetricValue, MetricsSnapshot, TraceEvent};
 use heartbeat_rp::hbc_wal::WalConfig;
-use heartbeat_rp::pipeline::TrainedSystem;
 
 mod support;
+
+use support::{system, wire_record, with_gateway_report};
 
 /// Bytes one buffered sample occupies gateway-side (the gateway buffers
 /// the wire's `i16` ADC codes).
 const SAMPLE_BYTES: usize = std::mem::size_of::<i16>();
-
-fn system() -> &'static TrainedSystem {
-    static SYSTEM: OnceLock<TrainedSystem> = OnceLock::new();
-    SYSTEM.get_or_init(|| TrainedSystem::train(&ExperimentConfig::quick()).expect("training"))
-}
-
-/// A single-lead synthetic record pre-quantised through the wire ADC.
-fn wire_record(seed: u64, beats: usize) -> EcgRecord {
-    let mut gen = SyntheticEcg::with_seed(seed);
-    let rhythm = gen.rhythm(beats, 0.1, 0.1);
-    let mut record = gen.record(seed as u32, &rhythm, 1).expect("record");
-    let mut codes = Vec::new();
-    let mut exact = Vec::new();
-    quantize_mv_into(&record.leads[0], &mut codes);
-    dequantize_mv_into(&codes, &mut exact);
-    record.leads[0] = exact;
-    record
-}
-
-/// Runs `body` against a live gateway and returns the full shutdown
-/// [`GatewayReport`] (stats + final metrics snapshot + trace dump). The
-/// second address handed to `body` is the admin listener's, when one was
-/// configured.
-fn with_gateway_report<R>(
-    fw: &WbsnFirmware,
-    fs: f64,
-    config: GatewayConfig,
-    body: impl FnOnce(SocketAddr, Option<SocketAddr>) -> R,
-) -> (R, GatewayReport) {
-    struct FlipOnDrop<'a>(&'a AtomicBool);
-    impl Drop for FlipOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let shutdown = AtomicBool::new(false);
-    let gateway = Gateway::bind("127.0.0.1:0", fw, fs, config).expect("bind");
-    let addr = gateway.local_addr().expect("addr");
-    let admin = gateway.admin_addr();
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| gateway.run_with_report(&shutdown).expect("gateway runs"));
-        let result = {
-            let _flip = FlipOnDrop(&shutdown);
-            body(addr, admin)
-        };
-        let report = handle.join().expect("gateway thread");
-        (result, report)
-    })
-}
 
 /// Streams one record through a session and closes it. Draining the replay
 /// buffer before the close makes the gateway consume (and forward outcomes
