@@ -9,21 +9,22 @@
 //!   motion artefacts with erosion/dilation (opening/closing) operators: the
 //!   filter geometry, its whole-signal entry point (which runs the streaming
 //!   kernel) and the naive O(n·w) oracle the kernel is tested against;
-//! * [`wavelet`] — an **à-trous dyadic wavelet transform** (quadratic-spline
-//!   mother wavelet) producing the four scales the peak detector works on;
+//! * [`wavelet`] — the **à-trous dyadic wavelet transform** (quadratic-spline
+//!   mother wavelet) producing the four scales the peak detector works on,
+//!   whole-signal: the oracle the streaming cascade is tested against;
 //! * [`peak`] — the **R-peak detector**: maximum–minimum pairs across scales
 //!   with a zero-crossing refinement on the first scale;
 //! * [`delineation`] — **multi-scale morphological derivative (MMD)**
 //!   delineation of the P, QRS and T waves (onset / peak / end fiducial
 //!   points), combinable across three leads;
-//! * [`downsample`] / [`window`] — decimation and beat-window extraction
-//!   utilities shared by the PC and WBSN pipelines;
+//! * [`window`] — beat-window extraction and peak/annotation matching;
 //! * [`streaming`] — push-based, bounded-memory kernels of the conditioning
-//!   chain (baseline filter, à-trous wavelet, R-peak scan, decimation and
-//!   beat windowing), bit-identical to the naive morphology oracle and the
-//!   whole-signal wavelet transform, and the substrate of the online
-//!   firmware in `hbc-embedded`. Its van Herk / Gil–Werman sliding extremum
-//!   is the only morphology kernel production code runs.
+//!   chain (baseline filter, à-trous wavelet, R-peak scan and beat
+//!   windowing), bit-identical to the naive morphology oracle and the
+//!   whole-signal wavelet transform, and the substrate of the firmware in
+//!   `hbc-embedded`, online and over stored records alike. Its van Herk /
+//!   Gil–Werman sliding extremum is the only morphology kernel, and its
+//!   wavelet cascade the only wavelet, that production code runs.
 //!
 //! All algorithms are implemented both in `f64` (PC-side, training) and — for
 //! the blocks that run on the WBSN — in integer arithmetic, so that the
@@ -33,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod delineation;
-pub mod downsample;
 pub mod filter;
 pub mod peak;
 pub mod streaming;

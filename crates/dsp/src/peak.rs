@@ -9,24 +9,28 @@
 //!
 //! The scan itself is implemented once, as the incremental [`PeakScanner`]
 //! state machine consuming one multi-scale coefficient frame at a time from a
-//! bounded ring buffer. The whole-signal [`PeakDetector::detect`] drives the
-//! scanner over the [`DyadicWavelet::transform`] of a record; the streaming
-//! front-end ([`crate::streaming::StreamingPeakDetector`]) drives the *same*
-//! scanner from its wavelet cascade, so the two paths agree by construction.
+//! bounded ring buffer. Production code drives it from the streaming wavelet
+//! cascade ([`crate::streaming::StreamingPeakDetector`]), online and over
+//! stored records alike. The whole-signal [`PeakDetector::detect`] drives the
+//! *same* scanner over the [`DyadicWavelet::transform`] of a record; it is
+//! the oracle the parity suites and the `peak_detection` bench compare the
+//! streaming detector against.
 //!
 //! Detection thresholds are derived from the RMS of the wavelet detail
-//! coefficients. The batch path computes them over the record it is given; an
-//! online node cannot know that quantity ahead of time, so the thresholds are
+//! coefficients. A stored record can be calibrated over in full; an online
+//! node cannot know that quantity ahead of time, so the thresholds are
 //! factored out as [`PeakThresholds`] — calibrated once (e.g. over the first
 //! seconds of signal, or on the host before deployment) and then held fixed,
 //! exactly like the calibration phase of a real firmware.
+//! [`PeakDetector::calibrate`] computes them in one pass of the streaming
+//! cascade.
 
 use std::collections::VecDeque;
 
 use crate::streaming::BLOCK;
 use crate::tape::Tape;
 use crate::wavelet::DyadicWavelet;
-use crate::Result;
+use crate::{DspError, Result};
 
 /// Configuration of the wavelet peak detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,27 +130,43 @@ impl PeakDetector {
     /// coefficients of a calibration signal (the per-scale RMS scaled by the
     /// configured threshold factor).
     pub fn thresholds_from_details(&self, details: &[Vec<f64>]) -> PeakThresholds {
-        let rms = |d: &[f64]| (d.iter().map(|v| v * v).sum::<f64>() / d.len() as f64).sqrt();
+        let energy = details.iter().map(|d| d.iter().map(|v| v * v).sum());
+        self.thresholds_from_energy(&energy.collect::<Vec<f64>>(), details[0].len())
+    }
+
+    /// The thresholds of per-scale detail energies (sums of squares) over
+    /// `len` coefficients each.
+    fn thresholds_from_energy(&self, energy: &[f64], len: usize) -> PeakThresholds {
+        let factor = self.config.threshold_factor;
+        let mut thresholds = energy.iter().map(|e| factor * (e / len as f64).sqrt());
         PeakThresholds {
-            first_scale: self.config.threshold_factor * rms(&details[0]),
-            cross_scale: details
-                .iter()
-                .skip(1)
-                .map(|d| self.config.threshold_factor * rms(d))
-                .collect(),
+            first_scale: thresholds.next().expect("at least one scale"),
+            cross_scale: thresholds.collect(),
         }
     }
 
     /// Computes [`PeakThresholds`] from a calibration signal (typically the
-    /// baseline-filtered classification lead, or its first seconds).
+    /// baseline-filtered classification lead, or its first seconds) in one
+    /// pass of the streaming wavelet cascade, which adds up each scale's
+    /// squared details as it produces them. The result equals
+    /// [`Self::thresholds_from_details`] over
+    /// [`DyadicWavelet::transform`] of the signal, bit for bit, and no
+    /// signal-length buffer is allocated.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::SignalTooShort`](crate::DspError::SignalTooShort)
+    /// Returns [`DspError::SignalTooShort`]
     /// when the signal cannot support the wavelet decomposition.
     pub fn calibrate(&self, signal: &[f64]) -> Result<PeakThresholds> {
-        let details = DyadicWavelet::with_scales(self.config.scales).transform(signal)?;
-        Ok(self.thresholds_from_details(&details))
+        let required = DyadicWavelet::with_scales(self.config.scales).minimum_length();
+        if signal.len() < required {
+            return Err(DspError::SignalTooShort {
+                required,
+                provided: signal.len(),
+            });
+        }
+        let energy = crate::streaming::detail_energy(self.config.scales, signal);
+        Ok(self.thresholds_from_energy(&energy, signal.len()))
     }
 
     /// Creates the incremental scan state machine for these thresholds.
@@ -164,12 +184,18 @@ impl PeakDetector {
     /// ascending order.
     ///
     /// Thresholds are calibrated over `signal` itself, then the incremental
-    /// [`PeakScanner`] consumes the coefficient frames in order — the same
-    /// state machine the streaming front-end drives block by block.
+    /// [`PeakScanner`] consumes the coefficient frames of
+    /// [`DyadicWavelet::transform`] in order — the same state machine the
+    /// streaming front-end drives block by block.
+    ///
+    /// This is the whole-signal **oracle**: no production path runs it. The
+    /// parity suites check the streaming detector (and so
+    /// `WbsnFirmware::process_record`) against it, and the `peak_detection`
+    /// bench times it as the reference.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::SignalTooShort`](crate::DspError::SignalTooShort)
+    /// Returns [`DspError::SignalTooShort`]
     /// when the signal cannot support the wavelet decomposition.
     pub fn detect(&self, signal: &[f64]) -> Result<Vec<usize>> {
         let details = DyadicWavelet::with_scales(self.config.scales).transform(signal)?;
@@ -612,6 +638,7 @@ mod tests {
         let wavelet = DyadicWavelet::with_scales(detector.config().scales);
         let details = wavelet.transform(signal).expect("transform");
         let thresholds = detector.calibrate(signal).expect("calibrate");
+        assert_eq!(thresholds, detector.thresholds_from_details(&details));
         let mut scanner = detector.scanner(thresholds);
         for (i, &s) in signal.iter().enumerate() {
             let frame: Vec<f64> = details.iter().map(|d| d[i]).collect();
@@ -620,6 +647,31 @@ mod tests {
         scanner.finish();
         let split: Vec<usize> = std::iter::from_fn(|| scanner.pop_peak()).collect();
         assert_eq!(split, reference);
+    }
+
+    #[test]
+    fn streaming_calibration_equals_the_transform_thresholds_bit_for_bit() {
+        // Lengths around the minimum, the block width and the cascade's
+        // lookahead, where the border reflection and the block drains meet.
+        let detector = PeakDetector::new(360.0);
+        let minimum = DyadicWavelet::new().minimum_length();
+        for n in [minimum, minimum + 1, 30, 31, 63, 64, 65, 128, 129, 1_000] {
+            let signal: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.37).sin() + if i % 97 < 3 { 1.5 } else { 0.0 })
+                .collect();
+            let details = DyadicWavelet::new()
+                .transform(&signal)
+                .expect("long enough");
+            assert_eq!(
+                detector.calibrate(&signal).expect("long enough"),
+                detector.thresholds_from_details(&details),
+                "{n} samples"
+            );
+        }
+        assert!(matches!(
+            detector.calibrate(&vec![0.0; minimum - 1]),
+            Err(DspError::SignalTooShort { .. })
+        ));
     }
 
     #[test]

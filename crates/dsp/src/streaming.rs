@@ -2,9 +2,11 @@
 //!
 //! The firmware on the WBSN processes one ADC sample at a time with bounded
 //! memory, and so does every gateway session. This module holds those
-//! online kernels; its baseline filter is also the only morphology the
-//! record path runs ([`MorphologicalFilter::apply`] pushes a whole signal
-//! through it):
+//! online kernels, and they are the only conditioning kernels production
+//! code runs: on a stored record too, [`MorphologicalFilter::apply`] pushes
+//! each lead through the baseline filter, [`PeakDetector::calibrate`] the
+//! filtered lead through one pass of the wavelet cascade, and the firmware
+//! that lead through the peak detector and the beat windower:
 //!
 //! * [`SlidingExtremum`] — O(1) sliding-window minimum/maximum (the
 //!   streaming van Herk / Gil–Werman algorithm), the primitive behind
@@ -28,11 +30,12 @@
 //! the whole-signal border handling (clamped windows for the morphological
 //! operators, symmetric reflection for the wavelet). As a result the
 //! streaming chain is *bit-identical* over the whole record — not merely in
-//! the interior — to its references: the naive morphology oracle
-//! ([`crate::filter::sliding_extreme_naive`],
-//! [`MorphologicalFilter::apply_naive`]) and the whole-signal wavelet
-//! transform ([`crate::wavelet::DyadicWavelet::transform`]). That is what
-//! lets the firmware parity suite compare per-beat classifications exactly.
+//! the interior — to its references, which no production path runs: the
+//! naive morphology oracle ([`crate::filter::sliding_extreme_naive`],
+//! [`MorphologicalFilter::apply_naive`]), the whole-signal wavelet
+//! transform ([`crate::wavelet::DyadicWavelet::transform`]) and the
+//! whole-signal detector ([`PeakDetector::detect`]). That is what lets the
+//! parity suites compare per-beat classifications exactly.
 //!
 //! The filter, the wavelet and the peak detector also take chunks
 //! (`push_chunk`), which they process **stage by stage** in blocks of at
@@ -771,7 +774,7 @@ impl WaveletStage {
     /// overwrites `io` from the front (never ahead of the inputs still to
     /// be read). Returns the number of outputs.
     #[inline]
-    fn run(&mut self, io: &mut [f64], len: usize, details: &mut Tape) -> usize {
+    fn run(&mut self, io: &mut [f64], len: usize, details: &mut impl Sink) -> usize {
         let mut produced = 0;
         let mut read = 0;
         while read < len {
@@ -801,13 +804,13 @@ impl WaveletStage {
     /// four shifted slices of the window, the batch expressions element by
     /// element.
     #[inline]
-    fn emit(&mut self, out: &mut [f64], details: &mut Tape) -> usize {
+    fn emit(&mut self, out: &mut [f64], details: &mut impl Sink) -> usize {
         let s = self.spacing;
         let ready = self.end().saturating_sub(2 * s);
         let first = self.next_out;
         while self.next_out < ready.min(s) {
             let (d, a) = self.compute_reflected();
-            details.push(d);
+            details.put(d);
             out[self.next_out - 1 - first] = a;
         }
         let lo = self.next_out;
@@ -823,7 +826,7 @@ impl WaveletStage {
             let approx = &mut out[lo - first..lo - first + m];
             for k in 0..m {
                 approx[k] = (x0[k] + 3.0 * x1[k] + 3.0 * x2[k] + x3[k]) / 8.0;
-                details.push(2.0 * (x2[k] - x1[k]));
+                details.put(2.0 * (x2[k] - x1[k]));
             }
             self.next_out = ready;
         }
@@ -839,10 +842,11 @@ impl WaveletStage {
     }
 }
 
-/// The à-trous cascade shared by [`StreamingWavelet`] and
-/// [`StreamingPeakDetector`]: each stage runs over a whole block before the
-/// next one starts, writing its details straight into the consumer's
-/// per-scale tapes and its approximations into one stack array that
+/// The à-trous cascade shared by [`StreamingWavelet`],
+/// [`StreamingPeakDetector`] and [`PeakDetector::calibrate`]: each stage
+/// runs over a whole block before the next one starts, putting its details
+/// straight into the consumer's per-scale sinks (tapes, or the calibration's
+/// sums of squares) and its approximations into one stack array that
 /// becomes the next stage's input.
 #[derive(Debug, Clone)]
 struct Cascade {
@@ -872,13 +876,13 @@ impl Cascade {
     fn push_block<const N: usize>(
         &mut self,
         block: &[f64],
-        details: &mut [Tape],
-        input: &mut Tape,
+        details: &mut [impl Sink],
+        input: &mut impl Sink,
     ) {
         assert!(!self.finished, "push after finish");
         assert!(block.len() <= N, "blocks hold at most {N} samples");
         for &x in block {
-            input.push(x);
+            input.put(x);
         }
         self.pushed += block.len();
         let mut buf = [0.0; N];
@@ -892,7 +896,7 @@ impl Cascade {
     /// Declares the end of the stream and drains every stage with the
     /// batch transform's right-border reflection, stage by stage.
     /// Idempotent.
-    fn finish(&mut self, details: &mut [Tape]) {
+    fn finish(&mut self, details: &mut [impl Sink]) {
         if self.finished {
             return;
         }
@@ -905,11 +909,54 @@ impl Cascade {
             buf.truncate(len);
             stage.n = Some(n);
             while let Some((d, a)) = stage.finish_one() {
-                tape.push(d);
+                tape.put(d);
                 buf.push(a);
             }
         }
     }
+}
+
+/// Where the cascade puts each scale's details, and its input samples.
+trait Sink {
+    fn put(&mut self, v: f64);
+}
+
+impl Sink for Tape {
+    fn put(&mut self, v: f64) {
+        self.push(v);
+    }
+}
+
+/// Drops what is put.
+impl Sink for () {
+    fn put(&mut self, _: f64) {}
+}
+
+/// Adds up the squares of what is put, in order.
+#[derive(Clone, Copy, Default)]
+struct Energy(f64);
+
+impl Sink for Energy {
+    fn put(&mut self, d: f64) {
+        self.0 += d * d;
+    }
+}
+
+/// The sum of squares of every scale's detail coefficients over `signal`,
+/// from one pass of the cascade with the right border reflected: what
+/// [`PeakDetector::calibrate`] reads. Each scale's squares are added in
+/// index order as the cascade produces them, as
+/// `d.iter().map(|v| v * v).sum()` over the detail plane of
+/// [`DyadicWavelet::transform`](crate::wavelet::DyadicWavelet::transform)
+/// adds them, so the sums are equal bit for bit; no detail is stored.
+pub(crate) fn detail_energy(scales: usize, signal: &[f64]) -> Vec<f64> {
+    let mut cascade = Cascade::new(scales);
+    let mut energy = vec![Energy::default(); scales];
+    for block in signal.chunks(BLOCK) {
+        cascade.push_block::<BLOCK>(block, &mut energy, &mut ());
+    }
+    cascade.finish(&mut energy);
+    energy.into_iter().map(|e| e.0).collect()
 }
 
 /// A multi-scale coefficient frame produced by [`StreamingWavelet`]: the
@@ -1035,9 +1082,9 @@ impl StreamingWavelet {
 }
 
 /// Online R-peak detection: the [`StreamingWavelet`] cascade feeding the
-/// incremental [`PeakScanner`] — the *same* state machine the batch
-/// [`PeakDetector::detect`] drives, so both paths take identical decisions
-/// by construction.
+/// incremental [`PeakScanner`] — the *same* state machine the oracle
+/// [`PeakDetector::detect`] drives, so both take identical decisions by
+/// construction.
 ///
 /// The cascade writes each scale's details and the input straight into the
 /// scanner's tapes, and the scanner scans once per block.
@@ -1122,7 +1169,7 @@ impl StreamingPeakDetector {
 ///
 /// Peaks must be pushed in ascending order. Peaks whose window would start
 /// before the stream (closer than `window.pre` to sample 0) are skipped,
-/// mirroring the batch [`crate::window::windows_at_peaks`]; peaks whose
+/// like the oracle [`crate::window::windows_at_peaks`] skips them; peaks whose
 /// window has slid out of the ring buffer (detector latency exceeding the
 /// configured history) are dropped and counted — with a history of at least
 /// `window.pre + detector delay` this never happens.

@@ -14,8 +14,10 @@
 //! * high-pass `g = 2·[1, −1]`
 //!
 //! Because the taps are tiny integers, the transform can run with shifts and
-//! additions on the WBSN; the floating-point implementation below is used for
-//! training and verification, and `hbc-embedded` meters its integer cost.
+//! additions on the WBSN; `hbc-embedded` meters its integer cost. The
+//! whole-signal implementation below is the reference for verification; the
+//! firmware runs the same arithmetic as the push-based cascade of
+//! [`crate::streaming::StreamingWavelet`].
 
 use crate::{DspError, Result};
 
@@ -59,14 +61,12 @@ impl DyadicWavelet {
     ///
     /// Returns one vector per scale, each the same length as the input.
     ///
-    /// This whole-signal transform is kept next to the streaming cascade
-    /// ([`crate::streaming::StreamingWavelet`]) on purpose: it is the
-    /// reference the cascade is tested against, and
-    /// [`PeakDetector::calibrate`](crate::peak::PeakDetector::calibrate) /
-    /// [`PeakDetector::detect`](crate::peak::PeakDetector::detect) run on it
-    /// — whole-signal detection through the streaming cascade measured
-    /// slower (117–170 against 93–142 ns per sample on a 2-vCPU VM), so
-    /// routing them through it would add code and cost time.
+    /// This whole-signal transform is the **oracle** of the streaming
+    /// cascade ([`crate::streaming::StreamingWavelet`]): no production path
+    /// runs it. The parity suites test the cascade against it bit for bit,
+    /// [`PeakDetector::detect`](crate::peak::PeakDetector::detect) (the
+    /// detector's oracle) runs on it, and the `frontend_throughput` bench
+    /// times it as the reference.
     ///
     /// # Errors
     ///
@@ -79,20 +79,17 @@ impl DyadicWavelet {
                 provided: signal.len(),
             });
         }
-        // Each scale's approximation is read off the previous one before
-        // that buffer turns into the previous scale's detail plane, in
-        // place: the returned planes are the only signal-length buffers.
+        // Scale `s` filters the previous approximation with taps `2^s`
+        // apart: detail `g`, next approximation `h`, borders reflected.
         let mut details = Vec::with_capacity(self.scales);
         let mut approx = signal.to_vec();
         for scale in 0..self.scales {
-            let spacing = 1usize << scale;
-            let next = if scale + 1 < self.scales {
-                low_pass(&approx, spacing)
-            } else {
-                Vec::new()
-            };
-            high_pass_in_place(&mut approx, spacing);
-            details.push(std::mem::replace(&mut approx, next));
+            let (s, n) = (1isize << scale, approx.len());
+            let x = |i: isize| approx[reflect(i, n)];
+            details.push((0..n as isize).map(|i| 2.0 * (x(i + s) - x(i))).collect());
+            approx = (0..n as isize)
+                .map(|i| (x(i - s) + 3.0 * x(i) + 3.0 * x(i + s) + x(i + 2 * s)) / 8.0)
+                .collect();
         }
         Ok(details)
     }
@@ -102,40 +99,6 @@ impl Default for DyadicWavelet {
     fn default() -> Self {
         DyadicWavelet::new()
     }
-}
-
-/// High-pass (detail) filter `g = 2·[1, −1]` with à-trous spacing,
-/// symmetric border handling, overwriting `signal` with its detail
-/// coefficients. An interior output reads only samples at or after its own
-/// index, so an ascending pass reads them before they are overwritten; the
-/// border outputs, whose reflected reads reach back, are computed first.
-fn high_pass_in_place(signal: &mut [f64], spacing: usize) {
-    let n = signal.len();
-    let interior = n.saturating_sub(spacing);
-    let border: Vec<f64> = (interior..n)
-        .map(|i| 2.0 * (signal[reflect((i + spacing) as isize, n)] - signal[i]))
-        .collect();
-    for i in 0..interior {
-        signal[i] = 2.0 * (signal[i + spacing] - signal[i]);
-    }
-    signal[interior..].copy_from_slice(&border);
-}
-
-/// Low-pass (smoothing) filter `h = (1/8)·[1, 3, 3, 1]` with à-trous spacing,
-/// symmetric border handling.
-fn low_pass(signal: &[f64], spacing: usize) -> Vec<f64> {
-    let n = signal.len();
-    let s = spacing as isize;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let i = i as isize;
-        let x0 = signal[reflect(i - s, n)];
-        let x1 = signal[reflect(i, n)];
-        let x2 = signal[reflect(i + s, n)];
-        let x3 = signal[reflect(i + 2 * s, n)];
-        out.push((x0 + 3.0 * x1 + 3.0 * x2 + x3) / 8.0);
-    }
-    out
 }
 
 /// Reflects an index into `[0, n)` (symmetric border extension).

@@ -20,6 +20,11 @@ use crate::{DspError, Result};
 /// index diverge; consumers that look up per-peak data (such as the
 /// annotation matching of [`match_peaks`]) must use the returned peak index,
 /// not the position of the beat in the output vector.
+///
+/// This whole-signal cut is the **oracle** of the firmware's
+/// [`StreamingBeatWindower`](crate::streaming::StreamingBeatWindower): no
+/// production path runs it, and the parity suites rebuild
+/// `process_record` from it.
 pub fn windows_at_peaks(
     signal: &[f64],
     peaks: &[usize],

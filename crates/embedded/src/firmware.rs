@@ -18,8 +18,8 @@
 
 use std::time::Instant;
 
-use hbc_dsp::window::{match_peaks, windows_at_peaks};
-use hbc_dsp::{Delineator, MorphologicalFilter, PeakDetector};
+use hbc_dsp::window::match_peaks;
+use hbc_dsp::{MorphologicalFilter, PeakDetector};
 use hbc_ecg::beat::{BeatClass, BeatWindow};
 use hbc_ecg::record::{EcgRecord, Lead};
 use hbc_rp::PackedProjection;
@@ -29,6 +29,7 @@ use crate::energy::{EnergyModel, EnergyReport, SessionStats};
 use crate::fixed::AdcModel;
 use crate::int_classifier::{AlphaQ16, IntegerNfc};
 use crate::platform::IcyHeartPlatform;
+use crate::streaming::StreamingFirmware;
 use crate::{EmbeddedError, Result};
 
 /// Outcome of one detected beat.
@@ -297,15 +298,19 @@ impl WbsnFirmware {
 
     /// [`Self::process_record`] against a caller-owned per-beat scratch, so
     /// multi-record drivers (the evaluation engine, sweeps) reuse the
-    /// classification working set across records. The conditioning
-    /// front-end runs whole-signal: every lead goes through
-    /// [`MorphologicalFilter::apply`] (the streaming baseline filter the
-    /// gateway sessions run, fed the whole lead), and the classification
-    /// lead through [`PeakDetector::detect`]. Detection matches *every*
-    /// peak against the annotations, border peaks that no window is cut
-    /// around included, and delineation reads the other filtered leads, so
-    /// both stay whole-record. Output is identical to
-    /// [`Self::process_record`].
+    /// classification working set across records.
+    ///
+    /// Every lead is filtered once, whole ([`MorphologicalFilter::apply`]),
+    /// and the thresholds are calibrated over the whole filtered
+    /// classification lead ([`PeakDetector::calibrate`]). Then the one
+    /// implementation of the pipeline, [`StreamingFirmware`], runs that
+    /// lead through its detector, windower, classifier and gated
+    /// delineation, which fuses the windows of every lead. Each outcome is
+    /// labelled through the matching of *every* finalized peak against the
+    /// annotations, border peaks included, as the matching is
+    /// order-sensitive.
+    ///
+    /// Output is identical to [`Self::process_record`].
     ///
     /// # Errors
     ///
@@ -316,77 +321,38 @@ impl WbsnFirmware {
         record: &EcgRecord,
         beat_scratch: &mut BeatScratch,
     ) -> Result<FirmwareReport> {
-        let lead0 = record
-            .lead(Lead(0))
-            .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
-
-        // Stage 1-2: filtering + peak detection on the classification lead.
+        fn dimension(e: impl std::fmt::Display) -> EmbeddedError {
+            EmbeddedError::Dimension(e.to_string())
+        }
         let filter = MorphologicalFilter::for_sampling_rate(record.fs);
-        let filtered = filter
-            .apply(lead0)
-            .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
-        let peaks = PeakDetector::new(record.fs)
-            .detect(&filtered)
-            .map_err(|e| EmbeddedError::Dimension(e.to_string()))?;
+        // A record without leads fails on lead 0.
+        let leads = (0..record.num_leads().max(1))
+            .map(|l| {
+                let signal = record.lead(Lead(l)).map_err(dimension)?;
+                filter.apply(signal).map_err(dimension)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let thresholds = PeakDetector::new(record.fs)
+            .calibrate(&leads[0])
+            .map_err(dimension)?;
+        let (mut outcomes, peaks) =
+            StreamingFirmware::run_record(self, record.fs, thresholds, &leads, beat_scratch);
 
-        // Ground-truth association for reporting. The matching is indexed by
-        // *peak*, and `windows_at_peaks` skips peaks too close to the record
-        // borders, so each beat carries the index of its originating peak —
-        // indexing the matching by beat position would shift every truth
-        // label after a skipped border peak.
+        // Ground truth is matched per *peak*: the windower skips peaks too
+        // close to the record borders, so each beat is labelled through the
+        // index of its own peak in the log — indexing the matching by beat
+        // position would shift every label after a skipped border peak.
         let tolerance = (0.06 * record.fs) as usize;
         let matching = match_peaks(&peaks, &record.annotations, tolerance);
-
-        // Pre-filter the remaining delineation leads once (the always-on
-        // baseline does the same work, which is what the duty-cycle model
-        // accounts for); lead 0 was already filtered for classification and
-        // is reused as the first delineation lead.
-        let delineator = Delineator::new(record.fs);
-        let filtered_rest: Vec<Vec<f64>> = (1..record.num_leads())
-            .map(|l| {
-                let signal = record.lead(Lead(l)).expect("lead index < num_leads");
-                filter.apply(signal).expect("same length as lead 0")
-            })
-            .collect();
-
-        // Stage 3-7 per beat.
-        let beats = windows_at_peaks(&filtered, &peaks, self.window, record.id);
-        let mut outcomes = Vec::with_capacity(beats.len());
-        let mut forwarded = 0usize;
-        for (peak_index, beat) in &beats {
-            let predicted =
-                self.classify_window_with(&beat.samples, self.alpha, beat_scratch, None)?;
-            let truth =
-                matching.matched_annotation[*peak_index].map(|a| record.annotations[a].class);
-            let delineated = predicted.is_abnormal();
-            let fiducials_transmitted = if delineated {
-                forwarded += 1;
-                let rest_windows: Vec<Vec<f64>> = filtered_rest
-                    .iter()
-                    .map(|l| {
-                        self.window
-                            .extract(l, beat.record_position)
-                            .unwrap_or_else(|| beat.samples.clone())
-                    })
-                    .collect();
-                let mut refs: Vec<&[f64]> = Vec::with_capacity(record.num_leads());
-                refs.push(&beat.samples);
-                refs.extend(rest_windows.iter().map(Vec::as_slice));
-                delineator
-                    .delineate_multilead(&refs, self.window.pre)
-                    .map(|f| f.count().max(1))
-                    .unwrap_or(1)
-            } else {
-                1 // peak position only
-            };
-            outcomes.push(BeatOutcome {
-                peak: beat.record_position,
-                truth,
-                predicted,
-                delineated,
-                fiducials_transmitted,
-            });
+        let mut peak_index = 0;
+        for outcome in &mut outcomes {
+            while peaks[peak_index] != outcome.peak {
+                peak_index += 1;
+            }
+            outcome.truth =
+                matching.matched_annotation[peak_index].map(|a| record.annotations[a].class);
         }
+        let forwarded = outcomes.iter().filter(|o| o.delineated).count();
 
         let stats = SessionStats {
             total_beats: outcomes.len(),

@@ -1,10 +1,11 @@
-//! The online firmware: the Figure 6 pipeline fed one ADC sample at a time.
+//! The firmware: the Figure 6 pipeline fed one ADC sample at a time.
 //!
+//! The node of the paper sees *one sample per ADC tick* and must hold only a
+//! bounded slice of the past. [`StreamingFirmware`] is that execution model
+//! on the host and the one implementation of the pipeline: gateway sessions
+//! push samples into it, and
 //! [`WbsnFirmware::process_record`](crate::firmware::WbsnFirmware::process_record)
-//! runs the embedded application over a complete stored record — convenient
-//! for experiments, but not how the node of the paper operates. The node
-//! sees *one sample per ADC tick* and must hold only a bounded slice of the
-//! past. [`StreamingFirmware`] is that execution model on the host:
+//! runs a stored record through its stages after the filter.
 //!
 //! 1. [`StreamingBaselineFilter`] corrects each sample online (group delay
 //!    `4·⌊qrs/2⌋ + 2·⌊beat/2⌋` samples);
@@ -18,20 +19,19 @@
 //!    sees the same 4×-downsampled view wherever the beat occurred in the
 //!    stream), ADC quantisation, packed projection and the integer NFC
 //!    without allocating in steady state;
-//! 5. beats flagged pathological are delineated on the classification lead
-//!    and their fiducial count recorded, as the node would transmit them.
+//! 5. beats flagged pathological are delineated and their fiducial count
+//!    recorded, as the node would transmit them.
 //!
-//! Every stage is bit-identical to its batch counterpart (see
-//! `hbc_dsp::streaming`), so — given thresholds calibrated on the same
-//! signal — the per-beat classifications produced here are *exactly* those
-//! of `process_record`, for any chunking of the input. The only divergence
-//! is the delineation stage, which online sees the classification lead only
-//! (the batch path fuses all record leads), affecting the transmitted
-//! fiducial count but never the classification.
+//! Every stage is bit-identical to its whole-signal oracle (see
+//! `hbc_dsp::streaming`), for any chunking of the input. A gateway session
+//! delineates its one lead; the record path also hands over the record's
+//! other filtered leads, whose windows delineation fuses with it
+//! ([`Delineator::delineate_multilead`]).
 //!
 //! Ground truth is unknown online, so emitted [`BeatOutcome`]s carry
-//! `truth: None`; serving layers label them after the fact by matching
-//! positions against annotations (see `hbc_core`'s `StreamHub`).
+//! `truth: None`; the hub labels them by matching positions against
+//! annotations (see `hbc_core`'s `StreamHub`), the record path through the
+//! log of every finalized peak.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -113,6 +113,11 @@ pub struct StreamingFirmware<'fw, S: SampleScale = Millivolts> {
     detector: StreamingPeakDetector,
     windower: StreamingBeatWindower,
     delineator: Delineator,
+    /// The record's other filtered leads, fused by delineation; empty for
+    /// a gateway session.
+    leads: &'fw [Vec<f64>],
+    /// Every finalized peak, for the record path's truth matching.
+    peak_log: Option<Vec<usize>>,
     scratch: BeatScratch,
     /// Reused full-rate window buffer (classification + delineation input).
     window_buf: Vec<f64>,
@@ -145,6 +150,30 @@ impl<'fw> StreamingFirmware<'fw> {
     pub fn new(firmware: &'fw WbsnFirmware, fs: f64, thresholds: PeakThresholds) -> Self {
         Self::with_scale(firmware, fs, thresholds, Millivolts)
     }
+
+    /// Runs a stored record's filtered leads through the stages after the
+    /// filter, with `scratch` as the per-beat scratch: `leads[0]` is
+    /// classified, and delineation fuses the windows of every lead. Returns
+    /// the outcomes (`truth: None`) and every finalized peak, border peaks
+    /// included.
+    pub(crate) fn run_record(
+        firmware: &'fw WbsnFirmware,
+        fs: f64,
+        thresholds: PeakThresholds,
+        leads: &'fw [Vec<f64>],
+        scratch: &mut BeatScratch,
+    ) -> (Vec<BeatOutcome>, Vec<usize>) {
+        let mut stream = Self::new(firmware, fs, thresholds);
+        (stream.leads, stream.peak_log) = (&leads[1..], Some(Vec::new()));
+        std::mem::swap(&mut stream.scratch, scratch);
+        for block in leads[0].chunks(BLOCK) {
+            stream.ingest_filtered(block);
+        }
+        // The filter, which the record bypasses, drains nothing.
+        stream.finish();
+        std::mem::swap(&mut stream.scratch, scratch);
+        (stream.outcomes.into(), stream.peak_log.unwrap_or_default())
+    }
 }
 
 impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
@@ -169,6 +198,8 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
             filter: StreamingBaselineFilter::with_scale(fs, scale),
             windower: StreamingBeatWindower::new(firmware.window, history),
             delineator: Delineator::new(fs),
+            leads: &[],
+            peak_log: None,
             detector,
             scratch: BeatScratch::default(),
             window_buf: Vec::new(),
@@ -328,6 +359,9 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
 
     fn drain_peaks(&mut self) {
         while let Some(peak) = self.detector.pop_peak() {
+            if let Some(log) = &mut self.peak_log {
+                log.push(peak);
+            }
             self.windower.push_peak(peak);
         }
     }
@@ -359,13 +393,19 @@ impl<'fw, S: SampleScale> StreamingFirmware<'fw, S> {
         let fiducials_transmitted = if delineated {
             self.forwarded += 1;
             let del_started = Instant::now();
-            // One lead fuses to itself, so this equals the batch path's
-            // `delineate_multilead` without its per-beat allocations.
-            let fiducials = self
-                .delineator
-                .delineate_beat_with(window, fw.window.pre, &mut self.smoothed)
-                .map(|f| f.count().max(1))
-                .unwrap_or(1);
+            let pre = fw.window.pre;
+            let fiducials = if self.leads.is_empty() {
+                // One lead fuses to itself, so this equals
+                // `delineate_multilead` without its per-beat allocations.
+                self.delineator
+                    .delineate_beat_with(window, pre, &mut self.smoothed)
+            } else {
+                let rest = self.leads.iter().map(|l| &l[peak - pre..][..window.len()]);
+                let windows: Vec<&[f64]> = std::iter::once(window).chain(rest).collect();
+                self.delineator.delineate_multilead(&windows, pre)
+            }
+            .map(|f| f.count().max(1))
+            .unwrap_or(1);
             let del_nanos = del_started.elapsed().as_nanos() as u64;
             self.stages.delineation_nanos.record(del_nanos);
             self.beat_nanos_acc += del_nanos;

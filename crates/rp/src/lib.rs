@@ -22,9 +22,7 @@
 //!   projection kernel;
 //! * [`genetic`] — the genetic algorithm used to search for a
 //!   high-performance projection (population of 20 matrices, 30 generations
-//!   in the paper);
-//! * [`jl`] — utilities to measure empirical pairwise-distance distortion and
-//!   compare it against the Johnson–Lindenstrauss bound.
+//!   in the paper).
 //!
 //! ```
 //! use hbc_rp::AchlioptasMatrix;
@@ -41,7 +39,6 @@
 pub mod achlioptas;
 pub mod bitplanes;
 pub mod genetic;
-pub mod jl;
 pub mod packed;
 
 pub use achlioptas::{AchlioptasMatrix, ProjectionEntry};

@@ -10,7 +10,7 @@
 //! cargo run --release --example mitbih_roundtrip
 //! ```
 
-use heartbeat_rp::hbc_dsp::{MorphologicalFilter, PeakDetector};
+use heartbeat_rp::hbc_dsp::{MorphologicalFilter, PeakDetector, StreamingPeakDetector};
 use heartbeat_rp::hbc_ecg::mitbih::{
     encode_annotations, encode_format_212, record_from_bytes, MitAnnotationCode, DEFAULT_ADC_GAIN,
     DEFAULT_ADC_ZERO,
@@ -62,10 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run the embedded conditioning chain on the decoded signal.
     let filtered =
         MorphologicalFilter::for_sampling_rate(decoded.fs).apply(decoded.lead(Lead(0))?)?;
-    let peaks = PeakDetector::new(decoded.fs).detect(&filtered)?;
+    let detector = PeakDetector::new(decoded.fs);
+    let mut online = StreamingPeakDetector::new(&detector, detector.calibrate(&filtered)?);
+    online.push_chunk(&filtered);
+    online.finish();
+    let peaks = std::iter::from_fn(|| online.pop_peak()).count();
     println!(
         "peak detector found {} beats ({} annotated)",
-        peaks.len(),
+        peaks,
         decoded.annotations.len()
     );
     Ok(())

@@ -9,9 +9,12 @@
 //! window parity, border position and element geometry, fed millivolts or
 //! ADC codes — min/max are pure comparisons, so the equality is exact, not
 //! approximate. The capstone test reconstructs the record pipeline from the
-//! naive kernels and checks `WbsnFirmware::process_record` against it beat
-//! by beat: per-beat classifications, ground-truth labels and the NDR/ARR
-//! figures of merit are bit-identical.
+//! oracles (the naive filter, `PeakDetector::detect`, `windows_at_peaks`,
+//! `Delineator::delineate_multilead` over the naive-filtered leads) and
+//! checks `WbsnFirmware::process_record`, which runs the streaming firmware,
+//! against it beat by beat on records of one to three leads: per-beat
+//! classifications, ground-truth labels, delineation gating, transmitted
+//! fiducial counts and the NDR/ARR figures of merit are bit-identical.
 //!
 //! (The zero-steady-state-allocation gate lives in `tests/frontend_alloc.rs`
 //! — it needs a counting global allocator and therefore a test binary of its
@@ -292,16 +295,33 @@ fn trained_system() -> &'static TrainedSystem {
     })
 }
 
-/// The acceptance bar: `process_record` (running the streaming kernel) is
-/// bit-identical to the pipeline reconstructed here from the naive
-/// kernels: naive filter → peak detection → peak/annotation matching →
-/// windowing → per-beat classification.
+/// The acceptance bar: `process_record` (running the streaming firmware) is
+/// bit-identical to the pipeline reconstructed here from the oracles:
+/// naive filter on every lead → whole-signal peak detection →
+/// peak/annotation matching → windowing → per-beat classification → gated
+/// multi-lead delineation over the naive-filtered leads. Records of one, two
+/// and three leads.
 #[test]
 fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
+    let mut fused = 0;
+    for seed in [77, 80] {
+        for leads in 1..=3 {
+            fused += check_against_naive_reconstruction(seed, leads);
+        }
+    }
+    // On seed 80 the other leads change the fiducial count of some beats,
+    // so delineation that ignored them would fail the check.
+    assert!(fused > 0, "some fused fiducial counts differ from lead 0's");
+}
+
+/// Checks one record of `leads` leads and returns the number of forwarded
+/// beats whose fused fiducial count differs from lead 0's alone.
+fn check_against_naive_reconstruction(seed: u64, leads: usize) -> usize {
     let fw = &trained_system().wbsn;
-    let mut gen = SyntheticEcg::with_seed(77);
+    let mut gen = SyntheticEcg::with_seed(seed);
     let rhythm = gen.rhythm(80, 0.12, 0.12);
-    let record = gen.record(50, &rhythm, 2).expect("record generation");
+    let record = gen.record(50, &rhythm, leads).expect("record generation");
+    assert_eq!(record.num_leads(), leads);
 
     let mut beat_scratch = BeatScratch::default();
     let report = fw
@@ -315,24 +335,69 @@ fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
         "process_record and process_record_with must agree"
     );
 
-    // Pre-change reconstruction: naive O(n·w) filter, allocating transform.
-    let lead0 = record.lead(Lead(0)).expect("lead 0");
+    // Pre-change reconstruction: naive O(n·w) filter, allocating transform,
+    // whole-signal detection and windowing.
     let filter = MorphologicalFilter::for_sampling_rate(record.fs);
-    let filtered = filter.apply_naive(lead0).expect("filter");
+    let filtered_leads: Vec<Vec<f64>> = (0..leads)
+        .map(|l| {
+            filter
+                .apply_naive(record.lead(Lead(l)).expect("lead"))
+                .expect("filter")
+        })
+        .collect();
+    let filtered = &filtered_leads[0];
     let detector = PeakDetector::new(record.fs);
-    let peaks = detector.detect(&filtered).expect("peaks");
+    let peaks = detector.detect(filtered).expect("peaks");
     let tolerance = (0.06 * record.fs) as usize;
     let matching = match_peaks(&peaks, &record.annotations, tolerance);
-    let beats = windows_at_peaks(&filtered, &peaks, fw.window, record.id);
+    let beats = windows_at_peaks(filtered, &peaks, fw.window, record.id);
+    let delineator = Delineator::new(record.fs);
 
-    assert_eq!(report.beats.len(), beats.len(), "beat count must match");
+    assert_eq!(report.beats.len(), beats.len(), "{leads} leads: beat count");
+    let (mut forwarded, mut fused) = (0, 0);
     for ((peak_index, beat), outcome) in beats.iter().zip(&report.beats) {
         let predicted = fw.classify_window(&beat.samples).expect("classify");
         let truth = matching.matched_annotation[*peak_index].map(|a| record.annotations[a].class);
         assert_eq!(outcome.peak, beat.record_position, "peak position");
         assert_eq!(outcome.predicted, predicted, "per-beat classification");
         assert_eq!(outcome.truth, truth, "ground-truth label");
+        // Delineation runs exactly for the forwarded beats, over the
+        // windows of every naive-filtered lead.
+        let delineated = predicted.is_abnormal();
+        let fiducials = if delineated {
+            forwarded += 1;
+            let windows: Vec<Vec<f64>> = filtered_leads
+                .iter()
+                .map(|l| {
+                    fw.window
+                        .extract(l, beat.record_position)
+                        .expect("the classification lead's window fits every lead")
+                })
+                .collect();
+            let windows: Vec<&[f64]> = windows.iter().map(Vec::as_slice).collect();
+            let count = |windows: &[&[f64]]| {
+                delineator
+                    .delineate_multilead(windows, fw.window.pre)
+                    .map(|f| f.count().max(1))
+                    .unwrap_or(1)
+            };
+            let all = count(&windows);
+            if all != count(&windows[..1]) {
+                fused += 1;
+            }
+            all
+        } else {
+            1
+        };
+        assert_eq!(outcome.delineated, delineated, "{leads} leads: gating");
+        assert_eq!(
+            outcome.fiducials_transmitted, fiducials,
+            "{leads} leads: fiducials of the beat at {}",
+            outcome.peak
+        );
     }
+    assert!(forwarded > 0, "{leads} leads: some beats are delineated");
+    assert_eq!(report.stats.forwarded_beats, forwarded);
 
     // The figures of merit derive from the per-beat outcomes; recompute them
     // from the reconstruction and require exact equality.
@@ -360,6 +425,7 @@ fn process_record_is_bit_identical_to_the_naive_front_end_reconstruction() {
     let arr = recognised as f64 / abnormals as f64;
     assert_eq!(report.ndr(), ndr, "NDR must be bit-identical");
     assert_eq!(report.arr(), arr, "ARR must be bit-identical");
+    fused
 }
 
 /// Scratch-carried state never leaks across records: interleaving records of
